@@ -101,6 +101,26 @@ type Profile struct {
 type caseAcc struct {
 	ops    [numOps]map[intern.Sym]int
 	events int
+	// order caches each op's subjects in ascending string order for
+	// EncodeSnapshot. Subjects are never removed, so the cache is
+	// current exactly when its length matches the op's map.
+	order [numOps][]intern.Sym
+}
+
+// subjectOrder returns the op's subjects in ascending string order,
+// re-sorting only when subjects were added since the last call.
+func (acc *caseAcc) subjectOrder(op Op, syms *intern.Local) []intern.Sym {
+	m := acc.ops[op]
+	if len(acc.order[op]) == len(m) {
+		return acc.order[op]
+	}
+	ys := acc.order[op][:0]
+	for y := range m {
+		ys = append(ys, y)
+	}
+	sort.Slice(ys, func(i, j int) bool { return syms.Str(ys[i]) < syms.Str(ys[j]) })
+	acc.order[op] = ys
+	return ys
 }
 
 // New returns an empty profile owning a fresh scoped symbol table.
@@ -181,16 +201,6 @@ func (p *Profile) Merge(q *Profile) {
 			}
 		}
 	}
-}
-
-// Merge combines profiles into a new one; nil inputs are skipped and
-// the inputs are not modified.
-func Merge(ps ...*Profile) *Profile {
-	out := New()
-	for _, q := range ps {
-		out.Merge(q)
-	}
-	return out
 }
 
 // NumCases returns the number of cases with at least one behavior

@@ -108,13 +108,20 @@ func TestMergeExact(t *testing.T) {
 				}
 				return q
 			}
+			merge := func(ps ...*behavior.Profile) *behavior.Profile {
+				out := behavior.New()
+				for _, q := range ps {
+					out.Merge(q)
+				}
+				return out
+			}
 			a, b, c := shard(0, 3), shard(3, 7), shard(7, 9)
 			bBefore := b.RenderText()
 
-			if got := behavior.Merge(a, b, c).RenderText(); got != want {
+			if got := merge(a, b, c).RenderText(); got != want {
 				t.Error("forward shard merge differs from the sequential fold")
 			}
-			if got := behavior.Merge(c, nil, a, b, nil).RenderText(); got != want {
+			if got := merge(c, nil, a, b, nil).RenderText(); got != want {
 				t.Error("reordered merge with nils differs from the sequential fold")
 			}
 			if b.RenderText() != bBefore {
@@ -191,5 +198,67 @@ func TestSnapshotHostileBytes(t *testing.T) {
 	var ce *wire.CorruptError
 	if _, err := behavior.DecodeSnapshot([]byte{0xff, 0xff, 0xff, 0xff, 0xff}); !errors.As(err, &ce) {
 		t.Errorf("garbage header: err = %v, want CorruptError", err)
+	}
+}
+
+// TestSnapshotSortCacheTracksMerge: EncodeSnapshot caches each case's
+// subject order, so a merge that adds a subject to a case already
+// encoded must show up in the next encoding — which must equal the
+// bytes of a profile built from scratch over the same events.
+func TestSnapshotSortCacheTracksMerge(t *testing.T) {
+	id := trace.CaseID{CID: "app", Host: "h1", RID: 1}
+	first := []trace.Event{
+		mkEvent(1, "read", "/data/c.bin"),
+		mkEvent(1, "read", "/data/a.bin"),
+		mkEvent(1, "write", "/data/out.bin"),
+	}
+	second := []trace.Event{
+		mkEvent(1, "read", "/data/b.bin"), // new subject between the two
+		mkEvent(1, "read", "/data/a.bin"), // known subject, count only
+	}
+	p := behavior.New()
+	p.AddCase(trace.NewCase(id, first))
+	before := p.EncodeSnapshot()
+
+	q := behavior.New()
+	q.AddCase(trace.NewCase(id, second))
+	p.Merge(q)
+
+	fresh := behavior.New()
+	fresh.AddCase(trace.NewCase(id, append(append([]trace.Event(nil), first...), second...)))
+	want := fresh.EncodeSnapshot()
+	got := p.EncodeSnapshot()
+	if bytes.Equal(got, before) {
+		t.Fatal("encoding did not change after the merge added a subject")
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("encoding after merge differs from a freshly built profile")
+	}
+}
+
+// TestSnapshotSharedStrings: a string that is both a case identity
+// component and a subject is written to the dictionary once, whichever
+// use comes first, so the section decodes and is a fixed point.
+func TestSnapshotSharedStrings(t *testing.T) {
+	p := behavior.New()
+	// Subject "b" comes before the CID "b"; the Host "c" before the
+	// subject "c"; the Host "h" right before the subject "h".
+	p.AddCase(trace.NewCase(trace.CaseID{CID: "a", Host: "c", RID: 1}, []trace.Event{
+		mkEvent(1, "openat", "b"),
+	}))
+	p.AddCase(trace.NewCase(trace.CaseID{CID: "b", Host: "h", RID: 2}, []trace.Event{
+		mkEvent(2, "openat", "c"),
+		mkEvent(2, "connect", "h"),
+	}))
+	enc := p.EncodeSnapshot()
+	got, err := behavior.DecodeSnapshot(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RenderText() != p.RenderText() {
+		t.Error("decoded profile renders differently")
+	}
+	if !bytes.Equal(got.EncodeSnapshot(), enc) {
+		t.Error("re-encode after decode differs")
 	}
 }

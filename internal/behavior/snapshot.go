@@ -1,6 +1,8 @@
 package behavior
 
 import (
+	"encoding/binary"
+
 	"stinspector/internal/intern"
 	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/trace"
@@ -18,49 +20,69 @@ import (
 //
 //	dict:  n | string*
 //	cases: n | (cidSym hostSym rid events (nEntries | (subjSym count)*)^numOps)*
+//
+// EncodeSnapshot caches each case's subject order on the profile, so
+// like Add and Merge it must not run concurrently with other use of it.
 func (p *Profile) EncodeSnapshot() []byte {
 	ids := p.sortedIDs()
-	// Materialize the canonical per-case views once; both passes (the
-	// dictionary and the payload) walk the same order.
-	views := make([]CaseProfile, len(ids))
-	for i, id := range ids {
-		views[i] = p.caseProfile(id, p.cases[id])
-	}
-
-	dict := intern.NewLocal()
-	for i := range views {
-		dict.Intern(views[i].ID.CID)
-		dict.Intern(views[i].ID.Host)
-		for _, lst := range views[i].byOp() {
-			for _, e := range *lst {
-				dict.Intern(e.Subject)
-			}
+	// One pass: the payload is written while the dictionary assigns ids
+	// in first-use order, and the dictionary is prepended at the end.
+	// Subjects are the profile's own symbols, so their ids live in a
+	// slice indexed by symbol (id+1; 0 = not assigned yet) and no subject
+	// string is hashed. A CID or Host string that is also a subject
+	// shares the subject's id; the others get theirs from a small map.
+	strs := make([]string, 0, p.syms.Len()+2*len(ids))
+	subjID := make([]intern.Sym, p.syms.Len())
+	subject := func(y intern.Sym) uint64 {
+		if subjID[y] == 0 {
+			strs = append(strs, p.syms.Str(y))
+			subjID[y] = intern.Sym(len(strs))
 		}
+		return uint64(subjID[y] - 1)
+	}
+	other := make(map[string]uint64)
+	str := func(s string) uint64 {
+		if y, ok := p.syms.Sym(s); ok {
+			return subject(y)
+		}
+		id, ok := other[s]
+		if !ok {
+			id = uint64(len(strs))
+			strs = append(strs, s)
+			other[s] = id
+		}
+		return id
 	}
 
 	var b wire.Buf
-	b.Uvarint(uint64(dict.Len()))
-	for i := 0; i < dict.Len(); i++ {
-		b.Str(dict.Str(intern.Sym(i)))
-	}
-	b.Uvarint(uint64(len(views)))
-	for i := range views {
-		cy, _ := dict.Sym(views[i].ID.CID)
-		hy, _ := dict.Sym(views[i].ID.Host)
-		b.Uvarint(uint64(cy))
-		b.Uvarint(uint64(hy))
-		b.Varint(int64(views[i].ID.RID))
-		b.Uvarint(uint64(views[i].Events))
-		for _, lst := range views[i].byOp() {
-			b.Uvarint(uint64(len(*lst)))
-			for _, e := range *lst {
-				sy, _ := dict.Sym(e.Subject)
-				b.Uvarint(uint64(sy))
-				b.Uvarint(uint64(e.Count))
+	b.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		acc := p.cases[id]
+		b.Uvarint(str(id.CID))
+		b.Uvarint(str(id.Host))
+		b.Varint(int64(id.RID))
+		b.Uvarint(uint64(acc.events))
+		for op := Op(0); op < numOps; op++ {
+			order := acc.subjectOrder(op, p.syms)
+			b.Uvarint(uint64(len(order)))
+			for _, y := range order {
+				b.Uvarint(subject(y))
+				b.Uvarint(uint64(acc.ops[op][y]))
 			}
 		}
 	}
-	return b.Bytes()
+	size := binary.MaxVarintLen64 + b.Len()
+	for _, s := range strs {
+		size += binary.MaxVarintLen64 + len(s)
+	}
+	var d wire.Buf
+	d.Grow(size)
+	d.Uvarint(uint64(len(strs)))
+	for _, s := range strs {
+		d.Str(s)
+	}
+	d.Raw(b.Bytes())
+	return d.Bytes()
 }
 
 // DecodeSnapshot reconstructs a profile from EncodeSnapshot bytes. The

@@ -33,8 +33,10 @@ type CheckpointOptions struct {
 	// the cases it has not seen. A missing snapshot file is a fresh
 	// start, not an error.
 	Resume bool
-	// OnEpoch, when set, is called after each successful checkpoint
-	// write with the total number of cases the checkpoint now covers.
+	// OnEpoch, when set, is called after each epoch once the checkpoint
+	// on disk covers it — after the epoch's write, or at once for an
+	// epoch that folded nothing and so left the checkpoint current —
+	// with the total number of cases the checkpoint covers.
 	// It runs on the fold goroutine: long-lived callers (the serving
 	// layer's watchdog) should only record progress here, not block.
 	OnEpoch func(cases int)
@@ -52,7 +54,10 @@ func (o *CheckpointOptions) path() string {
 // fold proceeds in epochs of at most opts.Every cases, and after each
 // epoch the accumulated pre-Finalize state — aggregates plus the folded
 // CaseID set — is written atomically to the checkpoint file, so a crash
-// loses at most one epoch of work. With opts.Resume the fold first
+// loses at most one epoch of work. Each epoch is merged into the
+// accumulated state in place, at the cost of the epoch; an epoch that
+// folds nothing (the stream ended on an epoch boundary) leaves the
+// checkpoint already on disk as it is. With opts.Resume the fold first
 // loads the checkpoint and skips every case it already covers.
 //
 // Because every aggregate merge is exact and the epoch boundaries fall
@@ -100,11 +105,18 @@ func AnalyzeStreamCheckpointed(src source.Source, m pm.Mapping, shards int, join
 			}
 			errs = append(errs, err)
 		}
-		acc = snapshot.Merge(acc, epoch)
-		if err := snapshot.WriteFile(path, acc); err != nil {
-			return nil, err
+		// An epoch that folded nothing — typically the empty final epoch
+		// when the case count is a multiple of Every — or whose partial
+		// was dropped for errors leaves the state this run already loaded
+		// or wrote as it was, so the checkpoint on disk is current and is
+		// not rewritten.
+		if epoch != nil && (epoch.Cases > 0 || acc == nil) {
+			acc = snapshot.Merge(acc, epoch)
+			if err := snapshot.WriteFile(path, acc); err != nil {
+				return nil, err
+			}
 		}
-		if opts.OnEpoch != nil {
+		if acc != nil && opts.OnEpoch != nil {
 			opts.OnEpoch(len(acc.Seen))
 		}
 		if limited.eof {

@@ -5,9 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"stinspector/internal/pm"
+	"stinspector/internal/race"
 	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/synth"
@@ -172,6 +175,155 @@ func TestCheckpointEmptyStream(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, DefaultCheckpointName)); err != nil {
 		t.Errorf("empty-stream run wrote no checkpoint: %v", err)
+	}
+}
+
+// An epoch that folds nothing leaves the checkpoint on disk current, so
+// it is not rewritten: 16 cases at Every 8 write twice (the third, empty
+// epoch is skipped), 17 cases three times. OnEpoch still reports every
+// epoch, and the final file holds the one-shot snapshot's bytes.
+func TestCheckpointSkipsEmptyEpoch(t *testing.T) {
+	el := synth.Log("ckpt", 17, 20, 9)
+	m := pm.CallTopDirs{Depth: 2}
+	for _, tc := range []struct{ cases, writes int }{{16, 2}, {17, 3}} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, DefaultCheckpointName)
+		// Every write renames a new file into place. The file seen last is
+		// held open, so the next write cannot reuse its inode and SameFile
+		// tells a write from a skipped one.
+		var held *os.File
+		epochs, writes := 0, 0
+		onEpoch := func(int) {
+			epochs++
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if held != nil {
+				hfi, err := held.Stat()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if os.SameFile(hfi, fi) {
+					return
+				}
+				held.Close()
+			}
+			writes++
+			if held, err = os.Open(path); err != nil {
+				t.Error(err)
+			}
+		}
+		_, err := AnalyzeStreamCheckpointed(prefix(el, tc.cases), m, 2, true,
+			CheckpointOptions{Dir: dir, Every: 8, OnEpoch: onEpoch})
+		if held != nil {
+			held.Close()
+		}
+		if err != nil {
+			t.Fatalf("%d cases: %v", tc.cases, err)
+		}
+		if epochs != 3 || writes != tc.writes {
+			t.Errorf("%d cases: %d epochs, %d writes; want 3 epochs, %d writes", tc.cases, epochs, writes, tc.writes)
+		}
+		one, err := AnalyzeStreamSnapshot(prefix(el, tc.cases), m, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, snapshot.Encode(one)) {
+			t.Errorf("%d cases: final checkpoint differs from the one-shot snapshot", tc.cases)
+		}
+	}
+}
+
+// With joined errors the fold goes on past an epoch whose partial is
+// dropped for a failed case — even the first epoch of a fresh run, with
+// nothing on disk yet: the run reports the error and the checkpoint
+// holds the good epochs, so a resume re-folds only the dropped one.
+func TestCheckpointJoinErrorsDropsEpoch(t *testing.T) {
+	el := synth.Log("ckpt", 12, 20, 3)
+	m := pm.CallTopDirs{Depth: 2}
+	dir := t.TempDir()
+	// Failed cases take no epoch budget: epoch 1 is cases 0-4 with case
+	// 1 failing, epoch 2 cases 5-8, epoch 3 cases 9-11.
+	src := &errSource{cases: el.Cases(), fail: map[int]bool{1: true}}
+	var covered []int
+	_, err := AnalyzeStreamCheckpointed(src, m, 2, true, CheckpointOptions{
+		Dir: dir, Every: 4, OnEpoch: func(n int) { covered = append(covered, n) },
+	})
+	if err == nil || !strings.Contains(err.Error(), "case 1 unreadable") {
+		t.Fatalf("err = %v, want the joined case error", err)
+	}
+	if want := []int{4, 7}; !reflect.DeepEqual(covered, want) {
+		t.Errorf("OnEpoch saw %v cases, want %v", covered, want)
+	}
+	s, err := snapshot.ReadFile(filepath.Join(dir, DefaultCheckpointName), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := el.Cases()[5:]
+	if len(s.Seen) != len(want) {
+		t.Fatalf("checkpoint covers %d cases, want %d", len(s.Seen), len(want))
+	}
+	for i, c := range want {
+		if s.Seen[i] != c.ID {
+			t.Errorf("seen[%d] = %s, want %s", i, s.Seen[i], c.ID)
+		}
+	}
+}
+
+// TestCheckpointEpochMergeFlat is the checkpoint loop's cost gate:
+// folding an epoch into the accumulated state must cost the epoch, not
+// the history. Merging one 8-case epoch into a 120-case accumulator may
+// allocate at most 1.5x what merging it into an 8-case one does; a merge
+// that rebuilds the accumulated state allocates in proportion to it.
+// Allocation counts are deterministic, unlike wall clock. Skipped under
+// -race (instrumented allocator).
+func TestCheckpointEpochMergeFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gate skipped under -race")
+	}
+	el := synth.Log("ckpt", 128, 40, 13)
+	m := pm.CallTopDirs{Depth: 2}
+	encode := func(lo, hi int) []byte {
+		s, err := AnalyzeStreamSnapshot(&prefixSource{cases: el.Cases()[lo:hi]}, m, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshot.Encode(s)
+	}
+	decode := func(b []byte) *snapshot.Snapshot {
+		s, err := snapshot.Decode(b, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	epoch := encode(120, 128)
+	mergeAllocs := func(history []byte) float64 {
+		// Merge consumes its target, so every run (and AllocsPerRun's
+		// warm-up) gets its own decoded pair.
+		const runs = 5
+		accs := make([]*snapshot.Snapshot, runs+1)
+		eps := make([]*snapshot.Snapshot, runs+1)
+		for i := range accs {
+			accs[i], eps[i] = decode(history), decode(epoch)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			snapshot.Merge(accs[i], eps[i])
+			i++
+		})
+	}
+	small, large := mergeAllocs(encode(0, 8)), mergeAllocs(encode(0, 120))
+	t.Logf("allocs merging an 8-case epoch: %.0f into 8 cases, %.0f into 120", small, large)
+	if large > 1.5*small {
+		t.Errorf("merge into a 120-case history allocates %.0f, over 1.5x the %.0f of an 8-case one", large, small)
 	}
 }
 

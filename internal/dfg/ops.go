@@ -59,26 +59,11 @@ func (g *Graph) Project(keep func(pm.Activity) bool) *Graph {
 	return out
 }
 
-// Union returns the edge-wise and node-wise sum of the graphs, the DFG
-// counterpart of event-log union: Build(L(C_a) ∪ L(C_b)) equals
-// Union(Build(L(C_a)), Build(L(C_b))) (tested as the additivity
-// property).
-func UnionGraphs(gs ...*Graph) *Graph {
-	out := New()
-	for _, g := range gs {
-		if g == nil {
-			continue
-		}
-		out.traces += g.traces
-		for a, c := range g.nodes {
-			out.nodes[a] += c
-		}
-		for e, c := range g.edges {
-			out.edges[e] += c
-		}
-	}
-	return out
-}
+// UnionGraphs returns the edge-wise and node-wise sum of the graphs, the
+// DFG counterpart of event-log union: Build(L(C_a) ∪ L(C_b)) equals
+// UnionGraphs(Build(L(C_a)), Build(L(C_b))) (tested as the additivity
+// property). It is Merge under the paper's name.
+func UnionGraphs(gs ...*Graph) *Graph { return Merge(gs...) }
 
 // TopEdges returns the n most frequent edges (ties broken
 // deterministically by edge order).
@@ -112,34 +97,41 @@ func (g *Graph) SelfLoops() map[pm.Activity]int {
 // edge leaves the current node. It extracts the "main flow" a human
 // reads off the rendered DFG.
 func (g *Graph) DominantPath() []pm.Activity {
+	// Each node's heaviest non-self out-edge, found in one pass over the
+	// edges. Edges() lists a node's out-edges in OutEdges order, and
+	// strict > keeps the first maximum, as a per-node scan would.
+	type pick struct {
+		e     Edge
+		count int
+	}
+	best := make(map[pm.Activity]pick)
+	for _, e := range g.Edges() {
+		if e.To == e.From {
+			continue // self-loops are not flow
+		}
+		b, ok := best[e.From]
+		if !ok {
+			b.count = -1
+		}
+		if c := g.edges[e]; c > b.count {
+			best[e.From] = pick{e, c}
+		}
+	}
 	path := []pm.Activity{pm.Start}
 	seen := map[pm.Activity]bool{pm.Start: true}
 	cur := pm.Start
 	for cur != pm.End {
-		var best Edge
-		bestCount := -1
-		for _, e := range g.OutEdges(cur) {
-			if e.To == cur {
-				continue // self-loops are not flow
-			}
-			// Deterministic: OutEdges is ordered; strict > keeps
-			// the first maximum.
-			if c := g.edges[e]; c > bestCount {
-				best, bestCount = e, c
-			}
-		}
-		if bestCount < 0 {
+		b, ok := best[cur]
+		if !ok {
 			break
 		}
-		path = append(path, best.To)
-		if best.To == pm.End {
+		next := b.e
+		path = append(path, next.To)
+		if next.To == pm.End || seen[next.To] {
 			break
 		}
-		if seen[best.To] {
-			break
-		}
-		seen[best.To] = true
-		cur = best.To
+		seen[next.To] = true
+		cur = next.To
 	}
 	return path
 }

@@ -46,7 +46,10 @@ type Variant struct {
 // deterministic order (lexicographic by key) for reproducible output.
 type Log struct {
 	variants []*Variant
-	byKey    map[string]*Variant
+	// keys[i] is variants[i].Seq.Key(), kept beside the variants so the
+	// ordered insert and Merge never rebuild a key.
+	keys  []string
+	byKey map[string]*Variant
 	// mapped/unmapped count events inside/outside the mapping domain.
 	mapped   int
 	unmapped int
@@ -242,7 +245,7 @@ func (b *Builder) MergeFrom(o *Builder) {
 			}
 			continue
 		}
-		v.cases = mergeCaseLists(v.cases, ov.cases)
+		v.cases = trace.MergeCaseIDs(v.cases, ov.cases)
 		v.mult += ov.mult
 	}
 }
@@ -268,7 +271,7 @@ func (b *Builder) Finalize() *Log {
 		// the documented Activity contract); fold them the way the
 		// string-keyed builder always has.
 		if v, ok := l.byKey[key]; ok {
-			v.Cases = mergeCaseLists(v.Cases, sv.cases)
+			v.Cases = trace.MergeCaseIDs(v.Cases, sv.cases)
 			v.Mult += sv.mult
 			continue
 		}
@@ -278,7 +281,9 @@ func (b *Builder) Finalize() *Log {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	l.variants = make([]*Variant, len(out))
+	l.keys = make([]string, len(out))
 	for i, kv := range out {
+		l.keys[i] = kv.key
 		// Case lists accumulate in fold order. Batch ingestion folds in
 		// CaseID order, so this sort is a no-op there; live ingestion
 		// folds in completion order, and canonicalizing here is what
@@ -306,12 +311,13 @@ func (l *Log) add(seq Trace, id trace.CaseID) {
 // slice in its deterministic lexicographic-by-key order.
 func (l *Log) insertVariant(key string, v *Variant) {
 	l.byKey[key] = v
-	i := sort.Search(len(l.variants), func(i int) bool {
-		return l.variants[i].Seq.Key() >= key
-	})
+	i := sort.SearchStrings(l.keys, key)
 	l.variants = append(l.variants, nil)
 	copy(l.variants[i+1:], l.variants[i:])
 	l.variants[i] = v
+	l.keys = append(l.keys, "")
+	copy(l.keys[i+1:], l.keys[i:])
+	l.keys[i] = key
 }
 
 // Variants returns the distinct traces with multiplicities, in
@@ -379,24 +385,26 @@ func (l *Log) Activities() []Activity {
 // case list is ascending — true for any log a Builder was fed in CaseID
 // order, which is what every streaming source delivers — merging shard
 // partials in any order reproduces the sequential fold byte-for-byte.
-// o's variants are copied; o stays usable.
+// o's variants are copied; o stays usable. The cost is o's size plus
+// one ordered insert per variant new to l: the history already in l is
+// neither copied nor re-keyed.
 func (l *Log) Merge(o *Log) {
 	if o == nil {
 		return
 	}
 	l.mapped += o.mapped
 	l.unmapped += o.unmapped
-	for _, ov := range o.variants {
-		key := ov.Seq.Key()
+	for i, ov := range o.variants {
+		key := o.keys[i]
 		v, ok := l.byKey[key]
 		if !ok {
 			l.insertVariant(key, &Variant{Seq: ov.Seq, Mult: ov.Mult, Cases: paddedCases(ov)})
 			continue
 		}
-		// mergeCaseLists copies into a fresh slice, so o's list can be
-		// read in place here; only the retained new-variant branch above
-		// needs its own copy.
-		v.Cases = mergeCaseLists(paddedCasesInPlace(v), paddedCasesInPlace(ov))
+		// trace.MergeCaseIDs never aliases its second list, so o's list
+		// can be read in place here; only the retained new-variant branch
+		// above needs its own copy.
+		v.Cases = trace.MergeCaseIDs(paddedCasesInPlace(v), paddedCasesInPlace(ov))
 		v.Mult += ov.Mult
 	}
 }
@@ -417,26 +425,6 @@ func paddedCasesInPlace(v *Variant) []trace.CaseID {
 		return v.Cases
 	}
 	return paddedCases(v)
-}
-
-// mergeCaseLists merges two case lists by CaseID, taking from a first
-// on ties. For ascending inputs the result is the ascending interleave
-// — exactly the list a sequential fold over the combined case stream
-// would have recorded.
-func mergeCaseLists(a, b []trace.CaseID) []trace.CaseID {
-	out := make([]trace.CaseID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Less(a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // MergeLogs merges partial activity-logs (shard partials of one logical

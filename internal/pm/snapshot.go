@@ -21,46 +21,27 @@ import (
 //	counters: mapped | unmapped
 //	variants: n | (seqLen | actSym* | mult | nCases | (cidSym hostSym rid)*)*
 func (l *Log) EncodeSnapshot() []byte {
+	// One pass: the payload is written while the dictionary assigns ids
+	// in first-use order, and the dictionary is prepended at the end.
 	dict := intern.NewLocal()
 	var b wire.Buf
-
-	// First pass interns in first-use order so the dictionary itself is
-	// deterministic; the strings are emitted before the variants that
-	// reference them.
-	for _, v := range l.variants {
-		for _, a := range v.Seq {
-			dict.Intern(string(a))
-		}
-		for _, id := range v.Cases {
-			dict.Intern(id.CID)
-			dict.Intern(id.Host)
-		}
-	}
-	b.Uvarint(uint64(dict.Len()))
-	for i := 0; i < dict.Len(); i++ {
-		b.Str(dict.Str(intern.Sym(i)))
-	}
-
 	b.Uvarint(uint64(l.mapped))
 	b.Uvarint(uint64(l.unmapped))
 	b.Uvarint(uint64(len(l.variants)))
 	for _, v := range l.variants {
 		b.Uvarint(uint64(len(v.Seq)))
 		for _, a := range v.Seq {
-			y, _ := dict.Sym(string(a))
-			b.Uvarint(uint64(y))
+			b.Uvarint(uint64(dict.Intern(string(a))))
 		}
 		b.Uvarint(uint64(v.Mult))
 		b.Uvarint(uint64(len(v.Cases)))
 		for _, id := range v.Cases {
-			cy, _ := dict.Sym(id.CID)
-			hy, _ := dict.Sym(id.Host)
-			b.Uvarint(uint64(cy))
-			b.Uvarint(uint64(hy))
+			b.Uvarint(uint64(dict.Intern(id.CID)))
+			b.Uvarint(uint64(dict.Intern(id.Host)))
 			b.Varint(int64(id.RID))
 		}
 	}
-	return b.Bytes()
+	return append(dict.AppendDict(nil), b.Bytes()...)
 }
 
 // DecodeLogSnapshot reconstructs an activity-log from EncodeSnapshot
@@ -152,7 +133,7 @@ func DecodeLogSnapshot(data []byte) (*Log, error) {
 		// A well-formed snapshot never repeats a variant key; fold
 		// duplicates the way the builder would rather than dropping data.
 		if v, ok := l.byKey[key]; ok {
-			v.Cases = mergeCaseLists(v.Cases, cases)
+			v.Cases = trace.MergeCaseIDs(v.Cases, cases)
 			v.Mult += mult
 			continue
 		}
@@ -165,8 +146,10 @@ func DecodeLogSnapshot(data []byte) (*Log, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	l.variants = make([]*Variant, len(out))
+	l.keys = make([]string, len(out))
 	for i, kv := range out {
 		l.variants[i] = kv.v
+		l.keys[i] = kv.key
 	}
 	return l, nil
 }

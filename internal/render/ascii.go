@@ -38,13 +38,23 @@ func (t *Text) Render(w io.Writer) error {
 		return t.SkipCalls[call]
 	}
 	var b strings.Builder
+	// Edges() orders by from-node in the same node order Nodes() uses,
+	// then by to-node as OutEdges does, and every edge leaves a node of
+	// the graph: each node's out-edges are the next run of the one list.
+	edges := t.Graph.Edges()
 	for _, a := range t.Graph.Nodes() {
+		n := 0
+		for n < len(edges) && edges[n].From == a {
+			n++
+		}
+		out := edges[:n]
+		edges = edges[n:]
 		if skip(a) {
 			continue
 		}
 		b.WriteString(t.nodeLine(a))
 		b.WriteByte('\n')
-		for _, e := range t.Graph.OutEdges(a) {
+		for _, e := range out {
 			if skip(e.To) {
 				continue
 			}

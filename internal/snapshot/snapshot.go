@@ -33,8 +33,8 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"os"
-	"sort"
 
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
@@ -88,32 +88,44 @@ type Snapshot struct {
 // identical bytes whatever process, shard count or resume history
 // produced it.
 func Encode(s *Snapshot) []byte {
+	var meta wire.Buf
+	meta.Uvarint(uint64(s.Cases))
+	meta.Uvarint(uint64(s.Events))
+	sections := []struct {
+		kind int
+		body []byte
+	}{
+		{kindMeta, meta.Bytes()},
+		{kindSeen, encodeSeen(s.Seen)},
+		{kindLog, s.Log.EncodeSnapshot()},
+		{kindDFG, s.DFG.EncodeSnapshot()},
+		{kindStats, s.Stats.EncodeSnapshot()},
+		{kindBehavior, s.Behavior.EncodeSnapshot()},
+	}
+	// The bodies are known before the container is written: size it
+	// once (each section adds at most two varints and a CRC, the index
+	// at most three varints per section).
+	size := len(magic) + 4 + footerSize + binary.MaxVarintLen64
+	for _, sec := range sections {
+		size += len(sec.body) + 5*binary.MaxVarintLen64 + 4
+	}
 	var b wire.Buf
+	b.Grow(size)
 	b.Raw([]byte(magic))
 	b.U32(version)
 
 	type entry struct {
 		kind, offset, length int
 	}
-	var entries []entry
-	section := func(kind int, body []byte) {
+	entries := make([]entry, 0, len(sections))
+	for _, sec := range sections {
 		start := b.Len()
-		b.Uvarint(uint64(kind))
-		b.Uvarint(uint64(len(body)))
-		b.Raw(body)
-		b.U32(wire.Checksum(body))
-		entries = append(entries, entry{kind: kind, offset: start, length: b.Len() - start})
+		b.Uvarint(uint64(sec.kind))
+		b.Uvarint(uint64(len(sec.body)))
+		b.Raw(sec.body)
+		b.U32(wire.Checksum(sec.body))
+		entries = append(entries, entry{kind: sec.kind, offset: start, length: b.Len() - start})
 	}
-
-	var meta wire.Buf
-	meta.Uvarint(uint64(s.Cases))
-	meta.Uvarint(uint64(s.Events))
-	section(kindMeta, meta.Bytes())
-	section(kindSeen, encodeSeen(s.Seen))
-	section(kindLog, s.Log.EncodeSnapshot())
-	section(kindDFG, s.DFG.EncodeSnapshot())
-	section(kindStats, s.Stats.EncodeSnapshot())
-	section(kindBehavior, s.Behavior.EncodeSnapshot())
 
 	indexOffset := b.Len()
 	var idx wire.Buf
@@ -279,24 +291,14 @@ func decodeSection(section []byte, kind int) ([]byte, error) {
 // dictionary: dict n | string* | count | (cidSym hostSym rid)*.
 func encodeSeen(seen []trace.CaseID) []byte {
 	dict := intern.NewLocal()
-	for _, id := range seen {
-		dict.Intern(id.CID)
-		dict.Intern(id.Host)
-	}
 	var b wire.Buf
-	b.Uvarint(uint64(dict.Len()))
-	for i := 0; i < dict.Len(); i++ {
-		b.Str(dict.Str(intern.Sym(i)))
-	}
 	b.Uvarint(uint64(len(seen)))
 	for _, id := range seen {
-		cy, _ := dict.Sym(id.CID)
-		hy, _ := dict.Sym(id.Host)
-		b.Uvarint(uint64(cy))
-		b.Uvarint(uint64(hy))
+		b.Uvarint(uint64(dict.Intern(id.CID)))
+		b.Uvarint(uint64(dict.Intern(id.Host)))
 		b.Varint(int64(id.RID))
 	}
-	return b.Bytes()
+	return append(dict.AppendDict(nil), b.Bytes()...)
 }
 
 func decodeSeen(data []byte) ([]trace.CaseID, error) {
@@ -348,41 +350,41 @@ func decodeSeen(data []byte) ([]trace.CaseID, error) {
 }
 
 // Merge folds partial snapshots (shard or epoch partials of one logical
-// fold) into a new snapshot, exactly: the activity-logs union under the
-// sorted case-list interleave, the graphs sum, the statistics merge in
-// integer space, the behavior profiles sum under a string-preserving
-// remap, the seen sets merge in ascending order. nil inputs are
-// skipped. The inputs' statistics computers are consumed (the first
-// survivor becomes the merge target) and must not be used afterwards.
+// fold) into the first non-nil input and returns it, exactly: the
+// activity-logs union under the sorted case-list interleave, the graphs
+// sum, the statistics merge in integer space, the behavior profiles sum
+// under a string-preserving remap, the ascending seen sets merge. nil
+// inputs are skipped; with none left the result is an empty snapshot.
+//
+// Every input is consumed. The target is updated in place, so folding
+// an epoch into a checkpoint's accumulated state costs the epoch, not
+// the history; the later inputs are only read, but must not be used
+// afterwards.
 //
 // Merging snapshots of a disjoint case partition in any order yields
 // the same state a single fold over all the cases produces — the
 // property the byte-identity acceptance tests pin.
 func Merge(snaps ...*Snapshot) *Snapshot {
-	out := &Snapshot{}
-	var logs []*pm.Log
-	var graphs []*dfg.Graph
-	var profs []*behavior.Profile
+	var out *Snapshot
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
-		logs = append(logs, s.Log)
-		graphs = append(graphs, s.DFG)
-		profs = append(profs, s.Behavior)
-		if out.Stats == nil {
-			out.Stats = s.Stats
-		} else {
-			out.Stats.Merge(s.Stats)
+		if out == nil {
+			out = s
+			continue
 		}
-		out.Seen = append(out.Seen, s.Seen...)
+		out.Log.Merge(s.Log)
+		out.DFG.Merge(s.DFG)
+		out.Stats.Merge(s.Stats)
+		out.Behavior.Merge(s.Behavior)
+		out.Seen = trace.MergeCaseIDs(out.Seen, s.Seen)
 		out.Cases += s.Cases
 		out.Events += s.Events
 	}
-	out.Log = pm.MergeLogs(logs...)
-	out.DFG = dfg.Merge(graphs...)
-	out.Behavior = behavior.Merge(profs...)
-	sort.Slice(out.Seen, func(i, j int) bool { return out.Seen[i].Less(out.Seen[j]) })
+	if out == nil {
+		return &Snapshot{Log: pm.MergeLogs(), DFG: dfg.New(), Behavior: behavior.New()}
+	}
 	return out
 }
 

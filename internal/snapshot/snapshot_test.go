@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/stats"
 	"stinspector/internal/synth"
+	"stinspector/internal/synth/profiles"
 	"stinspector/internal/trace"
 )
 
@@ -88,6 +90,42 @@ func TestSnapshotMergeOfSplitsIsWhole(t *testing.T) {
 	a := foldRange(el, m, 0, 21)
 	if got := Encode(Merge(nil, a, nil)); !bytes.Equal(got, whole) {
 		t.Error("Merge with nils differs from the whole fold's snapshot")
+	}
+}
+
+// The checkpoint loop's shape: folding random epoch splits of every
+// generator profile into one accumulator with repeated
+// acc = Merge(acc, ep), a trailing empty epoch included, encodes to
+// exactly the one-shot fold's bytes. Merge updates only its target:
+// the epoch it folds in re-encodes unchanged.
+func TestSnapshotEpochMergeIsWhole(t *testing.T) {
+	m := pm.CallTopDirs{Depth: 2}
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range profiles.All() {
+		t.Run(p.Name, func(t *testing.T) {
+			el := p.Generate("ep", 24, 40, 17)
+			n := el.NumCases()
+			whole := Encode(foldRange(el, m, 0, n))
+			for trial := 0; trial < 3; trial++ {
+				var acc *Snapshot
+				for lo := 0; ; {
+					hi := min(lo+1+rng.Intn(8), n)
+					ep := foldRange(el, m, lo, hi)
+					before := Encode(ep)
+					acc = Merge(acc, ep)
+					if acc != ep && !bytes.Equal(Encode(ep), before) {
+						t.Fatalf("trial %d: Merge modified the epoch [%d,%d) it folded in", trial, lo, hi)
+					}
+					if lo == n { // the trailing empty epoch is merged too
+						break
+					}
+					lo = hi
+				}
+				if !bytes.Equal(Encode(acc), whole) {
+					t.Errorf("trial %d: epoch-merged snapshot differs from the one-shot fold", trial)
+				}
+			}
+		})
 	}
 }
 

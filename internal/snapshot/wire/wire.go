@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // CorruptError reports a snapshot integrity failure: truncation,
@@ -49,13 +50,53 @@ func (w *Buf) Bytes() []byte { return w.b }
 // Len returns the number of bytes encoded so far.
 func (w *Buf) Len() int { return len(w.b) }
 
-func (w *Buf) Uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *Buf) Varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *Buf) Raw(p []byte)     { w.b = append(w.b, p...) }
-func (w *Buf) U32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *Buf) U64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *Buf) Str(s string)     { w.Uvarint(uint64(len(s))); w.b = append(w.b, s...) }
+// Grow makes room for at least n more bytes, so an encoder that knows
+// its output size writes it without reallocating.
+func (w *Buf) Grow(n int) { w.b = slices.Grow(w.b, n) }
+
+// reserve makes room for n more bytes, at least doubling the capacity
+// when it runs out: append alone grows a large slice by a quarter at a
+// time, so a multi-megabyte encoding would allocate about five times
+// its size along the way.
+func (w *Buf) reserve(n int) {
+	if cap(w.b)-len(w.b) < n {
+		w.Grow(max(n, len(w.b)))
+	}
+}
+
+func (w *Buf) Uvarint(v uint64) {
+	w.reserve(binary.MaxVarintLen64)
+	w.b = binary.AppendUvarint(w.b, v)
+}
+
+func (w *Buf) Varint(v int64) {
+	w.reserve(binary.MaxVarintLen64)
+	w.b = binary.AppendVarint(w.b, v)
+}
+
+func (w *Buf) Raw(p []byte) {
+	w.reserve(len(p))
+	w.b = append(w.b, p...)
+}
+
+func (w *Buf) U32(v uint32) {
+	w.reserve(4)
+	w.b = binary.LittleEndian.AppendUint32(w.b, v)
+}
+
+func (w *Buf) U64(v uint64) {
+	w.reserve(8)
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+}
+
+func (w *Buf) Str(s string) {
+	w.Uvarint(uint64(len(s)))
+	w.reserve(len(s))
+	w.b = append(w.b, s...)
+}
+
 func (w *Buf) Bool(v bool) {
+	w.reserve(1)
 	if v {
 		w.b = append(w.b, 1)
 	} else {

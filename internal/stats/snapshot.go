@@ -37,28 +37,22 @@ func (c *Computer) Symbols() int { return c.sm.Acts().Len() }
 // Only accumulators with events > 0 are written (the "events==0 ⇒
 // absent" invariant), so trailing empty slots never change the bytes.
 func (c *Computer) EncodeSnapshot() []byte {
-	var b wire.Buf
+	var head wire.Buf
 	acts := c.sm.Acts()
-	b.Uvarint(uint64(acts.Len()))
+	head.Uvarint(uint64(acts.Len()))
 	for i := 0; i < acts.Len(); i++ {
-		b.Str(acts.Str(intern.Sym(i)))
+		head.Str(acts.Str(intern.Sym(i)))
 	}
 
+	// One pass: the payload is written while the case dictionary assigns
+	// ids in first-use order, and the dictionary goes in front of it at
+	// the end. An activity's intervals arrive case by case, so the last
+	// case's ids are kept to skip the dictionary lookups.
 	caseDict := intern.NewLocal()
-	for y := range c.accs {
-		if c.accs[y].events == 0 {
-			continue
-		}
-		for _, iv := range c.accs[y].intervals {
-			caseDict.Intern(iv.Case.CID)
-			caseDict.Intern(iv.Case.Host)
-		}
-	}
-	b.Uvarint(uint64(caseDict.Len()))
-	for i := 0; i < caseDict.Len(); i++ {
-		b.Str(caseDict.Str(intern.Sym(i)))
-	}
-
+	var lastCase trace.CaseID
+	var cy, hy intern.Sym
+	haveLast := false
+	var b wire.Buf
 	b.Varint(int64(c.totalDur))
 	nAccs := 0
 	for y := range c.accs {
@@ -84,14 +78,16 @@ func (c *Computer) EncodeSnapshot() []byte {
 		for _, iv := range ac.intervals {
 			b.Varint(int64(iv.Start))
 			b.Varint(int64(iv.End))
-			cy, _ := caseDict.Sym(iv.Case.CID)
-			hy, _ := caseDict.Sym(iv.Case.Host)
+			if !haveLast || iv.Case != lastCase {
+				lastCase, haveLast = iv.Case, true
+				cy, hy = caseDict.Intern(iv.Case.CID), caseDict.Intern(iv.Case.Host)
+			}
 			b.Uvarint(uint64(cy))
 			b.Uvarint(uint64(hy))
 			b.Varint(int64(iv.Case.RID))
 		}
 	}
-	return b.Bytes()
+	return append(caseDict.AppendDict(head.Bytes()), b.Bytes()...)
 }
 
 // DecodeComputerSnapshot reconstructs a computer from EncodeSnapshot

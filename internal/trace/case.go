@@ -38,6 +38,31 @@ func (id CaseID) Less(o CaseID) bool {
 	return id.RID < o.RID
 }
 
+// MergeCaseIDs merges two CaseID lists by Less, taking from a first on
+// ties; for ascending inputs the result is their ascending interleave.
+// When b starts at or after a's last id — a later epoch merged into the
+// history before it — that interleave is a plain append, so a is
+// extended in place and the merge costs b, not a: callers pass an a
+// they own. b is never aliased.
+func MergeCaseIDs(a, b []CaseID) []CaseID {
+	if len(a) == 0 || len(b) == 0 || !b[0].Less(a[len(a)-1]) {
+		return append(a, b...)
+	}
+	out := make([]CaseID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Less(a[i]) {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
 // ParseCaseID parses a trace file name of the form "<cid>_<host>_<rid>.st"
 // (or the same without the suffix) into a CaseID. CID and Host may not
 // contain underscores that would make the parse ambiguous: the last

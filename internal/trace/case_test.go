@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -157,5 +158,38 @@ func TestCaseClone(t *testing.T) {
 	cl.Events[0].Call = "mutated"
 	if c.Events[0].Call != "read" {
 		t.Errorf("Clone shares event storage")
+	}
+}
+
+// MergeCaseIDs interleaves ascending lists, takes the append path when
+// b follows a, and never lets the result alias b.
+func TestMergeCaseIDs(t *testing.T) {
+	ids := func(rids ...int) []CaseID {
+		var out []CaseID
+		for _, r := range rids {
+			out = append(out, CaseID{CID: "c", Host: "h", RID: r})
+		}
+		return out
+	}
+	for _, tc := range []struct{ a, b, want []int }{
+		{[]int{1, 3, 5}, []int{2, 3, 6}, []int{1, 2, 3, 3, 5, 6}},
+		{[]int{1, 2}, []int{2, 4}, []int{1, 2, 2, 4}},
+		{nil, []int{1}, []int{1}},
+		{[]int{1}, nil, []int{1}},
+	} {
+		got := MergeCaseIDs(ids(tc.a...), ids(tc.b...))
+		if !reflect.DeepEqual(got, ids(tc.want...)) {
+			t.Errorf("MergeCaseIDs(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+	for _, a := range [][]CaseID{ids(1), ids(5)} { // append path, interleave
+		b := ids(2, 3)
+		out := MergeCaseIDs(a, b)
+		for i := range out {
+			out[i].RID = -1
+		}
+		if !reflect.DeepEqual(b, ids(2, 3)) {
+			t.Errorf("result aliases b: %v", b)
+		}
 	}
 }
