@@ -384,7 +384,7 @@ func BenchmarkAnalyzeStreamParallel(b *testing.B) {
 func BenchmarkArchiveReadParallel(b *testing.B) {
 	el := synthLog(100_000, 64, 32, 12)
 	var buf bytes.Buffer
-	if err := archive.Write(&buf, el); err != nil {
+	if err := archive.WriteV2(&buf, el); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -392,11 +392,7 @@ func BenchmarkArchiveReadParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				got, err := r.ReadAllParallel(p)
+				got, err := drainArchive(data, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -414,7 +410,7 @@ func BenchmarkArchiveWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := archive.Write(&buf, el); err != nil {
+		if err := archive.WriteV2(&buf, el); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))
@@ -424,18 +420,14 @@ func BenchmarkArchiveWrite(b *testing.B) {
 func BenchmarkArchiveRead(b *testing.B) {
 	el := synthLog(100_000, 16, 32, 7)
 	var buf bytes.Buffer
-	if err := archive.Write(&buf, el); err != nil {
+	if err := archive.WriteV2(&buf, el); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := r.ReadAll()
+		got, err := drainArchive(data, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,47 +437,48 @@ func BenchmarkArchiveRead(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveReingest: streaming re-ingestion — the v1 row-format
-// archive against the columnar v2 with its persisted symbol dictionary.
-// Both drain the same log through the identical ordered-source walk, so
-// the delta is pure decode cost; v2's near-zero-parse path is the
-// headline number BENCHMARKS.md tracks.
+// drainArchive materializes an in-memory archive image through the
+// ReadAt decode path with the given worker count.
+func drainArchive(data []byte, parallelism int) (*EventLog, error) {
+	r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	src := r.Stream(parallelism, 0)
+	defer src.Close()
+	return source.Drain(src, false)
+}
+
+// BenchmarkArchiveReingest: streaming re-ingestion of the columnar
+// archive with its persisted symbol dictionary, zero-copy, through the
+// ordered-source walk — the near-zero-parse path BENCHMARKS.md tracks.
 func BenchmarkArchiveReingest(b *testing.B) {
 	el := synthLog(100_000, 64, 32, 12)
-	var v1, v2 bytes.Buffer
-	if err := archive.Write(&v1, el); err != nil {
+	var buf bytes.Buffer
+	if err := archive.WriteV2(&buf, el); err != nil {
 		b.Fatal(err)
 	}
-	if err := archive.WriteV2(&v2, el); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1.Bytes()}, {"v2", v2.Bytes()}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(bc.data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := archive.NewReaderBytes(bc.data)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src := r.Stream(4, 8)
-				events := 0
-				err = source.Walk(src, true, func(c *trace.Case) error {
-					events += c.Len()
-					return nil
-				})
-				src.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if events != el.NumEvents() {
-					b.Fatal("lost events")
-				}
-			}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := archive.NewReaderBytes(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := r.Stream(4, 8)
+		events := 0
+		err = source.Walk(src, true, func(c *trace.Case) error {
+			events += c.Len()
+			return nil
 		})
+		src.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if events != el.NumEvents() {
+			b.Fatal("lost events")
+		}
 	}
 }
 

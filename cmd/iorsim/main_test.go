@@ -54,10 +54,11 @@ func TestRunWritesTracesAndArchive(t *testing.T) {
 			t.Errorf("unexpected trace file %s", ent.Name())
 		}
 	}
-	el, err := stinspector.ReadArchive(sta)
+	arc, err := stinspector.FromArchive(sta, stinspector.OpenOptions{})
 	if err != nil {
-		t.Fatalf("ReadArchive: %v", err)
+		t.Fatalf("FromArchive: %v", err)
 	}
+	el := arc.EventLog()
 	if el.NumCases() != 4 {
 		t.Errorf("archive cases = %d", el.NumCases())
 	}

@@ -16,9 +16,9 @@
 // the streaming pass (-window resident cases, never materializing the
 // event-log), reporting the speedup and the peak number of cases
 // resident. A re-ingestion section then consolidates the same log as an
-// STA v1 and a columnar STA v2 archive and streams each back through
-// the identical walk, reporting the v2-vs-v1 and archive-vs-strace
-// throughput and allocation ratios. Finally it times the analysis fold
+// STA archive and streams it back through the identical walk, reporting
+// the archive-vs-strace throughput and allocation ratios. Finally it
+// times the analysis fold
 // (activity-log + DFG + statistics synthesis) separately, over the
 // already-ingested log, at one shard and at -ashards shards, so
 // ingest-bound and analysis-bound regressions are distinguishable:
@@ -452,44 +452,29 @@ func ingestBench(nFiles, perFile, jobs, window, ashards int, seed int64, jsonPat
 		fmt.Printf("resident symbols: %d in process-wide Default\n", intern.Default.Len())
 	}
 
-	// Re-ingestion section: consolidate the same event-log once as an
-	// STA v1 and once as a columnar STA v2 archive, then stream each back
-	// through the identical walk as the strace streaming pass. This is
-	// the archive's reason to exist — pay parsing once, re-read many
-	// times — so the v2/v1 and archive/strace ratios below are the
-	// numbers BENCHMARKS.md tracks.
+	// Re-ingestion section: consolidate the same event-log as an STA
+	// archive, then stream it back through the identical walk as the
+	// strace streaming pass. This is the archive's reason to exist — pay
+	// parsing once, re-read many times — so the archive/strace ratios
+	// below are the numbers BENCHMARKS.md tracks.
 	arcDir, err := os.MkdirTemp("", "stbench-arc")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(arcDir)
-	v1Path := filepath.Join(arcDir, "bench.sta")
-	v2Path := filepath.Join(arcDir, "bench.sta2")
-	if err := archive.WriteFile(v1Path, log); err != nil {
+	arcPath := filepath.Join(arcDir, "bench.sta")
+	if err := archive.WriteFileV2(arcPath, log); err != nil {
 		return err
 	}
-	if err := archive.WriteFileV2(v2Path, log); err != nil {
-		return err
-	}
-	arcSize := func(path string) (int64, error) {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return 0, err
-		}
-		return fi.Size(), nil
-	}
-	v1Bytes, err := arcSize(v1Path)
+	fi, err := os.Stat(arcPath)
 	if err != nil {
 		return err
 	}
-	v2Bytes, err := arcSize(v2Path)
-	if err != nil {
-		return err
-	}
-	runArchive := func(path string) (time.Duration, uint64, error) {
+	arcBytes := fi.Size()
+	runArchive := func() (time.Duration, uint64, error) {
 		tab := newTab()
 		wall, allocs, err := measured(func() error {
-			src, err := archive.StreamLogSyms(path, jobs, window, tab)
+			src, err := archive.OpenSource(arcPath, archive.Options{Parallelism: jobs, Window: window, Syms: tab})
 			if err != nil {
 				return err
 			}
@@ -512,32 +497,20 @@ func ingestBench(nFiles, perFile, jobs, window, ashards int, seed int64, jsonPat
 		}
 		return wall, allocs, err
 	}
-	if _, _, err := runArchive(v1Path); err != nil { // warm (page cache, symbols)
+	if _, _, err := runArchive(); err != nil { // warm (page cache, symbols)
 		return err
 	}
-	v1Wall, v1Allocs, err := runArchive(v1Path)
+	arcWall, arcAllocs, err := runArchive()
 	if err != nil {
 		return err
 	}
-	if _, _, err := runArchive(v2Path); err != nil { // warm
-		return err
-	}
-	v2Wall, v2Allocs, err := runArchive(v2Path)
-	if err != nil {
-		return err
-	}
-	stages = append(stages,
-		stage(fmt.Sprintf("reingest_sta1_j%d_w%d", jobs, window), v1Wall, v1Allocs, v1Bytes),
-		stage(fmt.Sprintf("reingest_sta2_j%d_w%d", jobs, window), v2Wall, v2Allocs, v2Bytes),
-	)
+	stages = append(stages, stage(fmt.Sprintf("reingest_sta2_j%d_w%d", jobs, window), arcWall, arcAllocs, arcBytes))
 	evs := func(d time.Duration) float64 { return float64(nEvents) / d.Seconds() }
 	fmt.Printf("\n%-32s %12s %14s %14s\n", "RE-INGESTION", "WALL", "THROUGHPUT", "ALLOCS/EVENT")
-	fmt.Printf("%-32s %12v %8.2f Mev/s %14.3f\n", fmt.Sprintf("sta v1 (%.1f MB)", float64(v1Bytes)/1e6), v1Wall.Round(time.Millisecond), evs(v1Wall)/1e6, aev(v1Allocs))
-	fmt.Printf("%-32s %12v %8.2f Mev/s %14.3f\n", fmt.Sprintf("sta v2 (%.1f MB)", float64(v2Bytes)/1e6), v2Wall.Round(time.Millisecond), evs(v2Wall)/1e6, aev(v2Allocs))
-	fmt.Printf("re-ingestion speedup: sta2 %.2fx vs sta1, %.2fx vs strace streaming (events/s)\n",
-		v1Wall.Seconds()/v2Wall.Seconds(), str.Seconds()/v2Wall.Seconds())
-	fmt.Printf("allocs/event: strace %.3f, sta1 %.3f, sta2 %.3f (strace/sta2 %.1fx)\n",
-		aev(strAllocs), aev(v1Allocs), aev(v2Allocs), float64(strAllocs)/float64(v2Allocs))
+	fmt.Printf("%-32s %12v %8.2f Mev/s %14.3f\n", fmt.Sprintf("sta (%.1f MB)", float64(arcBytes)/1e6), arcWall.Round(time.Millisecond), evs(arcWall)/1e6, aev(arcAllocs))
+	fmt.Printf("re-ingestion speedup: sta %.2fx vs strace streaming (events/s)\n", str.Seconds()/arcWall.Seconds())
+	fmt.Printf("allocs/event: strace %.3f, sta %.3f (strace/sta %.1fx)\n",
+		aev(strAllocs), aev(arcAllocs), float64(strAllocs)/float64(arcAllocs))
 
 	// Analysis section: fold the already-materialized log through the
 	// streaming analysis so the numbers isolate synthesis (activity-log

@@ -100,8 +100,8 @@ func TestRunIngestBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(b, &stages); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(stages) != 7 {
-		t.Fatalf("got %d stages, want 7", len(stages))
+	if len(stages) != 6 {
+		t.Fatalf("got %d stages, want 6", len(stages))
 	}
 	names := map[string]bool{}
 	for _, s := range stages {
@@ -124,7 +124,7 @@ func TestRunIngestBenchJSON(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"ingest_sequential", "ingest_parallel_j2",
-		"reingest_sta1_j2_w4", "reingest_sta2_j2_w4",
+		"reingest_sta2_j2_w4",
 		"analysis_sequential", "analysis_sharded_s2"} {
 		if !names[want] {
 			t.Errorf("missing stage %q in %v", want, names)
@@ -190,11 +190,11 @@ func TestRunIngestWithLiveStages(t *testing.T) {
 	if err := json.Unmarshal(b, &stages); err != nil {
 		t.Fatal(err)
 	}
-	if len(stages) != 9 {
-		t.Fatalf("got %d stages, want 9 (7 ingest + 2 live)", len(stages))
+	if len(stages) != 8 {
+		t.Fatalf("got %d stages, want 8 (6 ingest + 2 live)", len(stages))
 	}
-	if stages[7].Stage != "live_follow_block" || stages[8].Stage != "live_follow_shed_oldest" {
-		t.Errorf("live stages not appended: %s, %s", stages[7].Stage, stages[8].Stage)
+	if stages[6].Stage != "live_follow_block" || stages[7].Stage != "live_follow_shed_oldest" {
+		t.Errorf("live stages not appended: %s, %s", stages[6].Stage, stages[7].Stage)
 	}
 }
 

@@ -36,11 +36,11 @@ import (
 
 // matrixBackends is the backend axis. Ingestion parallelism and window
 // are fixed: artifacts are parallelism-independent, so the axis would
-// only add timing noise. "archive" is the v1 STA format, "sta2" the
-// columnar v2 — both must produce cells structurally identical to the
-// strace cells of the same profile (that identity is what -against
-// gates).
-var matrixBackends = []string{"strace", "archive", "sta2", "dxt"}
+// only add timing noise. "sta2" is the STA archive (named for its
+// format version, so cells compare across commits) and must produce
+// cells structurally identical to the strace cells of the same profile
+// (that identity is what -against gates).
+var matrixBackends = []string{"strace", "sta2", "dxt"}
 
 const (
 	matrixParallelism = 2
@@ -135,20 +135,6 @@ func backendSource(backend string, log *trace.EventLog) (int64, func(syms *inter
 			return strace.StreamFS(fsys, ".", strace.Options{
 				Strict: true, Parallelism: matrixParallelism, Window: matrixWindow, Syms: syms,
 			})
-		}, nil
-	case "archive":
-		var buf bytes.Buffer
-		if err := archive.Write(&buf, log); err != nil {
-			return 0, nil, err
-		}
-		data := buf.Bytes()
-		return int64(len(data)), func(syms *intern.Table) (source.Source, error) {
-			r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				return nil, err
-			}
-			r.SetSyms(syms)
-			return r.Stream(matrixParallelism, matrixWindow), nil
 		}, nil
 	case "sta2":
 		var buf bytes.Buffer

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -28,5 +29,15 @@ func TestRunDXTInput(t *testing.T) {
 	}
 	if err := run([]string{"dfg", "-dxt", "/no/such/file"}); err == nil {
 		t.Errorf("missing dxt file accepted")
+	}
+	// A dump has no case index: the library rejects a range, in both
+	// the materializing and the streaming paths.
+	for _, args := range [][]string{
+		{"info", "-dxt", dxtFile, "-cases", "0:1"},
+		{"info", "-stream", "-dxt", dxtFile, "-cases", "0:1"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "case range") {
+			t.Errorf("run(%v) = %v, want the DXT case-range rejection", args, err)
+		}
 	}
 }

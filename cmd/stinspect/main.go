@@ -11,7 +11,7 @@
 //	stinspect dist     -traces DIR|-archive FILE -activity ACT [-map MAPPING]
 //	stinspect percase  -traces DIR|-archive FILE [-activity ACT] [-map MAPPING]
 //	stinspect compare  -traces DIR|-archive FILE -green CID[,CID...] [-map MAPPING] [-format dot|text] [-skip CALLS]
-//	stinspect archive  -traces DIR -o FILE.sta [-v2]
+//	stinspect archive  -traces DIR -o FILE.sta
 //	stinspect snapshot -traces DIR|-archive FILE -o FILE.sts [-every N] [-resume] [-map MAPPING]
 //	stinspect info     -traces DIR|-archive FILE
 //
@@ -51,10 +51,10 @@
 //
 // -cases a:b restricts an -archive input to the half-open case range
 // [a, b) of the archive's file order ("a:" means to the end, ":b" from
-// the start). The archive index addresses every case section directly —
-// for STA v2 without even touching the skipped sections' bytes — so
-// slicing a window out of a multi-GB archive costs only the cases
-// decoded. Works with and without -stream.
+// the start). The archive index addresses every case section directly,
+// without touching the skipped sections' bytes, so slicing a window out
+// of a multi-GB archive costs only the cases decoded. Works with and
+// without -stream.
 //
 // -scoped-syms scopes a fresh symbol table to the run's ingestion pass
 // instead of the process-wide table. The output is byte-identical; the
@@ -122,7 +122,6 @@ func run(args []string) error {
 	green := fs.String("green", "", "comma-separated CIDs forming the green partition (compare)")
 	skip := fs.String("skip", "", "comma-separated calls to omit from rendering")
 	out := fs.String("o", "", "output file (archive subcommand)")
-	v2 := fs.Bool("v2", false, "archive subcommand: write the columnar, mmap-able STA v2 format")
 	title := fs.String("title", "", "report title (report subcommand)")
 	lenient := fs.Bool("lenient", false, "skip unparseable trace lines instead of failing")
 	jobs := fs.Int("j", 0, "ingestion parallelism: trace files parsed / archive cases decoded concurrently (>= 1; omit for GOMAXPROCS)")
@@ -140,8 +139,17 @@ func run(args []string) error {
 	if err := validateCountFlags(fs, "j", "window", "ashards"); err != nil {
 		return err
 	}
-	if *casesRange != "" && *archivePath == "" {
-		return usagef("-cases requires -archive (the other backends have no case index to slice)")
+	// A DXT input carries -cases to the library, which rejects it.
+	var caseRange *stinspector.CaseRange
+	if *casesRange != "" {
+		if *archivePath == "" && *dxtPath == "" {
+			return usagef("-cases requires -archive (the other backends have no case index to slice)")
+		}
+		rg, err := parseCaseRange(*casesRange)
+		if err != nil {
+			return err
+		}
+		caseRange = &rg
 	}
 
 	// One scoped symbol universe per run: every backend of this
@@ -152,11 +160,10 @@ func run(args []string) error {
 		syms = stinspector.NewSymbolTable()
 	}
 	parseOpts := func(window int) stinspector.ParseOptions {
-		opts := stinspector.ParseOptions{Strict: !*lenient, Parallelism: *jobs, Window: window}
-		if syms != nil {
-			opts = stinspector.WithSymbolTable(opts, syms)
-		}
-		return opts
+		return stinspector.ParseOptions{Strict: !*lenient, Parallelism: *jobs, Window: window, Syms: syms}
+	}
+	openOpts := func(window int) stinspector.OpenOptions {
+		return stinspector.OpenOptions{Parallelism: *jobs, Window: window, Syms: syms, Cases: caseRange}
 	}
 
 	openStream := func() (stinspector.Source, error) {
@@ -174,22 +181,14 @@ func run(args []string) error {
 		case *traces != "":
 			src, err = stinspector.StreamStraceDir(*traces, parseOpts(*window))
 		case *archivePath != "":
-			if *casesRange != "" {
-				var a, b int
-				if a, b, err = parseCaseRange(*casesRange); err != nil {
-					return nil, err
-				}
-				src, err = stinspector.StreamArchiveRange(*archivePath, a, b, *jobs, *window, syms)
-			} else {
-				src, err = stinspector.StreamArchiveScoped(*archivePath, *jobs, *window, syms)
-			}
+			src, err = stinspector.StreamArchive(*archivePath, openOpts(*window))
 		case *dxtPath != "":
 			var f *os.File
 			f, err = os.Open(*dxtPath)
 			if err != nil {
 				return nil, err
 			}
-			src, err = stinspector.StreamDXTScoped(*cid, f, *jobs, *window, syms)
+			src, err = stinspector.StreamDXT(*cid, f, openOpts(*window))
 			f.Close()
 		default:
 			return nil, usagef("need -traces DIR, -archive FILE or -dxt FILE")
@@ -331,27 +330,14 @@ func run(args []string) error {
 		case *traces != "":
 			in, err = stinspector.FromStraceDir(*traces, parseOpts(0))
 		case *archivePath != "":
-			if *casesRange != "" {
-				var a, b int
-				if a, b, err = parseCaseRange(*casesRange); err != nil {
-					return nil, err
-				}
-				var src stinspector.Source
-				if src, err = stinspector.StreamArchiveRange(*archivePath, a, b, *jobs, 0, syms); err != nil {
-					return nil, err
-				}
-				in, err = stinspector.LoadStream(src, !*lenient)
-				src.Close()
-			} else {
-				in, err = stinspector.FromArchiveScoped(*archivePath, *jobs, syms)
-			}
+			in, err = stinspector.FromArchive(*archivePath, openOpts(0))
 		case *dxtPath != "":
 			var f *os.File
 			f, err = os.Open(*dxtPath)
 			if err != nil {
 				return nil, err
 			}
-			in, err = stinspector.FromDXTScoped(*cid, f, *jobs, syms)
+			in, err = stinspector.FromDXT(*cid, f, openOpts(0))
 			f.Close()
 		default:
 			return nil, usagef("need -traces DIR, -archive FILE or -dxt FILE")
@@ -532,11 +518,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		write := stinspector.WriteArchive
-		if *v2 {
-			write = stinspector.WriteArchiveV2
-		}
-		if err := write(*out, in.EventLog()); err != nil {
+		if err := stinspector.WriteArchive(*out, in.EventLog()); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s: %s\n", *out, in.Summary())
@@ -618,28 +600,28 @@ func validateCountFlags(fs *flag.FlagSet, names ...string) error {
 
 // parseCaseRange parses the -cases half-open range syntax: "a:b",
 // "a:" (to the archive's end), ":b" (from the start). The open end is
-// returned as -1; StreamArchiveRange resolves it against the archive.
-func parseCaseRange(s string) (int, int, error) {
+// returned as End -1, which the archive resolves against its length.
+func parseCaseRange(s string) (stinspector.CaseRange, error) {
 	as, bs, ok := strings.Cut(s, ":")
 	if !ok {
-		return 0, 0, usagef("bad -cases %q (want a:b, a:, or :b)", s)
+		return stinspector.CaseRange{}, usagef("bad -cases %q (want a:b, a:, or :b)", s)
 	}
-	a, b := 0, -1
+	rg := stinspector.CaseRange{End: -1}
 	var err error
 	if as != "" {
-		if a, err = strconv.Atoi(as); err != nil || a < 0 {
-			return 0, 0, usagef("bad -cases start %q (want an index >= 0)", as)
+		if rg.Start, err = strconv.Atoi(as); err != nil || rg.Start < 0 {
+			return stinspector.CaseRange{}, usagef("bad -cases start %q (want an index >= 0)", as)
 		}
 	}
 	if bs != "" {
-		if b, err = strconv.Atoi(bs); err != nil || b < 0 {
-			return 0, 0, usagef("bad -cases end %q (want an index >= 0)", bs)
+		if rg.End, err = strconv.Atoi(bs); err != nil || rg.End < 0 {
+			return stinspector.CaseRange{}, usagef("bad -cases end %q (want an index >= 0)", bs)
 		}
-		if a > b {
-			return 0, 0, usagef("-cases %q: start beyond end", s)
+		if rg.Start > rg.End {
+			return stinspector.CaseRange{}, usagef("-cases %q: start beyond end", s)
 		}
 	}
-	return a, b, nil
+	return rg, nil
 }
 
 // parseMapping parses the -map syntax.

@@ -114,68 +114,46 @@ func TestRunArchiveRoundTrip(t *testing.T) {
 		t.Errorf("dfg from archive: %v", err)
 	}
 	// Archive content is usable through the library too.
-	el, err := stinspector.ReadArchive(sta)
-	if err != nil || el.NumCases() != 6 {
-		t.Errorf("archive holds %v cases, err %v", el, err)
-	}
-
-	// -v2 writes the columnar format; readers auto-detect it.
-	sta2 := filepath.Join(filepath.Dir(sta), "demo.sta2")
-	if err := run([]string{"archive", "-traces", dir, "-o", sta2, "-v2"}); err != nil {
-		t.Fatalf("archive -v2: %v", err)
-	}
-	if err := run([]string{"dfg", "-archive", sta2}); err != nil {
-		t.Errorf("dfg from v2 archive: %v", err)
-	}
-	el2, err := stinspector.ReadArchive(sta2)
-	if err != nil || el2.NumCases() != 6 {
-		t.Errorf("v2 archive holds %v cases, err %v", el2, err)
-	}
-	if el2.NumEvents() != el.NumEvents() {
-		t.Errorf("v2 events = %d, v1 = %d", el2.NumEvents(), el.NumEvents())
+	in, err := stinspector.FromArchive(sta, stinspector.OpenOptions{})
+	if err != nil || in.EventLog().NumCases() != 6 {
+		t.Errorf("archive load: %v", err)
 	}
 }
 
 // TestRunArchiveCaseRange: -cases a:b slices an archive input — both
-// formats, both the materializing and the streaming paths — and the
-// range grammar's edge cases behave per the documented contract.
+// the materializing and the streaming paths — and the range grammar's
+// edge cases behave per the documented contract.
 func TestRunArchiveCaseRange(t *testing.T) {
 	log := synth.Log("rng", 6, 20, 4)
 	dir := t.TempDir()
-	v1 := filepath.Join(dir, "r.sta")
-	v2 := filepath.Join(dir, "r.sta2")
-	if err := stinspector.WriteArchive(v1, log); err != nil {
+	arc := filepath.Join(dir, "r.sta")
+	if err := stinspector.WriteArchive(arc, log); err != nil {
 		t.Fatal(err)
 	}
-	if err := stinspector.WriteArchiveV2(v2, log); err != nil {
-		t.Fatal(err)
+	for _, r := range []string{":", "0:6", "1:4", ":3", "2:"} {
+		if err := run([]string{"info", "-archive", arc, "-cases", r}); err != nil {
+			t.Errorf("info -cases %s: %v", r, err)
+		}
+		if err := run([]string{"dfg", "-stream", "-archive", arc, "-cases", r}); err != nil {
+			t.Errorf("dfg -stream -cases %s: %v", r, err)
+		}
 	}
-	for _, arc := range []string{v1, v2} {
-		for _, r := range []string{":", "0:6", "1:4", ":3", "2:"} {
-			if err := run([]string{"info", "-archive", arc, "-cases", r}); err != nil {
-				t.Errorf("info %s -cases %s: %v", filepath.Ext(arc), r, err)
-			}
-			if err := run([]string{"dfg", "-stream", "-archive", arc, "-cases", r}); err != nil {
-				t.Errorf("dfg -stream %s -cases %s: %v", filepath.Ext(arc), r, err)
-			}
-		}
-		// An empty range streams zero cases (the materializing path has
-		// nothing to load, so streaming is the supported shape).
-		if err := run([]string{"info", "-stream", "-archive", arc, "-cases", "6:6"}); err != nil {
-			t.Errorf("info -stream -cases 6:6: %v", err)
-		}
-		// The sliced pass must see exactly the ranged cases.
-		out := captureStdout(t, func() error {
-			return run([]string{"info", "-stream", "-archive", arc, "-cases", "1:4"})
-		})
-		if !strings.HasPrefix(out, "3 cases, 60 events") {
-			t.Errorf("info -cases 1:4 reported %q, want 3 cases / 60 events", out)
-		}
-		// A range outside the archive is a runtime failure (exit 1), not
-		// a usage error: the flag was well-formed, the file disagreed.
-		if got := cliutil.ExitCode(run([]string{"info", "-archive", arc, "-cases", "0:99"})); got != 1 {
-			t.Errorf("out-of-bounds -cases: exit %d, want 1", got)
-		}
+	// An empty range streams zero cases (the materializing path has
+	// nothing to load, so streaming is the supported shape).
+	if err := run([]string{"info", "-stream", "-archive", arc, "-cases", "6:6"}); err != nil {
+		t.Errorf("info -stream -cases 6:6: %v", err)
+	}
+	// The sliced pass must see exactly the ranged cases.
+	out := captureStdout(t, func() error {
+		return run([]string{"info", "-stream", "-archive", arc, "-cases", "1:4"})
+	})
+	if !strings.HasPrefix(out, "3 cases, 60 events") {
+		t.Errorf("info -cases 1:4 reported %q, want 3 cases / 60 events", out)
+	}
+	// A range outside the archive is a runtime failure (exit 1), not
+	// a usage error: the flag was well-formed, the file disagreed.
+	if got := cliutil.ExitCode(run([]string{"info", "-archive", arc, "-cases", "0:99"})); got != 1 {
+		t.Errorf("out-of-bounds -cases: exit %d, want 1", got)
 	}
 	// Grammar and placement errors are usage errors (exit 2).
 	for _, tc := range []struct {
@@ -183,10 +161,10 @@ func TestRunArchiveCaseRange(t *testing.T) {
 		args []string
 	}{
 		{"cases without archive", []string{"info", "-traces", dir, "-cases", "0:2"}},
-		{"no colon", []string{"info", "-archive", v2, "-cases", "5"}},
-		{"negative start", []string{"info", "-archive", v2, "-cases", "-1:2"}},
-		{"inverted", []string{"info", "-archive", v2, "-cases", "4:1"}},
-		{"junk", []string{"info", "-archive", v2, "-cases", "a:b"}},
+		{"no colon", []string{"info", "-archive", arc, "-cases", "5"}},
+		{"negative start", []string{"info", "-archive", arc, "-cases", "-1:2"}},
+		{"inverted", []string{"info", "-archive", arc, "-cases", "4:1"}},
+		{"junk", []string{"info", "-archive", arc, "-cases", "a:b"}},
 	} {
 		if got := cliutil.ExitCode(run(tc.args)); got != 2 {
 			t.Errorf("%s: exit %d, want 2", tc.name, got)

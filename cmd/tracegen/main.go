@@ -9,17 +9,14 @@
 //
 //	tracegen -outdir traces/                       # paper demo traces
 //	tracegen -archive demo.sta                     # consolidated event-log
-//	tracegen -format sta2 -o demo.sta2             # columnar v2 archive
+//	tracegen -format sta -o demo.sta               # the same, uniform form
 //	tracegen -list-profiles                        # name + description
 //	tracegen -profile heavytail -cases 32 -events 200 -seed 7 -outdir t/
 //
-// -format {strace,sta,sta2} with -o PATH is the uniform output
-// selector: strace writes a directory of .st files, sta the v1 archive,
-// sta2 the columnar v2 archive (the right choice for large corpora that
-// will be re-ingested — sta2 writes stream case by case, so memory
-// stays bounded by the dictionary, not the data). The legacy
-// -outdir/-archive flags remain as shorthands and cannot be combined
-// with -format.
+// -format {strace,sta} with -o PATH is the uniform output selector:
+// strace writes a directory of .st files, sta the consolidated STA
+// archive. The legacy -outdir/-archive flags remain as shorthands and
+// cannot be combined with -format.
 package main
 
 import (
@@ -44,8 +41,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	outdir := fs.String("outdir", "", "write strace files into this directory")
 	archiveOut := fs.String("archive", "", "write a consolidated .sta event-log")
-	format := fs.String("format", "", "output format for -o: strace, sta, or sta2")
-	outPath := fs.String("o", "", "output path for -format (a directory for strace, a file for sta/sta2)")
+	format := fs.String("format", "", "output format for -o: strace or sta")
+	outPath := fs.String("o", "", "output path for -format (a directory for strace, a file for sta)")
 	host := fs.String("host", "host1", "host name used in demo trace file names")
 	profile := fs.String("profile", "", "scenario-matrix generator profile (see -list-profiles); empty runs the paper demo")
 	list := fs.Bool("list-profiles", false, "list the available generator profiles and exit")
@@ -73,9 +70,9 @@ func run(args []string) error {
 		return cliutil.Usagef("-format/-o cannot be combined with -outdir/-archive")
 	}
 	switch *format {
-	case "", "strace", "sta", "sta2":
+	case "", "strace", "sta":
 	default:
-		return cliutil.Usagef("unknown -format %q (have strace, sta, sta2)", *format)
+		return cliutil.Usagef("unknown -format %q (have strace, sta)", *format)
 	}
 	if *format == "" && *outdir == "" && *archiveOut == "" {
 		return cliutil.Usagef("need -format FMT -o PATH, -outdir DIR, and/or -archive FILE")
@@ -119,11 +116,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote event-log archive %s (%d events)\n", *outPath, cx.NumEvents())
-	case "sta2":
-		if err := stinspector.WriteArchiveV2(*outPath, cx); err != nil {
-			return err
-		}
-		fmt.Printf("wrote v2 event-log archive %s (%d events)\n", *outPath, cx.NumEvents())
 	}
 	if *outdir != "" {
 		if err := strace.WriteDir(*outdir, cx); err != nil {

@@ -35,10 +35,19 @@ func TestRunGeneratesDemoTraces(t *testing.T) {
 			t.Errorf("host = %s", c.ID.Host)
 		}
 	}
-	el, err := stinspector.ReadArchive(sta)
-	if err != nil || el.NumEvents() != 75 {
-		t.Errorf("archive: %v events, err %v", el.NumEvents(), err)
+	if el := readArchive(t, sta); el.NumEvents() != 75 {
+		t.Errorf("archive: %v events", el.NumEvents())
 	}
+}
+
+// readArchive loads an archive's event-log through the facade.
+func readArchive(t *testing.T, path string) *stinspector.EventLog {
+	t.Helper()
+	in, err := stinspector.FromArchive(path, stinspector.OpenOptions{})
+	if err != nil {
+		t.Fatalf("archive %s: %v", path, err)
+	}
+	return in.EventLog()
 }
 
 func TestRunNeedsOutput(t *testing.T) {
@@ -67,10 +76,7 @@ func TestRunProfileTraces(t *testing.T) {
 	if in.EventLog().NumEvents() != want.NumEvents() {
 		t.Errorf("dir events = %d, want %d", in.EventLog().NumEvents(), want.NumEvents())
 	}
-	el, err := stinspector.ReadArchive(sta)
-	if err != nil {
-		t.Fatalf("archive: %v", err)
-	}
+	el := readArchive(t, sta)
 	if el.NumEvents() != want.NumEvents() || el.NumCases() != want.NumCases() {
 		t.Errorf("archive = %d events/%d cases, want %d/%d",
 			el.NumEvents(), el.NumCases(), want.NumEvents(), want.NumCases())
@@ -83,9 +89,9 @@ func TestRunProfileTraces(t *testing.T) {
 	}
 }
 
-// TestRunFormatOutputs: the -format/-o selector writes each of the
-// three encodings, and all three parse back to the same deterministic
-// generator output — the CLI-level face of the v1↔v2 equivalence law.
+// TestRunFormatOutputs: the -format/-o selector writes both encodings,
+// and both parse back to the same deterministic generator output,
+// event for event.
 func TestRunFormatOutputs(t *testing.T) {
 	dir := t.TempDir()
 	p, _ := profiles.Lookup("burst")
@@ -109,32 +115,21 @@ func TestRunFormatOutputs(t *testing.T) {
 		t.Errorf("strace events = %d, want %d", in.EventLog().NumEvents(), want.NumEvents())
 	}
 
-	v1 := filepath.Join(dir, "a.sta")
-	v2 := filepath.Join(dir, "a.sta2")
-	gen("sta", v1)
-	gen("sta2", v2)
-	el1, err := stinspector.ReadArchive(v1)
-	if err != nil {
-		t.Fatalf("read back v1: %v", err)
+	sta := filepath.Join(dir, "a.sta")
+	gen("sta", sta)
+	el := readArchive(t, sta)
+	if el.NumEvents() != want.NumEvents() || el.NumCases() != want.NumCases() {
+		t.Errorf("archive = %d events/%d cases, want %d/%d",
+			el.NumEvents(), el.NumCases(), want.NumEvents(), want.NumCases())
 	}
-	el2, err := stinspector.ReadArchive(v2)
-	if err != nil {
-		t.Fatalf("read back v2 (auto-detect): %v", err)
-	}
-	for _, el := range []*stinspector.EventLog{el1, el2} {
-		if el.NumEvents() != want.NumEvents() || el.NumCases() != want.NumCases() {
-			t.Errorf("archive = %d events/%d cases, want %d/%d",
-				el.NumEvents(), el.NumCases(), want.NumEvents(), want.NumCases())
-		}
-	}
-	for _, c := range el1.Cases() {
-		c2 := el2.Case(c.ID)
-		if c2 == nil || len(c2.Events) != len(c.Events) {
-			t.Fatalf("case %s differs across v1/v2", c.ID)
+	for _, c := range want.Cases() {
+		got := el.Case(c.ID)
+		if got == nil || len(got.Events) != len(c.Events) {
+			t.Fatalf("case %s not reproduced by the archive", c.ID)
 		}
 		for i := range c.Events {
-			if c.Events[i] != c2.Events[i] {
-				t.Fatalf("case %s event %d differs across v1/v2: %+v vs %+v", c.ID, i, c.Events[i], c2.Events[i])
+			if c.Events[i] != got.Events[i] {
+				t.Fatalf("case %s event %d differs: %+v vs %+v", c.ID, i, got.Events[i], c.Events[i])
 			}
 		}
 	}
@@ -158,9 +153,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{"host with profile", []string{"-profile", "burst", "-host", "h", "-outdir", "x"}},
 		{"stray operand", []string{"-outdir", "x", "extra"}},
 		{"no output", []string{"-profile", "burst"}},
-		{"format without o", []string{"-format", "sta2"}},
-		{"o without format", []string{"-o", "x.sta2"}},
+		{"format without o", []string{"-format", "sta"}},
+		{"o without format", []string{"-o", "x.sta"}},
 		{"unknown format", []string{"-format", "hdf5", "-o", "x"}},
+		{"retired sta2 format", []string{"-format", "sta2", "-o", "x.sta2"}},
 		{"format with outdir", []string{"-format", "sta", "-o", "x", "-outdir", "d"}},
 		{"format with archive", []string{"-format", "sta", "-o", "x", "-archive", "a.sta"}},
 	} {

@@ -33,7 +33,7 @@ const dxtDump = `
 `
 
 func main() {
-	in, err := stinspector.FromDXT("job42", strings.NewReader(dxtDump))
+	in, err := stinspector.FromDXT("job42", strings.NewReader(dxtDump), stinspector.OpenOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestIngestionPathsAgree(t *testing.T) {
 	if err := WriteArchive(sta, res.Log); err != nil {
 		t.Fatal(err)
 	}
-	viaArchive, err := FromArchive(sta)
+	viaArchive, err := FromArchive(sta, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestIngestionPathsAgree(t *testing.T) {
 	if err := WriteArchive(sta2, viaText.EventLog()); err != nil {
 		t.Fatal(err)
 	}
-	viaBoth, err := FromArchive(sta2)
+	viaBoth, err := FromArchive(sta2, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

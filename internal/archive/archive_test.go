@@ -2,12 +2,16 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"stinspector/internal/source"
 	"stinspector/internal/trace"
 )
 
@@ -56,59 +60,72 @@ func logsEqual(t *testing.T, got, want *trace.EventLog) {
 	}
 }
 
-func TestRoundTripFile(t *testing.T) {
-	want := randLog(1, 6, 200)
-	path := filepath.Join(t.TempDir(), "log.sta")
-	if err := WriteFile(path, want); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	got, err := ReadLog(path)
-	if err != nil {
-		t.Fatalf("ReadLog: %v", err)
-	}
-	logsEqual(t, got, want)
+// readAll drains every case of r with the given decode parallelism: the
+// materializing form the tests compare against.
+func readAll(r *Reader, parallelism int) (*trace.EventLog, error) {
+	src := r.Stream(parallelism, 0)
+	defer src.Close()
+	return source.Drain(src, false)
 }
 
+// newReaderAt opens an image through the ReadAt path (pooled section
+// buffers), as opposed to NewReaderBytes' zero-copy slices.
+func newReaderAt(data []byte) (*Reader, error) {
+	return NewReader(bytes.NewReader(data), int64(len(data)))
+}
+
+// TestRoundTripPropertyMany round-trips many shapes through the ReadAt
+// path; TestV2RoundTripPropertyMany covers the zero-copy path.
 func TestRoundTripPropertyMany(t *testing.T) {
 	for seed := int64(2); seed < 22; seed++ {
 		want := randLog(seed, 1+int(seed)%5, 80)
 		var f bytes.Buffer
-		if err := Write(&f, want); err != nil {
-			t.Fatalf("seed %d: Write: %v", seed, err)
+		if err := WriteV2(&f, want); err != nil {
+			t.Fatalf("seed %d: WriteV2: %v", seed, err)
 		}
-		r, err := NewReader(bytes.NewReader(f.Bytes()), int64(f.Len()))
+		r, err := newReaderAt(f.Bytes())
 		if err != nil {
 			t.Fatalf("seed %d: NewReader: %v", seed, err)
 		}
-		got, err := r.ReadAll()
+		got, err := readAll(r, 0)
 		if err != nil {
-			t.Fatalf("seed %d: ReadAll: %v", seed, err)
+			t.Fatalf("seed %d: readAll: %v", seed, err)
 		}
 		logsEqual(t, got, want)
 	}
 }
 
+// TestDeterministicBytes: the crash-safe file writer lays down exactly
+// the bytes of the stream writer, every time.
 func TestDeterministicBytes(t *testing.T) {
 	log := randLog(5, 4, 100)
-	var a, b bytes.Buffer
-	if err := Write(&a, log); err != nil {
+	var want bytes.Buffer
+	if err := WriteV2(&want, log); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&b, log); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("archive bytes are not deterministic")
+	dir := t.TempDir()
+	for _, name := range []string{"a.sta", "b.sta"} {
+		path := filepath.Join(dir, name)
+		if err := WriteFileV2(path, log); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: archive bytes are not deterministic", name)
+		}
 	}
 }
 
 func TestRandomAccessSingleCase(t *testing.T) {
 	want := randLog(7, 8, 150)
 	var f bytes.Buffer
-	if err := Write(&f, want); err != nil {
+	if err := WriteV2(&f, want); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(f.Bytes()), int64(f.Len()))
+	r, err := newReaderAt(f.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,29 +148,28 @@ func TestRandomAccessSingleCase(t *testing.T) {
 	}
 }
 
+// TestEmptyLog: an empty archive opens through the path-level source
+// and yields no cases.
 func TestEmptyLog(t *testing.T) {
-	log := trace.MustNewEventLog()
-	var f bytes.Buffer
-	if err := Write(&f, log); err != nil {
+	path := filepath.Join(t.TempDir(), "empty.sta")
+	if err := WriteFileV2(path, trace.MustNewEventLog()); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(f.Bytes()), int64(f.Len()))
+	src, err := OpenSource(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumCases() != 0 {
-		t.Errorf("NumCases = %d", r.NumCases())
-	}
-	got, err := r.ReadAll()
+	defer src.Close()
+	got, err := source.Drain(src, false)
 	if err != nil || got.NumCases() != 0 {
-		t.Errorf("ReadAll = %v, %v", got, err)
+		t.Errorf("Drain = %v, %v", got, err)
 	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
 	log := randLog(9, 3, 120)
 	var f bytes.Buffer
-	if err := Write(&f, log); err != nil {
+	if err := WriteV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	orig := f.Bytes()
@@ -164,25 +180,24 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Helper()
 		mut := append([]byte(nil), orig...)
 		mut[pos] ^= 0xff
-		r, err := NewReader(bytes.NewReader(mut), int64(len(mut)))
+		r, err := newReaderAt(mut)
 		if err != nil {
 			return // detected at open
 		}
-		if _, err := r.ReadAll(); err == nil {
+		if _, err := readAll(r, 0); err == nil {
 			t.Errorf("corruption at %s (offset %d) not detected", what, pos)
 		}
 	}
-	flipAndCheck(len(magic)+4+10, "case section")
+	flipAndCheck(headerSize+10, "case section")
 	flipAndCheck(len(orig)-footerSize-3, "index")
 
 	// Truncations.
 	for _, cut := range []int{1, footerSize, len(orig) / 2, len(orig) - 10} {
-		trunc := orig[:len(orig)-cut]
-		r, err := NewReader(bytes.NewReader(trunc), int64(len(trunc)))
+		r, err := newReaderAt(orig[:len(orig)-cut])
 		if err != nil {
 			continue
 		}
-		if _, err := r.ReadAll(); err == nil {
+		if _, err := readAll(r, 0); err == nil {
 			t.Errorf("truncation by %d bytes not detected", cut)
 		}
 	}
@@ -190,21 +205,23 @@ func TestCorruptionDetected(t *testing.T) {
 	// Bad magics.
 	mut := append([]byte(nil), orig...)
 	copy(mut, "NOPE")
-	if _, err := NewReader(bytes.NewReader(mut), int64(len(mut))); err == nil {
+	if _, err := newReaderAt(mut); err == nil {
 		t.Errorf("bad magic accepted")
 	}
 	mut = append([]byte(nil), orig...)
 	copy(mut[len(mut)-4:], "NOPE")
-	if _, err := NewReader(bytes.NewReader(mut), int64(len(mut))); err == nil {
+	if _, err := newReaderAt(mut); err == nil {
 		t.Errorf("bad footer magic accepted")
 	}
 
 	// Tiny file.
-	if _, err := NewReader(bytes.NewReader(orig[:8]), 8); err == nil {
+	if _, err := newReaderAt(orig[:8]); err == nil {
 		t.Errorf("tiny file accepted")
 	}
 }
 
+// TestUnsortedCaseRejected: the one-shot writer refuses a case out of
+// start order (TestV2UnsortedCaseRejected covers the incremental Add).
 func TestUnsortedCaseRejected(t *testing.T) {
 	c := &trace.Case{ID: trace.CaseID{CID: "u", Host: "h", RID: 1}, Events: []trace.Event{
 		{CID: "u", Host: "h", RID: 1, Call: "a", Start: 2},
@@ -212,7 +229,7 @@ func TestUnsortedCaseRejected(t *testing.T) {
 	}}
 	log := trace.MustNewEventLog(c)
 	var f bytes.Buffer
-	if err := Write(&f, log); err == nil {
+	if err := WriteV2(&f, log); err == nil {
 		t.Errorf("unsorted case accepted by writer")
 	}
 }
@@ -222,11 +239,59 @@ func TestCompression(t *testing.T) {
 	// than a naive fixed-width encoding (~60 bytes/event).
 	log := randLog(11, 4, 2000)
 	var f bytes.Buffer
-	if err := Write(&f, log); err != nil {
+	if err := WriteV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	perEvent := float64(f.Len()) / float64(log.NumEvents())
 	if perEvent > 40 {
 		t.Errorf("encoding too large: %.1f bytes/event", perEvent)
+	}
+}
+
+// v1Image hand-assembles an empty archive in the retired v1 layout:
+// header, a zero-case index, and the footer (index offset, index CRC,
+// footer magic).
+func v1Image() []byte {
+	var w buf
+	w.raw([]byte(magicV1))
+	w.u32(1)
+	idx := []byte{0}
+	w.raw(idx)
+	w.u64(headerSize)
+	w.u32(checksum(idx))
+	w.raw([]byte("XATS"))
+	return w.bytes()
+}
+
+// TestV1Rejected: a v1 archive is not corrupt, it is retired. Every
+// way of opening one fails with ErrV1, whose message names the format
+// and the remedy, never with a CorruptError.
+func TestV1Rejected(t *testing.T) {
+	full := v1Image()
+	path := filepath.Join(t.TempDir(), "old.sta")
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opens := map[string]func() error{
+		"NewReader header only": func() error { _, err := newReaderAt(full[:headerSize]); return err },
+		"NewReader":             func() error { _, err := newReaderAt(full); return err },
+		"NewReaderBytes":        func() error { _, err := NewReaderBytes(full); return err },
+		"Open":                  func() error { _, err := Open(path); return err },
+		"OpenSource":            func() error { _, err := OpenSource(path, Options{}); return err },
+	}
+	for name, open := range opens {
+		err := open()
+		if !errors.Is(err, ErrV1) {
+			t.Errorf("%s: err = %v, want ErrV1", name, err)
+		}
+		var ce *CorruptError
+		if errors.As(err, &ce) {
+			t.Errorf("%s: v1 reported as corrupt: %v", name, err)
+		}
+	}
+	for _, want := range []string{"v1", "re-archive"} {
+		if !strings.Contains(ErrV1.Error(), want) {
+			t.Errorf("ErrV1 message %q does not mention %q", ErrV1, want)
+		}
 	}
 }

@@ -2,170 +2,13 @@ package archive
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
-	"sync"
 	"time"
 
-	"stinspector/internal/intern"
 	"stinspector/internal/trace"
 )
 
-// newReaderV2 finishes opening a reader whose head identified an STA v2
-// image: it loads and verifies the footer, dictionary, and index. All
-// counts, offsets, and symbol ids come from untrusted bytes and are
-// validated against the regions that actually exist before any sized
-// allocation or slice, mirroring the v1 guards.
-func newReaderV2(src io.ReaderAt, size int64, ver uint32) (*Reader, error) {
-	if ver != versionV2 {
-		return nil, fmt.Errorf("archive: unsupported version %d", ver)
-	}
-	if size < headerV2Size+footerV2Size {
-		return nil, corrupt("file too small (%d bytes)", size)
-	}
-	foot := make([]byte, footerV2Size)
-	if _, err := src.ReadAt(foot, size-footerV2Size); err != nil {
-		return nil, err
-	}
-	if string(foot[footerV2Size-4:]) != footerMagicV2 {
-		return nil, corrupt("bad footer magic %q", foot[footerV2Size-4:])
-	}
-	dictOffset := binary.LittleEndian.Uint64(foot)
-	indexOffset := binary.LittleEndian.Uint64(foot[8:])
-	indexCRC := binary.LittleEndian.Uint32(foot[16:])
-	if indexOffset > uint64(size-footerV2Size) {
-		return nil, corrupt("index offset %d beyond file", indexOffset)
-	}
-	if dictOffset < headerV2Size || dictOffset > indexOffset {
-		return nil, corrupt("dictionary region [%d,%d) out of order", dictOffset, indexOffset)
-	}
-	// The dictionary region is its payload plus a trailing CRC; even an
-	// empty dictionary needs a count byte.
-	if indexOffset-dictOffset < 5 {
-		return nil, corrupt("dictionary region of %d bytes too small", indexOffset-dictOffset)
-	}
-
-	dictRegion := make([]byte, indexOffset-dictOffset)
-	if _, err := src.ReadAt(dictRegion, int64(dictOffset)); err != nil {
-		return nil, err
-	}
-	payload := dictRegion[:len(dictRegion)-4]
-	if checksum(payload) != binary.LittleEndian.Uint32(dictRegion[len(dictRegion)-4:]) {
-		return nil, corrupt("dictionary checksum mismatch")
-	}
-	dict, err := intern.DecodeDict(payload)
-	if err != nil {
-		return nil, corrupt("dictionary: %v", err)
-	}
-
-	idx := make([]byte, uint64(size-footerV2Size)-indexOffset)
-	if _, err := src.ReadAt(idx, int64(indexOffset)); err != nil {
-		return nil, err
-	}
-	if checksum(idx) != indexCRC {
-		return nil, corrupt("index checksum mismatch")
-	}
-
-	ic := &cursor{b: idx}
-	n, err := ic.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Every index entry needs at least 6 bytes (six one-byte varints),
-	// so a count the index bytes cannot hold is corruption, not an
-	// allocation request.
-	if n > uint64(ic.remaining())/6 {
-		return nil, corrupt("index claims %d cases in %d bytes", n, ic.remaining())
-	}
-	nsyms := uint64(dict.Len())
-	r := &Reader{
-		src:         src,
-		ver:         versionV2,
-		dict:        dict,
-		resolveOnce: new(sync.Once),
-		byID:        make(map[trace.CaseID]int, n),
-	}
-	for i := uint64(0); i < n; i++ {
-		var ent indexEntry
-		cidSym, err := ic.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		hostSym, err := ic.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if cidSym >= nsyms || hostSym >= nsyms {
-			return nil, corrupt("case %d identity symbols (%d,%d) beyond dictionary of %d", i, cidSym, hostSym, nsyms)
-		}
-		ent.cidSym, ent.hostSym = uint32(cidSym), uint32(hostSym)
-		ent.id.CID = dict.Str(intern.Sym(cidSym))
-		ent.id.Host = dict.Str(intern.Sym(hostSym))
-		rid, err := ic.varint()
-		if err != nil {
-			return nil, err
-		}
-		ent.id.RID = int(rid)
-		if ent.offset, err = ic.uvarint(); err != nil {
-			return nil, err
-		}
-		if ent.length, err = ic.uvarint(); err != nil {
-			return nil, err
-		}
-		if ent.events, err = ic.uvarint(); err != nil {
-			return nil, err
-		}
-		// Sections live strictly between the header and the dictionary.
-		// Compare without computing offset+length: hostile values near
-		// MaxUint64 would wrap the sum back into range.
-		if ent.offset < headerV2Size || ent.length > dictOffset || ent.offset > dictOffset-ent.length {
-			return nil, corrupt("case %s section [%d,+%d) outside data region", ent.id, ent.offset, ent.length)
-		}
-		r.byID[ent.id] = len(r.entries)
-		r.entries = append(r.entries, ent)
-	}
-	return r, nil
-}
-
-// resolve returns the dictionary remapped into the reader's current
-// symbol table: resolve()[fileSym] is the canonical string. The remap
-// runs once per table binding — the near-zero-parse property: after it,
-// section decode touches no hash table and allocates no strings.
-// Concurrent decode workers share the one remap via the Once; SetSyms
-// (documented as not concurrent with decodes) installs a fresh Once.
-func (r *Reader) resolve() []string {
-	r.resolveOnce.Do(func() {
-		cache := r.getCache()
-		r.resolved = r.dict.RemapIntoTable(cache)
-		r.putCache(cache)
-	})
-	return r.resolved
-}
-
-func (r *Reader) readEntryV2(i int) (*trace.Case, error) {
-	ent := &r.entries[i]
-	resolved := r.resolve()
-	if r.data != nil {
-		// Zero-copy: the section is a subslice of the mapping; decode
-		// copies every value out, so nothing escapes the mmap lifetime.
-		sec := r.data[ent.offset : ent.offset+ent.length]
-		return decodeCaseV2(sec, i, ent, resolved)
-	}
-	bp, _ := r.secBufs.Get().(*[]byte)
-	if bp == nil || uint64(cap(*bp)) < ent.length {
-		b := make([]byte, ent.length)
-		bp = &b
-	}
-	sec := (*bp)[:ent.length]
-	defer r.secBufs.Put(bp)
-	if _, err := r.src.ReadAt(sec, int64(ent.offset)); err != nil {
-		return nil, err
-	}
-	return decodeCaseV2(sec, i, ent, resolved)
-}
-
-// colCursor is the hot-path varint decoder for v2 column blocks. Unlike
+// colCursor is the hot-path varint decoder for column blocks. Unlike
 // cursor it does not return an error per value: column byte ranges are
 // pre-sliced from the section header, so a malformed varint can only
 // arise inside one column, and the per-column done() check after the
@@ -231,16 +74,15 @@ func (c *colCursor) varint() int64 {
 }
 
 // done reports whether the column decoded cleanly and consumed exactly
-// its bytes — the v2 analogue of v1's per-value error checks, amortized
-// to one check per column.
+// its bytes: one check per column instead of an error per value.
 func (c *colCursor) done() bool { return !c.bad && c.off == len(c.b) }
 
-// decodeCaseV2 parses and verifies one columnar section. resolved is
+// decodeCase parses and verifies one columnar section. resolved is
 // the dictionary remap from resolve(); every string in the result is a
 // canonical table string, and no hashing, sorting, or event copying
 // happens here: the delta-encoded start column proves Equation (2)
 // order, so the events are assembled once, in place.
-func decodeCaseV2(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*trace.Case, error) {
+func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*trace.Case, error) {
 	if len(sec) < 4 {
 		return nil, corrupt("case %s: section of %d bytes too small", ent.id, len(sec))
 	}

@@ -5,42 +5,82 @@
 // whose columns are the event attributes pid, call, start, dur, fp, size,
 // with rows sorted by start timestamp.
 //
-// STA provides the same semantics with the standard library only:
-//
-//   - one section per case, holding six columns;
-//   - string columns (call, fp) are dictionary-encoded per case;
-//   - integer columns use varints, with start timestamps delta-encoded
-//     (rows are sorted, so deltas are small and non-negative);
-//   - every section and the footer index carry CRC-32 checksums, so
-//     truncation and corruption are detected;
-//   - a footer index maps case identities to section offsets, enabling
-//     random access to single cases without reading the whole file.
+// STA is columnar, indexed and mmap-able, and it optimizes
+// re-ingestion: strings are interned once per file into a single
+// dictionary, sections carry only integer columns, and the index
+// addresses every case (and, via per-column lengths, every column)
+// directly — so a reader maps the file, loads the dictionary into its
+// symbol table once, and decodes events without hashing a single string
+// or sorting a single row.
 //
 // Layout:
 //
-//	"STA1" | u32 version
-//	section*          (one per case)
-//	index             (case table with offsets/lengths)
-//	u64 index offset | u32 index CRC | "XATS"
+//	"STA2" | u32 version
+//	section*             (one per case, columnar; see below)
+//	dict                 (file-level symbol dictionary | u32 CRC)
+//	index                (case table with dictionary-encoded identities)
+//	u64 dict offset | u64 index offset | u32 index CRC | "2ATS"
+//
+// section (all row values for one case, stored column-major):
+//
+//	uvarint ordinal      (the case's index position, cross-checked)
+//	uvarint nEvents
+//	uvarint len ×6       (byte length of each column block)
+//	pid    varint[]
+//	call   uvarint[]     (file-dictionary symbols)
+//	start  varint first, then non-negative uvarint deltas
+//	dur    uvarint[]
+//	fp     uvarint[]     (file-dictionary symbols)
+//	size   varint[]
+//	u32 CRC              (over everything above)
+//
+// The dictionary is an intern.Local serialized in first-use order
+// (intern.AppendDict) — a pure function of the written content, so the
+// output is byte-for-byte reproducible. It doubles as the string arena:
+// the call and fp columns, and the index's CID/Host fields, are all
+// symbols into it. The index holds (identity, offset, length, events)
+// per case, with identities dictionary-encoded.
+//
+// Every region is independently checksummed (sections and dict inline,
+// index from the footer), and the decoder validates claimed counts,
+// lengths, and symbol ids against the bytes actually present before
+// any allocation: production readers decode sections zero-copy from an
+// mmap of untrusted bytes, so decode must fail closed.
+//
+// The earlier row-oriented "STA1" layout is no longer decoded; opening
+// one fails with ErrV1.
 package archive
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
 
 const (
-	magic       = "STA1"
-	footerMagic = "XATS"
-	version     = 1
+	magic       = "STA2"
+	footerMagic = "2ATS"
+	version     = 2
+
+	// magicV1 identifies the retired row-oriented layout, recognized
+	// only to reject it with ErrV1.
+	magicV1 = "STA1"
 )
 
-// footerSize is the fixed tail of the file: index offset, index CRC,
-// magic.
-const footerSize = 8 + 4 + 4
+// headerSize is the fixed head of the file: magic and version.
+const headerSize = 4 + 4
 
-// ErrCorrupt is wrapped by errors reporting integrity failures.
+// footerSize is the fixed tail: dict offset, index offset, index CRC,
+// magic.
+const footerSize = 8 + 8 + 4 + 4
+
+// ErrV1 reports an archive in the retired STA v1 layout. Such files
+// are not corrupt, just no longer decoded: re-archiving the original
+// traces writes the current format.
+var ErrV1 = errors.New("archive: STA v1 file: this format is no longer supported; re-archive from the original traces (stinspect archive -traces DIR -o FILE.sta)")
+
+// CorruptError reports an integrity failure.
 type CorruptError struct {
 	Detail string
 }
@@ -66,9 +106,9 @@ func (w *buf) varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
 func (w *buf) raw(p []byte)     { w.b = append(w.b, p...) }
 func (w *buf) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *buf) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *buf) str(s string)     { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
 
-// cursor is the matching decoder.
+// cursor is the matching decoder for the variable-length header fields
+// (the hot column loops use colCursor instead).
 type cursor struct {
 	b   []byte
 	off int
@@ -92,43 +132,4 @@ func (c *cursor) varint() (int64, error) {
 	}
 	c.off += n
 	return v, nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	if c.remaining() < 4 {
-		return 0, corrupt("truncated u32 at offset %d", c.off)
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if c.remaining() < 8 {
-		return 0, corrupt("truncated u64 at offset %d", c.off)
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *cursor) str() (string, error) {
-	b, err := c.strBytes()
-	return string(b), err
-}
-
-// strBytes reads a length-prefixed string as a subslice of the section
-// buffer, letting decodeCase canonicalize through the symbol cache
-// without an intermediate allocation.
-func (c *cursor) strBytes() ([]byte, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(c.remaining()) {
-		return nil, corrupt("string of %d bytes exceeds section at offset %d", n, c.off)
-	}
-	b := c.b[c.off : c.off+int(n)]
-	c.off += int(n)
-	return b, nil
 }

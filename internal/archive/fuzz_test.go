@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -9,117 +10,12 @@ import (
 	"stinspector/internal/synth/profiles"
 )
 
-// Robustness: arbitrary corruption of a valid archive must never panic —
-// every byte flip either fails at open, fails at read, or (for bytes in
-// unreachable padding) still round-trips correctly. Silent corruption is
-// impossible because sections and the index are checksummed.
-func TestReaderRobustnessUnderMutation(t *testing.T) {
-	log := randLog(77, 4, 60)
-	var f bytes.Buffer
-	if err := Write(&f, log); err != nil {
-		t.Fatal(err)
-	}
-	orig := f.Bytes()
-	rng := rand.New(rand.NewSource(7))
-
-	for trial := 0; trial < 2000; trial++ {
-		mut := append([]byte(nil), orig...)
-		// 1-4 random mutations.
-		for k := 0; k < 1+rng.Intn(4); k++ {
-			switch rng.Intn(3) {
-			case 0: // flip
-				mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
-			case 1: // truncate
-				if len(mut) > 1 {
-					mut = mut[:rng.Intn(len(mut))]
-				}
-			case 2: // extend with junk
-				mut = append(mut, byte(rng.Intn(256)))
-			}
-		}
-		r, err := NewReader(bytes.NewReader(mut), int64(len(mut)))
-		if err != nil {
-			continue
-		}
-		_, _ = r.ReadAll() // must not panic
-	}
-}
-
-// FuzzSectionDecode drives arbitrary bytes through the streaming decode
-// path: NewReader followed by Reader.Stream at several worker/window
-// settings. Whatever the corruption, the source must never panic, must
-// terminate, and must agree with the materializing ReadAll on both the
-// error/success verdict and (on success) the decoded contents — the
-// stream and the in-memory path share one notion of a valid archive.
-func FuzzSectionDecode(f *testing.F) {
-	// Seed with valid archives (several shapes) and a few mutants so
-	// the fuzzer starts inside the format, not at the magic check.
-	for seed := int64(1); seed <= 3; seed++ {
-		var buf bytes.Buffer
-		if err := Write(&buf, randLog(seed, int(seed)+1, 20)); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		mut := append([]byte(nil), buf.Bytes()...)
-		mut[len(mut)/2] ^= 0x40
-		f.Add(mut)
-	}
-	// A hostileargs-profile archive seeds the mutator with the quoting
-	// and control-character torture paths of the adversarial generators.
-	if p, ok := profiles.Lookup("hostileargs"); ok {
-		var buf bytes.Buffer
-		if err := Write(&buf, p.Generate("fz", 3, 12, 20240924)); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		mut := append([]byte(nil), buf.Bytes()...)
-		mut[len(mut)/3] ^= 0x11
-		f.Add(mut)
-	}
-	f.Add([]byte(magic))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return
-		}
-		want, wantErr := r.ReadAll()
-		for _, cfg := range [][2]int{{1, 1}, {4, 2}, {3, 8}} {
-			src := r.Stream(cfg[0], cfg[1])
-			var events, cases int
-			var streamErr error
-			for {
-				c, err := src.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					streamErr = err
-					break
-				}
-				cases++
-				events += c.Len()
-			}
-			src.Close()
-			if (streamErr == nil) != (wantErr == nil) {
-				t.Fatalf("workers=%d window=%d: stream err %v, ReadAll err %v", cfg[0], cfg[1], streamErr, wantErr)
-			}
-			if wantErr == nil && (cases != want.NumCases() || events != want.NumEvents()) {
-				t.Fatalf("workers=%d window=%d: streamed %d cases / %d events, ReadAll %d / %d",
-					cfg[0], cfg[1], cases, events, want.NumCases(), want.NumEvents())
-			}
-		}
-	})
-}
-
-// FuzzArchiveV2Decode is FuzzSectionDecode for the v2 format: arbitrary
-// bytes through NewReader (which auto-detects and takes the columnar
-// path on the v2 magic) and the streaming decode at several
-// worker/window settings. The stakes are higher than v1's — production
-// readers decode v2 sections zero-copy from an mmap of untrusted bytes —
-// so the invariants are the same and non-negotiable: never panic,
-// always terminate, stream and ReadAll agree on verdict and contents.
+// FuzzArchiveV2Decode drives arbitrary bytes through NewReaderBytes and
+// the streaming decode at several worker/window settings. Production
+// readers decode sections zero-copy from an mmap of untrusted bytes, so
+// the invariants are non-negotiable: never panic, always terminate, and
+// every stream agrees with the sequential drain on both the
+// error/success verdict and (on success) the decoded contents.
 func FuzzArchiveV2Decode(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var buf bytes.Buffer
@@ -141,7 +37,9 @@ func FuzzArchiveV2Decode(f *testing.F) {
 		mut[len(mut)/3] ^= 0x11
 		f.Add(mut)
 	}
-	f.Add([]byte(magicV2))
+	f.Add([]byte(magic))
+	// A retired v1 image must take the ErrV1 rejection, never a decode.
+	f.Add(v1Image())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -149,7 +47,7 @@ func FuzzArchiveV2Decode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want, wantErr := r.ReadAll()
+		want, wantErr := readAll(r, 1)
 		for _, cfg := range [][2]int{{1, 1}, {4, 2}, {3, 8}} {
 			src := r.Stream(cfg[0], cfg[1])
 			var events, cases int
@@ -168,10 +66,10 @@ func FuzzArchiveV2Decode(f *testing.F) {
 			}
 			src.Close()
 			if (streamErr == nil) != (wantErr == nil) {
-				t.Fatalf("workers=%d window=%d: stream err %v, ReadAll err %v", cfg[0], cfg[1], streamErr, wantErr)
+				t.Fatalf("workers=%d window=%d: stream err %v, drain err %v", cfg[0], cfg[1], streamErr, wantErr)
 			}
 			if wantErr == nil && (cases != want.NumCases() || events != want.NumEvents()) {
-				t.Fatalf("workers=%d window=%d: streamed %d cases / %d events, ReadAll %d / %d",
+				t.Fatalf("workers=%d window=%d: streamed %d cases / %d events, drain %d / %d",
 					cfg[0], cfg[1], cases, events, want.NumCases(), want.NumEvents())
 			}
 		}
@@ -196,7 +94,9 @@ func FuzzArchiveV2Decode(f *testing.F) {
 	})
 }
 
-// Robustness: random byte blobs presented as archives must never panic.
+// Robustness: random byte blobs presented as archives through the
+// ReadAt path must never panic (TestV2RandomBytes covers the zero-copy
+// path), and any blob carrying the v1 magic is rejected as v1.
 func TestReaderRandomBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 2000; trial++ {
@@ -204,16 +104,22 @@ func TestReaderRandomBytes(t *testing.T) {
 		blob := make([]byte, n)
 		rng.Read(blob)
 		// Occasionally fake the magics so deeper paths run.
-		if n >= 4 && trial%3 == 0 {
+		if n >= headerSize && trial%3 == 0 {
 			copy(blob, magic)
+		}
+		if n >= headerSize && trial%7 == 0 {
+			copy(blob, magicV1)
 		}
 		if n >= footerSize && trial%5 == 0 {
 			copy(blob[n-4:], footerMagic)
 		}
-		r, err := NewReader(bytes.NewReader(blob), int64(n))
+		r, err := newReaderAt(blob)
+		if n >= headerSize && string(blob[:4]) == magicV1 && !errors.Is(err, ErrV1) {
+			t.Fatalf("trial %d: v1 magic gave %v, want ErrV1", trial, err)
+		}
 		if err != nil {
 			continue
 		}
-		_, _ = r.ReadAll()
+		_, _ = readAll(r, 0)
 	}
 }

@@ -3,6 +3,7 @@ package archive
 import (
 	"fmt"
 
+	"stinspector/internal/source"
 	"stinspector/internal/trace"
 )
 
@@ -18,16 +19,15 @@ func Merge(dst string, srcs ...string) error {
 	if err != nil {
 		return err
 	}
-	for _, src := range srcs {
-		log, err := ReadLog(src)
-		if err != nil {
-			return fmt.Errorf("archive: merge %s: %w", src, err)
+	for _, path := range srcs {
+		src, err := OpenSource(path, Options{})
+		if err == nil {
+			err = source.Walk(src, false, combined.Add)
+			src.Close()
 		}
-		for _, c := range log.Cases() {
-			if err := combined.Add(c); err != nil {
-				return fmt.Errorf("archive: merge %s: %w", src, err)
-			}
+		if err != nil {
+			return fmt.Errorf("archive: merge %s: %w", path, err)
 		}
 	}
-	return WriteFile(dst, combined)
+	return WriteFileV2(dst, combined)
 }

@@ -1,9 +1,12 @@
 package archive
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"stinspector/internal/source"
 	"stinspector/internal/trace"
 )
 
@@ -24,18 +27,30 @@ func TestMerge(t *testing.T) {
 	}
 	logB := trace.MustNewEventLog(casesB...)
 
-	if err := WriteFile(a, logA); err != nil {
+	if err := WriteFileV2(a, logA); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(b, logB); err != nil {
+	if err := WriteFileV2(b, logB); err != nil {
 		t.Fatal(err)
 	}
 	if err := Merge(dst, a, b); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	got, err := ReadLog(dst)
+	src, err := OpenSource(dst, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer src.Close()
+	got, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged bytes.Buffer
+	if err := WriteV2(&merged, got); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(dst); err != nil || !bytes.Equal(raw, merged.Bytes()) {
+		t.Errorf("merged file is not the canonical archive of its cases (err %v)", err)
 	}
 	if got.NumCases() != logA.NumCases()+logB.NumCases() {
 		t.Errorf("merged cases = %d", got.NumCases())
@@ -51,7 +66,7 @@ func TestMergeErrors(t *testing.T) {
 		t.Errorf("empty merge accepted")
 	}
 	a := filepath.Join(dir, "a.sta")
-	if err := WriteFile(a, randLog(3, 2, 20)); err != nil {
+	if err := WriteFileV2(a, randLog(3, 2, 20)); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate identities across inputs.

@@ -30,18 +30,18 @@ func TestReadAllParallelEquivalence(t *testing.T) {
 	}
 	el := trace.MustNewEventLog(cases...)
 	var buf bytes.Buffer
-	if err := Write(&buf, el); err != nil {
+	if err := WriteV2(&buf, el); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 
 	decode := func(parallelism int) *trace.EventLog {
 		t.Helper()
-		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		r, err := newReaderAt(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.ReadAllParallel(parallelism)
+		got, err := readAll(r, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,20 +72,20 @@ func TestReadAllParallelCorruptSection(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, trace.MustNewEventLog(cases...)); err != nil {
+	if err := WriteV2(&buf, trace.MustNewEventLog(cases...)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	// Flip a byte early in the file: inside some case section, before the
-	// index (which sits at the end).
+	// dictionary and index (which sit at the end).
 	data[20] ^= 0xff
-	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	r, err := newReaderAt(data)
 	if err != nil {
-		t.Skip("corruption landed in the header; reader rejected the file outright")
+		t.Fatalf("corruption in a case section rejected at open: %v", err)
 	}
 	var msgs []string
 	for _, p := range []int{1, 4} {
-		_, err := r.ReadAllParallel(p)
+		_, err := readAll(r, p)
 		if err == nil {
 			t.Fatalf("parallelism=%d: corrupt section not detected", p)
 		}

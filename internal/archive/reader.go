@@ -2,12 +2,11 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
-	"time"
 
 	"stinspector/internal/intern"
 	"stinspector/internal/source"
@@ -17,28 +16,19 @@ import (
 // Reader provides random access to the cases of an STA file, the
 // counterpart of the paper's "each case is stored in a separate group
 // within the HDF5 file": single cases can be loaded without materializing
-// the whole event-log. One Reader serves both format versions — Open and
-// NewReader detect v1 vs v2 from the magic — and every decode API below
-// behaves identically on either.
+// the whole event-log.
 type Reader struct {
 	src     io.ReaderAt
 	closer  io.Closer
-	ver     uint32
 	entries []indexEntry
 	byID    map[trace.CaseID]int
 	syms    *intern.Table // nil = intern.Default
-	// caches pools per-worker decode caches over syms when scoped, so
-	// concurrent section decodes stay warm across sections. The pool
-	// lives and dies with the reader, which is what keeps a scoped
-	// table collectable once the reader is dropped; Default-bound
-	// caches use the process-wide intern pool instead.
-	caches sync.Pool
 
-	// v2 state. data, when non-nil, is a whole-file view (an mmap from
-	// Open, or the caller's buffer from NewReaderBytes) that section
-	// decodes slice zero-copy; otherwise sections are fetched through
-	// src with pooled buffers. dict is the file-level symbol dictionary,
-	// and resolved its remap into the bound symbol table, built once per
+	// data, when non-nil, is a whole-file view (an mmap from Open, or
+	// the caller's buffer from NewReaderBytes) that section decodes
+	// slice zero-copy; otherwise sections are fetched through src with
+	// pooled buffers. dict is the file-level symbol dictionary, and
+	// resolved its remap into the bound symbol table, built once per
 	// binding under resolveOnce (see resolve).
 	data        []byte
 	unmap       func() error
@@ -55,45 +45,14 @@ type Reader struct {
 // makes every interned string collectable. Decoded events are
 // identical either way. Not safe to call concurrently with decodes.
 func (r *Reader) SetSyms(t *intern.Table) {
-	if t == intern.Default {
-		// Normalize so an explicit Default takes the pooled-cache path,
-		// exactly like nil.
-		t = nil
-	}
 	r.syms = t
-	if r.ver == versionV2 {
-		// Invalidate the dictionary remap: the next decode rebuilds it
-		// against the new table.
-		r.resolved = nil
-		r.resolveOnce = new(sync.Once)
-	}
+	// Invalidate the dictionary remap: the next decode rebuilds it
+	// against the new table.
+	r.resolved = nil
+	r.resolveOnce = new(sync.Once)
 }
 
-// getCache hands a decode worker a cache over the reader's symbol
-// table; return it with putCache. A pooled cache bound to a previous
-// SetSyms table is discarded, not reused, so rebinding a reader can
-// never alias symbols across tables.
-func (r *Reader) getCache() *intern.Cache {
-	if r.syms == nil {
-		return intern.CacheFor(nil)
-	}
-	if c, ok := r.caches.Get().(*intern.Cache); ok && c.Table() == r.syms {
-		return c
-	}
-	return intern.NewCache(r.syms)
-}
-
-func (r *Reader) putCache(c *intern.Cache) {
-	if r.syms == nil {
-		intern.PutCache(c)
-		return
-	}
-	if c.Table() == r.syms {
-		r.caches.Put(c)
-	}
-}
-
-// Open opens an STA file for random access. v2 files are additionally
+// Open opens an STA file for random access. The file is additionally
 // memory-mapped where the platform allows it, so section decodes slice
 // the page cache directly instead of issuing a read per case; when
 // mapping is unavailable or fails, the reader transparently uses the
@@ -114,15 +73,13 @@ func Open(path string) (*Reader, error) {
 		return nil, err
 	}
 	r.closer = f
-	if r.ver == versionV2 {
-		if data, unmap, ok := mmapFile(f, st.Size()); ok {
-			r.data, r.unmap = data, unmap
-		}
+	if data, unmap, ok := mmapFile(f, st.Size()); ok {
+		r.data, r.unmap = data, unmap
 	}
 	return r, nil
 }
 
-// NewReaderBytes opens an in-memory STA image. v2 sections decode
+// NewReaderBytes opens an in-memory STA image. Sections decode
 // zero-copy straight from data; the caller must not mutate it while the
 // reader is in use.
 func NewReaderBytes(data []byte) (*Reader, error) {
@@ -130,56 +87,72 @@ func NewReaderBytes(data []byte) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.ver == versionV2 {
-		r.data = data
-	}
+	r.data = data
 	return r, nil
 }
 
-// NewReader opens an STA image of the given size from any io.ReaderAt,
-// detecting the format version from the magic.
+// NewReader opens an STA image of the given size from any io.ReaderAt:
+// it loads and verifies the footer, dictionary, and index. All counts,
+// offsets, and symbol ids come from untrusted bytes and are validated
+// against the regions that actually exist before any sized allocation
+// or slice. A v1 image fails with ErrV1.
 func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
-	if size < int64(len(magic))+4+footerSize {
+	if size < headerSize {
 		return nil, corrupt("file too small (%d bytes)", size)
 	}
-	head := make([]byte, len(magic)+4)
+	head := make([]byte, headerSize)
 	if _, err := src.ReadAt(head, 0); err != nil {
 		return nil, err
 	}
-	c := &cursor{b: head, off: 4}
-	ver, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
+	// The magic is checked before the size floor: a v1 file may be
+	// smaller than the current format's minimum and must still be
+	// recognized as v1, not reported as truncated.
 	switch string(head[:4]) {
 	case magic:
-	case magicV2:
-		return newReaderV2(src, size, ver)
+	case magicV1:
+		return nil, ErrV1
 	default:
 		return nil, corrupt("bad magic %q", head[:4])
 	}
-	if ver != version {
+	if ver := binary.LittleEndian.Uint32(head[4:]); ver != version {
 		return nil, fmt.Errorf("archive: unsupported version %d", ver)
 	}
-
+	if size < headerSize+footerSize {
+		return nil, corrupt("file too small (%d bytes)", size)
+	}
 	foot := make([]byte, footerSize)
 	if _, err := src.ReadAt(foot, size-footerSize); err != nil {
 		return nil, err
 	}
-	fc := &cursor{b: foot}
-	indexOffset, err := fc.u64()
-	if err != nil {
-		return nil, err
+	if string(foot[footerSize-4:]) != footerMagic {
+		return nil, corrupt("bad footer magic %q", foot[footerSize-4:])
 	}
-	indexCRC, err := fc.u32()
-	if err != nil {
-		return nil, err
-	}
-	if string(foot[12:16]) != footerMagic {
-		return nil, corrupt("bad footer magic %q", foot[12:16])
-	}
+	dictOffset := binary.LittleEndian.Uint64(foot)
+	indexOffset := binary.LittleEndian.Uint64(foot[8:])
+	indexCRC := binary.LittleEndian.Uint32(foot[16:])
 	if indexOffset > uint64(size-footerSize) {
 		return nil, corrupt("index offset %d beyond file", indexOffset)
+	}
+	if dictOffset < headerSize || dictOffset > indexOffset {
+		return nil, corrupt("dictionary region [%d,%d) out of order", dictOffset, indexOffset)
+	}
+	// The dictionary region is its payload plus a trailing CRC; even an
+	// empty dictionary needs a count byte.
+	if indexOffset-dictOffset < 5 {
+		return nil, corrupt("dictionary region of %d bytes too small", indexOffset-dictOffset)
+	}
+
+	dictRegion := make([]byte, indexOffset-dictOffset)
+	if _, err := src.ReadAt(dictRegion, int64(dictOffset)); err != nil {
+		return nil, err
+	}
+	payload := dictRegion[:len(dictRegion)-4]
+	if checksum(payload) != binary.LittleEndian.Uint32(dictRegion[len(dictRegion)-4:]) {
+		return nil, corrupt("dictionary checksum mismatch")
+	}
+	dict, err := intern.DecodeDict(payload)
+	if err != nil {
+		return nil, corrupt("dictionary: %v", err)
 	}
 
 	idx := make([]byte, uint64(size-footerSize)-indexOffset)
@@ -195,21 +168,35 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every index entry needs at least 6 bytes (three one-byte strings
-	// /varints plus three uvarints), so a count the index bytes cannot
-	// hold is corruption, not an allocation request.
+	// Every index entry needs at least 6 bytes (six one-byte varints),
+	// so a count the index bytes cannot hold is corruption, not an
+	// allocation request.
 	if n > uint64(ic.remaining())/6 {
 		return nil, corrupt("index claims %d cases in %d bytes", n, ic.remaining())
 	}
-	r := &Reader{src: src, ver: version, byID: make(map[trace.CaseID]int, n)}
+	nsyms := uint64(dict.Len())
+	r := &Reader{
+		src:         src,
+		dict:        dict,
+		resolveOnce: new(sync.Once),
+		byID:        make(map[trace.CaseID]int, n),
+	}
 	for i := uint64(0); i < n; i++ {
 		var ent indexEntry
-		if ent.id.CID, err = ic.str(); err != nil {
+		cidSym, err := ic.uvarint()
+		if err != nil {
 			return nil, err
 		}
-		if ent.id.Host, err = ic.str(); err != nil {
+		hostSym, err := ic.uvarint()
+		if err != nil {
 			return nil, err
 		}
+		if cidSym >= nsyms || hostSym >= nsyms {
+			return nil, corrupt("case %d identity symbols (%d,%d) beyond dictionary of %d", i, cidSym, hostSym, nsyms)
+		}
+		ent.cidSym, ent.hostSym = uint32(cidSym), uint32(hostSym)
+		ent.id.CID = dict.Str(intern.Sym(cidSym))
+		ent.id.Host = dict.Str(intern.Sym(hostSym))
 		rid, err := ic.varint()
 		if err != nil {
 			return nil, err
@@ -224,10 +211,11 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 		if ent.events, err = ic.uvarint(); err != nil {
 			return nil, err
 		}
+		// Sections live strictly between the header and the dictionary.
 		// Compare without computing offset+length: hostile values near
 		// MaxUint64 would wrap the sum back into range.
-		if ent.length > indexOffset || ent.offset > indexOffset-ent.length {
-			return nil, corrupt("case %s section [%d,+%d) overlaps index", ent.id, ent.offset, ent.length)
+		if ent.offset < headerSize || ent.length > dictOffset || ent.offset > dictOffset-ent.length {
+			return nil, corrupt("case %s section [%d,+%d) outside data region", ent.id, ent.offset, ent.length)
 		}
 		r.byID[ent.id] = len(r.entries)
 		r.entries = append(r.entries, ent)
@@ -293,47 +281,48 @@ func (r *Reader) ReadCaseAt(i int) (*trace.Case, error) {
 	return r.readAt(i)
 }
 
-// readAt decodes the case at index position i via the version's path.
-func (r *Reader) readAt(i int) (*trace.Case, error) {
-	if r.ver == versionV2 {
-		return r.readEntryV2(i)
-	}
-	return r.readEntry(r.entries[i])
+// resolve returns the dictionary remapped into the reader's current
+// symbol table: resolve()[fileSym] is the canonical string. The remap
+// runs once per table binding — the near-zero-parse property: after it,
+// section decode touches no hash table and allocates no strings.
+// Concurrent decode workers share the one remap via the Once; SetSyms
+// (documented as not concurrent with decodes) installs a fresh Once.
+func (r *Reader) resolve() []string {
+	r.resolveOnce.Do(func() {
+		cache := intern.CacheFor(r.syms)
+		r.resolved = r.dict.RemapIntoTable(cache)
+		intern.PutCache(cache)
+	})
+	return r.resolved
 }
 
-func (r *Reader) readEntry(ent indexEntry) (*trace.Case, error) {
-	section := make([]byte, ent.length)
-	if _, err := r.src.ReadAt(section, int64(ent.offset)); err != nil {
+// readAt decodes the case at index position i.
+func (r *Reader) readAt(i int) (*trace.Case, error) {
+	ent := &r.entries[i]
+	resolved := r.resolve()
+	if r.data != nil {
+		// Zero-copy: the section is a subslice of the mapping; decode
+		// copies every value out, so nothing escapes the mmap lifetime.
+		sec := r.data[ent.offset : ent.offset+ent.length]
+		return decodeCase(sec, i, ent, resolved)
+	}
+	bp, _ := r.secBufs.Get().(*[]byte)
+	if bp == nil || uint64(cap(*bp)) < ent.length {
+		b := make([]byte, ent.length)
+		bp = &b
+	}
+	sec := (*bp)[:ent.length]
+	defer r.secBufs.Put(bp)
+	if _, err := r.src.ReadAt(sec, int64(ent.offset)); err != nil {
 		return nil, err
 	}
-	cache := r.getCache()
-	defer r.putCache(cache)
-	return decodeCase(section, ent.id, cache)
-}
-
-// ReadAll loads the full event-log, decoding case sections concurrently
-// with GOMAXPROCS workers. The result is deterministic: cases are merged
-// in file order whatever the worker count.
-func (r *Reader) ReadAll() (*trace.EventLog, error) {
-	return r.ReadAllParallel(0)
-}
-
-// ReadAllParallel is ReadAll with an explicit worker bound: each case
-// section is an independent (offset, length) region of the file, so the
-// ReadAt+decode work fans out cleanly. parallelism 0 means
-// runtime.GOMAXPROCS(0); 1 decodes sequentially. The first failing case
-// in file order determines the returned error. It is the materializing
-// form of Stream: drain the case source into an event-log.
-func (r *Reader) ReadAllParallel(parallelism int) (*trace.EventLog, error) {
-	src := r.Stream(parallelism, 0)
-	defer src.Close()
-	return source.Drain(src, false)
+	return decodeCase(sec, i, ent, resolved)
 }
 
 // Stream decodes the archive's case sections as a case source: sections
 // are fetched and decoded by parallelism workers (0 = GOMAXPROCS) into
 // an ordered window of at most window resident cases (0 = 2×workers),
-// delivered in file order — which WriteFile lays down in CaseID order,
+// delivered in file order — which the writers lay down in CaseID order,
 // so streaming consumers see the canonical event-log order without the
 // log ever being materialized. The source does not own the underlying
 // file; Close cancels outstanding decodes but leaves the Reader open.
@@ -360,222 +349,54 @@ func (r *Reader) StreamRange(a, b, parallelism, window int) source.Source {
 	return source.OrderedRange(a, b, parallelism, window, r.readAt)
 }
 
-// ReadLog opens path and loads the full event-log in one call.
-func ReadLog(path string) (*trace.EventLog, error) {
-	return ReadLogParallel(path, 0)
+// CaseRange selects the half-open slice [Start, End) of an archive's
+// case order. End < 0 means the end of the archive.
+type CaseRange struct {
+	Start, End int
 }
 
-// ReadLogParallel is ReadLog with an explicit decode-worker bound.
-func ReadLogParallel(path string, parallelism int) (*trace.EventLog, error) {
-	return ReadLogParallelSyms(path, parallelism, nil)
+// Options configures OpenSource. The zero value streams every case,
+// decoded by GOMAXPROCS workers into intern.Default.
+type Options struct {
+	// Parallelism bounds the concurrent section decodes
+	// (0 = GOMAXPROCS, 1 = sequential).
+	Parallelism int
+	// Window bounds the cases decoded but not yet consumed
+	// (0 = 2×Parallelism).
+	Window int
+	// Syms scopes the decoded strings to a per-pass symbol table
+	// (nil = intern.Default), so they are collectable once the pass's
+	// results are dropped.
+	Syms *intern.Table
+	// Cases restricts the source to a slice of the file's case order
+	// (nil = every case). The index addresses every section directly,
+	// so the cost is proportional to the cases decoded, not the
+	// archive size.
+	Cases *CaseRange
 }
 
-// ReadLogParallelSyms is ReadLogParallel decoding through a scoped
-// symbol table (nil means intern.Default) — the materializing
-// counterpart of StreamLogSyms.
-func ReadLogParallelSyms(path string, parallelism int, t *intern.Table) (*trace.EventLog, error) {
+// OpenSource opens the STA file at path as a case source configured by
+// opts — the one path-level read entry point; drain the source
+// (source.Drain) to materialize the event-log. The source owns the
+// file: Close releases it. Unlike Reader.StreamRange (which clamps), a
+// Cases range outside the archive is rejected, since this is the entry
+// point user-supplied ranges reach.
+func OpenSource(path string, opts Options) (source.Source, error) {
 	r, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	r.SetSyms(t)
-	return r.ReadAllParallel(parallelism)
-}
-
-// StreamLog opens path as a case source with the given decode
-// parallelism and resident-case window. The returned source owns the
-// file: Close releases it.
-func StreamLog(path string, parallelism, window int) (source.Source, error) {
-	return StreamLogSyms(path, parallelism, window, nil)
-}
-
-// StreamLogSyms is StreamLog decoding through a scoped symbol table
-// (nil means intern.Default) — the streaming entry point for passes
-// that own their symbol universe.
-func StreamLogSyms(path string, parallelism, window int, t *intern.Table) (source.Source, error) {
-	r, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r.SetSyms(t)
-	return source.WithCloser(r.Stream(parallelism, window), r), nil
-}
-
-// StreamLogRangeSyms is StreamLogSyms restricted to the half-open case
-// range [a, b) of the archive's file order; b < 0 means NumCases. The
-// index addresses every section directly, so the cost is proportional
-// to the cases decoded, not the archive size. Unlike Reader.StreamRange
-// (which clamps), a range outside the archive is rejected here — this
-// is the entry point user-supplied ranges reach.
-func StreamLogRangeSyms(path string, a, b, parallelism, window int, t *intern.Table) (source.Source, error) {
-	r, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	n := r.NumCases()
-	if b < 0 {
-		b = n
-	}
-	if a < 0 || a > b || b > n {
-		r.Close()
-		return nil, fmt.Errorf("archive: case range [%d,%d) out of bounds for %d cases", a, b, n)
-	}
-	r.SetSyms(t)
-	return source.WithCloser(r.StreamRange(a, b, parallelism, window), r), nil
-}
-
-// decodeCase parses and verifies one case section. The per-case string
-// dictionary (call names, file paths) and the case identity are
-// canonicalized through the caller's symbol cache — fronting either
-// the process-wide table or the reader's scoped one — so decoding N
-// cases that share a path vocabulary retains one string per distinct
-// value instead of one per case.
-func decodeCase(section []byte, want trace.CaseID, cache *intern.Cache) (*trace.Case, error) {
-	c := &cursor{b: section}
-	bodyLen, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Checked as "remaining - 4 < bodyLen": a bodyLen near MaxUint64
-	// would wrap bodyLen+4 back into range.
-	if uint64(c.remaining()) < 4 || bodyLen > uint64(c.remaining())-4 {
-		return nil, corrupt("case %s: section body truncated", want)
-	}
-	body := section[c.off : c.off+int(bodyLen)]
-	crcCur := &cursor{b: section, off: c.off + int(bodyLen)}
-	crc, err := crcCur.u32()
-	if err != nil {
-		return nil, err
-	}
-	if checksum(body) != crc {
-		return nil, corrupt("case %s: section checksum mismatch", want)
-	}
-
-	bc := &cursor{b: body}
-	var id trace.CaseID
-	cidB, err := bc.strBytes()
-	if err != nil {
-		return nil, err
-	}
-	id.CID = cache.CanonBytes(cidB)
-	hostB, err := bc.strBytes()
-	if err != nil {
-		return nil, err
-	}
-	id.Host = cache.CanonBytes(hostB)
-	rid, err := bc.varint()
-	if err != nil {
-		return nil, err
-	}
-	id.RID = int(rid)
-	if id != want {
-		return nil, corrupt("section holds case %s, index says %s", id, want)
-	}
-
-	n, err := bc.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each event occupies at least 6 bytes of the body (six one-byte
-	// columns), so larger claimed counts are corruption — the guard that
-	// keeps a hostile count from becoming a multi-GB allocation.
-	if n > uint64(bc.remaining())/6 {
-		return nil, corrupt("case %s: %d events claimed in %d bytes", id, n, bc.remaining())
-	}
-	nd, err := bc.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nd > uint64(bc.remaining()) {
-		return nil, corrupt("case %s: %d dictionary strings claimed in %d bytes", id, nd, bc.remaining())
-	}
-	dict := make([]string, nd)
-	for i := range dict {
-		b, err := bc.strBytes()
-		if err != nil {
-			return nil, err
+	a, b := 0, r.NumCases()
+	if rg := opts.Cases; rg != nil {
+		a = rg.Start
+		if rg.End >= 0 {
+			b = rg.End
 		}
-		dict[i] = cache.CanonBytes(b)
-	}
-	lookup := func(i uint64) (string, error) {
-		if i >= uint64(len(dict)) {
-			return "", corrupt("case %s: dictionary id %d out of range", id, i)
-		}
-		return dict[i], nil
-	}
-
-	// nil for an empty case, exactly as NewCase builds — decoded cases
-	// must be indistinguishable from in-memory ones.
-	var events []trace.Event
-	if n > 0 {
-		events = make([]trace.Event, n)
-	}
-	for i := range events {
-		pid, err := bc.varint()
-		if err != nil {
-			return nil, err
-		}
-		events[i].PID = int(pid)
-		events[i].CID = id.CID
-		events[i].Host = id.Host
-		events[i].RID = id.RID
-	}
-	for i := range events {
-		cid, err := bc.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if events[i].Call, err = lookup(cid); err != nil {
-			return nil, err
+		if a < 0 || a > b || b > r.NumCases() {
+			r.Close()
+			return nil, fmt.Errorf("archive: case range [%d,%d) out of bounds for %d cases", a, b, r.NumCases())
 		}
 	}
-	prev := int64(0)
-	for i := range events {
-		if i == 0 {
-			v, err := bc.varint()
-			if err != nil {
-				return nil, err
-			}
-			prev = v
-		} else {
-			d, err := bc.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			// Deltas are non-negative; a sum past MaxInt64 would wrap
-			// into a garbage (negative) timestamp instead of failing.
-			if d > math.MaxInt64 || prev > math.MaxInt64-int64(d) {
-				return nil, corrupt("case %s: start timestamp overflows at event %d", id, i)
-			}
-			prev += int64(d)
-		}
-		events[i].Start = time.Duration(prev)
-	}
-	for i := range events {
-		d, err := bc.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		events[i].Dur = time.Duration(d)
-	}
-	for i := range events {
-		fid, err := bc.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if events[i].FP, err = lookup(fid); err != nil {
-			return nil, err
-		}
-	}
-	for i := range events {
-		if events[i].Size, err = bc.varint(); err != nil {
-			return nil, err
-		}
-	}
-	// The start column's non-negative deltas prove the events are already
-	// in Equation (2) order, and the identity was stamped in the pid
-	// loop, so NewCase — which would clone the freshly built slice and
-	// stable-sort the already-sorted rows — is pure overhead here.
-	return &trace.Case{ID: id, Events: events}, nil
+	r.SetSyms(opts.Syms)
+	return source.WithCloser(r.StreamRange(a, b, opts.Parallelism, opts.Window), r), nil
 }

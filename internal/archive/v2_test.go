@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -19,9 +20,14 @@ func TestV2RoundTripFile(t *testing.T) {
 	if err := WriteFileV2(path, want); err != nil {
 		t.Fatalf("WriteFileV2: %v", err)
 	}
-	got, err := ReadLog(path)
+	src, err := OpenSource(path, Options{})
 	if err != nil {
-		t.Fatalf("ReadLog: %v", err)
+		t.Fatalf("OpenSource: %v", err)
+	}
+	defer src.Close()
+	got, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 	logsEqual(t, got, want)
 }
@@ -37,7 +43,7 @@ func TestV2RoundTripPropertyMany(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewReaderBytes: %v", seed, err)
 		}
-		got, err := r.ReadAll()
+		got, err := readAll(r, 0)
 		if err != nil {
 			t.Fatalf("seed %d: ReadAll: %v", seed, err)
 		}
@@ -45,40 +51,8 @@ func TestV2RoundTripPropertyMany(t *testing.T) {
 	}
 }
 
-// The two formats must decode to exactly the same events — same strings,
-// same order, same stamping — so every downstream artifact is
-// byte-identical whichever archive version fed it.
-func TestV1V2DecodeIdentical(t *testing.T) {
-	want := randLog(31, 8, 120)
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteV2(&v2, want); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := NewReader(bytes.NewReader(v1.Bytes()), int64(v1.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewReaderBytes(v2.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	log1, err := r1.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	log2, err := r2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	logsEqual(t, log1, log2)
-	logsEqual(t, log2, want)
-}
-
-// WriteV2 output must be byte-for-byte reproducible, like Write's: the
-// dictionary is assigned in first-use order, a pure function of content.
+// WriteV2 output must be byte-for-byte reproducible: the dictionary is
+// assigned in first-use order, a pure function of content.
 func TestV2Reproducible(t *testing.T) {
 	log := randLog(5, 5, 60)
 	var a, b bytes.Buffer
@@ -144,7 +118,7 @@ func TestV2EmptyLog(t *testing.T) {
 	if r.NumCases() != 0 || r.NumEvents() != 0 {
 		t.Fatalf("empty archive reports %d cases / %d events", r.NumCases(), r.NumEvents())
 	}
-	got, err := r.ReadAll()
+	got, err := readAll(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +140,7 @@ func TestV2OpenMatchesReadAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, err := r.ReadAllParallel(4)
+	got, err := readAll(r, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +158,7 @@ func TestV2OpenMatchesReadAt(t *testing.T) {
 		}
 		f2.data, f2.unmap = nil, nil
 	}
-	got2, err := f2.ReadAllParallel(4)
+	got2, err := readAll(f2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,33 +233,6 @@ func TestV2CaseRangeSlicing(t *testing.T) {
 	}
 }
 
-// v1 readers share the range APIs: the index is the same shape.
-func TestV1CaseRangeSlicing(t *testing.T) {
-	want := randLog(12, 5, 30)
-	var f bytes.Buffer
-	if err := Write(&f, want); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReaderBytes(f.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := r.StreamRange(1, 4, 2, 2)
-	defer src.Close()
-	got, err := source.Drain(src, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumCases() != 3 {
-		t.Fatalf("v1 range [1,4): %d cases, want 3", got.NumCases())
-	}
-	for i, c := range got.Cases() {
-		if c.ID != want.Cases()[1+i].ID {
-			t.Fatalf("v1 range case %d: %s, want %s", i, c.ID, want.Cases()[1+i].ID)
-		}
-	}
-}
-
 // Scoped decode: binding a table must intern the whole dictionary into
 // it, decode identical events, and rebinding must rebuild the remap.
 func TestV2ScopedSyms(t *testing.T) {
@@ -300,7 +247,7 @@ func TestV2ScopedSyms(t *testing.T) {
 	}
 	scoped := intern.NewTable()
 	r.SetSyms(scoped)
-	got, err := r.ReadAllParallel(3)
+	got, err := readAll(r, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +260,7 @@ func TestV2ScopedSyms(t *testing.T) {
 	// second table must now hold the vocabulary too.
 	scoped2 := intern.NewTable()
 	r.SetSyms(scoped2)
-	got2, err := r.ReadAll()
+	got2, err := readAll(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +284,7 @@ func TestV2ReaderRobustnessUnderMutation(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return r.ReadAll()
+		return readAll(r, 0)
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +312,7 @@ func TestV2ReaderRobustnessUnderMutation(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		got, err := r.ReadAll()
+		got, err := readAll(r, 0)
 		if err != nil || !mutated {
 			continue
 		}
@@ -392,7 +339,7 @@ func TestV2BitFlipSweep(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			got, err := r.ReadAll()
+			got, err := readAll(r, 0)
 			if err != nil {
 				continue
 			}
@@ -415,7 +362,7 @@ func TestV2TruncationSweep(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, err := r.ReadAll(); err == nil {
+		if _, err := readAll(r, 0); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded successfully", n, len(orig))
 		}
 	}
@@ -428,16 +375,85 @@ func TestV2RandomBytes(t *testing.T) {
 		blob := make([]byte, n)
 		rng.Read(blob)
 		if n >= 8 && trial%3 == 0 {
-			copy(blob, magicV2)
-			blob[4], blob[5], blob[6], blob[7] = versionV2, 0, 0, 0
+			copy(blob, magic)
+			blob[4], blob[5], blob[6], blob[7] = version, 0, 0, 0
 		}
-		if n >= footerV2Size && trial%5 == 0 {
-			copy(blob[n-4:], footerMagicV2)
+		if n >= footerSize && trial%5 == 0 {
+			copy(blob[n-4:], footerMagic)
 		}
 		r, err := NewReaderBytes(blob)
 		if err != nil {
 			continue
 		}
-		_, _ = r.ReadAll()
+		_, _ = readAll(r, 0)
+	}
+}
+
+// TestOpenSourceOptions: the path-level source honours every option —
+// a case range (open ends, empty, and out-of-bounds rejection), decode
+// parallelism and window, and a scoped symbol table that keeps the
+// archive's strings out of intern.Default.
+func TestOpenSourceOptions(t *testing.T) {
+	want := randLog(14, 7, 30)
+	path := filepath.Join(t.TempDir(), "opts.sta")
+	if err := WriteFileV2(path, want); err != nil {
+		t.Fatal(err)
+	}
+	all := want.Cases()
+	for _, rg := range []CaseRange{{0, -1}, {0, 7}, {2, 5}, {3, -1}, {4, 4}, {7, 7}} {
+		end := rg.End
+		if end < 0 {
+			end = len(all)
+		}
+		src, err := OpenSource(path, Options{Parallelism: 3, Window: 2, Cases: &rg})
+		if err != nil {
+			t.Fatalf("range %v: %v", rg, err)
+		}
+		got, err := source.Drain(src, false)
+		src.Close()
+		if err != nil {
+			t.Fatalf("range %v: %v", rg, err)
+		}
+		logsEqual(t, got, trace.MustNewEventLog(all[rg.Start:end]...))
+	}
+	for _, rg := range []CaseRange{{-1, 2}, {0, 8}, {5, 2}, {8, -1}} {
+		if src, err := OpenSource(path, Options{Cases: &rg}); err == nil {
+			src.Close()
+			t.Errorf("range %v accepted for %d cases", rg, len(all))
+		}
+	}
+
+	// A scoped pass over a vocabulary unique to this test interns it
+	// into its own table and leaves Default untouched.
+	var cases []*trace.Case
+	for i, c := range all {
+		evs := append([]trace.Event(nil), c.Events...)
+		for j := range evs {
+			evs[j].FP = fmt.Sprintf("/open-source-options/%d/%d", i, j)
+		}
+		cases = append(cases, trace.NewCase(c.ID, evs))
+	}
+	unique := trace.MustNewEventLog(cases...)
+	upath := filepath.Join(t.TempDir(), "unique.sta")
+	if err := WriteFileV2(upath, unique); err != nil {
+		t.Fatal(err)
+	}
+	tab := intern.NewTable()
+	d0 := intern.Default.Len()
+	src, err := OpenSource(upath, Options{Syms: tab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := source.Drain(src, false)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logsEqual(t, got, unique)
+	if intern.Default.Len() != d0 {
+		t.Errorf("scoped decode grew Default: %d -> %d", d0, intern.Default.Len())
+	}
+	if tab.Len() < unique.NumEvents() {
+		t.Errorf("scoped table holds %d symbols, want at least the %d unique paths", tab.Len(), unique.NumEvents())
 	}
 }

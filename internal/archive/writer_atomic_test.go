@@ -8,16 +8,16 @@ import (
 	"time"
 )
 
-// WriteFile must be crash-safe: a failing write (here: a case whose
+// WriteFileV2 must be crash-safe: a failing write (here: a case whose
 // events were perturbed out of start order after construction, which
-// Write rejects mid-stream) leaves no destination file, no torn bytes
+// the writer rejects mid-stream) leaves no destination file, no torn bytes
 // over a previous archive, and no temporary litter.
 func TestWriteFileAtomicOnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.sta")
 
 	good := randLog(5, 3, 10)
-	if err := WriteFile(path, good); err != nil {
+	if err := WriteFileV2(path, good); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(path)
@@ -31,8 +31,8 @@ func TestWriteFileAtomicOnError(t *testing.T) {
 	if c.Sorted() {
 		t.Fatal("perturbation did not unsort the case")
 	}
-	if err := WriteFile(path, bad); err == nil {
-		t.Fatal("WriteFile accepted an unsorted case")
+	if err := WriteFileV2(path, bad); err == nil {
+		t.Fatal("WriteFileV2 accepted an unsorted case")
 	}
 
 	got, err := os.ReadFile(path)
@@ -50,8 +50,8 @@ func TestWriteFileAtomicOnError(t *testing.T) {
 
 	// And against a fresh path: nothing lands at all.
 	fresh := filepath.Join(dir, "fresh.sta")
-	if err := WriteFile(fresh, bad); err == nil {
-		t.Fatal("WriteFile accepted an unsorted case")
+	if err := WriteFileV2(fresh, bad); err == nil {
+		t.Fatal("WriteFileV2 accepted an unsorted case")
 	}
 	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
 		t.Errorf("failed write left a file behind: %v", err)

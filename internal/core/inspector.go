@@ -1,5 +1,6 @@
 // Package core implements the paper's primary contribution as a pipeline
-// facade: loading event-logs (from strace directories or STA archives),
+// facade: loading event-logs (from strace directories, or from any case
+// source such as an STA archive through LoadStream),
 // querying them with file-path filters, abstracting events into
 // activities with a mapping, synthesizing the Directly-Follows-Graph,
 // computing the activity statistics, and applying the two coloring
@@ -15,14 +16,11 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"stinspector/internal/archive"
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
-	"stinspector/internal/dxt"
-	"stinspector/internal/intern"
 	"stinspector/internal/pm"
 	"stinspector/internal/render"
 	"stinspector/internal/stats"
@@ -55,61 +53,9 @@ func FromStraceDir(dir string, opts strace.Options) (*Inspector, error) {
 	return FromEventLog(el), nil
 }
 
-// FromArchive loads a consolidated STA event-log file (the paper's
-// single-HDF5-file stage), decoding case sections concurrently.
-func FromArchive(path string) (*Inspector, error) {
-	return FromArchiveParallel(path, 0)
-}
-
-// FromArchiveParallel is FromArchive with an explicit decode-worker
-// bound; 0 means GOMAXPROCS, 1 decodes sequentially.
-func FromArchiveParallel(path string, parallelism int) (*Inspector, error) {
-	return FromArchiveSyms(path, parallelism, nil)
-}
-
-// FromArchiveSyms is FromArchiveParallel decoding through a scoped
-// symbol table (nil means intern.Default): the pass owns its symbol
-// universe, so dropping the inspector makes the archive's strings
-// collectable instead of accumulating in the process-wide table.
-func FromArchiveSyms(path string, parallelism int, t *intern.Table) (*Inspector, error) {
-	el, err := archive.ReadLogParallelSyms(path, parallelism, t)
-	if err != nil {
-		return nil, err
-	}
-	return FromEventLog(el), nil
-}
-
-// FromDXT ingests a Darshan DXT text dump (darshan-dxt-parser output),
-// demonstrating the paper's remark that the methodology applies to data
-// from instrumentation tools other than strace. The cid names the
-// resulting cases.
-func FromDXT(cid string, r io.Reader) (*Inspector, error) {
-	return FromDXTParallel(cid, r, 0)
-}
-
-// FromDXTParallel is FromDXT with an explicit worker bound for the
-// per-case construction step; 0 means GOMAXPROCS, 1 builds sequentially.
-func FromDXTParallel(cid string, r io.Reader, parallelism int) (*Inspector, error) {
-	return FromDXTSyms(cid, r, parallelism, nil)
-}
-
-// FromDXTSyms is FromDXTParallel canonicalizing the dump's header
-// strings through a scoped symbol table (nil means intern.Default).
-func FromDXTSyms(cid string, r io.Reader, parallelism int, t *intern.Table) (*Inspector, error) {
-	records, err := dxt.ParseSyms(r, t)
-	if err != nil {
-		return nil, err
-	}
-	el, err := dxt.ToEventLogParallel(cid, records, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return FromEventLog(el), nil
-}
-
 // SaveArchive consolidates the inspector's event-log into an STA file.
 func (in *Inspector) SaveArchive(path string) error {
-	return archive.WriteFile(path, in.log)
+	return archive.WriteFileV2(path, in.log)
 }
 
 // EventLog exposes the underlying event-log.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"stinspector/internal/dfg"
@@ -87,8 +86,8 @@ func TestInspectorRegroupByPID(t *testing.T) {
 }
 
 func TestFromDXTAndErrors(t *testing.T) {
-	in, err := FromDXT("j", strings.NewReader(
-		"# DXT, file_name: /p/s/f\n# DXT, hostname: h\n X_MPIIO 3 read 0 0 4096 0.001 0.003\n"))
+	in, err := loadDXT("j",
+		"# DXT, file_name: /p/s/f\n# DXT, hostname: h\n X_MPIIO 3 read 0 0 4096 0.001 0.003\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +97,13 @@ func TestFromDXTAndErrors(t *testing.T) {
 	if in.Mapping() == nil {
 		t.Errorf("Mapping() nil")
 	}
-	if _, err := FromDXT("j", strings.NewReader("nonsense")); err == nil {
+	if _, err := loadDXT("j", "nonsense"); err == nil {
 		t.Errorf("bad DXT accepted")
 	}
 	if _, err := FromStraceDir("/no/such/dir", strace.Options{}); err == nil {
 		t.Errorf("missing dir accepted")
 	}
-	if _, err := FromArchive("/no/such/file.sta"); err == nil {
+	if _, err := loadArchive("/no/such/file.sta", 0); err == nil {
 		t.Errorf("missing archive accepted")
 	}
 }

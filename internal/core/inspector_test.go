@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"stinspector/internal/archive"
 	"stinspector/internal/dfg"
+	"stinspector/internal/dxt"
 	"stinspector/internal/lssim"
 	"stinspector/internal/pm"
 	"stinspector/internal/render"
@@ -83,15 +85,38 @@ func TestPartitionByCID(t *testing.T) {
 	}
 }
 
+// loadArchive composes the archive backend with LoadStream, the way the
+// facade's FromArchive does.
+func loadArchive(path string, parallelism int) (*Inspector, error) {
+	src, err := archive.OpenSource(path, archive.Options{Parallelism: parallelism})
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	return LoadStream(src, false)
+}
+
+// loadDXT composes the DXT backend with LoadStream, the way the
+// facade's FromDXT does.
+func loadDXT(cid, dump string) (*Inspector, error) {
+	records, err := dxt.Parse(strings.NewReader(dump))
+	if err != nil {
+		return nil, err
+	}
+	src := dxt.Stream(cid, records, 0, 0)
+	defer src.Close()
+	return LoadStream(src, false)
+}
+
 func TestArchiveRoundTripThroughInspector(t *testing.T) {
 	in := demoInspector()
 	path := filepath.Join(t.TempDir(), "cx.sta")
 	if err := in.SaveArchive(path); err != nil {
 		t.Fatalf("SaveArchive: %v", err)
 	}
-	back, err := FromArchive(path)
+	back, err := loadArchive(path, 0)
 	if err != nil {
-		t.Fatalf("FromArchive: %v", err)
+		t.Fatalf("loadArchive: %v", err)
 	}
 	if !back.DFG().Equal(in.DFG()) {
 		t.Errorf("DFG changed across archive round trip")

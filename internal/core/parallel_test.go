@@ -60,7 +60,7 @@ func TestFromArchiveParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 1, 8} {
-		in, err := FromArchiveParallel(path, p)
+		in, err := loadArchive(path, p)
 		if err != nil {
 			t.Fatalf("parallelism=%d: %v", p, err)
 		}

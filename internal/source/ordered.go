@@ -16,10 +16,10 @@ type Fetch func(i int) (*trace.Case, error)
 // Ordered streams the results of fetch(0..n-1) in index order while
 // running up to workers fetches concurrently, with at most window cases
 // resident (fetched but not yet consumed) at any moment. It is the one
-// bounded-reorder engine behind all three ingestion backends: the same
-// worker-claim discipline as par.ForEach (monotonic index claims), but
-// feeding an ordered, bounded channel instead of a materialized slice,
-// so peak memory is O(window) whatever the trace-set size.
+// bounded-reorder engine behind all three ingestion backends: workers
+// claim indices monotonically and feed an ordered, bounded channel
+// instead of a materialized slice, so peak memory is O(window) whatever
+// the trace-set size.
 //
 // workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 fetches lazily
 // inline (no goroutines). window <= 0 defaults to 2*workers; workers is

@@ -6,10 +6,10 @@
 // IOR runs) on machines that cannot hold them.
 //
 // All three ingestion backends implement it: strace directories
-// (strace.StreamFS), STA archives (archive.Reader.Stream) and Darshan
-// DXT dumps (dxt.Stream). The in-memory APIs (strace.ReadFS,
-// archive.ReadAll, dxt.ToEventLog) are reimplemented as stream + drain,
-// so both paths share one ingestion discipline and stay byte-identical.
+// (strace.StreamFS), STA archives (archive.OpenSource, Reader.Stream)
+// and Darshan DXT dumps (dxt.Stream). The in-memory forms (strace.ReadFS,
+// and Drain over the archive and DXT sources) are stream + drain, so
+// both paths share one ingestion discipline and stay byte-identical.
 package source
 
 import (

@@ -65,10 +65,19 @@ func TestOrderedWindowBound(t *testing.T) {
 	})
 	defer s.Close()
 	for i := 0; i < n; i++ {
+		// Case i counts as consumed once Next(i) begins, not after it
+		// returns: Next refunds the case's window slot before returning,
+		// so a worker may legally start index i+window while the call is
+		// still in flight. Decrementing after the return counted case i
+		// past its refund and saw window+1 spuriously under -race. A
+		// refund happens only inside a Next call already begun, so this
+		// counter never exceeds the fetched-but-unconsumed cases the
+		// window bounds; between calls (the sleeps below let workers run
+		// ahead) the two are equal, so a real overrun still shows.
+		inFlight.Add(-1)
 		if _, err := s.Next(); err != nil {
 			t.Fatal(err)
 		}
-		inFlight.Add(-1)
 		if i%8 == 0 {
 			time.Sleep(time.Millisecond) // let workers run ahead if they could
 		}

@@ -146,7 +146,7 @@ func TestReadFSBadGzipDeterministicError(t *testing.T) {
 // TestReadFSTwoFailuresFirstWins: with two failing files, lenient mode
 // must always report the one earlier in sorted order, even when a
 // worker reaches the later one first in wall-clock time (regression
-// test for the ordered-abandonment guarantee of par.ForEach).
+// test for the ordered delivery of the file workers).
 func TestReadFSTwoFailuresFirstWins(t *testing.T) {
 	fsys, _ := synthFS(t, 32, 10)
 	// Sorted order places aa_... first and zz_... last.

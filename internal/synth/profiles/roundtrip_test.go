@@ -81,15 +81,17 @@ func TestRoundTripArchive(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			want := rtLog(t, p)
 			var buf bytes.Buffer
-			if err := archive.Write(&buf, want); err != nil {
+			if err := archive.WriteV2(&buf, want); err != nil {
 				t.Fatal(err)
 			}
-			r, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			r, err := archive.NewReaderBytes(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			got, err := r.ReadAll()
+			src := r.Stream(0, 0)
+			defer src.Close()
+			got, err := source.Drain(src, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,8 +54,7 @@ func TestScopedSymsRetention(t *testing.T) {
 	func() {
 		st := NewSymbolTable()
 		runtime.SetFinalizer(st, func(*SymbolTable) { close(collected) })
-		src, err := strace.StreamFS(fsys, ".", WithSymbolTable(
-			ParseOptions{Strict: true, Parallelism: 4, Window: 8}, st))
+		src, err := strace.StreamFS(fsys, ".", ParseOptions{Strict: true, Parallelism: 4, Window: 8, Syms: st})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 
 			// STA archive backend.
 			var abuf bytes.Buffer
-			if err := archive.Write(&abuf, log); err != nil {
+			if err := archive.WriteV2(&abuf, log); err != nil {
 				t.Fatal(err)
 			}
 			r, err := archive.NewReader(bytes.NewReader(abuf.Bytes()), int64(abuf.Len()))

@@ -22,6 +22,7 @@
 package stinspector
 
 import (
+	"errors"
 	"io"
 
 	"stinspector/internal/archive"
@@ -158,13 +159,32 @@ type Inspector = core.Inspector
 // sequential); the merged event-log is deterministic either way.
 type ParseOptions = strace.Options
 
+// OpenOptions configures the archive and DXT backends, the counterpart
+// of ParseOptions for strace: Parallelism bounds the concurrent decode
+// or case-construction workers (0 = GOMAXPROCS, 1 = sequential), Window
+// the cases resident at once in a stream (0 = 2×workers), Syms scopes
+// the pass's strings to a symbol table (nil = the process-wide one),
+// and Cases restricts an archive to a slice of its case order (nil =
+// every case; DXT dumps have no case index and reject a range). The
+// zero value reads everything with the defaults.
+type OpenOptions = archive.Options
+
+// CaseRange is the half-open slice [Start, End) of an archive's case
+// order; End < 0 means the end of the archive. A range outside the
+// archive is an error.
+type CaseRange = archive.CaseRange
+
+// ErrArchiveV1 reports an archive in the retired STA v1 format, which
+// is no longer read: re-archive the original traces.
+var ErrArchiveV1 = archive.ErrV1
+
 // SymbolTable is a scoped symbol universe for one ingestion pass. The
 // ingestion backends deduplicate every call name, file path and case
 // identity string through a symbol table; by default that is a single
 // process-wide, append-only table — the right trade for bounded
 // vocabularies, but a long-lived service ingesting unbounded distinct
 // paths would grow it forever. Scoping a table to a pass
-// (NewSymbolTable + WithSymbolTable or the *Scoped constructors) keeps
+// (NewSymbolTable, set as ParseOptions.Syms or OpenOptions.Syms) keeps
 // the pass's vocabulary out of the process-wide table: drop the pass's
 // results and the table together and every string it interned becomes
 // collectable. Artifacts are byte-identical either way. Len reports
@@ -174,77 +194,44 @@ type SymbolTable = intern.Table
 // NewSymbolTable returns an empty per-pass symbol table.
 func NewSymbolTable() *SymbolTable { return intern.NewTable() }
 
-// WithSymbolTable binds parse options to a scoped symbol table, so
-// every string the pass interns lives and dies with st instead of
-// accumulating in the process-wide default table.
-func WithSymbolTable(opts ParseOptions, st *SymbolTable) ParseOptions {
-	opts.Syms = st
-	return opts
-}
-
 // FromStraceDir parses every *.st trace file under dir, fanning per-file
 // parsing out to opts.Parallelism workers.
 func FromStraceDir(dir string, opts ParseOptions) (*Inspector, error) {
 	return core.FromStraceDir(dir, opts)
 }
 
-// FromArchive loads a consolidated STA event-log file, decoding case
-// sections concurrently.
-func FromArchive(path string) (*Inspector, error) { return core.FromArchive(path) }
-
-// FromArchiveParallel is FromArchive with an explicit decode-worker
-// bound (0 = GOMAXPROCS, 1 = sequential).
-func FromArchiveParallel(path string, parallelism int) (*Inspector, error) {
-	return core.FromArchiveParallel(path, parallelism)
-}
-
-// FromArchiveScoped is FromArchiveParallel decoding through the scoped
-// symbol table st, so the archive's string vocabulary is collectable
-// once the inspector is dropped.
-func FromArchiveScoped(path string, parallelism int, st *SymbolTable) (*Inspector, error) {
-	return core.FromArchiveSyms(path, parallelism, st)
+// FromArchive loads a consolidated STA event-log file (or the
+// opts.Cases slice of it), decoding case sections concurrently: the
+// materializing form of StreamArchive.
+func FromArchive(path string, opts OpenOptions) (*Inspector, error) {
+	src, err := StreamArchive(path, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	return core.LoadStream(src, false)
 }
 
 // FromDXT ingests a Darshan DXT text dump, the alternative
-// instrumentation source of the paper's Section II remark.
-func FromDXT(cid string, r io.Reader) (*Inspector, error) { return core.FromDXT(cid, r) }
-
-// FromDXTParallel is FromDXT with an explicit worker bound for case
-// construction (0 = GOMAXPROCS, 1 = sequential).
-func FromDXTParallel(cid string, r io.Reader, parallelism int) (*Inspector, error) {
-	return core.FromDXTParallel(cid, r, parallelism)
-}
-
-// FromDXTScoped is FromDXTParallel canonicalizing the dump's header
-// strings through the scoped symbol table st.
-func FromDXTScoped(cid string, r io.Reader, parallelism int, st *SymbolTable) (*Inspector, error) {
-	return core.FromDXTSyms(cid, r, parallelism, st)
+// instrumentation source of the paper's Section II remark; cid names
+// the resulting cases. It is the materializing form of StreamDXT.
+func FromDXT(cid string, r io.Reader, opts OpenOptions) (*Inspector, error) {
+	src, err := StreamDXT(cid, r, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	return core.LoadStream(src, false)
 }
 
 // FromEventLog wraps an event-log with the default mapping f̂.
 func FromEventLog(el *EventLog) *Inspector { return core.FromEventLog(el) }
 
 // WriteArchive consolidates an event-log into a single STA file, the
-// counterpart of the paper's HDF5 consolidation step.
-func WriteArchive(path string, el *EventLog) error { return archive.WriteFile(path, el) }
-
-// WriteArchiveV2 consolidates an event-log into an STA v2 file: the
-// columnar, indexed layout with a file-level symbol dictionary that
-// readers mmap and decode without re-parsing strings. Every reading API
-// here (FromArchive*, ReadArchive*, StreamArchive*) detects the version
-// automatically, so v2 is a drop-in replacement wherever re-ingestion
-// speed matters; WriteArchive keeps emitting v1 for compatibility.
-func WriteArchiveV2(path string, el *EventLog) error { return archive.WriteFileV2(path, el) }
-
-// ReadArchive loads an event-log from an STA file, decoding case
-// sections concurrently.
-func ReadArchive(path string) (*EventLog, error) { return archive.ReadLog(path) }
-
-// ReadArchiveParallel is ReadArchive with an explicit decode-worker
-// bound (0 = GOMAXPROCS, 1 = sequential).
-func ReadArchiveParallel(path string, parallelism int) (*EventLog, error) {
-	return archive.ReadLogParallel(path, parallelism)
-}
+// counterpart of the paper's HDF5 consolidation step: a columnar,
+// indexed layout with a file-level symbol dictionary that readers mmap
+// and decode without re-parsing strings.
+func WriteArchive(path string, el *EventLog) error { return archive.WriteFileV2(path, el) }
 
 // BuildDFG synthesizes the DFG of an event-log under a mapping, with the
 // virtual start/end activities appended.
@@ -305,49 +292,29 @@ func StreamStraceDir(dir string, opts ParseOptions) (Source, error) {
 	return strace.StreamDir(dir, opts)
 }
 
-// StreamArchive streams the cases of an STA file with the given decode
-// parallelism and resident-case window (0s mean GOMAXPROCS and
-// 2×workers). The returned source owns the file; Close releases it.
-func StreamArchive(path string, parallelism, window int) (Source, error) {
-	return archive.StreamLog(path, parallelism, window)
+// StreamArchive streams the cases of an STA file as configured by opts.
+// The archive index addresses every case section directly, so an
+// opts.Cases slice costs only the cases actually decoded whatever the
+// file size — the O(1) case-slicing primitive behind `stinspect -cases
+// a:b`. The returned source owns the file; Close releases it.
+func StreamArchive(path string, opts OpenOptions) (Source, error) {
+	return archive.OpenSource(path, opts)
 }
 
-// StreamArchiveScoped is StreamArchive decoding through the scoped
-// symbol table st: the pass owns its symbol universe, so closing the
-// source and dropping its cases makes the archive's strings
-// collectable.
-func StreamArchiveScoped(path string, parallelism, window int, st *SymbolTable) (Source, error) {
-	return archive.StreamLogSyms(path, parallelism, window, st)
-}
-
-// StreamArchiveRange is StreamArchiveScoped restricted to the half-open
-// case range [a, b) of the archive's file order (b < 0 means "to the
-// end"; st nil means the process-wide table). The archive index
-// addresses every case section directly, so slicing costs only the
-// cases actually decoded whatever the file size — the O(1) case-slicing
-// primitive behind `stinspect -cases a:b`. A range outside the archive
-// is an error.
-func StreamArchiveRange(path string, a, b, parallelism, window int, st *SymbolTable) (Source, error) {
-	return archive.StreamLogRangeSyms(path, a, b, parallelism, window, st)
-}
-
-// StreamDXT streams the cases of a Darshan DXT text dump. The record
-// text is parsed up front (DXT interleaves cases, so grouping needs the
-// whole dump), but the per-case event construction runs lazily in the
-// stream's workers.
-func StreamDXT(cid string, r io.Reader, parallelism, window int) (Source, error) {
-	return StreamDXTScoped(cid, r, parallelism, window, nil)
-}
-
-// StreamDXTScoped is StreamDXT canonicalizing the dump's header
-// strings through the scoped symbol table st (nil means the
-// process-wide default).
-func StreamDXTScoped(cid string, r io.Reader, parallelism, window int, st *SymbolTable) (Source, error) {
-	records, err := dxt.ParseSyms(r, st)
+// StreamDXT streams the cases of a Darshan DXT text dump as configured
+// by opts. The record text is parsed up front (DXT interleaves cases,
+// so grouping needs the whole dump), but the per-case event
+// construction runs lazily in the stream's workers. A dump has no case
+// index, so opts.Cases must be nil.
+func StreamDXT(cid string, r io.Reader, opts OpenOptions) (Source, error) {
+	if opts.Cases != nil {
+		return nil, errors.New("stinspector: a case range needs an archive input; a DXT dump has no case index")
+	}
+	records, err := dxt.ParseSyms(r, opts.Syms)
 	if err != nil {
 		return nil, err
 	}
-	return dxt.Stream(cid, records, parallelism, window), nil
+	return dxt.Stream(cid, records, opts.Parallelism, opts.Window), nil
 }
 
 // StreamEventLog adapts an in-memory event-log to the streaming API.

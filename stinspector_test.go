@@ -1,6 +1,8 @@
 package stinspector
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,7 +32,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err := WriteArchive(sta, in.EventLog()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromArchive(sta)
+	back, err := FromArchive(sta, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +127,16 @@ func TestFacadeCoverage(t *testing.T) {
 	}
 	// DXT ingestion through the facade.
 	dxtText := "# DXT, file_name: /f\n# DXT, hostname: h\n X_POSIX 0 write 0 0 100 0.001 0.002\n"
-	in, err := FromDXT("x", strings.NewReader(dxtText))
+	in, err := FromDXT("x", strings.NewReader(dxtText), OpenOptions{})
 	if err != nil || in.EventLog().NumEvents() != 1 {
 		t.Errorf("FromDXT facade: %v", err)
 	}
-	if _, err := FromDXT("x", strings.NewReader("garbage line")); err == nil {
+	if _, err := FromDXT("x", strings.NewReader("garbage line"), OpenOptions{}); err == nil {
 		t.Errorf("FromDXT accepted garbage")
+	}
+	// A dump has no case index to slice.
+	if _, err := FromDXT("x", strings.NewReader(dxtText), OpenOptions{Cases: &CaseRange{End: 1}}); err == nil {
+		t.Errorf("FromDXT accepted a case range")
 	}
 }
 
@@ -150,8 +156,24 @@ func TestMergeArchivesFacade(t *testing.T) {
 	if err := MergeArchives(dst, a, b); err != nil {
 		t.Fatalf("MergeArchives: %v", err)
 	}
-	got, err := ReadArchive(dst)
-	if err != nil || got.NumCases() != 6 {
-		t.Errorf("merged = %v cases, err %v", got.NumCases(), err)
+	got, err := FromArchive(dst, OpenOptions{})
+	if err != nil || got.EventLog().NumCases() != 6 {
+		t.Fatalf("merged = %v, err %v", got, err)
+	}
+}
+
+// TestArchiveV1Rejected: the facade surfaces a retired v1 archive as
+// ErrArchiveV1 from both the materializing and the streaming entry
+// points.
+func TestArchiveV1Rejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.sta")
+	if err := os.WriteFile(path, []byte("STA1\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromArchive(path, OpenOptions{}); !errors.Is(err, ErrArchiveV1) {
+		t.Errorf("FromArchive(v1) = %v, want ErrArchiveV1", err)
+	}
+	if _, err := StreamArchive(path, OpenOptions{}); !errors.Is(err, ErrArchiveV1) {
+		t.Errorf("StreamArchive(v1) = %v, want ErrArchiveV1", err)
 	}
 }

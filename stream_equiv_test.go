@@ -15,6 +15,7 @@ package stinspector
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -135,68 +136,62 @@ func TestStreamEquivalenceStraceDir(t *testing.T) {
 	})
 }
 
-// TestStreamEquivalenceArchive: STA section decode.
+// TestStreamEquivalenceArchive: STA section decode through the
+// facade's path-level entry points (mmap'd file, OpenOptions).
 func TestStreamEquivalenceArchive(t *testing.T) {
 	log := synth.Log("eqa", 33, 200, 7)
-	var buf bytes.Buffer
-	if err := archive.Write(&buf, log); err != nil {
+	path := filepath.Join(t.TempDir(), "eqa.sta")
+	if err := WriteArchive(path, log); err != nil {
 		t.Fatal(err)
 	}
-	r, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	in, err := FromArchive(path, OpenOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, err := r.ReadAll()
+	want := inMemoryArtifacts(in.EventLog())
+	equivCheck(t, "archive", want, func(p, w int, syms *SymbolTable) Source {
+		src, err := StreamArchive(path, OpenOptions{Parallelism: p, Window: w, Syms: syms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	})
+}
+
+// TestStreamEquivalenceArchiveV2: the archive against the trace text it
+// consolidates. A strace corpus is parsed once and archived; streaming
+// the archive (zero-copy, at every parallelism/window/shard/scoping
+// combination) must yield artifacts byte-identical to the in-memory
+// pipeline over the parsed traces.
+func TestStreamEquivalenceArchiveV2(t *testing.T) {
+	log := synth.Log("eqa", 33, 200, 7)
+	fsys := fstest.MapFS{}
+	for _, c := range log.Cases() {
+		var buf bytes.Buffer
+		if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
+			t.Fatal(err)
+		}
+		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
+	}
+	el, err := strace.ReadFS(fsys, ".", strace.Options{Strict: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := inMemoryArtifacts(el)
-	equivCheck(t, "archive", want, func(p, w int, syms *SymbolTable) Source {
-		// Runs are sequential, so rebinding the shared reader's decode
-		// table per run is safe; nil restores Default.
-		r.SetSyms(syms)
-		return r.Stream(p, w)
-	})
-}
-
-// TestStreamEquivalenceArchiveV2: columnar STA v2 decode — the same
-// equivalence bar as the v1 archive, plus the cross-format law: the v1
-// and v2 encodings of one log must stream artifacts byte-identical to
-// each other (both are compared against the same in-memory baseline).
-func TestStreamEquivalenceArchiveV2(t *testing.T) {
-	log := synth.Log("eqa", 33, 200, 7)
 	var buf bytes.Buffer
-	if err := archive.WriteV2(&buf, log); err != nil {
+	if err := archive.WriteV2(&buf, el); err != nil {
 		t.Fatal(err)
 	}
 	r, err := archive.NewReaderBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := inMemoryArtifacts(el)
 	equivCheck(t, "sta2", want, func(p, w int, syms *SymbolTable) Source {
+		// Runs are sequential, so rebinding the shared reader's decode
+		// table per run is safe; nil restores Default.
 		r.SetSyms(syms)
 		return r.Stream(p, w)
 	})
-
-	// Cross-format: the v1 encoding of the same log must yield the same
-	// artifact bytes (TestStreamEquivalenceArchive uses the same
-	// generator parameters, so this also pins the two tests together).
-	var v1 bytes.Buffer
-	if err := archive.Write(&v1, log); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := archive.NewReaderBytes(v1.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := streamArtifacts(t, r1.Stream(2, 4), 2, true); got != want {
-		t.Errorf("v1 artifacts differ from v2 for the same log.\n--- v1 ---\n%s\n--- v2 ---\n%s", got, want)
-	}
 }
 
 // TestStreamEquivalenceDXT: Darshan DXT case construction.
@@ -263,27 +258,9 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 				return src
 			})
 
-			// STA archive backend.
-			var abuf bytes.Buffer
-			if err := archive.Write(&abuf, log); err != nil {
-				t.Fatal(err)
-			}
-			r, err := archive.NewReader(bytes.NewReader(abuf.Bytes()), int64(abuf.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ael, err := r.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			equivCheck(t, p.Name+"/archive", inMemoryArtifacts(ael), func(pp, w int, syms *SymbolTable) Source {
-				r.SetSyms(syms)
-				return r.Stream(pp, w)
-			})
-
-			// Columnar STA v2 backend: decoded through the persisted
-			// file-level dictionary instead of per-case dicts, and the
-			// artifacts must not be able to tell.
+			// STA archive backend: decoded through the persisted
+			// file-level dictionary, and the artifacts must not be able
+			// to tell.
 			var a2buf bytes.Buffer
 			if err := archive.WriteV2(&a2buf, log); err != nil {
 				t.Fatal(err)
@@ -292,7 +269,9 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a2el, err := r2.ReadAll()
+			a2src := r2.Stream(1, 0)
+			a2el, err := source.Drain(a2src, false)
+			a2src.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
