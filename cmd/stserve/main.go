@@ -15,9 +15,14 @@
 //	GET    /sessions/{name}/dfg           DFG render from the latest durable state
 //	GET    /sessions/{name}/stats         per-activity statistics table
 //	GET    /sessions/{name}/variants      activity-log variants
+//	GET    /sessions/{name}/behavior      per-case behavior profiles
 //	POST   /sessions/{name}/ingest        one case via request body (?cid=&host=&rid=)
 //	POST   /sessions/{name}/drain         flush, finalize, persist (blocking)
 //	DELETE /sessions/{name}               abort and deregister (state dir kept)
+//
+// Artifacts are rendered from the session's durable state in memory,
+// once per checkpoint generation. Each response carries an ETag naming
+// that generation; a request whose If-None-Match matches it gets 304.
 //
 // On startup the daemon recovers every session persisted under -state:
 // each resumes from its checkpoint, re-ingesting only what was not yet

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"stinspector/internal/pm"
 	"stinspector/internal/snapshot"
@@ -40,6 +42,78 @@ type CheckpointOptions struct {
 	// It runs on the fold goroutine: long-lived callers (the serving
 	// layer's watchdog) should only record progress here, not block.
 	OnEpoch func(cases int)
+	// View, when set, receives the fold's most recent durable state:
+	// the resumed checkpoint before anything is folded, then the
+	// accumulated state after each successful checkpoint write. Nil
+	// leaves the fold as it is without one: no lock, no extra work.
+	View *DurableView
+}
+
+// DurableView publishes the most recent durable state of a checkpointed
+// fold to concurrent readers, so a live query can render the fold's
+// artifacts without reading the checkpoint back from disk. The state is
+// the fold's own accumulated snapshot, not a copy: the fold write-locks
+// the view across each epoch's merge, encode and write, and advances
+// the generation only once the write has succeeded, so a reader never
+// sees merged state the checkpoint file does not hold. A failed write
+// marks the view stale. The zero value publishes nothing and is ready
+// to use.
+type DurableView struct {
+	mu   sync.RWMutex
+	snap *snapshot.Snapshot
+	// gen is the published generation plus one, or 0 while nothing
+	// durable is published. It is written under mu but read without it,
+	// so a reader can see which generation is current while a write is
+	// in progress.
+	gen atomic.Int64
+}
+
+// Generation reports the published generation, the number of cases the
+// durable state covers, without waiting for a write in progress. ok is
+// false while nothing durable is published: before the first write,
+// and after a failed one. Generations only grow, also across a resume.
+func (v *DurableView) Generation() (gen int, ok bool) {
+	g := v.gen.Load()
+	return int(g - 1), g > 0
+}
+
+// Read calls fn under the read lock with the published state and its
+// generation, and reports whether anything was published. fn must
+// neither modify the snapshot nor keep any part of it past its return:
+// the fold merges the next epoch into it in place.
+func (v *DurableView) Read(fn func(s *snapshot.Snapshot, gen int)) bool {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	g := v.gen.Load()
+	if g == 0 {
+		return false
+	}
+	fn(v.snap, int(g-1))
+	return true
+}
+
+// begin write-locks the view for an epoch's merge and write.
+func (v *DurableView) begin() {
+	if v != nil {
+		v.mu.Lock()
+	}
+}
+
+// end publishes s as the next generation if its write succeeded, or
+// else marks the view stale (s may hold merged state that never reached
+// the disk), and releases the lock begin took.
+func (v *DurableView) end(s *snapshot.Snapshot, err error) {
+	if v == nil {
+		return
+	}
+	if err == nil {
+		v.snap = s
+		v.gen.Store(int64(len(s.Seen)) + 1)
+	} else {
+		v.snap = nil
+		v.gen.Store(0)
+	}
+	v.mu.Unlock()
 }
 
 func (o *CheckpointOptions) path() string {
@@ -58,7 +132,8 @@ func (o *CheckpointOptions) path() string {
 // accumulated state in place, at the cost of the epoch; an epoch that
 // folds nothing (the stream ended on an epoch boundary) leaves the
 // checkpoint already on disk as it is. With opts.Resume the fold first
-// loads the checkpoint and skips every case it already covers.
+// loads the checkpoint and skips every case it already covers. With
+// opts.View the fold publishes each durable state as it goes.
 //
 // Because every aggregate merge is exact and the epoch boundaries fall
 // on the same deterministic stream positions whatever the crash/resume
@@ -82,6 +157,10 @@ func AnalyzeStreamCheckpointed(src source.Source, m pm.Mapping, shards int, join
 		switch {
 		case err == nil:
 			acc = prev
+			// The loaded checkpoint is durable: publish it before the
+			// first epoch, which may take long to fill.
+			opts.View.begin()
+			opts.View.end(acc, nil)
 			seen := make(map[trace.CaseID]bool, len(prev.Seen))
 			for _, id := range prev.Seen {
 				seen[id] = true
@@ -111,8 +190,11 @@ func AnalyzeStreamCheckpointed(src source.Source, m pm.Mapping, shards int, join
 		// or wrote as it was, so the checkpoint on disk is current and is
 		// not rewritten.
 		if epoch != nil && (epoch.Cases > 0 || acc == nil) {
+			opts.View.begin()
 			acc = snapshot.Merge(acc, epoch)
-			if err := snapshot.WriteFile(path, acc); err != nil {
+			err := snapshot.WriteFile(path, acc)
+			opts.View.end(acc, err)
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -162,8 +244,9 @@ func MergeSnapshotFiles(m pm.Mapping, paths ...string) (*StreamResult, error) {
 }
 
 // resultFromSnapshot finalizes a snapshot's aggregates into the
-// artifacts AnalyzeStreamParallel reports. The snapshot's statistics
-// computer is consumed.
+// artifacts AnalyzeStreamParallel reports. The result shares the
+// snapshot's aggregates; finalizing leaves the statistics computer as
+// it was.
 func resultFromSnapshot(s *snapshot.Snapshot) *StreamResult {
 	res := &StreamResult{
 		ActivityLog: s.Log,

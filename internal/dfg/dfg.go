@@ -10,8 +10,9 @@
 package dfg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"stinspector/internal/pm"
@@ -127,16 +128,17 @@ func (g *Graph) Nodes() []pm.Activity {
 	for a := range g.nodes {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return nodeLess(out[i], out[j]) })
+	slices.SortFunc(out, nodeCmp)
 	return out
 }
 
-func nodeLess(a, b pm.Activity) bool {
-	ra, rb := nodeRank(a), nodeRank(b)
-	if ra != rb {
-		return ra < rb
+// nodeCmp orders activities by rank (virtual start, the rest, virtual
+// end), then lexicographically.
+func nodeCmp(a, b pm.Activity) int {
+	if c := cmp.Compare(nodeRank(a), nodeRank(b)); c != 0 {
+		return c
 	}
-	return a < b
+	return strings.Compare(string(a), string(b))
 }
 
 func nodeRank(a pm.Activity) int {
@@ -157,11 +159,11 @@ func (g *Graph) Edges() []Edge {
 	for e := range g.edges {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return nodeLess(out[i].From, out[j].From)
+	slices.SortFunc(out, func(x, y Edge) int {
+		if c := nodeCmp(x.From, y.From); c != 0 {
+			return c
 		}
-		return nodeLess(out[i].To, out[j].To)
+		return nodeCmp(x.To, y.To)
 	})
 	return out
 }
@@ -174,7 +176,7 @@ func (g *Graph) OutEdges(a pm.Activity) []Edge {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return nodeLess(out[i].To, out[j].To) })
+	slices.SortFunc(out, func(x, y Edge) int { return nodeCmp(x.To, y.To) })
 	return out
 }
 
@@ -186,7 +188,7 @@ func (g *Graph) InEdges(a pm.Activity) []Edge {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return nodeLess(out[i].From, out[j].From) })
+	slices.SortFunc(out, func(x, y Edge) int { return nodeCmp(x.From, y.From) })
 	return out
 }
 

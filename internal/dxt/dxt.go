@@ -23,8 +23,10 @@ package dxt
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +51,9 @@ type Record struct {
 	End      time.Duration
 }
 
-// ParseError reports an unparseable DXT line.
+// ParseError reports an unparseable DXT line. Parse and ParseSyms
+// reject every malformed input with one; any other error comes from
+// reading.
 type ParseError struct {
 	Line int
 	Text string
@@ -146,6 +150,9 @@ func ParseSyms(r io.Reader, t *intern.Table) ([]Record, error) {
 		})
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, &ParseError{Line: lineNo + 1, Msg: "line longer than 4 MiB"}
+		}
 		return nil, err
 	}
 	return records, nil
@@ -292,7 +299,8 @@ func parseDecimalSeconds(s string) (time.Duration, error) {
 		intPart = "0"
 	}
 	sec, err := strconv.ParseInt(intPart, 10, 64)
-	if err != nil || sec < 0 {
+	// Past about 292 years the nanosecond count overflows.
+	if err != nil || sec < 0 || sec >= math.MaxInt64/int64(time.Second) {
 		return 0, fmt.Errorf("bad seconds %q", s)
 	}
 	var ns int64

@@ -2,6 +2,7 @@ package dxt
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -93,10 +94,15 @@ func TestParseErrors(t *testing.T) {
 		"# DXT, file_name: /f\n X_POSIX zero write 0 0 100 0.1 0.2", // rank
 		"# DXT, file_name: /f\n X_POSIX 0 write 0 0 abc 0.1 0.2",    // length
 		"# DXT, file_name: /f\n X_POSIX 0 write 0 0 100",            // columns
+		// Seconds whose nanosecond count overflows int64.
+		"# DXT, file_name: /f\n X_POSIX 0 write 0 0 100 9300000000.0 9300000000.5",
+		"# DXT, file_name: /f\n" + strings.Repeat("x", 5<<20), // line over the 4 MiB limit
 	}
 	for _, input := range bad {
-		if _, err := Parse(strings.NewReader(input)); err == nil {
-			t.Errorf("Parse accepted %q", input)
+		_, err := Parse(strings.NewReader(input))
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("Parse(%.60q) = %v, want a *ParseError", input, err)
 		}
 	}
 }

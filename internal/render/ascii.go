@@ -3,7 +3,9 @@ package render
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"stinspector/internal/dfg"
@@ -30,6 +32,12 @@ func (t *Text) Render(w io.Writer) error {
 	if t.Graph == nil {
 		return fmt.Errorf("render: nil graph")
 	}
+	_, err := w.Write(t.appendTo(nil))
+	return err
+}
+
+// appendTo appends the listing to b in one pass over the graph.
+func (t *Text) appendTo(b []byte) []byte {
 	skip := func(a pm.Activity) bool {
 		if a.IsVirtual() || len(t.SkipCalls) == 0 {
 			return false
@@ -37,12 +45,22 @@ func (t *Text) Render(w io.Writer) error {
 		call, _ := a.Parts()
 		return t.SkipCalls[call]
 	}
-	var b strings.Builder
+	nodes := t.Graph.Nodes()
 	// Edges() orders by from-node in the same node order Nodes() uses,
 	// then by to-node as OutEdges does, and every edge leaves a node of
 	// the graph: each node's out-edges are the next run of the one list.
 	edges := t.Graph.Edges()
-	for _, a := range t.Graph.Nodes() {
+	// Size the buffer once: a node line is its name plus at most about
+	// 90 bytes of annotations, an edge line its target plus about 30.
+	size := 0
+	for _, a := range nodes {
+		size += len(a) + 96
+	}
+	for _, e := range edges {
+		size += len(e.To) + 32
+	}
+	b = slices.Grow(b, size)
+	for _, a := range nodes {
 		n := 0
 		for n < len(edges) && edges[n].From == a {
 			n++
@@ -52,51 +70,53 @@ func (t *Text) Render(w io.Writer) error {
 		if skip(a) {
 			continue
 		}
-		b.WriteString(t.nodeLine(a))
-		b.WriteByte('\n')
+		b = append(t.appendNode(b, a), '\n')
 		for _, e := range out {
 			if skip(e.To) {
 				continue
 			}
-			cls := ""
+			b = strconv.AppendInt(append(b, "  --"...), int64(t.Graph.EdgeCount(e)), 10)
+			b = append(append(b, "--> "...), e.To...)
 			if t.Partition != nil {
 				if c := t.Partition.Edge(e); c != dfg.Shared {
-					cls = " [" + c.String() + "]"
+					b = append(append(append(b, " ["...), c.String()...), ']')
 				}
 			}
-			fmt.Fprintf(&b, "  --%d--> %s%s\n", t.Graph.EdgeCount(e), e.To, cls)
+			b = append(b, '\n')
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b
 }
 
-func (t *Text) nodeLine(a pm.Activity) string {
-	var parts []string
-	parts = append(parts, string(a))
+// appendNode appends a node's line without its newline: the activity,
+// then its annotations, each after two spaces.
+func (t *Text) appendNode(b []byte, a pm.Activity) []byte {
+	b = append(b, a...)
 	if t.Stats != nil && !a.IsVirtual() {
 		if st := t.Stats.Get(a); st != nil {
-			parts = append(parts, FormatLoad(st.RelDur, st.Bytes, st.HasBytes))
+			b = appendLoad(append(b, "  "...), st.RelDur, st.Bytes, st.HasBytes)
 			if st.HasBytes {
-				parts = append(parts, FormatDR(st.MaxConc, st.ProcRate))
+				b = appendDR(append(b, "  "...), st.MaxConc, st.ProcRate)
 			}
-			parts = append(parts, fmt.Sprintf("events=%d", st.Events))
+			b = strconv.AppendInt(append(b, "  events="...), int64(st.Events), 10)
 		}
 	}
 	if t.Partition != nil && !a.IsVirtual() {
 		if c := t.Partition.Node(a); c != dfg.Shared {
-			parts = append(parts, "["+c.String()+"]")
+			b = append(append(append(b, "  ["...), c.String()...), ']')
 		}
 	}
-	return strings.Join(parts, "  ")
+	return b
 }
 
-// RenderText renders the graph as text with optional annotations.
+// RenderText renders the graph as text with optional annotations; a nil
+// graph renders as the empty string.
 func RenderText(g *dfg.Graph, s *stats.Stats, p *dfg.Partition) string {
-	var b strings.Builder
+	if g == nil {
+		return ""
+	}
 	t := &Text{Graph: g, Stats: s, Partition: p}
-	_ = t.Render(&b)
-	return b.String()
+	return string(t.appendTo(nil))
 }
 
 // StatsTable renders the per-activity statistics as an aligned table

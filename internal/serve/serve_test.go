@@ -115,7 +115,7 @@ func TestSessionDrainMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("artifact %s: %v", kind, err)
 		}
-		if got == "" {
+		if len(got) == 0 {
 			t.Fatalf("artifact %s empty", kind)
 		}
 		_ = got
@@ -124,7 +124,7 @@ func TestSessionDrainMatchesBatch(t *testing.T) {
 		t.Errorf("live fold saw %d cases / %d events, batch %d / %d", res.Cases, res.Events, want.Cases, want.Events)
 	}
 	gotDFG, _ := sess.Artifact("dfg")
-	if !strings.Contains(gotDFG, "read:") && !strings.Contains(gotDFG, "write:") {
+	if !bytes.Contains(gotDFG, []byte("read:")) && !bytes.Contains(gotDFG, []byte("write:")) {
 		t.Errorf("dfg render looks empty:\n%s", gotDFG)
 	}
 }
@@ -345,8 +345,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if _, body := get("/sessions/h1/info"); !strings.Contains(body, `"state": "done"`) {
 		t.Errorf("info after drain: %s", body)
 	}
-	if code, _ := get("/sessions/h1/bogus"); code != 400 {
-		t.Errorf("bogus artifact: want 400")
+	if code, _ := get("/sessions/h1/bogus"); code != 404 {
+		t.Errorf("bogus artifact: %d, want 404", code)
 	}
 	if code, body := get("/sessions"); code != 200 || !strings.Contains(body, "h1") {
 		t.Errorf("list: %d %s", code, body)

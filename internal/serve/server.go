@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -335,18 +336,44 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sess.Info())
 }
 
+// handleArtifact serves a query artifact with an ETag naming its
+// durable generation, answering a matching If-None-Match with 304.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, sess *Session) {
-	kind := r.PathValue("artifact")
-	out, err := sess.Artifact(kind)
+	body, gen, err := sess.artifact(r.PathValue("artifact"))
 	switch {
-	case err == nil:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, out)
+	case errors.Is(err, ErrUnknownArtifact):
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
 	case errors.Is(err, os.ErrNotExist):
 		http.Error(w, "no checkpoint yet", http.StatusNotFound)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	etag := `"` + strconv.Itoa(gen) + `"`
+	h := w.Header()
+	h.Set("ETag", etag)
+	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// etagMatch reports whether an If-None-Match header value lists etag,
+// or is "*"; weak tags compare equal to strong ones, as RFC 9110
+// requires for If-None-Match.
+func etagMatch(header, etag string) bool {
+	for _, t := range strings.Split(header, ",") {
+		t = strings.TrimPrefix(strings.TrimSpace(t), "W/")
+		if t == etag || t == "*" {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *Session) {

@@ -141,6 +141,9 @@ type Session struct {
 	res          *core.StreamResult
 	foldErr      error
 
+	view  core.DurableView
+	cache artifactCache
+
 	foldDone  chan struct{}
 	drainOnce sync.Once
 	abortOnce sync.Once
@@ -159,7 +162,7 @@ func (e *WatchdogError) Error() string {
 }
 
 // Temporary marks the watchdog signal recoverable — a stalled session
-// keeps serving queries from its last checkpoint.
+// keeps serving queries from its last durable state.
 func (e *WatchdogError) Temporary() bool { return true }
 
 // newSession builds and starts the pipeline. dir must exist and hold
@@ -232,6 +235,7 @@ func (s *Session) fold() {
 		Dir:    s.dir,
 		Every:  s.cfg.every(),
 		Resume: true,
+		View:   &s.view,
 		OnEpoch: func(cases int) {
 			s.mu.Lock()
 			s.ckptCases = cases
@@ -416,36 +420,150 @@ func (s *Session) Info() Info {
 	}
 }
 
-// Artifact renders a query artifact from the session's most recent
-// durable state — the checkpoint on disk while the fold is running, or
-// the final result after Drain. Kinds: "dfg", "stats", "variants",
-// "behavior". os.ErrNotExist surfaces when no checkpoint has been
-// written yet.
-func (s *Session) Artifact(kind string) (string, error) {
+// ErrUnknownArtifact is returned by Artifact for a kind it does not
+// serve.
+var ErrUnknownArtifact = errors.New("serve: unknown artifact (want dfg, stats, variants or behavior)")
+
+// artifactKinds renders each query artifact from a fold's artifacts;
+// stats marks the kinds that read the finalized statistics.
+var artifactKinds = map[string]struct {
+	stats  bool
+	render func(*core.StreamResult) []byte
+}{
+	"dfg": {true, func(r *core.StreamResult) []byte {
+		return []byte(render.RenderText(r.DFG, r.Stats, nil))
+	}},
+	"stats": {true, func(r *core.StreamResult) []byte {
+		return []byte(render.StatsTable(r.Stats))
+	}},
+	"variants": {false, func(r *core.StreamResult) []byte {
+		var b []byte
+		for _, v := range r.ActivityLog.Variants() {
+			b = fmt.Appendf(b, "%4d× %s\n", v.Mult, v.Seq)
+		}
+		return b
+	}},
+	"behavior": {false, func(r *core.StreamResult) []byte {
+		return []byte(r.Behavior.RenderText())
+	}},
+}
+
+// Artifact returns a query artifact rendered from the session's most
+// recent durable state. Kinds: "dfg", "stats", "variants", "behavior";
+// any other kind fails with ErrUnknownArtifact.
+//
+// The state comes from memory: the fold publishes each generation —
+// the number of cases the checkpoint covers — through its DurableView
+// once the checkpoint write has succeeded, and the final result after
+// Drain has the last generation. Each (generation, kind) is rendered
+// once and cached; concurrent queries of one pair wait for that render.
+// The checkpoint file is read only while the view holds nothing
+// durable: before a fresh session's first checkpoint (os.ErrNotExist),
+// while a recovered session's fold is still loading its checkpoint, and
+// after a failed write. The returned bytes are shared and must not be
+// modified.
+func (s *Session) Artifact(kind string) ([]byte, error) {
+	body, _, err := s.artifact(kind)
+	return body, err
+}
+
+// artifact is Artifact plus the generation the body reflects.
+func (s *Session) artifact(kind string) ([]byte, int, error) {
+	k, ok := artifactKinds[kind]
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownArtifact, kind)
+	}
 	s.mu.Lock()
 	res := s.res
 	s.mu.Unlock()
-	if res == nil {
-		var err error
-		res, err = core.MergeSnapshotFiles(s.m, filepath.Join(s.dir, core.DefaultCheckpointName))
-		if err != nil {
-			return "", err
+	if res != nil {
+		gen, _ := s.view.Generation()
+		return s.cache.get(gen, kind, func() []byte { return k.render(res) }), gen, nil
+	}
+	// A cached generation is served without waiting for a checkpoint
+	// write in progress: until that write succeeds it is still the most
+	// recent durable state.
+	if gen, ok := s.view.Generation(); ok {
+		if body, ok := s.cache.cached(gen, kind); ok {
+			return body, gen, nil
 		}
 	}
-	switch kind {
-	case "dfg":
-		return render.RenderText(res.DFG, res.Stats, nil), nil
-	case "stats":
-		return render.StatsTable(res.Stats), nil
-	case "variants":
-		var b []byte
-		for _, v := range res.ActivityLog.Variants() {
-			b = fmt.Appendf(b, "%4d× %s\n", v.Mult, v.Seq)
-		}
-		return string(b), nil
-	case "behavior":
-		return res.Behavior.RenderText(), nil
-	default:
-		return "", fmt.Errorf("serve: unknown artifact %q (want dfg, stats, variants or behavior)", kind)
+	// Rendering reads the fold's state, so it runs under the view's read
+	// lock. A query that finds the pair already rendering waits for it
+	// under that lock too, which cannot deadlock: the render it waits for
+	// holds a read lock of its own and needs nothing else.
+	var body []byte
+	var gen int
+	if s.view.Read(func(snap *snapshot.Snapshot, g int) {
+		gen = g
+		body = s.cache.get(g, kind, func() []byte {
+			r := &core.StreamResult{ActivityLog: snap.Log, DFG: snap.DFG, Behavior: snap.Behavior}
+			if k.stats {
+				r.Stats = snap.Stats.Finalize()
+			}
+			return k.render(r)
+		})
+	}) {
+		return body, gen, nil
 	}
+	res, err := core.MergeSnapshotFiles(s.m, filepath.Join(s.dir, core.DefaultCheckpointName))
+	if err != nil {
+		return nil, 0, err
+	}
+	return k.render(res), res.Cases, nil
+}
+
+// artifactCache holds the rendered artifacts of one generation.
+type artifactCache struct {
+	mu    sync.Mutex
+	gen   int
+	kinds map[string]*rendering
+}
+
+// rendering is one cached artifact; done closes once body is set.
+type rendering struct {
+	done chan struct{}
+	body []byte
+}
+
+// get returns the artifact of (gen, kind), calling render on the first
+// query of the pair while later queries wait for it. A newer generation
+// replaces the cached one; an older one is rendered but not cached.
+func (c *artifactCache) get(gen int, kind string, render func() []byte) []byte {
+	c.mu.Lock()
+	if c.kinds == nil || gen > c.gen {
+		c.gen, c.kinds = gen, make(map[string]*rendering)
+	}
+	if gen < c.gen {
+		c.mu.Unlock()
+		return render()
+	}
+	r := c.kinds[kind]
+	if r != nil {
+		c.mu.Unlock()
+		<-r.done
+		return r.body
+	}
+	r = &rendering{done: make(chan struct{})}
+	c.kinds[kind] = r
+	c.mu.Unlock()
+	defer close(r.done)
+	r.body = render()
+	return r.body
+}
+
+// cached returns the artifact of (gen, kind) if it is cached or being
+// rendered, waiting for the render.
+func (c *artifactCache) cached(gen int, kind string) ([]byte, bool) {
+	c.mu.Lock()
+	r := c.kinds[kind]
+	if c.gen != gen {
+		r = nil
+	}
+	c.mu.Unlock()
+	if r == nil {
+		return nil, false
+	}
+	<-r.done
+	return r.body, true
 }

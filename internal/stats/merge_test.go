@@ -62,6 +62,45 @@ func TestMergeMatchesSequential256(t *testing.T) {
 	}
 }
 
+// TestFinalizeDoesNotConsume: Finalize only reads the computer. A
+// second Finalize gives the same statistics, and a computer that was
+// finalized, then merged with the rest of the corpus and finalized
+// again, equals a one-shot fold — the property that lets a live query
+// finalize the fold's state between two epochs.
+func TestFinalizeDoesNotConsume(t *testing.T) {
+	el := synth.Log("fin", 64, 60, 20240924)
+	m := pm.CallTopDirs{Depth: 2}
+	cases := el.Cases()
+	one := NewComputer(m)
+	for _, c := range cases {
+		one.Add(c)
+	}
+	want := serialize(one.Finalize())
+	if again := serialize(one.Finalize()); again != want {
+		t.Fatalf("second Finalize differs from the first.\n--- second ---\n%s--- first ---\n%s", again, want)
+	}
+
+	acc := NewComputer(m)
+	for _, c := range cases[:20] {
+		acc.Add(c)
+	}
+	first := serialize(acc.Finalize())
+	for lo := 20; lo < len(cases); lo += 15 {
+		ep := NewComputer(m)
+		for _, c := range cases[lo:min(lo+15, len(cases))] {
+			ep.Add(c)
+		}
+		acc.Merge(ep)
+		_ = acc.Finalize()
+	}
+	if got := serialize(acc.Finalize()); got != want {
+		t.Errorf("finalize, merge, finalize differs from a one-shot fold.\n--- got ---\n%s--- one-shot ---\n%s", got, want)
+	}
+	if first == want {
+		t.Fatal("the first 20 cases already give the whole corpus's statistics; the test proves nothing")
+	}
+}
+
 // TestMergeEmptyAndDisjoint: merging zero partials yields empty stats;
 // partials over disjoint activity sets union cleanly.
 func TestMergeEmptyAndDisjoint(t *testing.T) {

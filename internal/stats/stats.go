@@ -274,8 +274,11 @@ func Merge(parts ...*Computer) *Stats {
 
 // Finalize runs the per-activity aggregation (mean rate, max-concurrency
 // sweep, relative-duration normalization), materializes the
-// string-keyed statistics and returns them. The computer must not be
-// used afterwards.
+// string-keyed statistics and returns them. Finalize only reads the
+// computer (the max-concurrency sweep sorts a copy of each interval
+// set), so it may be called again, concurrently with other readers,
+// and the computer may keep folding and merging afterwards: a later
+// Finalize reflects everything folded so far.
 func (c *Computer) Finalize() *Stats {
 	s := &Stats{
 		byActivity: make(map[pm.Activity]*ActivityStats, len(c.accs)),

@@ -84,7 +84,7 @@ func sessionArtifacts(t *testing.T, sess *serve.Session) string {
 		if err != nil {
 			t.Fatalf("artifact %s: %v", kind, err)
 		}
-		b.WriteString(a)
+		b.Write(a)
 	}
 	return b.String()
 }
