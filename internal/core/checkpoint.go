@@ -61,6 +61,10 @@ type CheckpointOptions struct {
 type DurableView struct {
 	mu   sync.RWMutex
 	snap *snapshot.Snapshot
+	// res is snap's finalized artifacts, built by the first Read of a
+	// generation (under once) and shared by the rest.
+	res  *StreamResult
+	once *sync.Once
 	// gen is the published generation plus one, or 0 while nothing
 	// durable is published. It is written under mu but read without it,
 	// so a reader can see which generation is current while a write is
@@ -77,18 +81,21 @@ func (v *DurableView) Generation() (gen int, ok bool) {
 	return int(g - 1), g > 0
 }
 
-// Read calls fn under the read lock with the published state and its
-// generation, and reports whether anything was published. fn must
-// neither modify the snapshot nor keep any part of it past its return:
-// the fold merges the next epoch into it in place.
-func (v *DurableView) Read(fn func(s *snapshot.Snapshot, gen int)) bool {
+// Read calls fn under the read lock with the published state's
+// finalized artifacts and its generation, and reports whether anything
+// was published. The artifacts are finalized once per generation, as
+// MergeSnapshotFiles finalizes the checkpoint file. fn must neither
+// modify the result nor keep any part of it past its return: the fold
+// merges the next epoch into the aggregates it shares in place.
+func (v *DurableView) Read(fn func(res *StreamResult, gen int)) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	g := v.gen.Load()
 	if g == 0 {
 		return false
 	}
-	fn(v.snap, int(g-1))
+	v.once.Do(func() { v.res = resultFromSnapshot(v.snap) })
+	fn(v.res, int(g-1))
 	return true
 }
 
@@ -106,6 +113,7 @@ func (v *DurableView) end(s *snapshot.Snapshot, err error) {
 	if v == nil {
 		return
 	}
+	v.res, v.once = nil, new(sync.Once)
 	if err == nil {
 		v.snap = s
 		v.gen.Store(int64(len(s.Seen)) + 1)

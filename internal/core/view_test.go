@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/synth"
 	"stinspector/internal/trace"
@@ -18,8 +17,7 @@ import (
 func viewArtifacts(v *DurableView) (string, int) {
 	var out string
 	gen := -1
-	v.Read(func(s *snapshot.Snapshot, g int) {
-		res := resultFromSnapshot(s)
+	v.Read(func(res *StreamResult, g int) {
 		out = streamArtifacts(res) + res.Behavior.RenderText()
 		gen = g
 	})

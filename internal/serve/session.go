@@ -424,28 +424,24 @@ func (s *Session) Info() Info {
 // serve.
 var ErrUnknownArtifact = errors.New("serve: unknown artifact (want dfg, stats, variants or behavior)")
 
-// artifactKinds renders each query artifact from a fold's artifacts;
-// stats marks the kinds that read the finalized statistics.
-var artifactKinds = map[string]struct {
-	stats  bool
-	render func(*core.StreamResult) []byte
-}{
-	"dfg": {true, func(r *core.StreamResult) []byte {
+// artifactKinds renders each query artifact from a fold's artifacts.
+var artifactKinds = map[string]func(*core.StreamResult) []byte{
+	"dfg": func(r *core.StreamResult) []byte {
 		return []byte(render.RenderText(r.DFG, r.Stats, nil))
-	}},
-	"stats": {true, func(r *core.StreamResult) []byte {
+	},
+	"stats": func(r *core.StreamResult) []byte {
 		return []byte(render.StatsTable(r.Stats))
-	}},
-	"variants": {false, func(r *core.StreamResult) []byte {
+	},
+	"variants": func(r *core.StreamResult) []byte {
 		var b []byte
 		for _, v := range r.ActivityLog.Variants() {
 			b = fmt.Appendf(b, "%4d× %s\n", v.Mult, v.Seq)
 		}
 		return b
-	}},
-	"behavior": {false, func(r *core.StreamResult) []byte {
+	},
+	"behavior": func(r *core.StreamResult) []byte {
 		return []byte(r.Behavior.RenderText())
-	}},
+	},
 }
 
 // Artifact returns a query artifact rendered from the session's most
@@ -454,9 +450,9 @@ var artifactKinds = map[string]struct {
 //
 // The state comes from memory: the fold publishes each generation —
 // the number of cases the checkpoint covers — through its DurableView
-// once the checkpoint write has succeeded, and the final result after
-// Drain has the last generation. Each (generation, kind) is rendered
-// once and cached; concurrent queries of one pair wait for that render.
+// once the checkpoint write has succeeded, and after Drain the view
+// still holds the last one. Each (generation, kind) is rendered once
+// and cached; concurrent queries of one pair wait for that render.
 // The checkpoint file is read only while the view holds nothing
 // durable: before a fresh session's first checkpoint (os.ErrNotExist),
 // while a recovered session's fold is still loading its checkpoint, and
@@ -469,16 +465,9 @@ func (s *Session) Artifact(kind string) ([]byte, error) {
 
 // artifact is Artifact plus the generation the body reflects.
 func (s *Session) artifact(kind string) ([]byte, int, error) {
-	k, ok := artifactKinds[kind]
+	render, ok := artifactKinds[kind]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownArtifact, kind)
-	}
-	s.mu.Lock()
-	res := s.res
-	s.mu.Unlock()
-	if res != nil {
-		gen, _ := s.view.Generation()
-		return s.cache.get(gen, kind, func() []byte { return k.render(res) }), gen, nil
 	}
 	// A cached generation is served without waiting for a checkpoint
 	// write in progress: until that write succeeds it is still the most
@@ -494,15 +483,9 @@ func (s *Session) artifact(kind string) ([]byte, int, error) {
 	// holds a read lock of its own and needs nothing else.
 	var body []byte
 	var gen int
-	if s.view.Read(func(snap *snapshot.Snapshot, g int) {
+	if s.view.Read(func(res *core.StreamResult, g int) {
 		gen = g
-		body = s.cache.get(g, kind, func() []byte {
-			r := &core.StreamResult{ActivityLog: snap.Log, DFG: snap.DFG, Behavior: snap.Behavior}
-			if k.stats {
-				r.Stats = snap.Stats.Finalize()
-			}
-			return k.render(r)
-		})
+		body = s.cache.get(g, kind, func() []byte { return render(res) })
 	}) {
 		return body, gen, nil
 	}
@@ -510,7 +493,7 @@ func (s *Session) artifact(kind string) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return k.render(res), res.Cases, nil
+	return render(res), res.Cases, nil
 }
 
 // artifactCache holds the rendered artifacts of one generation.
@@ -527,16 +510,13 @@ type rendering struct {
 }
 
 // get returns the artifact of (gen, kind), calling render on the first
-// query of the pair while later queries wait for it. A newer generation
-// replaces the cached one; an older one is rendered but not cached.
+// query of the pair while later queries wait for it. Another generation
+// replaces the cached one; callers pass the current generation, which
+// only grows.
 func (c *artifactCache) get(gen int, kind string, render func() []byte) []byte {
 	c.mu.Lock()
-	if c.kinds == nil || gen > c.gen {
+	if c.kinds == nil || gen != c.gen {
 		c.gen, c.kinds = gen, make(map[string]*rendering)
-	}
-	if gen < c.gen {
-		c.mu.Unlock()
-		return render()
 	}
 	r := c.kinds[kind]
 	if r != nil {
