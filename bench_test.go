@@ -14,16 +14,18 @@ package stinspector
 //     (every node connected to every other);
 //   - BenchmarkParse / BenchmarkArchive measure the ingestion substrates.
 //
+// Whole-pipeline throughput at real sizes (ingest, re-ingest, sharded
+// and checkpointed folds, live sessions) is the repository benchmark's
+// job: see bench/README.md.
+//
 // Run with: go test -bench=. -benchmem
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
-	"testing/fstest"
 	"time"
 
 	"stinspector/internal/archive"
@@ -32,7 +34,6 @@ import (
 	"stinspector/internal/lssim"
 	"stinspector/internal/pm"
 	"stinspector/internal/render"
-	"stinspector/internal/source"
 	"stinspector/internal/stats"
 	"stinspector/internal/strace"
 	"stinspector/internal/trace"
@@ -209,202 +210,7 @@ func BenchmarkParseCase(b *testing.B) {
 	}
 }
 
-// synthTraceFS renders nFiles synthetic per-rank trace files into an
-// in-memory filesystem (no disk noise). It is shared by the ingestion
-// benchmarks and the TestStreamIngestMemory gate, so both measure the
-// identical dataset.
-func synthTraceFS(tb testing.TB, nFiles, perFile int) fstest.MapFS {
-	tb.Helper()
-	fsys := fstest.MapFS{}
-	el := synthLog(nFiles*perFile, nFiles, 16, 11)
-	for _, c := range el.Cases() {
-		var buf bytes.Buffer
-		if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
-			tb.Fatal(err)
-		}
-		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
-	}
-	return fsys
-}
-
-// BenchmarkReadDirParallel: the concurrent trace-ingestion pipeline over
-// a multi-hundred-file synthetic trace directory, swept across worker
-// counts. p=1 is the sequential baseline; on a machine with >= 4 cores
-// the p=GOMAXPROCS variant is expected to be >= 2x faster (the gate is
-// asserted by TestReadDirParallelSpeedup in internal/strace).
-func BenchmarkReadDirParallel(b *testing.B) {
-	for _, nf := range []int{50, 200} {
-		fsys := synthTraceFS(b, nf, 400)
-		var total int64
-		for _, f := range fsys {
-			total += int64(len(f.Data))
-		}
-		for _, p := range []int{1, 2, 4, 8, 0} {
-			name := fmt.Sprintf("files=%d/p=%d", nf, p)
-			if p == 0 {
-				name = fmt.Sprintf("files=%d/p=gomaxprocs", nf)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.SetBytes(total)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					log, err := strace.ReadFS(fsys, ".", strace.Options{Strict: true, Parallelism: p})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if log.NumCases() != nf {
-						b.Fatalf("got %d cases, want %d", log.NumCases(), nf)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkStreamIngest: the bounded-memory streaming pipeline against
-// the materializing one on the 256-rank synth set. B/op shows total
-// allocation; the peak-live-B metric (live heap after GC, sampled as
-// the stream advances, measured on one untimed pass) shows what each
-// path keeps resident — the streaming path's is bounded by the window,
-// the in-memory path's grows with the trace set. TestStreamIngestMemory
-// gates the ratio at 4x.
-func BenchmarkStreamIngest(b *testing.B) {
-	const nFiles, perFile = 256, 400
-	fsys := synthTraceFS(b, nFiles, perFile)
-	var total int64
-	for _, f := range fsys {
-		total += int64(len(f.Data))
-	}
-	opts := strace.Options{Strict: true, Parallelism: 4, Window: 8}
-
-	liveHeap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-
-	b.Run("inmemory", func(b *testing.B) {
-		base := liveHeap()
-		el, err := strace.ReadFS(fsys, ".", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak := liveHeap() - base
-		runtime.KeepAlive(el)
-		el = nil
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			log, err := strace.ReadFS(fsys, ".", opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if log.NumCases() != nFiles {
-				b.Fatal("lost cases")
-			}
-		}
-		b.ReportMetric(float64(peak), "peak-live-B")
-	})
-
-	b.Run("stream/window=8", func(b *testing.B) {
-		walk := func(sample bool) (peak uint64, resident int) {
-			base := uint64(0)
-			if sample {
-				base = liveHeap()
-			}
-			src, err := strace.StreamFS(fsys, ".", opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer src.Close()
-			cases := 0
-			err = source.Walk(src, true, func(c *trace.Case) error {
-				cases++
-				if sample && cases%32 == 0 {
-					if h := liveHeap() - base; h > peak {
-						peak = h
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if cases != nFiles {
-				b.Fatal("lost cases")
-			}
-			return peak, source.PeakResident(src)
-		}
-		peak, resident := walk(true)
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			walk(false)
-		}
-		b.ReportMetric(float64(peak), "peak-live-B")
-		b.ReportMetric(float64(resident), "resident-cases")
-	})
-}
-
-// BenchmarkAnalyzeStreamParallel: the sharded analysis fold (activity
-// log + DFG + statistics synthesis) over an already-materialized
-// event-log, so the numbers isolate analysis throughput from parsing —
-// the counterpart of BenchmarkReadDirParallel for the stage after
-// ingestion. Swept at shards 1 / 4 / GOMAXPROCS; every setting produces
-// byte-identical artifacts (stream_equiv_test.go), so the sweep
-// measures a pure throughput knob. The events/s metric is the one
-// stbench -ingest reports and TestAnalyzeParallelSpeedup gates.
-func BenchmarkAnalyzeStreamParallel(b *testing.B) {
-	el := synthLog(200_000, 64, 32, 13)
-	for _, shards := range []int{1, 4, 0} {
-		name := fmt.Sprintf("shards=%d", shards)
-		if shards == 0 {
-			name = "shards=gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := source.FromLog(el)
-				res, err := AnalyzeStreamParallel(src, CallTopDirs{Depth: 2}, shards, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Events != el.NumEvents() {
-					b.Fatalf("lost events: got %d, want %d", res.Events, el.NumEvents())
-				}
-				src.Close()
-			}
-			b.ReportMetric(float64(el.NumEvents())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkArchiveReadParallel: concurrent STA section decode.
-func BenchmarkArchiveReadParallel(b *testing.B) {
-	el := synthLog(100_000, 64, 32, 12)
-	var buf bytes.Buffer
-	if err := archive.WriteV2(&buf, el); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, p := range []int{1, 4, 0} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				got, err := drainArchive(data, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got.NumEvents() != el.NumEvents() {
-					b.Fatal("lost events")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkArchiveWrite / Read: the STA consolidation substrate.
+// BenchmarkArchiveWrite: the STA consolidation substrate.
 func BenchmarkArchiveWrite(b *testing.B) {
 	el := synthLog(100_000, 16, 32, 6)
 	b.ResetTimer()
@@ -414,71 +220,6 @@ func BenchmarkArchiveWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))
-	}
-}
-
-func BenchmarkArchiveRead(b *testing.B) {
-	el := synthLog(100_000, 16, 32, 7)
-	var buf bytes.Buffer
-	if err := archive.WriteV2(&buf, el); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := drainArchive(data, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.NumEvents() != el.NumEvents() {
-			b.Fatal("lost events")
-		}
-	}
-}
-
-// drainArchive materializes an in-memory archive image through the
-// ReadAt decode path with the given worker count.
-func drainArchive(data []byte, parallelism int) (*EventLog, error) {
-	r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	src := r.Stream(parallelism, 0)
-	defer src.Close()
-	return source.Drain(src, false)
-}
-
-// BenchmarkArchiveReingest: streaming re-ingestion of the columnar
-// archive with its persisted symbol dictionary, zero-copy, through the
-// ordered-source walk — the near-zero-parse path BENCHMARKS.md tracks.
-func BenchmarkArchiveReingest(b *testing.B) {
-	el := synthLog(100_000, 64, 32, 12)
-	var buf bytes.Buffer
-	if err := archive.WriteV2(&buf, el); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := archive.NewReaderBytes(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := r.Stream(4, 8)
-		events := 0
-		err = source.Walk(src, true, func(c *trace.Case) error {
-			events += c.Len()
-			return nil
-		})
-		src.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if events != el.NumEvents() {
-			b.Fatal("lost events")
-		}
 	}
 }
 

@@ -1,38 +1,143 @@
 package main
 
+// The scenario matrix: every generator profile through every ingestion
+// backend at one and many analysis shards, over scoped and process-wide
+// symbol tables. The generators are deterministic in (profile, cid,
+// cases, events, seed) and the pipeline's artifacts are
+// parallelism-independent, so every column of a cell is
+// machine-independent structure; TestScenarioMatrix pins all of them
+// against the committed BENCH_matrix.json at the repository root.
+// Timing is the repository benchmark's job (bench/), not this test's.
+//
+// Regenerate the baseline after an intended structural change with
+//
+//	go test ./cmd/stbench -run TestScenarioMatrix -update
+//
+// and review the diff.
+
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
+	"testing/fstest"
 
-	"stinspector/internal/cliutil"
+	"stinspector/internal/archive"
+	"stinspector/internal/core"
+	"stinspector/internal/dxt"
+	"stinspector/internal/intern"
+	"stinspector/internal/pm"
+	"stinspector/internal/snapshot"
+	"stinspector/internal/source"
+	"stinspector/internal/strace"
 	"stinspector/internal/synth/profiles"
+	"stinspector/internal/trace"
 )
 
-// TestRunMatrixJSON drives -matrix at tiny scale and checks the report
-// schema: full profile × backend × shards × scoped coverage with
-// deterministic structural fields.
+var updateMatrix = flag.Bool("update", false, "rewrite BENCH_matrix.json from a fresh TestScenarioMatrix sweep")
+
+// matrixBaseline is the committed baseline, relative to this package.
+const matrixBaseline = "../../BENCH_matrix.json"
+
+// matrixBackends is the backend axis. "sta2" is the STA archive (named
+// for its format version, so cells compare across commits); its cells
+// must match the strace cells of the same profile in everything but
+// bytes.
+var matrixBackends = []string{"strace", "sta2", "dxt"}
+
+// Ingestion parallelism and window are fixed: artifacts are
+// parallelism-independent, so an axis over them would add nothing.
+const (
+	matrixParallelism = 2
+	matrixWindow      = 4
+)
+
+// matrixCell is one row of BENCH_matrix.json. The key fields (profile,
+// backend, shards, scoped) identify the cell; the rest is structure.
+type matrixCell struct {
+	Profile string `json:"profile"`
+	Backend string `json:"backend"`
+	Shards  int    `json:"shards"`
+	Scoped  bool   `json:"scoped"`
+
+	Cases    int   `json:"cases"`
+	Events   int   `json:"events"`
+	Bytes    int64 `json:"bytes"`
+	Variants int   `json:"variants"`
+	Edges    int   `json:"edges"`
+	Symbols  int   `json:"symbols"`
+	// SnapshotBytes is the size of the cell's STS snapshot — the
+	// canonical encoding of the fold's pre-Finalize state, so a size
+	// change means the format or the aggregates changed.
+	SnapshotBytes int64 `json:"snapshot_bytes"`
+	// Behavior-profile structure: distinct files touched, network
+	// endpoints contacted and commands executed across the merged
+	// profile; a drift here means the semantic decoders changed.
+	BehaviorFiles    int `json:"behavior_files"`
+	BehaviorHosts    int `json:"behavior_hosts"`
+	BehaviorCommands int `json:"behavior_commands"`
+}
+
+func (c matrixCell) key() string {
+	return fmt.Sprintf("%s/%s/s%d/scoped=%v", c.Profile, c.Backend, c.Shards, c.Scoped)
+}
+
+// matrixReport wraps the cells with the exact generation parameters,
+// so the committed baseline documents its own reproduction command.
+type matrixReport struct {
+	Command string       `json:"command"`
+	MCases  int          `json:"mcases"`
+	MEvents int          `json:"mevents"`
+	Shards  int          `json:"ashards"`
+	Seed    int64        `json:"seed"`
+	Cells   []matrixCell `json:"cells"`
+}
+
+// matrixParams are the baseline's generation parameters: 8 cases × 120
+// events per profile, shard axis {1, 4}.
+var matrixParams = matrixReport{
+	Command: "go test ./cmd/stbench -run TestScenarioMatrix -update",
+	MCases:  8,
+	MEvents: 120,
+	Shards:  4,
+	Seed:    20240924,
+}
+
+// TestScenarioMatrix sweeps every profile × backend × shards × scoped
+// cell and fails on any structural difference from BENCH_matrix.json,
+// or on a cell missing from either side.
+func TestScenarioMatrix(t *testing.T) {
+	fresh := sweepMatrix(t, profiles.All(), matrixParams)
+	if *updateMatrix {
+		writeMatrix(t, matrixBaseline, fresh)
+		t.Logf("wrote %s (%d cells)", matrixBaseline, len(fresh.Cells))
+		return
+	}
+	for _, d := range diffMatrix(fresh, readMatrix(t, matrixBaseline)) {
+		t.Error(d)
+	}
+}
+
+// TestRunMatrixJSON sweeps every profile at tiny scale through the
+// baseline file's write and read path and checks the report: its
+// generation parameters survive, and it covers profile × backend ×
+// shards × scoped once each with non-degenerate, correctly counted
+// cells.
 func TestRunMatrixJSON(t *testing.T) {
+	params := matrixReport{Command: "tiny", MCases: 3, MEvents: 24, Shards: 2, Seed: 7}
 	path := filepath.Join(t.TempDir(), "BENCH_matrix.json")
-	err := run([]string{"-matrix", "-mcases", "3", "-mevents", "24", "-ashards", "2", "-json", path})
-	if err != nil {
-		t.Fatalf("run(-matrix): %v", err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report matrixReport
-	if err := json.Unmarshal(b, &report); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	writeMatrix(t, path, sweepMatrix(t, profiles.All(), params))
+	report := readMatrix(t, path)
+	if report.MCases != 3 || report.MEvents != 24 || report.Shards != 2 || report.Seed != 7 || report.Command != "tiny" {
+		t.Errorf("report header not reproducible: %+v", report)
 	}
 	wantCells := len(profiles.All()) * len(matrixBackends) * 2 /*shards*/ * 2 /*scoped*/
 	if len(report.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(report.Cells), wantCells)
-	}
-	if report.MCases != 3 || report.MEvents != 24 || report.Shards != 2 || report.Command == "" {
-		t.Errorf("report header not reproducible: %+v", report)
 	}
 	keys := map[string]bool{}
 	for _, c := range report.Cells {
@@ -40,7 +145,7 @@ func TestRunMatrixJSON(t *testing.T) {
 			t.Errorf("duplicate cell %s", c.key())
 		}
 		keys[c.key()] = true
-		if c.Cases < 1 || c.Events < 1 || c.Bytes < 1 || c.Variants < 1 || c.WallNS <= 0 {
+		if c.Cases < 1 || c.Events < 1 || c.Bytes < 1 || c.Variants < 1 || c.Edges < 1 || c.Symbols < 1 || c.SnapshotBytes < 1 {
 			t.Errorf("cell %s has degenerate fields: %+v", c.key(), c)
 		}
 		if c.Backend == "dxt" {
@@ -55,117 +160,279 @@ func TestRunMatrixJSON(t *testing.T) {
 }
 
 // TestMatrixStructuralDeterminism: two sweeps at the same parameters
-// must agree on every structural field — the property that lets CI diff
-// a fresh run against the committed baseline.
+// agree on every structural field — the property that lets the gate
+// compare a fresh sweep with the committed baseline.
 func TestMatrixStructuralDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	p1, p2 := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	args := []string{"-matrix", "-profiles", "hostileargs,burst", "-mcases", "3", "-mevents", "20", "-json"}
-	if err := run(append(args[:len(args):len(args)], p1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(args[:len(args):len(args)], p2)); err != nil {
-		t.Fatal(err)
-	}
-	var a, b matrixReport
-	for path, dst := range map[string]*matrixReport{p1: &a, p2: &b} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	var ps []profiles.Profile
+	for _, name := range []string{"hostileargs", "burst"} {
+		p, ok := profiles.Lookup(name)
+		if !ok {
+			t.Fatalf("no profile %q", name)
 		}
-		if err := json.Unmarshal(raw, dst); err != nil {
-			t.Fatal(err)
-		}
+		ps = append(ps, p)
 	}
+	params := matrixReport{MCases: 3, MEvents: 20, Shards: 4, Seed: 11}
+	a, b := sweepMatrix(t, ps, params), sweepMatrix(t, ps, params)
 	if len(a.Cells) != len(b.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
 	}
 	for i := range a.Cells {
-		x, y := a.Cells[i], b.Cells[i]
-		if x.key() != y.key() || x.Cases != y.Cases || x.Events != y.Events ||
-			x.Bytes != y.Bytes || x.Variants != y.Variants || x.Edges != y.Edges ||
-			x.Symbols != y.Symbols {
-			t.Errorf("cell %d structure not deterministic:\n %+v\n %+v", i, x, y)
+		if a.Cells[i] != b.Cells[i] {
+			t.Errorf("cell %d structure not deterministic:\n %+v\n %+v", i, a.Cells[i], b.Cells[i])
 		}
 	}
 }
 
-// TestRunMatrixAgainstSelf: a sweep diffed against its own output is
-// structurally identical and exits 0 — the CI step's green path on an
-// unchanged tree.
+// TestRunMatrixAgainstSelf: a sweep compared with its own baseline file
+// reports no difference — the gate's green path on an unchanged tree.
 func TestRunMatrixAgainstSelf(t *testing.T) {
+	params := matrixReport{MCases: 3, MEvents: 20, Shards: 2, Seed: 5}
 	path := filepath.Join(t.TempDir(), "base.json")
-	args := []string{"-matrix", "-profiles", "heavytail", "-mcases", "3", "-mevents", "20"}
-	if err := run(append(args[:len(args):len(args)], "-json", path)); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(args[:len(args):len(args)], "-against", path)); err != nil {
-		t.Errorf("diff against own baseline failed: %v", err)
+	writeMatrix(t, path, sweepMatrix(t, heavytail(t), params))
+	if d := diffMatrix(sweepMatrix(t, heavytail(t), params), readMatrix(t, path)); len(d) != 0 {
+		t.Errorf("sweep differs from its own baseline: %v", d)
 	}
 }
 
-// TestRunMatrixAgainstDiverged: a structural divergence (different
-// generation parameters masquerading under the same key space) must
-// fail the diff loudly, not drown in timing noise.
+// TestRunMatrixAgainstDiverged: the comparison rejects a baseline
+// generated with other parameters, a changed structural value (also
+// when tampered in the file), and a missing or extra cell.
 func TestRunMatrixAgainstDiverged(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.json")
-	if err := run([]string{"-matrix", "-profiles", "heavytail", "-mcases", "3", "-mevents", "20", "-json", path}); err != nil {
+	params := matrixReport{MCases: 3, MEvents: 20, Shards: 2, Seed: 5}
+	fresh := sweepMatrix(t, heavytail(t), params)
+	mutate := func(f func(r *matrixReport)) matrixReport {
+		r := fresh
+		r.Cells = append([]matrixCell(nil), fresh.Cells...)
+		f(&r)
+		return r
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	writeMatrix(t, path, mutate(func(r *matrixReport) { r.Cells[0].Variants += 7 }))
+	for name, base := range map[string]matrixReport{
+		"parameters":    mutate(func(r *matrixReport) { r.MCases++ }),
+		"changed value": mutate(func(r *matrixReport) { r.Cells[3].SnapshotBytes++ }),
+		"tampered file": readMatrix(t, path),
+		"missing cell":  mutate(func(r *matrixReport) { r.Cells = r.Cells[1:] }),
+		"extra cell": mutate(func(r *matrixReport) {
+			c := r.Cells[0]
+			c.Shards = 9
+			r.Cells = append(r.Cells, c)
+		}),
+	} {
+		if d := diffMatrix(fresh, base); len(d) == 0 {
+			t.Errorf("%s: diff reported no difference", name)
+		}
+	}
+}
+
+func heavytail(t *testing.T) []profiles.Profile {
+	t.Helper()
+	p, ok := profiles.Lookup("heavytail")
+	if !ok {
+		t.Fatal("no heavytail profile")
+	}
+	return []profiles.Profile{p}
+}
+
+// writeMatrix and readMatrix are the baseline file's encoding: indented
+// JSON with a trailing newline.
+func writeMatrix(t *testing.T, path string, r matrixReport) {
+	t.Helper()
+	out, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Parameter mismatch: refuse to compare apples to oranges.
-	err := run([]string{"-matrix", "-profiles", "heavytail", "-mcases", "4", "-mevents", "20", "-against", path})
-	if cliutil.ExitCode(err) != 1 {
-		t.Errorf("parameter mismatch: exit %d (err %v), want 1", cliutil.ExitCode(err), err)
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
+}
 
-	// Structural divergence: tamper with a deterministic field.
+func readMatrix(t *testing.T, path string) matrixReport {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report matrixReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatal(err)
+	var r matrixReport
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
-	report.Cells[0].Variants += 7
-	tampered, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-matrix", "-profiles", "heavytail", "-mcases", "3", "-mevents", "20", "-against", path})
-	if cliutil.ExitCode(err) != 1 {
-		t.Errorf("structural divergence: exit %d (err %v), want 1", cliutil.ExitCode(err), err)
-	}
+	return r
 }
 
-// TestRunMatrixUsageErrors: matrix-mode flag validation.
-func TestRunMatrixUsageErrors(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"matrix with ingest", []string{"-matrix", "-ingest", "4"}},
-		{"matrix with scoped-syms", []string{"-matrix", "-scoped-syms"}},
-		{"against without matrix", []string{"-against", "x.json"}},
-		{"profiles without matrix", []string{"-profiles", "burst"}},
-		{"unknown profile", []string{"-matrix", "-profiles", "nope"}},
-		{"zero mcases", []string{"-matrix", "-mcases", "0"}},
-		{"zero mevents", []string{"-matrix", "-mevents", "0"}},
-	} {
-		err := run(tc.args)
-		if got := cliutil.ExitCode(err); got != 2 {
-			t.Errorf("%s: exit %d (err %v), want 2", tc.name, got, err)
+// sweepMatrix runs every cell of ps × matrixBackends × {1, params.Shards}
+// × {process-wide, scoped} and checks the sweep's own invariants: the
+// snapshot re-encodes byte-identically, structure does not depend on
+// the shard count or the symbol table, and the archive matches strace
+// in everything but bytes.
+func sweepMatrix(t *testing.T, ps []profiles.Profile, params matrixReport) matrixReport {
+	t.Helper()
+	report := params
+	report.Cells = nil
+	mapping := pm.CallTopDirs{Depth: 2}
+	for _, p := range ps {
+		log := p.Generate("mx", params.MCases, params.MEvents, params.Seed)
+		first := map[string]matrixCell{} // per backend: its first cell
+		for _, backend := range matrixBackends {
+			size, open := backendSource(t, backend, log)
+			for _, shards := range []int{1, params.Shards} {
+				for _, scoped := range []bool{false, true} {
+					var syms *intern.Table
+					if scoped {
+						syms = intern.NewTable()
+					}
+					name := fmt.Sprintf("%s/%s shards=%d scoped=%v", p.Name, backend, shards, scoped)
+					src := open(syms)
+					res, err := core.AnalyzeStreamParallel(src, mapping, shards, true)
+					src.Close()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					src = open(syms)
+					snap, err := core.AnalyzeStreamSnapshot(src, mapping, shards, true)
+					src.Close()
+					if err != nil {
+						t.Fatalf("%s snapshot fold: %v", name, err)
+					}
+					enc := snapshot.Encode(snap)
+					dec, err := snapshot.Decode(enc, mapping)
+					if err != nil {
+						t.Fatalf("%s snapshot decode: %v", name, err)
+					}
+					if !bytes.Equal(snapshot.Encode(dec), enc) {
+						t.Fatalf("%s: snapshot re-encode is not byte-identical", name)
+					}
+					bFiles, bHosts, bCmds := res.Behavior.Totals()
+					cell := matrixCell{
+						Profile:          p.Name,
+						Backend:          backend,
+						Shards:           shards,
+						Scoped:           scoped,
+						Cases:            res.Cases,
+						Events:           res.Events,
+						Bytes:            size,
+						Variants:         res.ActivityLog.NumVariants(),
+						Edges:            res.DFG.NumEdges(),
+						Symbols:          res.Symbols,
+						SnapshotBytes:    int64(len(enc)),
+						BehaviorFiles:    bFiles,
+						BehaviorHosts:    bHosts,
+						BehaviorCommands: bCmds,
+					}
+					ref, seen := first[backend]
+					if !seen {
+						first[backend], ref = cell, cell
+					}
+					if structure(cell) != structure(ref) {
+						t.Errorf("%s: structure differs from %s:\n  %+v\n  %+v", name, ref.key(), structure(cell), structure(ref))
+					}
+					if backend == "sta2" {
+						got, want := structure(cell), structure(first["strace"])
+						got.Bytes, want.Bytes = 0, 0
+						if got != want {
+							t.Errorf("%s: archive structure differs from strace:\n  %+v\n  %+v", name, got, want)
+						}
+					}
+					report.Cells = append(report.Cells, cell)
+				}
+			}
 		}
 	}
-	// A missing baseline file is a runtime failure, not a usage error.
-	err := run([]string{"-matrix", "-profiles", "baseline", "-mcases", "2", "-mevents", "10",
-		"-against", filepath.Join(t.TempDir(), "absent.json")})
-	if got := cliutil.ExitCode(err); got != 1 {
-		t.Errorf("missing baseline: exit %d (err %v), want 1", got, err)
+	return report
+}
+
+// structure is a cell without its key: what must not depend on the
+// shard count or the symbol table.
+func structure(c matrixCell) matrixCell {
+	c.Profile, c.Backend, c.Shards, c.Scoped = "", "", 0, false
+	return c
+}
+
+// backendSource encodes the log in one backend's format and returns its
+// byte size plus an opener that builds a fresh source per cell (over
+// syms when non-nil, the process-wide table otherwise).
+func backendSource(t *testing.T, backend string, log *trace.EventLog) (int64, func(syms *intern.Table) source.Source) {
+	t.Helper()
+	var buf bytes.Buffer
+	switch backend {
+	case "strace":
+		fsys := fstest.MapFS{}
+		var size int64
+		for _, c := range log.Cases() {
+			buf.Reset()
+			if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
+				t.Fatal(err)
+			}
+			fsys[c.ID.FileName()] = &fstest.MapFile{Data: bytes.Clone(buf.Bytes())}
+			size += int64(buf.Len())
+		}
+		return size, func(syms *intern.Table) source.Source {
+			src, err := strace.StreamFS(fsys, ".", strace.Options{
+				Strict: true, Parallelism: matrixParallelism, Window: matrixWindow, Syms: syms,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}
+	case "sta2":
+		if err := archive.WriteV2(&buf, log); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return int64(len(data)), func(syms *intern.Table) source.Source {
+			r, err := archive.NewReaderBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetSyms(syms)
+			return r.Stream(matrixParallelism, matrixWindow)
+		}
+	case "dxt":
+		if _, err := dxt.Write(&buf, log); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return int64(len(data)), func(syms *intern.Table) source.Source {
+			recs, err := dxt.ParseSyms(bytes.NewReader(data), syms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dxt.Stream("mx", recs, matrixParallelism, matrixWindow)
+		}
 	}
+	t.Fatalf("unknown backend %q", backend)
+	return 0, nil
+}
+
+// diffMatrix lists every difference between a fresh sweep and a
+// baseline: generation parameters, changed structure, and cells missing
+// from either side.
+func diffMatrix(fresh, base matrixReport) []string {
+	if base.MCases != fresh.MCases || base.MEvents != fresh.MEvents ||
+		base.Seed != fresh.Seed || base.Shards != fresh.Shards {
+		return []string{fmt.Sprintf("baseline generated with different parameters (%d cases × %d events, shards %d, seed %d); regenerate with: %s",
+			base.MCases, base.MEvents, base.Shards, base.Seed, fresh.Command)}
+	}
+	baseByKey := make(map[string]matrixCell, len(base.Cells))
+	for _, c := range base.Cells {
+		baseByKey[c.key()] = c
+	}
+	var diffs []string
+	for _, f := range fresh.Cells {
+		b, ok := baseByKey[f.key()]
+		delete(baseByKey, f.key())
+		switch {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("%s: not in the baseline", f.key()))
+		case f != b:
+			diffs = append(diffs, fmt.Sprintf("%s: structure diverged\n  baseline %+v\n  fresh    %+v", f.key(), structure(b), structure(f)))
+		}
+	}
+	var missing []string
+	for k := range baseByKey {
+		missing = append(missing, fmt.Sprintf("%s: missing from the fresh sweep", k))
+	}
+	sort.Strings(missing)
+	return append(diffs, missing...)
 }

@@ -186,30 +186,12 @@ func (r Record) call() string {
 	}
 }
 
-// ToEventLog converts parsed records into an event-log: one case per
-// (hostname, rank), identified by the given command id. Hostless records
-// fall back to "host0". Case construction (which time-sorts each case's
-// events) runs concurrently with GOMAXPROCS workers.
-func ToEventLog(cid string, records []Record) (*trace.EventLog, error) {
-	return ToEventLogParallel(cid, records, 0)
-}
-
-// ToEventLogParallel is ToEventLog with an explicit worker bound for the
-// per-case construction step; parallelism 0 means runtime.GOMAXPROCS(0).
-// The resulting log is deterministic for every setting. It is the
-// materializing form of Stream.
-func ToEventLogParallel(cid string, records []Record, parallelism int) (*trace.EventLog, error) {
-	src := Stream(cid, records, parallelism, 0)
-	defer src.Close()
-	return source.Drain(src, false)
-}
-
 // Stream groups parsed records into per-(hostname, rank) cases and
 // streams them in CaseID order: grouping is a single pass over the
 // records, but the expensive per-case step — event construction and the
 // time sort — runs lazily in parallelism workers with at most window
 // constructed cases resident (0 = 2×workers). Hostless records fall
-// back to "host0", as in ToEventLog.
+// back to "host0".
 func Stream(cid string, records []Record, parallelism, window int) source.Source {
 	groups := make(map[trace.CaseID][]Record)
 	for _, r := range records {

@@ -10,6 +10,7 @@ import (
 	"stinspector/internal/dfg"
 	"stinspector/internal/iorsim"
 	"stinspector/internal/pm"
+	"stinspector/internal/source"
 	"stinspector/internal/trace"
 )
 
@@ -55,15 +56,24 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
-func TestToEventLog(t *testing.T) {
+// drain materializes Stream's cases at the given parallelism.
+func drain(t *testing.T, cid string, recs []Record, parallelism int) *trace.EventLog {
+	t.Helper()
+	src := Stream(cid, recs, parallelism, 0)
+	defer src.Close()
+	log, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+func TestStreamCases(t *testing.T) {
 	recs, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := ToEventLog("dxt", recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := drain(t, "dxt", recs, 0)
 	if log.NumCases() != 2 || log.NumEvents() != 4 {
 		t.Fatalf("log = %d cases / %d events", log.NumCases(), log.NumEvents())
 	}
@@ -131,10 +141,7 @@ func TestDXTRoundTripAgainstIOR(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, buf.String())
 	}
-	back, err := ToEventLog("dxt", recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := drain(t, "dxt", recs, 0)
 
 	transfersOnly := res.Log.FilterCalls("read", "write", "pread64", "pwrite64")
 	if back.NumEvents() != transfersOnly.NumEvents() {

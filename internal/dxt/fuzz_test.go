@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"stinspector/internal/intern"
+	"stinspector/internal/source"
 )
 
 // FuzzDXTParse: arbitrary text must never panic the DXT parser, every
 // rejection must be a *ParseError, and every accepted record set must
-// convert to an event-log with one event per record.
+// stream as cases holding one event per record.
 func FuzzDXTParse(f *testing.F) {
 	f.Add(sample)
 	f.Fuzz(func(t *testing.T, data string) {
@@ -27,9 +28,11 @@ func FuzzDXTParse(f *testing.F) {
 				t.Fatalf("record %d accepted with file %q, start %v, end %v", i, r.FileName, r.Start, r.End)
 			}
 		}
-		log, err := ToEventLog("fuzz", recs)
+		src := Stream("fuzz", recs, 0, 0)
+		log, err := source.Drain(src, false)
+		src.Close()
 		if err != nil {
-			t.Fatalf("ToEventLog: %v", err)
+			t.Fatalf("Stream: %v", err)
 		}
 		if log.NumEvents() != len(recs) {
 			t.Fatalf("%d records became %d events", len(recs), log.NumEvents())

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestToEventLogParallelEquivalence: concurrent case construction is
+// TestStreamParallelEquivalence: concurrent case construction is
 // deterministic for every worker count.
-func TestToEventLogParallelEquivalence(t *testing.T) {
+func TestStreamParallelEquivalence(t *testing.T) {
 	var records []Record
 	for rank := 0; rank < 13; rank++ {
 		for seg := 0; seg < 40; seg++ {
@@ -27,15 +27,9 @@ func TestToEventLogParallelEquivalence(t *testing.T) {
 			})
 		}
 	}
-	want, err := ToEventLogParallel("dxt", records, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drain(t, "dxt", records, 1)
 	for _, p := range []int{0, 3, 16} {
-		got, err := ToEventLogParallel("dxt", records, p)
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", p, err)
-		}
+		got := drain(t, "dxt", records, p)
 		if got.NumCases() != want.NumCases() {
 			t.Fatalf("parallelism=%d: %d cases, want %d", p, got.NumCases(), want.NumCases())
 		}

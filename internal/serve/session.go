@@ -314,8 +314,9 @@ func (s *Session) recordFault(err error) {
 }
 
 // Ingest feeds one case from a byte stream (the HTTP ingest path) under
-// follow-mode line discipline. It reports the events ingested and
-// whether an unterminated final line was dropped.
+// follow-mode line discipline. It reports the events ingested and the
+// lines dropped: an unterminated final line, and complete lines skipped
+// as unparseable or over 4 MiB.
 func (s *Session) Ingest(id trace.CaseID, r io.Reader) (events, dropped int, err error) {
 	c, dropped, err := strace.FollowReader(id, r, strace.Options{Syms: s.syms})
 	if err != nil {

@@ -93,7 +93,7 @@ func TestLiveBlockBackpressure(t *testing.T) {
 		done <- nil
 	}()
 
-	seen := 0
+	seen, events := 0, 0
 	for {
 		c, err := l.Next()
 		if err == io.EOF {
@@ -106,12 +106,13 @@ func TestLiveBlockBackpressure(t *testing.T) {
 			t.Fatalf("out-of-order delivery from a single producer: got %d, want %d", c.ID.RID, seen)
 		}
 		seen++
+		events += c.Len()
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if seen != n {
-		t.Errorf("delivered %d cases, want %d (Block must lose nothing)", seen, n)
+	if seen != n || events != n || l.Pushed() != n {
+		t.Errorf("delivered %d cases / %d events of %d pushed, want %d of each (Block must lose nothing)", seen, events, l.Pushed(), n)
 	}
 	if p := l.PeakResident(); p > budget {
 		t.Errorf("peak resident %d exceeded budget %d", p, budget)
@@ -165,6 +166,9 @@ func TestLiveShedOldest(t *testing.T) {
 	}
 	if want := uint64(n - budget); l.Shed() != want {
 		t.Errorf("shed counter: got %d, want %d", l.Shed(), want)
+	}
+	if delivered := uint64(len(got)); delivered+l.Shed() != l.Pushed() {
+		t.Errorf("%d delivered + %d shed != %d pushed: a case was lost uncounted", delivered, l.Shed(), l.Pushed())
 	}
 	if p := l.PeakResident(); p > budget {
 		t.Errorf("peak resident %d exceeded budget %d", p, budget)

@@ -1,6 +1,7 @@
 package strace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -123,6 +124,9 @@ type TailStats struct {
 //   - Open and read failures retry with capped exponential backoff plus
 //     deterministic jitter; they never kill the tailer.
 //   - Stalls surface as typed recoverable StallErrors via Sink.Fail.
+//   - An unparseable complete line, or one over 4 MiB, is skipped and
+//     counted in ParseSkips; under Strict the first such line of each
+//     read also surfaces via Sink.Fail as a *ParseError in a FileError.
 //
 // A file completes when its exit record has been read, the reader has
 // caught up to EOF with no partial line pending, and the file has been
@@ -327,12 +331,17 @@ func (t *Tailer) backoff(rnd *rand.Rand, attempt int) bool {
 	}
 }
 
+// readChunk is the read size of both follow paths.
+const readChunk = 32 << 10
+
 // fileTail is the per-file follow state.
 type fileTail struct {
 	name    string
 	f       TailFile
 	offset  int64    // bytes consumed from the current identity
 	buf     []byte   // unterminated final line, buffered for retry
+	scanned int      // prefix of buf already searched for a newline
+	discard bool     // inside an over-long line: drop bytes up to '\n'
 	records []Record // complete records parsed so far
 	args    argBuilder
 	line    int // 1-based line counter for ParseError positions
@@ -344,6 +353,8 @@ type fileTail struct {
 func (ft *fileTail) reset() {
 	ft.offset = 0
 	ft.buf = ft.buf[:0]
+	ft.scanned = 0
+	ft.discard = false
 	ft.records = ft.records[:0]
 	ft.args.reset()
 	ft.line = 0
@@ -408,7 +419,7 @@ func (t *Tailer) followFile(name string) {
 	}
 
 	lastStallCheck := time.Now()
-	readBuf := make([]byte, 32*1024)
+	readBuf := make([]byte, readChunk)
 	for {
 		if t.stopping() {
 			return
@@ -449,7 +460,11 @@ func (t *Tailer) followFile(name string) {
 			ft.offset += int64(n)
 			ft.lastNew = time.Now()
 			lastStallCheck = ft.lastNew
-			t.consume(ft, readBuf[:n])
+			skips, err := ft.consume(readBuf[:n])
+			t.parseSkips.Add(uint64(skips))
+			if err != nil && t.opts.Strict {
+				t.sink.Fail(&FileError{Name: name, Err: err})
+			}
 		}
 		switch {
 		case err == nil:
@@ -499,29 +514,64 @@ func (t *Tailer) followFile(name string) {
 
 // consume splits raw bytes into complete lines and parses them; the
 // unterminated remainder stays buffered — a truncated record is never
-// materialized.
-func (t *Tailer) consume(ft *fileTail, p []byte) {
+// materialized. The newline search resumes where the previous chunk's
+// left off, and a line longer than maxLineBytes is never buffered
+// whole: it is skipped like an unparseable line and its remaining bytes
+// are dropped up to the next newline. consume returns the number of
+// lines skipped and the first skipped line's error (a *ParseError
+// carrying the line number); the caller applies its strictness policy.
+func (ft *fileTail) consume(p []byte) (skips int, first error) {
+	skip := func(err error) {
+		skips++
+		if pe, ok := err.(*ParseError); ok {
+			pe.Line = ft.line
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	if ft.discard {
+		i := bytes.IndexByte(p, '\n')
+		if i < 0 {
+			return 0, nil
+		}
+		ft.discard = false
+		p = p[i+1:]
+	}
+	if need := len(ft.buf) + len(p); need > cap(ft.buf) {
+		// Double a growing partial line, up to the most the line cap
+		// can use: append's 1.25x steps for large slices would copy ~5x
+		// the line before it reaches the cap.
+		c := max(need, 2*len(ft.buf))
+		if c >= maxLineBytes {
+			c = max(need, maxLineBytes+readChunk)
+		}
+		grown := make([]byte, len(ft.buf), c)
+		copy(grown, ft.buf)
+		ft.buf = grown
+	}
 	ft.buf = append(ft.buf, p...)
 	for {
-		i := indexByte(ft.buf, '\n')
+		i := bytes.IndexByte(ft.buf[ft.scanned:], '\n')
 		if i < 0 {
-			return
+			break
 		}
-		line := string(ft.buf[:i])
+		i += ft.scanned
+		line := ft.buf[:i]
 		ft.buf = ft.buf[i+1:]
+		ft.scanned = 0
 		ft.line++
-		if strings.TrimSpace(line) == "" {
+		if len(line) > maxLineBytes {
+			skip(errLineTooLong())
 			continue
 		}
-		rec, err := parseLineWith(line, &ft.args)
+		text := string(line)
+		if strings.TrimSpace(text) == "" {
+			continue
+		}
+		rec, err := parseLineWith(text, &ft.args)
 		if err != nil {
-			t.parseSkips.Add(1)
-			if t.opts.Strict {
-				if pe, ok := err.(*ParseError); ok {
-					pe.Line = ft.line
-				}
-				t.sink.Fail(&FileError{Name: ft.name, Err: err})
-			}
+			skip(err)
 			continue
 		}
 		rec.Line = ft.line
@@ -530,6 +580,15 @@ func (t *Tailer) consume(ft *fileTail, p []byte) {
 			ft.sawExit = true
 		}
 	}
+	ft.scanned = len(ft.buf)
+	if len(ft.buf) > maxLineBytes {
+		ft.line++
+		skip(errLineTooLong())
+		ft.buf = nil // release the cap-sized buffer
+		ft.scanned = 0
+		ft.discard = true
+	}
+	return skips, first
 }
 
 // emit converts the file's records into a case and pushes it. An
@@ -552,31 +611,25 @@ func (t *Tailer) emit(id trace.CaseID, ft *fileTail) {
 	t.cases.Add(1)
 }
 
-// indexByte is bytes.IndexByte without the import churn in this file's
-// hot loop.
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // FollowReader ingests one case from a growing byte stream (an HTTP
 // request body, a pipe) under follow-mode line discipline: complete
 // lines parse as they arrive, and at EOF an unterminated final line is
-// dropped — never emitted truncated — and reported in the returned drop
-// count. Parse failures on complete lines are skipped (or returned,
-// under Strict), matching the Tailer.
+// dropped — never emitted truncated. The returned count is every line
+// dropped: the unterminated final line plus the complete lines skipped
+// as unparseable or longer than 4 MiB. Under Strict the first skipped
+// line is instead returned as a *ParseError, matching the Tailer.
 func FollowReader(id trace.CaseID, r io.Reader, opts Options) (*trace.Case, int, error) {
 	ft := &fileTail{name: id.FileName()}
-	buf := make([]byte, 32*1024)
-	var strictErr error
+	buf := make([]byte, readChunk)
+	dropped := 0
 	for {
 		n, err := r.Read(buf)
 		if n > 0 {
-			consumeReader(ft, buf[:n], opts.Strict, &strictErr)
+			skips, perr := ft.consume(buf[:n])
+			if perr != nil && opts.Strict {
+				return nil, 0, perr
+			}
+			dropped += skips
 		}
 		if errors.Is(err, io.EOF) {
 			break
@@ -585,49 +638,12 @@ func FollowReader(id trace.CaseID, r io.Reader, opts Options) (*trace.Case, int,
 			return nil, 0, err
 		}
 	}
-	if strictErr != nil {
-		return nil, 0, strictErr
-	}
-	dropped := 0
 	if len(ft.buf) > 0 {
-		dropped = 1
+		dropped++
 	}
 	events, err := EventsFromRecords(id, ft.records, opts)
 	if err != nil {
 		return nil, dropped, err
 	}
 	return trace.NewCase(id, events), dropped, nil
-}
-
-// consumeReader mirrors Tailer.consume for the sinkless FollowReader
-// path, collecting the first Strict parse error instead of Fail-ing.
-func consumeReader(ft *fileTail, p []byte, strict bool, strictErr *error) {
-	ft.buf = append(ft.buf, p...)
-	for {
-		i := indexByte(ft.buf, '\n')
-		if i < 0 {
-			return
-		}
-		line := string(ft.buf[:i])
-		ft.buf = ft.buf[i+1:]
-		ft.line++
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		rec, err := parseLineWith(line, &ft.args)
-		if err != nil {
-			if strict && *strictErr == nil {
-				if pe, ok := err.(*ParseError); ok {
-					pe.Line = ft.line
-				}
-				*strictErr = err
-			}
-			continue
-		}
-		rec.Line = ft.line
-		ft.records = append(ft.records, rec)
-		if rec.Kind == KindExit {
-			ft.sawExit = true
-		}
-	}
 }

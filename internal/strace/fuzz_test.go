@@ -28,8 +28,9 @@ var fuzzSeeds = []string{
 }
 
 // FuzzParseCase: arbitrary trace text must never panic, in any option
-// mode, and whenever a case is produced it must satisfy the event-model
-// invariants (sorted by start time, stamped with the case identity).
+// mode, on the batch or the follow path, and whenever a case is
+// produced it must satisfy the event-model invariants (sorted by start
+// time, stamped with the case identity).
 func FuzzParseCase(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -46,6 +47,10 @@ func FuzzParseCase(f *testing.F) {
 		f.Add(buf.String())
 	}
 
+	// A line just over the 4 MiB cap between two valid records: the
+	// batch path rejects it, the follow path skips it.
+	f.Add(fuzzSeeds[0] + "\n" + strings.Repeat("x", maxLineBytes+1) + "\n" + fuzzSeeds[1] + "\n")
+
 	id := trace.CaseID{CID: "fuzz", Host: "h", RID: 1}
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, opts := range []Options{
@@ -54,22 +59,31 @@ func FuzzParseCase(f *testing.F) {
 			{KeepFailed: true, Calls: map[string]bool{}},
 		} {
 			c, err := ParseCase(id, strings.NewReader(data), opts)
-			if err != nil {
-				continue
-			}
-			if c == nil {
-				t.Fatalf("opts %+v: nil case with nil error", opts)
-			}
-			if !c.Sorted() {
-				t.Fatalf("opts %+v: case not sorted by start time", opts)
-			}
-			for _, e := range c.Events {
-				if e.CaseID() != id {
-					t.Fatalf("opts %+v: event %v carries identity %s, want %s", opts, e, e.CaseID(), id)
-				}
-			}
+			checkFuzzCase(t, "ParseCase", opts, id, c, err)
+			c, _, err = FollowReader(id, strings.NewReader(data), opts)
+			checkFuzzCase(t, "FollowReader", opts, id, c, err)
 		}
 	})
+}
+
+// checkFuzzCase asserts the event-model invariants of a successfully
+// parsed case.
+func checkFuzzCase(t *testing.T, path string, opts Options, id trace.CaseID, c *trace.Case, err error) {
+	t.Helper()
+	if err != nil {
+		return
+	}
+	if c == nil {
+		t.Fatalf("%s opts %+v: nil case with nil error", path, opts)
+	}
+	if !c.Sorted() {
+		t.Fatalf("%s opts %+v: case not sorted by start time", path, opts)
+	}
+	for _, e := range c.Events {
+		if e.CaseID() != id {
+			t.Fatalf("%s opts %+v: event %v carries identity %s, want %s", path, opts, e, e.CaseID(), id)
+		}
+	}
 }
 
 // behaviorFuzzSeeds exercise the semantic decoders: spawn argv arrays,

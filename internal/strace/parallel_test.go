@@ -65,10 +65,13 @@ func logsEqual(t *testing.T, a, b *trace.EventLog) {
 // TestReadFSParallelMatchesSequential: the deterministic-merge guarantee.
 // Every parallelism setting must produce the identical event-log.
 func TestReadFSParallelMatchesSequential(t *testing.T) {
-	fsys, _ := synthFS(t, 37, 50)
+	fsys, nEvents := synthFS(t, 37, 50)
 	seq, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seq.NumEvents() != nEvents {
+		t.Fatalf("sequential ingest: %d events, want %d", seq.NumEvents(), nEvents)
 	}
 	for _, p := range []int{0, 2, 4, 16, 64} {
 		par, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: p})

@@ -3,6 +3,7 @@ package strace
 import (
 	"bufio"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -43,6 +44,16 @@ var recordPool = sync.Pool{
 	},
 }
 
+// maxLineBytes caps one trace line on every framing path: the batch
+// scanner and the follow paths. A longer line is unparseable.
+const maxLineBytes = 4 * 1024 * 1024
+
+// errLineTooLong is the *ParseError of a line over maxLineBytes; the
+// caller sets its line number.
+func errLineTooLong() *ParseError {
+	return &ParseError{Msg: "line longer than 4 MiB"}
+}
+
 // ReadRecords parses every line of an strace output stream into records.
 // Unparseable lines are returned as errors unless lenient is true, in
 // which case they are skipped and counted.
@@ -58,7 +69,7 @@ func readRecordsInto(records []Record, r io.Reader, lenient bool, ab *argBuilder
 	bufp := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(bufp)
 	sc := bufio.NewScanner(r)
-	sc.Buffer((*bufp)[:0], 4*1024*1024)
+	sc.Buffer((*bufp)[:0], maxLineBytes)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -81,6 +92,11 @@ func readRecordsInto(records []Record, r io.Reader, lenient bool, ab *argBuilder
 		records = append(records, rec)
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			pe := errLineTooLong()
+			pe.Line = line + 1
+			return nil, skipped, pe
+		}
 		return nil, skipped, fmt.Errorf("strace: reading trace: %w", err)
 	}
 	return records, skipped, nil

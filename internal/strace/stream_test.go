@@ -15,10 +15,13 @@ import (
 // TestStreamFSMatchesReadFS: draining the stream reproduces ReadFS for
 // every parallelism/window combination.
 func TestStreamFSMatchesReadFS(t *testing.T) {
-	fsys, _ := synthFS(t, 23, 40)
+	fsys, nEvents := synthFS(t, 23, 40)
 	want, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.NumEvents() != nEvents {
+		t.Fatalf("sequential ingest: %d events, want %d", want.NumEvents(), nEvents)
 	}
 	for _, p := range []int{1, 3, 8} {
 		for _, w := range []int{0, 1, 5} {

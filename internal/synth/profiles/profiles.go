@@ -11,8 +11,8 @@
 // Every profile is a pure function of (profile, cid, nCases, perCase,
 // seed): the same tuple yields the byte-identical event-log — and
 // therefore byte-identical strace text, STA archive and DXT dump — on
-// every machine, so the scenario matrix in cmd/stbench and the
-// committed BENCH_matrix.json baselines are reproducible. Generated
+// every machine, so the scenario matrix (TestScenarioMatrix in cmd/stbench)
+// and its committed BENCH_matrix.json baseline are reproducible. Generated
 // events carry a transfer size only for read/write variants and stay at
 // microsecond resolution, so a write-to-strace-text → ParseCase round
 // trip reproduces the log exactly, event for event.

@@ -116,7 +116,9 @@ func TestRoundTripDXT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dxt.ToEventLog("rt", records)
+			src := dxt.Stream("rt", records, 0, 0)
+			got, err := source.Drain(src, false)
+			src.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,8 @@
 // Package synth generates deterministic synthetic event-logs shaped
 // like the paper's per-rank I/O traces (open, interleaved
-// read/write/seek bursts, close). It backs the ingestion benchmarks,
-// the parallel-equivalence tests, and the stbench -ingest mode, so the
-// workload they measure is defined in one place.
+// read/write/seek bursts, close). It backs the parallel-equivalence
+// tests and the allocation and speedup gates, so the workload they
+// measure is defined in one place.
 package synth
 
 import (

@@ -122,10 +122,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			del, err := dxt.ToEventLogParallel("seq", records, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			del := drainDXT(t, "seq", records)
 			dwant := inMemoryArtifacts(del)
 			snapshotMergeCheck(t, p.Name+"/dxt", del, dwant, func(syms *SymbolTable) Source {
 				recs := records

@@ -364,8 +364,7 @@ type CheckpointOptions = core.CheckpointOptions
 // opts.Every cases, and with opts.Resume it reloads the checkpoint and
 // folds only the cases it has not yet seen. Whatever the crash/resume
 // history, the final artifacts and checkpoint bytes are identical to an
-// uninterrupted run (stinspect exposes this as the snapshot subcommand;
-// stbench as -checkpoint/-resume).
+// uninterrupted run (stinspect exposes this as the snapshot subcommand).
 func AnalyzeStreamCheckpointed(src Source, m Mapping, shards int, joinErrors bool, opts CheckpointOptions) (*StreamResult, error) {
 	return core.AnalyzeStreamCheckpointed(src, m, shards, joinErrors, opts)
 }
@@ -468,8 +467,9 @@ func TailDir(dir string, sink CaseSink, opts FollowOptions) *Tailer {
 // FollowReader parses one case from a possibly-truncated stream with
 // the tailer's resume semantics: complete records parse, an
 // unterminated final line is dropped and counted, never misparsed.
-// It returns the case, the number of dropped trailing lines, and the
-// first parse error when opts.Strict.
+// It returns the case, the number of dropped lines (the unterminated
+// final line plus complete lines skipped as unparseable or over 4 MiB),
+// and, when opts.Strict, the first skipped line's *ParseError instead.
 func FollowReader(id CaseID, r io.Reader, opts ParseOptions) (*Case, int, error) {
 	return strace.FollowReader(id, r, opts)
 }

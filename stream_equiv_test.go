@@ -205,10 +205,7 @@ func TestStreamEquivalenceDXT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, err := dxt.ToEventLogParallel("dxt", records, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	el := drainDXT(t, "dxt", records)
 	want := inMemoryArtifacts(el)
 	equivCheck(t, "dxt", want, func(p, w int, syms *SymbolTable) Source {
 		recs := records
@@ -290,10 +287,7 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			del, err := dxt.ToEventLogParallel("dxt", records, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			del := drainDXT(t, "dxt", records)
 			equivCheck(t, p.Name+"/dxt", inMemoryArtifacts(del), func(pp, w int, syms *SymbolTable) Source {
 				recs := records
 				if syms != nil {
@@ -321,4 +315,17 @@ func TestStreamEquivalenceFiltered(t *testing.T) {
 			t.Errorf("filtered stream differs from in-memory at ashards=%d", shards)
 		}
 	}
+}
+
+// drainDXT materializes parsed DXT records as an event-log, one case per
+// (hostname, rank), through the sequential stream.
+func drainDXT(t *testing.T, cid string, records []dxt.Record) *trace.EventLog {
+	t.Helper()
+	src := dxt.Stream(cid, records, 1, 0)
+	defer src.Close()
+	el, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return el
 }

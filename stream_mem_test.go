@@ -8,8 +8,10 @@ package stinspector
 // made the stream accumulate.
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
+	"testing/fstest"
 
 	"stinspector/internal/source"
 	"stinspector/internal/strace"
@@ -24,11 +26,26 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
+// synthTraceFS renders nFiles synthetic per-rank trace files into an
+// in-memory filesystem (no disk noise).
+func synthTraceFS(tb testing.TB, nFiles, perFile int) fstest.MapFS {
+	tb.Helper()
+	fsys := fstest.MapFS{}
+	el := synthLog(nFiles*perFile, nFiles, 16, 11)
+	for _, c := range el.Cases() {
+		var buf bytes.Buffer
+		if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
+			tb.Fatal(err)
+		}
+		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
+	}
+	return fsys
+}
+
 func TestStreamIngestMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement")
 	}
-	// The identical 256-rank set BenchmarkStreamIngest measures.
 	const nFiles, perFile = 256, 400
 	fsys := synthTraceFS(t, nFiles, perFile)
 	opts := strace.Options{Strict: true, Parallelism: 4, Window: 8}
