@@ -2,6 +2,7 @@ package strace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ import (
 // timestamp SplitN, per-record Args slices, unquote copies); the
 // interned, arena-backed parser runs near 1.1 — the line copy plus
 // amortized slice growth. The ceiling is set at 2 to leave headroom
-// for scanner-buffer variance without ever letting the old behaviour
-// back in. The budget holds over both symbol-table modes: the
+// for pool variance (a GC empties the framer pool) without ever
+// letting the old behaviour back in. The budget holds over both symbol-table modes: the
 // process-wide Default (warm pooled caches) and a scoped per-pass
 // table, whose caches are deliberately stripped when pooled — the
 // per-file map rebuild is a handful of allocations amortized over
@@ -81,6 +82,54 @@ func TestParseAllocBudget(t *testing.T) {
 			}
 		})
 	}
+
+	// The live path runs the same pooled framer, so FollowReader meets
+	// the same ceiling and allocates about the bytes ParseCase does on
+	// the same input (scoped table, as a live session uses it). A live
+	// path that does not pool its buffer, records and argument arena
+	// allocates several times ParseCase's bytes, which the 1.5x bound
+	// catches; the count alone does not.
+	t.Run("follow-reader", func(t *testing.T) {
+		opts := Options{Calls: map[string]bool{}, Syms: intern.NewTable()}
+		_, parseBytes := allocsAndBytes(10, func() {
+			if _, err := ParseCase(id, strings.NewReader(data), opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		allocs, followBytes := allocsAndBytes(10, func() {
+			c, dropped, err := FollowReader(id, strings.NewReader(data), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Len() != events || dropped != 0 {
+				t.Fatalf("followed %d events, %d dropped; want %d, 0", c.Len(), dropped, events)
+			}
+		})
+		perEvent := allocs / events
+		t.Logf("FollowReader: %.3f allocs/event, %.0f B/event (ParseCase %.0f B/event)",
+			perEvent, followBytes/events, parseBytes/events)
+		if perEvent > 2.0 {
+			t.Errorf("allocs/event = %.3f, budget 2.0 — the live parse path regressed", perEvent)
+		}
+		if followBytes > 1.5*parseBytes {
+			t.Errorf("FollowReader allocates %.0f B/event, over 1.5x ParseCase's %.0f", followBytes/events, parseBytes/events)
+		}
+	})
+}
+
+// allocsAndBytes reports the average allocations and heap bytes of one
+// call of f, measured like testing.AllocsPerRun: one warm-up call, then
+// runs calls at GOMAXPROCS 1.
+func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(runs), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 // TestParseAllocBudgetProfiles extends the parse-side allocation gate

@@ -1,13 +1,11 @@
 package strace
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +125,8 @@ type TailStats struct {
 //   - An unparseable complete line, or one over 4 MiB, is skipped and
 //     counted in ParseSkips; under Strict the first such line of each
 //     read also surfaces via Sink.Fail as a *ParseError in a FileError.
+//     ParseCase and FollowReader frame lines with the same code, so
+//     they skip (or, under Strict, name) exactly the same lines.
 //
 // A file completes when its exit record has been read, the reader has
 // caught up to EOF with no partial line pending, and the file has been
@@ -331,34 +331,19 @@ func (t *Tailer) backoff(rnd *rand.Rand, attempt int) bool {
 	}
 }
 
-// readChunk is the read size of both follow paths.
-const readChunk = 32 << 10
-
 // fileTail is the per-file follow state.
 type fileTail struct {
 	name    string
 	f       TailFile
-	offset  int64    // bytes consumed from the current identity
-	buf     []byte   // unterminated final line, buffered for retry
-	scanned int      // prefix of buf already searched for a newline
-	discard bool     // inside an over-long line: drop bytes up to '\n'
-	records []Record // complete records parsed so far
-	args    argBuilder
-	line    int // 1-based line counter for ParseError positions
-	sawExit bool
-	lastNew time.Time // last time bytes arrived (or the file opened)
+	offset  int64       // bytes consumed from the current identity
+	lr      *lineReader // the file's framer and parsed records
+	lastNew time.Time   // last time bytes arrived (or the file opened)
 }
 
 // reset drops all parse state — the truncation/rotation restart.
 func (ft *fileTail) reset() {
 	ft.offset = 0
-	ft.buf = ft.buf[:0]
-	ft.scanned = 0
-	ft.discard = false
-	ft.records = ft.records[:0]
-	ft.args.reset()
-	ft.line = 0
-	ft.sawExit = false
+	ft.lr.reset()
 	ft.lastNew = time.Now()
 }
 
@@ -373,11 +358,12 @@ func (t *Tailer) followFile(name string) {
 	}
 
 	rnd := t.fileRand(name)
-	ft := &fileTail{name: name, lastNew: time.Now()}
+	ft := &fileTail{name: name, lr: getLineReader(), lastNew: time.Now()}
 	defer func() {
 		if ft.f != nil {
 			ft.f.Close()
 		}
+		ft.lr.put()
 	}()
 
 	// open (re)establishes the handle and skips already-consumed bytes.
@@ -419,7 +405,6 @@ func (t *Tailer) followFile(name string) {
 	}
 
 	lastStallCheck := time.Now()
-	readBuf := make([]byte, readChunk)
 	for {
 		if t.stopping() {
 			return
@@ -455,15 +440,14 @@ func (t *Tailer) followFile(name string) {
 		// Read what is available now. os-like handles return io.EOF at
 		// the current end and deliver new bytes on later reads.
 		caughtUp := false
-		n, err := ft.f.Read(readBuf)
+		n, skips, first, err := ft.lr.readFrom(ft.f)
 		if n > 0 {
 			ft.offset += int64(n)
 			ft.lastNew = time.Now()
 			lastStallCheck = ft.lastNew
-			skips, err := ft.consume(readBuf[:n])
 			t.parseSkips.Add(uint64(skips))
-			if err != nil && t.opts.Strict {
-				t.sink.Fail(&FileError{Name: name, Err: err})
+			if first != nil && t.opts.Strict {
+				t.sink.Fail(&FileError{Name: name, Err: first})
 			}
 		}
 		switch {
@@ -491,17 +475,17 @@ func (t *Tailer) followFile(name string) {
 		}
 
 		// Caught up. Emit if complete, drain if asked, else wait.
-		if ft.sawExit && caughtUp && time.Since(ft.lastNew) >= t.opts.Grace {
+		if ft.lr.sawExit && caughtUp && time.Since(ft.lastNew) >= t.opts.Grace {
 			t.emit(id, ft)
 			return
 		}
 		if t.drainRequested() && caughtUp {
-			if len(ft.records) > 0 {
+			if len(ft.lr.records) > 0 {
 				t.emit(id, ft)
 			}
 			return
 		}
-		if st := t.opts.StallTimeout; st > 0 && !ft.sawExit && time.Since(ft.lastNew) >= st && time.Since(lastStallCheck) >= st {
+		if st := t.opts.StallTimeout; st > 0 && !ft.lr.sawExit && time.Since(ft.lastNew) >= st && time.Since(lastStallCheck) >= st {
 			lastStallCheck = time.Now()
 			t.stalls.Add(1)
 			t.sink.Fail(&StallError{Name: name, Quiet: time.Since(ft.lastNew).Round(time.Millisecond)})
@@ -512,100 +496,20 @@ func (t *Tailer) followFile(name string) {
 	}
 }
 
-// consume splits raw bytes into complete lines and parses them; the
-// unterminated remainder stays buffered — a truncated record is never
-// materialized. The newline search resumes where the previous chunk's
-// left off, and a line longer than maxLineBytes is never buffered
-// whole: it is skipped like an unparseable line and its remaining bytes
-// are dropped up to the next newline. consume returns the number of
-// lines skipped and the first skipped line's error (a *ParseError
-// carrying the line number); the caller applies its strictness policy.
-func (ft *fileTail) consume(p []byte) (skips int, first error) {
-	skip := func(err error) {
-		skips++
-		if pe, ok := err.(*ParseError); ok {
-			pe.Line = ft.line
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	if ft.discard {
-		i := bytes.IndexByte(p, '\n')
-		if i < 0 {
-			return 0, nil
-		}
-		ft.discard = false
-		p = p[i+1:]
-	}
-	if need := len(ft.buf) + len(p); need > cap(ft.buf) {
-		// Double a growing partial line, up to the most the line cap
-		// can use: append's 1.25x steps for large slices would copy ~5x
-		// the line before it reaches the cap.
-		c := max(need, 2*len(ft.buf))
-		if c >= maxLineBytes {
-			c = max(need, maxLineBytes+readChunk)
-		}
-		grown := make([]byte, len(ft.buf), c)
-		copy(grown, ft.buf)
-		ft.buf = grown
-	}
-	ft.buf = append(ft.buf, p...)
-	for {
-		i := bytes.IndexByte(ft.buf[ft.scanned:], '\n')
-		if i < 0 {
-			break
-		}
-		i += ft.scanned
-		line := ft.buf[:i]
-		ft.buf = ft.buf[i+1:]
-		ft.scanned = 0
-		ft.line++
-		if len(line) > maxLineBytes {
-			skip(errLineTooLong())
-			continue
-		}
-		text := string(line)
-		if strings.TrimSpace(text) == "" {
-			continue
-		}
-		rec, err := parseLineWith(text, &ft.args)
-		if err != nil {
-			skip(err)
-			continue
-		}
-		rec.Line = ft.line
-		ft.records = append(ft.records, rec)
-		if rec.Kind == KindExit {
-			ft.sawExit = true
-		}
-	}
-	ft.scanned = len(ft.buf)
-	if len(ft.buf) > maxLineBytes {
-		ft.line++
-		skip(errLineTooLong())
-		ft.buf = nil // release the cap-sized buffer
-		ft.scanned = 0
-		ft.discard = true
-	}
-	return skips, first
-}
-
 // emit converts the file's records into a case and pushes it. An
 // unterminated buffered remainder is dropped and counted here — the
 // single place a partial line can leave the pipeline, and it leaves as
 // a counter, not a record.
 func (t *Tailer) emit(id trace.CaseID, ft *fileTail) {
-	if len(ft.buf) > 0 {
+	if dropped, _ := ft.lr.end(false); dropped {
 		t.partialDrops.Add(1)
-		ft.buf = ft.buf[:0]
 	}
-	events, err := EventsFromRecords(id, ft.records, t.opts.Options)
+	c, err := ft.lr.buildCase(id, t.opts.Options)
 	if err != nil {
 		t.sink.Fail(&FileError{Name: ft.name, Err: err})
 		return
 	}
-	if err := t.sink.Push(trace.NewCase(id, events)); err != nil {
+	if err := t.sink.Push(c); err != nil {
 		return
 	}
 	t.cases.Add(1)
@@ -617,33 +521,19 @@ func (t *Tailer) emit(id trace.CaseID, ft *fileTail) {
 // dropped — never emitted truncated. The returned count is every line
 // dropped: the unterminated final line plus the complete lines skipped
 // as unparseable or longer than 4 MiB. Under Strict the first skipped
-// line is instead returned as a *ParseError, matching the Tailer.
+// line is instead returned as a *ParseError. The Tailer and ParseCase
+// run the same framer and skip the same lines; only ParseCase parses
+// an unterminated final line.
 func FollowReader(id trace.CaseID, r io.Reader, opts Options) (*trace.Case, int, error) {
-	ft := &fileTail{name: id.FileName()}
-	buf := make([]byte, readChunk)
-	dropped := 0
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			skips, perr := ft.consume(buf[:n])
-			if perr != nil && opts.Strict {
-				return nil, 0, perr
-			}
-			dropped += skips
-		}
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
+	lr := getLineReader()
+	defer lr.put()
+	dropped, partial, err := lr.readAll(r, opts.Strict, false)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(ft.buf) > 0 {
+	if partial {
 		dropped++
 	}
-	events, err := EventsFromRecords(id, ft.records, opts)
-	if err != nil {
-		return nil, dropped, err
-	}
-	return trace.NewCase(id, events), dropped, nil
+	c, err := lr.buildCase(id, opts)
+	return c, dropped, err
 }

@@ -2,9 +2,12 @@ package strace
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"stinspector/internal/behavior"
 	"stinspector/internal/trace"
@@ -30,7 +33,8 @@ var fuzzSeeds = []string{
 // FuzzParseCase: arbitrary trace text must never panic, in any option
 // mode, on the batch or the follow path, and whenever a case is
 // produced it must satisfy the event-model invariants (sorted by start
-// time, stamped with the case identity).
+// time, stamped with the case identity). Where the input is split into
+// reads must not change the result.
 func FuzzParseCase(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -47,9 +51,14 @@ func FuzzParseCase(f *testing.F) {
 		f.Add(buf.String())
 	}
 
-	// A line just over the 4 MiB cap between two valid records: the
-	// batch path rejects it, the follow path skips it.
+	// A line just over the 4 MiB cap between two valid records: every
+	// path skips it, or names it under Strict.
 	f.Add(fuzzSeeds[0] + "\n" + strings.Repeat("x", maxLineBytes+1) + "\n" + fuzzSeeds[1] + "\n")
+	// CRLF line endings, including an unterminated final "\r".
+	f.Add(strings.Join(fuzzSeeds[:3], "\r\n") + "\r")
+	// Records straddling the first two 32 KiB read boundaries.
+	line := fuzzSeeds[0] + "\n"
+	f.Add(strings.Repeat(line, 2*readChunk/len(line)+2))
 
 	id := trace.CaseID{CID: "fuzz", Host: "h", RID: 1}
 	f.Fuzz(func(t *testing.T, data string) {
@@ -58,12 +67,58 @@ func FuzzParseCase(f *testing.F) {
 			{Strict: true},
 			{KeepFailed: true, Calls: map[string]bool{}},
 		} {
-			c, err := ParseCase(id, strings.NewReader(data), opts)
-			checkFuzzCase(t, "ParseCase", opts, id, c, err)
-			c, _, err = FollowReader(id, strings.NewReader(data), opts)
+			want, wantErr := ParseCase(id, strings.NewReader(data), opts)
+			checkFuzzCase(t, "ParseCase", opts, id, want, wantErr)
+			// Chunking never changes the result: the same bytes read
+			// one at a time or in input-derived chunk sizes parse
+			// identically, and so does the follow path once the final
+			// line is terminated.
+			for _, r := range []struct {
+				path string
+				read func() (*trace.Case, error)
+			}{
+				{"ParseCase/OneByteReader", func() (*trace.Case, error) {
+					return ParseCase(id, iotest.OneByteReader(strings.NewReader(data)), opts)
+				}},
+				{"ParseCase/chunked", func() (*trace.Case, error) {
+					return ParseCase(id, &chunkReader{data: data}, opts)
+				}},
+				{"FollowReader/terminated", func() (*trace.Case, error) {
+					c, _, err := FollowReader(id, strings.NewReader(data+"\n"), opts)
+					return c, err
+				}},
+			} {
+				c, err := r.read()
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s opts %+v: error %v, ParseCase error %v", r.path, opts, err, wantErr)
+				}
+				if err == nil && !reflect.DeepEqual(c.Events, want.Events) {
+					t.Fatalf("%s opts %+v: %d events differ from ParseCase's %d", r.path, opts, c.Len(), want.Len())
+				}
+			}
+			c, _, err := FollowReader(id, strings.NewReader(data), opts)
 			checkFuzzCase(t, "FollowReader", opts, id, c, err)
 		}
 	})
+}
+
+// chunkReader yields data in chunks whose sizes derive from the data
+// itself, so the fuzzer moves every read boundary.
+type chunkReader struct {
+	data string
+	off  int
+	n    int // reads so far
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if r.off == len(r.data) {
+		return 0, io.EOF
+	}
+	size := 1 + int(r.data[r.n%len(r.data)])*257%(2*readChunk)
+	r.n++
+	n := copy(p[:min(len(p), size)], r.data[r.off:])
+	r.off += n
+	return n, nil
 }
 
 // checkFuzzCase asserts the event-model invariants of a successfully

@@ -113,8 +113,8 @@ func bounded(t *testing.T, what string, f func()) {
 // TestFollowReaderOverlongLine: a line over the 4 MiB cap is skipped
 // and counted like an unparseable line — the records around it parse
 // unchanged — or, under Strict, is a *ParseError naming its line. A
-// 64 MiB body never buffers the line whole. The batch path names the
-// same line.
+// 64 MiB body never buffers the line whole. The batch path runs the
+// same framer and agrees.
 func TestFollowReaderOverlongLine(t *testing.T) {
 	for _, terminated := range []bool{true, false} {
 		id, body, want, _ := overlongBody(t, terminated)
@@ -141,12 +141,20 @@ func TestFollowReaderOverlongLine(t *testing.T) {
 			t.Errorf("terminated=%v: strict error = %v, want a *ParseError at line %d", terminated, err, line)
 		}
 
-		// The batch scanner cannot resume past the line: it reports it
-		// as a *ParseError even when lenient.
+		// The batch path runs the same framer: lenient, it skips the
+		// line within the same bounds; strict, it names it.
+		id, body, _, _ = overlongBody(t, terminated)
+		bounded(t, "ParseCase", func() { c, err = ParseCase(id, body, Options{}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.Events, want.Events) {
+			t.Errorf("terminated=%v: ParseCase: %d events, want the %d around the over-long line", terminated, len(c.Events), len(want.Events))
+		}
 		id, body, _, line = overlongBody(t, terminated)
-		_, err = ParseCase(id, body, Options{})
+		_, err = ParseCase(id, body, Options{Strict: true})
 		if !errors.As(err, &pe) || pe.Line != line {
-			t.Errorf("terminated=%v: ParseCase error = %v, want a *ParseError at line %d", terminated, err, line)
+			t.Errorf("terminated=%v: strict ParseCase error = %v, want a *ParseError at line %d", terminated, err, line)
 		}
 	}
 }
@@ -198,5 +206,89 @@ func TestTailerOverlongLine(t *testing.T) {
 		if len(errs) != 1 || !errors.As(errs[0], &pe) || pe.Line != line {
 			t.Errorf("%+v: sink errors %v, want one *ParseError at line %d", faults, errs, line)
 		}
+	}
+}
+
+// TestLineCapRule pins the one line-cap rule every path shares: a line
+// of up to maxLineBytes bytes (newline excluded) parses, a longer one
+// is skipped and counted — or, under Strict, is a *ParseError at its
+// line — and the record after it parses either way. Batch (ParseCase
+// and ReadRecords), FollowReader and a Tailer must agree on events and
+// skips.
+func TestLineCapRule(t *testing.T) {
+	const (
+		head = "9054  08:55:54.100000 write(1</dev/pts/0>, \""
+		tail = "\", 8) = 8 <0.000020>"
+		next = "9054  08:55:54.200000 read(3</tmp/in>, ..., 64) = 64 <0.000010>\n"
+	)
+	id := trace.CaseID{CID: "cap", Host: "h", RID: 1}
+	for _, size := range []int{maxLineBytes - 1, maxLineBytes, maxLineBytes + 1} {
+		padded := head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+		if len(padded) != size {
+			t.Fatalf("padded line is %d bytes, want %d", len(padded), size)
+		}
+		data := padded + "\n" + next
+		wantSkips, wantEvents := 0, 2
+		if size > maxLineBytes {
+			wantSkips, wantEvents = 1, 1
+		}
+		strictErr := func(path string, err error) {
+			t.Helper()
+			var pe *ParseError
+			switch {
+			case wantSkips == 0 && err != nil:
+				t.Errorf("size %d: strict %s: %v", size, path, err)
+			case wantSkips == 1 && (!errors.As(err, &pe) || pe.Line != 1):
+				t.Errorf("size %d: strict %s error = %v, want a *ParseError at line 1", size, path, err)
+			}
+		}
+
+		want, err := ParseCase(id, strings.NewReader(data), Options{})
+		if err != nil {
+			t.Fatalf("size %d: ParseCase: %v", size, err)
+		}
+		if want.Len() != wantEvents {
+			t.Errorf("size %d: ParseCase: %d events, want %d", size, want.Len(), wantEvents)
+		}
+		if _, skips, err := ReadRecords(strings.NewReader(data), true); err != nil || skips != wantSkips {
+			t.Errorf("size %d: ReadRecords skips = %d, %v; want %d", size, skips, err, wantSkips)
+		}
+		_, err = ParseCase(id, strings.NewReader(data), Options{Strict: true})
+		strictErr("ParseCase", err)
+
+		c, dropped, err := FollowReader(id, strings.NewReader(data), Options{})
+		if err != nil || dropped != wantSkips || !reflect.DeepEqual(c.Events, want.Events) {
+			t.Errorf("size %d: FollowReader: dropped %d, err %v, events equal %v; want %d dropped and the batch events",
+				size, dropped, err, err == nil && reflect.DeepEqual(c.Events, want.Events), wantSkips)
+		}
+		_, _, err = FollowReader(id, strings.NewReader(data), Options{Strict: true})
+		strictErr("FollowReader", err)
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, id.FileName()), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sink := &collectSink{}
+		tailer := TailDir(dir, sink, fastOpts())
+		tailer.Start()
+		tailer.Drain()
+		got, errs := sink.snapshot()
+		if len(got) != 1 || !reflect.DeepEqual(got[0].Events, want.Events) {
+			t.Errorf("size %d: Tailer emitted %d cases, want one with the batch events", size, len(got))
+		}
+		if st := tailer.Stats(); st.ParseSkips != uint64(wantSkips) || st.PartialDrops != 0 {
+			t.Errorf("size %d: Tailer stats %+v, want %d parse skips and no partial drop", size, st, wantSkips)
+		}
+		if wantSkips == 0 && len(errs) != 0 {
+			t.Errorf("size %d: Tailer sink errors %v, want none", size, errs)
+		}
+		if wantSkips == 1 {
+			if len(errs) != 1 {
+				t.Errorf("size %d: Tailer sink errors %v, want one", size, errs)
+			} else {
+				strictErr("Tailer", errs[0])
+			}
+		}
+		tailer.Stop()
 	}
 }

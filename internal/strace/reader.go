@@ -1,7 +1,8 @@
 package strace
 
 import (
-	"bufio"
+	"bytes"
+	"cmp"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -18,123 +19,222 @@ import (
 	"stinspector/internal/trace"
 )
 
-// scanBufPool recycles the 64 KiB scanner line buffers of ReadRecords.
-// With hundreds of per-rank trace files parsed concurrently, allocating a
-// fresh buffer per file is measurable; pooling keeps the hot ParseLine
-// loop allocation-free on the buffer side.
-var scanBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 64*1024)
-		return &b
-	},
-}
-
-// caseBuf is the pooled per-file parsing state: the record slice
-// ParseCase fills and discards once records become events, and the
-// argument arena every record's Args subslices.
-type caseBuf struct {
-	records []Record
-	args    argBuilder
-}
-
-// recordPool recycles the per-file parsing buffers.
-var recordPool = sync.Pool{
-	New: func() any {
-		return &caseBuf{records: make([]Record, 0, 1024)}
-	},
-}
-
-// maxLineBytes caps one trace line on every framing path: the batch
-// scanner and the follow paths. A longer line is unparseable.
+// maxLineBytes caps one trace line, newline excluded. A longer line is
+// skipped like an unparseable one.
 const maxLineBytes = 4 * 1024 * 1024
 
-// errLineTooLong is the *ParseError of a line over maxLineBytes; the
-// caller sets its line number.
-func errLineTooLong() *ParseError {
-	return &ParseError{Msg: "line longer than 4 MiB"}
+// readChunk is the least spare buffer capacity a read is offered;
+// pooledBufBytes is the buffer a pooled framer keeps (one grown past it
+// by a long line is released, not pooled).
+const (
+	readChunk      = 32 << 10
+	pooledBufBytes = 64 << 10
+)
+
+// lineReader is the one strace framing loop: ParseCase/ReadRecords,
+// the Tailer and FollowReader all run it. It reads straight into the
+// spare capacity of one buffer, parses every complete line into a
+// record, and keeps the unterminated tail at the front of the buffer
+// for the next read, so a truncated record is never materialized
+// before end of input decides its fate. A line over maxLineBytes is
+// never buffered whole: it is skipped like an unparseable line and its
+// remaining bytes are dropped up to the next newline. A trailing '\r'
+// is cut from every line, as bufio.ScanLines does.
+type lineReader struct {
+	buf     []byte // the unterminated tail; reads fill the capacity behind it
+	discard bool   // inside an over-long line: drop bytes up to '\n'
+	line    int    // 1-based number of the last line framed
+	sawExit bool   // an exit record has been parsed
+	records []Record
+	args    argBuilder // the arena every record's Args subslices
+}
+
+// lineReaderPool recycles framers across files: the buffer, the record
+// backing array and the argument arena.
+var lineReaderPool = sync.Pool{
+	New: func() any { return &lineReader{records: make([]Record, 0, 1024)} },
+}
+
+func getLineReader() *lineReader { return lineReaderPool.Get().(*lineReader) }
+
+// put resets the framer and returns it to the pool.
+func (lr *lineReader) put() {
+	lr.reset()
+	if cap(lr.buf) > pooledBufBytes {
+		lr.buf = nil
+	}
+	lineReaderPool.Put(lr)
+}
+
+// reset drops all parse state — the truncation/rotation restart — and
+// the string references, so a pooled framer does not pin parsed line
+// text, keeping the backing arrays for reuse.
+func (lr *lineReader) reset() {
+	clear(lr.records)
+	lr.args.reset()
+	*lr = lineReader{buf: lr.buf[:0], records: lr.records[:0], args: lr.args}
+}
+
+// readFrom reads once from r into the buffer and parses every line the
+// read completes; the newline search covers only the new bytes, as the
+// buffered tail holds none. It returns the bytes read, the number of
+// lines skipped as unparseable or over-long, the first skipped line's
+// error and the read error; the caller applies its strictness policy.
+func (lr *lineReader) readFrom(r io.Reader) (n, skips int, first *ParseError, err error) {
+	if cap(lr.buf)-len(lr.buf) < readChunk {
+		// Double a growing partial line, up to the most the cap can use.
+		c := max(2*cap(lr.buf), pooledBufBytes)
+		if c >= maxLineBytes {
+			c = maxLineBytes + readChunk
+		}
+		lr.buf = append(make([]byte, 0, c), lr.buf...)
+	}
+	from := len(lr.buf)
+	n, err = r.Read(lr.buf[from:cap(lr.buf)])
+	p := lr.buf[:from+n]
+	start := 0 // first byte of the line being framed
+	skip := func(pe *ParseError) {
+		if pe != nil {
+			skips++
+			first = cmp.Or(first, pe)
+		}
+	}
+	for {
+		i := bytes.IndexByte(p[from:], '\n')
+		if i < 0 {
+			break
+		}
+		line := p[start : from+i]
+		start, from = from+i+1, from+i+1
+		if lr.discard { // the over-long line ends here; it was counted
+			lr.discard = false
+			continue
+		}
+		lr.line++
+		skip(lr.parse(line))
+	}
+	if start > 0 {
+		p = p[:copy(p, p[start:])]
+	}
+	switch {
+	case lr.discard:
+		p = p[:0]
+	case len(p) > maxLineBytes:
+		lr.line++
+		skip(lr.parse(p))
+		p = p[:0]
+		lr.discard = true
+	}
+	lr.buf = p
+	return n, skips, first, err
+}
+
+// parse parses one framed line (newline cut) into a record, returning
+// the error of a skipped line. Blank lines are neither records nor
+// skips.
+func (lr *lineReader) parse(b []byte) *ParseError {
+	if len(b) > maxLineBytes {
+		return &ParseError{Line: lr.line, Msg: "line longer than 4 MiB"}
+	}
+	b = bytes.TrimSuffix(b, []byte{'\r'})
+	if len(bytes.TrimSpace(b)) == 0 {
+		return nil
+	}
+	rec, err := parseLineWith(string(b), &lr.args)
+	if err != nil {
+		pe := err.(*ParseError)
+		pe.Line = lr.line
+		return pe
+	}
+	rec.Line = lr.line
+	lr.records = append(lr.records, rec)
+	lr.sawExit = lr.sawExit || rec.Kind == KindExit
+	return nil
+}
+
+// end ends the input. On the batch path (parseTail) an unterminated
+// final line is parsed as the last line, as bufio.Scanner does, and its
+// error returned if it is skipped; on the follow paths it is dropped —
+// never emitted truncated — and reported so the caller can count it.
+func (lr *lineReader) end(parseTail bool) (dropped bool, skip *ParseError) {
+	tail := lr.buf
+	lr.buf = lr.buf[:0]
+	if len(tail) == 0 || !parseTail {
+		return len(tail) > 0, nil
+	}
+	lr.line++
+	return false, lr.parse(tail)
+}
+
+// readAll runs the framer over r to end of input, then ends it with
+// parseTail. Under strict the first skipped line is returned as its
+// *ParseError; otherwise skipped lines are counted. dropped reports an
+// unterminated final line dropped on the follow paths.
+func (lr *lineReader) readAll(r io.Reader, strict, parseTail bool) (skipped int, dropped bool, err error) {
+	for {
+		_, skips, first, rerr := lr.readFrom(r)
+		if errors.Is(rerr, io.EOF) {
+			var pe *ParseError
+			if dropped, pe = lr.end(parseTail); pe != nil {
+				skips++
+				first = cmp.Or(first, pe)
+			}
+		}
+		if first != nil && strict {
+			return 0, false, first
+		}
+		skipped += skips
+		switch {
+		case errors.Is(rerr, io.EOF):
+			return skipped, dropped, nil
+		case rerr != nil:
+			return 0, false, fmt.Errorf("strace: reading trace: %w", rerr)
+		}
+	}
+}
+
+// buildCase is the one records → events → case step: it converts the
+// framed records over a pooled cache of the symbol table opts.Syms
+// selects, canonicalizing the case identity strings too.
+func (lr *lineReader) buildCase(id trace.CaseID, opts Options) (*trace.Case, error) {
+	cache := intern.CacheFor(opts.Syms)
+	defer intern.PutCache(cache)
+	id.CID = cache.Canon(id.CID)
+	id.Host = cache.Canon(id.Host)
+	events, err := eventsFromRecords(id, lr.records, opts, cache)
+	if err != nil {
+		return nil, err
+	}
+	return trace.NewCase(id, events), nil
 }
 
 // ReadRecords parses every line of an strace output stream into records.
-// Unparseable lines are returned as errors unless lenient is true, in
-// which case they are skipped and counted.
+// Unparseable lines and lines over 4 MiB are returned as errors unless
+// lenient is true, in which case they are skipped and counted.
 func ReadRecords(r io.Reader, lenient bool) ([]Record, int, error) {
-	return readRecordsInto(nil, r, lenient, &argBuilder{})
-}
-
-// readRecordsInto is ReadRecords appending into a caller-provided slice
-// and argument arena, enabling ParseCase to reuse pooled backing arrays
-// across files.
-func readRecordsInto(records []Record, r io.Reader, lenient bool, ab *argBuilder) ([]Record, int, error) {
-	skipped := 0
-	bufp := scanBufPool.Get().(*[]byte)
-	defer scanBufPool.Put(bufp)
-	sc := bufio.NewScanner(r)
-	sc.Buffer((*bufp)[:0], maxLineBytes)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if strings.TrimSpace(text) == "" {
-			continue
-		}
-		rec, err := parseLineWith(text, ab)
-		if err != nil {
-			if lenient {
-				skipped++
-				continue
-			}
-			if pe, ok := err.(*ParseError); ok {
-				pe.Line = line
-			}
-			return nil, skipped, err
-		}
-		rec.Line = line
-		records = append(records, rec)
+	lr := &lineReader{}
+	skipped, _, err := lr.readAll(r, !lenient, true)
+	if err != nil {
+		return nil, 0, err
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			pe := errLineTooLong()
-			pe.Line = line + 1
-			return nil, skipped, pe
-		}
-		return nil, skipped, fmt.Errorf("strace: reading trace: %w", err)
-	}
-	return records, skipped, nil
+	return lr.records, skipped, nil
 }
 
 // ParseCase parses a single trace stream into a case with the given
 // identity. Call names, file paths and the case identity strings are
 // canonicalized through the symbol table opts.Syms selects (the
 // process-wide intern.Default when nil), so the resulting events share
-// one string per distinct value instead of allocating per event.
+// one string per distinct value instead of allocating per event. An
+// unparseable line, or one over 4 MiB, is skipped unless opts.Strict,
+// which returns it as a *ParseError; an unterminated final line is
+// parsed like any other.
 func ParseCase(id trace.CaseID, r io.Reader, opts Options) (*trace.Case, error) {
-	cache := intern.CacheFor(opts.Syms)
-	defer intern.PutCache(cache)
-	id.CID = cache.Canon(id.CID)
-	id.Host = cache.Canon(id.Host)
-
-	cb := recordPool.Get().(*caseBuf)
-	defer func() {
-		// Drop the string references before pooling so the backing
-		// arrays do not pin parsed line text across files. Clear the
-		// records' full capacity: on a parse error the slice header is
-		// still len 0 while the backing array already holds records.
-		s := cb.records[:cap(cb.records)]
-		clear(s)
-		cb.records = s[:0]
-		cb.args.reset()
-		recordPool.Put(cb)
-	}()
-	records, _, err := readRecordsInto(cb.records[:0], r, !opts.Strict, &cb.args)
-	if err != nil {
+	lr := getLineReader()
+	defer lr.put()
+	if _, _, err := lr.readAll(r, opts.Strict, true); err != nil {
 		return nil, err
 	}
-	cb.records = records
-	events, err := eventsFromRecords(id, records, opts, cache)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewCase(id, events), nil
+	return lr.buildCase(id, opts)
 }
 
 // ParseFile parses one trace file whose name follows the

@@ -470,6 +470,7 @@ func TailDir(dir string, sink CaseSink, opts FollowOptions) *Tailer {
 // It returns the case, the number of dropped lines (the unterminated
 // final line plus complete lines skipped as unparseable or over 4 MiB),
 // and, when opts.Strict, the first skipped line's *ParseError instead.
+// The batch parsers and the tailer apply the same over-4-MiB rule.
 func FollowReader(id CaseID, r io.Reader, opts ParseOptions) (*Case, int, error) {
 	return strace.FollowReader(id, r, opts)
 }
