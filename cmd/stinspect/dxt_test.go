@@ -30,11 +30,11 @@ func TestRunDXTInput(t *testing.T) {
 	if err := run([]string{"dfg", "-dxt", "/no/such/file"}); err == nil {
 		t.Errorf("missing dxt file accepted")
 	}
-	// A dump has no case index: the library rejects a range, in both
-	// the materializing and the streaming paths.
+	// A dump has no case index: the library rejects a range, for the
+	// fold and the in-memory subcommands alike.
 	for _, args := range [][]string{
 		{"info", "-dxt", dxtFile, "-cases", "0:1"},
-		{"info", "-stream", "-dxt", dxtFile, "-cases", "0:1"},
+		{"percase", "-dxt", dxtFile, "-cases", "0:1"},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "case range") {
 			t.Errorf("run(%v) = %v, want the DXT case-range rejection", args, err)

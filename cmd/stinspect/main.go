@@ -2,37 +2,41 @@
 // traces, following the workflow of the paper's st_inspector library
 // (Figure 6).
 //
-// Usage:
+// Usage (INPUT is -traces DIR, -archive FILE or -dxt FILE):
 //
-//	stinspect dfg      -traces DIR|-archive FILE [-filter SUBSTR] [-map MAPPING] [-format text|dot|mermaid]
-//	stinspect stats    -traces DIR|-archive FILE [-filter SUBSTR] [-map MAPPING]
-//	stinspect variants -traces DIR|-archive FILE [-map MAPPING]
-//	stinspect timeline -traces DIR|-archive FILE -activity ACT [-map MAPPING]
-//	stinspect dist     -traces DIR|-archive FILE -activity ACT [-map MAPPING]
-//	stinspect percase  -traces DIR|-archive FILE [-activity ACT] [-map MAPPING]
-//	stinspect compare  -traces DIR|-archive FILE -green CID[,CID...] [-map MAPPING] [-format dot|text] [-skip CALLS]
-//	stinspect archive  -traces DIR -o FILE.sta
-//	stinspect snapshot -traces DIR|-archive FILE -o FILE.sts [-every N] [-resume] [-map MAPPING]
-//	stinspect info     -traces DIR|-archive FILE
+//	stinspect dfg       INPUT [-filter SUBSTR] [-calls CALLS] [-map MAPPING] [-format text|dot|mermaid]
+//	stinspect stats     INPUT [-filter SUBSTR] [-calls CALLS] [-map MAPPING]
+//	stinspect variants  INPUT [-map MAPPING]
+//	stinspect behavior  INPUT
+//	stinspect footprint INPUT [-green CID[,CID...]] [-map MAPPING]
+//	stinspect info      INPUT
+//	stinspect timeline  INPUT -activity ACT [-map MAPPING] [-format text|svg]
+//	stinspect dist      INPUT -activity ACT [-map MAPPING]
+//	stinspect percase   INPUT [-activity ACT] [-map MAPPING]
+//	stinspect compare   INPUT -green CID[,CID...] [-map MAPPING] [-format text|dot]
+//	stinspect report    INPUT [-green CID[,CID...]] [-activity ACT] [-title T] [-format text|html]
+//	stinspect archive   -traces DIR -o FILE.sta
+//	stinspect snapshot  INPUT -o FILE.sts [-every N] [-resume] [-map MAPPING]
 //
 // Mappings: "topdirs:N" (call + top N directories, the paper's f̂ with
 // N=2), "file:N" (call + trailing N path components, Figure 4), or
-// "env:PREFIX=VAR,...[:DEPTH]" (site-variable abstraction f̄).
+// "env:PREFIX=VAR,...[:DEPTH]" (site-variable abstraction f̄). A -format
+// value the subcommand does not render is a usage error.
 //
 // All subcommands accept -j N to bound ingestion parallelism (trace
 // files parsed or archive cases decoded concurrently; omit for
-// GOMAXPROCS).
+// GOMAXPROCS) and -window N to cap how many parsed cases are resident
+// at once (default 2×parallelism).
 //
-// The dfg, stats, variants, behavior, info and footprint subcommands
-// additionally
-// accept -stream, which synthesizes the artifacts in a single
-// bounded-memory pass without materializing the event-log — trace sets
-// larger than RAM stay inspectable. -window N caps how many parsed
-// cases are resident at once (default 2×parallelism), and -ashards N
-// shards the analysis fold itself over N workers whose partials merge
-// exactly; the output is byte-identical to the in-memory path for every
-// -j/-window/-ashards setting. All three flags require values >= 1
-// when given; omitting a flag selects its default.
+// The fold subcommands — dfg, stats, variants, behavior, info, and
+// footprint without -green — synthesize their artifacts in a single
+// bounded-memory pass and never materialize the event-log, so trace
+// sets larger than RAM stay inspectable. -ashards N shards that fold
+// over N workers whose partials merge exactly; the output is
+// byte-identical for every -j/-window/-ashards setting. The other
+// subcommands need random access to the event-log and load it into
+// memory. -j, -window and -ashards require values >= 1 when given;
+// omitting a flag selects its default.
 //
 // The snapshot subcommand folds its input in one bounded-memory pass
 // and writes the pre-Finalize aggregate state — activity-log, DFG,
@@ -45,22 +49,14 @@
 //	stinspect dfg -merge-snapshots part1.sts,part2.sts,part3.sts
 //
 // -merge-snapshots replaces -traces/-archive/-dxt as the input of the
-// dfg, stats, variants, behavior, info and footprint subcommands; the
-// output is
-// byte-identical to a single run over the union of the parts' cases.
+// fold subcommands; the output is byte-identical to a single run over
+// the union of the parts' cases.
 //
 // -cases a:b restricts an -archive input to the half-open case range
 // [a, b) of the archive's file order ("a:" means to the end, ":b" from
 // the start). The archive index addresses every case section directly,
 // without touching the skipped sections' bytes, so slicing a window out
-// of a multi-GB archive costs only the cases decoded. Works with and
-// without -stream.
-//
-// -scoped-syms scopes a fresh symbol table to the run's ingestion pass
-// instead of the process-wide table. The output is byte-identical; the
-// flag matters for long-lived embeddings (and proves the scoped path
-// end to end): the pass's string vocabulary is collectable once its
-// results are dropped.
+// of a multi-GB archive costs only the cases decoded.
 //
 // Exit status: 0 on success (including -h), 2 for command-line (usage)
 // errors, 1 for runtime failures.
@@ -71,6 +67,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -91,9 +88,17 @@ func usagef(format string, args ...any) error {
 
 // subcommands is the one inventory the top-level help and the
 // missing/unknown-subcommand errors all print, so the lists cannot
-// drift from each other (the dispatch switch below is the source of
-// truth it mirrors).
+// drift from each other.
 const subcommands = "dfg, stats, variants, behavior, timeline, dist, percase, compare, report, footprint, archive, snapshot, info"
+
+// formats lists the -format values each subcommand renders, text
+// first; a subcommand not listed renders text only.
+var formats = map[string][]string{
+	"dfg":      {"text", "dot", "mermaid"},
+	"compare":  {"text", "dot"},
+	"timeline": {"text", "svg"},
+	"report":   {"text", "html"},
+}
 
 func run(args []string) error {
 	if len(args) < 1 {
@@ -108,6 +113,9 @@ func run(args []string) error {
 		fmt.Println("run 'stinspect <subcommand> -h' for that subcommand's flags")
 		return flag.ErrHelp
 	}
+	if !slices.Contains(strings.Split(subcommands, ", "), cmd) {
+		return usagef("unknown subcommand %q (want one of: %s)", cmd, subcommands)
+	}
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	traces := fs.String("traces", "", "directory of <cid>_<host>_<rid>.st strace files")
@@ -117,18 +125,15 @@ func run(args []string) error {
 	filter := fs.String("filter", "", "keep only events whose file path contains this substring")
 	mapping := fs.String("map", "topdirs:2", "event-to-activity mapping (topdirs:N | file:N | env:P=V,...[:D])")
 	calls := fs.String("calls", "", "comma-separated call filter (e.g. read,write,openat)")
-	format := fs.String("format", "text", "output format: text or dot")
-	activity := fs.String("activity", "", "activity for the timeline subcommand")
-	green := fs.String("green", "", "comma-separated CIDs forming the green partition (compare)")
-	skip := fs.String("skip", "", "comma-separated calls to omit from rendering")
-	out := fs.String("o", "", "output file (archive subcommand)")
+	format := fs.String("format", "text", "output format: text; dfg also dot or mermaid, compare dot, timeline svg, report html")
+	activity := fs.String("activity", "", "activity for the timeline, dist, percase and report subcommands")
+	green := fs.String("green", "", "comma-separated CIDs forming the green partition (compare, report, footprint)")
+	out := fs.String("o", "", "output file (archive and snapshot subcommands)")
 	title := fs.String("title", "", "report title (report subcommand)")
 	lenient := fs.Bool("lenient", false, "skip unparseable trace lines instead of failing")
 	jobs := fs.Int("j", 0, "ingestion parallelism: trace files parsed / archive cases decoded concurrently (>= 1; omit for GOMAXPROCS)")
-	stream := fs.Bool("stream", false, "bounded-memory streaming pass (dfg, stats, variants, behavior, info, footprint): never materializes the event-log")
-	window := fs.Int("window", 0, "streaming mode: max cases resident at once (>= 1; omit for 2x parallelism)")
-	ashards := fs.Int("ashards", 0, "streaming mode: analysis shards, concurrent fold workers whose partials merge exactly (>= 1; omit for GOMAXPROCS)")
-	scopedSyms := fs.Bool("scoped-syms", false, "scope a fresh symbol table to this run's ingestion pass instead of the process-wide table (identical output; bounds retention in long-lived embeddings)")
+	window := fs.Int("window", 0, "max parsed cases resident at once (>= 1; omit for 2x parallelism)")
+	ashards := fs.Int("ashards", 0, "analysis shards of the fold subcommands and snapshot, concurrent fold workers whose partials merge exactly (>= 1; omit for GOMAXPROCS)")
 	casesRange := fs.String("cases", "", "archive input: restrict to the half-open case range a:b of the archive's file order (a:, :b, a:b)")
 	mergeSnaps := fs.String("merge-snapshots", "", "comma-separated STS snapshot files to merge as the input (dfg, stats, variants, behavior, info, footprint); replaces -traces/-archive/-dxt")
 	every := fs.Int("every", 0, "snapshot subcommand: checkpoint every N folded cases (omit or <= 0: one snapshot at the end)")
@@ -138,6 +143,13 @@ func run(args []string) error {
 	}
 	if err := validateCountFlags(fs, "j", "window", "ashards"); err != nil {
 		return err
+	}
+	want, ok := formats[cmd]
+	if !ok {
+		want = []string{"text"}
+	}
+	if !slices.Contains(want, *format) {
+		return usagef("%s: unknown -format %q (want %s)", cmd, *format, strings.Join(want, ", "))
 	}
 	// A DXT input carries -cases to the library, which rejects it.
 	var caseRange *stinspector.CaseRange
@@ -151,103 +163,108 @@ func run(args []string) error {
 		}
 		caseRange = &rg
 	}
-
-	// One scoped symbol universe per run: every backend of this
-	// invocation interns into it, and it dies with the process (or, in
-	// a long-lived embedding following this pattern, with the pass).
-	var syms *stinspector.SymbolTable
-	if *scopedSyms {
-		syms = stinspector.NewSymbolTable()
+	switch {
+	case (cmd == "timeline" || cmd == "dist") && *activity == "":
+		return usagef("%s needs -activity", cmd)
+	case cmd == "compare" && *green == "":
+		return usagef("compare needs -green CID[,CID...]")
+	case cmd == "archive" && (*traces == "" || *out == ""):
+		return usagef("archive needs -traces DIR and -o FILE")
+	case cmd == "snapshot" && *out == "":
+		return usagef("snapshot needs -o FILE.sts")
 	}
-	parseOpts := func(window int) stinspector.ParseOptions {
-		return stinspector.ParseOptions{Strict: !*lenient, Parallelism: *jobs, Window: window, Syms: syms}
-	}
-	openOpts := func(window int) stinspector.OpenOptions {
-		return stinspector.OpenOptions{Parallelism: *jobs, Window: window, Syms: syms, Cases: caseRange}
-	}
-
-	openStream := func() (stinspector.Source, error) {
-		nsrc := 0
-		for _, s := range []string{*traces, *archivePath, *dxtPath} {
-			if s != "" {
-				nsrc++
-			}
-		}
-		var src stinspector.Source
-		var err error
-		switch {
-		case nsrc > 1:
-			return nil, usagef("-traces, -archive and -dxt are mutually exclusive")
-		case *traces != "":
-			src, err = stinspector.StreamStraceDir(*traces, parseOpts(*window))
-		case *archivePath != "":
-			src, err = stinspector.StreamArchive(*archivePath, openOpts(*window))
-		case *dxtPath != "":
-			var f *os.File
-			f, err = os.Open(*dxtPath)
-			if err != nil {
-				return nil, err
-			}
-			src, err = stinspector.StreamDXT(*cid, f, openOpts(*window))
-			f.Close()
-		default:
-			return nil, usagef("need -traces DIR, -archive FILE or -dxt FILE")
-		}
-		if err != nil {
-			return nil, err
-		}
-		if *filter != "" {
-			substr := *filter
-			src = stinspector.FilterStream(src, func(e stinspector.Event) bool {
-				return strings.Contains(e.FP, substr)
-			})
-		}
-		if *calls != "" {
-			set := make(map[string]bool)
-			for _, c := range strings.Split(*calls, ",") {
-				set[c] = true
-			}
-			src = stinspector.FilterStream(src, func(e stinspector.Event) bool { return set[e.Call] })
-		}
-		return src, nil
-	}
-
+	// The fold subcommands never need the event-log: they stream their
+	// input through the sharded analysis fold, or merge snapshot files.
+	fold := cmd == "dfg" || cmd == "stats" || cmd == "variants" || cmd == "behavior" ||
+		cmd == "info" || (cmd == "footprint" && *green == "")
 	if *mergeSnaps != "" {
-		// Merged snapshots replace ingestion entirely: the parts carry
-		// the pre-Finalize aggregates of their folds, so the artifacts
-		// come out of the exact merge, not out of a stream.
-		switch cmd {
-		case "dfg", "stats", "variants", "behavior", "info", "footprint":
-		default:
-			return usagef("subcommand %q cannot run from merged snapshots", cmd)
+		if !fold {
+			return usagef("subcommand %q needs the event-log, which merged snapshots do not hold (they serve dfg, stats, variants, behavior, info, and footprint without -green)", cmd)
 		}
-		if *traces != "" || *archivePath != "" || *dxtPath != "" || *stream {
-			return usagef("-merge-snapshots replaces -traces/-archive/-dxt and implies one merged pass; drop the other input flags")
+		if *traces != "" || *archivePath != "" || *dxtPath != "" {
+			return usagef("-merge-snapshots replaces -traces/-archive/-dxt; drop the other input flags")
 		}
-		m, err := parseMapping(*mapping)
+	}
+
+	if cmd == "archive" {
+		in, err := stinspector.FromStraceDir(*traces, stinspector.ParseOptions{Strict: !*lenient, Parallelism: *jobs})
 		if err != nil {
 			return err
 		}
+		if err := stinspector.WriteArchive(*out, in.EventLog()); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s: %s\n", *out, in.Summary())
+		return nil
+	}
+
+	m, err := parseMapping(*mapping)
+	if err != nil {
+		return err
+	}
+	if *mergeSnaps != "" {
 		res, err := stinspector.MergeSnapshots(m, strings.Split(*mergeSnaps, ",")...)
 		if err != nil {
 			return err
 		}
-		return runStreamed(cmd, res, *format)
+		printFold(cmd, res, *format)
+		return nil
 	}
 
+	// The one switch over the input backends: every subcommand but
+	// archive reads its cases from this stream.
+	nsrc := 0
+	for _, s := range []string{*traces, *archivePath, *dxtPath} {
+		if s != "" {
+			nsrc++
+		}
+	}
+	openOpts := stinspector.OpenOptions{Parallelism: *jobs, Window: *window, Cases: caseRange}
+	var src stinspector.Source
+	switch {
+	case nsrc > 1:
+		return usagef("-traces, -archive and -dxt are mutually exclusive")
+	case *traces != "":
+		src, err = stinspector.StreamStraceDir(*traces, stinspector.ParseOptions{Strict: !*lenient, Parallelism: *jobs, Window: *window})
+	case *archivePath != "":
+		src, err = stinspector.StreamArchive(*archivePath, openOpts)
+	case *dxtPath != "":
+		var f *os.File
+		if f, err = os.Open(*dxtPath); err != nil {
+			return err
+		}
+		src, err = stinspector.StreamDXT(*cid, f, openOpts)
+		f.Close()
+	default:
+		return usagef("need -traces DIR, -archive FILE or -dxt FILE")
+	}
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	if *filter != "" {
+		substr := *filter
+		src = stinspector.FilterStream(src, func(e stinspector.Event) bool {
+			return strings.Contains(e.FP, substr)
+		})
+	}
+	if *calls != "" {
+		set := make(map[string]bool)
+		for _, c := range strings.Split(*calls, ",") {
+			set[c] = true
+		}
+		src = stinspector.FilterStream(src, func(e stinspector.Event) bool { return set[e.Call] })
+	}
+
+	if fold {
+		res, err := stinspector.AnalyzeStreamParallel(src, m, *ashards, !*lenient)
+		if err != nil {
+			return err
+		}
+		printFold(cmd, res, *format)
+		return nil
+	}
 	if cmd == "snapshot" {
-		if *out == "" {
-			return usagef("snapshot needs -o FILE.sts")
-		}
-		m, err := parseMapping(*mapping)
-		if err != nil {
-			return err
-		}
-		src, err := openStream()
-		if err != nil {
-			return err
-		}
-		defer src.Close()
 		opts := stinspector.CheckpointOptions{
 			Dir:    filepath.Dir(*out),
 			Name:   filepath.Base(*out),
@@ -263,144 +280,14 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *stream {
-		// Reject unsupported subcommands before ingesting anything —
-		// -stream targets trace sets where a wasted pass is expensive.
-		switch cmd {
-		case "dfg", "stats", "variants", "behavior", "info", "footprint":
-		default:
-			return usagef("subcommand %q needs the in-memory event-log; drop -stream", cmd)
-		}
-		m, err := parseMapping(*mapping)
-		if err != nil {
-			return err
-		}
-		analyze := func(keep func(*stinspector.Case) bool) (*stinspector.StreamResult, error) {
-			src, err := openStream()
-			if err != nil {
-				return nil, err
-			}
-			defer src.Close()
-			if keep != nil {
-				src = stinspector.FilterStreamCases(src, keep)
-			}
-			return stinspector.AnalyzeStreamParallel(src, m, *ashards, !*lenient)
-		}
-		if cmd == "footprint" && *green != "" {
-			// Partition comparison over streams: one pass per subset
-			// (sources are one-shot, so the split re-opens the input).
-			set := make(map[string]bool)
-			for _, c := range strings.Split(*green, ",") {
-				set[c] = true
-			}
-			gres, err := analyze(func(c *stinspector.Case) bool { return set[c.ID.CID] })
-			if err != nil {
-				return err
-			}
-			rres, err := analyze(func(c *stinspector.Case) bool { return !set[c.ID.CID] })
-			if err != nil {
-				return err
-			}
-			gf, rf := stinspector.NewFootprint(gres.DFG), stinspector.NewFootprint(rres.DFG)
-			fmt.Printf("structural similarity: %.3f\n", gf.Similarity(rf))
-			for _, d := range gf.Diff(rf) {
-				fmt.Printf("  %s vs %s:  green %s, red %s\n", d.A, d.B, d.Left, d.Rite)
-			}
-			return nil
-		}
-		res, err := analyze(nil)
-		if err != nil {
-			return err
-		}
-		return runStreamed(cmd, res, *format)
+	// The rest needs the event-log in memory.
+	in, err := stinspector.LoadStream(src, !*lenient)
+	if err != nil {
+		return err
 	}
-
-	load := func() (*stinspector.Inspector, error) {
-		var in *stinspector.Inspector
-		var err error
-		nsrc := 0
-		for _, s := range []string{*traces, *archivePath, *dxtPath} {
-			if s != "" {
-				nsrc++
-			}
-		}
-		switch {
-		case nsrc > 1:
-			return nil, usagef("-traces, -archive and -dxt are mutually exclusive")
-		case *traces != "":
-			in, err = stinspector.FromStraceDir(*traces, parseOpts(0))
-		case *archivePath != "":
-			in, err = stinspector.FromArchive(*archivePath, openOpts(0))
-		case *dxtPath != "":
-			var f *os.File
-			f, err = os.Open(*dxtPath)
-			if err != nil {
-				return nil, err
-			}
-			in, err = stinspector.FromDXT(*cid, f, openOpts(0))
-			f.Close()
-		default:
-			return nil, usagef("need -traces DIR, -archive FILE or -dxt FILE")
-		}
-		if err != nil {
-			return nil, err
-		}
-		if *filter != "" {
-			in = in.FilterPath(*filter)
-		}
-		if *calls != "" {
-			in = in.FilterCalls(strings.Split(*calls, ",")...)
-		}
-		m, err := parseMapping(*mapping)
-		if err != nil {
-			return nil, err
-		}
-		return in.WithMapping(m), nil
-	}
-
+	in = in.WithMapping(m)
 	switch cmd {
-	case "dfg":
-		in, err := load()
-		if err != nil {
-			return err
-		}
-		st := in.Stats()
-		switch *format {
-		case "dot":
-			fmt.Print(stinspector.RenderDOT(in.DFG(), st, stinspector.StatisticsColoring{Stats: st}))
-		case "mermaid":
-			fmt.Print(stinspector.RenderMermaid(in.DFG(), st, stinspector.StatisticsColoring{Stats: st}))
-		default:
-			fmt.Print(stinspector.RenderText(in.DFG(), st, nil))
-		}
-		return nil
-
-	case "variants":
-		in, err := load()
-		if err != nil {
-			return err
-		}
-		for _, v := range in.ActivityLog().Variants() {
-			fmt.Printf("%4d× %s\n", v.Mult, v.Seq)
-		}
-		return nil
-
-	case "behavior":
-		in, err := load()
-		if err != nil {
-			return err
-		}
-		fmt.Print(in.Behavior().RenderText())
-		return nil
-
 	case "dist":
-		if *activity == "" {
-			return usagef("dist needs -activity")
-		}
-		in, err := load()
-		if err != nil {
-			return err
-		}
 		d, ok := in.Distribution(stinspector.Activity(*activity))
 		if !ok {
 			return fmt.Errorf("no events map to activity %q", *activity)
@@ -411,36 +298,15 @@ func run(args []string) error {
 		fmt.Printf("p95/p99:    %v / %v\n", d.P95, d.P99)
 		fmt.Printf("max/total:  %v / %v\n", d.Max, d.Total)
 		fmt.Printf("tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", d.TailShare)
-		return nil
 
 	case "percase":
-		in, err := load()
-		if err != nil {
-			return err
-		}
 		rows := in.PerCase(stinspector.Activity(*activity))
 		fmt.Printf("%-28s %8s %14s %14s\n", "CASE", "EVENTS", "TOTALDUR", "BYTES")
 		for _, r := range rows {
 			fmt.Printf("%-28s %8d %14v %14d\n", r.Case, r.Events, r.TotalDur, r.Bytes)
 		}
-		return nil
-
-	case "stats":
-		in, err := load()
-		if err != nil {
-			return err
-		}
-		fmt.Print(statsTable(in.Stats()))
-		return nil
 
 	case "timeline":
-		if *activity == "" {
-			return usagef("timeline needs -activity")
-		}
-		in, err := load()
-		if err != nil {
-			return err
-		}
 		tl := in.Timeline(stinspector.Activity(*activity))
 		if *format == "svg" {
 			fmt.Print(stinspector.RenderTimelineSVG(tl, *activity))
@@ -448,32 +314,19 @@ func run(args []string) error {
 		}
 		fmt.Print(stinspector.RenderTimeline(tl))
 		fmt.Printf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
-		return nil
 
 	case "compare":
-		if *green == "" {
-			return usagef("compare needs -green CID[,CID...]")
-		}
-		in, err := load()
-		if err != nil {
-			return err
-		}
 		full, part := in.PartitionByCID(strings.Split(*green, ",")...)
 		st := in.Stats()
 		if *format == "dot" {
-			fmt.Print(renderDOTSkipping(full, st, part, *skip))
+			fmt.Print(stinspector.RenderDOT(full, st, stinspector.PartitionColoring{Partition: part}))
 		} else {
 			fmt.Print(stinspector.RenderText(full, st, part))
 		}
 		gn, rn, sn := part.CountNodes()
 		fmt.Fprintf(os.Stderr, "nodes: %d green, %d red, %d shared\n", gn, rn, sn)
-		return nil
 
 	case "report":
-		in, err := load()
-		if err != nil {
-			return err
-		}
 		opts := report.Options{Title: *title}
 		if *green != "" {
 			opts.GreenCIDs = strings.Split(*green, ",")
@@ -487,60 +340,25 @@ func run(args []string) error {
 		return report.Generate(os.Stdout, in, opts)
 
 	case "footprint":
-		in, err := load()
-		if err != nil {
-			return err
-		}
-		if *green == "" {
-			fmt.Print(in.Footprint().String())
-			return nil
-		}
-		// Structural comparison of the two partitions.
-		cids := strings.Split(*green, ",")
-		set := make(map[string]bool, len(cids))
-		for _, c := range cids {
+		// Structural comparison of the -green partition with the rest.
+		set := make(map[string]bool)
+		for _, c := range strings.Split(*green, ",") {
 			set[c] = true
 		}
 		gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return set[c.ID.CID] })
-		gf := stinspector.FromEventLog(gl).WithMapping(in.Mapping()).Footprint()
-		rf := stinspector.FromEventLog(rl).WithMapping(in.Mapping()).Footprint()
+		gf := stinspector.FromEventLog(gl).WithMapping(m).Footprint()
+		rf := stinspector.FromEventLog(rl).WithMapping(m).Footprint()
 		fmt.Printf("structural similarity: %.3f\n", gf.Similarity(rf))
 		for _, d := range gf.Diff(rf) {
 			fmt.Printf("  %s vs %s:  green %s, red %s\n", d.A, d.B, d.Left, d.Rite)
 		}
-		return nil
-
-	case "archive":
-		if *traces == "" || *out == "" {
-			return usagef("archive needs -traces DIR and -o FILE")
-		}
-		in, err := stinspector.FromStraceDir(*traces, parseOpts(0))
-		if err != nil {
-			return err
-		}
-		if err := stinspector.WriteArchive(*out, in.EventLog()); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %s\n", *out, in.Summary())
-		return nil
-
-	case "info":
-		in, err := load()
-		if err != nil {
-			return err
-		}
-		fmt.Println(in.Summary())
-		return nil
-
-	default:
-		return usagef("unknown subcommand %q (want one of: %s)", cmd, subcommands)
 	}
+	return nil
 }
 
-// runStreamed serves the subcommands whose artifacts are derivable in a
-// single bounded-memory pass; the others need random access to the
-// event-log and reject -stream.
-func runStreamed(cmd string, res *stinspector.StreamResult, format string) error {
+// printFold renders a fold subcommand's artifacts, the same whether
+// they came from a streamed pass or from merged snapshots.
+func printFold(cmd string, res *stinspector.StreamResult, format string) {
 	switch cmd {
 	case "dfg":
 		switch format {
@@ -551,28 +369,34 @@ func runStreamed(cmd string, res *stinspector.StreamResult, format string) error
 		default:
 			fmt.Print(stinspector.RenderText(res.DFG, res.Stats, nil))
 		}
-		return nil
 	case "stats":
 		fmt.Print(statsTable(res.Stats))
-		return nil
 	case "variants":
 		for _, v := range res.ActivityLog.Variants() {
 			fmt.Printf("%4d× %s\n", v.Mult, v.Seq)
 		}
-		return nil
 	case "behavior":
 		fmt.Print(res.Behavior.RenderText())
-		return nil
 	case "footprint":
 		fmt.Print(stinspector.NewFootprint(res.DFG).String())
-		return nil
 	case "info":
-		fmt.Printf("%d cases, %d events, %d activities (streamed; peak %d cases resident; %d run symbols)\n",
-			res.Cases, res.Events, len(res.Stats.Activities()), res.PeakResident, res.Symbols)
-		return nil
-	default:
-		return usagef("subcommand %q needs the in-memory event-log; drop -stream", cmd)
+		fmt.Printf("%d cases, %d events, calls: %s; %d activities, peak %d cases resident, %d run symbols\n",
+			res.Cases, res.Events, strings.Join(callNames(res.Stats), ","),
+			len(res.Stats.Activities()), res.PeakResident, res.Symbols)
 	}
+}
+
+// callNames is the sorted call set of the folded activities. Every
+// mapping stinspect offers maps an event to "call" or "call:path", so
+// this is the event-log's call set, recovered without the event-log.
+func callNames(st *stinspector.Stats) []string {
+	var out []string
+	for _, a := range st.Activities() {
+		call, _ := a.Parts()
+		out = append(out, call)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // validateCountFlags rejects worker/window counts below 1 on any of the
@@ -678,15 +502,4 @@ func statsTable(st *stinspector.Stats) string {
 		fmt.Fprintf(&b, "%-44s %8d %8.3f %12s %6d\n", a, s.Events, s.RelDur, bytes, s.MaxConc)
 	}
 	return b.String()
-}
-
-func renderDOTSkipping(g *stinspector.DFG, st *stinspector.Stats, p *stinspector.Partition, skip string) string {
-	// The public facade renders the partition styling; call skipping is
-	// text-format only through the experiments harness, so here we
-	// apply partition coloring and note skipped calls in a comment.
-	out := stinspector.RenderDOT(g, st, stinspector.PartitionColoring{Partition: p})
-	if skip != "" {
-		out = "// note: -skip applies to text format; dot renders all nodes\n" + out
-	}
-	return out
 }

@@ -8,7 +8,6 @@ import (
 
 	"stinspector"
 	"stinspector/internal/cliutil"
-	"stinspector/internal/intern"
 	"stinspector/internal/lssim"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth"
@@ -93,7 +92,7 @@ func TestRunCompare(t *testing.T) {
 	if err := run([]string{"compare", "-traces", dir, "-green", "a"}); err != nil {
 		t.Errorf("compare: %v", err)
 	}
-	if err := run([]string{"compare", "-traces", dir, "-green", "a", "-format", "dot", "-skip", "openat"}); err != nil {
+	if err := run([]string{"compare", "-traces", dir, "-green", "a", "-format", "dot"}); err != nil {
 		t.Errorf("compare dot: %v", err)
 	}
 	if err := run([]string{"compare", "-traces", dir}); err == nil {
@@ -120,9 +119,9 @@ func TestRunArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunArchiveCaseRange: -cases a:b slices an archive input — both
-// the materializing and the streaming paths — and the range grammar's
-// edge cases behave per the documented contract.
+// TestRunArchiveCaseRange: -cases a:b slices an archive input — for
+// the fold and the in-memory subcommands alike — and the range
+// grammar's edge cases behave per the documented contract.
 func TestRunArchiveCaseRange(t *testing.T) {
 	log := synth.Log("rng", 6, 20, 4)
 	dir := t.TempDir()
@@ -134,18 +133,17 @@ func TestRunArchiveCaseRange(t *testing.T) {
 		if err := run([]string{"info", "-archive", arc, "-cases", r}); err != nil {
 			t.Errorf("info -cases %s: %v", r, err)
 		}
-		if err := run([]string{"dfg", "-stream", "-archive", arc, "-cases", r}); err != nil {
-			t.Errorf("dfg -stream -cases %s: %v", r, err)
+		if err := run([]string{"percase", "-archive", arc, "-cases", r}); err != nil {
+			t.Errorf("percase -cases %s: %v", r, err)
 		}
 	}
-	// An empty range streams zero cases (the materializing path has
-	// nothing to load, so streaming is the supported shape).
-	if err := run([]string{"info", "-stream", "-archive", arc, "-cases", "6:6"}); err != nil {
-		t.Errorf("info -stream -cases 6:6: %v", err)
+	// An empty range streams zero cases.
+	if err := run([]string{"info", "-archive", arc, "-cases", "6:6"}); err != nil {
+		t.Errorf("info -cases 6:6: %v", err)
 	}
 	// The sliced pass must see exactly the ranged cases.
 	out := captureStdout(t, func() error {
-		return run([]string{"info", "-stream", "-archive", arc, "-cases", "1:4"})
+		return run([]string{"info", "-archive", arc, "-cases", "1:4"})
 	})
 	if !strings.HasPrefix(out, "3 cases, 60 events") {
 		t.Errorf("info -cases 1:4 reported %q, want 3 cases / 60 events", out)
@@ -198,61 +196,41 @@ func TestRunCountFlagValidation(t *testing.T) {
 		{"-window", "0"}, {"-window", "-1"},
 		{"-ashards", "0"}, {"-ashards", "-2"},
 	} {
-		err := run([]string{"dfg", "-traces", dir, "-stream", tc.flag, tc.value})
+		err := run([]string{"dfg", "-traces", dir, tc.flag, tc.value})
 		if err == nil {
-			t.Errorf("dfg -stream %s %s succeeded, want usage error", tc.flag, tc.value)
+			t.Errorf("dfg %s %s succeeded, want usage error", tc.flag, tc.value)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.flag) || !strings.Contains(err.Error(), "at least 1") {
 			t.Errorf("%s %s: error %q does not name the flag and bound", tc.flag, tc.value, err)
 		}
 	}
-	// The validation also guards the non-streaming path.
-	if err := run([]string{"dfg", "-traces", dir, "-j", "-1"}); err == nil {
-		t.Errorf("in-memory dfg with -j -1 succeeded, want usage error")
+	// The validation also guards the in-memory subcommands.
+	if err := run([]string{"percase", "-traces", dir, "-j", "-1"}); err == nil {
+		t.Errorf("percase with -j -1 succeeded, want usage error")
 	}
 	// Valid explicit values still work.
-	if err := run([]string{"dfg", "-traces", dir, "-stream", "-j", "2", "-window", "3", "-ashards", "2"}); err != nil {
+	if err := run([]string{"dfg", "-traces", dir, "-j", "2", "-window", "3", "-ashards", "2"}); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
 }
 
 // TestRunStreamSharded: the -ashards knob drives the sharded analysis
-// fold end to end over every streamed subcommand.
+// fold end to end over every fold subcommand.
 func TestRunStreamSharded(t *testing.T) {
 	dir := demoDir(t)
-	for _, cmd := range []string{"dfg", "stats", "variants", "info", "footprint"} {
-		if err := run([]string{cmd, "-traces", dir, "-stream", "-ashards", "4"}); err != nil {
-			t.Errorf("%s -stream -ashards 4: %v", cmd, err)
-		}
-	}
-}
-
-// TestRunScopedSyms: -scoped-syms drives the scoped-symbol-table path
-// end to end, in-memory and streamed, over the strace and archive
-// backends.
-func TestRunScopedSyms(t *testing.T) {
-	dir := demoDir(t)
-	sta := filepath.Join(t.TempDir(), "scoped.sta")
-	if err := run([]string{"archive", "-traces", dir, "-o", sta, "-scoped-syms"}); err != nil {
-		t.Fatalf("archive -scoped-syms: %v", err)
-	}
-	for _, args := range [][]string{
-		{"dfg", "-traces", dir, "-scoped-syms"},
-		{"dfg", "-traces", dir, "-stream", "-scoped-syms"},
-		{"stats", "-archive", sta, "-scoped-syms"},
-		{"info", "-archive", sta, "-stream", "-scoped-syms", "-j", "2", "-window", "3", "-ashards", "2"},
-	} {
-		if err := run(args); err != nil {
-			t.Errorf("run(%v): %v", args, err)
+	for _, cmd := range []string{"dfg", "stats", "variants", "behavior", "info", "footprint"} {
+		if err := run([]string{cmd, "-traces", dir, "-ashards", "4"}); err != nil {
+			t.Errorf("%s -ashards 4: %v", cmd, err)
 		}
 	}
 }
 
 // TestRunUsageExitCodes is the table-driven flag-validation suite:
-// command-line mistakes — including -scoped-syms combined with invalid
-// -j/-window/-ashards values — must surface as usage errors (exit 2),
-// runtime failures as plain errors (exit 1), success as 0.
+// command-line mistakes — among them a -format value the subcommand
+// does not render and every retired flag — must surface as usage
+// errors (exit 2), runtime failures as plain errors (exit 1), success
+// as 0.
 func TestRunUsageExitCodes(t *testing.T) {
 	dir := demoDir(t)
 	cases := []struct {
@@ -261,7 +239,8 @@ func TestRunUsageExitCodes(t *testing.T) {
 		exit int
 	}{
 		{"ok", []string{"info", "-traces", dir}, 0},
-		{"ok scoped", []string{"info", "-traces", dir, "-scoped-syms"}, 0},
+		{"ok mermaid", []string{"dfg", "-traces", dir, "-format", "mermaid"}, 0},
+		{"ok svg", []string{"timeline", "-traces", dir, "-activity", "read:/usr/lib", "-format", "svg"}, 0},
 		{"help request", []string{"dfg", "-h"}, 0},
 		{"top-level help", []string{"-h"}, 0},
 		{"top-level help word", []string{"help"}, 0},
@@ -271,47 +250,28 @@ func TestRunUsageExitCodes(t *testing.T) {
 		{"no source", []string{"dfg"}, 2},
 		{"two sources", []string{"dfg", "-traces", dir, "-archive", "x.sta"}, 2},
 		{"bad mapping", []string{"dfg", "-traces", dir, "-map", "bogus"}, 2},
-		{"scoped with bad -j", []string{"dfg", "-traces", dir, "-scoped-syms", "-j", "0"}, 2},
-		{"scoped with bad -window", []string{"dfg", "-traces", dir, "-stream", "-scoped-syms", "-window", "-1"}, 2},
-		{"scoped with bad -ashards", []string{"dfg", "-traces", dir, "-stream", "-scoped-syms", "-ashards", "0"}, 2},
-		{"scoped stream unsupported", []string{"percase", "-traces", dir, "-stream", "-scoped-syms"}, 2},
+		{"bad -j", []string{"dfg", "-traces", dir, "-j", "0"}, 2},
+		{"bad -window", []string{"percase", "-traces", dir, "-window", "-1"}, 2},
+		{"bad -ashards", []string{"dfg", "-traces", dir, "-ashards", "0"}, 2},
+		{"unknown dfg format", []string{"dfg", "-traces", dir, "-format", "bogus"}, 2},
+		{"stats renders text only", []string{"stats", "-traces", dir, "-format", "dot"}, 2},
+		{"info renders text only", []string{"info", "-traces", dir, "-format", "dot"}, 2},
+		{"compare has no mermaid", []string{"compare", "-traces", dir, "-green", "a", "-format", "mermaid"}, 2},
+		{"timeline has no html", []string{"timeline", "-traces", dir, "-activity", "read:/usr/lib", "-format", "html"}, 2},
+		{"report has no svg", []string{"report", "-traces", dir, "-format", "svg"}, 2},
+		{"retired -stream", []string{"info", "-traces", dir, "-stream"}, 2},
+		{"retired -scoped-syms", []string{"info", "-traces", dir, "-scoped-syms"}, 2},
+		{"retired -skip", []string{"compare", "-traces", dir, "-green", "a", "-format", "dot", "-skip", "openat"}, 2},
 		{"dist without activity", []string{"dist", "-traces", dir}, 2},
 		{"compare without green", []string{"compare", "-traces", dir}, 2},
 		{"archive without output", []string{"archive", "-traces", dir}, 2},
 		{"runtime failure", []string{"dfg", "-traces", "/no/such/dir"}, 1},
-		{"runtime failure scoped", []string{"dfg", "-traces", "/no/such/dir", "-scoped-syms"}, 1},
+		{"runtime failure in memory", []string{"percase", "-traces", "/no/such/dir"}, 1},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)
 		if got := cliutil.ExitCode(err); got != tc.exit {
 			t.Errorf("%s: run(%v) -> exit %d (err %v), want %d", tc.name, tc.args, got, err, tc.exit)
-		}
-	}
-}
-
-// TestRunScopedSymsDefaultUntouched pins the retention contract at the
-// CLI layer over a novel vocabulary: every subcommand invoked with
-// -scoped-syms — the archive consolidation path included, which once
-// silently dropped the flag — must leave the process-wide symbol table
-// exactly as it found it.
-func TestRunScopedSymsDefaultUntouched(t *testing.T) {
-	dir := t.TempDir()
-	if err := strace.WriteDir(dir, synth.WideLog("cli-scoped", 4, 50, 9)); err != nil {
-		t.Fatal(err)
-	}
-	sta := filepath.Join(t.TempDir(), "scoped.sta")
-	for _, args := range [][]string{
-		{"archive", "-traces", dir, "-o", sta, "-scoped-syms"},
-		{"info", "-traces", dir, "-scoped-syms"},
-		{"dfg", "-traces", dir, "-stream", "-scoped-syms"},
-		{"stats", "-archive", sta, "-scoped-syms"},
-	} {
-		d0 := intern.Default.Len()
-		if err := run(args); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
-		if got := intern.Default.Len(); got != d0 {
-			t.Errorf("run(%v) grew intern.Default: %d -> %d symbols", args, d0, got)
 		}
 	}
 }

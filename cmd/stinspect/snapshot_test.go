@@ -9,7 +9,8 @@ import (
 )
 
 // captureStdout runs f with os.Stdout redirected and returns what it
-// printed; f must succeed.
+// printed; f must succeed. The pipe is drained while f runs, so output
+// larger than the pipe buffer cannot block f.
 func captureStdout(t *testing.T, f func() error) string {
 	t.Helper()
 	old := os.Stdout
@@ -17,11 +18,21 @@ func captureStdout(t *testing.T, f func() error) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type result struct {
+		out []byte
+		err error
+	}
+	read := make(chan result)
+	go func() {
+		out, err := io.ReadAll(r)
+		read <- result{out, err}
+	}()
 	os.Stdout = w
 	runErr := f()
 	w.Close()
 	os.Stdout = old
-	out, readErr := io.ReadAll(r)
+	res := <-read
+	out, readErr := res.out, res.err
 	r.Close()
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -69,13 +80,13 @@ func TestRunSnapshotShardedMerge(t *testing.T) {
 	}
 	for _, cmd := range []string{"dfg", "stats", "variants", "footprint"} {
 		want := captureStdout(t, func() error {
-			return run([]string{cmd, "-traces", full, "-stream"})
+			return run([]string{cmd, "-traces", full})
 		})
 		got := captureStdout(t, func() error {
 			return run([]string{cmd, "-merge-snapshots", p1 + "," + p2})
 		})
 		if got != want {
-			t.Errorf("%s: merged-snapshot output differs from single-process stream:\ngot  %q\nwant %q", cmd, got, want)
+			t.Errorf("%s: merged-snapshot output differs from the single-process run:\ngot  %q\nwant %q", cmd, got, want)
 		}
 	}
 }
@@ -141,8 +152,8 @@ func TestRunSnapshotErrors(t *testing.T) {
 		{"snapshot", "-traces", dir},                                   // missing -o
 		{"snapshot", "-o", sts},                                        // missing input
 		{"timeline", "-merge-snapshots", sts, "-activity", "x"},        // needs event-log
+		{"footprint", "-merge-snapshots", sts, "-green", "a"},          // needs event-log
 		{"dfg", "-merge-snapshots", sts, "-traces", dir},               // conflicting input
-		{"dfg", "-merge-snapshots", sts, "-stream"},                    // conflicting mode
 		{"dfg", "-merge-snapshots", filepath.Join(tmp, "missing.sts")}, // unreadable part
 	} {
 		if err := run(args); err == nil {

@@ -9,14 +9,11 @@
 //
 //	tracegen -outdir traces/                       # paper demo traces
 //	tracegen -archive demo.sta                     # consolidated event-log
-//	tracegen -format sta -o demo.sta               # the same, uniform form
 //	tracegen -list-profiles                        # name + description
 //	tracegen -profile heavytail -cases 32 -events 200 -seed 7 -outdir t/
 //
-// -format {strace,sta} with -o PATH is the uniform output selector:
-// strace writes a directory of .st files, sta the consolidated STA
-// archive. The legacy -outdir/-archive flags remain as shorthands and
-// cannot be combined with -format.
+// -outdir writes a directory of .st files and -archive the consolidated
+// STA archive; give either or both.
 package main
 
 import (
@@ -41,8 +38,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	outdir := fs.String("outdir", "", "write strace files into this directory")
 	archiveOut := fs.String("archive", "", "write a consolidated .sta event-log")
-	format := fs.String("format", "", "output format for -o: strace or sta")
-	outPath := fs.String("o", "", "output path for -format (a directory for strace, a file for sta)")
 	host := fs.String("host", "host1", "host name used in demo trace file names")
 	profile := fs.String("profile", "", "scenario-matrix generator profile (see -list-profiles); empty runs the paper demo")
 	list := fs.Bool("list-profiles", false, "list the available generator profiles and exit")
@@ -63,19 +58,8 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if (*format == "") != (*outPath == "") {
-		return cliutil.Usagef("-format and -o must be given together")
-	}
-	if *format != "" && (*outdir != "" || *archiveOut != "") {
-		return cliutil.Usagef("-format/-o cannot be combined with -outdir/-archive")
-	}
-	switch *format {
-	case "", "strace", "sta":
-	default:
-		return cliutil.Usagef("unknown -format %q (have strace, sta)", *format)
-	}
-	if *format == "" && *outdir == "" && *archiveOut == "" {
-		return cliutil.Usagef("need -format FMT -o PATH, -outdir DIR, and/or -archive FILE")
+	if *outdir == "" && *archiveOut == "" {
+		return cliutil.Usagef("need -outdir DIR and/or -archive FILE")
 	}
 
 	var cx *trace.EventLog
@@ -105,18 +89,6 @@ func run(args []string) error {
 		cx = demo
 	}
 
-	switch *format {
-	case "strace":
-		if err := strace.WriteDir(*outPath, cx); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d trace files to %s\n", cx.NumCases(), *outPath)
-	case "sta":
-		if err := stinspector.WriteArchive(*outPath, cx); err != nil {
-			return err
-		}
-		fmt.Printf("wrote event-log archive %s (%d events)\n", *outPath, cx.NumEvents())
-	}
 	if *outdir != "" {
 		if err := strace.WriteDir(*outdir, cx); err != nil {
 			return err

@@ -89,24 +89,20 @@ func TestRunProfileTraces(t *testing.T) {
 	}
 }
 
-// TestRunFormatOutputs: the -format/-o selector writes both encodings,
-// and both parse back to the same deterministic generator output,
-// event for event.
+// TestRunFormatOutputs: one run writes both encodings through
+// -outdir and -archive, and both parse back to the same deterministic
+// generator output, event for event.
 func TestRunFormatOutputs(t *testing.T) {
 	dir := t.TempDir()
 	p, _ := profiles.Lookup("burst")
 	want := p.Generate("fmt", 4, 30, 3)
-	gen := func(format, path string) {
-		t.Helper()
-		args := []string{"-profile", "burst", "-cases", "4", "-events", "30",
-			"-seed", "3", "-cid", "fmt", "-format", format, "-o", path}
-		if err := run(args); err != nil {
-			t.Fatalf("run(-format %s): %v", format, err)
-		}
+	straceDir, sta := filepath.Join(dir, "st"), filepath.Join(dir, "a.sta")
+	args := []string{"-profile", "burst", "-cases", "4", "-events", "30",
+		"-seed", "3", "-cid", "fmt", "-outdir", straceDir, "-archive", sta}
+	if err := run(args); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 
-	straceDir := filepath.Join(dir, "st")
-	gen("strace", straceDir)
 	in, err := stinspector.FromStraceDir(straceDir, stinspector.ParseOptions{Strict: true})
 	if err != nil {
 		t.Fatalf("parse back strace: %v", err)
@@ -115,8 +111,6 @@ func TestRunFormatOutputs(t *testing.T) {
 		t.Errorf("strace events = %d, want %d", in.EventLog().NumEvents(), want.NumEvents())
 	}
 
-	sta := filepath.Join(dir, "a.sta")
-	gen("sta", sta)
 	el := readArchive(t, sta)
 	if el.NumEvents() != want.NumEvents() || el.NumCases() != want.NumCases() {
 		t.Errorf("archive = %d events/%d cases, want %d/%d",
@@ -143,6 +137,7 @@ func TestRunListProfiles(t *testing.T) {
 }
 
 func TestRunUsageErrors(t *testing.T) {
+	tmp := t.TempDir()
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -153,12 +148,11 @@ func TestRunUsageErrors(t *testing.T) {
 		{"host with profile", []string{"-profile", "burst", "-host", "h", "-outdir", "x"}},
 		{"stray operand", []string{"-outdir", "x", "extra"}},
 		{"no output", []string{"-profile", "burst"}},
-		{"format without o", []string{"-format", "sta"}},
-		{"o without format", []string{"-o", "x.sta"}},
-		{"unknown format", []string{"-format", "hdf5", "-o", "x"}},
-		{"retired sta2 format", []string{"-format", "sta2", "-o", "x.sta2"}},
-		{"format with outdir", []string{"-format", "sta", "-o", "x", "-outdir", "d"}},
-		{"format with archive", []string{"-format", "sta", "-o", "x", "-archive", "a.sta"}},
+		// -outdir and -archive are the one output selector; the retired
+		// -format/-o pair is an unknown flag.
+		{"retired -format/-o", []string{"-format", "sta", "-o", filepath.Join(tmp, "x.sta")}},
+		{"retired -format", []string{"-format", "strace", "-outdir", tmp}},
+		{"retired -o", []string{"-o", filepath.Join(tmp, "y.sta"), "-archive", filepath.Join(tmp, "z.sta")}},
 	} {
 		err := run(tc.args)
 		if cliutil.ExitCode(err) != 2 {

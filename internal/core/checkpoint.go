@@ -269,10 +269,11 @@ func resultFromSnapshot(s *snapshot.Snapshot) *StreamResult {
 }
 
 // foldEpoch runs one sharded fold over the (possibly budgeted) source
-// and captures the resulting partial state as a snapshot. It is the
-// shared core of the checkpointed fold and the snapshot-producing one:
-// the same shardPartial machinery as AnalyzeStreamParallel, with the
-// per-shard folded CaseIDs collected alongside the aggregates.
+// and captures the resulting partial state as a snapshot, with the
+// per-shard folded CaseIDs collected alongside the aggregates. It is the
+// one fold body: AnalyzeStreamParallel finalizes its snapshot, the
+// checkpointed fold merges one per epoch, and AnalyzeStreamSnapshot
+// returns it as is.
 func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*snapshot.Snapshot, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -300,6 +301,12 @@ func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*s
 	// Each shard's list is ascending (round-robin over an ascending
 	// stream); the combined set sorts into the canonical order.
 	sort.Slice(s.Seen, func(i, j int) bool { return s.Seen[i].Less(s.Seen[j]) })
+	// The run owns its merged symbol universe: shard 0's table — created
+	// fresh for this run, like every partial — survives as the merge
+	// target, and shards 1..n remap into it in shard order (for one
+	// shard there is nothing to merge at all). The remap preserves
+	// strings exactly, so the merged assignment — and therefore every
+	// artifact — is byte-identical to folding sequentially.
 	run := parts[0]
 	for _, p := range parts[1:] {
 		p.mergeInto(run)

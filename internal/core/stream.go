@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
 	"stinspector/internal/intern"
@@ -113,52 +111,24 @@ func (p *shardPartial) mergeInto(dst *shardPartial) {
 // workers, each owning its own builder set over a shard-local symbol
 // table, and the shard partials are merged in shard order afterwards —
 // the shard tables remapped into shard 0's (itself created fresh for
-// this run), the counts folded as integer sums. Because every aggregate merge is exact — integer
-// counts and sums, sorted case-list interleaves, a totally-ordered
-// max-concurrency sweep, and a symbol remap that preserves strings
-// exactly — the result is byte-identical to the sequential fold at
+// this run), the counts folded as integer sums. Because every
+// aggregate merge is exact — integer counts and sums, sorted case-list
+// interleaves, a totally-ordered max-concurrency sweep, and a symbol
+// remap that preserves strings exactly — the result is byte-identical to the sequential fold at
 // every shard count; shard count is a pure throughput knob, never
 // observable in the artifacts. Only the merged survivor materializes
 // activity strings, once, at Finalize.
 //
-// shards <= 0 means runtime.GOMAXPROCS(0); shards == 1 folds inline
-// with no worker goroutines. joinErrors as in AnalyzeStream. The
-// source is not closed.
+// It is foldEpoch, the one fold body in the tree, finalized through
+// resultFromSnapshot. shards <= 0 means runtime.GOMAXPROCS(0);
+// shards == 1 folds inline with no worker goroutines. joinErrors as in
+// AnalyzeStream. The source is not closed.
 func AnalyzeStreamParallel(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*StreamResult, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	parts := make([]*shardPartial, shards)
-	for i := range parts {
-		parts[i] = newShardPartial(m)
-	}
-	err := source.ShardedFold(src, shards, 0, joinErrors, func(shard int, c *trace.Case) error {
-		return parts[shard].fold(c)
-	})
+	s, err := foldEpoch(src, m, shards, joinErrors)
 	if err != nil {
 		return nil, err
 	}
-	res := &StreamResult{}
-	for _, p := range parts {
-		res.Cases += p.cases
-		res.Events += p.evs
-	}
-	// The run owns its merged symbol universe: shard 0's table — created
-	// fresh for this run, like every partial — survives as the merge
-	// target, and shards 1..n remap into it in shard order (for one
-	// shard there is nothing to merge at all). The remap preserves
-	// strings exactly, so the merged assignment — and therefore every
-	// artifact — is byte-identical to folding sequentially, and the
-	// whole universe dies with the StreamResult.
-	run := parts[0]
-	for _, p := range parts[1:] {
-		p.mergeInto(run)
-	}
-	res.Symbols = run.sm.Acts().Len()
-	res.ActivityLog = run.pmB.Finalize()
-	res.DFG = run.dfgB.Finalize()
-	res.Stats = run.stC.Finalize()
-	res.Behavior = run.bh
+	res := resultFromSnapshot(s)
 	res.PeakResident = source.PeakResident(src)
 	return res, nil
 }
