@@ -18,21 +18,18 @@ func captureStdout(t *testing.T, f func() error) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type result struct {
-		out []byte
-		err error
-	}
-	read := make(chan result)
+	var out []byte
+	var readErr error
+	done := make(chan struct{})
 	go func() {
-		out, err := io.ReadAll(r)
-		read <- result{out, err}
+		out, readErr = io.ReadAll(r)
+		close(done)
 	}()
 	os.Stdout = w
 	runErr := f()
 	w.Close()
 	os.Stdout = old
-	res := <-read
-	out, readErr := res.out, res.err
+	<-done
 	r.Close()
 	if runErr != nil {
 		t.Fatal(runErr)
