@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"stinspector"
 )
 
 // captureStdout runs f with os.Stdout redirected and returns what it
@@ -135,6 +138,28 @@ func TestRunSnapshotResume(t *testing.T) {
 	}
 	if data, err = os.ReadFile(got); err != nil || string(data) != string(want) {
 		t.Errorf("no-op resume changed the snapshot (err %v)", err)
+	}
+}
+
+// A snapshot part written in another STS version fails the merge with
+// the typed version error, naming the file, rather than as corruption.
+func TestRunMergeSnapshotVersion(t *testing.T) {
+	tmp := t.TempDir()
+	good, old := filepath.Join(tmp, "good.sts"), filepath.Join(tmp, "old.sts")
+	if err := run([]string{"snapshot", "-traces", demoDir(t), "-o", good}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4] = 2 // the little-endian version word after the magic
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"dfg", "-merge-snapshots", good + "," + old})
+	if !errors.Is(err, stinspector.ErrSnapshotVersion) || !strings.Contains(err.Error(), old) {
+		t.Fatalf("merge with a version-2 part: err = %v, want ErrSnapshotVersion naming %s", err, old)
 	}
 }
 

@@ -301,6 +301,19 @@ func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*s
 	// Each shard's list is ascending (round-robin over an ascending
 	// stream); the combined set sorts into the canonical order.
 	sort.Slice(s.Seen, func(i, j int) bool { return s.Seen[i].Less(s.Seen[j]) })
+	// Each shard sorts its statistics spans on its own goroutine, so the
+	// serial merge below is a linear merge of sorted runs and the merged
+	// computer finalizes and encodes without sorting again.
+	var wg sync.WaitGroup
+	for _, p := range parts[1:] {
+		wg.Add(1)
+		go func(p *shardPartial) {
+			defer wg.Done()
+			p.stC.Sort()
+		}(p)
+	}
+	parts[0].stC.Sort()
+	wg.Wait()
 	// The run owns its merged symbol universe: shard 0's table — created
 	// fresh for this run, like every partial — survives as the merge
 	// target, and shards 1..n remap into it in shard order (for one

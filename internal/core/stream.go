@@ -113,9 +113,9 @@ func (p *shardPartial) mergeInto(dst *shardPartial) {
 // the shard tables remapped into shard 0's (itself created fresh for
 // this run), the counts folded as integer sums. Because every
 // aggregate merge is exact — integer counts and sums, sorted case-list
-// interleaves, a totally-ordered max-concurrency sweep, and a symbol
-// remap that preserves strings exactly — the result is byte-identical to the sequential fold at
-// every shard count; shard count is a pure throughput knob, never
+// interleaves, sorted max-concurrency span runs merged linearly, and a
+// symbol remap that preserves strings exactly — the result is
+// byte-identical to the sequential fold at every shard count; shard count is a pure throughput knob, never
 // observable in the artifacts. Only the merged survivor materializes
 // activity strings, once, at Finalize.
 //

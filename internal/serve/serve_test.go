@@ -540,6 +540,32 @@ func TestServerUnderFaultChurn(t *testing.T) {
 	}
 }
 
+// TestRecoverReportsSnapshotVersion: a state directory whose checkpoint
+// another STS version wrote fails recovery with snapshot.ErrVersion —
+// the cue to re-fold — and is not reported as corrupt.
+func TestRecoverReportsSnapshotVersion(t *testing.T) {
+	stateDir := t.TempDir()
+	dir := filepath.Join(stateDir, "old")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "session.json"), []byte(`{"name":"old","trace_dir":"/t"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v2 := []byte("STS1\x02\x00\x00\x00") // a version-2 header
+	if err := os.WriteFile(filepath.Join(dir, core.DefaultCheckpointName), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := srv.Recover()
+	if !errors.Is(rerr, snapshot.ErrVersion) || strings.Contains(rerr.Error(), "corrupt") {
+		t.Fatalf("recover over a version-2 checkpoint: err = %v, want snapshot.ErrVersion, not corruption", rerr)
+	}
+}
+
 // TestRecoverRejectsMismatchedDir: a session.json whose name disagrees
 // with its directory fails recovery loudly.
 func TestRecoverRejectsMismatchedDir(t *testing.T) {

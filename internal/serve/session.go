@@ -202,6 +202,8 @@ func newSession(cfg SessionConfig, dir string, watchdog time.Duration) (*Session
 			s.seen[id] = true
 			skip = append(skip, id.FileName())
 		}
+	} else if errors.Is(err, snapshot.ErrVersion) {
+		return nil, fmt.Errorf("serve: session %s: checkpoint %s is from another build: %w", cfg.Name, ckpt, err)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("serve: session %s: corrupt checkpoint: %w", cfg.Name, err)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzSnapshotDecode drives Decode with mutated snapshot files: seeds
-// are real snapshots of the adversarial generator profiles (the
-// hostileargs renderings among them) plus bit-flipped variants. The
+// are real version-3 snapshots of the adversarial generator profiles
+// (the hostileargs renderings among them), bit-flipped variants, and a
+// well-framed snapshot whose stats spans descend in start. The
 // decoder must never panic and never allocate proportionally to a
 // hostile count; when it does accept an input, the decoded state must
 // re-encode and re-decode to a fixed point (a canonical snapshot).
@@ -32,6 +33,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			f.Add(mut)
 		}
 		f.Add(enc[:len(enc)*2/3])
+		f.Add(descendingStartSnapshot(s))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("STS1"))

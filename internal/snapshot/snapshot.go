@@ -1,7 +1,7 @@
 // Package snapshot defines STS, the durable single-file form of one
 // analysis fold's pre-Finalize state: the activity-log, the DFG, the
-// statistics computer (128-bit rate sums and max-concurrency interval
-// sets included), the behavior profile and the set of CaseIDs already
+// statistics computer (128-bit rate sums and max-concurrency spans
+// included), the behavior profile and the set of CaseIDs already
 // folded. It is the
 // persistence layer the checkpoint/resume engine and the multi-process
 // merge (`stinspect -merge-snapshots`) stand on: because every
@@ -20,20 +20,32 @@
 //
 // Version compatibility: a reader accepts exactly its own version —
 // the format captures internal pre-Finalize state, so cross-version
-// resumption is not supported; re-fold instead. Within a version the
-// section set is fixed (meta, seen, log, dfg, stats, behavior — each
-// exactly once) and unknown section kinds are corruption, not
-// extensions. Version 2 added the behavior-profile section.
+// resumption is not supported; any other version fails with ErrVersion,
+// and the cure is to re-fold. Within a version the section set is fixed
+// (meta, seen, log, dfg, stats, behavior — each exactly once) and
+// unknown section kinds are corruption, not extensions. Version 2 added
+// the behavior-profile section. Version 3 changed the stats section:
+// activities in string order, each with its max-concurrency spans
+// sorted by (start, end) as (start delta, duration) pairs, and no case
+// identities (see stats.Computer.EncodeSnapshot).
 //
-// Symbol handling: every payload serializes its strings as a per-file
-// intern dictionary in first-use order; on load the dictionary is
-// re-interned through a fresh scoped table in file order, which (a
-// fresh table assigns symbol i to the i-th distinct string) reproduces
-// the writer's symbol assignment exactly.
+// Canonical bytes: every section is a function of the folded state
+// alone, so a snapshot's bytes depend only on the set of cases folded —
+// not on their arrival order, the shard count or the epoch and resume
+// history. The seen set is sorted, the activity-log's and the DFG's
+// contents are in canonical order, and the statistics are in string
+// and span order.
+//
+// Symbol handling: payloads serialize strings through per-section
+// dictionaries or string-ordered tables; on load they are re-interned
+// through fresh scoped tables, so no symbol of the writer's process
+// leaks into the file.
 package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 
 	"stinspector/internal/behavior"
@@ -49,13 +61,18 @@ import (
 const (
 	magic       = "STS1"
 	footerMagic = "1STS"
-	version     = 2
+	version     = 3
 )
+
+// ErrVersion reports a snapshot written in another STS version. Such a
+// file is not corrupt, only unreadable by this build: the checkpoint or
+// partial it holds has to be rebuilt by folding the traces again.
+var ErrVersion = errors.New("snapshot: unsupported STS version; re-fold the traces to rebuild it")
 
 // footerSize is the fixed tail: index offset, index CRC, magic.
 const footerSize = 8 + 4 + 4
 
-// Section kinds of version 2. All six must appear exactly once.
+// Section kinds of version 3. All six must appear exactly once.
 const (
 	kindMeta     = 1 // cases, events counters
 	kindSeen     = 2 // folded CaseID set
@@ -85,16 +102,16 @@ type Snapshot struct {
 
 // Encode serializes a fully-populated snapshot. The encoding is a pure
 // function of the snapshot's content: identical state encodes to
-// identical bytes whatever process, shard count or resume history
-// produced it.
-func Encode(s *Snapshot) []byte {
+// identical bytes whatever process, shard count, case arrival order or
+// resume history produced it.
+func Encode(s *Snapshot) []byte { return encodeSections(sectionsOf(s)) }
+
+// sectionsOf encodes the snapshot's payloads, one section per kind.
+func sectionsOf(s *Snapshot) []section {
 	var meta wire.Buf
 	meta.Uvarint(uint64(s.Cases))
 	meta.Uvarint(uint64(s.Events))
-	sections := []struct {
-		kind int
-		body []byte
-	}{
+	return []section{
 		{kindMeta, meta.Bytes()},
 		{kindSeen, encodeSeen(s.Seen)},
 		{kindLog, s.Log.EncodeSnapshot()},
@@ -102,6 +119,17 @@ func Encode(s *Snapshot) []byte {
 		{kindStats, s.Stats.EncodeSnapshot()},
 		{kindBehavior, s.Behavior.EncodeSnapshot()},
 	}
+}
+
+// section is one payload of the container, before framing.
+type section struct {
+	kind int
+	body []byte
+}
+
+// encodeSections frames the section bodies into a container: header,
+// one checksummed record per section, index and footer.
+func encodeSections(sections []section) []byte {
 	// The bodies are known before the container is written: size it
 	// once (each section adds at most two varints and a CRC, the index
 	// at most three varints per section).
@@ -144,23 +172,28 @@ func Encode(s *Snapshot) []byte {
 
 // Decode reconstructs a snapshot, verifying the magic, version, index
 // checksum and every section checksum. The mapping must be the one the
-// fold ran under (the statistics computer re-binds to it). Hostile or
-// corrupt input — truncation, bit flips, out-of-range ids, impossible
-// counts — yields a wire.CorruptError, never a panic.
+// fold ran under (the statistics computer re-binds to it). A file of
+// another STS version fails with ErrVersion. Hostile or corrupt input —
+// truncation, bit flips, out-of-range ids, impossible counts — yields a
+// wire.CorruptError, never a panic.
 func Decode(data []byte, m pm.Mapping) (*Snapshot, error) {
-	if len(data) < len(magic)+4+footerSize {
+	// Magic and version come before the size floor, so that a short
+	// file of another version still reads as that version.
+	if len(data) < len(magic)+4 {
 		return nil, wire.Corruptf("file too small (%d bytes)", len(data))
 	}
 	if string(data[:4]) != magic {
 		return nil, wire.Corruptf("bad magic %q", data[:4])
 	}
-	hc := wire.NewCursor(data[4:])
-	ver, err := hc.U32()
+	ver, err := wire.NewCursor(data[4:]).U32()
 	if err != nil {
 		return nil, err
 	}
 	if ver != version {
-		return nil, wire.Corruptf("unsupported version %d", ver)
+		return nil, fmt.Errorf("%w: the file is version %d, this build reads version %d", ErrVersion, ver, version)
+	}
+	if len(data) < len(magic)+4+footerSize {
+		return nil, wire.Corruptf("file too small (%d bytes)", len(data))
 	}
 
 	foot := data[len(data)-footerSize:]

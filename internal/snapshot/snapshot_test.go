@@ -164,6 +164,63 @@ func TestSnapshotCorruption(t *testing.T) {
 	if _, err := Decode([]byte("not a snapshot at all, definitely"), m); !errors.As(err, &ce) {
 		t.Errorf("garbage: err = %v, want CorruptError", err)
 	}
+	if _, err := Decode(descendingStartSnapshot(foldRange(el, m, 0, 8)), m); !errors.As(err, &ce) {
+		t.Errorf("descending-start stats section: err = %v, want CorruptError", err)
+	}
+}
+
+// A file of any other STS version — the previous one above all, which a
+// state directory from an older build holds — fails with ErrVersion,
+// not as corruption, whether it is whole or only a header.
+func TestSnapshotVersionError(t *testing.T) {
+	m := pm.CallTopDirs{Depth: 2}
+	enc := Encode(foldRange(synth.Log("sts", 4, 10, 1), m, 0, 4))
+	for _, ver := range []uint32{1, 2, 4} {
+		var h wire.Buf
+		h.U32(ver)
+		old := append([]byte(nil), enc...)
+		copy(old[4:8], h.Bytes())
+		for _, data := range [][]byte{old, old[:8]} {
+			_, err := Decode(data, m)
+			var ce *wire.CorruptError
+			if !errors.Is(err, ErrVersion) || errors.As(err, &ce) {
+				t.Errorf("version %d, %d bytes: err = %v, want ErrVersion and no CorruptError", ver, len(data), err)
+			}
+		}
+	}
+}
+
+// descendingStartSnapshot is a well-framed snapshot of s whose stats
+// section holds one activity with two spans, the second starting
+// before the first — written the only way the format can express it,
+// as a start delta that wraps past int64. Checksums are all valid, so
+// only the stats decoder's order check stands in its way.
+func descendingStartSnapshot(s *Snapshot) []byte {
+	var b wire.Buf
+	b.Uvarint(1)
+	b.Str("read:/f")
+	b.Varint(0)  // totalDur
+	b.Uvarint(1) // one accumulator
+	b.Uvarint(0) // activity 0
+	b.Uvarint(2) // events
+	b.Varint(0)  // totalDur
+	b.Varint(0)  // bytes
+	b.Bool(false)
+	b.U64(0) // rate.hi
+	b.U64(0) // rate.lo
+	b.Uvarint(0)
+	b.Uvarint(2)           // spans
+	b.Varint(100)          // start0
+	b.Uvarint(5)           // dur0
+	b.Uvarint(^uint64(49)) // start 50: delta -50
+	b.Uvarint(5)           // dur1
+	secs := sectionsOf(s)
+	for i := range secs {
+		if secs[i].kind == kindStats {
+			secs[i].body = b.Bytes()
+		}
+	}
+	return encodeSections(secs)
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {

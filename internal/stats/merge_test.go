@@ -179,6 +179,8 @@ func TestMaxConcurrencyZeroDurationTies(t *testing.T) {
 		{"zero-duration inside open", []trace.Interval{iv(0, 10), iv(5, 5)}, 2},
 		{"identical starts open", []trace.Interval{iv(0, 3), iv(0, 7), iv(0, 5)}, 3},
 		{"zero plus two opens same start", []trace.Interval{iv(0, 0), iv(0, 5), iv(0, 7)}, 2},
+		{"end before start then open", []trace.Interval{iv(5, 3), iv(5, 10)}, 1},
+		{"end before start inside open", []trace.Interval{iv(0, 10), iv(5, 3)}, 2},
 	}
 	for _, tc := range tests {
 		if got := MaxConcurrency(tc.ivs); got != tc.want {

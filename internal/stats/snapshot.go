@@ -2,12 +2,13 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
 	"stinspector/internal/snapshot/wire"
-	"stinspector/internal/trace"
 )
 
 // Symbols returns the number of distinct activity symbols in the
@@ -18,41 +19,42 @@ import (
 func (c *Computer) Symbols() int { return c.sm.Acts().Len() }
 
 // EncodeSnapshot serializes the computer's pre-Finalize state for
-// durable storage: the full activity symbol table in symbol order (so
-// decoding reproduces the exact symbol assignment, shared-table
-// residents like the virtual endpoints included), the integral
-// aggregates — among them the 128-bit rate sums — and every
-// max-concurrency interval. Case identities in the interval sets go
-// through a per-snapshot intern dictionary like every other string.
+// durable storage: the full activity symbol table (shared-table
+// residents like the virtual endpoints included, so Symbols survives),
+// the integral aggregates — among them the 128-bit rate sums — and
+// every activity's max-concurrency spans in (start, end) order.
 //
 // Layout (wrapped in a checksummed section by internal/snapshot):
 //
-//	acts:     n | string*                      (symbol i = entry i)
-//	caseDict: n | string*
+//	acts:     n | string*                     (strictly ascending)
 //	totalDur: varint
-//	accs:     n | (sym events totalDur bytes hasBytes
+//	accs:     n | (act events totalDur bytes hasBytes
 //	               rateHi rateLo rateCount
-//	               nIntervals (start end cidSym hostSym rid)*)*
+//	               nSpans [start0 dur0 (startDelta dur)*])*
 //
-// Only accumulators with events > 0 are written (the "events==0 ⇒
-// absent" invariant), so trailing empty slots never change the bytes.
+// act indexes acts and ascends strictly. start0 is a varint; each later
+// startDelta is a uvarint distance from the previous span's start, and
+// each dur (end - start) a uvarint. Activities go in string order and
+// spans in (start, end) order, so the bytes are a function of the
+// folded state alone: the arrival order of the cases, the shard count
+// and the symbol assignment never show. Only accumulators with
+// events > 0 are written (the "events==0 ⇒ absent" invariant), so
+// trailing empty slots never change the bytes either.
 func (c *Computer) EncodeSnapshot() []byte {
-	var head wire.Buf
 	acts := c.sm.Acts()
-	head.Uvarint(uint64(acts.Len()))
-	for i := 0; i < acts.Len(); i++ {
-		head.Str(acts.Str(intern.Sym(i)))
+	order := make([]intern.Sym, acts.Len())
+	for i := range order {
+		order[i] = intern.Sym(i)
 	}
+	slices.SortFunc(order, func(a, b intern.Sym) int {
+		return strings.Compare(acts.Str(a), acts.Str(b))
+	})
 
-	// One pass: the payload is written while the case dictionary assigns
-	// ids in first-use order, and the dictionary goes in front of it at
-	// the end. An activity's intervals arrive case by case, so the last
-	// case's ids are kept to skip the dictionary lookups.
-	caseDict := intern.NewLocal()
-	var lastCase trace.CaseID
-	var cy, hy intern.Sym
-	haveLast := false
 	var b wire.Buf
+	b.Uvarint(uint64(len(order)))
+	for _, y := range order {
+		b.Str(acts.Str(y))
+	}
 	b.Varint(int64(c.totalDur))
 	nAccs := 0
 	for y := range c.accs {
@@ -61,12 +63,12 @@ func (c *Computer) EncodeSnapshot() []byte {
 		}
 	}
 	b.Uvarint(uint64(nAccs))
-	for y := range c.accs {
-		ac := &c.accs[y]
-		if ac.events == 0 {
+	for i, y := range order {
+		if int(y) >= len(c.accs) || c.accs[y].events == 0 {
 			continue
 		}
-		b.Uvarint(uint64(y))
+		ac := &c.accs[y]
+		b.Uvarint(uint64(i))
 		b.Uvarint(uint64(ac.events))
 		b.Varint(int64(ac.totalDur))
 		b.Varint(ac.bytes)
@@ -74,29 +76,38 @@ func (c *Computer) EncodeSnapshot() []byte {
 		b.U64(ac.rate.hi)
 		b.U64(ac.rate.lo)
 		b.Uvarint(uint64(ac.rateCount))
-		b.Uvarint(uint64(len(ac.intervals)))
-		for _, iv := range ac.intervals {
-			b.Varint(int64(iv.Start))
-			b.Varint(int64(iv.End))
-			if !haveLast || iv.Case != lastCase {
-				lastCase, haveLast = iv.Case, true
-				cy, hy = caseDict.Intern(iv.Case.CID), caseDict.Intern(iv.Case.Host)
+		spans := ac.sortedSpans()
+		b.Uvarint(uint64(len(spans)))
+		for k, sp := range spans {
+			// Differences are taken in uint64 arithmetic: sorted spans
+			// make them non-negative, and the true value always fits.
+			if k == 0 {
+				b.Varint(int64(sp.start))
+			} else {
+				b.Uvarint(uint64(sp.start) - uint64(spans[k-1].start))
 			}
-			b.Uvarint(uint64(cy))
-			b.Uvarint(uint64(hy))
-			b.Varint(int64(iv.Case.RID))
+			b.Uvarint(uint64(sp.end) - uint64(sp.start))
 		}
 	}
-	return append(caseDict.AppendDict(head.Bytes()), b.Bytes()...)
+	return b.Bytes()
+}
+
+// addOffset returns base+d, and false when the sum overflows int64.
+func addOffset(base time.Duration, d uint64) (time.Duration, bool) {
+	if d > uint64(math.MaxInt64)-uint64(base) {
+		return 0, false
+	}
+	return time.Duration(uint64(base) + d), true
 }
 
 // DecodeComputerSnapshot reconstructs a computer from EncodeSnapshot
 // bytes over a fresh SymMapper for the given mapping. The activity
-// table is re-interned in file order through the scoped-table machinery
-// — a fresh local table assigns symbol i to the i-th distinct string,
-// reproducing the original assignment exactly — so the decoded computer
-// merges with, and finalizes identically to, the one that was encoded.
-// Hostile input yields a wire.CorruptError, never a panic.
+// table is re-interned in file order, so the decoded computer's symbols
+// follow string order; symbols are internal to the computer, so it
+// merges with, finalizes and re-encodes identically to the one that
+// was encoded. The decoded computer is sorted (see Sort). Hostile input
+// — activities or spans out of order, an offset that overflows —
+// yields a wire.CorruptError, never a panic.
 func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 	c := wire.NewCursor(data)
 	sm := pm.NewSymMapper(m)
@@ -110,35 +121,10 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && s <= acts.Str(intern.Sym(i-1)) {
+			return nil, wire.Corruptf("activity %q out of string order", s)
+		}
 		acts.Intern(s)
-		if acts.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate activity %q", s)
-		}
-	}
-	nCase, err := c.Count(1)
-	if err != nil {
-		return nil, err
-	}
-	caseDict := intern.NewLocal()
-	for i := 0; i < nCase; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		caseDict.Intern(s)
-		if caseDict.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate case string %q", s)
-		}
-	}
-	caseSym := func() (string, error) {
-		y, err := c.Uvarint()
-		if err != nil {
-			return "", err
-		}
-		if y >= uint64(nCase) {
-			return "", wire.Corruptf("case dictionary id %d out of range (%d strings)", y, nCase)
-		}
-		return caseDict.Str(intern.Sym(y)), nil
 	}
 
 	out := &Computer{sm: sm, accs: make([]accum, nActs)}
@@ -151,6 +137,7 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 	if err != nil {
 		return nil, err
 	}
+	next := uint64(0) // the smallest activity index the next accumulator may use
 	for i := 0; i < nAccs; i++ {
 		y, err := c.Uvarint()
 		if err != nil {
@@ -159,10 +146,11 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 		if y >= uint64(nActs) {
 			return nil, wire.Corruptf("activity symbol %d out of range (%d activities)", y, nActs)
 		}
-		ac := &out.accs[y]
-		if ac.events != 0 {
-			return nil, wire.Corruptf("duplicate accumulator for symbol %d", y)
+		if y < next {
+			return nil, wire.Corruptf("accumulator for activity %d out of order", y)
 		}
+		next = y + 1
+		ac := &out.accs[y]
 		if ac.events, err = c.Int(); err != nil {
 			return nil, err
 		}
@@ -196,38 +184,56 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 			return nil, wire.Corruptf("rate count %d overflows int64", rc)
 		}
 		ac.rateCount = int64(rc)
-		ni, err := c.Count(5)
-		if err != nil {
+		if ac.spans, err = decodeSpans(c); err != nil {
 			return nil, err
-		}
-		ac.intervals = make([]trace.Interval, ni)
-		for j := range ac.intervals {
-			iv := &ac.intervals[j]
-			s, err := c.Varint()
-			if err != nil {
-				return nil, err
-			}
-			iv.Start = time.Duration(s)
-			e, err := c.Varint()
-			if err != nil {
-				return nil, err
-			}
-			iv.End = time.Duration(e)
-			if iv.Case.CID, err = caseSym(); err != nil {
-				return nil, err
-			}
-			if iv.Case.Host, err = caseSym(); err != nil {
-				return nil, err
-			}
-			rid, err := c.Varint()
-			if err != nil {
-				return nil, err
-			}
-			iv.Case.RID = int(rid)
 		}
 	}
 	if err := c.Done(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// decodeSpans reads one activity's span list and checks the sorted
+// invariant: starts never descend (a delta overflowing int64 is how a
+// descending start would have to be written), equal starts have
+// ascending ends, and no end overflows.
+func decodeSpans(c *wire.Cursor) ([]span, error) {
+	n, err := c.Count(2)
+	if err != nil {
+		return nil, err
+	}
+	spans := make([]span, n)
+	for k := range spans {
+		var start time.Duration
+		if k == 0 {
+			s, err := c.Varint()
+			if err != nil {
+				return nil, err
+			}
+			start = time.Duration(s)
+		} else {
+			d, err := c.Uvarint()
+			if err != nil {
+				return nil, err
+			}
+			var ok bool
+			if start, ok = addOffset(spans[k-1].start, d); !ok {
+				return nil, wire.Corruptf("span %d: start delta %d overflows", k, d)
+			}
+		}
+		d, err := c.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		end, ok := addOffset(start, d)
+		if !ok {
+			return nil, wire.Corruptf("span %d: duration %d overflows the end", k, d)
+		}
+		spans[k] = span{start: start, end: end}
+		if k > 0 && cmpSpan(spans[k], spans[k-1]) < 0 {
+			return nil, wire.Corruptf("span %d out of (start, end) order", k)
+		}
+	}
+	return spans, nil
 }

@@ -100,7 +100,6 @@ func TestComputerSnapshotCorrupt(t *testing.T) {
 	var b wire.Buf
 	b.Uvarint(1)
 	b.Str("act")
-	b.Uvarint(0)  // no case strings
 	b.Varint(0)   // totalDur
 	b.Uvarint(1)  // one accumulator
 	b.Uvarint(0)  // sym
@@ -111,7 +110,7 @@ func TestComputerSnapshotCorrupt(t *testing.T) {
 	b.U64(0)      // rate.hi
 	b.U64(0)      // rate.lo
 	b.Uvarint(0)  // rateCount
-	b.Uvarint(0)  // no intervals
+	b.Uvarint(0)  // no spans
 	if _, err := DecodeComputerSnapshot(b.Bytes(), m); !errors.As(err, &ce) {
 		t.Fatalf("empty accumulator: err = %v, want CorruptError", err)
 	}

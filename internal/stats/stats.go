@@ -5,7 +5,9 @@
 package stats
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,12 +89,14 @@ func (s *Stats) MaxRelDur() float64 {
 // the mapping. The computation is a single pass over the events followed
 // by a per-activity aggregation, O(n + Σ_a k_a log k_a) where the log
 // factor comes from the max-concurrency interval sort. It is the
-// materializing form of Computer: cases are folded in CaseID order.
+// materializing form of Computer: cases are folded in CaseID order, and
+// the intervals are sorted once, in place, before Finalize sweeps them.
 func Compute(el *trace.EventLog, m pm.Mapping) *Stats {
 	c := NewComputer(m)
 	for _, cs := range el.Cases() {
 		c.Add(cs)
 	}
+	c.Sort()
 	return c.Finalize()
 }
 
@@ -127,11 +131,57 @@ func eventRate(size int64, dur time.Duration) rateSum {
 	return rateSum{hi: qhi, lo: qlo}
 }
 
+// span is one event's interval t(e) of Equation (14) as the
+// max-concurrency sweep reads it: start and end, 16 bytes, with no case
+// identity. The sweep cannot tell two equal spans apart, so sorting
+// spans by (start, end) is a total order for every purpose the
+// statistics have.
+type span struct{ start, end time.Duration }
+
+// spanOf builds the span of [start, end]. An end before the start
+// (a negative duration, or an end that overflowed) is clamped to the
+// start: the sweep counts such an interval exactly like a zero-duration
+// one, and the clamp keeps end >= start, which the snapshot encoding of
+// durations as unsigned integers relies on.
+func spanOf(start, end time.Duration) span {
+	return span{start: start, end: max(start, end)}
+}
+
+// cmpSpan orders spans by start, then end.
+func cmpSpan(a, b span) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.end, b.end)
+}
+
+// mergeSpans merges the sorted run b into the sorted run a and returns
+// the result, which may share a's array: a backward merge in a's
+// grown storage, so no second buffer is allocated. b is only read.
+func mergeSpans(a, b []span) []span {
+	n, m := len(a), len(b)
+	if n == 0 || m == 0 || cmpSpan(a[n-1], b[0]) <= 0 {
+		return append(a, b...)
+	}
+	out := slices.Grow(a, m)[:n+m]
+	i, j := n-1, m-1
+	for k := n + m - 1; j >= 0; k-- {
+		if i >= 0 && cmpSpan(out[i], b[j]) > 0 {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = b[j]
+			j--
+		}
+	}
+	return out
+}
+
 // accum carries one activity's running state: the integral aggregates
 // (counts, durations, byte totals, the 128-bit rate sum of Equation 13)
-// and the interval set behind the max-concurrency sweep (Equation 16
-// needs every interval; this is the one statistic whose working set
-// grows with the activity's events rather than the batch).
+// and the spans behind the max-concurrency sweep (Equation 16 needs
+// every interval; this is the one statistic whose working set grows
+// with the activity's events rather than the batch).
 type accum struct {
 	events    int
 	totalDur  time.Duration
@@ -139,12 +189,16 @@ type accum struct {
 	hasBytes  bool
 	rate      rateSum
 	rateCount int64
-	intervals []trace.Interval
+	// spans are in (start, end) order unless unsorted is set: appending
+	// a case out of order sets it, and Computer.Sort clears it.
+	spans    []span
+	unsorted bool
 }
 
 // merge folds another partial accumulation in. Every operation is
-// exact: integer sums, a boolean or, and an interval concatenation
-// whose order is irrelevant (Finalize's sweep sorts totally).
+// exact: integer sums, a boolean or, and a span multiset union — a
+// linear merge when both runs are sorted, a concatenation that leaves
+// the result unsorted otherwise.
 func (a *accum) merge(o *accum) {
 	a.events += o.events
 	a.totalDur += o.totalDur
@@ -152,7 +206,24 @@ func (a *accum) merge(o *accum) {
 	a.hasBytes = a.hasBytes || o.hasBytes
 	a.rate.add(o.rate)
 	a.rateCount += o.rateCount
-	a.intervals = append(a.intervals, o.intervals...)
+	if a.unsorted || o.unsorted {
+		a.spans = append(a.spans, o.spans...)
+		a.unsorted = true
+		return
+	}
+	a.spans = mergeSpans(a.spans, o.spans)
+}
+
+// sortedSpans returns the spans in (start, end) order without changing
+// the accumulator: the spans themselves when they are sorted, else a
+// sorted copy.
+func (a *accum) sortedSpans() []span {
+	if !a.unsorted {
+		return a.spans
+	}
+	s := slices.Clone(a.spans)
+	slices.SortFunc(s, cmpSpan)
+	return s
 }
 
 // Computer accumulates the Section IV-B statistics one case at a time —
@@ -218,14 +289,33 @@ func (c *Computer) AddMapped(cs *trace.Case, syms []intern.Sym) {
 				ac.rateCount++
 			}
 		}
-		ac.intervals = append(ac.intervals, e.Interval())
+		sp := spanOf(e.Start, e.Start+e.Dur)
+		if n := len(ac.spans); n > 0 && cmpSpan(sp, ac.spans[n-1]) < 0 {
+			ac.unsorted = true
+		}
+		ac.spans = append(ac.spans, sp)
+	}
+}
+
+// Sort puts every activity's spans in (start, end) order, in place. A
+// sorted computer merges with another sorted one in linear time,
+// finalizes without copying or sorting, and encodes without a copy.
+// The sharded fold sorts each shard's partial once, before the merge;
+// Add and Merge keep track of whether a later Sort has work to do.
+func (c *Computer) Sort() {
+	for y := range c.accs {
+		ac := &c.accs[y]
+		if ac.unsorted {
+			slices.SortFunc(ac.spans, cmpSpan)
+			ac.unsorted = false
+		}
 	}
 }
 
 // Merge folds another computer's partial state into c, exactly: counts,
 // durations and byte totals are integer sums, the data-rate numerators
-// are 128-bit integer sums, and the interval sets concatenate (their
-// order is irrelevant — Finalize's sweep sorts them totally). o's
+// are 128-bit integer sums, and the span sets merge — linearly when
+// both computers are sorted (see Sort), by concatenation otherwise. o's
 // shard-local activity symbols are remapped through c's table, so
 // merging shard partials in any order reproduces the sequential fold
 // bit-for-bit. Both computers must have been built for the same
@@ -274,9 +364,11 @@ func Merge(parts ...*Computer) *Stats {
 
 // Finalize runs the per-activity aggregation (mean rate, max-concurrency
 // sweep, relative-duration normalization), materializes the
-// string-keyed statistics and returns them. Finalize only reads the
-// computer (the max-concurrency sweep sorts a copy of each interval
-// set), so it may be called again, concurrently with other readers,
+// string-keyed statistics and returns them. On a sorted computer the
+// max-concurrency sweep walks each activity's spans in place, with no
+// copy and no sort; an unsorted one (finalized in the middle of a fold,
+// say) sweeps a sorted copy. Either way Finalize only reads the
+// computer, so it may be called again, concurrently with other readers,
 // and the computer may keep folding and merging afterwards: a later
 // Finalize reflects everything folded so far.
 func (c *Computer) Finalize() *Stats {
@@ -300,7 +392,7 @@ func (c *Computer) Finalize() *Stats {
 		if ac.rateCount > 0 {
 			st.ProcRate = ac.rate.float64() / float64(ac.rateCount)
 		}
-		st.MaxConc = MaxConcurrency(ac.intervals)
+		st.MaxConc = sweep(ac.sortedSpans())
 		if c.totalDur > 0 {
 			st.RelDur = float64(st.TotalDur) / float64(c.totalDur)
 		}
@@ -316,26 +408,36 @@ func (c *Computer) Finalize() *Stats {
 // matching the paper's "end time of the first event is greater than the
 // start time of the last event". O(k log k).
 //
-// The sort uses the total interval order (start, then end, then case),
-// so the result is a pure function of the interval multiset: equal-start
-// ties — where a zero-duration interval processed after a longer
-// same-start one would otherwise inflate the count — always resolve the
-// same way, whatever order the intervals were collected in. This is
-// what lets sharded statistics concatenate interval sets in shard order
-// and still reproduce the sequential sweep exactly.
+// The sweep reads only each interval's start and end, in (start, end)
+// order; intervals equal in both are interchangeable to it, so the
+// result is a pure function of the interval multiset whatever order the
+// intervals were collected in. Equal-start ties resolve the same way
+// every time: a zero-duration interval is swept before a longer one
+// with the same start, and so never inflates the count. An interval
+// whose end precedes its start counts as a zero-duration one. It is the
+// sweep Finalize runs over an activity's spans.
 func MaxConcurrency(intervals []trace.Interval) int {
-	if len(intervals) == 0 {
+	spans := make([]span, len(intervals))
+	for i, iv := range intervals {
+		spans[i] = spanOf(iv.Start, iv.End)
+	}
+	slices.SortFunc(spans, cmpSpan)
+	return sweep(spans)
+}
+
+// sweep returns the peak number of simultaneously open spans over
+// spans sorted by (start, end).
+func sweep(spans []span) int {
+	if len(spans) == 0 {
 		return 0
 	}
-	ivs := append([]trace.Interval(nil), intervals...)
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Less(ivs[j]) })
 	ends := make(endHeap, 0, 16)
 	maxOpen := 0
-	for _, iv := range ivs {
-		for len(ends) > 0 && ends[0] <= iv.Start {
+	for _, sp := range spans {
+		for len(ends) > 0 && ends[0] <= sp.start {
 			ends.pop()
 		}
-		ends.push(iv.End)
+		ends.push(sp.end)
 		if len(ends) > maxOpen {
 			maxOpen = len(ends)
 		}

@@ -100,21 +100,6 @@ func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Start < o.End && o.Start < iv.End
 }
 
-// Less is the canonical total order on intervals: by start, then end,
-// then case identity. Sorting with it makes interval-set algorithms
-// (the max-concurrency sweep, say) independent of the order in which
-// the intervals were collected — equal-start ties, including
-// zero-duration intervals, always resolve the same way.
-func (iv Interval) Less(o Interval) bool {
-	if iv.Start != o.Start {
-		return iv.Start < o.Start
-	}
-	if iv.End != o.End {
-		return iv.End < o.End
-	}
-	return iv.Case.Less(o.Case)
-}
-
 // Len returns the duration of the interval.
 func (iv Interval) Len() time.Duration { return iv.End - iv.Start }
 

@@ -6,11 +6,13 @@ package stinspector
 // rotations), killed at random epochs and recovered from its
 // checkpoint, must end with final artifacts identical to both an
 // uninterrupted session over the same traces and a batch streaming
-// fold over the same trace bytes. This extends the checkpoint
-// equivalence suite (snapshot_equiv_test.go) to the live path, where
-// cases arrive in completion order rather than CaseID order.
+// fold over the same trace bytes — and with the same final checkpoint
+// bytes as both. This extends the checkpoint equivalence suite
+// (snapshot_equiv_test.go) to the live path, where cases arrive in
+// completion order rather than CaseID order.
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -76,6 +78,16 @@ func replayChurn(t *testing.T, dir string, cases []*trace.Case, files map[string
 	}
 }
 
+// checkpointFile reads a session's checkpoint from its state directory.
+func checkpointFile(t *testing.T, stateDir, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(stateDir, name, "checkpoint.sts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func sessionArtifacts(t *testing.T, sess *serve.Session) string {
 	t.Helper()
 	var b strings.Builder
@@ -92,7 +104,8 @@ func sessionArtifacts(t *testing.T, sess *serve.Session) string {
 // TestLiveKillRestartEquivalence kills a live session at random epochs
 // while its trace directory grows under fault churn, recovers it from
 // the persisted checkpoint each time, and asserts the final artifacts
-// equal an uninterrupted run's and the batch fold's.
+// and checkpoint bytes equal an uninterrupted run's and the batch
+// fold's.
 func TestLiveKillRestartEquivalence(t *testing.T) {
 	const nCases, perCase = 12, 30
 	log := synth.Log("kr", nCases, perCase, 20240924)
@@ -125,6 +138,14 @@ func TestLiveKillRestartEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantArt := artifacts(want.ActivityLog, want.DFG, want.Stats, want.Behavior)
+	// The batch fold's snapshot is the checkpoint both live runs must
+	// end with, byte for byte, whatever order their cases arrived in.
+	src, err = StreamStraceDir(batchDir, ParseOptions{Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCkpt := snapshotBytes(t, src, CallTopDirs{Depth: 2}, 1)
+	src.Close()
 
 	// Ground truth #2: an uninterrupted session over the same churned
 	// replay — the served artifacts the killed run must reproduce.
@@ -150,6 +171,9 @@ func TestLiveKillRestartEquivalence(t *testing.T) {
 		t.Fatalf("uninterrupted live artifacts differ from the batch fold.\n--- live ---\n%s\n--- batch ---\n%s", got, wantArt)
 	}
 	refArt := sessionArtifacts(t, refSess)
+	if got := checkpointFile(t, refState, "kr"); !bytes.Equal(got, wantCkpt) {
+		t.Errorf("uninterrupted live checkpoint differs from the batch fold's snapshot (%d vs %d bytes)", len(got), len(wantCkpt))
+	}
 
 	// The kill-and-restart run: same traces, same churn seed, but the
 	// server is killed (in-process SIGKILL: abort without drain, disk
@@ -205,6 +229,10 @@ func TestLiveKillRestartEquivalence(t *testing.T) {
 	}
 	if got := sessionArtifacts(t, sess); got != refArt {
 		t.Errorf("kill-restart served artifacts differ from uninterrupted run.\n--- killed ---\n%s\n--- uninterrupted ---\n%s", got, refArt)
+	}
+
+	if got := checkpointFile(t, state, "kr"); !bytes.Equal(got, wantCkpt) {
+		t.Errorf("kill-restart checkpoint differs from the batch fold's snapshot (%d vs %d bytes)", len(got), len(wantCkpt))
 	}
 
 	// The state directory still holds the session config and final

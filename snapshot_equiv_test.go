@@ -7,10 +7,13 @@ package stinspector
 // pipeline over the whole corpus, for every generator profile, backend,
 // analysis-shard count and symbol-table scoping. And a checkpointed
 // fold killed partway and resumed must reproduce both the artifacts and
-// the final checkpoint bytes of an uninterrupted run.
+// the final checkpoint bytes of an uninterrupted run. Snapshot bytes
+// are a function of the set of folded cases alone: arrival order, shard
+// count, backend and epoch history never show in them.
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -18,22 +21,38 @@ import (
 	"testing/fstest"
 
 	"stinspector/internal/archive"
+	"stinspector/internal/core"
 	"stinspector/internal/dxt"
+	"stinspector/internal/snapshot"
+	"stinspector/internal/source"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth"
 	"stinspector/internal/synth/profiles"
 	"stinspector/internal/trace"
 )
 
+// snapshotBytes encodes the snapshot of a fold over src at the given
+// shard count.
+func snapshotBytes(t *testing.T, src Source, m Mapping, shards int) []byte {
+	t.Helper()
+	s, err := core.AnalyzeStreamSnapshot(src, m, shards, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snapshot.Encode(s)
+}
+
 // snapshotMergeCheck folds three contiguous slices of the corpus into
-// separate snapshot files through open's backend and asserts the merged
-// artifacts equal want, across the shard × scoped matrix.
+// separate snapshot files through open's backend and asserts, across
+// the shard × scoped matrix, that the merged artifacts equal want and
+// the merged snapshot's bytes equal a one-shot snapshot of el.
 func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, open func(syms *SymbolTable) Source) {
 	t.Helper()
 	cases := el.Cases()
 	n := len(cases)
 	bounds := []int{0, n / 3, 2 * n / 3, n}
 	m := CallTopDirs{Depth: 2}
+	wantBytes := snapshotBytes(t, source.FromLog(el), m, 1)
 	for _, shards := range []int{1, 4} {
 		for _, scoped := range []bool{false, true} {
 			dir := t.TempDir()
@@ -64,6 +83,16 @@ func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, op
 			if got := artifacts(res.ActivityLog, res.DFG, res.Stats, res.Behavior); got != want {
 				t.Errorf("%s: merged snapshot artifacts differ from in-memory at shards=%d scoped=%v.\n--- merged ---\n%s\n--- in-memory ---\n%s",
 					kind, shards, scoped, got, want)
+			}
+			snaps := make([]*snapshot.Snapshot, len(paths))
+			for i, p := range paths {
+				if snaps[i], err = snapshot.ReadFile(p, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := snapshot.Encode(snapshot.Merge(snaps...)); !bytes.Equal(got, wantBytes) {
+				t.Errorf("%s: merged snapshot bytes differ from a one-shot snapshot at shards=%d scoped=%v (%d vs %d bytes)",
+					kind, shards, scoped, len(got), len(wantBytes))
 			}
 		}
 	}
@@ -135,6 +164,46 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 				}
 				return dxt.Stream("seq", recs, 2, 3)
 			})
+		})
+	}
+}
+
+// TestSnapshotArrivalOrderCanonical: a snapshot's bytes are a pure
+// function of the set of folded cases. For every generator profile,
+// folding the cases in CaseID order and in a seeded shuffled order, at
+// 1, 2 and 4 shards, encodes to the same bytes; so does a checkpointed
+// fold of the shuffled stream in epochs of 5 cases.
+func TestSnapshotArrivalOrderCanonical(t *testing.T) {
+	m := CallTopDirs{Depth: 2}
+	for _, p := range profiles.All() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			el := p.Generate("arr", 24, 60, 20240924)
+			want := snapshotBytes(t, source.FromLog(el), m, 1)
+			shuffled := append([]*Case(nil), el.Cases()...)
+			rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) {
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			})
+			for _, shards := range []int{1, 2, 4} {
+				if got := snapshotBytes(t, source.FromLog(el), m, shards); !bytes.Equal(got, want) {
+					t.Errorf("CaseID order, shards=%d: snapshot bytes differ from one shard", shards)
+				}
+				if got := snapshotBytes(t, source.FromCases(shuffled...), m, shards); !bytes.Equal(got, want) {
+					t.Errorf("shuffled order, shards=%d: snapshot bytes differ from CaseID order", shards)
+				}
+			}
+			dir := t.TempDir()
+			if _, err := AnalyzeStreamCheckpointed(source.FromCases(shuffled...), m, 2, true,
+				CheckpointOptions{Dir: dir, Every: 5}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "checkpoint.sts"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("checkpointed fold of the shuffled stream: checkpoint bytes differ from a one-shot snapshot")
+			}
 		})
 	}
 }

@@ -178,6 +178,11 @@ type CaseRange = archive.CaseRange
 // is no longer read: re-archive the original traces.
 var ErrArchiveV1 = archive.ErrV1
 
+// ErrSnapshotVersion reports an STS snapshot or checkpoint written in
+// another format version, which this build does not read: re-fold the
+// traces to rebuild it.
+var ErrSnapshotVersion = snapshot.ErrVersion
+
 // SymbolTable is a scoped symbol universe for one ingestion pass. The
 // ingestion backends deduplicate every call name, file path and case
 // identity string through a symbol table; by default that is a single
