@@ -39,9 +39,9 @@ func assertSorted(t *testing.T, c *Computer) {
 	}
 }
 
-// Merging sorted partials is a linear merge that keeps the result
+// Merging partials is a linear merge of sorted runs: the result is
 // sorted, and gives the statistics of the sequential fold — whether the
-// partials were sorted first or not.
+// partials were sorted first or Merge sorted them.
 func TestMergeSortedRuns(t *testing.T) {
 	seqParts, _ := foldParts(1)
 	want := serialize(seqParts[0].Finalize())
@@ -57,9 +57,7 @@ func TestMergeSortedRuns(t *testing.T) {
 		for _, p := range parts[1:] {
 			acc.Merge(p)
 		}
-		if sortFirst {
-			assertSorted(t, acc)
-		}
+		assertSorted(t, acc)
 		if got := serialize(acc.Finalize()); got != want {
 			t.Errorf("sortFirst=%v: merged stats differ from the sequential fold.\n--- merged ---\n%s--- sequential ---\n%s", sortFirst, got, want)
 		}

@@ -190,15 +190,23 @@ type accum struct {
 	rate      rateSum
 	rateCount int64
 	// spans are in (start, end) order unless unsorted is set: appending
-	// a case out of order sets it, and Computer.Sort clears it.
+	// a case out of order sets it, and sort clears it.
 	spans    []span
 	unsorted bool
 }
 
-// merge folds another partial accumulation in. Every operation is
-// exact: integer sums, a boolean or, and a span multiset union — a
-// linear merge when both runs are sorted, a concatenation that leaves
-// the result unsorted otherwise.
+// sort puts the spans in (start, end) order, in place.
+func (a *accum) sort() {
+	if a.unsorted {
+		slices.SortFunc(a.spans, cmpSpan)
+		a.unsorted = false
+	}
+}
+
+// merge folds another partial accumulation in, consuming o. Every
+// operation is exact: integer sums, a boolean or, and a span multiset
+// union — a linear merge of two sorted runs, either side sorted in
+// place first if it is not, so the result is always sorted.
 func (a *accum) merge(o *accum) {
 	a.events += o.events
 	a.totalDur += o.totalDur
@@ -206,11 +214,8 @@ func (a *accum) merge(o *accum) {
 	a.hasBytes = a.hasBytes || o.hasBytes
 	a.rate.add(o.rate)
 	a.rateCount += o.rateCount
-	if a.unsorted || o.unsorted {
-		a.spans = append(a.spans, o.spans...)
-		a.unsorted = true
-		return
-	}
+	a.sort()
+	o.sort()
 	a.spans = mergeSpans(a.spans, o.spans)
 }
 
@@ -301,21 +306,18 @@ func (c *Computer) AddMapped(cs *trace.Case, syms []intern.Sym) {
 // sorted computer merges with another sorted one in linear time,
 // finalizes without copying or sorting, and encodes without a copy.
 // The sharded fold sorts each shard's partial once, before the merge;
-// Add and Merge keep track of whether a later Sort has work to do.
+// Add keeps track of whether a later Sort has work to do.
 func (c *Computer) Sort() {
 	for y := range c.accs {
-		ac := &c.accs[y]
-		if ac.unsorted {
-			slices.SortFunc(ac.spans, cmpSpan)
-			ac.unsorted = false
-		}
+		c.accs[y].sort()
 	}
 }
 
 // Merge folds another computer's partial state into c, exactly: counts,
 // durations and byte totals are integer sums, the data-rate numerators
-// are 128-bit integer sums, and the span sets merge — linearly when
-// both computers are sorted (see Sort), by concatenation otherwise. o's
+// are 128-bit integer sums, and the span sets merge linearly as sorted
+// runs, so the merged computer is sorted. A side that is not sorted
+// (see Sort) is sorted in place first, o's included. o's
 // shard-local activity symbols are remapped through c's table, so
 // merging shard partials in any order reproduces the sequential fold
 // bit-for-bit. Both computers must have been built for the same

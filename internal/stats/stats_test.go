@@ -155,9 +155,11 @@ func TestMaxConcurrencyEdgeCases(t *testing.T) {
 // interval start t: the intervals open over t (start <= t < end), plus
 // one when every interval starting at t has zero duration — such an
 // interval is open at its own instant, and the sweep counts it there
-// only when nothing longer starts with it. The generator draws starts
-// from a narrow range and durations from {0..3}ms, so equal starts,
-// identical intervals and zero durations are common.
+// only when nothing longer starts with it. quick.Check runs once per
+// generator regime: wide overlaps (starts in 0–99ms, durations
+// 1–30ms), where the end heap holds many distinct ends, and ties
+// (starts in 0–11ms, durations 0–3ms), where equal starts, identical
+// intervals and zero durations are common.
 func TestMaxConcurrencyMatchesBruteForce(t *testing.T) {
 	brute := func(ivs []trace.Interval) int {
 		max := 0
@@ -181,18 +183,30 @@ func TestMaxConcurrencyMatchesBruteForce(t *testing.T) {
 		}
 		return max
 	}
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(n%40) + 1
-		ivs := make([]trace.Interval, k)
-		for i := range ivs {
-			s := time.Duration(rng.Intn(12)) * time.Millisecond
-			ivs[i] = trace.Interval{Start: s, End: s + time.Duration(rng.Intn(4))*time.Millisecond}
-		}
-		return MaxConcurrency(ivs) == brute(ivs)
+	regimes := []struct {
+		name           string
+		starts         int // starts drawn from [0, starts) ms
+		minDur, maxDur int // durations drawn from [minDur, maxDur] ms
+		count          int
+	}{
+		{"wide overlaps", 100, 1, 30, 200},
+		{"ties", 12, 0, 3, 500},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	for _, r := range regimes {
+		f := func(seed int64, n uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			k := int(n%40) + 1
+			ivs := make([]trace.Interval, k)
+			for i := range ivs {
+				s := time.Duration(rng.Intn(r.starts)) * time.Millisecond
+				d := time.Duration(r.minDur+rng.Intn(r.maxDur-r.minDur+1)) * time.Millisecond
+				ivs[i] = trace.Interval{Start: s, End: s + d}
+			}
+			return MaxConcurrency(ivs) == brute(ivs)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: r.count}); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 	}
 }
 
