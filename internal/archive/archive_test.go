@@ -224,8 +224,8 @@ func TestCorruptionDetected(t *testing.T) {
 // start order (TestV2UnsortedCaseRejected covers the incremental Add).
 func TestUnsortedCaseRejected(t *testing.T) {
 	c := &trace.Case{ID: trace.CaseID{CID: "u", Host: "h", RID: 1}, Events: []trace.Event{
-		{CID: "u", Host: "h", RID: 1, Call: "a", Start: 2},
-		{CID: "u", Host: "h", RID: 1, Call: "b", Start: 1},
+		{Call: "a", Start: 2},
+		{Call: "b", Start: 1},
 	}}
 	log := trace.MustNewEventLog(c)
 	var f bytes.Buffer

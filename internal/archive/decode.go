@@ -147,9 +147,6 @@ func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*t
 	pc := colCursor{b: cols[0]}
 	for i := range events {
 		events[i].PID = int(pc.varint())
-		events[i].CID = id.CID
-		events[i].Host = id.Host
-		events[i].RID = id.RID
 	}
 	if !pc.done() {
 		return nil, corrupt("case %s: malformed pid column", id)
@@ -217,7 +214,7 @@ func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*t
 	}
 
 	// The start column's non-negative deltas prove the events are already
-	// in Equation (2) order and they were stamped above, so NewCase's
-	// copy and stable sort would be pure overhead.
+	// in Equation (2) order, so NewCase's stable sort would be pure
+	// overhead.
 	return &trace.Case{ID: id, Events: events}, nil
 }

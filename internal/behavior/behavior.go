@@ -131,14 +131,13 @@ func New() *Profile {
 	}
 }
 
-// Add folds one event into the profile. Events outside the behavior
-// taxonomy or without a subject are skipped.
-func (p *Profile) Add(e trace.Event) {
+// add folds one event of case id into the profile. Events outside the
+// behavior taxonomy or without a subject are skipped.
+func (p *Profile) add(id trace.CaseID, e *trace.Event) {
 	op, ok := Classify(e.Call)
 	if !ok || e.FP == "" {
 		return
 	}
-	id := e.CaseID()
 	acc := p.cases[id]
 	if acc == nil {
 		acc = &caseAcc{}
@@ -155,8 +154,8 @@ func (p *Profile) Add(e trace.Event) {
 
 // AddCase folds every event of the case.
 func (p *Profile) AddCase(c *trace.Case) {
-	for _, e := range c.Events {
-		p.Add(e)
+	for i := range c.Events {
+		p.add(c.ID, &c.Events[i])
 	}
 }
 

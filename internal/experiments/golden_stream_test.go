@@ -129,7 +129,7 @@ func TestGoldenFig5TimelineStreaming(t *testing.T) {
 	err := source.Walk(src, false, func(c *trace.Case) error {
 		for _, e := range c.Events {
 			if got, ok := m.Map(e); ok && got == act {
-				intervals = append(intervals, e.Interval())
+				intervals = append(intervals, e.Interval(c.ID))
 			}
 		}
 		return nil

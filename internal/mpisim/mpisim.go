@@ -151,7 +151,9 @@ func (r *Rank) Record(call, path string, dur time.Duration, size int64) {
 }
 
 // EventLog collects the recorded events of all ranks into an event-log,
-// one case per rank, under the given command identifier.
+// one case per rank, under the given command identifier. Each rank's
+// recorded events are handed over to its case, not copied, so EventLog
+// is called once, after the run.
 func (w *World) EventLog(cid string) (*trace.EventLog, error) {
 	log, err := trace.NewEventLog()
 	if err != nil {
@@ -159,7 +161,9 @@ func (w *World) EventLog(cid string) (*trace.EventLog, error) {
 	}
 	for _, r := range w.Ranks {
 		id := trace.CaseID{CID: cid, Host: r.Host, RID: r.RID}
-		if err := log.Add(trace.NewCase(id, r.events)); err != nil {
+		events := r.events
+		r.events = nil
+		if err := log.Add(trace.NewCase(id, events)); err != nil {
 			return nil, err
 		}
 	}

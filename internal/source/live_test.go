@@ -15,9 +15,8 @@ import (
 func liveCase(i int) *trace.Case {
 	id := trace.CaseID{CID: "live", Host: "h", RID: i}
 	return trace.NewCase(id, []trace.Event{{
-		CID: id.CID, Host: id.Host, RID: id.RID, PID: 100 + i,
-		Call: "read", FP: "/data/f", Start: time.Duration(i) * time.Millisecond,
-		Dur: time.Microsecond, Size: 1,
+		PID: 100 + i, Call: "read", FP: "/data/f",
+		Start: time.Duration(i) * time.Millisecond, Dur: time.Microsecond, Size: 1,
 	}})
 }
 

@@ -35,7 +35,7 @@ func TestOrderedTokenConservation(t *testing.T) {
 				runtime.Gosched() // jitter claim interleavings
 				id := trace.CaseID{CID: fmt.Sprintf("c%06d", i), Host: "h", RID: i}
 				return trace.NewCase(id, []trace.Event{{
-					CID: id.CID, Host: "h", RID: i, Call: "read", FP: "/f",
+					Call: "read", FP: "/f",
 				}}), nil
 			})
 			s, ok := src.(*ordSource)

@@ -138,29 +138,22 @@ type CaseSummary struct {
 // the slowest process — the straggler the paper's timeline plot is used
 // to find — comes first.
 func PerCase(el *trace.EventLog, m pm.Mapping, a pm.Activity) []CaseSummary {
-	byCase := make(map[trace.CaseID]*CaseSummary)
-	var order []trace.CaseID
-	el.Events(func(e trace.Event) {
-		got, ok := m.Map(e)
-		if !ok || (a != "" && got != a) {
-			return
+	var out []CaseSummary
+	for _, c := range el.Cases() {
+		cs := CaseSummary{Case: c.ID}
+		for _, e := range c.Events {
+			if got, ok := m.Map(e); !ok || (a != "" && got != a) {
+				continue
+			}
+			cs.Events++
+			cs.TotalDur += e.Dur
+			if e.HasSize() {
+				cs.Bytes += e.Size
+			}
 		}
-		id := e.CaseID()
-		cs := byCase[id]
-		if cs == nil {
-			cs = &CaseSummary{Case: id}
-			byCase[id] = cs
-			order = append(order, id)
+		if cs.Events > 0 {
+			out = append(out, cs)
 		}
-		cs.Events++
-		cs.TotalDur += e.Dur
-		if e.HasSize() {
-			cs.Bytes += e.Size
-		}
-	})
-	out := make([]CaseSummary, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byCase[id])
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].TotalDur != out[j].TotalDur {

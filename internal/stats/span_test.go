@@ -7,10 +7,12 @@ import (
 	"testing"
 	"unsafe"
 
+	"stinspector/internal/iorsim"
 	"stinspector/internal/pm"
 	"stinspector/internal/race"
 	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth"
+	"stinspector/internal/trace"
 )
 
 // foldParts folds the corpus round-robin by case blocks into k partial
@@ -183,5 +185,46 @@ func TestComputerSnapshotRejectsUnsorted(t *testing.T) {
 		if _, err := DecodeComputerSnapshot(data, m); !errors.As(err, &ce) {
 			t.Errorf("%s: err = %v, want CorruptError", name, err)
 		}
+	}
+}
+
+// TestComputeBytesPerEvent is the allocation gate on the materializing
+// Compute over an IOR-shaped log (shared file and file per process,
+// write and read phases, the strace preamble): the log is mapped to
+// activity symbols once (4 B/event) and each activity's spans are
+// allocated at their exact size (16 B/event), so everything Compute
+// allocates stays under 24 B/event. Growing the spans by append
+// allocates several times that. Skipped under -race (instrumented
+// allocator).
+func TestComputeBytesPerEvent(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gate skipped under -race")
+	}
+	const budget = 24.0
+	var logs []*trace.EventLog
+	for i, cid := range []string{"ssf", "fpp"} {
+		res, err := iorsim.Run(iorsim.Config{
+			CID: cid, Ranks: 16, Hosts: 2,
+			TransferSize: 256 << 10, BlockSize: 16 << 20, Segments: 8,
+			Write: true, Read: true, FilePerProc: cid == "fpp", Preamble: true,
+			Seed: int64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs = append(logs, res.Log)
+	}
+	el := trace.MustUnion(logs...)
+	m := pm.CallTopDirs{Depth: 2}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	Compute(el, m) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Compute(el, m)
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(el.NumEvents())
+	t.Logf("Compute allocated %.1f B/event over %d events", perEvent, el.NumEvents())
+	if perEvent > budget {
+		t.Errorf("Compute allocated %.1f B/event, over the %.0f B budget", perEvent, budget)
 	}
 }

@@ -91,10 +91,31 @@ func (s *Stats) MaxRelDur() float64 {
 // factor comes from the max-concurrency interval sort. It is the
 // materializing form of Computer: cases are folded in CaseID order, and
 // the intervals are sorted once, in place, before Finalize sweeps them.
+//
+// The whole log is at hand, so it is mapped to activity symbols once,
+// up front, and each activity's events are counted: every accumulator's
+// spans are then allocated at their exact size, with no append growth
+// to copy or to leave as slack.
 func Compute(el *trace.EventLog, m pm.Mapping) *Stats {
 	c := NewComputer(m)
+	syms := make([]intern.Sym, 0, el.NumEvents())
 	for _, cs := range el.Cases() {
-		c.Add(cs)
+		syms = c.sm.MapCase(cs, syms)
+	}
+	counts := make([]int, c.sm.Acts().Len())
+	for _, y := range syms {
+		if y != pm.NoActivity {
+			counts[y]++
+		}
+	}
+	c.accs = make([]accum, len(counts))
+	for y, n := range counts {
+		c.accs[y].spans = make([]span, 0, n)
+	}
+	for _, cs := range el.Cases() {
+		n := len(cs.Events)
+		c.AddMapped(cs, syms[:n])
+		syms = syms[n:]
 	}
 	c.Sort()
 	return c.Finalize()
@@ -496,11 +517,13 @@ func (h *endHeap) pop() {
 // identities. This is the data behind the timeline plot of Figure 5.
 func Timeline(el *trace.EventLog, m pm.Mapping, a pm.Activity) []trace.Interval {
 	var out []trace.Interval
-	el.Events(func(e trace.Event) {
-		if got, ok := m.Map(e); ok && got == a {
-			out = append(out, e.Interval())
+	for _, c := range el.Cases() {
+		for _, e := range c.Events {
+			if got, ok := m.Map(e); ok && got == a {
+				out = append(out, e.Interval(c.ID))
+			}
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start

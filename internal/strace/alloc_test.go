@@ -27,11 +27,17 @@ import (
 // per-file map rebuild is a handful of allocations amortized over
 // thousands of events. Skipped under -race: the detector's
 // instrumented allocator makes the count meaningless.
+//
+// The heap bytes per event are bounded too, at 200: the line copy, the
+// 64-byte event and nothing else of size per event. Events that carried
+// their case identity (104 B) and a case constructor that copied them
+// allocated 311.
 func TestParseAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const events = 4000
+	const bytesBudget = 200
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	id := trace.CaseID{CID: "alloc", Host: "h", RID: 1}
@@ -66,7 +72,7 @@ func TestParseAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			avg := testing.AllocsPerRun(10, func() {
+			avg, heap := allocsAndBytes(10, func() {
 				c, err := ParseCase(id, strings.NewReader(data), mode.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -76,9 +82,13 @@ func TestParseAllocBudget(t *testing.T) {
 				}
 			})
 			perEvent := avg / events
-			t.Logf("ParseCase (%s): %.0f allocs for %d events = %.3f allocs/event", mode.name, avg, events, perEvent)
+			t.Logf("ParseCase (%s): %.0f allocs for %d events = %.3f allocs/event, %.0f B/event",
+				mode.name, avg, events, perEvent, heap/events)
 			if perEvent > 2.0 {
 				t.Errorf("allocs/event = %.3f, budget 2.0 — the zero-alloc parse path regressed", perEvent)
+			}
+			if heap/events > bytesBudget {
+				t.Errorf("%.0f B/event, budget %d — the parsed case is bigger than its events", heap/events, bytesBudget)
 			}
 		})
 	}

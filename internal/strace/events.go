@@ -2,6 +2,7 @@ package strace
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stinspector/internal/intern"
@@ -91,25 +92,27 @@ func (o Options) callWanted(name string) bool {
 // case, merging unfinished/resumed pairs and applying the paper's
 // filtering rules. Records must be given in file order; the resulting
 // events are ordered by start time (strace preserves event order, and the
-// merge assigns each merged call its original start timestamp).
+// merge assigns each merged call its original start timestamp). The
+// records are not modified.
 func EventsFromRecords(id trace.CaseID, records []Record, opts Options) ([]trace.Event, error) {
 	cache := intern.CacheFor(opts.Syms)
 	defer intern.PutCache(cache)
-	return eventsFromRecords(id, records, opts, cache)
+	return eventsFromRecords(id, slices.Clone(records), opts, cache)
 }
 
 // eventsFromRecords is EventsFromRecords over a caller-owned symbol
 // cache, so the per-file parse worker canonicalizes call names and
-// file paths without re-acquiring a cache per record.
+// file paths without re-acquiring a cache per record. It consumes
+// records: the complete calls to keep are compacted to its front (each
+// record yields at most one, so the write never passes the read), then
+// converted into a slice of exactly that many events. The case that
+// takes ownership of it keeps no capacity for records that were merged
+// or filtered out.
 func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *intern.Cache) ([]trace.Event, error) {
-	events := make([]trace.Event, 0, len(records))
+	kept := records[:0]
 	// strace guarantees at most one outstanding (unfinished) call per
 	// process, so a single pending record per PID suffices.
 	pending := make(map[int]Record)
-	// scratch backs the byte-built file paths (dirfd joins, unescapes,
-	// spawn command lines, connection subjects) across the whole case;
-	// CanonBytes interns from it without materializing a string.
-	var scratch []byte
 
 	emit := func(r Record) {
 		if r.Interrupted() {
@@ -121,7 +124,7 @@ func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *i
 		if !opts.callWanted(r.Call) {
 			return
 		}
-		events = append(events, recordToEvent(id, r, cache, &scratch))
+		kept = append(kept, r)
 	}
 
 	// -tt timestamps are time of day and wrap at midnight; a trace
@@ -186,6 +189,14 @@ func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *i
 				id, pid, u.Call, u.Line)
 		}
 	}
+	// scratch backs the byte-built file paths (dirfd joins, unescapes,
+	// spawn command lines, connection subjects) across the whole case;
+	// CanonBytes interns from it without materializing a string.
+	var scratch []byte
+	events := make([]trace.Event, len(kept))
+	for i := range kept {
+		events[i] = recordToEvent(kept[i], cache, &scratch)
+	}
 	return events, nil
 }
 
@@ -222,11 +233,8 @@ func mergeUnfinished(u, r Record) Record {
 // The call name and path are canonicalized through the symbol cache, so
 // the event holds interned strings rather than per-event substring pins
 // of the trace line; byte-built paths intern straight from scratch.
-func recordToEvent(id trace.CaseID, r Record, cache *intern.Cache, scratch *[]byte) trace.Event {
+func recordToEvent(r Record, cache *intern.Cache, scratch *[]byte) trace.Event {
 	e := trace.Event{
-		CID:   id.CID,
-		Host:  id.Host,
-		RID:   id.RID,
 		PID:   r.PID,
 		Call:  cache.Canon(r.Call),
 		Start: r.Time,

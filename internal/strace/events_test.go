@@ -34,8 +34,8 @@ func TestEventsFromRecordsBasic(t *testing.T) {
 		t.Fatalf("events = %d, want 3 (exit record must be dropped)", len(events))
 	}
 	e := events[0]
-	if e.CID != "a" || e.Host != "host1" || e.RID != 9042 || e.PID != 9054 {
-		t.Errorf("identity not stamped: %+v", e)
+	if e.PID != 9054 {
+		t.Errorf("pid = %d, want 9054", e.PID)
 	}
 	if e.Call != "read" || e.FP != "/usr/lib/libselinux.so.1" || e.Size != 832 {
 		t.Errorf("event 0 = %+v", e)
@@ -216,5 +216,37 @@ func TestEventsMismatchedResumeCall(t *testing.T) {
 	events, err := EventsFromRecords(testID, recs, Options{})
 	if err != nil || len(events) != 0 {
 		t.Errorf("lenient mode: events=%v err=%v", events, err)
+	}
+}
+
+// The parsed case owns its event slice for the life of the log, so the
+// slice is exactly as long as the events that survived: records merged
+// into an unfinished/resumed pair, failed calls, calls outside the
+// filter and non-call records leave no capacity behind. Both the batch
+// and the live path build the case this way.
+func TestParsedCaseHasNoSlack(t *testing.T) {
+	text := strings.Join([]string{
+		`100  10:00:00.000001 read(3</a>, <unfinished ...>`,
+		`200  10:00:00.000002 openat(AT_FDCWD, "/missing", O_RDONLY) = -1 ENOENT (No such file or directory) <0.000008>`,
+		`100  10:00:00.000003 <... read resumed> ..., 20) = 20 <0.000003>`,
+		`200  10:00:00.000004 mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3</f>, 0) = 0x7f0000000000 <0.000002>`,
+		`200  10:00:00.000005 write(1</dev/pts/7>, ..., 50) = 50 <0.000111>`,
+		`200  10:00:00.000006 +++ exited with 0 +++`,
+	}, "\n") + "\n"
+	c, err := ParseCase(testID, strings.NewReader(text), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, dropped, err := FollowReader(testID, strings.NewReader(text), Options{})
+	if err != nil || dropped != 0 {
+		t.Fatalf("FollowReader: %d dropped, %v", dropped, err)
+	}
+	for name, c := range map[string]*trace.Case{"ParseCase": c, "FollowReader": f} {
+		if len(c.Events) != 2 {
+			t.Fatalf("%s: %d events, want 2 (the merged read and the write)", name, len(c.Events))
+		}
+		if cap(c.Events) != len(c.Events) {
+			t.Errorf("%s: cap(Events) = %d, len %d: the case pins slack", name, cap(c.Events), len(c.Events))
+		}
 	}
 }

@@ -134,10 +134,8 @@ func checkFuzzCase(t *testing.T, path string, opts Options, id trace.CaseID, c *
 	if !c.Sorted() {
 		t.Fatalf("%s opts %+v: case not sorted by start time", path, opts)
 	}
-	for _, e := range c.Events {
-		if e.CaseID() != id {
-			t.Fatalf("%s opts %+v: event %v carries identity %s, want %s", path, opts, e, e.CaseID(), id)
-		}
+	if c.ID != id {
+		t.Fatalf("%s opts %+v: case identity %s, want %s", path, opts, c.ID, id)
 	}
 }
 

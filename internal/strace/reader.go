@@ -52,7 +52,7 @@ type lineReader struct {
 // lineReaderPool recycles framers across files: the buffer, the record
 // backing array and the argument arena.
 var lineReaderPool = sync.Pool{
-	New: func() any { return &lineReader{records: make([]Record, 0, 1024)} },
+	New: func() any { return new(lineReader) },
 }
 
 func getLineReader() *lineReader { return lineReaderPool.Get().(*lineReader) }
@@ -193,9 +193,9 @@ func (lr *lineReader) readAll(r io.Reader, strict, parseTail bool) (skipped int,
 	}
 }
 
-// buildCase is the one records → events → case step: it converts the
-// framed records over a pooled cache of the symbol table opts.Syms
-// selects, canonicalizing the case identity strings too.
+// buildCase is the one records → events → case step: it converts, and
+// consumes, the framed records over a pooled cache of the symbol table
+// opts.Syms selects, canonicalizing the case identity strings too.
 func (lr *lineReader) buildCase(id trace.CaseID, opts Options) (*trace.Case, error) {
 	cache := intern.CacheFor(opts.Syms)
 	defer intern.PutCache(cache)

@@ -33,7 +33,6 @@ func randEvents(rng *rand.Rand, id trace.CaseID, n int) []trace.Event {
 			size = int64(rng.Intn(1 << 20))
 		}
 		events[i] = trace.Event{
-			CID: id.CID, Host: id.Host, RID: id.RID,
 			PID:   id.RID + 12,
 			Call:  call,
 			Start: start,

@@ -45,7 +45,7 @@ func requireEqualLogs(t *testing.T, want, got *trace.EventLog) {
 				wc.ID, len(gc.Events), len(wc.Events))
 		}
 		for i, we := range wc.Events {
-			if !gc.Events[i].Equal(we) {
+			if gc.Events[i] != we {
 				t.Fatalf("case %s event %d:\n got %s\nwant %s", wc.ID, i, gc.Events[i], we)
 			}
 		}

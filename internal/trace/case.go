@@ -11,9 +11,14 @@ import (
 // name and launching-process identifier that names one trace file
 // (Figure 1 of the paper: "<cid>_<host>_<rid>.st").
 type CaseID struct {
-	CID  string
+	// CID identifies the traced command (for example "a" for "ls" and
+	// "b" for "ls -l" in the paper's running example).
+	CID string
+	// Host is the name of the machine the recording process ran on.
 	Host string
-	RID  int
+	// RID is the identifier of the launching (MPI) process, taken from
+	// the shell variable $$ when the trace file was created.
+	RID int
 }
 
 // String renders the identifier using the paper's file naming convention
@@ -92,16 +97,16 @@ type Case struct {
 	Events []Event
 }
 
-// NewCase builds a case from events, stamping each event with the case
-// identity and sorting by start time (stable, so ties preserve record
-// order, as strace preserves the order of simultaneous events).
+// NewCase builds a case from events, sorting them by start time (stable,
+// so ties preserve record order, as strace preserves the order of
+// simultaneous events). The case takes ownership of events: they are
+// sorted in place and kept, so the caller must not use the slice
+// afterwards. An empty slice is kept as nil.
 func NewCase(id CaseID, events []Event) *Case {
-	c := &Case{ID: id, Events: append([]Event(nil), events...)}
-	for i := range c.Events {
-		c.Events[i].CID = id.CID
-		c.Events[i].Host = id.Host
-		c.Events[i].RID = id.RID
+	if len(events) == 0 {
+		events = nil
 	}
+	c := &Case{ID: id, Events: events}
 	c.Sort()
 	return c
 }

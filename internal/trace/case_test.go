@@ -71,7 +71,10 @@ func TestCaseIDLess(t *testing.T) {
 	}
 }
 
-func TestNewCaseSortsAndStamps(t *testing.T) {
+// NewCase takes ownership of its events: it sorts them in place and
+// keeps the slice, and an empty slice becomes nil, as the archive
+// decoder builds an empty case.
+func TestNewCaseOwnsAndSorts(t *testing.T) {
 	id := CaseID{CID: "a", Host: "host1", RID: 7}
 	events := []Event{
 		{PID: 1, Call: "write", Start: 3 * time.Second},
@@ -87,13 +90,17 @@ func TestNewCaseSortsAndStamps(t *testing.T) {
 		if e.Call != wantCalls[i] {
 			t.Errorf("event %d = %s, want %s", i, e.Call, wantCalls[i])
 		}
-		if e.CaseID() != id {
-			t.Errorf("event %d identity = %v, want %v", i, e.CaseID(), id)
-		}
 	}
-	// Input slice must not be mutated.
-	if events[0].Call != "write" {
-		t.Errorf("NewCase mutated its input")
+	if c.ID != id {
+		t.Errorf("case identity = %v, want %v", c.ID, id)
+	}
+	if &c.Events[0] != &events[0] {
+		t.Errorf("NewCase copied its events instead of taking ownership")
+	}
+	for _, in := range [][]Event{nil, {}, make([]Event, 0, 8)} {
+		if e := NewCase(id, in).Events; e != nil {
+			t.Errorf("NewCase(%d-cap empty slice).Events = %#v, want nil", cap(in), e)
+		}
 	}
 }
 

@@ -5,6 +5,12 @@
 // (arXiv:2408.07378): every record of a system call is an Event, the
 // time-ordered sequence of events recorded by one process is a Case, and a
 // set of cases is an EventLog.
+//
+// The paper's event tuple of Equation (1) begins with cid, host and rid,
+// which are the same for every event of a trace file. The model stores
+// them once, as the Case's ID: an Event holds only the per-record
+// attributes, and the paper's tuple is the pairing of a case ID with
+// one of its events.
 package trace
 
 import (
@@ -18,24 +24,18 @@ import (
 // write system calls.
 const SizeUnknown int64 = -1
 
-// Event is a single system-call record, Equation (1) of the paper:
+// Event is a single system-call record, the per-record part of
+// Equation (1) of the paper:
 //
 //	e = [cid, host, rid, pid, call, start, dur, fp, size]
 //
-// CID, Host and RID are inferred from the name of the trace file; the
-// remaining attributes are parsed from the trace records themselves.
+// cid, host and rid name the trace file and live on the Case as its
+// CaseID; an Event carries the remaining attributes, parsed from the
+// trace records themselves.
 type Event struct {
-	// CID identifies the traced command (for example "a" for "ls" and
-	// "b" for "ls -l" in the paper's running example).
-	CID string
-	// Host is the name of the machine the recording process ran on.
-	Host string
-	// RID is the identifier of the launching (MPI) process, taken from
-	// the shell variable $$ when the trace file was created.
-	RID int
 	// PID is the identifier of the process that executed the system
-	// call (strace option -f). PID differs from RID when the launcher
-	// forks a child to execute the command.
+	// call (strace option -f). PID differs from the case's RID when the
+	// launcher forks a child to execute the command.
 	PID int
 	// Call is the system call name, for example "read" or "pwrite64".
 	Call string
@@ -61,29 +61,23 @@ func (e Event) End() time.Duration { return e.Start + e.Dur }
 // HasSize reports whether the event carries a byte-transfer size.
 func (e Event) HasSize() bool { return e.Size >= 0 }
 
-// CaseID returns the identity of the case this event belongs to.
-func (e Event) CaseID() CaseID { return CaseID{CID: e.CID, Host: e.Host, RID: e.RID} }
-
-// String renders the event in a compact, human-oriented form.
+// String renders the event in a compact, human-oriented form. The case
+// identity is not part of the event; callers that need it print the
+// case's ID beside it.
 func (e Event) String() string {
 	if e.HasSize() {
-		return fmt.Sprintf("%s[%d] %s %s(%s)=%d <%s>",
-			e.CaseID(), e.PID, fmtTimeOfDay(e.Start), e.Call, e.FP, e.Size, e.Dur)
+		return fmt.Sprintf("[%d] %s %s(%s)=%d <%s>",
+			e.PID, fmtTimeOfDay(e.Start), e.Call, e.FP, e.Size, e.Dur)
 	}
-	return fmt.Sprintf("%s[%d] %s %s(%s) <%s>",
-		e.CaseID(), e.PID, fmtTimeOfDay(e.Start), e.Call, e.FP, e.Dur)
+	return fmt.Sprintf("[%d] %s %s(%s) <%s>",
+		e.PID, fmtTimeOfDay(e.Start), e.Call, e.FP, e.Dur)
 }
 
-// Equal reports whether two events are identical in every attribute.
-// The paper requires that no two events in an event-log are exactly equal;
-// EventLog.Validate uses this to detect violations (for example traces
-// recorded without the strace -f option).
-func (e Event) Equal(o Event) bool { return e == o }
-
-// Interval returns the (start, end) tuple of Equation (14), used by the
-// max-concurrency statistic and the timeline plots.
-func (e Event) Interval() Interval {
-	return Interval{Start: e.Start, End: e.Start + e.Dur, Case: e.CaseID()}
+// Interval returns the (start, end) tuple of Equation (14) of an event
+// of case id, used by the max-concurrency statistic and the timeline
+// plots.
+func (e Event) Interval(id CaseID) Interval {
+	return Interval{Start: e.Start, End: e.Start + e.Dur, Case: id}
 }
 
 // Interval is a [Start, End] time range attributed to a case. It is the

@@ -1,48 +1,52 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-func mkEvent(cid string, rid, pid int, call string, start, dur time.Duration, fp string, size int64) Event {
-	return Event{CID: cid, Host: "host1", RID: rid, PID: pid, Call: call, Start: start, Dur: dur, FP: fp, Size: size}
+func mkEvent(pid int, call string, start, dur time.Duration, fp string, size int64) Event {
+	return Event{PID: pid, Call: call, Start: start, Dur: dur, FP: fp, Size: size}
+}
+
+// TestEventSize is a layout gate: the case identity lives on the Case,
+// so an Event is its per-record attributes only. Every resident event
+// of a source window, an event-log or a decoded archive pays this size.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d B, want 64", got)
+	}
 }
 
 func TestEventEnd(t *testing.T) {
-	e := mkEvent("a", 1, 2, "read", 10*time.Second, 3*time.Millisecond, "/etc/passwd", 42)
+	e := mkEvent(2, "read", 10*time.Second, 3*time.Millisecond, "/etc/passwd", 42)
 	if got, want := e.End(), 10*time.Second+3*time.Millisecond; got != want {
 		t.Errorf("End() = %v, want %v", got, want)
 	}
 }
 
 func TestEventHasSize(t *testing.T) {
-	with := mkEvent("a", 1, 2, "read", 0, 0, "/f", 0)
+	with := mkEvent(2, "read", 0, 0, "/f", 0)
 	if !with.HasSize() {
 		t.Errorf("size 0 should count as a size (zero-byte read at EOF)")
 	}
-	without := mkEvent("a", 1, 2, "openat", 0, 0, "/f", SizeUnknown)
+	without := mkEvent(2, "openat", 0, 0, "/f", SizeUnknown)
 	if without.HasSize() {
 		t.Errorf("SizeUnknown should not count as a size")
 	}
 }
 
-func TestEventCaseID(t *testing.T) {
-	e := mkEvent("b", 9157, 9173, "write", 0, 0, "/dev/pts/7", 9)
-	want := CaseID{CID: "b", Host: "host1", RID: 9157}
-	if e.CaseID() != want {
-		t.Errorf("CaseID() = %v, want %v", e.CaseID(), want)
-	}
-}
-
 func TestEventInterval(t *testing.T) {
-	e := mkEvent("a", 1, 2, "read", time.Second, time.Millisecond, "/f", 1)
-	iv := e.Interval()
+	id := CaseID{CID: "b", Host: "host1", RID: 9157}
+	e := mkEvent(2, "read", time.Second, time.Millisecond, "/f", 1)
+	iv := e.Interval(id)
 	if iv.Start != time.Second || iv.End != time.Second+time.Millisecond {
 		t.Errorf("Interval() = %+v", iv)
 	}
-	if iv.Case != e.CaseID() {
-		t.Errorf("Interval case = %v, want %v", iv.Case, e.CaseID())
+	if iv.Case != id {
+		t.Errorf("Interval case = %v, want %v", iv.Case, id)
 	}
 	if got, want := iv.Len(), time.Millisecond; got != want {
 		t.Errorf("Len() = %v, want %v", got, want)
@@ -88,27 +92,15 @@ func TestFormatTimeOfDay(t *testing.T) {
 	}
 }
 
+// An event prints its own attributes, starting with the pid; the case
+// identity is not part of it.
 func TestEventStringForms(t *testing.T) {
-	e := mkEvent("a", 9042, 9054, "read", 8*time.Hour, 203*time.Microsecond, "/usr/lib/libc.so.6", 832)
-	s := e.String()
-	for _, sub := range []string{"a_host1_9042", "read", "/usr/lib/libc.so.6", "=832"} {
-		if !contains(s, sub) {
-			t.Errorf("String() = %q, missing %q", s, sub)
-		}
+	e := mkEvent(9054, "read", 8*time.Hour, 203*time.Microsecond, "/usr/lib/libc.so.6", 832)
+	if got, want := e.String(), "[9054] 08:00:00.000000 read(/usr/lib/libc.so.6)=832 <203µs>"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
-	o := mkEvent("a", 9042, 9054, "openat", 8*time.Hour, time.Microsecond, "/etc/passwd", SizeUnknown)
-	if contains(o.String(), "=") {
+	o := mkEvent(9054, "openat", 8*time.Hour, time.Microsecond, "/etc/passwd", SizeUnknown)
+	if strings.Contains(o.String(), "=") {
 		t.Errorf("sizeless String() = %q should not render a size", o.String())
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	})()
 }

@@ -197,24 +197,27 @@ func MustUnion(logs ...*EventLog) *EventLog {
 	return out
 }
 
-// Validate checks the structural invariants of the event-log:
-// every case is sorted by start time, every event carries its case's
-// identity, and no two events in the whole log are exactly identical
-// (the paper's uniqueness requirement on E).
+// Validate checks the structural invariants of the event-log: every
+// case is sorted by start time, and no two events in the whole log are
+// exactly identical (the paper's uniqueness requirement on E). An
+// event's full Equation (1) tuple is its case ID paired with its
+// attributes, so events of different cases never collide.
 func (l *EventLog) Validate() error {
-	seen := make(map[Event]CaseID, l.NumEvents())
+	type tuple struct {
+		id CaseID
+		e  Event
+	}
+	seen := make(map[tuple]struct{}, l.NumEvents())
 	for _, c := range l.cases {
 		if !c.Sorted() {
 			return fmt.Errorf("trace: case %s is not sorted by start time", c.ID)
 		}
 		for _, e := range c.Events {
-			if e.CaseID() != c.ID {
-				return fmt.Errorf("trace: event %v carries identity %s but belongs to case %s", e, e.CaseID(), c.ID)
+			k := tuple{c.ID, e}
+			if _, dup := seen[k]; dup {
+				return fmt.Errorf("trace: duplicate event in case %s: %v (was the trace recorded without -f?)", c.ID, e)
 			}
-			if prev, dup := seen[e]; dup {
-				return fmt.Errorf("trace: duplicate event in cases %s and %s: %v (was the trace recorded without -f?)", prev, c.ID, e)
-			}
-			seen[e] = c.ID
+			seen[k] = struct{}{}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,24 +165,38 @@ func TestUnionDisjoint(t *testing.T) {
 }
 
 func TestValidateDetectsDuplicateEvents(t *testing.T) {
-	// Same event in two cases with identical attributes: the paper notes
-	// this happens when strace runs without -f (pid not recorded).
+	// The same event twice in one case: the paper notes this happens
+	// when strace runs without -f, so two processes' records carry no
+	// pid to tell them apart. The error names the case.
 	e := Event{PID: 0, Call: "read", Start: time.Second, Dur: time.Millisecond, FP: "/f", Size: 1}
-	c1 := NewCase(CaseID{CID: "a", Host: "h", RID: 1}, []Event{e})
-	c2 := NewCase(CaseID{CID: "a", Host: "h", RID: 1}, []Event{e})
-	c2.ID.RID = 2
-	// Force identical identity attributes on the events themselves.
-	c2.Events[0].RID = 1
-	l := &EventLog{byID: map[CaseID]*Case{c1.ID: c1, c2.ID: c2}, cases: []*Case{c1, c2}}
-	if err := l.Validate(); err == nil {
-		t.Errorf("Validate accepted duplicate events")
+	id := CaseID{CID: "a", Host: "h", RID: 1}
+	l := MustNewEventLog(NewCase(id, []Event{e, e}))
+	err := l.Validate()
+	if err == nil {
+		t.Fatalf("Validate accepted duplicate events")
+	}
+	if !strings.Contains(err.Error(), id.String()) {
+		t.Errorf("Validate error %q does not name case %s", err, id)
+	}
+}
+
+// Equation (1)'s tuple includes the case identity, so two processes
+// whose events agree in every per-event attribute are not duplicates.
+func TestValidateAcceptsIdenticalEventsAcrossCases(t *testing.T) {
+	e := Event{PID: 0, Call: "read", Start: time.Second, Dur: time.Millisecond, FP: "/f", Size: 1}
+	l := MustNewEventLog(
+		NewCase(CaseID{CID: "a", Host: "h", RID: 1}, []Event{e}),
+		NewCase(CaseID{CID: "a", Host: "h", RID: 2}, []Event{e}),
+	)
+	if err := l.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
 func TestValidateDetectsUnsorted(t *testing.T) {
 	c := &Case{ID: CaseID{CID: "a", Host: "h", RID: 1}, Events: []Event{
-		{CID: "a", Host: "h", RID: 1, Call: "x", Start: 2},
-		{CID: "a", Host: "h", RID: 1, Call: "y", Start: 1},
+		{Call: "x", Start: 2},
+		{Call: "y", Start: 1},
 	}}
 	l := MustNewEventLog(c)
 	if err := l.Validate(); err == nil {

@@ -17,17 +17,15 @@ import (
 //
 // The PID becomes the RID of the new case identities (the trace-file
 // naming convention has no separate pid slot); the events keep their
-// original PID attribute. If two different rids on one host share a pid
+// PID attribute. If two different rids on one host share a pid
 // (possible only across unrelated recordings), their events merge into
 // one case, ordered by start time.
 func (l *EventLog) RegroupByPID() *EventLog {
 	groups := make(map[CaseID][]Event)
 	for _, c := range l.cases {
 		for _, e := range c.Events {
-			id := CaseID{CID: e.CID, Host: e.Host, RID: e.PID}
-			ev := e
-			ev.RID = e.PID
-			groups[id] = append(groups[id], ev)
+			id := CaseID{CID: c.ID.CID, Host: c.ID.Host, RID: e.PID}
+			groups[id] = append(groups[id], e)
 		}
 	}
 	ids := make([]CaseID, 0, len(groups))

@@ -37,8 +37,8 @@ func TestRegroupByPID(t *testing.T) {
 		t.Fatalf("pid-200 case = %v", c200)
 	}
 	for _, e := range c200.Events {
-		if e.PID != 200 || e.RID != 200 {
-			t.Errorf("event identity = %+v", e)
+		if e.PID != 200 {
+			t.Errorf("event pid = %d, want 200", e.PID)
 		}
 	}
 	if err := r.Validate(); err != nil {
@@ -89,14 +89,16 @@ func TestTimeShift(t *testing.T) {
 		return 0
 	})
 	var minB, minA time.Duration = 1 << 62, 1 << 62
-	shifted.Events(func(e Event) {
-		if e.CID == "b" && e.Start < minB {
-			minB = e.Start
+	for _, c := range shifted.Cases() {
+		for _, e := range c.Events {
+			if c.ID.CID == "b" && e.Start < minB {
+				minB = e.Start
+			}
+			if c.ID.CID == "a" && e.Start < minA {
+				minA = e.Start
+			}
 		}
-		if e.CID == "a" && e.Start < minA {
-			minA = e.Start
-		}
-	})
+	}
 	if minB < time.Hour {
 		t.Errorf("b not shifted: %v", minB)
 	}
@@ -105,11 +107,13 @@ func TestTimeShift(t *testing.T) {
 	}
 	// Original untouched.
 	orig := false
-	l.Events(func(e Event) {
-		if e.CID == "b" && e.Start < time.Hour {
-			orig = true
+	for _, c := range l.Cases() {
+		for _, e := range c.Events {
+			if c.ID.CID == "b" && e.Start < time.Hour {
+				orig = true
+			}
 		}
-	})
+	}
 	if !orig {
 		t.Errorf("TimeShift mutated the original log")
 	}

@@ -42,8 +42,9 @@ import (
 
 // Event model (Section III-IV of the paper).
 type (
-	// Event is one system-call record, e = [cid, host, rid, pid,
-	// call, start, dur, fp, size].
+	// Event is one system-call record: the pid, call, start, dur, fp
+	// and size of e = [cid, host, rid, pid, call, start, dur, fp,
+	// size]. The cid, host and rid are its case's CaseID.
 	Event = trace.Event
 	// CaseID identifies a case (one trace file): cid, host, rid.
 	CaseID = trace.CaseID
