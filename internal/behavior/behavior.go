@@ -16,11 +16,13 @@
 // byte-identical artifacts at any parallelism, window, shard count or
 // symbol-table scoping. Each profile owns a scoped intern.Local symbol
 // table for its subjects — the private encoding dies with the profile;
-// the strings are the meaning.
+// the strings are the meaning. The queries, snapshot encoding included, only read a profile, so
+// they may run concurrently with each other.
 package behavior
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,73 +92,118 @@ func Classify(call string) (Op, bool) {
 
 // Profile is the mergeable behavior aggregate: per-case counts of
 // distinct subjects per operation class. Like dfg.Graph it is both the
-// accumulator and the queryable result — Add/AddCase fold events in,
-// Merge combines profiles exactly, and the query methods (Cases,
-// Merged, RenderText) materialize deterministic views at any point.
+// accumulator and the queryable result — AddCase folds a case in,
+// Merge combines profiles exactly, and the queries (Cases, Merged,
+// Totals, RenderText, EncodeSnapshot) materialize deterministic views
+// at any point. The queries only read the profile, so any number of
+// them may run concurrently while nothing folds or merges into it.
+//
+// Each case keeps one run of entries sorted by (operation, subject
+// string). The run is sorted once, when the case is folded; merges
+// keep it sorted, and every query walks it in that order.
 type Profile struct {
 	syms  *intern.Local
-	cases map[trace.CaseID]*caseAcc
+	cases map[trace.CaseID]caseAcc
+	// tally counts one case's (op, subject) pairs in AddCase; it is
+	// emptied after each case and reused.
+	tally map[opSym]int
 }
 
 type caseAcc struct {
-	ops    [numOps]map[intern.Sym]int
+	run    []entry
 	events int
-	// order caches each op's subjects in ascending string order for
-	// EncodeSnapshot. Subjects are never removed, so the cache is
-	// current exactly when its length matches the op's map.
-	order [numOps][]intern.Sym
 }
 
-// subjectOrder returns the op's subjects in ascending string order,
-// re-sorting only when subjects were added since the last call.
-func (acc *caseAcc) subjectOrder(op Op, syms *intern.Local) []intern.Sym {
-	m := acc.ops[op]
-	if len(acc.order[op]) == len(m) {
-		return acc.order[op]
-	}
-	ys := acc.order[op][:0]
-	for y := range m {
-		ys = append(ys, y)
-	}
-	sort.Slice(ys, func(i, j int) bool { return syms.Str(ys[i]) < syms.Str(ys[j]) })
-	acc.order[op] = ys
-	return ys
+// entry is one subject of a case under one operation, with its count.
+type entry struct {
+	sym   intern.Sym
+	op    Op
+	count int
+}
+
+type opSym struct {
+	sym intern.Sym
+	op  Op
 }
 
 // New returns an empty profile owning a fresh scoped symbol table.
 func New() *Profile {
 	return &Profile{
 		syms:  intern.NewLocal(),
-		cases: make(map[trace.CaseID]*caseAcc),
+		cases: make(map[trace.CaseID]caseAcc),
 	}
 }
 
-// add folds one event of case id into the profile. Events outside the
-// behavior taxonomy or without a subject are skipped.
-func (p *Profile) add(id trace.CaseID, e *trace.Event) {
-	op, ok := Classify(e.Call)
-	if !ok || e.FP == "" {
+// AddCase folds every event of the case. Events outside the behavior
+// taxonomy or without a subject are skipped; a case with none of its
+// own adds nothing.
+func (p *Profile) AddCase(c *trace.Case) {
+	if p.tally == nil {
+		p.tally = make(map[opSym]int)
+	}
+	events := 0
+	for i := range c.Events {
+		e := &c.Events[i]
+		op, ok := Classify(e.Call)
+		if !ok || e.FP == "" {
+			continue
+		}
+		p.tally[opSym{p.syms.Intern(e.FP), op}]++
+		events++
+	}
+	if events == 0 {
 		return
 	}
-	acc := p.cases[id]
-	if acc == nil {
-		acc = &caseAcc{}
-		p.cases[id] = acc
+	run := make([]entry, 0, len(p.tally))
+	for k, n := range p.tally {
+		run = append(run, entry{sym: k.sym, op: k.op, count: n})
 	}
-	m := acc.ops[op]
-	if m == nil {
-		m = make(map[intern.Sym]int)
-		acc.ops[op] = m
-	}
-	m[p.syms.Intern(e.FP)]++
-	acc.events++
+	clear(p.tally)
+	slices.SortFunc(run, p.compare)
+	p.addRun(c.ID, run, events)
 }
 
-// AddCase folds every event of the case.
-func (p *Profile) AddCase(c *trace.Case) {
-	for i := range c.Events {
-		p.add(c.ID, &c.Events[i])
+// addRun adds a sorted run of the profile's own symbols to case id:
+// a new case adopts it, a known one merges it into its run.
+func (p *Profile) addRun(id trace.CaseID, run []entry, events int) {
+	acc, ok := p.cases[id]
+	if ok {
+		run = p.mergeRuns(acc.run, run)
+		events += acc.events
 	}
+	p.cases[id] = caseAcc{run: run, events: events}
+}
+
+// compare orders entries by operation, then by subject string.
+func (p *Profile) compare(a, b entry) int {
+	if a.op != b.op {
+		return int(a.op) - int(b.op)
+	}
+	if a.sym == b.sym {
+		return 0
+	}
+	return strings.Compare(p.syms.Str(a.sym), p.syms.Str(b.sym))
+}
+
+// mergeRuns returns the linear merge of two sorted runs into a new
+// run, summing the counts of an entry present in both. Neither input
+// is modified.
+func (p *Profile) mergeRuns(a, b []entry) []entry {
+	out := make([]entry, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := p.compare(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			e := a[0]
+			e.count += b[0].count
+			out, a, b = append(out, e), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // FromLog builds a profile over a whole event-log.
@@ -169,36 +216,23 @@ func FromLog(el *trace.EventLog) *Profile {
 }
 
 // Merge folds q into p, exactly: q's symbols are remapped into p's
-// table (a string-preserving translation) and the per-case counts sum
-// as integers. Merging per-shard or per-epoch profiles of a disjoint
-// case partition in any order yields the same queryable state — and
-// the same snapshot bytes — a single sequential fold produces. q is
-// not modified; a nil q is a no-op.
+// table (a string-preserving translation, so a remapped run stays
+// sorted) and the per-case counts sum as integers. Merging per-shard or
+// per-epoch profiles of a disjoint case partition in any order yields
+// the same queryable state — and the same snapshot bytes — a single
+// sequential fold produces. q is not modified; a nil q is a no-op.
 func (p *Profile) Merge(q *Profile) {
 	if q == nil {
 		return
 	}
 	r := q.syms.RemapInto(p.syms)
 	for id, qa := range q.cases {
-		acc := p.cases[id]
-		if acc == nil {
-			acc = &caseAcc{}
-			p.cases[id] = acc
+		run := make([]entry, len(qa.run))
+		for i, e := range qa.run {
+			e.sym = r[e.sym]
+			run[i] = e
 		}
-		acc.events += qa.events
-		for op, m := range qa.ops {
-			if len(m) == 0 {
-				continue
-			}
-			dm := acc.ops[op]
-			if dm == nil {
-				dm = make(map[intern.Sym]int, len(m))
-				acc.ops[op] = dm
-			}
-			for y, n := range m {
-				dm[r[y]] += n
-			}
-		}
+		p.addRun(id, run, qa.events)
 	}
 }
 
@@ -238,22 +272,11 @@ func (cp *CaseProfile) byOp() [numOps]*[]Entry {
 	}
 }
 
-func (p *Profile) caseProfile(id trace.CaseID, acc *caseAcc) CaseProfile {
-	cp := CaseProfile{ID: id, Events: acc.events}
-	dst := cp.byOp()
-	for op := Op(0); op < numOps; op++ {
-		m := acc.ops[op]
-		if len(m) == 0 {
-			continue
-		}
-		es := make([]Entry, 0, len(m))
-		for y, n := range m {
-			es = append(es, Entry{Subject: p.syms.Str(y), Count: n})
-		}
-		sort.Slice(es, func(i, j int) bool { return es[i].Subject < es[j].Subject })
-		*dst[op] = es
-	}
-	return cp
+// opSegment returns the segment of a sorted run under one operation.
+func opSegment(run []entry, op Op) []entry {
+	lo := sort.Search(len(run), func(i int) bool { return run[i].op >= op })
+	hi := lo + sort.Search(len(run)-lo, func(i int) bool { return run[lo+i].op > op })
+	return run[lo:hi]
 }
 
 // Cases returns the per-case profiles in ascending CaseID order.
@@ -261,33 +284,69 @@ func (p *Profile) Cases() []CaseProfile {
 	ids := p.sortedIDs()
 	out := make([]CaseProfile, len(ids))
 	for i, id := range ids {
-		out[i] = p.caseProfile(id, p.cases[id])
+		acc := p.cases[id]
+		cp := CaseProfile{ID: id, Events: acc.events}
+		dst := cp.byOp()
+		for op := Op(0); op < numOps; op++ {
+			seg := opSegment(acc.run, op)
+			if len(seg) == 0 {
+				continue
+			}
+			es := make([]Entry, len(seg))
+			for j, e := range seg {
+				es[j] = Entry{Subject: p.syms.Str(e.sym), Count: e.count}
+			}
+			*dst[op] = es
+		}
+		out[i] = cp
 	}
 	return out
+}
+
+// subjectOrder returns every subject of the profile in ascending
+// string order. Every symbol of the table is the subject of some entry:
+// symbols are interned only for counted events and never removed.
+func (p *Profile) subjectOrder() []intern.Sym {
+	order := make([]intern.Sym, p.syms.Len())
+	for y := range order {
+		order[y] = intern.Sym(y)
+	}
+	slices.SortFunc(order, func(a, b intern.Sym) int {
+		return strings.Compare(p.syms.Str(a), p.syms.Str(b))
+	})
+	return order
+}
+
+// eachMerged calls fn for every (op, subject) of the union over all
+// cases, in operation then subject order, with the count summed across
+// cases. order is subjectOrder's result; counts is scratch of one int
+// per symbol, reused for each operation in turn.
+func (p *Profile) eachMerged(order []intern.Sym, counts []int, fn func(op Op, y intern.Sym, n int)) {
+	for op := Op(0); op < numOps; op++ {
+		clear(counts)
+		for _, acc := range p.cases {
+			for _, e := range opSegment(acc.run, op) {
+				counts[e.sym] += e.count
+			}
+		}
+		for _, y := range order {
+			if counts[y] > 0 {
+				fn(op, y, counts[y])
+			}
+		}
+	}
 }
 
 // Merged returns the union profile over every case: the distinct
 // subjects per operation with counts summed across cases. Its ID is
 // the zero CaseID.
 func (p *Profile) Merged() CaseProfile {
-	acc := &caseAcc{}
-	for _, ca := range p.cases {
-		acc.events += ca.events
-		for op, m := range ca.ops {
-			if len(m) == 0 {
-				continue
-			}
-			dm := acc.ops[op]
-			if dm == nil {
-				dm = make(map[intern.Sym]int, len(m))
-				acc.ops[op] = dm
-			}
-			for y, n := range m {
-				dm[y] += n
-			}
-		}
-	}
-	return p.caseProfile(trace.CaseID{}, acc)
+	cp := CaseProfile{Events: p.Events()}
+	dst := cp.byOp()
+	p.eachMerged(p.subjectOrder(), make([]int, p.syms.Len()), func(op Op, y intern.Sym, n int) {
+		*dst[op] = append(*dst[op], Entry{Subject: p.syms.Str(y), Count: n})
+	})
+	return cp
 }
 
 // Totals returns the merged distinct-subject counts by theme: files
@@ -295,27 +354,25 @@ func (p *Profile) Merged() CaseProfile {
 // endpoints) and commands (spawn command lines) — the structural
 // columns the benchmark matrix tracks.
 func (p *Profile) Totals() (files, hosts, commands int) {
-	distinct := [numOps]map[intern.Sym]bool{}
-	for _, ca := range p.cases {
-		for op, m := range ca.ops {
-			if len(m) == 0 {
-				continue
-			}
-			if distinct[op] == nil {
-				distinct[op] = make(map[intern.Sym]bool, len(m))
-			}
-			for y := range m {
-				distinct[op][y] = true
-			}
+	const fileOps = 1<<OpOpened | 1<<OpRead | 1<<OpWritten | 1<<OpDeleted | 1<<OpRenamed
+	ops := make([]uint8, p.syms.Len()) // bit op set when the subject occurs under op
+	for _, acc := range p.cases {
+		for _, e := range acc.run {
+			ops[e.sym] |= 1 << e.op
 		}
 	}
-	fileSet := make(map[intern.Sym]bool)
-	for _, op := range []Op{OpOpened, OpRead, OpWritten, OpDeleted, OpRenamed} {
-		for y := range distinct[op] {
-			fileSet[y] = true
+	for _, m := range ops {
+		if m&fileOps != 0 {
+			files++
+		}
+		if m&(1<<OpConnected) != 0 {
+			hosts++
+		}
+		if m&(1<<OpSpawned) != 0 {
+			commands++
 		}
 	}
-	return len(fileSet), len(distinct[OpConnected]), len(distinct[OpSpawned])
+	return files, hosts, commands
 }
 
 func (p *Profile) sortedIDs() []trace.CaseID {
@@ -325,29 +382,4 @@ func (p *Profile) sortedIDs() []trace.CaseID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	return ids
-}
-
-// RenderText renders the profile as a deterministic text listing: the
-// merged view first, then every case in ascending CaseID order.
-// Subjects are quoted, so hostile path bytes render unambiguously. The
-// output is a pure function of the profile's content — the form the
-// equivalence matrix compares across backends and fold shapes.
-func (p *Profile) RenderText() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "behavior: %d cases, %d events\n", p.NumCases(), p.Events())
-	writeCaseProfile(&b, "merged", p.Merged())
-	for _, cp := range p.Cases() {
-		writeCaseProfile(&b, cp.ID.String(), cp)
-	}
-	return b.String()
-}
-
-func writeCaseProfile(b *strings.Builder, label string, cp CaseProfile) {
-	fmt.Fprintf(b, "%s: %d events\n", label, cp.Events)
-	src := cp.byOp()
-	for op := Op(0); op < numOps; op++ {
-		for _, e := range *src[op] {
-			fmt.Fprintf(b, "  %s %q %d\n", opNames[op], e.Subject, e.Count)
-		}
-	}
 }

@@ -199,13 +199,58 @@ func TestSnapshotHostileBytes(t *testing.T) {
 	if _, err := behavior.DecodeSnapshot([]byte{0xff, 0xff, 0xff, 0xff, 0xff}); !errors.As(err, &ce) {
 		t.Errorf("garbage header: err = %v, want CorruptError", err)
 	}
+	// An op's subjects must sort strictly ascending, as the encoder
+	// writes them: out of order or repeated is corrupt.
+	if _, err := behavior.DecodeSnapshot(openedSection("/a", "/b")); err != nil {
+		t.Errorf("ascending subjects: %v", err)
+	}
+	for name, subjects := range map[string][]string{
+		"out of order": {"/b", "/a"},
+		"duplicate":    {"/a", "/a"},
+	} {
+		if _, err := behavior.DecodeSnapshot(openedSection(subjects...)); !errors.As(err, &ce) {
+			t.Errorf("%s subjects: err = %v, want CorruptError", name, err)
+		}
+	}
 }
 
-// TestSnapshotSortCacheTracksMerge: EncodeSnapshot caches each case's
-// subject order, so a merge that adds a subject to a case already
-// encoded must show up in the next encoding — which must equal the
-// bytes of a profile built from scratch over the same events.
-func TestSnapshotSortCacheTracksMerge(t *testing.T) {
+// openedSection is a behavior section holding one case that opened the
+// given subjects once each, listed in the given order.
+func openedSection(subjects ...string) []byte {
+	dict := []string{"app", "h1"}
+	ids := map[string]int{}
+	for _, s := range subjects {
+		if _, ok := ids[s]; !ok {
+			ids[s] = len(dict)
+			dict = append(dict, s)
+		}
+	}
+	var b wire.Buf
+	b.Uvarint(uint64(len(dict)))
+	for _, s := range dict {
+		b.Str(s)
+	}
+	b.Uvarint(1) // cases
+	b.Uvarint(0) // cid "app"
+	b.Uvarint(1) // host "h1"
+	b.Varint(1)  // rid
+	b.Uvarint(uint64(len(subjects)))
+	b.Uvarint(uint64(len(subjects))) // opened entries
+	for _, s := range subjects {
+		b.Uvarint(uint64(ids[s]))
+		b.Uvarint(1)
+	}
+	for op := 1; op < 7; op++ {
+		b.Uvarint(0)
+	}
+	return b.Bytes()
+}
+
+// TestSnapshotMergeIntoEncodedCase: a merge that adds subjects to a
+// case already encoded — one between two known subjects, one known —
+// merges the two sorted runs, so the next encoding equals the bytes of
+// a profile built from scratch over the same events.
+func TestSnapshotMergeIntoEncodedCase(t *testing.T) {
 	id := trace.CaseID{CID: "app", Host: "h1", RID: 1}
 	first := []trace.Event{
 		mkEvent(1, "read", "/data/c.bin"),

@@ -21,8 +21,8 @@ import (
 //	dict:  n | string*
 //	cases: n | (cidSym hostSym rid events (nEntries | (subjSym count)*)^numOps)*
 //
-// EncodeSnapshot caches each case's subject order on the profile, so
-// like Add and Merge it must not run concurrently with other use of it.
+// Each case's run is already in this order, so encoding walks the runs
+// and only reads the profile.
 func (p *Profile) EncodeSnapshot() []byte {
 	ids := p.sortedIDs()
 	// One pass: the payload is written while the dictionary assigns ids
@@ -63,11 +63,11 @@ func (p *Profile) EncodeSnapshot() []byte {
 		b.Varint(int64(id.RID))
 		b.Uvarint(uint64(acc.events))
 		for op := Op(0); op < numOps; op++ {
-			order := acc.subjectOrder(op, p.syms)
-			b.Uvarint(uint64(len(order)))
-			for _, y := range order {
-				b.Uvarint(subject(y))
-				b.Uvarint(uint64(acc.ops[op][y]))
+			seg := opSegment(acc.run, op)
+			b.Uvarint(uint64(len(seg)))
+			for _, e := range seg {
+				b.Uvarint(subject(e.sym))
+				b.Uvarint(uint64(e.count))
 			}
 		}
 	}
@@ -140,32 +140,22 @@ func DecodeSnapshot(data []byte) (*Profile, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc := p.cases[id]
-		if acc == nil {
-			acc = &caseAcc{}
-			p.cases[id] = acc
-		}
-		// A well-formed snapshot never repeats a CaseID; fold
-		// duplicates the way Merge would rather than dropping data.
-		acc.events += events
+		var run []entry
 		for op := Op(0); op < numOps; op++ {
 			ne, err := c.Count(2)
 			if err != nil {
 				return nil, err
 			}
-			if ne == 0 {
-				continue
-			}
-			m := acc.ops[op]
-			if m == nil {
-				m = make(map[intern.Sym]int, ne)
-				acc.ops[op] = m
-			}
+			prev := ""
 			for j := 0; j < ne; j++ {
 				s, err := sym()
 				if err != nil {
 					return nil, err
 				}
+				if j > 0 && s <= prev {
+					return nil, wire.Corruptf("behavior %s subject %q does not sort after %q", op, s, prev)
+				}
+				prev = s
 				n, err := c.Int()
 				if err != nil {
 					return nil, err
@@ -173,9 +163,12 @@ func DecodeSnapshot(data []byte) (*Profile, error) {
 				if n <= 0 {
 					return nil, wire.Corruptf("behavior count %d for %q must be positive", n, s)
 				}
-				m[p.syms.Intern(s)] += n
+				run = append(run, entry{sym: p.syms.Intern(s), op: op, count: n})
 			}
 		}
+		// A well-formed snapshot never repeats a CaseID; fold a repeat
+		// the way Merge would rather than dropping data.
+		p.addRun(id, run, events)
 	}
 	if err := c.Done(); err != nil {
 		return nil, err

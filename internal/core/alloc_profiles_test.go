@@ -3,19 +3,20 @@ package core
 // Analysis-side allocation gate over the adversarial generator
 // profiles: TestAnalyzeAllocBudget measures only the friendly synth
 // shape, but the fold's per-event costs must also stay pinned when the
-// inputs turn hostile. The recorded ceilings differ by what the input
-// inherently costs:
+// inputs turn hostile. Every analysis run owns fresh scoped symbol
+// tables, so what remains is proportional to vocabulary, not events:
 //
 //   - hostileargs (pathological strings, tiny vocabulary) folds at
 //     ~0.06 allocs/event — string content is irrelevant to the
 //     symbolized fold, so it shares the friendly shape's 0.25 ceiling.
 //   - heavytail (Zipf path vocabulary, ~half the events touch one-off
-//     paths) folds at ~0.95 allocs/event: every analysis run owns a
-//     fresh scoped symbol table, so an unbounded vocabulary pays
-//     first-sight interning per distinct path on every run, by design.
-//     That cost is proportional to vocabulary size, not events, and
-//     the 1.5 ceiling pins it — a per-EVENT allocation sneaking into
-//     the hot loop would land at 2+ and still fail.
+//     paths) folds at ~0.27 allocs/event: first-sight interning of each
+//     distinct path and activity. Path truncation allocates nothing and
+//     a case's behavior subjects are counted in one reused tally, so
+//     the 0.5 ceiling leaves no room for a per-event allocation.
+//   - multitenant (nearly every event a distinct (call, path) pair)
+//     folds at ~0.95 allocs/event: the activity-name concatenation of
+//     each distinct pair's first sight. The 1.25 ceiling pins it.
 
 import (
 	"testing"
@@ -34,7 +35,8 @@ func TestAnalyzeAllocBudgetProfiles(t *testing.T) {
 		ceiling float64
 	}{
 		{"hostileargs", 0.25},
-		{"heavytail", 1.5},
+		{"heavytail", 0.5},
+		{"multitenant", 1.25},
 	} {
 		t.Run(tc.profile, func(t *testing.T) {
 			p, ok := profiles.Lookup(tc.profile)

@@ -46,15 +46,20 @@ func (m CallTopDirs) MapCallPath(call, fp string) (Activity, bool) {
 // TruncatePath keeps at most the top depth directory levels of an
 // absolute path: TruncatePath("/usr/lib/x/y.so", 2) = "/usr/lib".
 // Relative paths and paths shallower than depth are returned unchanged.
+// The result is a prefix of fp ending before the depth-th separator
+// after the leading one, so truncating allocates nothing.
 func TruncatePath(fp string, depth int) string {
 	if depth <= 0 || !strings.HasPrefix(fp, "/") {
 		return fp
 	}
-	parts := strings.Split(fp[1:], "/")
-	if len(parts) <= depth {
-		return fp
+	for i := 1; i < len(fp); i++ {
+		if fp[i] == '/' {
+			if depth--; depth == 0 {
+				return fp[:i]
+			}
+		}
 	}
-	return "/" + strings.Join(parts[:depth], "/")
+	return fp
 }
 
 // CallFileName maps an event to its call plus the final path component,

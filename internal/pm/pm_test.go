@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"stinspector/internal/race"
 	"stinspector/internal/trace"
 )
 
@@ -58,6 +59,19 @@ func TestCallTopDirsEquation4(t *testing.T) {
 	}
 }
 
+// truncatePathSplit is TruncatePath's split-and-join definition: the
+// leading "/" plus the first depth components of the rest.
+func truncatePathSplit(fp string, depth int) string {
+	if depth <= 0 || !strings.HasPrefix(fp, "/") {
+		return fp
+	}
+	parts := strings.Split(fp[1:], "/")
+	if len(parts) <= depth {
+		return fp
+	}
+	return "/" + strings.Join(parts[:depth], "/")
+}
+
 func TestTruncatePath(t *testing.T) {
 	tests := []struct {
 		fp    string
@@ -68,14 +82,65 @@ func TestTruncatePath(t *testing.T) {
 		{"/usr/lib", 2, "/usr/lib"},
 		{"/usr", 2, "/usr"},
 		{"/", 2, "/"},
+		{"/", 1, "/"},
+		{"/", 0, "/"},
 		{"relative/path/x", 2, "relative/path/x"},
+		{"relative/path/x", 0, "relative/path/x"},
+		{"", 2, ""},
 		{"/a/b/c", 0, "/a/b/c"},
+		{"/a/b/c", -1, "/a/b/c"},
 		{"/a/b/c", 1, "/a"},
+		{"/a/b/c", 3, "/a/b/c"},
+		{"/a/b/c", 9, "/a/b/c"},
+		{"//", 1, "/"},
+		{"//a//b", 1, "/"},
+		{"//a//b", 2, "//a"},
+		{"//a//b", 3, "//a/"},
+		{"/a/b/", 1, "/a"},
+		{"/a/b/", 2, "/a/b"},
+		{"/a/b/", 3, "/a/b/"},
+		{"/a/", 1, "/a"},
+		{"/a/", 2, "/a/"},
 	}
 	for _, tc := range tests {
 		if got := TruncatePath(tc.fp, tc.depth); got != tc.want {
 			t.Errorf("TruncatePath(%q, %d) = %q, want %q", tc.fp, tc.depth, got, tc.want)
 		}
+		if ref := truncatePathSplit(tc.fp, tc.depth); ref != tc.want {
+			t.Errorf("split-and-join TruncatePath(%q, %d) = %q, want %q", tc.fp, tc.depth, ref, tc.want)
+		}
+	}
+	// Every path over a small alphabet, every depth: the scan equals
+	// the split-and-join definition byte for byte.
+	var paths []string
+	var gen func(prefix string, n int)
+	gen = func(prefix string, n int) {
+		paths = append(paths, prefix)
+		if n == 0 {
+			return
+		}
+		for _, c := range []string{"/", "a", "bc"} {
+			gen(prefix+c, n-1)
+		}
+	}
+	gen("", 6)
+	for _, fp := range paths {
+		for depth := -1; depth <= 7; depth++ {
+			if got, want := TruncatePath(fp, depth), truncatePathSplit(fp, depth); got != want {
+				t.Errorf("TruncatePath(%q, %d) = %q, split-and-join gives %q", fp, depth, got, want)
+			}
+		}
+	}
+	if race.Enabled {
+		return
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, tc := range tests {
+			_ = TruncatePath(tc.fp, tc.depth)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("TruncatePath allocated %.1f times per pass, want 0", allocs)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 
 // FuzzSnapshotDecode drives Decode with mutated snapshot files: seeds
 // are real version-3 snapshots of the adversarial generator profiles
-// (the hostileargs renderings among them), bit-flipped variants, and a
-// well-framed snapshot whose stats spans descend in start. The
+// (the hostileargs renderings among them), bit-flipped variants, a
+// well-framed snapshot whose stats spans descend in start, and two
+// whose behavior subjects are out of order or repeated. The
 // decoder must never panic and never allocate proportionally to a
 // hostile count; when it does accept an input, the decoded state must
 // re-encode and re-decode to a fixed point (a canonical snapshot).
@@ -37,6 +38,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("STS1"))
+	// Behavior subjects out of order and repeated.
+	s := foldRange(profiles.All()[0].Generate("fz", 2, 16, 1), m, 0, 2)
+	f.Add(unsortedBehaviorSnapshot(s, "/a"))
+	f.Add(unsortedBehaviorSnapshot(s, "/b"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data, m)

@@ -167,6 +167,11 @@ func TestSnapshotCorruption(t *testing.T) {
 	if _, err := Decode(descendingStartSnapshot(foldRange(el, m, 0, 8)), m); !errors.As(err, &ce) {
 		t.Errorf("descending-start stats section: err = %v, want CorruptError", err)
 	}
+	for _, second := range []string{"/a", "/b"} {
+		if _, err := Decode(unsortedBehaviorSnapshot(foldRange(el, m, 0, 8), second), m); !errors.As(err, &ce) {
+			t.Errorf("behavior subjects /b, %s: err = %v, want CorruptError", second, err)
+		}
+	}
 }
 
 // A file of any other STS version — the previous one above all, which a
@@ -217,6 +222,42 @@ func descendingStartSnapshot(s *Snapshot) []byte {
 	secs := sectionsOf(s)
 	for i := range secs {
 		if secs[i].kind == kindStats {
+			secs[i].body = b.Bytes()
+		}
+	}
+	return encodeSections(secs)
+}
+
+// unsortedBehaviorSnapshot is a well-framed snapshot of s whose
+// behavior section holds one case that opened "/b" and then second:
+// "/a" is out of order, "/b" a duplicate. Checksums are all valid, so
+// only the behavior decoder's order check stands in its way.
+func unsortedBehaviorSnapshot(s *Snapshot, second string) []byte {
+	var b wire.Buf
+	b.Uvarint(4)
+	for _, str := range []string{"app", "h1", "/b", "/a"} {
+		b.Str(str)
+	}
+	b.Uvarint(1) // cases
+	b.Uvarint(0) // cid
+	b.Uvarint(1) // host
+	b.Varint(1)  // rid
+	b.Uvarint(2) // events
+	b.Uvarint(2) // opened entries
+	b.Uvarint(2) // "/b"
+	b.Uvarint(1)
+	if second == "/a" {
+		b.Uvarint(3)
+	} else {
+		b.Uvarint(2)
+	}
+	b.Uvarint(1)
+	for op := 1; op < 7; op++ {
+		b.Uvarint(0)
+	}
+	secs := sectionsOf(s)
+	for i := range secs {
+		if secs[i].kind == kindBehavior {
 			secs[i].body = b.Bytes()
 		}
 	}
