@@ -28,15 +28,17 @@
 // GOMAXPROCS) and -window N to cap how many parsed cases are resident
 // at once (default 2×parallelism).
 //
-// The fold subcommands — dfg, stats, variants, behavior, info, and
-// footprint without -green — synthesize their artifacts in a single
-// bounded-memory pass and never materialize the event-log, so trace
-// sets larger than RAM stay inspectable. -ashards N shards that fold
-// over N workers whose partials merge exactly; the output is
-// byte-identical for every -j/-window/-ashards setting. The other
-// subcommands need random access to the event-log and load it into
-// memory. -j, -window and -ashards require values >= 1 when given;
-// omitting a flag selects its default.
+// The fold subcommands — dfg, stats, variants, behavior, info, footprint
+// and compare — synthesize their artifacts in a single bounded-memory
+// pass and never materialize the event-log, so trace sets larger than
+// RAM stay inspectable. compare and footprint -green split the folded
+// activity-log by the -green CIDs (Equation 18) into the G and R
+// graphs. -ashards N shards that fold over N workers whose partials
+// merge exactly; the output is byte-identical for every
+// -j/-window/-ashards setting. timeline, dist, percase and report need
+// random access to the event-log and load it into memory. -j, -window
+// and -ashards require values >= 1 when given; omitting a flag selects
+// its default.
 //
 // The snapshot subcommand folds its input in one bounded-memory pass
 // and writes the pre-Finalize aggregate state — activity-log, DFG,
@@ -135,7 +137,7 @@ func run(args []string) error {
 	window := fs.Int("window", 0, "max parsed cases resident at once (>= 1; omit for 2x parallelism)")
 	ashards := fs.Int("ashards", 0, "analysis shards of the fold subcommands and snapshot, concurrent fold workers whose partials merge exactly (>= 1; omit for GOMAXPROCS)")
 	casesRange := fs.String("cases", "", "archive input: restrict to the half-open case range a:b of the archive's file order (a:, :b, a:b)")
-	mergeSnaps := fs.String("merge-snapshots", "", "comma-separated STS snapshot files to merge as the input (dfg, stats, variants, behavior, info, footprint); replaces -traces/-archive/-dxt")
+	mergeSnaps := fs.String("merge-snapshots", "", "comma-separated STS snapshot files to merge as the input (dfg, stats, variants, behavior, info, footprint, compare); replaces -traces/-archive/-dxt")
 	every := fs.Int("every", 0, "snapshot subcommand: checkpoint every N folded cases (omit or <= 0: one snapshot at the end)")
 	resume := fs.Bool("resume", false, "snapshot subcommand: resume from an existing -o snapshot, folding only unseen cases")
 	if err := fs.Parse(rest); err != nil {
@@ -176,10 +178,10 @@ func run(args []string) error {
 	// The fold subcommands never need the event-log: they stream their
 	// input through the sharded analysis fold, or merge snapshot files.
 	fold := cmd == "dfg" || cmd == "stats" || cmd == "variants" || cmd == "behavior" ||
-		cmd == "info" || (cmd == "footprint" && *green == "")
+		cmd == "info" || cmd == "footprint" || cmd == "compare"
 	if *mergeSnaps != "" {
 		if !fold {
-			return usagef("subcommand %q needs the event-log, which merged snapshots do not hold (they serve dfg, stats, variants, behavior, info, and footprint without -green)", cmd)
+			return usagef("subcommand %q needs the event-log, which merged snapshots do not hold (they serve dfg, stats, variants, behavior, info, footprint and compare)", cmd)
 		}
 		if *traces != "" || *archivePath != "" || *dxtPath != "" {
 			return usagef("-merge-snapshots replaces -traces/-archive/-dxt; drop the other input flags")
@@ -207,7 +209,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		printFold(cmd, res, *format)
+		printFold(cmd, res, *format, *green)
 		return nil
 	}
 
@@ -261,7 +263,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		printFold(cmd, res, *format)
+		printFold(cmd, res, *format, *green)
 		return nil
 	}
 	if cmd == "snapshot" {
@@ -280,7 +282,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	// The rest needs the event-log in memory.
+	// timeline, dist, percase and report need the event-log in memory.
 	in, err := stinspector.LoadStream(src, !*lenient)
 	if err != nil {
 		return err
@@ -315,17 +317,6 @@ func run(args []string) error {
 		fmt.Print(stinspector.RenderTimeline(tl))
 		fmt.Printf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
 
-	case "compare":
-		full, part := in.PartitionByCID(strings.Split(*green, ",")...)
-		st := in.Stats()
-		if *format == "dot" {
-			fmt.Print(stinspector.RenderDOT(full, st, stinspector.PartitionColoring{Partition: part}))
-		} else {
-			fmt.Print(stinspector.RenderText(full, st, part))
-		}
-		gn, rn, sn := part.CountNodes()
-		fmt.Fprintf(os.Stderr, "nodes: %d green, %d red, %d shared\n", gn, rn, sn)
-
 	case "report":
 		opts := report.Options{Title: *title}
 		if *green != "" {
@@ -338,27 +329,13 @@ func run(args []string) error {
 			return report.GenerateHTML(os.Stdout, in, opts)
 		}
 		return report.Generate(os.Stdout, in, opts)
-
-	case "footprint":
-		// Structural comparison of the -green partition with the rest.
-		set := make(map[string]bool)
-		for _, c := range strings.Split(*green, ",") {
-			set[c] = true
-		}
-		gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return set[c.ID.CID] })
-		gf := stinspector.FromEventLog(gl).WithMapping(m).Footprint()
-		rf := stinspector.FromEventLog(rl).WithMapping(m).Footprint()
-		fmt.Printf("structural similarity: %.3f\n", gf.Similarity(rf))
-		for _, d := range gf.Diff(rf) {
-			fmt.Printf("  %s vs %s:  green %s, red %s\n", d.A, d.B, d.Left, d.Rite)
-		}
 	}
 	return nil
 }
 
 // printFold renders a fold subcommand's artifacts, the same whether
 // they came from a streamed pass or from merged snapshots.
-func printFold(cmd string, res *stinspector.StreamResult, format string) {
+func printFold(cmd string, res *stinspector.StreamResult, format, green string) {
 	switch cmd {
 	case "dfg":
 		switch format {
@@ -378,12 +355,43 @@ func printFold(cmd string, res *stinspector.StreamResult, format string) {
 	case "behavior":
 		fmt.Print(res.Behavior.RenderText())
 	case "footprint":
-		fmt.Print(stinspector.NewFootprint(res.DFG).String())
+		if green == "" {
+			fmt.Print(stinspector.NewFootprint(res.DFG).String())
+			return
+		}
+		// Structural comparison of the -green partition with the rest.
+		g, r := splitByCID(res.ActivityLog, green)
+		gf, rf := stinspector.NewFootprint(g), stinspector.NewFootprint(r)
+		fmt.Printf("structural similarity: %.3f\n", gf.Similarity(rf))
+		for _, d := range gf.Diff(rf) {
+			fmt.Printf("  %s vs %s:  green %s, red %s\n", d.A, d.B, d.Left, d.Rite)
+		}
+	case "compare":
+		g, r := splitByCID(res.ActivityLog, green)
+		part := stinspector.Classify(res.DFG, g, r)
+		if format == "dot" {
+			fmt.Print(stinspector.RenderDOT(res.DFG, res.Stats, stinspector.PartitionColoring{Partition: part}))
+		} else {
+			fmt.Print(stinspector.RenderText(res.DFG, res.Stats, part))
+		}
+		gn, rn, sn := part.CountNodes()
+		fmt.Fprintf(os.Stderr, "nodes: %d green, %d red, %d shared\n", gn, rn, sn)
 	case "info":
 		fmt.Printf("%d cases, %d events, calls: %s; %d activities, peak %d cases resident, %d run symbols\n",
 			res.Cases, res.Events, strings.Join(callNames(res.Stats), ","),
 			len(res.Stats.Activities()), res.PeakResident, res.Symbols)
 	}
+}
+
+// splitByCID splits the folded activity-log into the DFGs of the cases
+// whose CID is in the comma-separated -green list and of the rest
+// (Equation 18).
+func splitByCID(al *stinspector.ActivityLog, green string) (g, r *stinspector.DFG) {
+	set := make(map[string]bool)
+	for _, c := range strings.Split(green, ",") {
+		set[c] = true
+	}
+	return stinspector.SplitDFG(al, func(id stinspector.CaseID) bool { return set[id.CID] })
 }
 
 // callNames is the sorted call set of the folded activities. Every

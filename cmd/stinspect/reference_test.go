@@ -13,15 +13,22 @@ import (
 )
 
 // reference renders, from the library's in-memory Inspector, what one
-// subcommand prints: the output the CLI's streamed fold (or, for
-// footprint -green and compare, its in-memory path) must reproduce
+// subcommand prints: the output the CLI's streamed fold must reproduce
 // byte for byte.
 type reference struct {
 	args []string
 	want func(in *stinspector.Inspector) string
-	// memory marks the subcommands that need the event-log, which
-	// merged snapshots do not hold.
-	memory bool
+}
+
+// partitionA is the reference Equation (18) comparison of the cases of
+// CID "a" with the rest, built the independent way: partition the
+// event-log, build the full, G and R graphs from their own event-logs,
+// and classify. The CLI splits one folded activity-log instead.
+func partitionA(in *stinspector.Inspector) (full *stinspector.DFG, part *stinspector.Partition) {
+	gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return c.ID.CID == "a" })
+	m := in.Mapping()
+	full = stinspector.BuildDFG(in.EventLog(), m)
+	return full, stinspector.Classify(full, stinspector.BuildDFG(gl, m), stinspector.BuildDFG(rl, m))
 }
 
 var references = []reference{
@@ -52,7 +59,7 @@ var references = []reference{
 	{args: []string{"footprint"}, want: func(in *stinspector.Inspector) string {
 		return in.Footprint().String()
 	}},
-	{args: []string{"footprint", "-green", "a"}, memory: true, want: func(in *stinspector.Inspector) string {
+	{args: []string{"footprint", "-green", "a"}, want: func(in *stinspector.Inspector) string {
 		gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return c.ID.CID == "a" })
 		gf := stinspector.FromEventLog(gl).WithMapping(in.Mapping()).Footprint()
 		rf := stinspector.FromEventLog(rl).WithMapping(in.Mapping()).Footprint()
@@ -63,20 +70,21 @@ var references = []reference{
 		}
 		return b.String()
 	}},
-	{args: []string{"compare", "-green", "a"}, memory: true, want: func(in *stinspector.Inspector) string {
-		full, part := in.PartitionByCID("a")
+	{args: []string{"compare", "-green", "a"}, want: func(in *stinspector.Inspector) string {
+		full, part := partitionA(in)
 		return stinspector.RenderText(full, in.Stats(), part)
 	}},
-	{args: []string{"compare", "-green", "a", "-format", "dot"}, memory: true, want: func(in *stinspector.Inspector) string {
-		full, part := in.PartitionByCID("a")
+	{args: []string{"compare", "-green", "a", "-format", "dot"}, want: func(in *stinspector.Inspector) string {
+		full, part := partitionA(in)
 		return stinspector.RenderDOT(full, in.Stats(), stinspector.PartitionColoring{Partition: part})
 	}},
 }
 
 // TestRunMatchesInspector pins the CLI's one pipeline to the library's
 // in-memory Inspector: every fold subcommand, footprint -green and
-// compare print exactly what the Inspector renders, over every input
-// backend, merged snapshots, and the filter and mapping flags. It also
+// compare included, prints exactly what the Inspector renders, over
+// every input backend, merged snapshots, and the filter and mapping
+// flags. It also
 // pins the info line, whose leading part is the Inspector's Summary.
 func TestRunMatchesInspector(t *testing.T) {
 	// The ls / ls -l demo (CIDs a and b) plus a heavytail set (CID c,
@@ -161,11 +169,7 @@ func TestRunMatchesInspector(t *testing.T) {
 	}
 	for _, input := range inputs {
 		in := input.ref(t)
-		merged := input.name == "merged snapshots"
 		for _, r := range references {
-			if r.memory && merged {
-				continue
-			}
 			args := append(append([]string{}, r.args...), input.flags...)
 			got := captureStdout(t, func() error { return run(args) })
 			if want := r.want(in); got != want {

@@ -174,7 +174,7 @@ func TestRunSnapshotErrors(t *testing.T) {
 		{"snapshot", "-traces", dir},                                   // missing -o
 		{"snapshot", "-o", sts},                                        // missing input
 		{"timeline", "-merge-snapshots", sts, "-activity", "x"},        // needs event-log
-		{"footprint", "-merge-snapshots", sts, "-green", "a"},          // needs event-log
+		{"percase", "-merge-snapshots", sts},                           // needs event-log
 		{"dfg", "-merge-snapshots", sts, "-traces", dir},               // conflicting input
 		{"dfg", "-merge-snapshots", filepath.Join(tmp, "missing.sts")}, // unreadable part
 	} {

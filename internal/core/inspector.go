@@ -4,7 +4,11 @@
 // querying them with file-path filters, abstracting events into
 // activities with a mapping, synthesizing the Directly-Follows-Graph,
 // computing the activity statistics, and applying the two coloring
-// strategies. It mirrors the st_inspector workflow of Figure 6:
+// strategies. The partition-based coloring (Equation 18) needs only the
+// activity-log: PartitionByCID splits it into the G and R graphs with
+// dfg.Split, and so does a consumer of the streaming fold's
+// StreamResult.ActivityLog, which never holds the event-log. It
+// mirrors the st_inspector workflow of Figure 6:
 //
 //	insp, _ := core.FromStraceDir("traces/", strace.Options{})   // 0
 //	insp = insp.FilterPath("/usr/lib")                           // 1
@@ -137,25 +141,21 @@ func (in *Inspector) Footprint() *dfg.Footprint {
 	return dfg.NewFootprint(in.DFG())
 }
 
-// Partition splits the event-log into mutually exclusive G and R subsets
-// by a case predicate and classifies the full DFG's nodes and edges
-// (Section IV-C, partition-based coloring). It returns the full graph and
-// the classification.
-func (in *Inspector) Partition(green func(*trace.Case) bool) (*dfg.Graph, *dfg.Partition) {
-	g, r := in.log.Partition(green)
-	full := in.DFG()
-	gg := (&Inspector{log: g, mapping: in.mapping}).DFG()
-	rg := (&Inspector{log: r, mapping: in.mapping}).DFG()
-	return full, dfg.Classify(full, gg, rg)
-}
-
-// PartitionByCID partitions by command identifier, as in Equation (18).
+// PartitionByCID compares configurations by command identifier, as in
+// Equation (18) (Section IV-C, partition-based coloring): the cases of
+// the given CIDs form the G subset and the rest R. Both subset DFGs are
+// split from the one activity-log the full DFG is built from, and the
+// full graph's nodes and edges are classified against them. It returns
+// the full graph and the classification.
 func (in *Inspector) PartitionByCID(greenCIDs ...string) (*dfg.Graph, *dfg.Partition) {
 	set := make(map[string]bool, len(greenCIDs))
 	for _, c := range greenCIDs {
 		set[c] = true
 	}
-	return in.Partition(func(c *trace.Case) bool { return set[c.ID.CID] })
+	al := in.ActivityLog()
+	full := dfg.Build(al)
+	g, r := dfg.Split(al, func(id trace.CaseID) bool { return set[id.CID] })
+	return full, dfg.Classify(full, g, r)
 }
 
 // RenderDOT renders the DFG as a Graphviz document with the given styler

@@ -70,16 +70,6 @@ func (g *Graph) Merge(o *Graph) {
 	}
 }
 
-// Merge merges partial graphs (shard partials of one logical fold) into
-// a new graph; the inputs stay usable.
-func Merge(graphs ...*Graph) *Graph {
-	out := New()
-	for _, g := range graphs {
-		out.Merge(g)
-	}
-	return out
-}
-
 // AddNode inserts (or increments) a node with the given occurrence count,
 // for manual graph construction in tools and tests.
 func (g *Graph) AddNode(a pm.Activity, count int) {

@@ -329,7 +329,10 @@ func TestMergeReproducesBuild(t *testing.T) {
 		for i, b := range builders {
 			graphs[i] = b.Finalize()
 		}
-		got := Merge(graphs...)
+		got := graphs[0]
+		for _, g := range graphs[1:] {
+			got.Merge(g)
+		}
 		if !got.Equal(want) {
 			t.Errorf("shards=%d: merged graph differs from one-pass build:\n%s\nwant:\n%s", shards, got, want)
 		}
@@ -339,13 +342,16 @@ func TestMergeReproducesBuild(t *testing.T) {
 	}
 }
 
-// TestMergeIdentityAndInputs: merging with empty graphs is the
-// identity, and Merge leaves its inputs untouched.
+// TestMergeIdentityAndInputs: merging empty graphs and nil is the
+// identity, and Merge leaves its argument untouched.
 func TestMergeIdentityAndInputs(t *testing.T) {
 	l := pm.Build(logA(t), pm.CallTopDirs{Depth: 2}, pm.BuildOptions{Endpoints: true})
 	g := Build(l)
 	nodes, edges, traces := g.NumNodes(), g.NumEdges(), g.NumTraces()
-	got := Merge(New(), g, nil, New())
+	got := New()
+	for _, o := range []*Graph{g, nil, New()} {
+		got.Merge(o)
+	}
 	if !got.Equal(g) || got.NumTraces() != traces {
 		t.Errorf("identity law violated:\n%s\nwant:\n%s", got, g)
 	}

@@ -59,12 +59,6 @@ func (g *Graph) Project(keep func(pm.Activity) bool) *Graph {
 	return out
 }
 
-// UnionGraphs returns the edge-wise and node-wise sum of the graphs, the
-// DFG counterpart of event-log union: Build(L(C_a) ∪ L(C_b)) equals
-// UnionGraphs(Build(L(C_a)), Build(L(C_b))) (tested as the additivity
-// property). It is Merge under the paper's name.
-func UnionGraphs(gs ...*Graph) *Graph { return Merge(gs...) }
-
 // TopEdges returns the n most frequent edges (ties broken
 // deterministically by edge order).
 func (g *Graph) TopEdges(n int) []Edge {

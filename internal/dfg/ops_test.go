@@ -59,15 +59,19 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// TestUnionGraphs: the DFG of a union event-log is the Merge of the
+// subset DFGs, and merging nil changes nothing.
 func TestUnionGraphs(t *testing.T) {
 	la, lb := logA(t), logB(t)
 	ga, gb := buildGraph(t, la), buildGraph(t, lb)
 	direct := buildGraph(t, trace.MustUnion(la, lb))
-	union := UnionGraphs(ga, gb)
+	union := New()
+	union.Merge(ga)
+	union.Merge(gb)
 	if !union.Equal(direct) {
-		t.Errorf("UnionGraphs differs from DFG of union log:\n%s\nvs\n%s", union, direct)
+		t.Errorf("merged graphs differ from DFG of union log:\n%s\nvs\n%s", union, direct)
 	}
-	if UnionGraphs(ga, nil).NumNodes() != ga.NumNodes() {
+	if ga.Merge(nil); !ga.Equal(buildGraph(t, la)) {
 		t.Errorf("nil operand mishandled")
 	}
 }

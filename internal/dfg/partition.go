@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stinspector/internal/pm"
+	"stinspector/internal/trace"
 )
 
 // Class is the partition-based color class of a node or edge
@@ -40,6 +41,33 @@ func (c Class) String() string {
 type Partition struct {
 	Nodes map[pm.Activity]Class
 	EdgeC map[Edge]Class
+}
+
+// Split derives the DFGs of the two mutually exclusive subsets of
+// Equation (18) from an activity-log: each variant's multiplicity is
+// divided by its case list into the cases green selects (the G subset)
+// and the rest (R), and each side folds the variant with its share.
+// The result equals the DFGs of the two event-log subsets, without
+// partitioning the event-log or mapping an event twice, so the
+// comparison runs on a fold's finalized activity-log. A variant's
+// cases beyond its case list (hand-built logs only) count as R.
+func Split(l *pm.Log, green func(trace.CaseID) bool) (g, r *Graph) {
+	gb, rb := NewBuilder(), NewBuilder()
+	for _, v := range l.Variants() {
+		n := 0
+		for _, id := range v.Cases {
+			if green(id) {
+				n++
+			}
+		}
+		if n > 0 {
+			gb.AddVariant(v.Seq, n)
+		}
+		if v.Mult > n {
+			rb.AddVariant(v.Seq, v.Mult-n)
+		}
+	}
+	return gb.Finalize(), rb.Finalize()
 }
 
 // Classify colors the nodes and edges of the full graph according to the

@@ -72,7 +72,7 @@ func TestGraphSnapshotMergesAfterDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged := Merge(da, db); !merged.Equal(whole) || merged.traces != whole.traces {
+	if da.Merge(db); !da.Equal(whole) || da.traces != whole.traces {
 		t.Error("merge of decoded partials differs from the whole graph")
 	}
 }

@@ -44,6 +44,7 @@ type Variant struct {
 // Log is the activity-log L_f(C) ∈ B(A_f*): a multiset of traces over the
 // activity alphabet, stored as variants. Variants are kept in a
 // deterministic order (lexicographic by key) for reproducible output.
+// The zero Log is empty and ready to Merge into.
 type Log struct {
 	variants []*Variant
 	// keys[i] is variants[i].Seq.Key(), kept beside the variants so the
@@ -310,6 +311,9 @@ func (l *Log) add(seq Trace, id trace.CaseID) {
 // insertVariant registers a new variant under key, keeping the variants
 // slice in its deterministic lexicographic-by-key order.
 func (l *Log) insertVariant(key string, v *Variant) {
+	if l.byKey == nil {
+		l.byKey = make(map[string]*Variant)
+	}
 	l.byKey[key] = v
 	i := sort.SearchStrings(l.keys, key)
 	l.variants = append(l.variants, nil)
@@ -378,13 +382,14 @@ func (l *Log) Activities() []Activity {
 }
 
 // Merge folds another activity-log into l — the exact multiset union
-// underlying both UnionLogs and the sharded analysis fold. Variant
-// multiplicities and the mapped/unmapped counters are integer sums, and
-// each variant's case list is stitched by a stable sorted merge on
-// CaseID (ties keep l's entries first). When every input's per-variant
-// case list is ascending — true for any log a Builder was fed in CaseID
-// order, which is what every streaming source delivers — merging shard
-// partials in any order reproduces the sequential fold byte-for-byte.
+// L_f(C_a) ∪ L_f(C_b) that snapshot merges and checkpoint epochs use.
+// Variant multiplicities and the mapped/unmapped counters are integer
+// sums, and each variant's case list is stitched by a stable sorted
+// merge on CaseID (ties keep l's entries first). When every input's
+// per-variant case list is ascending — true for any log a Builder was
+// fed in CaseID order, which is what every streaming source delivers —
+// merging shard partials in any order reproduces the sequential fold
+// byte-for-byte.
 // o's variants are copied; o stays usable. The cost is o's size plus
 // one ordered insert per variant new to l: the history already in l is
 // neither copied nor re-keyed.
@@ -426,22 +431,6 @@ func paddedCasesInPlace(v *Variant) []trace.CaseID {
 	}
 	return paddedCases(v)
 }
-
-// MergeLogs merges partial activity-logs (shard partials of one logical
-// fold) into a new log; the inputs stay usable. nil inputs are skipped.
-func MergeLogs(logs ...*Log) *Log {
-	out := &Log{byKey: make(map[string]*Variant)}
-	for _, l := range logs {
-		out.Merge(l)
-	}
-	return out
-}
-
-// UnionLogs returns the multiset union of activity-logs, for example
-// L_f(C_x) = L_f(C_a) ∪ L_f(C_b). It is MergeLogs under the paper's
-// name: variants stay in the deterministic lexicographic-by-key order,
-// and each variant's case list is merged in CaseID order.
-func UnionLogs(logs ...*Log) *Log { return MergeLogs(logs...) }
 
 // TopVariants returns the k most frequent variants (ties broken by the
 // deterministic variant order). Trace-variant ranking is the standard

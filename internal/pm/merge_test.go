@@ -21,10 +21,20 @@ func mergeCase(rid int, kind int) *trace.Case {
 	return trace.NewCase(trace.CaseID{CID: "m", Host: "h", RID: rid}, evs)
 }
 
+// mergeAll folds logs into a fresh zero Log with Log.Merge, in order.
+func mergeAll(logs ...*Log) *Log {
+	out := &Log{}
+	for _, l := range logs {
+		out.Merge(l)
+	}
+	return out
+}
+
 // TestMergeLogsReproducesSequential is the pm merge law: round-robin the
-// cases of a log over k partial builders, merge the partials in shard
-// order, and the result must equal the sequential fold in every field —
-// variant order, multiplicities, interleaved case lists, event counters.
+// cases of a log over k partial builders, fold the partials into the
+// first with Log.Merge in shard order (as a snapshot merge does), and
+// the result must equal the sequential fold in every field — variant
+// order, multiplicities, interleaved case lists, event counters.
 func TestMergeLogsReproducesSequential(t *testing.T) {
 	m := CallTopDirs{Depth: 2}
 	opts := BuildOptions{Endpoints: true}
@@ -52,7 +62,10 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 			for i, b := range builders {
 				logs[i] = b.Finalize()
 			}
-			got := MergeLogs(logs...)
+			got := logs[0]
+			for _, l := range logs[1:] {
+				got.Merge(l)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("merged log differs from sequential fold:\ngot  %s\nwant %s", got, want)
 			}
@@ -68,14 +81,13 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 }
 
 // TestMergeLeavesInputUsable: Merge copies, so mutating the merged
-// output must not reach back into the inputs (UnionLogs promises its
-// arguments stay valid).
+// output must not reach back into its argument, which stays valid.
 func TestMergeLeavesInputUsable(t *testing.T) {
 	m := CallTopDirs{Depth: 2}
 	b := NewBuilder(m, BuildOptions{})
 	b.Add(mergeCase(1, 0))
 	in := b.Finalize()
-	out := MergeLogs(in, in)
+	out := mergeAll(in, in)
 	out.Variants()[0].Cases[0] = trace.CaseID{CID: "mutated"}
 	if in.Variants()[0].Cases[0].CID != "m" {
 		t.Errorf("merge aliased the input's case list: %v", in.Variants()[0].Cases)
@@ -85,26 +97,25 @@ func TestMergeLeavesInputUsable(t *testing.T) {
 	}
 }
 
-// TestMergeLogsEmpty: merging nothing, nils, or empty logs yields an
-// empty, usable log (the identity of the merge monoid).
+// TestMergeLogsEmpty: the zero Log is empty and usable, and merging
+// nil or empty logs is the identity of the merge monoid.
 func TestMergeLogsEmpty(t *testing.T) {
-	empty := MergeLogs()
+	empty := &Log{}
 	if empty.NumTraces() != 0 || empty.NumVariants() != 0 {
-		t.Errorf("MergeLogs() = %d traces, %d variants", empty.NumTraces(), empty.NumVariants())
+		t.Errorf("zero Log = %d traces, %d variants", empty.NumTraces(), empty.NumVariants())
 	}
 	b := NewBuilder(CallTopDirs{Depth: 2}, BuildOptions{})
 	b.Add(mergeCase(1, 1))
 	l := b.Finalize()
-	got := MergeLogs(nil, empty, l)
+	got := mergeAll(nil, empty, l)
 	if got.NumTraces() != 1 || got.MappedEvents() != l.MappedEvents() {
 		t.Errorf("identity law violated: %s", got)
 	}
 }
 
 // TestUnionLogsVariantOrdering pins the deterministic variant order of a
-// union: lexicographic by trace key, whatever order the inputs present
-// their variants in — the regression guard for the reimplementation of
-// UnionLogs on the merge primitive.
+// union of activity-logs by Log.Merge: lexicographic by trace key,
+// whatever order the inputs present their variants in.
 func TestUnionLogsVariantOrdering(t *testing.T) {
 	m := CallTopDirs{Depth: 2}
 	build := func(rids ...int) *Log {
@@ -117,7 +128,8 @@ func TestUnionLogsVariantOrdering(t *testing.T) {
 	// Log A sees kinds 1,2 (in that order of first appearance), log B
 	// sees kinds 2,0 — their union must come out in key order, not in
 	// either insertion order.
-	u := UnionLogs(build(1, 2), build(5, 3))
+	u := build(1, 2)
+	u.Merge(build(5, 3))
 	var got []string
 	for _, v := range u.Variants() {
 		got = append(got, v.Seq.String())
@@ -137,7 +149,8 @@ func TestUnionLogsVariantOrdering(t *testing.T) {
 		}
 	}
 	// Argument order must not matter for the variant sequence either.
-	rev := UnionLogs(build(5, 3), build(1, 2))
+	rev := build(5, 3)
+	rev.Merge(build(1, 2))
 	var gotRev []string
 	for _, v := range rev.Variants() {
 		gotRev = append(gotRev, v.Seq.String())
@@ -147,19 +160,19 @@ func TestUnionLogsVariantOrdering(t *testing.T) {
 	}
 }
 
-// TestUnionLogsPadsShortCaseLists: hand-built variants with fewer
-// recorded cases than their multiplicity keep summing multiplicities
-// and pad the case list with zero CaseIDs, as the pre-merge UnionLogs
-// did.
+// TestUnionLogsPadsShortCaseLists: Log.Merge keeps summing the
+// multiplicities of hand-built variants with fewer recorded cases than
+// their multiplicity, and pads the case list with zero CaseIDs.
 func TestUnionLogsPadsShortCaseLists(t *testing.T) {
 	mk := func() *Log {
-		l := &Log{byKey: make(map[string]*Variant)}
+		l := &Log{}
 		l.add(Trace{"read:/usr/lib"}, trace.CaseID{CID: "x", Host: "h", RID: 1})
 		v := l.variants[0]
 		v.Mult = 3 // two counts without recorded cases
 		return l
 	}
-	u := UnionLogs(mk(), mk())
+	u := mk()
+	u.Merge(mk())
 	if u.NumTraces() != 6 {
 		t.Fatalf("traces = %d, want 6", u.NumTraces())
 	}

@@ -301,7 +301,8 @@ func TestUnionLogs(t *testing.T) {
 
 	// Split the event-log in two and union the activity-logs.
 	g, r := el.Partition(func(c *trace.Case) bool { return c.ID.RID == 9042 })
-	u := UnionLogs(Build(g, m, BuildOptions{Endpoints: true}), Build(r, m, BuildOptions{Endpoints: true}))
+	u := Build(g, m, BuildOptions{Endpoints: true})
+	u.Merge(Build(r, m, BuildOptions{Endpoints: true}))
 	if u.NumTraces() != whole.NumTraces() || u.NumVariants() != whole.NumVariants() {
 		t.Errorf("union = %d traces %d variants, want %d/%d",
 			u.NumTraces(), u.NumVariants(), whole.NumTraces(), whole.NumVariants())

@@ -48,7 +48,10 @@ func (l *Log) EncodeSnapshot() []byte {
 // bytes. The dictionary strings are re-interned through a fresh scoped
 // table in file order — reproducing the original symbol assignment —
 // and every reference is range-checked: hostile input yields a
-// wire.CorruptError, never a panic or a garbage log.
+// wire.CorruptError, never a panic or a garbage log. Every variant must
+// record exactly one case per count, as the encoder always writes: a
+// short list would be padded with zero CaseIDs by Merge and then split
+// into the wrong subset by dfg.Split.
 func DecodeLogSnapshot(data []byte) (*Log, error) {
 	c := wire.NewCursor(data)
 	nd, err := c.Count(1)
@@ -111,9 +114,15 @@ func DecodeLogSnapshot(data []byte) (*Log, error) {
 		if err != nil {
 			return nil, err
 		}
+		if mult < 1 {
+			return nil, wire.Corruptf("variant %d: multiplicity %d", i, mult)
+		}
 		nc, err := c.Count(3)
 		if err != nil {
 			return nil, err
+		}
+		if nc != mult {
+			return nil, wire.Corruptf("variant %d: %d cases for multiplicity %d", i, nc, mult)
 		}
 		cases := make([]trace.CaseID, nc)
 		for j := range cases {

@@ -47,7 +47,7 @@ func TestLogSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestLogSnapshotEmpty(t *testing.T) {
-	l := MergeLogs()
+	l := &Log{}
 	got, err := DecodeLogSnapshot(l.EncodeSnapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +79,33 @@ func TestLogSnapshotMergesAfterDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := MergeLogs(da, db)
+	merged := mergeAll(da, db)
 	if !bytes.Equal(merged.EncodeSnapshot(), whole.EncodeSnapshot()) {
 		t.Error("merge of decoded partials differs from the whole fold")
 	}
+}
+
+// miscountedLog encodes a log of one variant ⟨read:/f⟩ with the given
+// multiplicity and that many cases recorded.
+func miscountedLog(mult, cases int) []byte {
+	var b wire.Buf
+	b.Uvarint(3) // dictionary: activity, CID, host
+	b.Str("read:/f")
+	b.Str("c")
+	b.Str("h")
+	b.Uvarint(uint64(mult)) // mapped
+	b.Uvarint(0)            // unmapped
+	b.Uvarint(1)            // one variant
+	b.Uvarint(1)            // seq len
+	b.Uvarint(0)            // read:/f
+	b.Uvarint(uint64(mult))
+	b.Uvarint(uint64(cases))
+	for rid := 0; rid < cases; rid++ {
+		b.Uvarint(1) // CID
+		b.Uvarint(2) // host
+		b.Varint(int64(rid))
+	}
+	return b.Bytes()
 }
 
 // Truncations and out-of-range ids must fail with CorruptError — never
@@ -108,5 +131,16 @@ func TestLogSnapshotCorrupt(t *testing.T) {
 	var ce *wire.CorruptError
 	if _, err := DecodeLogSnapshot(b.Bytes()); !errors.As(err, &ce) {
 		t.Fatalf("out-of-range dictionary id: err = %v, want CorruptError", err)
+	}
+	// A variant's case list must hold exactly one case per count: Merge
+	// would pad a short list with zero CaseIDs.
+	for _, bad := range []struct{ mult, cases int }{{0, 0}, {2, 1}, {1, 2}} {
+		enc := miscountedLog(bad.mult, bad.cases)
+		if _, err := DecodeLogSnapshot(enc); !errors.As(err, &ce) {
+			t.Errorf("multiplicity %d with %d cases: err = %v, want CorruptError", bad.mult, bad.cases, err)
+		}
+	}
+	if _, err := DecodeLogSnapshot(miscountedLog(2, 2)); err != nil {
+		t.Errorf("well-counted variant rejected: %v", err)
 	}
 }

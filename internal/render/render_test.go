@@ -179,7 +179,7 @@ func TestPartitionColoring(t *testing.T) {
 	gGreen.AddNode(readA, 1)
 	gRed := dfg.New()
 	gRed.AddNode(writeA, 1)
-	c := NewPartitionColoring(g, gGreen, gRed)
+	c := PartitionColoring{Partition: dfg.Classify(g, gGreen, gRed)}
 	if st := c.Node(readA); st.FillColor != greenFill {
 		t.Errorf("read style = %+v, want green", st)
 	}

@@ -136,12 +136,6 @@ type PartitionColoring struct {
 	Partition *dfg.Partition
 }
 
-// NewPartitionColoring builds the styler from the full DFG and the two
-// subset DFGs, performing the classification of Section IV-C.
-func NewPartitionColoring(full, green, red *dfg.Graph) PartitionColoring {
-	return PartitionColoring{Partition: dfg.Classify(full, green, red)}
-}
-
 // Node implements Styler.
 func (c PartitionColoring) Node(a pm.Activity) NodeStyle {
 	if c.Partition == nil || a.IsVirtual() {

@@ -11,8 +11,9 @@ import (
 // FuzzSnapshotDecode drives Decode with mutated snapshot files: seeds
 // are real version-3 snapshots of the adversarial generator profiles
 // (the hostileargs renderings among them), bit-flipped variants, a
-// well-framed snapshot whose stats spans descend in start, and two
-// whose behavior subjects are out of order or repeated. The
+// well-framed snapshot whose stats spans descend in start, two whose
+// behavior subjects are out of order or repeated, and two whose
+// activity-log variant miscounts its cases. The
 // decoder must never panic and never allocate proportionally to a
 // hostile count; when it does accept an input, the decoded state must
 // re-encode and re-decode to a fixed point (a canonical snapshot).
@@ -42,6 +43,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 	s := foldRange(profiles.All()[0].Generate("fz", 2, 16, 1), m, 0, 2)
 	f.Add(unsortedBehaviorSnapshot(s, "/a"))
 	f.Add(unsortedBehaviorSnapshot(s, "/b"))
+	// A log variant with multiplicity 0, and one with fewer cases than
+	// its multiplicity.
+	one := foldRange(profiles.All()[0].Generate("fz", 1, 16, 1), m, 0, 1)
+	for _, mult := range []int{0, 2} {
+		one.Log.Variants()[0].Mult = mult
+		enc := Encode(one)
+		if _, err := Decode(enc, m); err == nil {
+			f.Fatalf("log variant of multiplicity %d with one case decoded cleanly", mult)
+		}
+		f.Add(enc)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data, m)

@@ -416,7 +416,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		out.Events += s.Events
 	}
 	if out == nil {
-		return &Snapshot{Log: pm.MergeLogs(), DFG: dfg.New(), Behavior: behavior.New()}
+		return &Snapshot{Log: &pm.Log{}, DFG: dfg.New(), Behavior: behavior.New()}
 	}
 	return out
 }

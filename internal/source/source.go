@@ -14,7 +14,6 @@ package source
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"stinspector/internal/trace"
@@ -105,25 +104,6 @@ func Drain(s Source, joinErrors bool) (*trace.EventLog, error) {
 		return nil, err
 	}
 	return log, nil
-}
-
-// NextBatch reads up to n cases, the batch form of Next. It returns a
-// short (possibly empty) batch together with io.EOF at exhaustion; a
-// per-case error ends the batch early and is returned with the cases
-// that preceded it.
-func NextBatch(s Source, n int) ([]*trace.Case, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("source: batch size %d", n)
-	}
-	batch := make([]*trace.Case, 0, n)
-	for len(batch) < n {
-		c, err := s.Next()
-		if err != nil {
-			return batch, err
-		}
-		batch = append(batch, c)
-	}
-	return batch, nil
 }
 
 // logSource streams an in-memory event-log, the bridge that lets the

@@ -1,7 +1,6 @@
 package source
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -207,32 +206,6 @@ func TestDrainMatchesFromLog(t *testing.T) {
 	if got.NumCases() != el.NumCases() || got.NumEvents() != el.NumEvents() {
 		t.Fatalf("drained %d cases / %d events, want %d / %d",
 			got.NumCases(), got.NumEvents(), el.NumCases(), el.NumEvents())
-	}
-}
-
-// TestNextBatch: batches are ordered, short at EOF, and error-delimited.
-func TestNextBatch(t *testing.T) {
-	s := Ordered(10, 2, 4, func(i int) (*trace.Case, error) {
-		if i == 7 {
-			return nil, errors.New("bad seven")
-		}
-		return mkCase(i), nil
-	})
-	defer s.Close()
-	b1, err := NextBatch(s, 4)
-	if err != nil || len(b1) != 4 {
-		t.Fatalf("batch 1: %d cases, err %v", len(b1), err)
-	}
-	b2, err := NextBatch(s, 4)
-	if err == nil || len(b2) != 3 {
-		t.Fatalf("batch 2: want 3 cases + error, got %d, %v", len(b2), err)
-	}
-	b3, err := NextBatch(s, 4)
-	if err != io.EOF || len(b3) != 2 {
-		t.Fatalf("batch 3: want 2 cases + io.EOF, got %d, %v", len(b3), err)
-	}
-	if _, err := NextBatch(s, 0); err == nil {
-		t.Error("batch size 0 accepted")
 	}
 }
 

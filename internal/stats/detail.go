@@ -81,49 +81,6 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// Histogram bins the durations of one activity's events into nbins
-// equal-width buckets over [min, max]. Returns bucket counts and the
-// bucket width; nil when the activity has no events.
-func Histogram(el *trace.EventLog, m pm.Mapping, a pm.Activity, nbins int) (counts []int, width time.Duration) {
-	if nbins <= 0 {
-		nbins = 10
-	}
-	var durs []time.Duration
-	el.Events(func(e trace.Event) {
-		if got, ok := m.Map(e); ok && got == a {
-			durs = append(durs, e.Dur)
-		}
-	})
-	if len(durs) == 0 {
-		return nil, 0
-	}
-	min, max := durs[0], durs[0]
-	for _, d := range durs {
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	span := max - min
-	if span == 0 {
-		counts = make([]int, nbins)
-		counts[0] = len(durs)
-		return counts, 0
-	}
-	width = span/time.Duration(nbins) + 1
-	counts = make([]int, nbins)
-	for _, d := range durs {
-		i := int((d - min) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, width
-}
-
 // CaseSummary aggregates one case's contribution to an activity (or to
 // the whole log when the activity filter is nil): the straggler view.
 type CaseSummary struct {

@@ -53,36 +53,6 @@ func TestComputeDistribution(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	el := distLog(t)
-	counts, width := Histogram(el, callMapping(), "read", 10)
-	if len(counts) != 10 || width == 0 {
-		t.Fatalf("counts=%v width=%v", counts, width)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 20 {
-		t.Errorf("histogram lost events: %d", total)
-	}
-	if counts[0] != 19 || counts[9] != 1 {
-		t.Errorf("bimodal shape lost: %v", counts)
-	}
-	// Degenerate: all equal durations land in bucket 0.
-	same := trace.MustNewEventLog(trace.NewCase(trace.CaseID{CID: "s", Host: "h", RID: 1}, []trace.Event{
-		{Call: "read", Start: 0, Dur: time.Millisecond, Size: 1},
-		{Call: "read", Start: time.Second, Dur: time.Millisecond, Size: 1},
-	}))
-	counts, width = Histogram(same, callMapping(), "read", 4)
-	if width != 0 || counts[0] != 2 {
-		t.Errorf("degenerate histogram: %v %v", counts, width)
-	}
-	if counts, _ := Histogram(el, callMapping(), "absent", 4); counts != nil {
-		t.Errorf("absent activity histogram = %v", counts)
-	}
-}
-
 func TestPerCase(t *testing.T) {
 	el := mkLog(t, map[int][]trace.Event{
 		1: {

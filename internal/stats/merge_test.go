@@ -33,7 +33,8 @@ func serialize(s *Stats) string {
 
 // TestMergeMatchesSequential256 is the stats merge law at scale: over
 // the 256-rank synth set, folding the cases round-robin into k partial
-// computers and merging must be byte-identical to the sequential
+// computers, merging them into the first with Computer.Merge and
+// finalizing must be byte-identical to the sequential
 // computer — including the two floating-point outputs (RelDur,
 // ProcRate), which derive from exact integer accumulators — for every
 // shard count 1..8. This is the property that makes shard count
@@ -56,7 +57,10 @@ func TestMergeMatchesSequential256(t *testing.T) {
 		for i, c := range el.Cases() {
 			parts[(i/4)%shards].Add(c)
 		}
-		if got := serialize(Merge(parts...)); got != want {
+		for _, p := range parts[1:] {
+			parts[0].Merge(p)
+		}
+		if got := serialize(parts[0].Finalize()); got != want {
 			t.Errorf("shards=%d: merged stats differ from sequential computer.\n--- merged ---\n%s--- sequential ---\n%s", shards, got, want)
 		}
 	}
@@ -101,14 +105,14 @@ func TestFinalizeDoesNotConsume(t *testing.T) {
 	}
 }
 
-// TestMergeEmptyAndDisjoint: merging zero partials yields empty stats;
-// partials over disjoint activity sets union cleanly.
+// TestMergeEmptyAndDisjoint: an empty computer merged with nil
+// finalizes to empty stats; partials over disjoint activity sets union
+// cleanly.
 func TestMergeEmptyAndDisjoint(t *testing.T) {
-	if s := Merge(); len(s.Activities()) != 0 || s.TotalDur != 0 {
-		t.Errorf("Merge() = %v", s.Activities())
-	}
-	if s := Merge(nil, nil); len(s.Activities()) != 0 {
-		t.Errorf("Merge(nil, nil) = %v", s.Activities())
+	empty := NewComputer(callMapping())
+	empty.Merge(nil)
+	if s := empty.Finalize(); len(s.Activities()) != 0 || s.TotalDur != 0 {
+		t.Errorf("empty computer finalizes to %v", s.Activities())
 	}
 	mk := func(call string, dur time.Duration) *Computer {
 		c := NewComputer(callMapping())
@@ -117,7 +121,10 @@ func TestMergeEmptyAndDisjoint(t *testing.T) {
 		}))
 		return c
 	}
-	s := Merge(mk("read", 3*time.Millisecond), nil, mk("write", time.Millisecond))
+	c := mk("read", 3*time.Millisecond)
+	c.Merge(nil)
+	c.Merge(mk("write", time.Millisecond))
+	s := c.Finalize()
 	if len(s.Activities()) != 2 {
 		t.Fatalf("activities = %v", s.Activities())
 	}

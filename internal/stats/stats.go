@@ -342,8 +342,8 @@ func (c *Computer) Sort() {
 // shard-local activity symbols are remapped through c's table, so
 // merging shard partials in any order reproduces the sequential fold
 // bit-for-bit. Both computers must have been built for the same
-// mapping; o must not be used afterwards. A nil o is a no-op, matching
-// pm.MergeLogs and dfg.Merge.
+// mapping; o must not be used afterwards. A nil o is a no-op, as in
+// pm.Log.Merge and dfg.Graph.Merge.
 func (c *Computer) Merge(o *Computer) {
 	if o == nil {
 		return
@@ -361,28 +361,6 @@ func (c *Computer) Merge(o *Computer) {
 		}
 		c.accs[m].merge(oac)
 	}
-}
-
-// Merge merges partial computers (shard partials of one logical
-// computation) and finalizes the result. With a single partial it is
-// equivalent to Finalize; nil partials are skipped; with none it
-// returns empty statistics.
-func Merge(parts ...*Computer) *Stats {
-	var c *Computer
-	for _, o := range parts {
-		if o == nil {
-			continue
-		}
-		if c == nil {
-			c = o
-			continue
-		}
-		c.Merge(o)
-	}
-	if c == nil {
-		return &Stats{byActivity: make(map[pm.Activity]*ActivityStats)}
-	}
-	return c.Finalize()
 }
 
 // Finalize runs the per-activity aggregation (mean rate, max-concurrency

@@ -248,6 +248,12 @@ func BuildDFG(el *EventLog, m Mapping) *DFG {
 // ComputeStats computes the Section IV-B statistics.
 func ComputeStats(el *EventLog, m Mapping) *Stats { return stats.Compute(el, m) }
 
+// SplitDFG derives the DFGs of the two subsets of Equation (18) from an
+// activity-log: the cases green selects (G) and the rest (R). Feed it a
+// fold's ActivityLog and Classify the fold's DFG against the pair to
+// compare configurations without the event-log.
+func SplitDFG(l *ActivityLog, green func(CaseID) bool) (g, r *DFG) { return dfg.Split(l, green) }
+
 // Classify performs the partition-based classification of Section IV-C.
 func Classify(full, green, red *DFG) *Partition { return dfg.Classify(full, green, red) }
 
@@ -333,8 +339,9 @@ func FilterStream(s Source, keep func(Event) bool) Source {
 }
 
 // FilterStreamCases derives a source keeping only the cases for which
-// keep returns true — the streaming form of EventLog.FilterCases, and
-// the case-split primitive behind partition analyses over streams.
+// keep returns true — the streaming form of EventLog.FilterCases. (A
+// partition analysis needs no second stream: SplitDFG splits one
+// fold's activity-log.)
 func FilterStreamCases(s Source, keep func(*Case) bool) Source {
 	return source.FilterCases(s, keep)
 }
