@@ -119,8 +119,11 @@ func BenchmarkStatsScaling(b *testing.B) {
 				mapping := pm.CallTopDirs{Depth: 2}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st := stats.Compute(el, mapping)
-					if len(st.Activities()) == 0 {
+					c := stats.NewComputer(mapping)
+					for _, cs := range el.Cases() {
+						c.Add(cs)
+					}
+					if st := c.Finalize(); len(st.Activities()) == 0 {
 						b.Fatal("no stats")
 					}
 				}
@@ -330,9 +333,9 @@ func BenchmarkFig9Pipeline(b *testing.B) {
 func BenchmarkPartitionClassify(b *testing.B) {
 	el := synthLog(100_000, 16, 64, 8)
 	m := pm.CallTopDirs{Depth: 2}
-	full := BuildDFG(el, m)
+	full := FromEventLog(el).WithMapping(m).DFG()
 	g, r := el.Partition(func(c *trace.Case) bool { return c.ID.RID%2 == 0 })
-	gg, rg := BuildDFG(g, m), BuildDFG(r, m)
+	gg, rg := FromEventLog(g).WithMapping(m).DFG(), FromEventLog(r).WithMapping(m).DFG()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := Classify(full, gg, rg)
@@ -380,8 +383,8 @@ func BenchmarkWorkloadSharedLog(b *testing.B) {
 func BenchmarkFootprint(b *testing.B) {
 	el := synthLog(50_000, 8, 64, 9)
 	m := pm.CallTopDirs{Depth: 2}
-	g := BuildDFG(el, m)
-	g2 := BuildDFG(el.FilterCalls("read", "write"), m)
+	in := FromEventLog(el).WithMapping(m)
+	g, g2 := in.DFG(), in.FilterCalls("read", "write").DFG()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fa := NewFootprint(g)

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"stinspector"
+	"stinspector/internal/dfg"
+	"stinspector/internal/pm"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth/profiles"
 )
@@ -27,8 +29,14 @@ type reference struct {
 func partitionA(in *stinspector.Inspector) (full *stinspector.DFG, part *stinspector.Partition) {
 	gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return c.ID.CID == "a" })
 	m := in.Mapping()
-	full = stinspector.BuildDFG(in.EventLog(), m)
-	return full, stinspector.Classify(full, stinspector.BuildDFG(gl, m), stinspector.BuildDFG(rl, m))
+	full = buildDFG(in.EventLog(), m)
+	return full, stinspector.Classify(full, buildDFG(gl, m), buildDFG(rl, m))
+}
+
+// buildDFG synthesizes an event-log's DFG through the materializing
+// activity-log and graph builders, not through the fold.
+func buildDFG(el *stinspector.EventLog, m stinspector.Mapping) *stinspector.DFG {
+	return dfg.Build(pm.Build(el, m, pm.BuildOptions{Endpoints: true}))
 }
 
 var references = []reference{

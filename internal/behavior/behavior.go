@@ -206,15 +206,6 @@ func (p *Profile) mergeRuns(a, b []entry) []entry {
 	return append(out, b...)
 }
 
-// FromLog builds a profile over a whole event-log.
-func FromLog(el *trace.EventLog) *Profile {
-	p := New()
-	for _, c := range el.Cases() {
-		p.AddCase(c)
-	}
-	return p
-}
-
 // Merge folds q into p, exactly: q's symbols are remapped into p's
 // table (a string-preserving translation, so a remapped run stays
 // sorted) and the per-case counts sum as integers. Merging per-shard or

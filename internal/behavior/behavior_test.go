@@ -11,6 +11,15 @@ import (
 	"stinspector/internal/trace"
 )
 
+// fromLog folds every case of an event-log into one profile, in order.
+func fromLog(el *trace.EventLog) *behavior.Profile {
+	p := behavior.New()
+	for _, c := range el.Cases() {
+		p.AddCase(c)
+	}
+	return p
+}
+
 func mkEvent(pid int, call, fp string) trace.Event {
 	return trace.Event{PID: pid, Call: call, Dur: 1000, FP: fp}
 }
@@ -98,7 +107,7 @@ func TestMergeExact(t *testing.T) {
 	for _, p := range profiles.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			el := p.Generate("bm", 9, 60, 21)
-			want := behavior.FromLog(el).RenderText()
+			want := fromLog(el).RenderText()
 
 			cases := el.Cases()
 			shard := func(lo, hi int) *behavior.Profile {
@@ -138,7 +147,7 @@ func TestSnapshotFixedPoint(t *testing.T) {
 	for _, p := range profiles.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			el := p.Generate("bs", 7, 50, 33)
-			seq := behavior.FromLog(el)
+			seq := fromLog(el)
 
 			// A sharded fold must hit the same encoding as the
 			// sequential one: the dictionary order is canonical, not
@@ -173,7 +182,7 @@ func TestSnapshotFixedPoint(t *testing.T) {
 // section must decode to an error or to equivalent state, never panic.
 func TestSnapshotHostileBytes(t *testing.T) {
 	el, _ := profiles.Lookup("hostileargs")
-	enc := behavior.FromLog(el.Generate("bc", 3, 30, 2)).EncodeSnapshot()
+	enc := fromLog(el.Generate("bc", 3, 30, 2)).EncodeSnapshot()
 
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := behavior.DecodeSnapshot(enc[:cut]); err == nil {

@@ -148,7 +148,7 @@ func TestRenderTextMatchesReference(t *testing.T) {
 	}
 	for name, el := range logs {
 		t.Run(name, func(t *testing.T) {
-			p := behavior.FromLog(el)
+			p := fromLog(el)
 			got := p.RenderText()
 			if want := refRender(p.NumCases(), p.Merged(), p.Cases()); got != want {
 				t.Errorf("RenderText differs from the reference writer over Cases/Merged\n got: %.300q\nwant: %.300q", got, want)
@@ -174,7 +174,7 @@ func TestRenderTextAllocs(t *testing.T) {
 		t.Fatal("profile multitenant missing")
 	}
 	const nCases = 24
-	p := behavior.FromLog(gen.Generate("ra", nCases, 2000, 11))
+	p := fromLog(gen.Generate("ra", nCases, 2000, 11))
 	allocs := testing.AllocsPerRun(3, func() { _ = p.RenderText() })
 	budget := float64(8*p.NumCases() + 64)
 	t.Logf("RenderText: %.0f allocs for %d cases (budget %.0f)", allocs, p.NumCases(), budget)
@@ -194,7 +194,7 @@ func TestQueriesReadOnly(t *testing.T) {
 	if !ok {
 		t.Fatal("profile multitenant missing")
 	}
-	p := behavior.FromLog(gen.Generate("ro", 6, 200, 3))
+	p := fromLog(gen.Generate("ro", 6, 200, 3))
 	text, enc := p.RenderText(), string(p.EncodeSnapshot())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -290,17 +290,6 @@ func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*s
 	if err != nil {
 		return nil, err
 	}
-	s := &snapshot.Snapshot{}
-	for _, p := range parts {
-		s.Cases += p.cases
-		s.Events += p.evs
-	}
-	for _, ids := range seenByShard {
-		s.Seen = append(s.Seen, ids...)
-	}
-	// Each shard's list is ascending (round-robin over an ascending
-	// stream); the combined set sorts into the canonical order.
-	sort.Slice(s.Seen, func(i, j int) bool { return s.Seen[i].Less(s.Seen[j]) })
 	// Each shard sorts its statistics spans on its own goroutine, so the
 	// serial merge below is a linear merge of sorted runs and the merged
 	// computer finalizes and encodes without sorting again.
@@ -324,10 +313,13 @@ func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*s
 	for _, p := range parts[1:] {
 		p.mergeInto(run)
 	}
-	s.Log = run.pmB.Finalize()
-	s.DFG = run.dfgB.Finalize()
-	s.Stats = run.stC
-	s.Behavior = run.bh
+	s := run.snapshot()
+	for _, ids := range seenByShard {
+		s.Seen = append(s.Seen, ids...)
+	}
+	// Each shard's list is ascending (round-robin over an ascending
+	// stream); the combined set sorts into the canonical order.
+	sort.Slice(s.Seen, func(i, j int) bool { return s.Seen[i].Less(s.Seen[j]) })
 	return s, nil
 }
 

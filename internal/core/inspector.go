@@ -4,11 +4,12 @@
 // querying them with file-path filters, abstracting events into
 // activities with a mapping, synthesizing the Directly-Follows-Graph,
 // computing the activity statistics, and applying the two coloring
-// strategies. The partition-based coloring (Equation 18) needs only the
-// activity-log: PartitionByCID splits it into the G and R graphs with
-// dfg.Split, and so does a consumer of the streaming fold's
-// StreamResult.ActivityLog, which never holds the event-log. It
-// mirrors the st_inspector workflow of Figure 6:
+// strategies. An Inspector runs the one analysis fold (stream.go) over
+// its event-log on its first artifact query. The partition-based
+// coloring (Equation 18) needs only the activity-log: PartitionByCID
+// splits it into the G and R graphs with dfg.Split, and so does a
+// consumer of the streaming fold's StreamResult.ActivityLog, which never
+// holds the event-log. It mirrors the st_inspector workflow of Figure 6:
 //
 //	insp, _ := core.FromStraceDir("traces/", strace.Options{})   // 0
 //	insp = insp.FilterPath("/usr/lib")                           // 1
@@ -21,6 +22,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"stinspector/internal/archive"
 	"stinspector/internal/behavior"
@@ -35,9 +37,22 @@ import (
 // Inspector holds an event-log and the mapping under which it is
 // synthesized. Inspectors are immutable: filters and mapping changes
 // return derived inspectors, so several views of one log can coexist.
+// The first artifact query folds the log once; every query, from any
+// goroutine, reads that result, so the artifacts returned are shared
+// and read-only (no Merge into them, no AddNode or AddEdge). A derived
+// inspector folds its own log afresh.
 type Inspector struct {
 	log     *trace.EventLog
 	mapping pm.Mapping
+
+	once sync.Once
+	res  *StreamResult
+}
+
+// result runs the inspector's fold once and returns its artifacts.
+func (in *Inspector) result() *StreamResult {
+	in.once.Do(func() { in.res = foldLog(in.log, in.mapping) })
+	return in.res
 }
 
 // FromEventLog wraps an existing event-log with the default mapping f̂
@@ -88,28 +103,19 @@ func (in *Inspector) WithMapping(m pm.Mapping) *Inspector {
 
 // ActivityLog builds L_f(C) with the virtual start/end activities
 // appended.
-func (in *Inspector) ActivityLog() *pm.Log {
-	return pm.Build(in.log, in.mapping, pm.BuildOptions{Endpoints: true})
-}
+func (in *Inspector) ActivityLog() *pm.Log { return in.result().ActivityLog }
 
 // DFG synthesizes G[L_f(C)] (Figure 6, step 3).
-func (in *Inspector) DFG() *dfg.Graph {
-	return dfg.Build(in.ActivityLog())
-}
+func (in *Inspector) DFG() *dfg.Graph { return in.result().DFG }
 
 // Stats computes the Section IV-B statistics (Figure 6, step 4).
-func (in *Inspector) Stats() *stats.Stats {
-	return stats.Compute(in.log, in.mapping)
-}
+func (in *Inspector) Stats() *stats.Stats { return in.result().Stats }
 
 // Behavior derives the behavior profile of the event-log: per case and
 // merged, the files opened/read/written/deleted/renamed, the commands
-// executed and the network endpoints contacted. It is the in-memory
-// twin of StreamResult.Behavior and byte-identical to it for the same
-// log.
-func (in *Inspector) Behavior() *behavior.Profile {
-	return behavior.FromLog(in.log)
-}
+// executed and the network endpoints contacted. It is
+// StreamResult.Behavior of the inspector's fold.
+func (in *Inspector) Behavior() *behavior.Profile { return in.result().Behavior }
 
 // Timeline returns the Figure 5 interval data of one activity.
 func (in *Inspector) Timeline(a pm.Activity) []trace.Interval {
@@ -144,17 +150,16 @@ func (in *Inspector) Footprint() *dfg.Footprint {
 // PartitionByCID compares configurations by command identifier, as in
 // Equation (18) (Section IV-C, partition-based coloring): the cases of
 // the given CIDs form the G subset and the rest R. Both subset DFGs are
-// split from the one activity-log the full DFG is built from, and the
-// full graph's nodes and edges are classified against them. It returns
-// the full graph and the classification.
+// split from the inspector's activity-log, and the full graph's nodes
+// and edges are classified against them. It returns the full graph and
+// the classification.
 func (in *Inspector) PartitionByCID(greenCIDs ...string) (*dfg.Graph, *dfg.Partition) {
 	set := make(map[string]bool, len(greenCIDs))
 	for _, c := range greenCIDs {
 		set[c] = true
 	}
-	al := in.ActivityLog()
-	full := dfg.Build(al)
-	g, r := dfg.Split(al, func(id trace.CaseID) bool { return set[id.CID] })
+	full := in.DFG()
+	g, r := dfg.Split(in.ActivityLog(), func(id trace.CaseID) bool { return set[id.CID] })
 	return full, dfg.Classify(full, g, r)
 }
 

@@ -13,7 +13,6 @@ import (
 	"stinspector/internal/race"
 	"stinspector/internal/render"
 	"stinspector/internal/source"
-	"stinspector/internal/stats"
 	"stinspector/internal/synth"
 	"stinspector/internal/trace"
 )
@@ -230,9 +229,11 @@ func checkAnalyzeAllocBudgetCeiling(t *testing.T, el *trace.EventLog, m pm.Mappi
 }
 
 // TestAnalyzeStreamMatchesInMemoryStats is a spot check that the
-// exact-integer rate refactor kept the streaming and in-memory paths
-// agreeing (the root-level equivalence suite covers this exhaustively;
-// this keeps the property visible next to the implementation).
+// streaming fold and the Inspector's fold over the materialized log
+// (mapped up front, spans reserved at exact size) agree (the root-level
+// equivalence suite covers this exhaustively, and the naive Eq. 12–16
+// reference in internal/stats checks both against the equations; this
+// keeps the property visible next to the implementation).
 func TestAnalyzeStreamMatchesInMemoryStats(t *testing.T) {
 	el := synth.Log("mem", 9, 50, 5)
 	m := pm.CallTopDirs{Depth: 2}
@@ -240,7 +241,7 @@ func TestAnalyzeStreamMatchesInMemoryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := stats.Compute(el, m)
+	want := FromEventLog(el).WithMapping(m).Stats()
 	for _, a := range want.Activities() {
 		ws, gs := want.Get(a), res.Stats.Get(a)
 		if gs == nil || ws.ProcRate != gs.ProcRate || ws.RelDur != gs.RelDur || ws.MaxConc != gs.MaxConc {

@@ -5,6 +5,7 @@ import (
 	"stinspector/internal/dfg"
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
+	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/stats"
 	"stinspector/internal/trace"
@@ -42,9 +43,9 @@ type StreamResult struct {
 // incremental activity-log, DFG and statistics builders, without the
 // event-log ever being materialized: peak memory is the source's
 // resident window plus the (much smaller) aggregates. For a source
-// delivering CaseID order — all backend streams do — the three
-// artifacts are identical to the in-memory pipeline's ActivityLog /
-// DFG / Stats, endpoints included.
+// delivering CaseID order — all backend streams do — the artifacts
+// are identical to an Inspector's ActivityLog / DFG / Stats / Behavior
+// over the same cases, endpoints included.
 //
 // joinErrors selects the error policy of source.Walk: false aborts on
 // the first failing case (lenient ingestion), true skips failing cases
@@ -52,7 +53,8 @@ type StreamResult struct {
 // source is not closed; callers own its lifetime.
 //
 // AnalyzeStream is the one-shard case of AnalyzeStreamParallel: there
-// is exactly one analysis fold in the tree.
+// is exactly one analysis fold in the tree (the Inspector runs its
+// per-case body too, through foldLog).
 func AnalyzeStream(src source.Source, m pm.Mapping, joinErrors bool) (*StreamResult, error) {
 	return AnalyzeStreamParallel(src, m, 1, joinErrors)
 }
@@ -86,24 +88,64 @@ func newShardPartial(m pm.Mapping) *shardPartial {
 }
 
 func (p *shardPartial) fold(c *trace.Case) error {
+	p.syms = p.sm.MapCase(c, p.syms[:0])
+	p.foldMapped(c, p.syms)
+	return nil
+}
+
+// foldMapped folds one case given its activity symbols, mapped through
+// p's SymMapper: the per-case body of every fold in the tree.
+func (p *shardPartial) foldMapped(c *trace.Case, syms []intern.Sym) {
 	p.cases++
 	p.evs += len(c.Events)
-	p.syms = p.sm.MapCase(c, p.syms[:0])
-	if seq, ok := p.pmB.AddMapped(c.ID, p.syms); ok {
+	if seq, ok := p.pmB.AddMapped(c.ID, syms); ok {
 		p.dfgB.AddSymVariant(seq, 1)
 	}
-	p.stC.AddMapped(c, p.syms)
+	p.stC.AddMapped(c, syms)
 	p.bh.AddCase(c)
-	return nil
 }
 
 // mergeInto folds p's symbolized partial state into dst, remapping p's
 // shard-local symbol tables through dst's.
 func (p *shardPartial) mergeInto(dst *shardPartial) {
+	dst.cases += p.cases
+	dst.evs += p.evs
 	dst.pmB.MergeFrom(p.pmB)
 	dst.dfgB.MergeFrom(p.dfgB)
 	dst.stC.Merge(p.stC)
 	dst.bh.Merge(p.bh)
+}
+
+// snapshot finalizes p into a snapshot without the folded CaseID set.
+func (p *shardPartial) snapshot() *snapshot.Snapshot {
+	return &snapshot.Snapshot{
+		Cases:    p.cases,
+		Events:   p.evs,
+		Log:      p.pmB.Finalize(),
+		DFG:      p.dfgB.Finalize(),
+		Stats:    p.stC,
+		Behavior: p.bh,
+	}
+}
+
+// foldLog is the Inspector's fold: AnalyzeStreamParallel's per-case body
+// over a materialized log on one inline shard. The log is mapped up
+// front (4 B/event), so the statistics spans are sized exactly before
+// any case folds instead of growing by append.
+func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
+	p := newShardPartial(m)
+	syms := make([]intern.Sym, 0, el.NumEvents())
+	for _, c := range el.Cases() {
+		syms = p.sm.MapCase(c, syms)
+	}
+	p.stC.Reserve(syms)
+	for _, c := range el.Cases() {
+		n := len(c.Events)
+		p.foldMapped(c, syms[:n])
+		syms = syms[n:]
+	}
+	p.stC.Sort()
+	return resultFromSnapshot(p.snapshot())
 }
 
 // AnalyzeStreamParallel is AnalyzeStream with the analysis fold itself

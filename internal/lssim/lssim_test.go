@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"stinspector/internal/core"
 	"stinspector/internal/pm"
 	"stinspector/internal/stats"
 	"stinspector/internal/trace"
@@ -44,7 +45,7 @@ func TestNoSelfOverlapWithinCases(t *testing.T) {
 // exactly from the Figure 2 transfer sizes times three processes.
 func TestFig3Bytes(t *testing.T) {
 	_, _, cx := Both(Config{})
-	s := stats.Compute(cx, pm.CallTopDirs{Depth: 2})
+	s := core.FromEventLog(cx).Stats()
 	want := map[pm.Activity]int64{
 		"read:/usr/lib":           14976, // 14.98 KB
 		"read:/proc/filesystems":  2868,  // 2.87 KB
@@ -74,7 +75,7 @@ func TestFig3Bytes(t *testing.T) {
 // rounding tolerance.
 func TestFig3RelativeDurations(t *testing.T) {
 	_, _, cx := Both(Config{})
-	s := stats.Compute(cx, pm.CallTopDirs{Depth: 2})
+	s := core.FromEventLog(cx).Stats()
 	want := map[pm.Activity]float64{
 		"read:/usr/lib":           0.22,
 		"read:/proc/filesystems":  0.27,
@@ -99,7 +100,7 @@ func TestFig3RelativeDurations(t *testing.T) {
 // TestFig3MaxConcurrency verifies the DR multiplicities of Figure 3.
 func TestFig3MaxConcurrency(t *testing.T) {
 	_, _, cx := Both(Config{})
-	s := stats.Compute(cx, pm.CallTopDirs{Depth: 2})
+	s := core.FromEventLog(cx).Stats()
 	want := map[pm.Activity]int{
 		"read:/usr/lib":           2,
 		"read:/proc/filesystems":  2,

@@ -81,7 +81,11 @@ func tinyPipeline(t *testing.T) (*dfg.Graph, *stats.Stats, pm.Mapping) {
 	el := trace.MustNewEventLog(cases...)
 	m := pm.CallTopDirs{Depth: 2}
 	l := pm.Build(el, m, pm.BuildOptions{Endpoints: true})
-	return dfg.Build(l), stats.Compute(el, m), m
+	c := stats.NewComputer(m)
+	for _, cs := range el.Cases() {
+		c.Add(cs)
+	}
+	return dfg.Build(l), c.Finalize(), m
 }
 
 func TestDOTOutput(t *testing.T) {

@@ -188,14 +188,15 @@ func TestComputerSnapshotRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// TestComputeBytesPerEvent is the allocation gate on the materializing
-// Compute over an IOR-shaped log (shared file and file per process,
-// write and read phases, the strace preamble): the log is mapped to
-// activity symbols once (4 B/event) and each activity's spans are
-// allocated at their exact size (16 B/event), so everything Compute
-// allocates stays under 24 B/event. Growing the spans by append
-// allocates several times that. Skipped under -race (instrumented
-// allocator).
+// TestComputeBytesPerEvent is the allocation gate on the statistics
+// path of the fold over a materialized log (the Inspector's), over an
+// IOR-shaped log (shared file and file per process, write and read
+// phases, the strace preamble): the log is mapped to activity symbols
+// once (4 B/event), Reserve allocates each activity's spans at their
+// exact size (16 B/event), and AddMapped, Sort and Finalize grow
+// nothing, so everything stays under 24 B/event. Growing the spans by
+// append allocates several times that. Skipped under -race
+// (instrumented allocator).
 func TestComputeBytesPerEvent(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gate skipped under -race")
@@ -217,14 +218,14 @@ func TestComputeBytesPerEvent(t *testing.T) {
 	el := trace.MustUnion(logs...)
 	m := pm.CallTopDirs{Depth: 2}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	Compute(el, m) // warm up
+	computeLog(el, m) // warm up
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	Compute(el, m)
+	computeLog(el, m)
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(el.NumEvents())
-	t.Logf("Compute allocated %.1f B/event over %d events", perEvent, el.NumEvents())
+	t.Logf("statistics allocated %.1f B/event over %d events", perEvent, el.NumEvents())
 	if perEvent > budget {
-		t.Errorf("Compute allocated %.1f B/event, over the %.0f B budget", perEvent, budget)
+		t.Errorf("statistics allocated %.1f B/event, over the %.0f B budget", perEvent, budget)
 	}
 }

@@ -85,42 +85,6 @@ func (s *Stats) MaxRelDur() float64 {
 	return m
 }
 
-// Compute derives the statistics of every activity of the event-log under
-// the mapping. The computation is a single pass over the events followed
-// by a per-activity aggregation, O(n + Σ_a k_a log k_a) where the log
-// factor comes from the max-concurrency interval sort. It is the
-// materializing form of Computer: cases are folded in CaseID order, and
-// the intervals are sorted once, in place, before Finalize sweeps them.
-//
-// The whole log is at hand, so it is mapped to activity symbols once,
-// up front, and each activity's events are counted: every accumulator's
-// spans are then allocated at their exact size, with no append growth
-// to copy or to leave as slack.
-func Compute(el *trace.EventLog, m pm.Mapping) *Stats {
-	c := NewComputer(m)
-	syms := make([]intern.Sym, 0, el.NumEvents())
-	for _, cs := range el.Cases() {
-		syms = c.sm.MapCase(cs, syms)
-	}
-	counts := make([]int, c.sm.Acts().Len())
-	for _, y := range syms {
-		if y != pm.NoActivity {
-			counts[y]++
-		}
-	}
-	c.accs = make([]accum, len(counts))
-	for y, n := range counts {
-		c.accs[y].spans = make([]span, 0, n)
-	}
-	for _, cs := range el.Cases() {
-		n := len(cs.Events)
-		c.AddMapped(cs, syms[:n])
-		syms = syms[n:]
-	}
-	c.Sort()
-	return c.Finalize()
-}
-
 // rateSum is an exact 128-bit accumulator for per-event data rates in
 // bytes per second. Integer addition is associative and commutative, so
 // partial sums merge without the last-bit drift a floating-point fold
@@ -252,8 +216,10 @@ func (a *accum) sortedSpans() []span {
 	return s
 }
 
-// Computer accumulates the Section IV-B statistics one case at a time —
-// the incremental form of Compute that the streaming pipeline feeds.
+// Computer accumulates the Section IV-B statistics one case at a time;
+// the analysis fold feeds it. The computation is a single pass over the
+// events followed by a per-activity aggregation, O(n + Σ_a k_a log k_a)
+// where the log factor comes from the max-concurrency interval sort.
 // All running state is integral (counts, durations, byte totals, the
 // 128-bit rate sum), so any partition of the cases over partial
 // computers followed by Merge reproduces the sequential fold exactly;
@@ -286,6 +252,24 @@ func NewComputerSym(sm *pm.SymMapper) *Computer {
 func (c *Computer) Add(cs *trace.Case) {
 	c.symsbuf = c.sm.MapCase(cs, c.symsbuf[:0])
 	c.AddMapped(cs, c.symsbuf)
+}
+
+// Reserve sizes every activity's spans for the events whose symbols,
+// mapped through the computer's SymMapper, are syms, so that adding
+// them through AddMapped never grows a span array.
+func (c *Computer) Reserve(syms []intern.Sym) {
+	counts := make([]int, c.sm.Acts().Len())
+	for _, y := range syms {
+		if y != pm.NoActivity {
+			counts[y]++
+		}
+	}
+	if n := len(counts) - len(c.accs); n > 0 {
+		c.accs = append(c.accs, make([]accum, n)...)
+	}
+	for y, n := range counts {
+		c.accs[y].spans = slices.Grow(c.accs[y].spans, n)
+	}
 }
 
 // AddMapped folds one case given its pre-mapped activity symbols (one

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"stinspector/internal/intern"
 	"stinspector/internal/pm"
 	"stinspector/internal/trace"
 )
@@ -26,6 +27,25 @@ func mkLog(t *testing.T, caseEvents map[int][]trace.Event) *trace.EventLog {
 	return trace.MustNewEventLog(cases...)
 }
 
+// computeLog runs the statistics path of the fold over a materialized
+// log: map every case up front, reserve the spans at their exact size,
+// fold each case's symbols, sort and finalize.
+func computeLog(el *trace.EventLog, m pm.Mapping) *Stats {
+	c := NewComputer(m)
+	syms := make([]intern.Sym, 0, el.NumEvents())
+	for _, cs := range el.Cases() {
+		syms = c.sm.MapCase(cs, syms)
+	}
+	c.Reserve(syms)
+	for _, cs := range el.Cases() {
+		n := len(cs.Events)
+		c.AddMapped(cs, syms[:n])
+		syms = syms[n:]
+	}
+	c.Sort()
+	return c.Finalize()
+}
+
 func callMapping() pm.Mapping {
 	return pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) { return pm.Activity(e.Call), true })
 }
@@ -41,7 +61,7 @@ func TestComputeRelativeDuration(t *testing.T) {
 			{Call: "a", Start: 0, Dur: time.Millisecond, Size: 100},
 		},
 	})
-	s := Compute(el, callMapping())
+	s := computeLog(el, callMapping())
 	a, b := s.Get("a"), s.Get("b")
 	if a == nil || b == nil {
 		t.Fatalf("missing stats: %v %v", a, b)
@@ -73,7 +93,7 @@ func TestComputeBytesAndRate(t *testing.T) {
 			{Call: "openat", Start: 8 * time.Millisecond, Dur: time.Millisecond, Size: trace.SizeUnknown},
 		},
 	})
-	s := Compute(el, callMapping())
+	s := computeLog(el, callMapping())
 	rd := s.Get("read")
 	if rd.Bytes != 4000 || !rd.HasBytes {
 		t.Errorf("bytes = %d (has=%v), want 4000", rd.Bytes, rd.HasBytes)
@@ -95,7 +115,7 @@ func TestComputeZeroDurationEventsExcludedFromRate(t *testing.T) {
 			{Call: "read", Start: time.Millisecond, Dur: time.Millisecond, Size: 1000},
 		},
 	})
-	s := Compute(el, callMapping())
+	s := computeLog(el, callMapping())
 	rd := s.Get("read")
 	if math.Abs(rd.ProcRate-1e6) > 1 {
 		t.Errorf("rate = %v, want 1e6 (zero-duration event excluded)", rd.ProcRate)
@@ -232,7 +252,7 @@ func TestRelDurSumsToOne(t *testing.T) {
 			cases = append(cases, trace.NewCase(trace.CaseID{CID: "q", Host: "h", RID: rid}, e))
 		}
 		el := trace.MustNewEventLog(cases...)
-		s := Compute(el, pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) {
+		s := computeLog(el, pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) {
 			return pm.Activity(e.Call), true
 		}))
 		sum := 0.0
@@ -254,7 +274,7 @@ func TestComputeRespectsPartialMapping(t *testing.T) {
 		},
 	})
 	m := pm.RestrictPath(pm.CallTopDirs{Depth: 2}, "/usr/lib")
-	s := Compute(el, m)
+	s := computeLog(el, m)
 	if len(s.Activities()) != 1 {
 		t.Fatalf("activities = %v", s.Activities())
 	}
@@ -289,7 +309,7 @@ func TestTimeline(t *testing.T) {
 }
 
 // The max-concurrency of an activity equals MaxConcurrency over its
-// timeline — Compute and Timeline must agree.
+// timeline — the computer and Timeline must agree.
 func TestComputeTimelineConsistency(t *testing.T) {
 	el := mkLog(t, map[int][]trace.Event{
 		1: {
@@ -299,10 +319,10 @@ func TestComputeTimelineConsistency(t *testing.T) {
 		2: {{Call: "read", FP: "/f", Start: 7 * time.Millisecond, Dur: 10 * time.Millisecond, Size: 1}},
 	})
 	m := callMapping()
-	s := Compute(el, m)
+	s := computeLog(el, m)
 	tl := Timeline(el, m, "read")
 	if got, want := s.Get("read").MaxConc, MaxConcurrency(tl); got != want {
-		t.Errorf("Compute mc = %d, Timeline mc = %d", got, want)
+		t.Errorf("computer mc = %d, Timeline mc = %d", got, want)
 	}
 	if s.Get("read").MaxConc != 3 {
 		t.Errorf("mc = %d, want 3", s.Get("read").MaxConc)

@@ -159,7 +159,7 @@ var behaviorFuzzSeeds = []string{
 // every parsed record, behavior-profile folding over every parsed case —
 // must never panic on arbitrary trace text, and its invariants must hold:
 // a DecodeFile/DecodeSpawn result carries a path, unquote inverts Go
-// quoting, and a profile folded event-by-event matches FromLog.
+// quoting, and a profile survives its snapshot round trip.
 func FuzzBehaviorDecode(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -193,9 +193,10 @@ func FuzzBehaviorDecode(f *testing.F) {
 		}
 		p := behavior.New()
 		p.AddCase(c)
-		q := behavior.FromLog(trace.MustNewEventLog(c))
-		if p.RenderText() != q.RenderText() {
-			t.Fatal("per-case fold and FromLog disagree")
+		// The snapshot section round-trips the profile.
+		q, err := behavior.DecodeSnapshot(p.EncodeSnapshot())
+		if err != nil || q.RenderText() != p.RenderText() {
+			t.Fatalf("snapshot round trip changed the profile (err %v)", err)
 		}
 		// Merging into an empty profile is the identity.
 		m := behavior.New()

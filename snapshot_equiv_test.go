@@ -67,7 +67,7 @@ func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, op
 					syms = NewSymbolTable()
 				}
 				src := open(syms)
-				part := FilterStreamCases(src, func(c *Case) bool { return keep[c.ID] })
+				part := source.FilterCases(src, func(c *Case) bool { return keep[c.ID] })
 				path := filepath.Join(dir, "part"+strconv.Itoa(i)+".sts")
 				err := WriteSnapshot(path, part, m, shards, true)
 				src.Close()
@@ -243,7 +243,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 			for _, id := range ids[:kill] {
 				seen[id] = true
 			}
-			prefix := FilterStreamCases(StreamEventLog(log), func(c *Case) bool { return seen[c.ID] })
+			prefix := source.FilterCases(StreamEventLog(log), func(c *Case) bool { return seen[c.ID] })
 			if _, err := AnalyzeStreamCheckpointed(prefix, m, 4, true, opts); err != nil {
 				t.Fatalf("every=%d kill=%d partial: %v", every, kill, err)
 			}

@@ -239,15 +239,6 @@ func FromEventLog(el *EventLog) *Inspector { return core.FromEventLog(el) }
 // and decode without re-parsing strings.
 func WriteArchive(path string, el *EventLog) error { return archive.WriteFileV2(path, el) }
 
-// BuildDFG synthesizes the DFG of an event-log under a mapping, with the
-// virtual start/end activities appended.
-func BuildDFG(el *EventLog, m Mapping) *DFG {
-	return dfg.Build(pm.Build(el, m, pm.BuildOptions{Endpoints: true}))
-}
-
-// ComputeStats computes the Section IV-B statistics.
-func ComputeStats(el *EventLog, m Mapping) *Stats { return stats.Compute(el, m) }
-
 // SplitDFG derives the DFGs of the two subsets of Equation (18) from an
 // activity-log: the cases green selects (G) and the rest (R). Feed it a
 // fold's ActivityLog and Classify the fold's DFG against the pair to
@@ -336,14 +327,6 @@ func StreamEventLog(el *EventLog) Source { return source.FromLog(el) }
 // returns true; cases left empty are dropped, matching EventLog.Filter.
 func FilterStream(s Source, keep func(Event) bool) Source {
 	return source.Filter(s, keep)
-}
-
-// FilterStreamCases derives a source keeping only the cases for which
-// keep returns true — the streaming form of EventLog.FilterCases. (A
-// partition analysis needs no second stream: SplitDFG splits one
-// fold's activity-log.)
-func FilterStreamCases(s Source, keep func(*Case) bool) Source {
-	return source.FilterCases(s, keep)
 }
 
 // AnalyzeStream consumes a source in one bounded-memory pass and

@@ -79,11 +79,11 @@ func TestPublicHelpers(t *testing.T) {
 	if out := RenderTimeline(tl); !strings.Contains(out, "#") {
 		t.Errorf("timeline render broken")
 	}
-	g := BuildDFG(cb, m)
-	if g.NumTraces() != 3 {
+	in := FromEventLog(cb).WithMapping(m)
+	if g := in.DFG(); g.NumTraces() != 3 {
 		t.Errorf("traces = %d", g.NumTraces())
 	}
-	st := ComputeStats(cb, RestrictCalls(m, "write"))
+	st := in.WithMapping(RestrictCalls(m, "write")).Stats()
 	if len(st.Activities()) != 1 {
 		t.Errorf("restricted stats = %v", st.Activities())
 	}
@@ -107,9 +107,9 @@ func TestFacadeCoverage(t *testing.T) {
 	caLog, cbLog, _ := lssim.Both(lssim.Config{})
 
 	m := CallTopDirs{Depth: 2}
-	full := BuildDFG(trace.MustUnion(caLog, cbLog), m)
-	g := BuildDFG(caLog, m)
-	r := BuildDFG(cbLog, m)
+	full := FromEventLog(trace.MustUnion(caLog, cbLog)).WithMapping(m).DFG()
+	g := FromEventLog(caLog).WithMapping(m).DFG()
+	r := FromEventLog(cbLog).WithMapping(m).DFG()
 	p := Classify(full, g, r)
 	if p.Node("read:/etc/passwd") != Red {
 		t.Errorf("Classify facade broken")
