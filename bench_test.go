@@ -24,6 +24,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -178,17 +180,6 @@ func BenchmarkMaxConcurrency(b *testing.B) {
 
 // --- Ingestion substrates ---------------------------------------------
 
-// BenchmarkParseLine: single strace record parse.
-func BenchmarkParseLine(b *testing.B) {
-	line := `9054  08:55:54.153994 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, ..., 832) = 832 <0.000203>`
-	b.SetBytes(int64(len(line)))
-	for i := 0; i < b.N; i++ {
-		if _, err := strace.ParseLine(line); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParseCase: full trace-stream parse incl. unfinished/resumed
 // merging.
 func BenchmarkParseCase(b *testing.B) {
@@ -213,16 +204,20 @@ func BenchmarkParseCase(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveWrite: the STA consolidation substrate.
+// BenchmarkArchiveWrite: the STA consolidation substrate, through the
+// crash-safe file write `stinspect archive` uses (fsync included).
 func BenchmarkArchiveWrite(b *testing.B) {
 	el := synthLog(100_000, 16, 32, 6)
+	path := filepath.Join(b.TempDir(), "bench.sta")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := archive.WriteV2(&buf, el); err != nil {
+		if err := archive.WriteFileV2(path, el); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(buf.Len()))
+	}
+	b.StopTimer()
+	if fi, err := os.Stat(path); err == nil {
+		b.SetBytes(fi.Size())
 	}
 }
 
@@ -234,14 +229,7 @@ func BenchmarkArchiveV2RandomAccess(b *testing.B) {
 	for _, nCases := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("cases=%d", nCases), func(b *testing.B) {
 			el := synthLog(nCases*perCase, nCases, 32, 17)
-			var buf bytes.Buffer
-			if err := archive.WriteV2(&buf, el); err != nil {
-				b.Fatal(err)
-			}
-			r, err := archive.NewReaderBytes(buf.Bytes())
-			if err != nil {
-				b.Fatal(err)
-			}
+			r := openArchive(b, el)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -304,7 +292,7 @@ func BenchmarkFig5Timeline(b *testing.B) {
 // the checks).
 func BenchmarkFig8Pipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8b(experiments.Scale{Seed: int64(i + 1)})
+		r, err := experiments.Run("fig8b", experiments.Scale{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +306,7 @@ func BenchmarkFig8Pipeline(b *testing.B) {
 // MPI-IO partition coloring at paper scale).
 func BenchmarkFig9Pipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(experiments.Scale{Seed: int64(i + 1)})
+		r, err := experiments.Run("fig9", experiments.Scale{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

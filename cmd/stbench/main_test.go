@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"testing"
 
 	"stinspector/internal/cliutil"
@@ -63,7 +64,7 @@ func TestRunUsageExitCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := run(tc.args)
-		if got := cliutil.ExitCode(err); got != tc.exit {
+		if got := cliutil.Report(io.Discard, "test", err); got != tc.exit {
 			t.Errorf("%s: run(%v) -> exit %d (err %v), want %d", tc.name, tc.args, got, err, tc.exit)
 		}
 	}

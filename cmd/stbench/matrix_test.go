@@ -34,6 +34,7 @@ import (
 	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/strace"
+	"stinspector/internal/synth"
 	"stinspector/internal/synth/profiles"
 	"stinspector/internal/trace"
 )
@@ -295,7 +296,11 @@ func sweepMatrix(t *testing.T, ps []profiles.Profile, params matrixReport) matri
 						t.Fatalf("%s snapshot fold: %v", name, err)
 					}
 					enc := snapshot.Encode(snap)
-					dec, err := snapshot.Decode(enc, mapping)
+					spath := filepath.Join(t.TempDir(), "fold.sts")
+					if err := snapshot.WriteFile(spath, snap); err != nil {
+						t.Fatalf("%s snapshot write: %v", name, err)
+					}
+					dec, err := snapshot.ReadFile(spath, mapping)
 					if err != nil {
 						t.Fatalf("%s snapshot decode: %v", name, err)
 					}
@@ -376,20 +381,25 @@ func backendSource(t *testing.T, backend string, log *trace.EventLog) (int64, fu
 			return src
 		}
 	case "sta2":
-		if err := archive.WriteV2(&buf, log); err != nil {
+		path := filepath.Join(t.TempDir(), "log.sta")
+		if err := archive.WriteFileV2(path, log); err != nil {
 			t.Fatal(err)
 		}
-		data := buf.Bytes()
-		return int64(len(data)), func(syms *intern.Table) source.Source {
-			r, err := archive.NewReaderBytes(data)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size(), func(syms *intern.Table) source.Source {
+			src, err := archive.OpenSource(path, archive.Options{
+				Parallelism: matrixParallelism, Window: matrixWindow, Syms: syms,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.SetSyms(syms)
-			return r.Stream(matrixParallelism, matrixWindow)
+			return src
 		}
 	case "dxt":
-		if _, err := dxt.Write(&buf, log); err != nil {
+		if _, err := synth.WriteDXT(&buf, log); err != nil {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()

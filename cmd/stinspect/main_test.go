@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,7 +151,7 @@ func TestRunArchiveCaseRange(t *testing.T) {
 	}
 	// A range outside the archive is a runtime failure (exit 1), not
 	// a usage error: the flag was well-formed, the file disagreed.
-	if got := cliutil.ExitCode(run([]string{"info", "-archive", arc, "-cases", "0:99"})); got != 1 {
+	if got := cliutil.Report(io.Discard, "test", run([]string{"info", "-archive", arc, "-cases", "0:99"})); got != 1 {
 		t.Errorf("out-of-bounds -cases: exit %d, want 1", got)
 	}
 	// Grammar and placement errors are usage errors (exit 2).
@@ -164,7 +165,7 @@ func TestRunArchiveCaseRange(t *testing.T) {
 		{"inverted", []string{"info", "-archive", arc, "-cases", "4:1"}},
 		{"junk", []string{"info", "-archive", arc, "-cases", "a:b"}},
 	} {
-		if got := cliutil.ExitCode(run(tc.args)); got != 2 {
+		if got := cliutil.Report(io.Discard, "test", run(tc.args)); got != 2 {
 			t.Errorf("%s: exit %d, want 2", tc.name, got)
 		}
 	}
@@ -270,7 +271,7 @@ func TestRunUsageExitCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := run(tc.args)
-		if got := cliutil.ExitCode(err); got != tc.exit {
+		if got := cliutil.Report(io.Discard, "test", err); got != tc.exit {
 			t.Errorf("%s: run(%v) -> exit %d (err %v), want %d", tc.name, tc.args, got, err, tc.exit)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -40,7 +41,7 @@ func TestRunUsageErrors(t *testing.T) {
 			if err == nil {
 				t.Fatal("accepted")
 			}
-			if code := cliutil.ExitCode(err); code != 2 {
+			if code := cliutil.Report(io.Discard, "test", err); code != 2 {
 				t.Errorf("exit code = %d, want 2 (err: %v)", code, err)
 			}
 		})
@@ -48,7 +49,7 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 func TestRunHelpIsSuccess(t *testing.T) {
-	if code := cliutil.ExitCode(run([]string{"-h"}, nil)); code != 0 {
+	if code := cliutil.Report(io.Discard, "test", run([]string{"-h"}, nil)); code != 0 {
 		t.Errorf("-h exit code = %d, want 0", code)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -155,14 +156,14 @@ func TestRunUsageErrors(t *testing.T) {
 		{"retired -o", []string{"-o", filepath.Join(tmp, "y.sta"), "-archive", filepath.Join(tmp, "z.sta")}},
 	} {
 		err := run(tc.args)
-		if cliutil.ExitCode(err) != 2 {
-			t.Errorf("%s: exit = %d (err %v), want 2", tc.name, cliutil.ExitCode(err), err)
+		if cliutil.Report(io.Discard, "test", err) != 2 {
+			t.Errorf("%s: exit = %d (err %v), want 2", tc.name, cliutil.Report(io.Discard, "test", err), err)
 		}
 	}
 }
 
 func TestRunHelpExitsZero(t *testing.T) {
-	if got := cliutil.ExitCode(run([]string{"-h"})); got != 0 {
+	if got := cliutil.Report(io.Discard, "test", run([]string{"-h"})); got != 0 {
 		t.Errorf("-h exit = %d, want 0", got)
 	}
 }

@@ -69,9 +69,9 @@ func readAll(r *Reader, parallelism int) (*trace.EventLog, error) {
 }
 
 // newReaderAt opens an image through the ReadAt path (pooled section
-// buffers), as opposed to NewReaderBytes' zero-copy slices.
+// buffers), as opposed to newReaderBytes' zero-copy slices.
 func newReaderAt(data []byte) (*Reader, error) {
-	return NewReader(bytes.NewReader(data), int64(len(data)))
+	return newReader(bytes.NewReader(data), int64(len(data)))
 }
 
 // TestRoundTripPropertyMany round-trips many shapes through the ReadAt
@@ -80,8 +80,8 @@ func TestRoundTripPropertyMany(t *testing.T) {
 	for seed := int64(2); seed < 22; seed++ {
 		want := randLog(seed, 1+int(seed)%5, 80)
 		var f bytes.Buffer
-		if err := WriteV2(&f, want); err != nil {
-			t.Fatalf("seed %d: WriteV2: %v", seed, err)
+		if err := writeV2(&f, want); err != nil {
+			t.Fatalf("seed %d: writeV2: %v", seed, err)
 		}
 		r, err := newReaderAt(f.Bytes())
 		if err != nil {
@@ -100,7 +100,7 @@ func TestRoundTripPropertyMany(t *testing.T) {
 func TestDeterministicBytes(t *testing.T) {
 	log := randLog(5, 4, 100)
 	var want bytes.Buffer
-	if err := WriteV2(&want, log); err != nil {
+	if err := writeV2(&want, log); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -122,7 +122,7 @@ func TestDeterministicBytes(t *testing.T) {
 func TestRandomAccessSingleCase(t *testing.T) {
 	want := randLog(7, 8, 150)
 	var f bytes.Buffer
-	if err := WriteV2(&f, want); err != nil {
+	if err := writeV2(&f, want); err != nil {
 		t.Fatal(err)
 	}
 	r, err := newReaderAt(f.Bytes())
@@ -169,7 +169,7 @@ func TestEmptyLog(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	log := randLog(9, 3, 120)
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err != nil {
+	if err := writeV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	orig := f.Bytes()
@@ -229,7 +229,7 @@ func TestUnsortedCaseRejected(t *testing.T) {
 	}}
 	log := trace.MustNewEventLog(c)
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err == nil {
+	if err := writeV2(&f, log); err == nil {
 		t.Errorf("unsorted case accepted by writer")
 	}
 }
@@ -239,7 +239,7 @@ func TestCompression(t *testing.T) {
 	// than a naive fixed-width encoding (~60 bytes/event).
 	log := randLog(11, 4, 2000)
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err != nil {
+	if err := writeV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	perEvent := float64(f.Len()) / float64(log.NumEvents())
@@ -275,7 +275,7 @@ func TestV1Rejected(t *testing.T) {
 	opens := map[string]func() error{
 		"NewReader header only": func() error { _, err := newReaderAt(full[:headerSize]); return err },
 		"NewReader":             func() error { _, err := newReaderAt(full); return err },
-		"NewReaderBytes":        func() error { _, err := NewReaderBytes(full); return err },
+		"NewReaderBytes":        func() error { _, err := newReaderBytes(full); return err },
 		"Open":                  func() error { _, err := Open(path); return err },
 		"OpenSource":            func() error { _, err := OpenSource(path, Options{}); return err },
 	}

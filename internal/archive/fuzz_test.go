@@ -10,7 +10,7 @@ import (
 	"stinspector/internal/synth/profiles"
 )
 
-// FuzzArchiveV2Decode drives arbitrary bytes through NewReaderBytes and
+// FuzzArchiveV2Decode drives arbitrary bytes through newReaderBytes and
 // the streaming decode at several worker/window settings. Production
 // readers decode sections zero-copy from an mmap of untrusted bytes, so
 // the invariants are non-negotiable: never panic, always terminate, and
@@ -19,7 +19,7 @@ import (
 func FuzzArchiveV2Decode(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var buf bytes.Buffer
-		if err := WriteV2(&buf, randLog(seed, int(seed)+1, 20)); err != nil {
+		if err := writeV2(&buf, randLog(seed, int(seed)+1, 20)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -29,7 +29,7 @@ func FuzzArchiveV2Decode(f *testing.F) {
 	}
 	if p, ok := profiles.Lookup("hostileargs"); ok {
 		var buf bytes.Buffer
-		if err := WriteV2(&buf, p.Generate("fz", 3, 12, 20240924)); err != nil {
+		if err := writeV2(&buf, p.Generate("fz", 3, 12, 20240924)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -43,7 +43,7 @@ func FuzzArchiveV2Decode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReaderBytes(data)
+		r, err := newReaderBytes(data)
 		if err != nil {
 			return
 		}

@@ -46,7 +46,7 @@ func TestMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
-	if err := WriteV2(&merged, got); err != nil {
+	if err := writeV2(&merged, got); err != nil {
 		t.Fatal(err)
 	}
 	if raw, err := os.ReadFile(dst); err != nil || !bytes.Equal(raw, merged.Bytes()) {

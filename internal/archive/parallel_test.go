@@ -30,7 +30,7 @@ func TestReadAllParallelEquivalence(t *testing.T) {
 	}
 	el := trace.MustNewEventLog(cases...)
 	var buf bytes.Buffer
-	if err := WriteV2(&buf, el); err != nil {
+	if err := writeV2(&buf, el); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -72,7 +72,7 @@ func TestReadAllParallelCorruptSection(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := WriteV2(&buf, trace.MustNewEventLog(cases...)); err != nil {
+	if err := writeV2(&buf, trace.MustNewEventLog(cases...)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -22,10 +22,10 @@ type Reader struct {
 	closer  io.Closer
 	entries []indexEntry
 	byID    map[trace.CaseID]int
-	syms    *intern.Table // nil = intern.Default
+	syms    *intern.Table // nil = the process-wide table
 
 	// data, when non-nil, is a whole-file view (an mmap from Open, or
-	// the caller's buffer from NewReaderBytes) that section decodes
+	// the caller's buffer from newReaderBytes) that section decodes
 	// slice zero-copy; otherwise sections are fetched through src with
 	// pooled buffers. dict is the file-level symbol dictionary, and
 	// resolved its remap into the bound symbol table, built once per
@@ -39,7 +39,7 @@ type Reader struct {
 }
 
 // SetSyms scopes subsequent case decodes to the given symbol table
-// (nil restores the process-wide intern.Default). Scope a table per
+// (nil restores the process-wide table). Scope a table per
 // reader when decoding archives with unbounded path vocabularies in a
 // long-lived process: dropping the reader and its decoded cases then
 // makes every interned string collectable. Decoded events are
@@ -56,7 +56,7 @@ func (r *Reader) SetSyms(t *intern.Table) {
 // memory-mapped where the platform allows it, so section decodes slice
 // the page cache directly instead of issuing a read per case; when
 // mapping is unavailable or fails, the reader transparently uses the
-// same ReadAt path as NewReader.
+// same ReadAt path as newReader.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -67,7 +67,7 @@ func Open(path string) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	r, err := NewReader(f, st.Size())
+	r, err := newReader(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -79,11 +79,11 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-// NewReaderBytes opens an in-memory STA image. Sections decode
+// newReaderBytes opens an in-memory STA image. Sections decode
 // zero-copy straight from data; the caller must not mutate it while the
 // reader is in use.
-func NewReaderBytes(data []byte) (*Reader, error) {
-	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+func newReaderBytes(data []byte) (*Reader, error) {
+	r, err := newReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -91,12 +91,12 @@ func NewReaderBytes(data []byte) (*Reader, error) {
 	return r, nil
 }
 
-// NewReader opens an STA image of the given size from any io.ReaderAt:
+// newReader opens an STA image of the given size from any io.ReaderAt:
 // it loads and verifies the footer, dictionary, and index. All counts,
 // offsets, and symbol ids come from untrusted bytes and are validated
 // against the regions that actually exist before any sized allocation
 // or slice. A v1 image fails with ErrV1.
-func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
+func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerSize {
 		return nil, corrupt("file too small (%d bytes)", size)
 	}
@@ -356,7 +356,7 @@ type CaseRange struct {
 }
 
 // Options configures OpenSource. The zero value streams every case,
-// decoded by GOMAXPROCS workers into intern.Default.
+// decoded by GOMAXPROCS workers into the process-wide symbol table.
 type Options struct {
 	// Parallelism bounds the concurrent section decodes
 	// (0 = GOMAXPROCS, 1 = sequential).
@@ -365,7 +365,7 @@ type Options struct {
 	// (0 = 2×Parallelism).
 	Window int
 	// Syms scopes the decoded strings to a per-pass symbol table
-	// (nil = intern.Default), so they are collectable once the pass's
+	// (nil = the process-wide table), so they are collectable once the pass's
 	// results are dropped.
 	Syms *intern.Table
 	// Cases restricts the source to a slice of the file's case order

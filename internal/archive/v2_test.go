@@ -36,10 +36,10 @@ func TestV2RoundTripPropertyMany(t *testing.T) {
 	for seed := int64(2); seed < 22; seed++ {
 		want := randLog(seed, 1+int(seed)%5, 80)
 		var f bytes.Buffer
-		if err := WriteV2(&f, want); err != nil {
-			t.Fatalf("seed %d: WriteV2: %v", seed, err)
+		if err := writeV2(&f, want); err != nil {
+			t.Fatalf("seed %d: writeV2: %v", seed, err)
 		}
-		r, err := NewReaderBytes(f.Bytes())
+		r, err := newReaderBytes(f.Bytes())
 		if err != nil {
 			t.Fatalf("seed %d: NewReaderBytes: %v", seed, err)
 		}
@@ -51,19 +51,19 @@ func TestV2RoundTripPropertyMany(t *testing.T) {
 	}
 }
 
-// WriteV2 output must be byte-for-byte reproducible: the dictionary is
+// writeV2 output must be byte-for-byte reproducible: the dictionary is
 // assigned in first-use order, a pure function of content.
 func TestV2Reproducible(t *testing.T) {
 	log := randLog(5, 5, 60)
 	var a, b bytes.Buffer
-	if err := WriteV2(&a, log); err != nil {
+	if err := writeV2(&a, log); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(&b, log); err != nil {
+	if err := writeV2(&b, log); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("WriteV2 not reproducible for the same log")
+		t.Fatal("writeV2 not reproducible for the same log")
 	}
 }
 
@@ -72,10 +72,10 @@ func TestV2Reproducible(t *testing.T) {
 func TestV2IncrementalMatchesOneShot(t *testing.T) {
 	log := randLog(6, 7, 50)
 	var oneshot, incr bytes.Buffer
-	if err := WriteV2(&oneshot, log); err != nil {
+	if err := writeV2(&oneshot, log); err != nil {
 		t.Fatal(err)
 	}
-	vw := NewV2Writer(&incr)
+	vw := newV2Writer(&incr)
 	for _, c := range log.Cases() {
 		if err := vw.Add(c); err != nil {
 			t.Fatal(err)
@@ -85,7 +85,7 @@ func TestV2IncrementalMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(oneshot.Bytes(), incr.Bytes()) {
-		t.Fatal("incremental V2Writer bytes differ from WriteV2")
+		t.Fatal("incremental v2Writer bytes differ from writeV2")
 	}
 	if err := vw.Finish(); err == nil {
 		t.Fatal("second Finish succeeded")
@@ -99,7 +99,7 @@ func TestV2UnsortedCaseRejected(t *testing.T) {
 	c := &trace.Case{ID: trace.CaseID{CID: "a", Host: "h", RID: 1}, Events: []trace.Event{
 		{Call: "read", Start: 10}, {Call: "write", Start: 5},
 	}}
-	vw := NewV2Writer(io.Discard)
+	vw := newV2Writer(io.Discard)
 	if err := vw.Add(c); err == nil {
 		t.Fatal("unsorted case accepted")
 	}
@@ -108,10 +108,10 @@ func TestV2UnsortedCaseRejected(t *testing.T) {
 func TestV2EmptyLog(t *testing.T) {
 	log := trace.MustNewEventLog()
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err != nil {
+	if err := writeV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReaderBytes(f.Bytes())
+	r, err := newReaderBytes(f.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestV2EmptyLog(t *testing.T) {
 	}
 }
 
-// Open must behave identically to NewReader on the same file whether or
+// Open must behave identically to newReader on the same file whether or
 // not the platform managed to mmap it — same cases, same events.
 func TestV2OpenMatchesReadAt(t *testing.T) {
 	want := randLog(9, 6, 80)
@@ -168,10 +168,10 @@ func TestV2OpenMatchesReadAt(t *testing.T) {
 func TestV2CaseRangeSlicing(t *testing.T) {
 	want := randLog(11, 9, 40)
 	var f bytes.Buffer
-	if err := WriteV2(&f, want); err != nil {
+	if err := writeV2(&f, want); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReaderBytes(f.Bytes())
+	r, err := newReaderBytes(f.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestV2CaseRangeSlicing(t *testing.T) {
 func TestV2ScopedSyms(t *testing.T) {
 	want := randLog(13, 4, 60)
 	var f bytes.Buffer
-	if err := WriteV2(&f, want); err != nil {
+	if err := writeV2(&f, want); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReaderBytes(f.Bytes())
+	r, err := newReaderBytes(f.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +275,12 @@ func TestV2ScopedSyms(t *testing.T) {
 func TestV2ReaderRobustnessUnderMutation(t *testing.T) {
 	log := randLog(78, 4, 60)
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err != nil {
+	if err := writeV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	orig := f.Bytes()
 	want, err := func() (*trace.EventLog, error) {
-		r, err := NewReaderBytes(orig)
+		r, err := newReaderBytes(orig)
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +308,7 @@ func TestV2ReaderRobustnessUnderMutation(t *testing.T) {
 				mut = append(mut, byte(rng.Intn(256)))
 			}
 		}
-		r, err := NewReaderBytes(mut)
+		r, err := newReaderBytes(mut)
 		if err != nil {
 			continue
 		}
@@ -327,7 +327,7 @@ func TestV2ReaderRobustnessUnderMutation(t *testing.T) {
 func TestV2BitFlipSweep(t *testing.T) {
 	log := randLog(41, 3, 25)
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err != nil {
+	if err := writeV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	orig := f.Bytes()
@@ -335,7 +335,7 @@ func TestV2BitFlipSweep(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), orig...)
 			mut[i] ^= 1 << bit
-			r, err := NewReaderBytes(mut)
+			r, err := newReaderBytes(mut)
 			if err != nil {
 				continue
 			}
@@ -353,12 +353,12 @@ func TestV2BitFlipSweep(t *testing.T) {
 func TestV2TruncationSweep(t *testing.T) {
 	log := randLog(42, 3, 25)
 	var f bytes.Buffer
-	if err := WriteV2(&f, log); err != nil {
+	if err := writeV2(&f, log); err != nil {
 		t.Fatal(err)
 	}
 	orig := f.Bytes()
 	for n := 0; n < len(orig); n++ {
-		r, err := NewReaderBytes(orig[:n])
+		r, err := newReaderBytes(orig[:n])
 		if err != nil {
 			continue
 		}
@@ -381,7 +381,7 @@ func TestV2RandomBytes(t *testing.T) {
 		if n >= footerSize && trial%5 == 0 {
 			copy(blob[n-4:], footerMagic)
 		}
-		r, err := NewReaderBytes(blob)
+		r, err := newReaderBytes(blob)
 		if err != nil {
 			continue
 		}
@@ -392,7 +392,7 @@ func TestV2RandomBytes(t *testing.T) {
 // TestOpenSourceOptions: the path-level source honours every option —
 // a case range (open ends, empty, and out-of-bounds rejection), decode
 // parallelism and window, and a scoped symbol table that keeps the
-// archive's strings out of intern.Default.
+// archive's strings out of the process-wide table.
 func TestOpenSourceOptions(t *testing.T) {
 	want := randLog(14, 7, 30)
 	path := filepath.Join(t.TempDir(), "opts.sta")
@@ -439,7 +439,7 @@ func TestOpenSourceOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := intern.NewTable()
-	d0 := intern.Default.Len()
+	d0 := defaultSymbols()
 	src, err := OpenSource(upath, Options{Syms: tab})
 	if err != nil {
 		t.Fatal(err)
@@ -450,10 +450,18 @@ func TestOpenSourceOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	logsEqual(t, got, unique)
-	if intern.Default.Len() != d0 {
-		t.Errorf("scoped decode grew Default: %d -> %d", d0, intern.Default.Len())
+	if defaultSymbols() != d0 {
+		t.Errorf("scoped decode grew the default table: %d -> %d", d0, defaultSymbols())
 	}
 	if tab.Len() < unique.NumEvents() {
 		t.Errorf("scoped table holds %d symbols, want at least the %d unique paths", tab.Len(), unique.NumEvents())
 	}
+}
+
+// defaultSymbols is the size of the process-wide symbol table, the one
+// a nil Syms option selects.
+func defaultSymbols() int {
+	c := intern.CacheFor(nil)
+	defer intern.PutCache(c)
+	return c.Table().Len()
 }

@@ -20,7 +20,7 @@ type indexEntry struct {
 	events  uint64
 }
 
-// V2Writer writes an STA archive incrementally: each Add encodes and
+// v2Writer writes an STA archive incrementally: each Add encodes and
 // flushes one case while only the file-level dictionary and the case
 // index accumulate in memory. Memory is therefore proportional to the
 // vocabulary and case count, not the event data, which is what lets
@@ -30,7 +30,7 @@ type indexEntry struct {
 // Output is byte-for-byte reproducible for a given case sequence: the
 // dictionary assigns symbols in first-use order, a pure function of the
 // content.
-type V2Writer struct {
+type v2Writer struct {
 	w        io.Writer
 	written  int64
 	err      error
@@ -42,13 +42,13 @@ type V2Writer struct {
 	sec      buf    // assembled-section scratch, reused across cases
 }
 
-// NewV2Writer returns a writer that will stream an STA archive to w.
+// newV2Writer returns a writer that will stream an STA archive to w.
 // The caller must call Finish to complete the file.
-func NewV2Writer(w io.Writer) *V2Writer {
-	return &V2Writer{w: w, dict: intern.NewLocal()}
+func newV2Writer(w io.Writer) *v2Writer {
+	return &v2Writer{w: w, dict: intern.NewLocal()}
 }
 
-func (vw *V2Writer) count(p []byte) error {
+func (vw *v2Writer) count(p []byte) error {
 	n, err := vw.w.Write(p)
 	vw.written += int64(n)
 	if err != nil {
@@ -57,7 +57,7 @@ func (vw *V2Writer) count(p []byte) error {
 	return err
 }
 
-func (vw *V2Writer) start() error {
+func (vw *v2Writer) start() error {
 	if vw.started {
 		return vw.err
 	}
@@ -71,7 +71,7 @@ func (vw *V2Writer) start() error {
 // Add appends one case to the archive. The case must be sorted by start
 // time (Equation (2) order), which is also what lets readers skip
 // re-sorting: the delta-encoded start column proves the order.
-func (vw *V2Writer) Add(c *trace.Case) error {
+func (vw *v2Writer) Add(c *trace.Case) error {
 	if vw.finished {
 		return fmt.Errorf("archive: Add after Finish")
 	}
@@ -100,7 +100,7 @@ func (vw *V2Writer) Add(c *trace.Case) error {
 
 // Finish writes the dictionary, index, and footer. The writer cannot be
 // used afterwards.
-func (vw *V2Writer) Finish() error {
+func (vw *v2Writer) Finish() error {
 	if vw.finished {
 		return fmt.Errorf("archive: Finish twice")
 	}
@@ -148,7 +148,7 @@ func (vw *V2Writer) Finish() error {
 // for the layout). Column scratch buffers are reused across
 // cases, so steady-state encoding allocates only when a column outgrows
 // its previous high-water mark.
-func (vw *V2Writer) encodeCase(c *trace.Case, ordinal int) []byte {
+func (vw *v2Writer) encodeCase(c *trace.Case, ordinal int) []byte {
 	for j := range vw.cols {
 		vw.cols[j].b = vw.cols[j].b[:0]
 	}
@@ -184,11 +184,11 @@ func (vw *V2Writer) encodeCase(c *trace.Case, ordinal int) []byte {
 	return sec.b
 }
 
-// WriteV2 serializes the event-log in the STA format. Cases are written
+// writeV2 serializes the event-log in the STA format. Cases are written
 // in the log's deterministic order; the output is byte-for-byte
 // reproducible for a given log.
-func WriteV2(w io.Writer, log *trace.EventLog) error {
-	vw := NewV2Writer(w)
+func writeV2(w io.Writer, log *trace.EventLog) error {
+	vw := newV2Writer(w)
 	for _, c := range log.Cases() {
 		if err := vw.Add(c); err != nil {
 			return err
@@ -204,6 +204,6 @@ func WriteV2(w io.Writer, log *trace.EventLog) error {
 // previous content or the full new archive.
 func WriteFileV2(path string, log *trace.EventLog) error {
 	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		return WriteV2(w, log)
+		return writeV2(w, log)
 	})
 }

@@ -30,27 +30,27 @@ import (
 	"stinspector/internal/trace"
 )
 
-// Op classifies what a behavior-relevant event did to its subject.
-type Op uint8
+// opClass classifies what a behavior-relevant event did to its subject.
+type opClass uint8
 
 const (
-	// OpOpened is a plain file open (open/openat/openat2).
-	OpOpened Op = iota
-	// OpRead is a byte-transferring read variant.
-	OpRead
-	// OpWritten covers write variants and file-creating or
+	// opOpened is a plain file open (open/openat/openat2).
+	opOpened opClass = iota
+	// opRead is a byte-transferring read variant.
+	opRead
+	// opWritten covers write variants and file-creating or
 	// -truncating mutations (creat, truncate, mkdir).
-	OpWritten
-	// OpDeleted is a file or directory removal.
-	OpDeleted
-	// OpRenamed is a rename; the subject is the source path.
-	OpRenamed
-	// OpSpawned is a process execution; the subject is the decoded
+	opWritten
+	// opDeleted is a file or directory removal.
+	opDeleted
+	// opRenamed is a rename; the subject is the source path.
+	opRenamed
+	// opSpawned is a process execution; the subject is the decoded
 	// command line.
-	OpSpawned
-	// OpConnected is a network connection; the subject is the
+	opSpawned
+	// opConnected is a network connection; the subject is the
 	// canonical endpoint ("ip:port", "[v6]:port", or a socket path).
-	OpConnected
+	opConnected
 
 	numOps
 )
@@ -59,33 +59,33 @@ var opNames = [numOps]string{
 	"opened", "read", "written", "deleted", "renamed", "spawned", "connected",
 }
 
-func (o Op) String() string {
+func (o opClass) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Classify maps a system-call name to its behavior class. Calls outside
+// classify maps a system-call name to its behavior class. Calls outside
 // the behavior taxonomy (close, lseek, fsync, …) report false and do
 // not contribute to profiles.
-func Classify(call string) (Op, bool) {
+func classify(call string) (opClass, bool) {
 	switch call {
 	case "open", "openat", "openat2":
-		return OpOpened, true
+		return opOpened, true
 	case "read", "pread64", "readv", "preadv", "preadv2":
-		return OpRead, true
+		return opRead, true
 	case "write", "pwrite64", "writev", "pwritev", "pwritev2",
 		"creat", "truncate", "ftruncate", "mkdir", "mkdirat":
-		return OpWritten, true
+		return opWritten, true
 	case "unlink", "unlinkat", "rmdir":
-		return OpDeleted, true
+		return opDeleted, true
 	case "rename", "renameat", "renameat2":
-		return OpRenamed, true
+		return opRenamed, true
 	case "execve", "execveat":
-		return OpSpawned, true
+		return opSpawned, true
 	case "connect":
-		return OpConnected, true
+		return opConnected, true
 	}
 	return 0, false
 }
@@ -117,13 +117,13 @@ type caseAcc struct {
 // entry is one subject of a case under one operation, with its count.
 type entry struct {
 	sym   intern.Sym
-	op    Op
+	op    opClass
 	count int
 }
 
 type opSym struct {
 	sym intern.Sym
-	op  Op
+	op  opClass
 }
 
 // New returns an empty profile owning a fresh scoped symbol table.
@@ -144,7 +144,7 @@ func (p *Profile) AddCase(c *trace.Case) {
 	events := 0
 	for i := range c.Events {
 		e := &c.Events[i]
-		op, ok := Classify(e.Call)
+		op, ok := classify(e.Call)
 		if !ok || e.FP == "" {
 			continue
 		}
@@ -264,7 +264,7 @@ func (cp *CaseProfile) byOp() [numOps]*[]Entry {
 }
 
 // opSegment returns the segment of a sorted run under one operation.
-func opSegment(run []entry, op Op) []entry {
+func opSegment(run []entry, op opClass) []entry {
 	lo := sort.Search(len(run), func(i int) bool { return run[i].op >= op })
 	hi := lo + sort.Search(len(run)-lo, func(i int) bool { return run[lo+i].op > op })
 	return run[lo:hi]
@@ -278,7 +278,7 @@ func (p *Profile) Cases() []CaseProfile {
 		acc := p.cases[id]
 		cp := CaseProfile{ID: id, Events: acc.events}
 		dst := cp.byOp()
-		for op := Op(0); op < numOps; op++ {
+		for op := opClass(0); op < numOps; op++ {
 			seg := opSegment(acc.run, op)
 			if len(seg) == 0 {
 				continue
@@ -312,8 +312,8 @@ func (p *Profile) subjectOrder() []intern.Sym {
 // cases, in operation then subject order, with the count summed across
 // cases. order is subjectOrder's result; counts is scratch of one int
 // per symbol, reused for each operation in turn.
-func (p *Profile) eachMerged(order []intern.Sym, counts []int, fn func(op Op, y intern.Sym, n int)) {
-	for op := Op(0); op < numOps; op++ {
+func (p *Profile) eachMerged(order []intern.Sym, counts []int, fn func(op opClass, y intern.Sym, n int)) {
+	for op := opClass(0); op < numOps; op++ {
 		clear(counts)
 		for _, acc := range p.cases {
 			for _, e := range opSegment(acc.run, op) {
@@ -334,7 +334,7 @@ func (p *Profile) eachMerged(order []intern.Sym, counts []int, fn func(op Op, y 
 func (p *Profile) Merged() CaseProfile {
 	cp := CaseProfile{Events: p.Events()}
 	dst := cp.byOp()
-	p.eachMerged(p.subjectOrder(), make([]int, p.syms.Len()), func(op Op, y intern.Sym, n int) {
+	p.eachMerged(p.subjectOrder(), make([]int, p.syms.Len()), func(op opClass, y intern.Sym, n int) {
 		*dst[op] = append(*dst[op], Entry{Subject: p.syms.Str(y), Count: n})
 	})
 	return cp
@@ -345,7 +345,7 @@ func (p *Profile) Merged() CaseProfile {
 // endpoints) and commands (spawn command lines) — the structural
 // columns the benchmark matrix tracks.
 func (p *Profile) Totals() (files, hosts, commands int) {
-	const fileOps = 1<<OpOpened | 1<<OpRead | 1<<OpWritten | 1<<OpDeleted | 1<<OpRenamed
+	const fileOps = 1<<opOpened | 1<<opRead | 1<<opWritten | 1<<opDeleted | 1<<opRenamed
 	ops := make([]uint8, p.syms.Len()) // bit op set when the subject occurs under op
 	for _, acc := range p.cases {
 		for _, e := range acc.run {
@@ -356,10 +356,10 @@ func (p *Profile) Totals() (files, hosts, commands int) {
 		if m&fileOps != 0 {
 			files++
 		}
-		if m&(1<<OpConnected) != 0 {
+		if m&(1<<opConnected) != 0 {
 			hosts++
 		}
-		if m&(1<<OpSpawned) != 0 {
+		if m&(1<<opSpawned) != 0 {
 			commands++
 		}
 	}

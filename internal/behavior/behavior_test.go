@@ -24,29 +24,6 @@ func mkEvent(pid int, call, fp string) trace.Event {
 	return trace.Event{PID: pid, Call: call, Dur: 1000, FP: fp}
 }
 
-// TestClassify pins the call taxonomy: every behavior call maps to its
-// class, and the non-behavior I/O bookkeeping calls stay outside.
-func TestClassify(t *testing.T) {
-	for call, want := range map[string]behavior.Op{
-		"openat": behavior.OpOpened, "open": behavior.OpOpened, "openat2": behavior.OpOpened,
-		"read": behavior.OpRead, "pread64": behavior.OpRead, "preadv2": behavior.OpRead,
-		"write": behavior.OpWritten, "truncate": behavior.OpWritten, "mkdirat": behavior.OpWritten,
-		"unlink": behavior.OpDeleted, "unlinkat": behavior.OpDeleted, "rmdir": behavior.OpDeleted,
-		"rename": behavior.OpRenamed, "renameat2": behavior.OpRenamed,
-		"execve": behavior.OpSpawned, "execveat": behavior.OpSpawned,
-		"connect": behavior.OpConnected,
-	} {
-		if got, ok := behavior.Classify(call); !ok || got != want {
-			t.Errorf("Classify(%q) = %v, %v; want %v, true", call, got, ok, want)
-		}
-	}
-	for _, call := range []string{"close", "lseek", "fsync", "brk", "mmap", ""} {
-		if _, ok := behavior.Classify(call); ok {
-			t.Errorf("Classify(%q) accepted a non-behavior call", call)
-		}
-	}
-}
-
 // TestProfileFoldViews: a small hand-built case yields the expected
 // per-class subjects, the merged view sums across cases, and Totals
 // reports the distinct files / hosts / commands split.

@@ -33,12 +33,12 @@ func (p *Profile) RenderText() string {
 			w.quoted[y] = len(w.scratch)
 		}
 	}
-	lineLen := func(op Op, y intern.Sym, count int) int { // "  op subject count\n"
+	lineLen := func(op opClass, y intern.Sym, count int) int { // "  op subject count\n"
 		return 2 + len(opNames[op]) + 1 + w.quoted[y] + 1 + decLen(count) + 1
 	}
 	size := len("behavior:  cases,  events\n") + decLen(len(ids)) + decLen(events) +
 		len("merged:  events\n") + decLen(events)
-	p.eachMerged(order, counts, func(op Op, y intern.Sym, n int) {
+	p.eachMerged(order, counts, func(op opClass, y intern.Sym, n int) {
 		size += lineLen(op, y, n)
 	})
 	for _, id := range ids {
@@ -105,7 +105,7 @@ func (w *textWriter) caseID(id trace.CaseID) {
 // line writes `  <op> <quoted subject> <count>\n`. Quoting replaces
 // every byte or rune it escapes with a longer sequence, so a subject
 // whose quoted length is its own plus the two quotes is written as is.
-func (w *textWriter) line(op Op, y intern.Sym, count int) {
+func (w *textWriter) line(op opClass, y intern.Sym, count int) {
 	s := w.syms.Str(y)
 	w.b.WriteString("  ")
 	w.b.WriteString(opNames[op])

@@ -62,7 +62,7 @@ func (p *Profile) EncodeSnapshot() []byte {
 		b.Uvarint(str(id.Host))
 		b.Varint(int64(id.RID))
 		b.Uvarint(uint64(acc.events))
-		for op := Op(0); op < numOps; op++ {
+		for op := opClass(0); op < numOps; op++ {
 			seg := opSegment(acc.run, op)
 			b.Uvarint(uint64(len(seg)))
 			for _, e := range seg {
@@ -141,7 +141,7 @@ func DecodeSnapshot(data []byte) (*Profile, error) {
 			return nil, err
 		}
 		var run []entry
-		for op := Op(0); op < numOps; op++ {
+		for op := opClass(0); op < numOps; op++ {
 			ne, err := c.Count(2)
 			if err != nil {
 				return nil, err

@@ -12,17 +12,17 @@ import (
 	"io"
 )
 
-// UsageError marks command-line mistakes (bad flags, missing operands,
+// usageError marks command-line mistakes (bad flags, missing operands,
 // contradictory options), distinguishing "you invoked me wrong" (exit
 // 2) from "the work failed" (exit 1) in scripts.
-type UsageError struct{ Err error }
+type usageError struct{ Err error }
 
-func (e UsageError) Error() string { return e.Err.Error() }
-func (e UsageError) Unwrap() error { return e.Err }
+func (e usageError) Error() string { return e.Err.Error() }
+func (e usageError) Unwrap() error { return e.Err }
 
 // Usagef builds a usage error from a format string.
 func Usagef(format string, args ...any) error {
-	return UsageError{fmt.Errorf(format, args...)}
+	return usageError{fmt.Errorf(format, args...)}
 }
 
 // Usage wraps an existing error (a flag.FlagSet.Parse failure, say) as
@@ -31,18 +31,18 @@ func Usage(err error) error {
 	if err == nil {
 		return nil
 	}
-	return UsageError{err}
+	return usageError{err}
 }
 
-// ExitCode maps an error from a command's run function to the process
+// exitCode maps an error from a command's run function to the process
 // exit status. An explicit help request is a success: flag has already
 // printed the usage text the user asked for.
-func ExitCode(err error) int {
+func exitCode(err error) int {
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
 		return 0
 	}
-	var ue UsageError
+	var ue usageError
 	if errors.As(err, &ue) {
 		return 2
 	}
@@ -56,5 +56,5 @@ func Report(w io.Writer, tool string, err error) int {
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(w, "%s: %v\n", tool, err)
 	}
-	return ExitCode(err)
+	return exitCode(err)
 }

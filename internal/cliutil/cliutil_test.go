@@ -22,8 +22,8 @@ func TestExitCode(t *testing.T) {
 		{"runtime", errors.New("disk on fire"), 1},
 	}
 	for _, tc := range cases {
-		if got := ExitCode(tc.err); got != tc.want {
-			t.Errorf("%s: ExitCode = %d, want %d", tc.name, got, tc.want)
+		if got := exitCode(tc.err); got != tc.want {
+			t.Errorf("%s: exitCode = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

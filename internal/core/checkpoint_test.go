@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -290,22 +291,27 @@ func TestCheckpointEpochMergeFlat(t *testing.T) {
 	}
 	el := synth.Log("ckpt", 128, 40, 13)
 	m := pm.CallTopDirs{Depth: 2}
-	encode := func(lo, hi int) []byte {
+	dir := t.TempDir()
+	write := func(lo, hi int) string {
 		s, err := AnalyzeStreamSnapshot(&prefixSource{cases: el.Cases()[lo:hi]}, m, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snapshot.Encode(s)
+		path := filepath.Join(dir, fmt.Sprintf("%d-%d.sts", lo, hi))
+		if err := snapshot.WriteFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	decode := func(b []byte) *snapshot.Snapshot {
-		s, err := snapshot.Decode(b, m)
+	decode := func(path string) *snapshot.Snapshot {
+		s, err := snapshot.ReadFile(path, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	epoch := encode(120, 128)
-	mergeAllocs := func(history []byte) float64 {
+	epoch := write(120, 128)
+	mergeAllocs := func(history string) float64 {
 		// Merge consumes its target, so every run (and AllocsPerRun's
 		// warm-up) gets its own decoded pair.
 		const runs = 5
@@ -320,7 +326,7 @@ func TestCheckpointEpochMergeFlat(t *testing.T) {
 			i++
 		})
 	}
-	small, large := mergeAllocs(encode(0, 8)), mergeAllocs(encode(0, 120))
+	small, large := mergeAllocs(write(0, 8)), mergeAllocs(write(0, 120))
 	t.Logf("allocs merging an 8-case epoch: %.0f into 8 cases, %.0f into 120", small, large)
 	if large > 1.5*small {
 		t.Errorf("merge into a 120-case history allocates %.0f, over 1.5x the %.0f of an 8-case one", large, small)

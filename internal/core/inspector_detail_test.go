@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"stinspector/internal/dfg"
 	"stinspector/internal/strace"
 )
 
@@ -55,8 +54,8 @@ func TestInspectorFootprint(t *testing.T) {
 	if len(fp.Activities) != 8 {
 		t.Fatalf("footprint alphabet = %v", fp.Activities)
 	}
-	if fp.Relation("read:/usr/lib", "read:/proc/filesystems") != dfg.Precedes {
-		t.Errorf("relation wrong")
+	if got := fp.Relation("read:/usr/lib", "read:/proc/filesystems").String(); got != "→" {
+		t.Errorf("relation = %s, want →", got)
 	}
 	// Filtering changes the footprint deterministically.
 	sub := in.FilterPath("/usr/lib").Footprint()

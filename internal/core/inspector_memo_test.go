@@ -14,8 +14,9 @@ import (
 	"stinspector/internal/trace"
 )
 
-// countingMapping is f̂ behind a per-event call counter. It is not a
-// pm.CallPathMapping, so a fold consults it once for every event.
+// countingMapping is f̂ behind a per-event call counter. Unlike
+// pm.CallTopDirs it does not declare itself a pure function of (call,
+// path), so a fold consults it once for every event.
 func countingMapping(calls *atomic.Int64) pm.Mapping {
 	return pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) {
 		calls.Add(1)

@@ -99,7 +99,7 @@ func loadArchive(path string, parallelism int) (*Inspector, error) {
 // loadDXT composes the DXT backend with LoadStream, the way the
 // facade's FromDXT does.
 func loadDXT(cid, dump string) (*Inspector, error) {
-	records, err := dxt.Parse(strings.NewReader(dump))
+	records, err := dxt.ParseSyms(strings.NewReader(dump), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -184,7 +184,7 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 // gate of the symbol-interning refactor, run inside the speedup
 // harness so both sit over the same 240k-event log: the sequential
 // fold must stay under a fixed allocations-per-event ceiling. The
-// string-keyed builders sat near 2 allocs/event (MakeActivity concat,
+// string-keyed builders sat near 2 allocs/event (makeActivity concat,
 // variant keys, the interface-boxing max-concurrency heap). The
 // symbolized fold measures 0.092 on TestAnalyzeAllocBudget's 96k-event
 // log (about 8.8k allocations per run), so the 0.25 ceiling sits about

@@ -27,9 +27,9 @@ type Builder struct {
 	symbuf []intern.Sym // AddVariant scratch
 }
 
-// NewBuilder returns a builder over an empty graph with its own
+// newBuilder returns a builder over an empty graph with its own
 // activity symbol table.
-func NewBuilder() *Builder { return NewBuilderSym(intern.NewLocal()) }
+func newBuilder() *Builder { return NewBuilderSym(intern.NewLocal()) }
 
 // NewBuilderSym returns a builder whose activity symbols are drawn from
 // the given table — the shard-sharing form: pass the SymMapper's Acts()

@@ -46,7 +46,7 @@ func New() *Graph {
 // paper's figures where ● and ■ carry the trace multiplicities on their
 // edges. It is the materializing form of Builder.
 func Build(l *pm.Log) *Graph {
-	b := NewBuilder()
+	b := newBuilder()
 	for _, v := range l.Variants() {
 		b.AddVariant(v.Seq, v.Mult)
 	}

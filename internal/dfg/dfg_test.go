@@ -320,7 +320,7 @@ func TestMergeReproducesBuild(t *testing.T) {
 	for shards := 1; shards <= 4; shards++ {
 		builders := make([]*Builder, shards)
 		for i := range builders {
-			builders[i] = NewBuilder()
+			builders[i] = newBuilder()
 		}
 		for i, v := range l.Variants() {
 			builders[i%shards].AddVariant(v.Seq, v.Mult)

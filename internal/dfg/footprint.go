@@ -13,32 +13,32 @@ import (
 // Aalst, "Foundations of Process Discovery" — the same source as the DFG
 // definition): for activities a and b,
 //
-//	a → b  (Precedes)  when a is directly followed by b but never the
+//	a → b  (precedes)  when a is directly followed by b but never the
 //	                   reverse,
-//	a ← b  (Follows)   when only the reverse is observed,
-//	a ∥ b  (Parallel)  when both directions are observed,
-//	a # b  (Unrelated) when neither is.
+//	a ← b  (follows)   when only the reverse is observed,
+//	a ∥ b  (parallel)  when both directions are observed,
+//	a # b  (unrelated) when neither is.
 type Relation int
 
 const (
-	// Unrelated: neither a→b nor b→a observed (#).
-	Unrelated Relation = iota
-	// Precedes: a→b only.
-	Precedes
-	// Follows: b→a only.
-	Follows
-	// Parallel: both directions observed (∥).
-	Parallel
+	// unrelated: neither a→b nor b→a observed (#).
+	unrelated Relation = iota
+	// precedes: a→b only.
+	precedes
+	// follows: b→a only.
+	follows
+	// parallel: both directions observed (∥).
+	parallel
 )
 
 // String renders the relation symbol.
 func (r Relation) String() string {
 	switch r {
-	case Precedes:
+	case precedes:
 		return "→"
-	case Follows:
+	case follows:
 		return "←"
-	case Parallel:
+	case parallel:
 		return "∥"
 	default:
 		return "#"
@@ -81,11 +81,11 @@ func NewFootprint(g *Graph) *Footprint {
 			var r Relation
 			switch {
 			case ab && ba:
-				r = Parallel
+				r = parallel
 			case ab:
-				r = Precedes
+				r = precedes
 			case ba:
-				r = Follows
+				r = follows
 			}
 			fp.cells[i*len(acts)+j] = r
 		}
@@ -93,13 +93,13 @@ func NewFootprint(g *Graph) *Footprint {
 	return fp
 }
 
-// Relation returns the footprint cell for (a, b); Unrelated when either
+// Relation returns the footprint cell for (a, b); unrelated when either
 // activity is not in the alphabet.
 func (fp *Footprint) Relation(a, b pm.Activity) Relation {
 	i, ok1 := fp.index[a]
 	j, ok2 := fp.index[b]
 	if !ok1 || !ok2 {
-		return Unrelated
+		return unrelated
 	}
 	return fp.cells[i*len(fp.Activities)+j]
 }
@@ -137,7 +137,7 @@ type FootprintDiff struct {
 
 // Diff returns the cells over the union alphabet where the two
 // footprints disagree, in deterministic order. Activities missing from
-// one footprint compare as Unrelated there, so added/removed activities
+// one footprint compare as unrelated there, so added/removed activities
 // surface through their relations.
 func (fp *Footprint) Diff(o *Footprint) []FootprintDiff {
 	seen := make(map[pm.Activity]bool)

@@ -16,22 +16,22 @@ func TestFootprintRelations(t *testing.T) {
 	}
 	// read:/usr/lib directly precedes read:/proc/filesystems, never the
 	// reverse.
-	if r := fp.Relation("read:/usr/lib", "read:/proc/filesystems"); r != Precedes {
+	if r := fp.Relation("read:/usr/lib", "read:/proc/filesystems"); r != precedes {
 		t.Errorf("lib vs proc = %v, want →", r)
 	}
-	if r := fp.Relation("read:/proc/filesystems", "read:/usr/lib"); r != Follows {
+	if r := fp.Relation("read:/proc/filesystems", "read:/usr/lib"); r != follows {
 		t.Errorf("proc vs lib = %v, want ←", r)
 	}
 	// Self-loops read as parallel (both directions trivially exist).
-	if r := fp.Relation("read:/usr/lib", "read:/usr/lib"); r != Parallel {
+	if r := fp.Relation("read:/usr/lib", "read:/usr/lib"); r != parallel {
 		t.Errorf("self relation = %v, want ∥", r)
 	}
 	// No relation between /usr/lib and /dev/pts in the ls trace.
-	if r := fp.Relation("read:/usr/lib", "write:/dev/pts"); r != Unrelated {
+	if r := fp.Relation("read:/usr/lib", "write:/dev/pts"); r != unrelated {
 		t.Errorf("lib vs pts = %v, want #", r)
 	}
 	// Unknown activities are unrelated.
-	if r := fp.Relation("x", "y"); r != Unrelated {
+	if r := fp.Relation("x", "y"); r != unrelated {
 		t.Errorf("unknown = %v", r)
 	}
 	// Rendering includes the symbols.
@@ -75,7 +75,7 @@ func TestFootprintDiffAndSimilarity(t *testing.T) {
 	found := false
 	for _, d := range diffs {
 		if d.A == "read:/etc/locale.alias" && d.B == "write:/dev/pts" &&
-			d.Left == Precedes && d.Rite == Unrelated {
+			d.Left == precedes && d.Rite == unrelated {
 			found = true
 		}
 	}

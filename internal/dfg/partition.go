@@ -52,7 +52,7 @@ type Partition struct {
 // comparison runs on a fold's finalized activity-log. A variant's
 // cases beyond its case list (hand-built logs only) count as R.
 func Split(l *pm.Log, green func(trace.CaseID) bool) (g, r *Graph) {
-	gb, rb := NewBuilder(), NewBuilder()
+	gb, rb := newBuilder(), newBuilder()
 	for _, v := range l.Variants() {
 		n := 0
 		for _, id := range v.Cases {

@@ -54,8 +54,8 @@ func TestGraphSnapshotMergesAfterDecode(t *testing.T) {
 	m := pm.CallTopDirs{Depth: 2}
 	mk := func(lo, hi int) *Graph {
 		sub := el.Cases()[lo:hi]
-		b := pm.NewBuilder(m, pm.BuildOptions{Endpoints: true})
-		db := NewBuilder()
+		b := pm.NewBuilderSym(pm.NewSymMapper(m), pm.BuildOptions{Endpoints: true})
+		db := newBuilder()
 		for _, c := range sub {
 			if seq, ok := b.Add(c); ok {
 				db.AddTrace(seq)

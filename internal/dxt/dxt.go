@@ -51,8 +51,8 @@ type Record struct {
 	End      time.Duration
 }
 
-// ParseError reports an unparseable DXT line. Parse and ParseSyms
-// reject every malformed input with one; any other error comes from
+// ParseError reports an unparseable DXT line. ParseSyms
+// rejects every malformed input with one; any other error comes from
 // reading.
 type ParseError struct {
 	Line int
@@ -64,22 +64,15 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("dxt: line %d: %s: %q", e.Line, e.Msg, e.Text)
 }
 
-// Parse reads a darshan-dxt-parser text stream into records. Header
-// comments set the current file/rank context; access lines inherit it.
-// Header strings canonicalize through the process-wide intern.Default;
-// ParseSyms scopes them to a per-pass table instead.
-func Parse(r io.Reader) ([]Record, error) {
-	return ParseSyms(r, nil)
-}
-
-// ParseSyms is Parse canonicalizing the header strings (file names,
-// hostnames) through the given symbol table — nil means the
-// process-wide intern.Default, under which every record of a group
-// shares the interned string and paths seen by other ingestion
-// backends resolve to the same allocation. A scoped table
-// (intern.NewTable) confines an unbounded file-name vocabulary to the
-// pass: drop the records and the table together and the strings are
-// collectable.
+// ParseSyms reads a darshan-dxt-parser text stream into records.
+// Header comments set the current file/rank context; access lines
+// inherit it. The header strings (file names, hostnames) canonicalize
+// through the given symbol table — nil means the process-wide table,
+// under which every record of a group shares the interned string and
+// paths seen by other ingestion backends resolve to the same
+// allocation. A scoped table (intern.NewTable) confines an unbounded
+// file-name vocabulary to the pass: drop the records and the table
+// together and the strings are collectable.
 func ParseSyms(r io.Reader, t *intern.Table) ([]Record, error) {
 	cache := intern.CacheFor(t)
 	defer intern.PutCache(cache)
@@ -224,55 +217,6 @@ func Stream(cid string, records []Record, parallelism, window int) source.Source
 	})
 }
 
-// Write renders an event-log in the darshan-dxt-parser text format, one
-// header per (file, case) group. Only transfer events (read/write
-// variants) are expressible in DXT; others are skipped and counted.
-func Write(w io.Writer, log *trace.EventLog) (skipped int, err error) {
-	bw := bufio.NewWriter(w)
-	for _, c := range log.Cases() {
-		// Group the case's events by file, preserving order.
-		byFile := make(map[string][]trace.Event)
-		var order []string
-		for _, e := range c.Events {
-			_, _, ok := dxtOp(e.Call)
-			if !ok || !e.HasSize() {
-				skipped++
-				continue
-			}
-			if _, seen := byFile[e.FP]; !seen {
-				order = append(order, e.FP)
-			}
-			byFile[e.FP] = append(byFile[e.FP], e)
-		}
-		for _, fp := range order {
-			fmt.Fprintf(bw, "# DXT, file_id: %d, file_name: %s\n", fileID(fp), fp)
-			fmt.Fprintf(bw, "# DXT, rank: %d, hostname: %s\n", c.ID.RID, c.ID.Host)
-			fmt.Fprintf(bw, "# Module Rank Wt/Rd Segment Offset Length Start(s) End(s)\n")
-			for seg, e := range byFile[fp] {
-				module, op, _ := dxtOp(e.Call)
-				fmt.Fprintf(bw, " %s %d %s %d %d %d %s %s\n",
-					module, c.ID.RID, op, seg, int64(0), e.Size,
-					fmtSeconds(e.Start), fmtSeconds(e.End()))
-			}
-		}
-	}
-	return skipped, bw.Flush()
-}
-
-func dxtOp(call string) (module, op string, ok bool) {
-	switch call {
-	case "write", "writev", "pwritev", "pwritev2":
-		return "X_POSIX", "write", true
-	case "read", "readv", "preadv", "preadv2":
-		return "X_POSIX", "read", true
-	case "pwrite64":
-		return "X_MPIIO", "write", true
-	case "pread64":
-		return "X_MPIIO", "read", true
-	}
-	return "", "", false
-}
-
 // parseDecimalSeconds parses "12.345678" exactly (no float rounding),
 // microsecond-or-finer resolution up to 9 fractional digits.
 func parseDecimalSeconds(s string) (time.Duration, error) {
@@ -300,23 +244,4 @@ func parseDecimalSeconds(s string) (time.Duration, error) {
 		ns = f
 	}
 	return time.Duration(sec)*time.Second + time.Duration(ns), nil
-}
-
-// fmtSeconds renders a duration as decimal seconds at microsecond
-// resolution, matching darshan-dxt-parser output.
-func fmtSeconds(d time.Duration) string {
-	if d < 0 {
-		d = 0
-	}
-	us := d.Microseconds()
-	return fmt.Sprintf("%d.%06d", us/1e6, us%1e6)
-}
-
-func fileID(fp string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(fp); i++ {
-		h ^= uint32(fp[i])
-		h *= 16777619
-	}
-	return h
 }

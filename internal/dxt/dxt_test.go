@@ -11,6 +11,7 @@ import (
 	"stinspector/internal/iorsim"
 	"stinspector/internal/pm"
 	"stinspector/internal/source"
+	"stinspector/internal/synth"
 	"stinspector/internal/trace"
 )
 
@@ -28,7 +29,7 @@ const sample = `
 `
 
 func TestParseSample(t *testing.T) {
-	recs, err := Parse(strings.NewReader(sample))
+	recs, err := ParseSyms(strings.NewReader(sample), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func drain(t *testing.T, cid string, recs []Record, parallelism int) *trace.Even
 }
 
 func TestStreamCases(t *testing.T) {
-	recs, err := Parse(strings.NewReader(sample))
+	recs, err := ParseSyms(strings.NewReader(sample), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +110,10 @@ func TestParseErrors(t *testing.T) {
 		"# DXT, file_name: /f\n" + strings.Repeat("x", 5<<20), // line over the 4 MiB limit
 	}
 	for _, input := range bad {
-		_, err := Parse(strings.NewReader(input))
+		_, err := ParseSyms(strings.NewReader(input), nil)
 		var pe *ParseError
 		if !errors.As(err, &pe) {
-			t.Errorf("Parse(%.60q) = %v, want a *ParseError", input, err)
+			t.Errorf("ParseSyms(%.60q, nil) = %v, want a *ParseError", input, err)
 		}
 	}
 }
@@ -130,14 +131,14 @@ func TestDXTRoundTripAgainstIOR(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	skipped, err := Write(&buf, res.Log)
+	skipped, err := synth.WriteDXT(&buf, res.Log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped == 0 {
 		t.Errorf("expected openat/lseek/close/fsync records to be skipped")
 	}
-	recs, err := Parse(&buf)
+	recs, err := ParseSyms(&buf, nil)
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, buf.String())
 	}

@@ -141,29 +141,29 @@ var IDs = []string{"fig2", "fig3", "fig4", "fig5", "fig8a", "fig8b", "fig9", "ab
 func Run(id string, scale Scale) (*Report, error) {
 	switch id {
 	case "fig2":
-		return Fig2()
+		return fig2()
 	case "fig3":
-		return Fig3()
+		return fig3()
 	case "fig4":
-		return Fig4()
+		return fig4()
 	case "fig5":
-		return Fig5()
+		return fig5()
 	case "fig8a":
-		return Fig8a(scale)
+		return fig8a(scale)
 	case "fig8b":
-		return Fig8b(scale)
+		return fig8b(scale)
 	case "fig9":
-		return Fig9(scale)
+		return fig9(scale)
 	case "ab-locks":
-		return AblationLocks(scale)
+		return ablationLocks(scale)
 	case "ab-skew":
-		return AblationSkew()
+		return ablationSkew()
 	case "wl-ckpt":
-		return WorkloadCheckpoint()
+		return workloadCheckpoint()
 	case "wl-meta":
-		return WorkloadMetadataStorm()
+		return workloadMetadataStorm()
 	case "wl-shlog":
-		return WorkloadSharedLog()
+		return workloadSharedLog()
 	default:
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(IDs, ", "))
 	}

@@ -17,7 +17,7 @@ func checkReport(t *testing.T, r *Report) {
 }
 
 func TestFig2(t *testing.T) {
-	r, err := Fig2()
+	r, err := fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFig2(t *testing.T) {
 }
 
 func TestFig3(t *testing.T) {
-	r, err := Fig3()
+	r, err := fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFig3(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
-	r, err := Fig4()
+	r, err := fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFig4(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
-	r, err := Fig5()
+	r, err := fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFig5(t *testing.T) {
 // The IOR figures run at full paper scale (96 ranks, 2 hosts); the
 // discrete-event simulation completes in well under a second.
 func TestFig8aFullScale(t *testing.T) {
-	r, err := Fig8a(Scale{})
+	r, err := fig8a(Scale{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFig8aFullScale(t *testing.T) {
 }
 
 func TestFig8bFullScale(t *testing.T) {
-	r, err := Fig8b(Scale{})
+	r, err := fig8b(Scale{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFig8bFullScale(t *testing.T) {
 }
 
 func TestFig9FullScale(t *testing.T) {
-	r, err := Fig9(Scale{})
+	r, err := fig9(Scale{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFig9FullScale(t *testing.T) {
 }
 
 func TestAblationLocks(t *testing.T) {
-	r, err := AblationLocks(Scale{})
+	r, err := ablationLocks(Scale{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAblationLocks(t *testing.T) {
 }
 
 func TestAblationSkew(t *testing.T) {
-	r, err := AblationSkew()
+	r, err := ablationSkew()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunDispatch(t *testing.T) {
 // Reduced scale still preserves every structural claim — the checks are
 // parameterized by Scale.
 func TestFig8bReducedScale(t *testing.T) {
-	r, err := Fig8b(Scale{Ranks: 16, Hosts: 2, Segments: 2, TransfersPerBlock: 4, NoPreamble: true, Seed: 5})
+	r, err := fig8b(Scale{Ranks: 16, Hosts: 2, Segments: 2, TransfersPerBlock: 4, NoPreamble: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

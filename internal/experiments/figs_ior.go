@@ -40,9 +40,9 @@ func runSSFandFPP(scale Scale, params *simfs.Params) (*trace.EventLog, *iorsim.R
 	return cx, ssf, fpp, nil
 }
 
-// Fig8a regenerates the DFG of all events of the SSF+FPP runs under the
+// fig8a regenerates the DFG of all events of the SSF+FPP runs under the
 // depth-0 site abstraction ($SCRATCH, $SOFTWARE, $HOME, Node Local).
-func Fig8a(scale Scale) (*Report, error) {
+func fig8a(scale Scale) (*Report, error) {
 	r := &Report{ID: "fig8a", Title: "IOR SSF+FPP, all events, site abstraction (Figure 8a)"}
 	cx, ssf, _, err := runSSFandFPP(scale, nil)
 	if err != nil {
@@ -93,9 +93,9 @@ func Fig8a(scale Scale) (*Report, error) {
 	return r, nil
 }
 
-// Fig8b regenerates the DFG restricted to the $SCRATCH directory at
+// fig8b regenerates the DFG restricted to the $SCRATCH directory at
 // depth 1, which separates the ssf/ and fpp/ run directories.
-func Fig8b(scale Scale) (*Report, error) {
+func fig8b(scale Scale) (*Report, error) {
 	r := &Report{ID: "fig8b", Title: "IOR SSF vs FPP under $SCRATCH (Figure 8b)"}
 	cx, ssf, fpp, err := runSSFandFPP(scale, nil)
 	if err != nil {
@@ -161,9 +161,9 @@ func Fig8b(scale Scale) (*Report, error) {
 	return r, nil
 }
 
-// Fig9 regenerates the partition-colored DFG of the POSIX vs MPI-IO
+// fig9 regenerates the partition-colored DFG of the POSIX vs MPI-IO
 // comparison of Section V-B.
-func Fig9(scale Scale) (*Report, error) {
+func fig9(scale Scale) (*Report, error) {
 	r := &Report{ID: "fig9", Title: "IOR with vs without MPI-IO, partition coloring (Figure 9)"}
 	scale = scale.withDefaults()
 	cfgP := scale.iorConfig("posix", false, iorsim.POSIX, 60000)
@@ -250,11 +250,11 @@ func containsPath(fp, prefix string) bool {
 	return len(fp) >= len(prefix) && fp[:len(prefix)] == prefix
 }
 
-// AblationLocks reruns the Figure 8b pipeline with the two contention
+// ablationLocks reruns the Figure 8b pipeline with the two contention
 // mechanisms disabled, demonstrating that the paper's headline signal
 // (the SSF openat/write load dominance) is produced by those mechanisms
 // and not by an artifact of the pipeline.
-func AblationLocks(scale Scale) (*Report, error) {
+func ablationLocks(scale Scale) (*Report, error) {
 	r := &Report{ID: "ab-locks", Title: "ablation: contention mechanisms off ⇒ Figure 8b signal collapses"}
 	params := simfs.DefaultParams()
 	params.DisableWriteTokens = true
@@ -279,10 +279,10 @@ func AblationLocks(scale Scale) (*Report, error) {
 	return r, nil
 }
 
-// AblationSkew verifies the paper's remark that unsynchronized clocks
+// ablationSkew verifies the paper's remark that unsynchronized clocks
 // across hosts perturb the max-concurrency statistic but affect neither
 // the DFG nor the other metrics (Section IV-B).
-func AblationSkew() (*Report, error) {
+func ablationSkew() (*Report, error) {
 	r := &Report{ID: "ab-skew", Title: "ablation: host clock skew perturbs mc only (Section IV-B)"}
 	run := func(skew time.Duration) (*dfg.Graph, *core.Inspector, error) {
 		cfg := iorsim.Config{

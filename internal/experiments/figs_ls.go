@@ -15,10 +15,10 @@ import (
 	"stinspector/internal/trace"
 )
 
-// Fig2 regenerates the raw strace records of Figure 2: the ls and ls -l
+// fig2 regenerates the raw strace records of Figure 2: the ls and ls -l
 // traces rendered in strace text format, including an unfinished/resumed
 // pair, and verifies that parsing them back reproduces the events.
-func Fig2() (*Report, error) {
+func fig2() (*Report, error) {
 	r := &Report{ID: "fig2", Title: "strace records of ls and ls -l (Figure 2)"}
 	ca, cb, _ := lssim.Both(lssim.Config{})
 
@@ -92,9 +92,9 @@ var fig3Targets = []struct {
 	{"write:/dev/pts", 0.17, 753, 3},
 }
 
-// Fig3 regenerates the three DFGs of Figure 3 with their Load/DR
+// fig3 regenerates the three DFGs of Figure 3 with their Load/DR
 // annotations and the partition coloring of Figure 3d.
-func Fig3() (*Report, error) {
+func fig3() (*Report, error) {
 	r := &Report{ID: "fig3", Title: "DFG synthesis of C_a, C_b, C_x (Figure 3)"}
 	ca, cb, cx := lssim.Both(lssim.Config{})
 	inA, inB, inX := core.FromEventLog(ca), core.FromEventLog(cb), core.FromEventLog(cx)
@@ -166,8 +166,8 @@ func Fig3() (*Report, error) {
 	return r, nil
 }
 
-// Fig4 regenerates the file-level DFG restricted to /usr/lib.
-func Fig4() (*Report, error) {
+// fig4 regenerates the file-level DFG restricted to /usr/lib.
+func fig4() (*Report, error) {
 	r := &Report{ID: "fig4", Title: "DFG restricted to /usr/lib at file granularity (Figure 4)"}
 	_, _, cx := lssim.Both(lssim.Config{})
 	in := core.FromEventLog(cx).FilterPath("/usr/lib").WithMapping(pm.CallFileName{Keep: 2})
@@ -189,8 +189,8 @@ func Fig4() (*Report, error) {
 	return r, nil
 }
 
-// Fig5 regenerates the timeline plot of read:/usr/lib over C_b.
-func Fig5() (*Report, error) {
+// fig5 regenerates the timeline plot of read:/usr/lib over C_b.
+func fig5() (*Report, error) {
 	r := &Report{ID: "fig5", Title: "timeline of read:/usr/lib over C_b (Figure 5)"}
 	_, cb, _ := lssim.Both(lssim.Config{})
 	in := core.FromEventLog(cb)

@@ -11,10 +11,10 @@ import (
 	"stinspector/internal/workloads"
 )
 
-// WorkloadCheckpoint runs the checkpoint workload in both strategies and
+// workloadCheckpoint runs the checkpoint workload in both strategies and
 // checks that the Figure 8 contention signature carries over to this
 // application pattern (the paper's future-work direction).
-func WorkloadCheckpoint() (*Report, error) {
+func workloadCheckpoint() (*Report, error) {
 	r := &Report{ID: "wl-ckpt", Title: "workload: periodic checkpointing, shared file vs file per rank"}
 	shared, err := workloads.Checkpoint(workloads.CheckpointConfig{
 		CID: "shared", Ranks: 16, Rounds: 4, Shared: true, Seed: 1,
@@ -59,10 +59,10 @@ func WorkloadCheckpoint() (*Report, error) {
 	return r, nil
 }
 
-// WorkloadMetadataStorm runs the many-small-files workload and checks
+// workloadMetadataStorm runs the many-small-files workload and checks
 // that the load concentrates on the metadata operations, the "metadata
 // wall" of the paper's reference [22].
-func WorkloadMetadataStorm() (*Report, error) {
+func workloadMetadataStorm() (*Report, error) {
 	r := &Report{ID: "wl-meta", Title: "workload: metadata storm (many small files, one directory)"}
 	res, err := workloads.MetadataStorm(workloads.MetadataStormConfig{Ranks: 16, FilesPerRank: 12, Seed: 2})
 	if err != nil {
@@ -89,9 +89,9 @@ func WorkloadMetadataStorm() (*Report, error) {
 	return r, nil
 }
 
-// WorkloadSharedLog runs the shared-append workload and checks the
+// workloadSharedLog runs the shared-append workload and checks the
 // token-bouncing signature: nearly every record pays a revocation.
-func WorkloadSharedLog() (*Report, error) {
+func workloadSharedLog() (*Report, error) {
 	r := &Report{ID: "wl-shlog", Title: "workload: shared-log append (maximal token bouncing)"}
 	res, err := workloads.SharedLog(workloads.SharedLogConfig{Ranks: 16, Records: 24, Seed: 3})
 	if err != nil {

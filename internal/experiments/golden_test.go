@@ -58,7 +58,7 @@ func TestGoldenFig5Timeline(t *testing.T) {
 }
 
 func TestGoldenFig2Strace(t *testing.T) {
-	r, err := Fig2()
+	r, err := fig2()
 	if err != nil {
 		t.Fatal(err)
 	}

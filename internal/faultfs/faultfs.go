@@ -4,8 +4,8 @@
 //
 //   - FS wraps the read side with seeded, countable faults — transient
 //     open errors, short reads, transient read errors — behind the same
-//     interface shape as strace.OSDir, so the tailer cannot tell it is
-//     being tested.
+//     interface (strace.TailFS) as the real directory, so the tailer
+//     cannot tell it is being tested.
 //   - Appender replays known-good file contents through a seeded fault
 //     plan on the write side: appends are chunked so boundaries cut
 //     records mid-line (the delayed-append/truncated-write case), the

@@ -21,8 +21,8 @@ type Cache struct {
 	m map[string]Sym
 }
 
-// NewCache returns an empty cache over t.
-func NewCache(t *Table) *Cache {
+// newCache returns an empty cache over t.
+func newCache(t *Table) *Cache {
 	return &Cache{t: t, m: make(map[string]Sym, 64)}
 }
 
@@ -69,38 +69,34 @@ func (c *Cache) Canon(s string) string { return c.t.Str(c.Intern(s)) }
 // CanonBytes is Canon for a []byte, allocating only on first sight.
 func (c *Cache) CanonBytes(b []byte) string { return c.t.Str(c.InternBytes(b)) }
 
-// cachePool recycles per-worker caches over the Default table — and
-// only Default. Default lives for the process, so pooled caches stay
+// cachePool recycles per-worker caches over defaultTable — and
+// only defaultTable. defaultTable lives for the process, so pooled caches stay
 // warm across files forever; scoped-table caches never enter the pool
 // (they would either pin their pass's table or, stripped, displace the
-// warm Default caches).
-var cachePool = sync.Pool{New: func() any { return NewCache(Default) }}
+// warm defaultTable caches).
+var cachePool = sync.Pool{New: func() any { return newCache(defaultTable) }}
 
 // CacheFor hands out a per-worker cache bound to t (nil means
-// Default); return it with PutCache when the worker is done with its
-// file/section. Default-bound caches are pooled and arrive warm; a
+// defaultTable); return it with PutCache when the worker is done with its
+// file/section. defaultTable-bound caches are pooled and arrive warm; a
 // scoped table gets a fresh cache, whose map costs a couple of
 // allocations amortized over the whole file/section.
 func CacheFor(t *Table) *Cache {
-	if t == nil || t == Default {
+	if t == nil || t == defaultTable {
 		return cachePool.Get().(*Cache)
 	}
-	return NewCache(t)
+	return newCache(t)
 }
 
-// GetCache hands out a pooled per-worker cache over Default; it is
-// CacheFor(Default).
-func GetCache() *Cache { return CacheFor(nil) }
-
-// PutCache retires a cache obtained from CacheFor/GetCache.
-// Default-bound caches return to the pool with their warm map. A cache
+// PutCache retires a cache obtained from CacheFor.
+// defaultTable-bound caches return to the pool with their warm map. A cache
 // bound to a scoped table is not pooled; it drops its table reference
 // and map instead, so even a stray caller reference to the cache
 // cannot pin the pass's table (or any string it interned) after the
 // pass's results were dropped — the retention the scoped mode exists
 // to avoid.
 func PutCache(c *Cache) {
-	if c.t != Default {
+	if c.t != defaultTable {
 		c.t, c.m = nil, nil
 		return
 	}

@@ -117,7 +117,7 @@ func TestRemapIntoTable(t *testing.T) {
 		l.Intern(s)
 	}
 	tab := NewTable()
-	c := NewCache(tab)
+	c := newCache(tab)
 	r := l.RemapIntoTable(c)
 	if len(r) != l.Len() {
 		t.Fatalf("remap length %d, want %d", len(r), l.Len())
@@ -129,7 +129,7 @@ func TestRemapIntoTable(t *testing.T) {
 	}
 	// The returned strings must be the destination table's canonical
 	// copies: remapping twice yields identical (shared) strings.
-	r2 := l.RemapIntoTable(NewCache(tab))
+	r2 := l.RemapIntoTable(newCache(tab))
 	for y := range r {
 		if &r[y] == &r2[y] {
 			continue

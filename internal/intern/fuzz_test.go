@@ -27,7 +27,7 @@ func FuzzIntern(f *testing.F) {
 			t.Fatal("re-intern unstable")
 		}
 
-		c := NewCache(tab)
+		c := newCache(tab)
 		if c.Intern(a) != ya || c.InternBytes([]byte(b)) != yb {
 			t.Fatal("cache disagrees with table")
 		}

@@ -22,10 +22,10 @@
 // for the lifetime of the table. That is the right trade for the
 // paper's model (tiny call vocabulary, heavily repeated paths); callers
 // with unbounded vocabularies should scope a Table to the ingestion
-// pass rather than use the process-wide Default: construct one with
+// pass rather than use the process-wide defaultTable: construct one with
 // NewTable, bind per-worker caches to it with CacheFor, and drop it
 // with the pass's results — every string it interned becomes
-// collectable, while Default stays untouched.
+// collectable, while defaultTable stays untouched.
 package intern
 
 import (
@@ -82,9 +82,9 @@ func NewTable() *Table {
 	return t
 }
 
-// Default is the process-wide table the ingestion backends canonicalize
+// defaultTable is the process-wide table the ingestion backends canonicalize
 // event strings through.
-var Default = NewTable()
+var defaultTable = NewTable()
 
 // Intern returns the symbol for s, assigning the next dense symbol on
 // first sight. The fast path (string already present) is lock-free.

@@ -69,7 +69,7 @@ func TestInternConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			c := NewCache(tab)
+			c := newCache(tab)
 			seen := make(map[string]Sym)
 			for i := 0; i < perWorker; i++ {
 				s := vocab[(w*31+i*7)%len(vocab)]
@@ -111,7 +111,7 @@ func TestInternConcurrent(t *testing.T) {
 // and return the canonical allocation.
 func TestCacheBytesAndCanon(t *testing.T) {
 	tab := NewTable()
-	c := NewCache(tab)
+	c := newCache(tab)
 	y := c.Intern("openat")
 	if got := c.InternBytes([]byte("openat")); got != y {
 		t.Errorf("InternBytes = %d, want %d", got, y)
@@ -196,13 +196,13 @@ func TestLocalRemapMerge(t *testing.T) {
 
 // TestGetPutCache: pooled caches front the Default table.
 func TestGetPutCache(t *testing.T) {
-	c := GetCache()
-	if c.Table() != Default {
-		t.Fatal("GetCache not over Default")
+	c := CacheFor(nil)
+	if c.Table() != defaultTable {
+		t.Fatal("CacheFor(nil) not over the default table")
 	}
 	s := c.Canon("read")
 	PutCache(c)
-	c2 := GetCache()
+	c2 := CacheFor(nil)
 	defer PutCache(c2)
 	if got := c2.Canon("read"); got != s {
 		t.Errorf("canonical string changed across pool round trip")
@@ -213,13 +213,13 @@ func TestGetPutCache(t *testing.T) {
 // Default, a scoped table gets its own map, and interning through a
 // scoped cache never touches Default.
 func TestCacheFor(t *testing.T) {
-	if c := CacheFor(nil); c.Table() != Default {
+	if c := CacheFor(nil); c.Table() != defaultTable {
 		t.Errorf("CacheFor(nil) bound to %p, want Default", c.Table())
 	} else {
 		PutCache(c)
 	}
 	tab := NewTable()
-	d0 := Default.Len()
+	d0 := defaultTable.Len()
 	c := CacheFor(tab)
 	if c.Table() != tab {
 		t.Fatalf("CacheFor bound to %p, want the scoped table", c.Table())
@@ -234,8 +234,8 @@ func TestCacheFor(t *testing.T) {
 	if tab.Len() != 3 { // "", and the two paths
 		t.Errorf("scoped table Len = %d, want 3", tab.Len())
 	}
-	if Default.Len() != d0 {
-		t.Errorf("scoped interning grew Default: %d -> %d", d0, Default.Len())
+	if defaultTable.Len() != d0 {
+		t.Errorf("scoped interning grew Default: %d -> %d", d0, defaultTable.Len())
 	}
 	PutCache(c)
 }
@@ -257,10 +257,10 @@ func TestPutCacheScopedHygiene(t *testing.T) {
 		t.Errorf("scoped cache still holds its map (and the table's strings) after PutCache")
 	}
 
-	d := GetCache()
+	d := CacheFor(nil)
 	d.Intern("read")
 	PutCache(d)
-	if d.t != Default || d.m == nil {
+	if d.t != defaultTable || d.m == nil {
 		t.Errorf("Default-bound cache was stripped on PutCache; the warm-vocabulary reuse is gone")
 	}
 }

@@ -129,8 +129,8 @@ var (
 	baseB = 8*time.Hour + 56*time.Minute + 4*time.Second + 731999*time.Microsecond
 )
 
-// LS generates the event-log C_a of the ls command.
-func LS(cfg Config) *trace.EventLog {
+// ls generates the event-log C_a of the ls command.
+func ls(cfg Config) *trace.EventLog {
 	cfg = cfg.withDefaults()
 	return buildLog("a", cfg.Host, cfg.RIDsA, 12, baseA, scheduleA())
 }
@@ -143,7 +143,7 @@ func LSL(cfg Config) *trace.EventLog {
 
 // Both generates C_a, C_b and their union C_x (Equation 3).
 func Both(cfg Config) (ca, cb, cx *trace.EventLog) {
-	ca = LS(cfg)
+	ca = ls(cfg)
 	cb = LSL(cfg)
 	cx = trace.MustUnion(ca, cb)
 	return ca, cb, cx

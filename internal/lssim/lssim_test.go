@@ -149,7 +149,7 @@ func TestFig5Timeline(t *testing.T) {
 
 // The trace σ_f̂(a9042) as printed in Section IV.
 func TestPaperTraceSequence(t *testing.T) {
-	ca := LS(Config{})
+	ca := ls(Config{})
 	l := pm.Build(ca, pm.CallTopDirs{Depth: 2}, pm.BuildOptions{})
 	if l.NumVariants() != 1 || l.Variants()[0].Mult != 3 {
 		t.Fatalf("variants = %d, mult = %d", l.NumVariants(), l.Variants()[0].Mult)
@@ -172,7 +172,7 @@ func TestPaperTraceSequence(t *testing.T) {
 }
 
 func TestCustomConfig(t *testing.T) {
-	log := LS(Config{Host: "nodeX", RIDsA: []int{1, 2}})
+	log := ls(Config{Host: "nodeX", RIDsA: []int{1, 2}})
 	if log.NumCases() != 2 {
 		t.Fatalf("cases = %d", log.NumCases())
 	}

@@ -33,9 +33,9 @@ func (a Activity) Parts() (call, path string) {
 	return s, ""
 }
 
-// MakeActivity builds an activity value in the conventional "call:path"
+// makeActivity builds an activity value in the conventional "call:path"
 // form.
-func MakeActivity(call, path string) Activity {
+func makeActivity(call, path string) Activity {
 	if path == "" {
 		return Activity(call)
 	}

@@ -72,7 +72,7 @@ type BuildOptions struct {
 // applied to an event-log through the mapping f"). It is the
 // materializing form of Builder: cases are folded in CaseID order.
 func Build(el *trace.EventLog, m Mapping, opts BuildOptions) *Log {
-	b := NewBuilder(m, opts)
+	b := newBuilder(m, opts)
 	for _, c := range el.Cases() {
 		b.add(c)
 	}
@@ -112,8 +112,8 @@ type symVariant struct {
 	cases []trace.CaseID
 }
 
-// NewBuilder returns an empty builder for the mapping and options.
-func NewBuilder(m Mapping, opts BuildOptions) *Builder {
+// newBuilder returns an empty builder for the mapping and options.
+func newBuilder(m Mapping, opts BuildOptions) *Builder {
 	return NewBuilderSym(NewSymMapper(m), opts)
 }
 

@@ -36,19 +36,19 @@ func (m CallTopDirs) Map(e trace.Event) (Activity, bool) {
 	return m.MapCallPath(e.Call, e.FP)
 }
 
-// MapCallPath implements CallPathMapping: the activity depends only on
+// MapCallPath implements callPathMapping: the activity depends only on
 // the call name and file path, so the symbol layer may memoize it per
 // distinct (call, fp) pair.
 func (m CallTopDirs) MapCallPath(call, fp string) (Activity, bool) {
-	return MakeActivity(call, TruncatePath(fp, m.Depth)), true
+	return makeActivity(call, truncatePath(fp, m.Depth)), true
 }
 
-// TruncatePath keeps at most the top depth directory levels of an
-// absolute path: TruncatePath("/usr/lib/x/y.so", 2) = "/usr/lib".
+// truncatePath keeps at most the top depth directory levels of an
+// absolute path: truncatePath("/usr/lib/x/y.so", 2) = "/usr/lib".
 // Relative paths and paths shallower than depth are returned unchanged.
 // The result is a prefix of fp ending before the depth-th separator
 // after the leading one, so truncating allocates nothing.
-func TruncatePath(fp string, depth int) string {
+func truncatePath(fp string, depth int) string {
 	if depth <= 0 || !strings.HasPrefix(fp, "/") {
 		return fp
 	}
@@ -76,7 +76,7 @@ func (m CallFileName) Map(e trace.Event) (Activity, bool) {
 	return m.MapCallPath(e.Call, e.FP)
 }
 
-// MapCallPath implements CallPathMapping.
+// MapCallPath implements callPathMapping.
 func (m CallFileName) MapCallPath(call, fp string) (Activity, bool) {
 	keep := m.Keep
 	if keep <= 0 {
@@ -86,7 +86,7 @@ func (m CallFileName) MapCallPath(call, fp string) (Activity, bool) {
 	if len(parts) > keep {
 		parts = parts[len(parts)-keep:]
 	}
-	return MakeActivity(call, strings.Join(parts, "/")), true
+	return makeActivity(call, strings.Join(parts, "/")), true
 }
 
 // PrefixVar is one rewrite rule of an EnvMapping: paths under Prefix are
@@ -149,7 +149,7 @@ func (m *EnvMapping) Abstract(fp string) string {
 	if fb == 0 {
 		fb = 2
 	}
-	return TruncatePath(fp, fb)
+	return truncatePath(fp, fb)
 }
 
 // Map implements Mapping.
@@ -157,19 +157,19 @@ func (m *EnvMapping) Map(e trace.Event) (Activity, bool) {
 	return m.MapCallPath(e.Call, e.FP)
 }
 
-// MapCallPath implements CallPathMapping.
+// MapCallPath implements callPathMapping.
 func (m *EnvMapping) MapCallPath(call, fp string) (Activity, bool) {
-	return MakeActivity(call, m.Abstract(fp)), true
+	return makeActivity(call, m.Abstract(fp)), true
 }
 
-// Restrict narrows the domain of a mapping to events satisfying the
+// restrict narrows the domain of a mapping to events satisfying the
 // predicate, producing a partial mapping. It implements queries such as
 // "restrict the synthesis to the directory /usr/lib" (Section IV-A):
 //
-//	f1 := pm.Restrict(f, func(e trace.Event) bool {
+//	f1 := restrict(f, func(e trace.Event) bool {
 //	        return strings.Contains(e.FP, "/usr/lib")
 //	})
-func Restrict(m Mapping, pred func(trace.Event) bool) Mapping {
+func restrict(m Mapping, pred func(trace.Event) bool) Mapping {
 	return MappingFunc(func(e trace.Event) (Activity, bool) {
 		if !pred(e) {
 			return "", false
@@ -181,7 +181,7 @@ func Restrict(m Mapping, pred func(trace.Event) bool) Mapping {
 // RestrictPath restricts a mapping to events whose file path contains the
 // substring.
 func RestrictPath(m Mapping, substr string) Mapping {
-	return Restrict(m, func(e trace.Event) bool { return strings.Contains(e.FP, substr) })
+	return restrict(m, func(e trace.Event) bool { return strings.Contains(e.FP, substr) })
 }
 
 // RestrictCalls restricts a mapping to the given system calls.
@@ -190,5 +190,5 @@ func RestrictCalls(m Mapping, calls ...string) Mapping {
 	for _, c := range calls {
 		set[c] = true
 	}
-	return Restrict(m, func(e trace.Event) bool { return set[e.Call] })
+	return restrict(m, func(e trace.Event) bool { return set[e.Call] })
 }

@@ -42,7 +42,7 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 	for rid := 0; rid < 37; rid++ {
 		cases = append(cases, mergeCase(rid, rid%5))
 	}
-	seq := NewBuilder(m, opts)
+	seq := newBuilder(m, opts)
 	for _, c := range cases {
 		seq.Add(c)
 	}
@@ -52,7 +52,7 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			builders := make([]*Builder, shards)
 			for i := range builders {
-				builders[i] = NewBuilder(m, opts)
+				builders[i] = newBuilder(m, opts)
 			}
 			// Round-robin blocks of 3 cases, like the sharded fold engine.
 			for i, c := range cases {
@@ -84,7 +84,7 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 // output must not reach back into its argument, which stays valid.
 func TestMergeLeavesInputUsable(t *testing.T) {
 	m := CallTopDirs{Depth: 2}
-	b := NewBuilder(m, BuildOptions{})
+	b := newBuilder(m, BuildOptions{})
 	b.Add(mergeCase(1, 0))
 	in := b.Finalize()
 	out := mergeAll(in, in)
@@ -104,7 +104,7 @@ func TestMergeLogsEmpty(t *testing.T) {
 	if empty.NumTraces() != 0 || empty.NumVariants() != 0 {
 		t.Errorf("zero Log = %d traces, %d variants", empty.NumTraces(), empty.NumVariants())
 	}
-	b := NewBuilder(CallTopDirs{Depth: 2}, BuildOptions{})
+	b := newBuilder(CallTopDirs{Depth: 2}, BuildOptions{})
 	b.Add(mergeCase(1, 1))
 	l := b.Finalize()
 	got := mergeAll(nil, empty, l)
@@ -119,7 +119,7 @@ func TestMergeLogsEmpty(t *testing.T) {
 func TestUnionLogsVariantOrdering(t *testing.T) {
 	m := CallTopDirs{Depth: 2}
 	build := func(rids ...int) *Log {
-		b := NewBuilder(m, BuildOptions{})
+		b := newBuilder(m, BuildOptions{})
 		for _, rid := range rids {
 			b.Add(mergeCase(rid, rid%3))
 		}
@@ -202,7 +202,7 @@ func TestFinalizeOrderInvariant(t *testing.T) {
 	for rid := 0; rid < 29; rid++ {
 		cases = append(cases, mergeCase(rid, rid%4))
 	}
-	seq := NewBuilder(m, opts)
+	seq := newBuilder(m, opts)
 	for _, c := range cases {
 		seq.Add(c)
 	}
@@ -210,7 +210,7 @@ func TestFinalizeOrderInvariant(t *testing.T) {
 
 	perms := [][]int{reversed(len(cases)), strided(len(cases), 7)}
 	for pi, perm := range perms {
-		b := NewBuilder(m, opts)
+		b := newBuilder(m, opts)
 		for _, i := range perm {
 			b.Add(cases[i])
 		}

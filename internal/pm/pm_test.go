@@ -59,7 +59,7 @@ func TestCallTopDirsEquation4(t *testing.T) {
 	}
 }
 
-// truncatePathSplit is TruncatePath's split-and-join definition: the
+// truncatePathSplit is truncatePath's split-and-join definition: the
 // leading "/" plus the first depth components of the rest.
 func truncatePathSplit(fp string, depth int) string {
 	if depth <= 0 || !strings.HasPrefix(fp, "/") {
@@ -103,7 +103,7 @@ func TestTruncatePath(t *testing.T) {
 		{"/a/", 2, "/a/"},
 	}
 	for _, tc := range tests {
-		if got := TruncatePath(tc.fp, tc.depth); got != tc.want {
+		if got := truncatePath(tc.fp, tc.depth); got != tc.want {
 			t.Errorf("TruncatePath(%q, %d) = %q, want %q", tc.fp, tc.depth, got, tc.want)
 		}
 		if ref := truncatePathSplit(tc.fp, tc.depth); ref != tc.want {
@@ -126,7 +126,7 @@ func TestTruncatePath(t *testing.T) {
 	gen("", 6)
 	for _, fp := range paths {
 		for depth := -1; depth <= 7; depth++ {
-			if got, want := TruncatePath(fp, depth), truncatePathSplit(fp, depth); got != want {
+			if got, want := truncatePath(fp, depth), truncatePathSplit(fp, depth); got != want {
 				t.Errorf("TruncatePath(%q, %d) = %q, split-and-join gives %q", fp, depth, got, want)
 			}
 		}
@@ -136,7 +136,7 @@ func TestTruncatePath(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, tc := range tests {
-			_ = TruncatePath(tc.fp, tc.depth)
+			_ = truncatePath(tc.fp, tc.depth)
 		}
 	})
 	if allocs != 0 {
@@ -207,7 +207,7 @@ func TestEnvMapping(t *testing.T) {
 }
 
 func TestActivityParts(t *testing.T) {
-	a := MakeActivity("read", "/usr/lib")
+	a := makeActivity("read", "/usr/lib")
 	call, path := a.Parts()
 	if call != "read" || path != "/usr/lib" {
 		t.Errorf("Parts = %q, %q", call, path)

@@ -13,7 +13,7 @@ import (
 func buildLog(t *testing.T) *Log {
 	t.Helper()
 	el := synth.Log("snap", 24, 40, 20240924)
-	b := NewBuilder(CallTopDirs{Depth: 2}, BuildOptions{Endpoints: true})
+	b := newBuilder(CallTopDirs{Depth: 2}, BuildOptions{Endpoints: true})
 	for _, c := range el.Cases() {
 		b.add(c)
 	}
@@ -63,7 +63,7 @@ func TestLogSnapshotMergesAfterDecode(t *testing.T) {
 	el := synth.Log("snapm", 16, 30, 7)
 	m := CallTopDirs{Depth: 2}
 	mk := func(lo, hi int) *Log {
-		b := NewBuilder(m, BuildOptions{Endpoints: true})
+		b := newBuilder(m, BuildOptions{Endpoints: true})
 		for _, c := range el.Cases()[lo:hi] {
 			b.add(c)
 		}

@@ -9,15 +9,15 @@ import (
 // outside the mapping's domain.
 const NoActivity = ^intern.Sym(0)
 
-// CallPathMapping marks mappings whose activity is a pure function of
+// callPathMapping marks mappings whose activity is a pure function of
 // the event's Call and FP attributes — true for the paper's f̂
 // (CallTopDirs), the file-level view (CallFileName) and the
 // site-variable abstraction (EnvMapping). The symbol layer memoizes
 // such mappings per distinct (call, fp) pair, so the activity string is
 // built once per pair instead of once per event. Mappings that inspect
-// other attributes (a Restrict predicate over durations, say) must not
+// other attributes (a restrict predicate over durations, say) must not
 // implement it; they fall back to the per-event Map call.
-type CallPathMapping interface {
+type callPathMapping interface {
 	Mapping
 	// MapCallPath returns the activity for an event with the given
 	// system call name and file path. It must agree with Map for every
@@ -36,7 +36,7 @@ type CallPathMapping interface {
 // A SymMapper is unsynchronized: one per goroutine.
 type SymMapper struct {
 	m    Mapping
-	pure CallPathMapping // non-nil when m is call/path-pure
+	pure callPathMapping // non-nil when m is call/path-pure
 
 	strs *intern.Local // call and fp strings → symbols
 	acts *intern.Local // activity strings → symbols
@@ -59,7 +59,7 @@ func NewSymMapper(m Mapping) *SymMapper {
 		acts: intern.NewLocal(),
 		memo: make(map[uint64]memoEntry, 64),
 	}
-	if p, ok := m.(CallPathMapping); ok {
+	if p, ok := m.(callPathMapping); ok {
 		sm.pure = p
 	}
 	return sm

@@ -144,7 +144,7 @@ func StatsTable(s *stats.Stats) string {
 		rate := "-"
 		if r.st.HasBytes {
 			bytes = FormatBytes(r.st.Bytes)
-			rate = FormatRateMBs(r.st.ProcRate)
+			rate = formatRateMBs(r.st.ProcRate)
 		}
 		fmt.Fprintf(&b, "%-44s %8d %8.3f %12s %6d %14s\n",
 			r.act, r.st.Events, r.st.RelDur, bytes, r.st.MaxConc, rate)

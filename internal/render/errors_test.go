@@ -29,7 +29,7 @@ func TestRendererNilGraph(t *testing.T) {
 	render := map[string]func() error{
 		"dot":     func() error { return (&DOT{}).Render(&strings.Builder{}) },
 		"text":    func() error { return (&Text{}).Render(&strings.Builder{}) },
-		"mermaid": func() error { return (&Mermaid{}).Render(&strings.Builder{}) },
+		"mermaid": func() error { return (&mermaid{}).Render(&strings.Builder{}) },
 	}
 	for name, fn := range render {
 		err := fn()
@@ -47,15 +47,15 @@ func TestRendererWriterError(t *testing.T) {
 	cases := map[string]func(*failWriter) error{
 		"dot":     func(w *failWriter) error { return (&DOT{Graph: g}).Render(w) },
 		"text":    func(w *failWriter) error { return (&Text{Graph: g}).Render(w) },
-		"mermaid": func(w *failWriter) error { return (&Mermaid{Graph: g}).Render(w) },
+		"mermaid": func(w *failWriter) error { return (&mermaid{Graph: g}).Render(w) },
 		"timeline": func(w *failWriter) error {
-			return (&TimelinePlot{}).Render(w, []trace.Interval{{Start: 0, End: time.Second}})
+			return (&timelinePlot{}).Render(w, []trace.Interval{{Start: 0, End: time.Second}})
 		},
 		"timeline-empty": func(w *failWriter) error {
-			return (&TimelinePlot{}).Render(w, nil)
+			return (&timelinePlot{}).Render(w, nil)
 		},
 		"svg": func(w *failWriter) error {
-			return (&TimelineSVG{}).Render(w, []trace.Interval{{Start: 0, End: time.Second}})
+			return (&timelineSVG{}).Render(w, []trace.Interval{{Start: 0, End: time.Second}})
 		},
 	}
 	for name, fn := range cases {
@@ -69,7 +69,7 @@ func TestRendererWriterError(t *testing.T) {
 // empty activity-log (zero nodes, zero edges): structurally valid,
 // deterministic documents rather than errors.
 func TestRenderEmptyLog(t *testing.T) {
-	empty := dfg.Build(pm.NewBuilder(pm.CallTopDirs{Depth: 2}, pm.BuildOptions{Endpoints: true}).Finalize())
+	empty := dfg.Build(pm.NewBuilderSym(pm.NewSymMapper(pm.CallTopDirs{Depth: 2}), pm.BuildOptions{Endpoints: true}).Finalize())
 	if empty.NumNodes() != 0 || empty.NumEdges() != 0 {
 		t.Fatalf("empty log built %d nodes / %d edges", empty.NumNodes(), empty.NumEdges())
 	}

@@ -16,10 +16,10 @@ import (
 // "9.66 GB").
 func FormatBytes(n int64) string { return string(appendBytes(nil, n)) }
 
-// FormatRateMBs renders a data rate in MB/s with two decimals, the fixed
+// formatRateMBs renders a data rate in MB/s with two decimals, the fixed
 // unit of the paper's "DR: <mc>x<rate> MB/s" annotations ("0.61 MB/s",
 // "3175.20 MB/s").
-func FormatRateMBs(bytesPerSec float64) string { return string(appendRateMBs(nil, bytesPerSec)) }
+func formatRateMBs(bytesPerSec float64) string { return string(appendRateMBs(nil, bytesPerSec)) }
 
 // FormatLoad renders the paper's "Load:<rd> (<bytes>)" annotation;
 // activities without byte transfers omit the parenthesized part

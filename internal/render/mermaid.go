@@ -10,11 +10,11 @@ import (
 	"stinspector/internal/stats"
 )
 
-// Mermaid renders a DFG as a Mermaid flowchart, the diagram dialect of
+// mermaid renders a DFG as a Mermaid flowchart, the diagram dialect of
 // GitHub/GitLab markdown — convenient for pasting analysis results into
 // issues and documentation. Node labels and colorings mirror the DOT
 // renderer.
-type Mermaid struct {
+type mermaid struct {
 	Graph  *dfg.Graph
 	Stats  *stats.Stats
 	Styler Styler
@@ -23,7 +23,7 @@ type Mermaid struct {
 }
 
 // Render writes the flowchart.
-func (m *Mermaid) Render(w io.Writer) error {
+func (m *mermaid) Render(w io.Writer) error {
 	if m.Graph == nil {
 		return fmt.Errorf("render: nil graph")
 	}
@@ -75,7 +75,7 @@ func (m *Mermaid) Render(w io.Writer) error {
 }
 
 // label builds the Figure 3a node annotation with Mermaid line breaks.
-func (m *Mermaid) label(a pm.Activity) string {
+func (m *mermaid) label(a pm.Activity) string {
 	call, path := a.Parts()
 	lines := []string{call}
 	if path != "" {
@@ -95,7 +95,7 @@ func (m *Mermaid) label(a pm.Activity) string {
 // RenderMermaid renders a graph with optional statistics and styling.
 func RenderMermaid(g *dfg.Graph, s *stats.Stats, styler Styler) string {
 	var b strings.Builder
-	m := &Mermaid{Graph: g, Stats: s, Styler: styler}
+	m := &mermaid{Graph: g, Stats: s, Styler: styler}
 	_ = m.Render(&b)
 	return b.String()
 }

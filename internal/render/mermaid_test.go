@@ -30,7 +30,7 @@ func TestMermaidOutput(t *testing.T) {
 func TestMermaidSkipCalls(t *testing.T) {
 	g, s, _ := tinyPipeline(t)
 	var b strings.Builder
-	m := &Mermaid{Graph: g, Stats: s, SkipCalls: map[string]bool{"write": true}}
+	m := &mermaid{Graph: g, Stats: s, SkipCalls: map[string]bool{"write": true}}
 	if err := m.Render(&b); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestMermaidSkipCalls(t *testing.T) {
 }
 
 func TestMermaidNilGraph(t *testing.T) {
-	m := &Mermaid{}
+	m := &mermaid{}
 	if err := m.Render(&strings.Builder{}); err == nil {
 		t.Errorf("nil graph accepted")
 	}

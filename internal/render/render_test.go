@@ -34,11 +34,11 @@ func TestFormatBytes(t *testing.T) {
 }
 
 func TestFormatRateAndLoad(t *testing.T) {
-	if got := FormatRateMBs(10.15e6); got != "10.15 MB/s" {
-		t.Errorf("FormatRateMBs = %q", got)
+	if got := formatRateMBs(10.15e6); got != "10.15 MB/s" {
+		t.Errorf("formatRateMBs = %q", got)
 	}
-	if got := FormatRateMBs(0.61e6); got != "0.61 MB/s" {
-		t.Errorf("FormatRateMBs small = %q", got)
+	if got := formatRateMBs(0.61e6); got != "0.61 MB/s" {
+		t.Errorf("formatRateMBs small = %q", got)
 	}
 	if got := FormatLoad(0.22, 14980, true); got != "Load:0.22 (14.98 KB)" {
 		t.Errorf("FormatLoad = %q", got)

@@ -48,20 +48,17 @@ func (PlainStyle) Edge(dfg.Edge) EdgeStyle { return EdgeStyle{} }
 // blue. Metric selects which statistic drives the shade.
 type StatisticsColoring struct {
 	Stats *stats.Stats
-	// Metric chooses the node statistic (default MetricRelDur).
+	// Metric chooses the node statistic; the zero value shades by
+	// relative duration (the paper's default).
 	Metric Metric
 }
 
 // Metric selects the statistic used by StatisticsColoring.
 type Metric int
 
-const (
-	// MetricRelDur shades by relative duration (the paper's default).
-	MetricRelDur Metric = iota
-	// MetricBytes shades by total bytes moved ("alternatively, one
-	// could color the nodes based on the number of bytes moved").
-	MetricBytes
-)
+// metricBytes shades by total bytes moved ("alternatively, one could
+// color the nodes based on the number of bytes moved").
+const metricBytes Metric = 1
 
 // Node implements Styler.
 func (c StatisticsColoring) Node(a pm.Activity) NodeStyle {
@@ -74,7 +71,7 @@ func (c StatisticsColoring) Node(a pm.Activity) NodeStyle {
 	}
 	var frac float64
 	switch c.Metric {
-	case MetricBytes:
+	case metricBytes:
 		maxB := int64(0)
 		for _, act := range c.Stats.Activities() {
 			if b := c.Stats.Get(act).Bytes; b > maxB {

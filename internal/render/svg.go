@@ -10,11 +10,11 @@ import (
 	"stinspector/internal/trace"
 )
 
-// TimelineSVG renders interval data as a standalone SVG document in the
+// timelineSVG renders interval data as a standalone SVG document in the
 // style of Figure 5: one horizontal lane per case, one bar per event.
 // The output is self-contained (no scripts, no external references) and
 // deterministic.
-type TimelineSVG struct {
+type timelineSVG struct {
 	// Width is the drawing width in pixels (default 720).
 	Width int
 	// RowHeight is the lane height in pixels (default 22).
@@ -26,7 +26,7 @@ type TimelineSVG struct {
 const svgBar = "#4878a8"
 
 // Render writes the document.
-func (p *TimelineSVG) Render(w io.Writer, intervals []trace.Interval) error {
+func (p *timelineSVG) Render(w io.Writer, intervals []trace.Interval) error {
 	width := p.Width
 	if width <= 0 {
 		width = 720
@@ -101,7 +101,7 @@ func (p *TimelineSVG) Render(w io.Writer, intervals []trace.Interval) error {
 // RenderTimelineSVG renders intervals with default sizing.
 func RenderTimelineSVG(intervals []trace.Interval, title string) string {
 	var b strings.Builder
-	p := &TimelineSVG{Title: title}
+	p := &timelineSVG{Title: title}
 	_ = p.Render(&b, intervals)
 	return b.String()
 }

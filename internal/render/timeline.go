@@ -10,10 +10,10 @@ import (
 	"stinspector/internal/trace"
 )
 
-// TimelinePlot renders interval data as an ASCII timeline in the style of
+// timelinePlot renders interval data as an ASCII timeline in the style of
 // Figure 5: one row per case, bars marking the active ranges of the
 // activity's events.
-type TimelinePlot struct {
+type timelinePlot struct {
 	// Width is the number of character columns for the time axis
 	// (default 72).
 	Width int
@@ -21,7 +21,7 @@ type TimelinePlot struct {
 
 // Render writes the plot. Intervals from the same case share a row; rows
 // are ordered by case identity. Returns an error only on writer failure.
-func (p *TimelinePlot) Render(w io.Writer, intervals []trace.Interval) error {
+func (p *timelinePlot) Render(w io.Writer, intervals []trace.Interval) error {
 	width := p.Width
 	if width <= 0 {
 		width = 72
@@ -99,7 +99,7 @@ func axisLabel(span time.Duration, width int) string {
 // RenderTimeline renders intervals with the default width.
 func RenderTimeline(intervals []trace.Interval) string {
 	var b strings.Builder
-	p := &TimelinePlot{}
+	p := &timelinePlot{}
 	_ = p.Render(&b, intervals)
 	return b.String()
 }

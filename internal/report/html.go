@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
 	"stinspector/internal/core"
 	"stinspector/internal/dfg"
-	"stinspector/internal/pm"
 	"stinspector/internal/render"
 )
 
@@ -41,33 +39,22 @@ func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
 		P50, P99 string
 		Tail     string
 	}
-	var acts []actRow
-	for _, a := range st.Activities() {
-		s := st.Get(a)
-		row := actRow{
-			Activity: string(a),
-			Load:     render.FormatLoad(s.RelDur, s.Bytes, s.HasBytes),
-			Events:   s.Events,
+	shown, _ := hotActivities(in, st, opts.TopActivities)
+	acts := make([]actRow, len(shown))
+	for i, r := range shown {
+		acts[i] = actRow{
+			Activity: string(r.a),
+			Load:     render.FormatLoad(r.st.RelDur, r.st.Bytes, r.st.HasBytes),
+			Events:   r.st.Events,
 		}
-		if s.HasBytes {
-			row.DR = render.FormatDR(s.MaxConc, s.ProcRate)
+		if r.st.HasBytes {
+			acts[i].DR = render.FormatDR(r.st.MaxConc, r.st.ProcRate)
 		}
-		if d, ok := in.Distribution(a); ok {
-			row.P50 = render.FormatDuration(d.P50)
-			row.P99 = render.FormatDuration(d.P99)
-			row.Tail = fmt.Sprintf("%.0f%%", d.TailShare*100)
+		if d := r.dist; r.hasDist {
+			acts[i].P50 = render.FormatDuration(d.P50)
+			acts[i].P99 = render.FormatDuration(d.P99)
+			acts[i].Tail = fmt.Sprintf("%.0f%%", d.TailShare*100)
 		}
-		acts = append(acts, row)
-	}
-	sort.SliceStable(acts, func(i, j int) bool {
-		si, sj := st.Get(pm.Activity(acts[i].Activity)), st.Get(pm.Activity(acts[j].Activity))
-		if si.RelDur != sj.RelDur {
-			return si.RelDur > sj.RelDur
-		}
-		return acts[i].Activity < acts[j].Activity
-	})
-	if len(acts) > opts.TopActivities {
-		acts = acts[:opts.TopActivities]
 	}
 
 	type caseRow struct {

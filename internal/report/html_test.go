@@ -1,12 +1,15 @@
 package report
 
 import (
+	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"stinspector/internal/core"
 	"stinspector/internal/pm"
+	"stinspector/internal/synth"
 	"stinspector/internal/trace"
 )
 
@@ -100,6 +103,38 @@ func TestGenerateTextEmptyLog(t *testing.T) {
 	for _, want := range []string{"empty", "cases:        0"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("empty-log text report missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestReportMappingCallsBounded: both renderers consult the mapping once
+// per event for the fold, once for the per-process breakdown and once
+// for each hot activity shown — never once per activity of the log.
+// Over a log where every event is its own activity, a per-activity
+// distribution scan costs activities × events mapping calls.
+func TestReportMappingCallsBounded(t *testing.T) {
+	el := synth.WideLog("wide", 4, 50, 1)
+	var calls atomic.Int64
+	m := pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) {
+		calls.Add(1)
+		return pm.Activity(e.Call + ":" + e.FP), true
+	})
+	for _, tc := range []struct {
+		name string
+		gen  func(io.Writer, *core.Inspector, Options) error
+		top  int
+	}{
+		{"text", Generate, 8},
+		{"html", GenerateHTML, 12},
+	} {
+		calls.Store(0)
+		in := core.FromEventLog(el).WithMapping(m)
+		if err := tc.gen(io.Discard, in, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		limit := int64(tc.top+2) * int64(el.NumEvents())
+		if got := calls.Load(); got > limit {
+			t.Errorf("%s report: %d mapping calls over %d events, want at most %d", tc.name, got, el.NumEvents(), limit)
 		}
 	}
 }

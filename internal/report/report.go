@@ -65,37 +65,20 @@ func Generate(w io.Writer, in *core.Inspector, opts Options) error {
 	// 2. Hot activities.
 	st := in.Stats()
 	fmt.Fprintf(&b, "Hot activities (by relative duration)\n-------------------------------------\n")
-	type row struct {
-		a  pm.Activity
-		st *stats.ActivityStats
-	}
-	rows := make([]row, 0)
-	for _, a := range st.Activities() {
-		rows = append(rows, row{a, st.Get(a)})
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].st.RelDur != rows[j].st.RelDur {
-			return rows[i].st.RelDur > rows[j].st.RelDur
-		}
-		return rows[i].a < rows[j].a
-	})
-	shown := rows
-	if len(shown) > opts.TopActivities {
-		shown = shown[:opts.TopActivities]
-	}
+	shown, total := hotActivities(in, st, opts.TopActivities)
 	for _, r := range shown {
 		fmt.Fprintf(&b, "%-44s %s", r.a, render.FormatLoad(r.st.RelDur, r.st.Bytes, r.st.HasBytes))
 		if r.st.HasBytes {
 			fmt.Fprintf(&b, "  %s", render.FormatDR(r.st.MaxConc, r.st.ProcRate))
 		}
-		if d, ok := in.Distribution(r.a); ok {
+		if d := r.dist; r.hasDist {
 			fmt.Fprintf(&b, "  p50=%s p99=%s tail=%.0f%%",
 				render.FormatDuration(d.P50), render.FormatDuration(d.P99), d.TailShare*100)
 		}
 		b.WriteByte('\n')
 	}
-	if len(rows) > len(shown) {
-		fmt.Fprintf(&b, "(%d further activities omitted)\n", len(rows)-len(shown))
+	if total > len(shown) {
+		fmt.Fprintf(&b, "(%d further activities omitted)\n", total-len(shown))
 	}
 	b.WriteByte('\n')
 
@@ -136,4 +119,36 @@ func Generate(w io.Writer, in *core.Inspector, opts Options) error {
 
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// hotRow is one activity of the hot-spot section with its duration
+// distribution (hasDist is false for an activity without events).
+type hotRow struct {
+	a       pm.Activity
+	st      *stats.ActivityStats
+	dist    stats.Distribution
+	hasDist bool
+}
+
+// hotActivities ranks the activities by relative duration (ties by
+// name), keeps the top n and returns them with the number ranked. Each
+// distribution is a scan of the whole event-log, so only the rows kept
+// get one.
+func hotActivities(in *core.Inspector, st *stats.Stats, n int) ([]hotRow, int) {
+	acts := st.Activities()
+	rows := make([]hotRow, len(acts))
+	for i, a := range acts {
+		rows[i] = hotRow{a: a, st: st.Get(a)}
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i].st.RelDur != rows[j].st.RelDur {
+			return rows[i].st.RelDur > rows[j].st.RelDur
+		}
+		return rows[i].a < rows[j].a
+	})
+	shown := rows[:min(n, len(rows))]
+	for i := range shown {
+		shown[i].dist, shown[i].hasDist = in.Distribution(shown[i].a)
+	}
+	return shown, len(rows)
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -91,7 +93,7 @@ func TestSessionDrainMatchesBatch(t *testing.T) {
 	if err := sess.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if sess.State() != StateDone {
+	if sess.State() != stateDone {
 		t.Fatalf("state = %s, want done", sess.State())
 	}
 	res, err := sess.Result()
@@ -169,7 +171,7 @@ func TestSessionRecoverResumes(t *testing.T) {
 		t.Fatal("no checkpoint epoch committed")
 	}
 	sess.Abort()
-	if st := sess.State(); st != StateAborted {
+	if st := sess.State(); st != stateAborted {
 		t.Fatalf("state after abort = %s", st)
 	}
 
@@ -587,5 +589,92 @@ func TestRecoverRejectsMismatchedDir(t *testing.T) {
 	}
 	if errors.Is(rerr, os.ErrNotExist) {
 		t.Fatal("wrong error")
+	}
+}
+
+// stateListing lists every file under dir with its size and content,
+// one line per file in path order, so a test can tell whether a request
+// changed the state directory.
+func stateListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		fmt.Fprintf(&b, "%s %d %x\n", rel, len(data), sha256.Sum256(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestRecreateRemovedSession: DELETE keeps a session's state directory,
+// so re-creating the name must not resume that checkpoint under a
+// different config — that mixed two corpora (and two mappings) into one
+// fold. A different config gets 409 and writes nothing; the identical
+// config resumes the checkpoint.
+func TestRecreateRemovedSession(t *testing.T) {
+	dirA, dirB, stateDir := t.TempDir(), t.TempDir(), t.TempDir()
+	writeTraces(t, dirA, "a", 6, 10, 1)
+	writeTraces(t, dirB, "b", 4, 10, 2)
+	srv, err := NewServer(Config{StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+
+	cfgA := fmt.Sprintf(`{"trace_dir": %q, "every": 4, "shards": 2, "poll_ms": 2, "grace_ms": 15}`, dirA)
+	if rec := do("POST", "/sessions/re", cfgA); rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	sess, _ := srv.Get("re")
+	waitPushed(t, sess, 6)
+	if err := sess.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do("DELETE", "/sessions/re", ""); rec.Code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
+	}
+
+	before := stateListing(t, stateDir)
+	cfgB := fmt.Sprintf(`{"trace_dir": %q, "every": 4, "shards": 2, "poll_ms": 2, "grace_ms": 15, "map_depth": 3}`, dirB)
+	if rec := do("POST", "/sessions/re", cfgB); rec.Code != http.StatusConflict {
+		t.Fatalf("re-create under a different config: %d %s, want 409", rec.Code, rec.Body)
+	}
+	if _, ok := srv.Get("re"); ok {
+		t.Error("rejected re-create registered a session")
+	}
+	if after := stateListing(t, stateDir); after != before {
+		t.Errorf("rejected re-create changed the state directory:\nbefore:\n%safter:\n%s", before, after)
+	}
+
+	// The identical config resumes: every case of dir A is covered
+	// already, so the drained fold still reports exactly those.
+	if rec := do("POST", "/sessions/re", cfgA); rec.Code != http.StatusCreated {
+		t.Fatalf("re-create under the same config: %d %s", rec.Code, rec.Body)
+	}
+	sess, _ = srv.Get("re")
+	if err := sess.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cases != 6 || res.Events != 60 {
+		t.Errorf("resumed session reports %d cases / %d events, want 6 / 60", res.Cases, res.Events)
 	}
 }

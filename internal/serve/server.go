@@ -29,7 +29,7 @@ type Config struct {
 	// finalize within it). Default 5m.
 	DrainTimeout time.Duration
 	// Watchdog is the per-session no-progress window after which a
-	// typed WatchdogError is recorded in the session's fault log.
+	// typed watchdogError is recorded in the session's fault log.
 	// Default 1m; negative disables.
 	Watchdog time.Duration
 }
@@ -101,10 +101,18 @@ func (s *Server) applyDefaults(cfg SessionConfig) SessionConfig {
 	return cfg
 }
 
+// errConfigChanged rejects re-creating a session whose state directory
+// was persisted under a different configuration: resuming its
+// checkpoint would mix two corpora or two mappings in one fold.
+var errConfigChanged = errors.New("serve: session state exists under a different config")
+
 // Create persists and starts a new session. The configuration is
 // written atomically to session.json before the pipeline starts, so a
 // crash between the two leaves a recoverable (empty) session, never an
-// unrecorded running one.
+// unrecorded running one. A removed session keeps its state directory:
+// re-creating it with the identical configuration (after defaults)
+// resumes its checkpoint, and any other configuration fails with
+// errConfigChanged before anything is written.
 func (s *Server) Create(cfg SessionConfig) (*Session, error) {
 	cfg = s.applyDefaults(cfg)
 	if err := cfg.validate(); err != nil {
@@ -119,6 +127,17 @@ func (s *Server) Create(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("serve: session %q already exists", cfg.Name)
 	}
 	dir := s.sessionDir(cfg.Name)
+	if prev, err := os.ReadFile(filepath.Join(dir, "session.json")); err == nil {
+		var old SessionConfig
+		if err := json.Unmarshal(prev, &old); err != nil {
+			return nil, fmt.Errorf("serve: %s/session.json: %w", cfg.Name, err)
+		}
+		if old != cfg {
+			return nil, fmt.Errorf("%w: %q", errConfigChanged, cfg.Name)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -327,7 +346,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.Create(cfg)
 	if err != nil {
 		status := http.StatusBadRequest
-		if _, ok := s.Get(name); ok {
+		if _, ok := s.Get(name); ok || errors.Is(err, errConfigChanged) {
 			status = http.StatusConflict
 		}
 		http.Error(w, err.Error(), status)
@@ -341,7 +360,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, sess *Session) {
 	body, gen, err := sess.artifact(r.PathValue("artifact"))
 	switch {
-	case errors.Is(err, ErrUnknownArtifact):
+	case errors.Is(err, errUnknownArtifact):
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	case errors.Is(err, os.ErrNotExist):

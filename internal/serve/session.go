@@ -107,11 +107,11 @@ func validName(name string) error {
 type SessionState string
 
 const (
-	StateRunning  SessionState = "running"
-	StateDraining SessionState = "draining"
-	StateDone     SessionState = "done"    // drained; final artifacts on disk
-	StateAborted  SessionState = "aborted" // hard-stopped; checkpoint is the survivor
-	StateFailed   SessionState = "failed"  // fold error
+	stateRunning  SessionState = "running"
+	stateDraining SessionState = "draining"
+	stateDone     SessionState = "done"    // drained; final artifacts on disk
+	stateAborted  SessionState = "aborted" // hard-stopped; checkpoint is the survivor
+	stateFailed   SessionState = "failed"  // fold error
 )
 
 // maxFaultLog bounds the per-session fault ring buffer.
@@ -150,20 +150,20 @@ type Session struct {
 	wdStop    chan struct{}
 }
 
-// WatchdogError is the typed fault the per-session watchdog records
+// watchdogError is the typed fault the per-session watchdog records
 // when a running session has made no fold progress for its window.
-type WatchdogError struct {
+type watchdogError struct {
 	Name  string
 	Quiet time.Duration
 }
 
-func (e *WatchdogError) Error() string {
+func (e *watchdogError) Error() string {
 	return fmt.Sprintf("serve: session %s: no fold progress for %s", e.Name, e.Quiet.Round(time.Second))
 }
 
 // Temporary marks the watchdog signal recoverable — a stalled session
 // keeps serving queries from its last durable state.
-func (e *WatchdogError) Temporary() bool { return true }
+func (e *watchdogError) Temporary() bool { return true }
 
 // newSession builds and starts the pipeline. dir must exist and hold
 // session.json already; resume recovery happens unconditionally (a
@@ -183,7 +183,7 @@ func newSession(cfg SessionConfig, dir string, watchdog time.Duration) (*Session
 		m:            cfg.mapping(),
 		syms:         intern.NewTable(),
 		live:         source.NewLive(budget, pol),
-		state:        StateRunning,
+		state:        stateRunning,
 		seen:         make(map[trace.CaseID]bool),
 		lastProgress: time.Now(),
 		foldDone:     make(chan struct{}),
@@ -250,14 +250,14 @@ func (s *Session) fold() {
 	if err != nil {
 		s.foldErr = err
 		if errors.Is(err, source.ErrClosed) {
-			s.state = StateAborted
+			s.state = stateAborted
 		} else {
-			s.state = StateFailed
+			s.state = stateFailed
 		}
 		return
 	}
 	s.res = res
-	s.state = StateDone
+	s.state = stateDone
 }
 
 // watchdog records a typed fault whenever a running session goes a full
@@ -274,10 +274,10 @@ func (s *Session) watchdog(window time.Duration) {
 		case <-ticker.C:
 			s.mu.Lock()
 			quiet := time.Since(s.lastProgress)
-			stalled := s.state == StateRunning && quiet >= window
+			stalled := s.state == stateRunning && quiet >= window
 			s.mu.Unlock()
 			if stalled {
-				s.recordFault(&WatchdogError{Name: s.cfg.Name, Quiet: quiet})
+				s.recordFault(&watchdogError{Name: s.cfg.Name, Quiet: quiet})
 			}
 		}
 	}
@@ -337,8 +337,8 @@ func (s *Session) Ingest(id trace.CaseID, r io.Reader) (events, dropped int, err
 func (s *Session) Drain() error {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
-		if s.state == StateRunning {
-			s.state = StateDraining
+		if s.state == stateRunning {
+			s.state = stateDraining
 		}
 		s.mu.Unlock()
 		s.tailer.Drain()
@@ -423,9 +423,9 @@ func (s *Session) Info() Info {
 	}
 }
 
-// ErrUnknownArtifact is returned by Artifact for a kind it does not
+// errUnknownArtifact is returned by Artifact for a kind it does not
 // serve.
-var ErrUnknownArtifact = errors.New("serve: unknown artifact (want dfg, stats, variants or behavior)")
+var errUnknownArtifact = errors.New("serve: unknown artifact (want dfg, stats, variants or behavior)")
 
 // artifactKinds renders each query artifact from a fold's artifacts.
 var artifactKinds = map[string]func(*core.StreamResult) []byte{
@@ -449,7 +449,7 @@ var artifactKinds = map[string]func(*core.StreamResult) []byte{
 
 // Artifact returns a query artifact rendered from the session's most
 // recent durable state. Kinds: "dfg", "stats", "variants", "behavior";
-// any other kind fails with ErrUnknownArtifact.
+// any other kind fails with errUnknownArtifact.
 //
 // The state comes from memory: the fold publishes each generation —
 // the number of cases the checkpoint covers — through its DurableView
@@ -470,7 +470,7 @@ func (s *Session) Artifact(kind string) ([]byte, error) {
 func (s *Session) artifact(kind string) ([]byte, int, error) {
 	render, ok := artifactKinds[kind]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownArtifact, kind)
+		return nil, 0, fmt.Errorf("%w: %q", errUnknownArtifact, kind)
 	}
 	// A cached generation is served without waiting for a checkpoint
 	// write in progress: until that write succeeds it is still the most

@@ -156,12 +156,12 @@ func TestFailedCheckpointWriteNeverServed(t *testing.T) {
 	}()
 	writeTraces(t, traceDir, "fw2", 4, 12, 7)
 	deadline := time.Now().Add(20 * time.Second)
-	for sess.State() != StateFailed && time.Now().Before(deadline) {
+	for sess.State() != stateFailed && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if sess.State() != StateFailed {
+	if sess.State() != stateFailed {
 		t.Fatalf("state %s after a failed checkpoint write, want failed", sess.State())
 	}
 	if served == 0 {
@@ -413,8 +413,8 @@ func TestHTTPConditionalGet(t *testing.T) {
 	if resp, _ := get("bogus", `"4"`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown kind: %d, want 404", resp.StatusCode)
 	}
-	if _, err := sess.Artifact("bogus"); !errors.Is(err, ErrUnknownArtifact) {
-		t.Errorf("unknown kind: %v, want ErrUnknownArtifact", err)
+	if _, err := sess.Artifact("bogus"); !errors.Is(err, errUnknownArtifact) {
+		t.Errorf("unknown kind: %v, want errUnknownArtifact", err)
 	}
 
 	writeTraces(t, traceDir, "etag2", 4, 12, 10)

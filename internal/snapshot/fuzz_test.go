@@ -8,7 +8,7 @@ import (
 	"stinspector/internal/synth/profiles"
 )
 
-// FuzzSnapshotDecode drives Decode with mutated snapshot files: seeds
+// FuzzSnapshotDecode drives decode with mutated snapshot files: seeds
 // are real version-3 snapshots of the adversarial generator profiles
 // (the hostileargs renderings among them), bit-flipped variants, a
 // well-framed snapshot whose stats spans descend in start, two whose
@@ -49,21 +49,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, mult := range []int{0, 2} {
 		one.Log.Variants()[0].Mult = mult
 		enc := Encode(one)
-		if _, err := Decode(enc, m); err == nil {
+		if _, err := decode(enc, m); err == nil {
 			f.Fatalf("log variant of multiplicity %d with one case decoded cleanly", mult)
 		}
 		f.Add(enc)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data, m)
+		s, err := decode(data, m)
 		if err != nil {
 			return
 		}
 		// Accepted input: encoding must be a fixed point, so a decoded
 		// snapshot behaves identically to one built in-process.
 		re := Encode(s)
-		s2, err := Decode(re, m)
+		s2, err := decode(re, m)
 		if err != nil {
 			t.Fatalf("re-decode of accepted snapshot failed: %v", err)
 		}

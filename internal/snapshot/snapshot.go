@@ -170,13 +170,13 @@ func encodeSections(sections []section) []byte {
 	return b.Bytes()
 }
 
-// Decode reconstructs a snapshot, verifying the magic, version, index
+// decode reconstructs a snapshot, verifying the magic, version, index
 // checksum and every section checksum. The mapping must be the one the
 // fold ran under (the statistics computer re-binds to it). A file of
 // another STS version fails with ErrVersion. Hostile or corrupt input —
 // truncation, bit flips, out-of-range ids, impossible counts — yields a
 // wire.CorruptError, never a panic.
-func Decode(data []byte, m pm.Mapping) (*Snapshot, error) {
+func decode(data []byte, m pm.Mapping) (*Snapshot, error) {
 	// Magic and version come before the size floor, so that a short
 	// file of another version still reads as that version.
 	if len(data) < len(magic)+4 {
@@ -435,5 +435,5 @@ func ReadFile(path string, m pm.Mapping) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Decode(data, m)
+	return decode(data, m)
 }

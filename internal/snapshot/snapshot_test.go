@@ -51,7 +51,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := pm.CallTopDirs{Depth: 2}
 	s := foldRange(el, m, 0, 20)
 	enc := Encode(s)
-	got, err := Decode(enc, m)
+	got, err := decode(enc, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	enc := Encode(foldRange(el, m, 0, 8))
 
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := Decode(enc[:cut], m); err == nil {
+		if _, err := decode(enc[:cut], m); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", cut)
 		}
 	}
@@ -148,7 +148,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	for pos := 0; pos < len(enc); pos++ {
 		copy(mut, enc)
 		mut[pos] ^= 0x10
-		got, err := Decode(mut, m)
+		got, err := decode(mut, m)
 		if err == nil {
 			// A flip inside an unchecked gap would have to reproduce
 			// identical state to be acceptable; require detection.
@@ -158,17 +158,17 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 	}
 	var ce *wire.CorruptError
-	if _, err := Decode(enc[:len(enc)-1], m); !errors.As(err, &ce) {
+	if _, err := decode(enc[:len(enc)-1], m); !errors.As(err, &ce) {
 		t.Errorf("truncated file: err = %v, want CorruptError", err)
 	}
-	if _, err := Decode([]byte("not a snapshot at all, definitely"), m); !errors.As(err, &ce) {
+	if _, err := decode([]byte("not a snapshot at all, definitely"), m); !errors.As(err, &ce) {
 		t.Errorf("garbage: err = %v, want CorruptError", err)
 	}
-	if _, err := Decode(descendingStartSnapshot(foldRange(el, m, 0, 8)), m); !errors.As(err, &ce) {
+	if _, err := decode(descendingStartSnapshot(foldRange(el, m, 0, 8)), m); !errors.As(err, &ce) {
 		t.Errorf("descending-start stats section: err = %v, want CorruptError", err)
 	}
 	for _, second := range []string{"/a", "/b"} {
-		if _, err := Decode(unsortedBehaviorSnapshot(foldRange(el, m, 0, 8), second), m); !errors.As(err, &ce) {
+		if _, err := decode(unsortedBehaviorSnapshot(foldRange(el, m, 0, 8), second), m); !errors.As(err, &ce) {
 			t.Errorf("behavior subjects /b, %s: err = %v, want CorruptError", second, err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestSnapshotVersionError(t *testing.T) {
 		old := append([]byte(nil), enc...)
 		copy(old[4:8], h.Bytes())
 		for _, data := range [][]byte{old, old[:8]} {
-			_, err := Decode(data, m)
+			_, err := decode(data, m)
 			var ce *wire.CorruptError
 			if !errors.Is(err, ErrVersion) || errors.As(err, &ce) {
 				t.Errorf("version %d, %d bytes: err = %v, want ErrVersion and no CorruptError", ver, len(data), err)

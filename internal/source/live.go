@@ -46,9 +46,9 @@ func ParsePolicy(s string) (Policy, error) {
 	return Block, errors.New("source: unknown overflow policy " + s + " (want block or shed-oldest)")
 }
 
-// ErrFinished is returned by Live.Push after Finish: the producer side
+// errFinished is returned by Live.Push after Finish: the producer side
 // has been sealed and no more cases may enter the stream.
-var ErrFinished = errors.New("source: live source finished")
+var errFinished = errors.New("source: live source finished")
 
 // DefaultLiveBudget is the in-flight case budget used when NewLive is
 // given a budget <= 0.
@@ -119,7 +119,7 @@ func NewLive(budget int, policy Policy) *Live {
 // Push delivers a completed case into the stream. Under Block it waits
 // for a free budget slot; under ShedOldest it drops the oldest queued
 // case (counting it) when the budget is full. Push returns ErrClosed if
-// the source is (or becomes, while blocked) closed, and ErrFinished
+// the source is (or becomes, while blocked) closed, and errFinished
 // after Finish; both mean the producer should stop.
 func (l *Live) Push(c *trace.Case) error {
 	l.mu.Lock()
@@ -129,7 +129,7 @@ func (l *Live) Push(c *trace.Case) error {
 		case l.closed:
 			return ErrClosed
 		case l.finished:
-			return ErrFinished
+			return errFinished
 		case l.resident < l.budget:
 			l.q = append(l.q, liveItem{c: c})
 			l.resident++

@@ -29,8 +29,8 @@ func TestLivePushNextFinish(t *testing.T) {
 	}
 	l.Fail(errors.New("stalled: /x.st"))
 	l.Finish()
-	if err := l.Push(liveCase(9)); !errors.Is(err, ErrFinished) {
-		t.Fatalf("push after Finish: got %v, want ErrFinished", err)
+	if err := l.Push(liveCase(9)); !errors.Is(err, errFinished) {
+		t.Fatalf("push after Finish: got %v, want errFinished", err)
 	}
 
 	var got []int

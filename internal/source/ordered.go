@@ -9,9 +9,9 @@ import (
 	"stinspector/internal/trace"
 )
 
-// Fetch loads the case at position i of a fixed, pre-sorted work list.
+// fetchFunc loads the case at position i of a fixed, pre-sorted work list.
 // Implementations must be safe for concurrent calls with distinct i.
-type Fetch func(i int) (*trace.Case, error)
+type fetchFunc func(i int) (*trace.Case, error)
 
 // Ordered streams the results of fetch(0..n-1) in index order while
 // running up to workers fetches concurrently, with at most window cases
@@ -27,7 +27,7 @@ type Fetch func(i int) (*trace.Case, error)
 // run concurrently. Delivery order — and therefore which failing index
 // a fail-fast consumer reports first — is deterministic for every
 // workers/window setting.
-func Ordered(n, workers, window int, fetch Fetch) Source {
+func Ordered(n, workers, window int, fetch fetchFunc) Source {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -66,7 +66,7 @@ func Ordered(n, workers, window int, fetch Fetch) Source {
 // which is what range-addressed backends (an archive's case index, say)
 // need to stream a slice without re-numbering their entries. An empty
 // or inverted range yields an immediately-exhausted source.
-func OrderedRange(a, b, workers, window int, fetch Fetch) Source {
+func OrderedRange(a, b, workers, window int, fetch fetchFunc) Source {
 	if b < a {
 		b = a
 	}
@@ -87,7 +87,7 @@ type indexed struct {
 
 type ordSource struct {
 	n     int
-	fetch Fetch
+	fetch fetchFunc
 
 	// ticket hands out fetch indices; claims are monotonic, and the
 	// window semaphore bounds claimed-but-unconsumed indices, so index
@@ -198,7 +198,7 @@ func (s *ordSource) PeakResident() int { return int(s.peak.Load()) }
 // seqSource is the workers == 1 path: fully lazy, one case resident.
 type seqSource struct {
 	n, next int
-	fetch   Fetch
+	fetch   fetchFunc
 	closed  bool
 	any     bool
 }

@@ -10,12 +10,12 @@ import (
 	"stinspector/internal/trace"
 )
 
-// DefaultShardBlock is the number of consecutive cases handed to one
+// defaultShardBlock is the number of consecutive cases handed to one
 // shard worker per dispatch when ShardedFold's block size is left 0.
 // Blocks amortize channel traffic; keeping them modest keeps the
 // resident-case bound (window + ~3·block·shards) close to the source's
 // own window.
-const DefaultShardBlock = 16
+const defaultShardBlock = 16
 
 // ShardedFold consumes a source and distributes its cases over shards
 // concurrent fold workers: case i belongs to block ⌊i/block⌋, and block
@@ -30,7 +30,7 @@ const DefaultShardBlock = 16
 // shards <= 0 means runtime.GOMAXPROCS(0); shards == 1 folds inline on
 // the calling goroutine (no worker goroutines), making the sequential
 // fold the one-shard case of this engine rather than a second
-// implementation. block <= 0 means DefaultShardBlock.
+// implementation. block <= 0 means defaultShardBlock.
 //
 // Per-case source errors follow the joinErrors policy of Walk: false
 // aborts on the first failing case (deterministically the earliest,
@@ -44,7 +44,7 @@ func ShardedFold(s Source, shards, block int, joinErrors bool, fold func(shard i
 		shards = runtime.GOMAXPROCS(0)
 	}
 	if block <= 0 {
-		block = DefaultShardBlock
+		block = defaultShardBlock
 	}
 	if shards == 1 {
 		return Walk(s, joinErrors, func(c *trace.Case) error { return fold(0, c) })

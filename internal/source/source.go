@@ -48,17 +48,17 @@ type Source interface {
 // ErrClosed is returned by Next after Close.
 var ErrClosed = errors.New("source: closed")
 
-// PeakResidenter is implemented by sources that track how many cases
+// peakResidenter is implemented by sources that track how many cases
 // were resident (fetched but not yet consumed) at once — the observable
 // behind the O(batch) memory claim.
-type PeakResidenter interface {
+type peakResidenter interface {
 	PeakResident() int
 }
 
 // PeakResident reports the peak number of resident cases of a source,
 // or 0 if the source does not track it.
 func PeakResident(s Source) int {
-	if p, ok := s.(PeakResidenter); ok {
+	if p, ok := s.(peakResidenter); ok {
 		return p.PeakResident()
 	}
 	return 0

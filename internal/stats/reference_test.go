@@ -203,7 +203,7 @@ func TestStatsMatchNaiveReference(t *testing.T) {
 	logs := map[string]*trace.EventLog{"edges": edgeLog()}
 	for i, p := range profiles.All() {
 		// 64 cases: at 4 shards, every shard folds one block of
-		// source.DefaultShardBlock cases, so the merges run.
+		// 16 cases (the shard block), so the merges run.
 		logs[p.Name] = p.Generate("ref", 64, 40, int64(40+i))
 	}
 	mappings := map[string]pm.Mapping{

@@ -3,9 +3,11 @@ package strace
 // decode.go is the semantic decoding layer: per-syscall-class byte-level
 // decoders that understand the *argument structure* of a record instead
 // of treating it as an opaque string. It owns path extraction (with
-// dirfd resolution), C-literal unescaping, execve argv decoding and
-// socket-address decoding, and exposes the typed DecodeRecord view the
-// behavior package builds profiles from.
+// dirfd resolution), C-literal unescaping, the spawn subject built from
+// execve argv arrays and the connection subject decoded from socket
+// addresses. recordToEvent calls it once per kept record to fill the
+// event's file path; the behavior package folds those events into
+// profiles.
 //
 // Everything here stays on the zero-alloc hot path: decoders scan bytes
 // of the argument strings (which are subslices of the parse arena) and
@@ -22,138 +24,6 @@ import (
 	"unicode/utf8"
 )
 
-// DecodeKind classifies what DecodeRecord understood about a record.
-type DecodeKind uint8
-
-const (
-	// DecodeNone means the record carried no decodable subject.
-	DecodeNone DecodeKind = iota
-	// DecodeFile is a file operation (open/read/write/unlink/rename…).
-	DecodeFile
-	// DecodeSpawn is a process execution (execve/execveat).
-	DecodeSpawn
-	// DecodeConnect is a network connection attempt.
-	DecodeConnect
-)
-
-// Decoded is the typed form of one record under the semantic decoding
-// layer: a file access, a process spawn or a network connection, with
-// the class-specific attributes filled in.
-type Decoded struct {
-	Kind DecodeKind
-	// Path is the primary file subject: the resolved path of a file
-	// operation (dirfd joins applied, escapes decoded, cwd-relative
-	// paths marked with a "./" prefix) or the program path of a spawn.
-	Path string
-	// Path2 is the destination path of rename/link operations.
-	Path2 string
-	// Argv is the decoded argument vector of a spawn, when the trace
-	// carried one.
-	Argv []string
-	// Family names the decoded socket-address family (AF_INET,
-	// AF_INET6, AF_UNIX).
-	Family string
-	// Addr is the canonical connection subject: "ip:port" for IPv4,
-	// "[addr]:port" for IPv6, the socket path for unix sockets.
-	Addr string
-	// Port is the decoded port for internet families.
-	Port int
-}
-
-// DecodeRecord decodes one complete record into its typed semantic
-// form. It is the convenience view over the same per-class decoders the
-// hot path uses; callers that only need the event file-path get it
-// without this struct via the record-to-event conversion.
-func DecodeRecord(r Record) Decoded {
-	switch r.Call {
-	case "execve":
-		return decodeSpawn(r, 0, 1)
-	case "execveat":
-		return decodeSpawn(r, 1, 2)
-	case "connect":
-		return decodeConnect(r)
-	case "rename", "renameat", "renameat2", "link", "symlink":
-		d := Decoded{Kind: DecodeFile, Path: extractPath(r), Path2: renameDst(r)}
-		if d.Path == "" {
-			d.Kind = DecodeNone
-		}
-		return d
-	}
-	if p := extractPath(r); p != "" {
-		return Decoded{Kind: DecodeFile, Path: p}
-	}
-	return Decoded{}
-}
-
-func decodeSpawn(r Record, pathIdx, argvIdx int) Decoded {
-	var scratch []byte
-	p, built, ok := spawnInto(r, pathIdx, argvIdx, &scratch)
-	if !ok {
-		return Decoded{}
-	}
-	if built {
-		p = string(scratch)
-	}
-	d := Decoded{Kind: DecodeSpawn, Path: p}
-	if len(r.Args) > argvIdx {
-		d.Argv, _ = decodeArgv(r.Args[argvIdx])
-	}
-	return d
-}
-
-func decodeConnect(r Record) Decoded {
-	if len(r.Args) >= 2 {
-		if sa, ok := parseSockaddr(r.Args[1]); ok {
-			d := Decoded{Kind: DecodeConnect, Family: sa.family.name(), Port: sa.port}
-			if b, ok := appendSockaddrSubject(nil, r.Args[1]); ok {
-				d.Addr = string(b)
-			}
-			return d
-		}
-	}
-	if p, ok := r.FirstArgPath(); ok {
-		return Decoded{Kind: DecodeConnect, Addr: p}
-	}
-	return Decoded{}
-}
-
-// renameDst extracts the destination path of a rename/link record,
-// resolving a relative destination against its dirfd argument.
-func renameDst(r Record) string {
-	idx := 1
-	if strings.HasSuffix(r.Call, "at") || strings.HasSuffix(r.Call, "at2") {
-		idx = 3
-	}
-	if len(r.Args) <= idx {
-		return ""
-	}
-	body, esc, ok := unquoteBody(r.Args[idx])
-	if !ok {
-		return ""
-	}
-	if len(body) > 0 && body[0] == '/' {
-		if !esc {
-			return body
-		}
-		return string(appendUnquoted(nil, body))
-	}
-	var scratch []byte
-	resolveDirRel(r.Args[idx-1], body, esc, &scratch)
-	return string(scratch)
-}
-
-// extractPath finds the file path of the record, following the per-call
-// argument conventions of strace -y output. It is the materializing
-// wrapper over extractPathInto for callers off the hot path.
-func extractPath(r Record) string {
-	var scratch []byte
-	p, built := extractPathInto(r, &scratch)
-	if built {
-		return string(scratch)
-	}
-	return p
-}
-
 // extractPathInto is the hot-path form of path extraction: when the
 // path is a subslice of existing strings it is returned directly
 // (built == false, no allocation); when it must be assembled — a dirfd
@@ -161,7 +31,7 @@ func extractPath(r Record) string {
 // bytes are built into *scratch and built == true is returned, so the
 // caller canonicalizes them with CanonBytes without ever materializing
 // an intermediate string.
-func extractPathInto(r Record, scratch *[]byte) (string, bool) {
+func extractPathInto(r record, scratch *[]byte) (string, bool) {
 	switch r.Call {
 	case "openat", "openat2", "newfstatat", "fstatat64", "statx",
 		"unlinkat", "mkdirat", "faccessat", "faccessat2", "readlinkat",
@@ -234,7 +104,7 @@ func extractPathInto(r Record, scratch *[]byte) (string, bool) {
 		// mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3</lib/x.so>, 0):
 		// the fd is argument 5.
 		if len(r.Args) >= 5 {
-			if _, p, ok := SplitFDPath(r.Args[4]); ok {
+			if _, p, ok := splitFDPath(r.Args[4]); ok {
 				return p, false
 			}
 		}
@@ -304,7 +174,7 @@ func resolveDirRel(dirArg, body string, esc bool, scratch *[]byte) (string, bool
 
 // splitDirFD splits a dirfd argument carrying a -y path annotation —
 // "5</data>" or "AT_FDCWD</home/u>" — into the annotated directory.
-// Unlike SplitFDPath it accepts the symbolic AT_FDCWD form strace
+// Unlike splitFDPath it accepts the symbolic AT_FDCWD form strace
 // prints for the cwd dirfd.
 func splitDirFD(s string) (dir string, ok bool) {
 	i := strings.IndexByte(s, '<')
@@ -324,7 +194,7 @@ func splitDirFD(s string) (dir string, ok bool) {
 // skipped: it conventionally repeats the program name. Records without
 // an argv array (writer-dialect round trips, plain path forms) yield
 // the bare program path.
-func spawnInto(r Record, pathIdx, argvIdx int, scratch *[]byte) (path string, built, ok bool) {
+func spawnInto(r record, pathIdx, argvIdx int, scratch *[]byte) (path string, built, ok bool) {
 	if r.RetPath != "" {
 		return r.RetPath, false, true
 	}
@@ -375,19 +245,6 @@ func spawnInto(r Record, pathIdx, argvIdx int, scratch *[]byte) (path string, bu
 	}
 	*scratch = b
 	return "", true, true
-}
-
-// decodeArgv decodes a strace argv array literal (`["ls", "-l", ...]`)
-// into its strings, honoring escapes and ignoring the trailing "..."
-// abbreviation marker.
-func decodeArgv(s string) ([]string, bool) {
-	var out []string
-	ok := forEachArrayItem(s, func(item string) {
-		if p, ok := unquote(item); ok {
-			out = append(out, p)
-		}
-	})
-	return out, ok
 }
 
 // forEachArrayItem iterates the top-level items of a strace array
@@ -443,18 +300,6 @@ const (
 	afInet6
 	afUnix
 )
-
-func (f sockFamily) name() string {
-	switch f {
-	case afInet:
-		return "AF_INET"
-	case afInet6:
-		return "AF_INET6"
-	case afUnix:
-		return "AF_UNIX"
-	}
-	return ""
-}
 
 // sockaddr is the byte-scanned form of a socket-address struct literal.
 type sockaddr struct {
@@ -625,20 +470,6 @@ func appendSockaddrSubject(dst []byte, s string) ([]byte, bool) {
 		dst = strconv.AppendInt(dst, int64(sa.port), 10)
 	}
 	return dst, true
-}
-
-// unquote strips the surrounding double quotes of a C string literal
-// argument and decodes its escapes, handling strace's trailing "..."
-// abbreviation marker.
-func unquote(s string) (string, bool) {
-	body, esc, ok := unquoteBody(s)
-	if !ok {
-		return "", false
-	}
-	if !esc {
-		return body, true
-	}
-	return string(appendUnquoted(nil, body)), true
 }
 
 // unquoteBody strips the quotes of a C string literal, returning the

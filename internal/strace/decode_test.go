@@ -6,159 +6,149 @@ import (
 	"time"
 )
 
-// decodeOf parses a single complete record line and decodes it.
-func decodeOf(t *testing.T, line string) Decoded {
+// decodeOf parses a single complete record line and returns the file
+// path of its event: the subject the semantic decoders extract.
+func decodeOf(t *testing.T, line string) string {
 	t.Helper()
-	rec, err := ParseLine(line)
-	if err != nil {
-		t.Fatalf("ParseLine(%q): %v", line, err)
+	events := toEvents(t, parseRecords(t, line), Options{Calls: map[string]bool{}, KeepFailed: true})
+	if len(events) != 1 {
+		t.Fatalf("%q: %d events, want 1", line, len(events))
 	}
-	return DecodeRecord(rec)
+	return events[0].FP
 }
 
 // TestDecodeRecordClasses drives every decoded syscall class through its
-// success, errno and hostile-argument shapes and checks the full typed
-// view — paths with dirfd resolution, spawn command lines with argv,
-// connection subjects per address family.
+// success, errno and hostile-argument shapes and checks the subject the
+// event carries — paths with dirfd resolution, spawn command lines
+// with their argv tail, connection subjects per address family. A
+// rename's event carries its source path.
 func TestDecodeRecordClasses(t *testing.T) {
 	tests := []struct {
 		name string
 		line string
-		want Decoded
+		want string
 	}{
 		// --- file class: openat family ---
 		{
 			"openat success uses ret annotation",
 			`1  10:00:00.000001 openat(AT_FDCWD, "/etc/passwd", O_RDONLY) = 3</etc/passwd> <0.000008>`,
-			Decoded{Kind: DecodeFile, Path: "/etc/passwd"},
+			"/etc/passwd",
 		},
 		{
 			"openat errno joins dirfd",
 			`1  10:00:00.000002 openat(5</data/run42>, "part.bin", O_RDONLY) = -1 ENOENT (No such file) <0.000004>`,
-			Decoded{Kind: DecodeFile, Path: "/data/run42/part.bin"},
+			"/data/run42/part.bin",
 		},
 		{
 			"openat errno absolute ignores dirfd",
 			`1  10:00:00.000003 openat(5</data>, "/abs/x.bin", O_RDONLY) = -1 EACCES (Permission denied) <0.000004>`,
-			Decoded{Kind: DecodeFile, Path: "/abs/x.bin"},
+			"/abs/x.bin",
 		},
 		{
 			"openat hostile escaped arg",
 			`1  10:00:00.000004 openat(AT_FDCWD, "/tmp/a\nb\357\203\277.bin", O_RDONLY) = -1 ENOENT (No such file) <0.000004>`,
-			Decoded{Kind: DecodeFile, Path: "/tmp/a\nb\xef\x83\xbf.bin"},
+			"/tmp/a\nb\xef\x83\xbf.bin",
 		},
 		{
 			"unlinkat joins annotated AT_FDCWD",
 			`1  10:00:00.000005 unlinkat(AT_FDCWD</home/u>, "stale.tmp", 0) = 0 <0.000004>`,
-			Decoded{Kind: DecodeFile, Path: "/home/u/stale.tmp"},
+			"/home/u/stale.tmp",
 		},
 		// --- file class: simple path-first calls ---
 		{
 			"unlink success",
 			`1  10:00:00.000006 unlink("/tmp/ior.lock") = 0 <0.000007>`,
-			Decoded{Kind: DecodeFile, Path: "/tmp/ior.lock"},
+			"/tmp/ior.lock",
 		},
 		{
 			"truncate errno",
 			`1  10:00:00.000007 truncate("/p/out.dat", 0) = -1 EROFS (Read-only file system) <0.000002>`,
-			Decoded{Kind: DecodeFile, Path: "/p/out.dat"},
+			"/p/out.dat",
 		},
 		{
 			"mkdir hostile delimiters",
 			`1  10:00:00.000008 mkdir("/tmp/paren(pair)/bra{ce}", 0755) = 0 <0.000012>`,
-			Decoded{Kind: DecodeFile, Path: "/tmp/paren(pair)/bra{ce}"},
+			"/tmp/paren(pair)/bra{ce}",
 		},
-		// --- rename family: src subject, dst in Path2 ---
+		// --- rename family: the source path is the subject ---
 		{
 			"rename carries both paths",
 			`1  10:00:00.000009 rename("/tmp/ckpt.tmp", "/tmp/ckpt") = 0 <0.000008>`,
-			Decoded{Kind: DecodeFile, Path: "/tmp/ckpt.tmp", Path2: "/tmp/ckpt"},
+			"/tmp/ckpt.tmp",
 		},
 		{
 			"renameat2 resolves both dirfds",
 			`1  10:00:00.000010 renameat2(5</stage>, "new.dat", 6</data>, "cur.dat", RENAME_EXCHANGE) = 0 <0.000008>`,
-			Decoded{Kind: DecodeFile, Path: "/stage/new.dat", Path2: "/data/cur.dat"},
+			"/stage/new.dat",
 		},
 		// --- spawn class ---
 		{
 			"execve success with argv tail",
 			`1  10:00:00.000011 execve("/usr/bin/tar", ["tar", "-czf", "out.tgz"], 0x7ffd00 /* 60 vars */) = 0 <0.000200>`,
-			Decoded{Kind: DecodeSpawn, Path: "/usr/bin/tar -czf out.tgz", Argv: []string{"tar", "-czf", "out.tgz"}},
+			"/usr/bin/tar -czf out.tgz",
 		},
 		{
 			"execve errno keeps subject",
 			`1  10:00:00.000012 execve("/usr/bin/gone", ["gone"], 0x7ffd00 /* 8 vars */) = -1 ENOENT (No such file) <0.000020>`,
-			Decoded{Kind: DecodeSpawn, Path: "/usr/bin/gone", Argv: []string{"gone"}},
+			"/usr/bin/gone",
 		},
 		{
 			"execve hostile escaped argv",
 			`1  10:00:00.000013 execve("/bin/sh", ["sh", "-c", "echo \"a b\"\n"], 0x7ffd00 /* 2 vars */) = 0 <0.000100>`,
-			Decoded{Kind: DecodeSpawn, Path: "/bin/sh -c echo \"a b\"\n", Argv: []string{"sh", "-c", "echo \"a b\"\n"}},
+			"/bin/sh -c echo \"a b\"\n",
 		},
 		{
 			"execveat resolves dirfd",
 			`1  10:00:00.000014 execveat(5</opt/tools>, "run.sh", ["run.sh"], 0x7ffd00 /* 4 vars */, 0) = 0 <0.000100>`,
-			Decoded{Kind: DecodeSpawn, Path: "/opt/tools/run.sh", Argv: []string{"run.sh"}},
+			"/opt/tools/run.sh",
 		},
 		// --- connect class ---
 		{
 			"connect AF_INET",
 			`1  10:00:00.000015 connect(3<socket:[12345]>, {sa_family=AF_INET, sin_port=htons(443), sin_addr=inet_addr("10.0.0.7")}, 16) = 0 <0.000100>`,
-			Decoded{Kind: DecodeConnect, Family: "AF_INET", Addr: "10.0.0.7:443", Port: 443},
+			"10.0.0.7:443",
 		},
 		{
 			"connect AF_INET errno still decodes",
 			`1  10:00:00.000016 connect(3<socket:[12345]>, {sa_family=AF_INET, sin_port=htons(80), sin_addr=inet_addr("1.2.3.4")}, 16) = -1 EINPROGRESS (Operation now in progress) <0.000050>`,
-			Decoded{Kind: DecodeConnect, Family: "AF_INET", Addr: "1.2.3.4:80", Port: 80},
+			"1.2.3.4:80",
 		},
 		{
 			"connect AF_INET6",
 			`1  10:00:00.000017 connect(3<socket:[999]>, {sa_family=AF_INET6, sin6_port=htons(8080), sin6_flowinfo=htonl(0), inet_pton(AF_INET6, "2001:db8::1", &sin6_addr), sin6_scope_id=0}, 28) = 0 <0.000100>`,
-			Decoded{Kind: DecodeConnect, Family: "AF_INET6", Addr: "[2001:db8::1]:8080", Port: 8080},
+			"[2001:db8::1]:8080",
 		},
 		{
 			"connect AF_UNIX",
 			`1  10:00:00.000018 connect(4<socket:[777]>, {sa_family=AF_UNIX, sun_path="/run/docker.sock"}, 110) = 0 <0.000030>`,
-			Decoded{Kind: DecodeConnect, Family: "AF_UNIX", Addr: "/run/docker.sock"},
+			"/run/docker.sock",
 		},
 		{
 			"connect abstract AF_UNIX",
 			`1  10:00:00.000019 connect(4<socket:[778]>, {sa_family=AF_UNIX, sun_path=@"dbus-session"}, 110) = 0 <0.000030>`,
-			Decoded{Kind: DecodeConnect, Family: "AF_UNIX", Addr: "@dbus-session"},
+			"@dbus-session",
 		},
 		{
 			"connect condensed dialect",
 			`1  10:00:00.000020 connect(3<socket:[1]>, {Family: AF_INET, Addr: 8.8.8.8, Port: 53}, 16) = 0 <0.000030>`,
-			Decoded{Kind: DecodeConnect, Family: "AF_INET", Addr: "8.8.8.8:53", Port: 53},
+			"8.8.8.8:53",
 		},
 		{
 			"connect hostile sockaddr falls back to fd annotation",
 			`1  10:00:00.000021 connect(3<socket:[424242]>, {garbage, no family}, 16) = -1 EINVAL (Invalid argument) <0.000030>`,
-			Decoded{Kind: DecodeConnect, Addr: "socket:[424242]"},
+			"socket:[424242]",
 		},
 		// --- undecodable ---
 		{
 			"no subject at all",
 			`1  10:00:00.000022 brk(NULL) = 0x55d3a0 <0.000002>`,
-			Decoded{Kind: DecodeNone},
+			"",
 		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := decodeOf(t, tc.line)
-			if got.Kind != tc.want.Kind || got.Path != tc.want.Path || got.Path2 != tc.want.Path2 ||
-				got.Family != tc.want.Family || got.Addr != tc.want.Addr || got.Port != tc.want.Port {
-				t.Errorf("DecodeRecord:\n got %+v\nwant %+v", got, tc.want)
-			}
-			if len(tc.want.Argv) > 0 {
-				if len(got.Argv) != len(tc.want.Argv) {
-					t.Fatalf("argv = %q, want %q", got.Argv, tc.want.Argv)
-				}
-				for i := range got.Argv {
-					if got.Argv[i] != tc.want.Argv[i] {
-						t.Errorf("argv[%d] = %q, want %q", i, got.Argv[i], tc.want.Argv[i])
-					}
-				}
+			if got := decodeOf(t, tc.line); got != tc.want {
+				t.Errorf("subject = %q, want %q", got, tc.want)
 			}
 		})
 	}
@@ -174,9 +164,9 @@ func TestDecodeUnfinishedResumed(t *testing.T) {
 		`7  10:00:00.000400 <... connect resumed> ) = 0 <0.000399>`,
 		`8  10:00:00.000500 <... execve resumed> ) = 0 <0.000498>`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{Strict: true})
+	events, err := convertRecords(testID, recs, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("events = %v", events)
@@ -280,9 +270,9 @@ func TestDirfdJoin(t *testing.T) {
 		},
 	}
 	for _, tc := range tests {
-		rec, err := ParseLine(tc.line)
+		rec, err := parseLine(tc.line)
 		if err != nil {
-			t.Fatalf("ParseLine(%q): %v", tc.line, err)
+			t.Fatalf("parseLine(%q): %v", tc.line, err)
 		}
 		if got := extractPath(rec); got != tc.want {
 			t.Errorf("extractPath(%q) = %q, want %q", tc.line, got, tc.want)
@@ -303,9 +293,9 @@ func TestMidnightWrap(t *testing.T) {
 		`1  23:59:59.950000 write(4</b>, ..., 8) = 8 <0.000010>`, // straggler from before the wrap
 		`1  00:00:00.200000 close(3</a>) = 0 <0.000010>`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{Strict: true})
+	events, err := convertRecords(testID, recs, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 4 {
 		t.Fatalf("events = %v", events)
@@ -337,9 +327,9 @@ func TestMidnightWrapEpochUntouched(t *testing.T) {
 		`1  1726160397.300539 openat(AT_FDCWD, "/a", O_RDONLY) = 3</a> <0.000010>`,
 		`1  1726160397.400539 read(3</a>, ..., 64) = 64 <0.000010>`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{Strict: true})
+	events, err := convertRecords(testID, recs, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("events = %v", events)

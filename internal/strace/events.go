@@ -2,36 +2,35 @@ package strace
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"stinspector/internal/intern"
 	"stinspector/internal/trace"
 )
 
-// TransferCalls is the set of system calls whose return value is a
+// transferCalls is the set of system calls whose return value is a
 // transfer size (the "variants of read and write" of Section III).
-var TransferCalls = map[string]bool{
+var transferCalls = map[string]bool{
 	"read": true, "pread64": true, "readv": true, "preadv": true, "preadv2": true,
 	"write": true, "pwrite64": true, "writev": true, "pwritev": true, "pwritev2": true,
 }
 
-// IOCalls is the set of I/O-related calls the paper's experiments
-// trace; together with BehaviorCalls it forms the default extraction
+// ioCalls is the set of I/O-related calls the paper's experiments
+// trace; together with behaviorCalls it forms the default extraction
 // set.
-var IOCalls = map[string]bool{
+var ioCalls = map[string]bool{
 	"read": true, "pread64": true, "readv": true, "preadv": true, "preadv2": true,
 	"write": true, "pwrite64": true, "writev": true, "pwritev": true, "pwritev2": true,
 	"openat": true, "open": true, "creat": true, "close": true,
 	"lseek": true, "fsync": true, "fdatasync": true,
 }
 
-// BehaviorCalls is the set of calls the semantic decoding layer turns
+// behaviorCalls is the set of calls the semantic decoding layer turns
 // into behavior-profile events beyond plain I/O: file mutations
 // (delete, rename, create-directory, truncate), process spawns and
 // network connections. They are part of the default extraction set so
 // behavior profiles agree across every ingestion backend.
-var BehaviorCalls = map[string]bool{
+var behaviorCalls = map[string]bool{
 	"unlink": true, "unlinkat": true, "rmdir": true,
 	"rename": true, "renameat": true, "renameat2": true,
 	"mkdir": true, "mkdirat": true,
@@ -43,7 +42,7 @@ var BehaviorCalls = map[string]bool{
 // Options configures the record-to-event conversion.
 type Options struct {
 	// Calls restricts extraction to the given call names. Nil means
-	// the default set IOCalls ∪ BehaviorCalls; an explicitly empty
+	// the default set ioCalls ∪ behaviorCalls; an explicitly empty
 	// (len 0, non-nil) map keeps every call.
 	Calls map[string]bool
 	// KeepFailed keeps events for calls that returned an error (the
@@ -68,7 +67,7 @@ type Options struct {
 	// only changes peak memory during ingestion, never the result.
 	Window int
 	// Syms selects the symbol table Call/FP/CID/Host strings are
-	// canonicalized through. Nil means the process-wide intern.Default,
+	// canonicalized through. Nil means the process-wide table,
 	// which is append-only for the life of the process — fine for the
 	// paper's bounded vocabulary. A long-lived service ingesting an
 	// unbounded path vocabulary should scope a table to the pass
@@ -80,7 +79,7 @@ type Options struct {
 
 func (o Options) callWanted(name string) bool {
 	if o.Calls == nil {
-		return IOCalls[name] || BehaviorCalls[name]
+		return ioCalls[name] || behaviorCalls[name]
 	}
 	if len(o.Calls) == 0 {
 		return true
@@ -88,33 +87,26 @@ func (o Options) callWanted(name string) bool {
 	return o.Calls[name]
 }
 
-// EventsFromRecords converts parsed records into events for the given
+// eventsFromRecords converts parsed records into events for the given
 // case, merging unfinished/resumed pairs and applying the paper's
 // filtering rules. Records must be given in file order; the resulting
-// events are ordered by start time (strace preserves event order, and the
-// merge assigns each merged call its original start timestamp). The
-// records are not modified.
-func EventsFromRecords(id trace.CaseID, records []Record, opts Options) ([]trace.Event, error) {
-	cache := intern.CacheFor(opts.Syms)
-	defer intern.PutCache(cache)
-	return eventsFromRecords(id, slices.Clone(records), opts, cache)
-}
-
-// eventsFromRecords is EventsFromRecords over a caller-owned symbol
-// cache, so the per-file parse worker canonicalizes call names and
-// file paths without re-acquiring a cache per record. It consumes
+// events are ordered by start time (strace preserves event order, and
+// the merge assigns each merged call its original start timestamp).
+// Call names and file paths canonicalize through the caller-owned
+// symbol cache, so the per-file parse worker does not re-acquire a
+// cache per record. It consumes
 // records: the complete calls to keep are compacted to its front (each
 // record yields at most one, so the write never passes the read), then
 // converted into a slice of exactly that many events. The case that
 // takes ownership of it keeps no capacity for records that were merged
 // or filtered out.
-func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *intern.Cache) ([]trace.Event, error) {
+func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *intern.Cache) ([]trace.Event, error) {
 	kept := records[:0]
 	// strace guarantees at most one outstanding (unfinished) call per
 	// process, so a single pending record per PID suffices.
-	pending := make(map[int]Record)
+	pending := make(map[int]record)
 
-	emit := func(r Record) {
+	emit := func(r record) {
 		if r.Interrupted() {
 			return
 		}
@@ -157,9 +149,9 @@ func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *i
 		}
 		r.Time = t
 		switch r.Kind {
-		case KindSyscall:
+		case kindSyscall:
 			emit(r)
-		case KindUnfinished:
+		case kindUnfinished:
 			if prev, dup := pending[r.PID]; dup {
 				if opts.Strict {
 					return nil, fmt.Errorf("strace: case %s: line %d: pid %d has two outstanding calls (%s at line %d, %s)",
@@ -168,7 +160,7 @@ func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *i
 				// Drop the stale record and start over.
 			}
 			pending[r.PID] = r
-		case KindResumed:
+		case kindResumed:
 			u, ok := pending[r.PID]
 			if !ok || u.Call != r.Call {
 				if opts.Strict {
@@ -179,7 +171,7 @@ func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *i
 			}
 			delete(pending, r.PID)
 			emit(mergeUnfinished(u, r))
-		case KindExit, KindSignal:
+		case kindExit, kindSignal:
 			// Not system calls; ignored.
 		}
 	}
@@ -204,9 +196,9 @@ func eventsFromRecords(id trace.CaseID, records []Record, opts Options, cache *i
 // into a single complete record: arguments are concatenated, the start
 // timestamp comes from the unfinished half, and the return value, transfer
 // size and duration come from the resumed half (Section III).
-func mergeUnfinished(u, r Record) Record {
+func mergeUnfinished(u, r record) record {
 	m := r
-	m.Kind = KindSyscall
+	m.Kind = kindSyscall
 	m.Time = u.Time
 	m.Line = u.Line
 	args := append([]string(nil), u.Args...)
@@ -233,7 +225,7 @@ func mergeUnfinished(u, r Record) Record {
 // The call name and path are canonicalized through the symbol cache, so
 // the event holds interned strings rather than per-event substring pins
 // of the trace line; byte-built paths intern straight from scratch.
-func recordToEvent(r Record, cache *intern.Cache, scratch *[]byte) trace.Event {
+func recordToEvent(r record, cache *intern.Cache, scratch *[]byte) trace.Event {
 	e := trace.Event{
 		PID:   r.PID,
 		Call:  cache.Canon(r.Call),
@@ -246,7 +238,7 @@ func recordToEvent(r Record, cache *intern.Cache, scratch *[]byte) trace.Event {
 	} else {
 		e.FP = cache.Canon(p)
 	}
-	if TransferCalls[r.Call] && r.RetOK && r.RetPath == "" && r.RetInt >= 0 {
+	if transferCalls[r.Call] && r.RetOK && r.RetPath == "" && r.RetInt >= 0 {
 		e.Size = r.RetInt
 	}
 	return e

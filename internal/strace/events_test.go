@@ -10,11 +10,11 @@ import (
 
 var testID = trace.CaseID{CID: "a", Host: "host1", RID: 9042}
 
-func parseRecords(t *testing.T, lines ...string) []Record {
+func parseRecords(t *testing.T, lines ...string) []record {
 	t.Helper()
-	recs, _, err := ReadRecords(strings.NewReader(strings.Join(lines, "\n")), false)
+	recs, _, err := readRecords(strings.NewReader(strings.Join(lines, "\n")), false)
 	if err != nil {
-		t.Fatalf("ReadRecords: %v", err)
+		t.Fatalf("readRecords: %v", err)
 	}
 	return recs
 }
@@ -26,9 +26,9 @@ func TestEventsFromRecordsBasic(t *testing.T) {
 		`9054  08:55:54.176260 write(1</dev/pts/7>, ..., 50) = 50 <0.000111>`,
 		`9054  08:55:54.180000 +++ exited with 0 +++`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{})
+	events, err := convertRecords(testID, recs, Options{})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3 (exit record must be dropped)", len(events))
@@ -54,9 +54,9 @@ func TestEventsMergeUnfinishedResumed(t *testing.T) {
 		`77500  16:56:40.452500 write(1</dev/pts/7>, ..., 9) = 9 <0.000074>`,
 		`77423  16:56:40.452660 <... read resumed> ..., 405) = 404 <0.000223>`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{Strict: true})
+	events, err := convertRecords(testID, recs, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want 2", len(events))
@@ -94,9 +94,9 @@ func TestEventsUnfinishedAcrossPIDsDoNotMix(t *testing.T) {
 		`200  10:00:00.000003 <... read resumed> ..., 10) = 10 <0.000001>`,
 		`100  10:00:00.000004 <... read resumed> ..., 20) = 20 <0.000003>`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{Strict: true})
+	events, err := convertRecords(testID, recs, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want 2", len(events))
@@ -118,9 +118,9 @@ func TestEventsDropInterrupted(t *testing.T) {
 		`100  10:00:00.000001 read(3</f>, ..., 4096) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) <0.010000>`,
 		`100  10:00:00.020000 read(3</f>, ..., 4096) = 4096 <0.000100>`,
 	)
-	events, err := EventsFromRecords(testID, recs, Options{Strict: true})
+	events, err := convertRecords(testID, recs, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 1 || events[0].Size != 4096 {
 		t.Errorf("events = %+v, want only the restarted read", events)
@@ -133,14 +133,14 @@ func TestEventsFailedCalls(t *testing.T) {
 		`100  10:00:00.000002 read(3</f>, ..., 100) = 100 <0.000001>`,
 	}
 	recs := parseRecords(t, lines...)
-	events, err := EventsFromRecords(testID, recs, Options{})
+	events, err := convertRecords(testID, recs, Options{})
 	if err != nil {
 		t.Fatalf("default: %v", err)
 	}
 	if len(events) != 1 {
 		t.Errorf("default drops failed calls: got %d events", len(events))
 	}
-	events, err = EventsFromRecords(testID, recs, Options{KeepFailed: true})
+	events, err = convertRecords(testID, recs, Options{KeepFailed: true})
 	if err != nil {
 		t.Fatalf("KeepFailed: %v", err)
 	}
@@ -159,17 +159,17 @@ func TestEventsCallFilter(t *testing.T) {
 		`100  10:00:00.000003 close(3</f>) = 0 <0.000001>`,
 	)
 	// Default set: read and close survive, mmap does not.
-	events, _ := EventsFromRecords(testID, recs, Options{})
+	events, _ := convertRecords(testID, recs, Options{})
 	if len(events) != 2 {
 		t.Errorf("default set kept %d events, want 2", len(events))
 	}
 	// Explicit set.
-	events, _ = EventsFromRecords(testID, recs, Options{Calls: map[string]bool{"read": true}})
+	events, _ = convertRecords(testID, recs, Options{Calls: map[string]bool{"read": true}})
 	if len(events) != 1 || events[0].Call != "read" {
 		t.Errorf("explicit set: %+v", events)
 	}
 	// Empty non-nil set keeps everything.
-	events, _ = EventsFromRecords(testID, recs, Options{Calls: map[string]bool{}})
+	events, _ = convertRecords(testID, recs, Options{Calls: map[string]bool{}})
 	if len(events) != 3 {
 		t.Errorf("keep-all set kept %d events, want 3", len(events))
 	}
@@ -184,15 +184,15 @@ func TestEventsCallFilter(t *testing.T) {
 func TestEventsStrictErrors(t *testing.T) {
 	// Resumed without unfinished.
 	recs := parseRecords(t, `100  10:00:00.000003 <... read resumed> ..., 10) = 10 <0.000001>`)
-	if _, err := EventsFromRecords(testID, recs, Options{Strict: true}); err == nil {
+	if _, err := convertRecords(testID, recs, Options{Strict: true}); err == nil {
 		t.Errorf("strict mode accepted dangling resumed record")
 	}
-	if _, err := EventsFromRecords(testID, recs, Options{}); err != nil {
+	if _, err := convertRecords(testID, recs, Options{}); err != nil {
 		t.Errorf("lenient mode rejected dangling resumed record: %v", err)
 	}
 	// Unfinished never resumed.
 	recs = parseRecords(t, `100  10:00:00.000003 read(3</f>, <unfinished ...>`)
-	if _, err := EventsFromRecords(testID, recs, Options{Strict: true}); err == nil {
+	if _, err := convertRecords(testID, recs, Options{Strict: true}); err == nil {
 		t.Errorf("strict mode accepted dangling unfinished record")
 	}
 	// Two outstanding calls for one pid.
@@ -200,7 +200,7 @@ func TestEventsStrictErrors(t *testing.T) {
 		`100  10:00:00.000001 read(3</f>, <unfinished ...>`,
 		`100  10:00:00.000002 write(4</g>, <unfinished ...>`,
 	)
-	if _, err := EventsFromRecords(testID, recs, Options{Strict: true}); err == nil {
+	if _, err := convertRecords(testID, recs, Options{Strict: true}); err == nil {
 		t.Errorf("strict mode accepted two outstanding calls for one pid")
 	}
 }
@@ -210,10 +210,10 @@ func TestEventsMismatchedResumeCall(t *testing.T) {
 		`100  10:00:00.000001 read(3</f>, <unfinished ...>`,
 		`100  10:00:00.000002 <... write resumed> ..., 10) = 10 <0.000001>`,
 	)
-	if _, err := EventsFromRecords(testID, recs, Options{Strict: true}); err == nil {
+	if _, err := convertRecords(testID, recs, Options{Strict: true}); err == nil {
 		t.Errorf("strict mode accepted mismatched resumed call name")
 	}
-	events, err := EventsFromRecords(testID, recs, Options{})
+	events, err := convertRecords(testID, recs, Options{})
 	if err != nil || len(events) != 0 {
 		t.Errorf("lenient mode: events=%v err=%v", events, err)
 	}

@@ -13,9 +13,9 @@ import (
 func eventOf(t *testing.T, line string) trace.Event {
 	t.Helper()
 	recs := parseRecords(t, line)
-	events, err := EventsFromRecords(testID, recs, Options{Calls: map[string]bool{}, KeepFailed: true})
+	events, err := convertRecords(testID, recs, Options{Calls: map[string]bool{}, KeepFailed: true})
 	if err != nil {
-		t.Fatalf("EventsFromRecords: %v", err)
+		t.Fatalf("convertRecords: %v", err)
 	}
 	if len(events) != 1 {
 		t.Fatalf("events = %v", events)
@@ -119,7 +119,7 @@ func TestParserRobustnessUnderMutation(t *testing.T) {
 			}
 		}
 		// Must not panic.
-		rec, err := ParseLine(string(b))
+		rec, err := parseLine(string(b))
 		_ = rec
 		_ = err
 	}
@@ -142,11 +142,11 @@ func TestStreamRobustnessUnderMutation(t *testing.T) {
 			i := rng.Intn(len(b))
 			b[i] = byte(rng.Intn(128))
 		}
-		recs, _, err := ReadRecords(strings.NewReader(string(b)), true)
+		recs, _, err := readRecords(strings.NewReader(string(b)), true)
 		if err != nil {
 			continue
 		}
-		if _, err := EventsFromRecords(testID, recs, Options{}); err != nil {
+		if _, err := convertRecords(testID, recs, Options{}); err != nil {
 			t.Fatalf("lenient extraction errored: %v", err)
 		}
 	}

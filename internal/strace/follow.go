@@ -42,19 +42,19 @@ func (e *StallError) Error() string {
 // Temporary marks the stall recoverable: the tailer keeps following.
 func (e *StallError) Temporary() bool { return true }
 
-// FileError is the typed recoverable error for a file the tailer must
+// fileError is the typed recoverable error for a file the tailer must
 // give up on (unparseable name, terminal open failure). The rest of the
 // directory keeps streaming.
-type FileError struct {
+type fileError struct {
 	Name string
 	Err  error
 }
 
-func (e *FileError) Error() string {
+func (e *fileError) Error() string {
 	return fmt.Sprintf("strace: follow: %s: %v", e.Name, e.Err)
 }
 
-func (e *FileError) Unwrap() error { return e.Err }
+func (e *fileError) Unwrap() error { return e.Err }
 
 // FollowOptions configures follow-mode tailing. The embedded Options
 // govern record-to-event conversion exactly as in batch ingestion.
@@ -124,7 +124,7 @@ type TailStats struct {
 //   - Stalls surface as typed recoverable StallErrors via Sink.Fail.
 //   - An unparseable complete line, or one over 4 MiB, is skipped and
 //     counted in ParseSkips; under Strict the first such line of each
-//     read also surfaces via Sink.Fail as a *ParseError in a FileError.
+//     read also surfaces via Sink.Fail as a *ParseError in a fileError.
 //     ParseCase and FollowReader frame lines with the same code, so
 //     they skip (or, under Strict, name) exactly the same lines.
 //
@@ -158,12 +158,12 @@ type Tailer struct {
 
 // TailDir returns a Tailer over the OS directory dir.
 func TailDir(dir string, sink Sink, opts FollowOptions) *Tailer {
-	return NewTailer(OSDir(dir), sink, opts)
+	return newTailer(osDir{dir: dir}, sink, opts)
 }
 
-// NewTailer returns a Tailer over an explicit TailFS (the seam the
+// newTailer returns a Tailer over an explicit TailFS (the seam the
 // fault-injection matrix uses).
-func NewTailer(fs TailFS, sink Sink, opts FollowOptions) *Tailer {
+func newTailer(fs TailFS, sink Sink, opts FollowOptions) *Tailer {
 	opts.setDefaults()
 	return &Tailer{
 		fs:    fs,
@@ -281,7 +281,7 @@ func (t *Tailer) scan() {
 		names, err := t.fs.Names()
 		if err == nil {
 			for _, name := range names {
-				if !IsTraceName(name) {
+				if !isTraceName(name) {
 					continue
 				}
 				t.mu.Lock()
@@ -353,7 +353,7 @@ func (t *Tailer) followFile(name string) {
 
 	id, err := trace.ParseCaseID(name)
 	if err != nil {
-		t.sink.Fail(&FileError{Name: name, Err: err})
+		t.sink.Fail(&fileError{Name: name, Err: err})
 		return
 	}
 
@@ -447,7 +447,7 @@ func (t *Tailer) followFile(name string) {
 			lastStallCheck = ft.lastNew
 			t.parseSkips.Add(uint64(skips))
 			if first != nil && t.opts.Strict {
-				t.sink.Fail(&FileError{Name: name, Err: first})
+				t.sink.Fail(&fileError{Name: name, Err: first})
 			}
 		}
 		switch {
@@ -506,7 +506,7 @@ func (t *Tailer) emit(id trace.CaseID, ft *fileTail) {
 	}
 	c, err := ft.lr.buildCase(id, t.opts.Options)
 	if err != nil {
-		t.sink.Fail(&FileError{Name: ft.name, Err: err})
+		t.sink.Fail(&fileError{Name: ft.name, Err: err})
 		return
 	}
 	if err := t.sink.Push(c); err != nil {

@@ -242,7 +242,7 @@ func TestTailerFaultMatrix(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultfs.New(dir, 17, sc.faults)
 			sink := &collectSink{}
-			tailer := NewTailer(faultDir{fs: ffs}, sink, fastOpts())
+			tailer := newTailer(faultDir{fs: ffs}, sink, fastOpts())
 			tailer.Start()
 			defer tailer.Stop()
 

@@ -155,11 +155,12 @@ var behaviorFuzzSeeds = []string{
 	`1  10:00:00.000010 connect(3, {sa_family=AF_INET, sin_port=htons(`,
 }
 
-// FuzzBehaviorDecode: the semantic decoding layer — DecodeRecord over
-// every parsed record, behavior-profile folding over every parsed case —
+// FuzzBehaviorDecode: the semantic decoding layer — extractPathInto over
+// every framed record, behavior-profile folding over every parsed case —
 // must never panic on arbitrary trace text, and its invariants must hold:
-// a DecodeFile/DecodeSpawn result carries a path, unquote inverts Go
-// quoting, and a profile survives its snapshot round trip.
+// a subject built into the scratch buffer is never empty, a spawn with a
+// program path always yields a subject, unquote inverts Go quoting, and
+// a profile survives its snapshot round trip.
 func FuzzBehaviorDecode(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -174,16 +175,29 @@ func FuzzBehaviorDecode(f *testing.F) {
 		if got, ok := unquote(strconv.Quote(data)); !ok || got != data {
 			t.Fatalf("unquote(Quote(%q)) = %q, %v", data, got, ok)
 		}
-		recs, _, err := ReadRecords(strings.NewReader(data), true)
+		recs, _, err := readRecords(strings.NewReader(data), true)
 		if err != nil {
 			return
 		}
+		var scratch []byte
 		for _, r := range recs {
-			d := DecodeRecord(r)
-			switch d.Kind {
-			case DecodeFile, DecodeSpawn:
-				if d.Path == "" {
-					t.Fatalf("decoded %v with empty path from %+v", d.Kind, r)
+			p, built := extractPathInto(r, &scratch)
+			if built {
+				if len(scratch) == 0 {
+					t.Fatalf("empty subject built from %+v", r)
+				}
+				p = string(scratch)
+			}
+			pathIdx := -1
+			switch r.Call {
+			case "execve":
+				pathIdx = 0
+			case "execveat":
+				pathIdx = 1
+			}
+			if pathIdx >= 0 && len(r.Args) > pathIdx && p == "" {
+				if body, _, ok := unquoteBody(r.Args[pathIdx]); ok && body != "" {
+					t.Fatalf("spawn of %q decoded to an empty subject from %+v", body, r)
 				}
 			}
 		}

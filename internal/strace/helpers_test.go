@@ -1,0 +1,64 @@
+package strace
+
+import (
+	"io"
+	"testing"
+
+	"stinspector/internal/intern"
+	"stinspector/internal/trace"
+)
+
+// readRecords frames and parses every line of an strace output stream
+// into records through the one framing loop ParseCase runs. Unparseable
+// lines and lines over 4 MiB are errors unless lenient, in which case
+// they are skipped and counted.
+func readRecords(r io.Reader, lenient bool) ([]record, int, error) {
+	lr := &lineReader{}
+	skipped, _, err := lr.readAll(r, !lenient, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	return lr.records, skipped, nil
+}
+
+// convertRecords runs the record-to-event conversion of the parse path
+// over a copy of records, with a cache of the table opts.Syms selects.
+func convertRecords(id trace.CaseID, records []record, opts Options) ([]trace.Event, error) {
+	cache := intern.CacheFor(opts.Syms)
+	defer intern.PutCache(cache)
+	return eventsFromRecords(id, append([]record(nil), records...), opts, cache)
+}
+
+// toEvents is convertRecords for records that must convert.
+func toEvents(t *testing.T, records []record, opts Options) []trace.Event {
+	t.Helper()
+	events, err := convertRecords(testID, records, opts)
+	if err != nil {
+		t.Fatalf("convertRecords: %v", err)
+	}
+	return events
+}
+
+// extractPath is the file path extractPathInto finds for r, as a string.
+func extractPath(r record) string {
+	var scratch []byte
+	p, built := extractPathInto(r, &scratch)
+	if built {
+		return string(scratch)
+	}
+	return p
+}
+
+// unquote strips the surrounding double quotes of a C string literal
+// argument and decodes its escapes, handling strace's trailing "..."
+// abbreviation marker.
+func unquote(s string) (string, bool) {
+	body, esc, ok := unquoteBody(s)
+	if !ok {
+		return "", false
+	}
+	if !esc {
+		return body, true
+	}
+	return string(appendUnquoted(nil, body)), true
+}

@@ -182,7 +182,7 @@ func TestTailerOverlongLine(t *testing.T) {
 
 	for _, faults := range []faultfs.Faults{{ReadFailEveryN: 97}, {ShortReadMax: 16 << 10}} {
 		sink := &collectSink{}
-		tailer := NewTailer(faultDir{fs: faultfs.New(dir, 3, faults)}, sink, fastOpts())
+		tailer := newTailer(faultDir{fs: faultfs.New(dir, 3, faults)}, sink, fastOpts())
 		var got []*trace.Case
 		run := func() {
 			tailer.Start()
@@ -213,7 +213,7 @@ func TestTailerOverlongLine(t *testing.T) {
 // of up to maxLineBytes bytes (newline excluded) parses, a longer one
 // is skipped and counted — or, under Strict, is a *ParseError at its
 // line — and the record after it parses either way. Batch (ParseCase
-// and ReadRecords), FollowReader and a Tailer must agree on events and
+// and readRecords), FollowReader and a Tailer must agree on events and
 // skips.
 func TestLineCapRule(t *testing.T) {
 	const (
@@ -250,8 +250,8 @@ func TestLineCapRule(t *testing.T) {
 		if want.Len() != wantEvents {
 			t.Errorf("size %d: ParseCase: %d events, want %d", size, want.Len(), wantEvents)
 		}
-		if _, skips, err := ReadRecords(strings.NewReader(data), true); err != nil || skips != wantSkips {
-			t.Errorf("size %d: ReadRecords skips = %d, %v; want %d", size, skips, err, wantSkips)
+		if _, skips, err := readRecords(strings.NewReader(data), true); err != nil || skips != wantSkips {
+			t.Errorf("size %d: readRecords skips = %d, %v; want %d", size, skips, err, wantSkips)
 		}
 		_, err = ParseCase(id, strings.NewReader(data), Options{Strict: true})
 		strictErr("ParseCase", err)

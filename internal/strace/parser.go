@@ -28,7 +28,7 @@ func (e *ParseError) Error() string {
 // record: every record's Args is a capacity-clamped subslice of the
 // arena, and the argument strings themselves are subslices of the line.
 // The zero value allocates a private arena, which is what the
-// standalone ParseLine uses.
+// standalone parseLine uses.
 type argBuilder struct {
 	arena []string
 }
@@ -53,17 +53,17 @@ func (ab *argBuilder) reset() {
 	ab.arena = ab.arena[:0]
 }
 
-// ParseLine parses one line of strace output into a Record. The line may
+// parseLine parses one line of strace output into a record. The line may
 // or may not carry a leading PID column (strace -f); the parser detects
 // this from the shape of the first field.
-func ParseLine(line string) (Record, error) {
+func parseLine(line string) (record, error) {
 	return parseLineWith(line, &argBuilder{})
 }
 
-// parseLineWith is ParseLine with a caller-owned argument arena — the
+// parseLineWith is parseLine with a caller-owned argument arena — the
 // form the per-file parsing loop uses.
-func parseLineWith(line string, ab *argBuilder) (Record, error) {
-	rec := Record{Raw: line}
+func parseLineWith(line string, ab *argBuilder) (record, error) {
+	rec := record{Raw: line}
 	s := strings.TrimRight(line, "\r\n")
 	if strings.TrimSpace(s) == "" {
 		return rec, &ParseError{Text: line, Msg: "empty line"}
@@ -85,7 +85,7 @@ func parseLineWith(line string, ab *argBuilder) (Record, error) {
 	if !ok {
 		return rec, &ParseError{Text: line, Msg: "missing timestamp"}
 	}
-	ts, err := ParseTimestamp(tsTok)
+	ts, err := parseTimestamp(tsTok)
 	if err != nil {
 		return rec, &ParseError{Text: line, Msg: err.Error()}
 	}
@@ -105,8 +105,8 @@ func parseLineWith(line string, ab *argBuilder) (Record, error) {
 }
 
 // parseExit parses "+++ exited with 0 +++" and "+++ killed by SIGKILL +++".
-func parseExit(rec Record, rest, line string) (Record, error) {
-	rec.Kind = KindExit
+func parseExit(rec record, rest, line string) (record, error) {
+	rec.Kind = kindExit
 	body := strings.TrimSuffix(strings.TrimPrefix(rest, "+++"), "+++")
 	body = strings.TrimSpace(body)
 	if st, found := strings.CutPrefix(body, "exited with "); found {
@@ -148,8 +148,8 @@ func firstField(s string) string {
 }
 
 // parseSignal parses "--- SIGCHLD {si_signo=SIGCHLD, ...} ---".
-func parseSignal(rec Record, rest, line string) (Record, error) {
-	rec.Kind = KindSignal
+func parseSignal(rec record, rest, line string) (record, error) {
+	rec.Kind = kindSignal
 	body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(rest, "---"), "---"))
 	if body == "" {
 		return rec, &ParseError{Text: line, Msg: "empty signal record"}
@@ -159,8 +159,8 @@ func parseSignal(rec Record, rest, line string) (Record, error) {
 }
 
 // parseResumed parses "<... read resumed> ..., 405) = 404 <0.000223>".
-func parseResumed(rec Record, rest, line string, ab *argBuilder) (Record, error) {
-	rec.Kind = KindResumed
+func parseResumed(rec record, rest, line string, ab *argBuilder) (record, error) {
+	rec.Kind = kindResumed
 	body := strings.TrimPrefix(rest, "<...")
 	idx := strings.Index(body, "resumed>")
 	if idx < 0 {
@@ -185,7 +185,7 @@ func parseResumed(rec Record, rest, line string, ab *argBuilder) (Record, error)
 }
 
 // parseCall parses complete and unfinished system-call records.
-func parseCall(rec Record, rest, line string, ab *argBuilder) (Record, error) {
+func parseCall(rec record, rest, line string, ab *argBuilder) (record, error) {
 	open := strings.IndexByte(rest, '(')
 	if open <= 0 {
 		return rec, &ParseError{Text: line, Msg: "missing '(' in system call record"}
@@ -197,14 +197,14 @@ func parseCall(rec Record, rest, line string, ab *argBuilder) (Record, error) {
 	body := rest[open+1:]
 
 	if strings.HasSuffix(strings.TrimSpace(body), "<unfinished ...>") {
-		rec.Kind = KindUnfinished
+		rec.Kind = kindUnfinished
 		argPart := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(body), "<unfinished ...>"))
 		argPart = strings.TrimSuffix(strings.TrimSpace(argPart), ",")
 		rec.Args = ab.split(argPart)
 		return rec, nil
 	}
 
-	rec.Kind = KindSyscall
+	rec.Kind = kindSyscall
 	argPart, retPart, found := cutReturn(body)
 	if !found {
 		return rec, &ParseError{Text: line, Msg: "missing return value"}
@@ -255,7 +255,7 @@ func cutReturn(s string) (args, ret string, found bool) {
 // parseReturn interprets the return token and trailing duration:
 // "832 <0.000203>", "-1 EBADF (Bad file descriptor) <0.000010>",
 // "3</etc/passwd> <0.000031>", "? ERESTARTSYS (To be restarted ...)".
-func parseReturn(rec *Record, s string) error {
+func parseReturn(rec *record, s string) error {
 	s = strings.TrimSpace(s)
 	// Trailing duration.
 	if i := strings.LastIndexByte(s, '<'); i >= 0 && strings.HasSuffix(s, ">") {
@@ -275,7 +275,7 @@ func parseReturn(rec *Record, s string) error {
 	// return), and splitting it at the first space would misread the
 	// path tail as a failure. A genuine errno token never parses as an
 	// fd path (its integer prefix is "-1" or "?", never a bare fd).
-	if fd, path, ok := SplitFDPath(s); ok {
+	if fd, path, ok := splitFDPath(s); ok {
 		rec.Ret = s
 		rec.RetInt = int64(fd)
 		rec.RetOK = true
@@ -300,7 +300,7 @@ func parseReturn(rec *Record, s string) error {
 	if s == "?" {
 		return nil
 	}
-	if fd, path, ok := SplitFDPath(s); ok {
+	if fd, path, ok := splitFDPath(s); ok {
 		rec.RetInt = int64(fd)
 		rec.RetOK = true
 		rec.RetPath = path
@@ -364,9 +364,9 @@ func splitArgsInto(s string, out []string) []string {
 	return append(out, strings.TrimSpace(s[start:]))
 }
 
-// SplitFDPath splits an fd-with-path token produced by strace -y, for
+// splitFDPath splits an fd-with-path token produced by strace -y, for
 // example "3</usr/lib/libc.so.6>" into (3, "/usr/lib/libc.so.6", true).
-func SplitFDPath(s string) (fd int, path string, ok bool) {
+func splitFDPath(s string) (fd int, path string, ok bool) {
 	i := strings.IndexByte(s, '<')
 	if i <= 0 || !strings.HasSuffix(s, ">") {
 		return 0, "", false
@@ -378,10 +378,10 @@ func SplitFDPath(s string) (fd int, path string, ok bool) {
 	return n, s[i+1 : len(s)-1], true
 }
 
-// ParseTimestamp parses the strace -tt time-of-day form
+// parseTimestamp parses the strace -tt time-of-day form
 // "HH:MM:SS.micros" and the -ttt epoch form "1700000000.123456" into a
 // duration since the respective zero point.
-func ParseTimestamp(s string) (time.Duration, error) {
+func parseTimestamp(s string) (time.Duration, error) {
 	if strings.Count(s, ":") == 2 {
 		i := strings.IndexByte(s, ':')
 		j := i + 1 + strings.IndexByte(s[i+1:], ':')

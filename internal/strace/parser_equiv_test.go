@@ -15,7 +15,7 @@ import (
 )
 
 // This file pins the zero-copy parser rewrites — the arena-backed
-// splitArgs, the allocation-free ParseTimestamp, and the
+// splitArgs, the allocation-free parseTimestamp, and the
 // firstField-based parseExit/parseSignal — against verbatim copies of
 // the pre-rewrite implementations, over the fuzz corpus and the
 // writer-dialect round trip. Behavioural equivalence here plus the
@@ -65,7 +65,7 @@ func splitArgsOld(s string) []string {
 	return out
 }
 
-// parseTimestampOld is the pre-rewrite ParseTimestamp, verbatim (it
+// parseTimestampOld is the pre-rewrite parseTimestamp, verbatim (it
 // allocated a 3-element slice per call via SplitN).
 func parseTimestampOld(s string) (time.Duration, error) {
 	if strings.Count(s, ":") == 2 {
@@ -190,19 +190,19 @@ func TestParseTimestampEquivalence(t *testing.T) {
 	)
 	for _, in := range inputs {
 		want, wantErr := parseTimestampOld(in)
-		got, gotErr := ParseTimestamp(in)
+		got, gotErr := parseTimestamp(in)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("ParseTimestamp(%q) err = %v, want %v", in, gotErr, wantErr)
+			t.Errorf("parseTimestamp(%q) err = %v, want %v", in, gotErr, wantErr)
 			continue
 		}
 		if gotErr != nil {
 			if gotErr.Error() != wantErr.Error() {
-				t.Errorf("ParseTimestamp(%q) error text %q, want %q", in, gotErr, wantErr)
+				t.Errorf("parseTimestamp(%q) error text %q, want %q", in, gotErr, wantErr)
 			}
 			continue
 		}
 		if got != want {
-			t.Errorf("ParseTimestamp(%q) = %v, want %v", in, got, want)
+			t.Errorf("parseTimestamp(%q) = %v, want %v", in, got, want)
 		}
 	}
 }
@@ -230,15 +230,15 @@ func TestFirstFieldEquivalence(t *testing.T) {
 }
 
 // TestParseLineArenaEquivalence: whole-record equivalence between the
-// standalone ParseLine (private arena per call) and the pooled
+// standalone parseLine (private arena per call) and the pooled
 // per-file path (shared arena), over every corpus line.
 func TestParseLineArenaEquivalence(t *testing.T) {
 	arena := &argBuilder{}
 	for _, line := range equivCorpus(t) {
-		want, wantErr := ParseLine(line)
+		want, wantErr := parseLine(line)
 		got, gotErr := parseLineWith(line, arena)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("parseLineWith(%q) err = %v, ParseLine err = %v", line, gotErr, wantErr)
+			t.Errorf("parseLineWith(%q) err = %v, parseLine err = %v", line, gotErr, wantErr)
 			continue
 		}
 		if gotErr != nil {

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-func mustParse(t *testing.T, line string) Record {
+func mustParse(t *testing.T, line string) record {
 	t.Helper()
-	rec, err := ParseLine(line)
+	rec, err := parseLine(line)
 	if err != nil {
-		t.Fatalf("ParseLine(%q): %v", line, err)
+		t.Fatalf("parseLine(%q): %v", line, err)
 	}
 	return rec
 }
@@ -21,7 +21,7 @@ func TestParseFig2aLines(t *testing.T) {
 	if !rec.HasPID || rec.PID != 9054 {
 		t.Errorf("pid = %d (has=%v), want 9054", rec.PID, rec.HasPID)
 	}
-	if rec.Kind != KindSyscall || rec.Call != "read" {
+	if rec.Kind != kindSyscall || rec.Call != "read" {
 		t.Errorf("kind/call = %v/%s", rec.Kind, rec.Call)
 	}
 	wantTS := 8*time.Hour + 55*time.Minute + 54*time.Second + 153994*time.Microsecond
@@ -59,7 +59,7 @@ func TestParseFig2aLines(t *testing.T) {
 // The unfinished/resumed pair of Figure 2c.
 func TestParseFig2cUnfinishedResumed(t *testing.T) {
 	u := mustParse(t, `77423  16:56:40.452431 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, <unfinished ...>`)
-	if u.Kind != KindUnfinished || u.Call != "read" {
+	if u.Kind != kindUnfinished || u.Call != "read" {
 		t.Fatalf("kind/call = %v/%s", u.Kind, u.Call)
 	}
 	if u.HasDur {
@@ -70,7 +70,7 @@ func TestParseFig2cUnfinishedResumed(t *testing.T) {
 	}
 
 	r := mustParse(t, `77423  16:56:40.452660 <... read resumed> ..., 405) = 404 <0.000223>`)
-	if r.Kind != KindResumed || r.Call != "read" {
+	if r.Kind != kindResumed || r.Call != "read" {
 		t.Fatalf("resumed kind/call = %v/%s", r.Kind, r.Call)
 	}
 	if r.RetInt != 404 || !r.RetOK {
@@ -83,7 +83,7 @@ func TestParseFig2cUnfinishedResumed(t *testing.T) {
 
 func TestParseOpenat(t *testing.T) {
 	rec := mustParse(t, `9173  08:56:04.754100 openat(AT_FDCWD, "/etc/nsswitch.conf", O_RDONLY|O_CLOEXEC) = 4</etc/nsswitch.conf> <0.000031>`)
-	if rec.Call != "openat" || rec.Kind != KindSyscall {
+	if rec.Call != "openat" || rec.Kind != kindSyscall {
 		t.Fatalf("call = %s", rec.Call)
 	}
 	if rec.RetPath != "/etc/nsswitch.conf" {
@@ -131,7 +131,7 @@ func TestParseERESTARTSYS(t *testing.T) {
 
 func TestParseExitAndSignal(t *testing.T) {
 	rec := mustParse(t, `9054  08:55:54.180000 +++ exited with 0 +++`)
-	if rec.Kind != KindExit || rec.ExitStatus != 0 {
+	if rec.Kind != kindExit || rec.ExitStatus != 0 {
 		t.Errorf("exit: kind=%v status=%d", rec.Kind, rec.ExitStatus)
 	}
 	rec = mustParse(t, `9054  08:55:54.200000 +++ exited with 3 +++`)
@@ -139,11 +139,11 @@ func TestParseExitAndSignal(t *testing.T) {
 		t.Errorf("exit status = %d, want 3", rec.ExitStatus)
 	}
 	rec = mustParse(t, `9054  08:55:54.190000 --- SIGCHLD {si_signo=SIGCHLD, si_code=CLD_EXITED, si_pid=9060} ---`)
-	if rec.Kind != KindSignal || rec.Call != "SIGCHLD" {
+	if rec.Kind != kindSignal || rec.Call != "SIGCHLD" {
 		t.Errorf("signal: kind=%v name=%q", rec.Kind, rec.Call)
 	}
 	rec = mustParse(t, `9054  08:55:54.195000 +++ killed by SIGKILL +++`)
-	if rec.Kind != KindExit || rec.Call != "SIGKILL" {
+	if rec.Kind != kindExit || rec.Call != "SIGKILL" {
 		t.Errorf("killed: kind=%v sig=%q", rec.Kind, rec.Call)
 	}
 }
@@ -202,8 +202,8 @@ func TestParseErrors(t *testing.T) {
 		"9054  08:55:54.153994 +++ wat +++",
 	}
 	for _, line := range bad {
-		if _, err := ParseLine(line); err == nil {
-			t.Errorf("ParseLine(%q) succeeded, want error", line)
+		if _, err := parseLine(line); err == nil {
+			t.Errorf("parseLine(%q) succeeded, want error", line)
 		}
 	}
 }
@@ -215,26 +215,26 @@ func TestParseTimestamp(t *testing.T) {
 		"23:59:59.999999": 24*time.Hour - time.Microsecond,
 	}
 	for s, want := range good {
-		got, err := ParseTimestamp(s)
+		got, err := parseTimestamp(s)
 		if err != nil || got != want {
-			t.Errorf("ParseTimestamp(%q) = %v, %v; want %v", s, got, err, want)
+			t.Errorf("parseTimestamp(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
 	for _, s := range []string{"24:00:00.0", "aa:bb:cc.dd", "-5", "12:61:00.0", ""} {
-		if _, err := ParseTimestamp(s); err == nil {
-			t.Errorf("ParseTimestamp(%q) succeeded, want error", s)
+		if _, err := parseTimestamp(s); err == nil {
+			t.Errorf("parseTimestamp(%q) succeeded, want error", s)
 		}
 	}
 }
 
 func TestSplitFDPath(t *testing.T) {
-	fd, p, ok := SplitFDPath("3</usr/lib/libc.so.6>")
+	fd, p, ok := splitFDPath("3</usr/lib/libc.so.6>")
 	if !ok || fd != 3 || p != "/usr/lib/libc.so.6" {
-		t.Errorf("SplitFDPath = %d, %q, %v", fd, p, ok)
+		t.Errorf("splitFDPath = %d, %q, %v", fd, p, ok)
 	}
 	for _, s := range []string{"3", "</f>", "x</f>", "3</f"} {
-		if _, _, ok := SplitFDPath(s); ok {
-			t.Errorf("SplitFDPath(%q) = ok, want not ok", s)
+		if _, _, ok := splitFDPath(s); ok {
+			t.Errorf("splitFDPath(%q) = ok, want not ok", s)
 		}
 	}
 }
@@ -269,9 +269,9 @@ func TestReadRecordsLenient(t *testing.T) {
 		`this line is garbage`,
 		`9054  08:55:54.176260 write(1</dev/pts/7>, ..., 50) = 50 <0.000111>`,
 	}, "\n")
-	recs, skipped, err := ReadRecords(strings.NewReader(input), true)
+	recs, skipped, err := readRecords(strings.NewReader(input), true)
 	if err != nil {
-		t.Fatalf("lenient ReadRecords: %v", err)
+		t.Fatalf("lenient readRecords: %v", err)
 	}
 	if len(recs) != 2 || skipped != 1 {
 		t.Errorf("records=%d skipped=%d, want 2/1", len(recs), skipped)
@@ -279,7 +279,18 @@ func TestReadRecordsLenient(t *testing.T) {
 	if recs[1].Line != 3 {
 		t.Errorf("line number = %d, want 3", recs[1].Line)
 	}
-	if _, _, err := ReadRecords(strings.NewReader(input), false); err == nil {
-		t.Errorf("strict ReadRecords accepted garbage")
+	if _, _, err := readRecords(strings.NewReader(input), false); err == nil {
+		t.Errorf("strict readRecords accepted garbage")
+	}
+}
+
+// BenchmarkParseLine: single strace record parse.
+func BenchmarkParseLine(b *testing.B) {
+	line := `9054  08:55:54.153994 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, ..., 832) = 832 <0.000203>`
+	b.SetBytes(int64(len(line)))
+	for i := 0; i < b.N; i++ {
+		if _, err := parseLine(line); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

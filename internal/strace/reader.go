@@ -31,7 +31,7 @@ const (
 	pooledBufBytes = 64 << 10
 )
 
-// lineReader is the one strace framing loop: ParseCase/ReadRecords,
+// lineReader is the one strace framing loop: ParseCase,
 // the Tailer and FollowReader all run it. It reads straight into the
 // spare capacity of one buffer, parses every complete line into a
 // record, and keeps the unterminated tail at the front of the buffer
@@ -45,7 +45,7 @@ type lineReader struct {
 	discard bool   // inside an over-long line: drop bytes up to '\n'
 	line    int    // 1-based number of the last line framed
 	sawExit bool   // an exit record has been parsed
-	records []Record
+	records []record
 	args    argBuilder // the arena every record's Args subslices
 }
 
@@ -148,7 +148,7 @@ func (lr *lineReader) parse(b []byte) *ParseError {
 	}
 	rec.Line = lr.line
 	lr.records = append(lr.records, rec)
-	lr.sawExit = lr.sawExit || rec.Kind == KindExit
+	lr.sawExit = lr.sawExit || rec.Kind == kindExit
 	return nil
 }
 
@@ -208,22 +208,10 @@ func (lr *lineReader) buildCase(id trace.CaseID, opts Options) (*trace.Case, err
 	return trace.NewCase(id, events), nil
 }
 
-// ReadRecords parses every line of an strace output stream into records.
-// Unparseable lines and lines over 4 MiB are returned as errors unless
-// lenient is true, in which case they are skipped and counted.
-func ReadRecords(r io.Reader, lenient bool) ([]Record, int, error) {
-	lr := &lineReader{}
-	skipped, _, err := lr.readAll(r, !lenient, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return lr.records, skipped, nil
-}
-
 // ParseCase parses a single trace stream into a case with the given
 // identity. Call names, file paths and the case identity strings are
 // canonicalized through the symbol table opts.Syms selects (the
-// process-wide intern.Default when nil), so the resulting events share
+// process-wide table when nil), so the resulting events share
 // one string per distinct value instead of allocating per event. An
 // unparseable line, or one over 4 MiB, is skipped unless opts.Strict,
 // which returns it as a *ParseError; an unterminated final line is

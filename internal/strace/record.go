@@ -16,46 +16,46 @@ import (
 	"time"
 )
 
-// Kind classifies a parsed strace record.
-type Kind int
+// kind classifies a parsed strace record.
+type kind int
 
 const (
-	// KindSyscall is a complete system-call record:
+	// kindSyscall is a complete system-call record:
 	// "read(3</etc/passwd>, ..., 4096) = 1612 <0.000037>".
-	KindSyscall Kind = iota
-	// KindUnfinished is the first half of a call that was preempted by
+	kindSyscall kind = iota
+	// kindUnfinished is the first half of a call that was preempted by
 	// activity on another process: "read(3</f>, <unfinished ...>".
-	KindUnfinished
-	// KindResumed is the second half: "<... read resumed> ..., 405) = 404 <0.000223>".
-	KindResumed
-	// KindExit is a process exit record: "+++ exited with 0 +++".
-	KindExit
-	// KindSignal is a signal delivery record: "--- SIGCHLD {...} ---".
-	KindSignal
+	kindUnfinished
+	// kindResumed is the second half: "<... read resumed> ..., 405) = 404 <0.000223>".
+	kindResumed
+	// kindExit is a process exit record: "+++ exited with 0 +++".
+	kindExit
+	// kindSignal is a signal delivery record: "--- SIGCHLD {...} ---".
+	kindSignal
 )
 
 // String returns the name of the record kind.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case KindSyscall:
+	case kindSyscall:
 		return "syscall"
-	case KindUnfinished:
+	case kindUnfinished:
 		return "unfinished"
-	case KindResumed:
+	case kindResumed:
 		return "resumed"
-	case KindExit:
+	case kindExit:
 		return "exit"
-	case KindSignal:
+	case kindSignal:
 		return "signal"
 	}
 	return "unknown"
 }
 
-// Record is one parsed line of strace output. It keeps the raw argument
+// record is one parsed line of strace output. It keeps the raw argument
 // list so that higher layers can apply call-specific interpretation (file
 // path extraction, transfer sizes) without the parser having to know every
 // system call.
-type Record struct {
+type record struct {
 	// PID is the process identifier column (strace -f). HasPID is false
 	// when the trace was recorded without -f and the column is absent.
 	PID    int
@@ -67,14 +67,14 @@ type Record struct {
 	Time time.Duration
 
 	// Kind classifies the record.
-	Kind Kind
+	Kind kind
 
-	// Call is the system call name. For KindSignal it holds the signal
-	// name; for KindExit it is empty.
+	// Call is the system call name. For kindSignal it holds the signal
+	// name; for kindExit it is empty.
 	Call string
 
 	// Args are the top-level comma-separated argument strings, with
-	// surrounding whitespace trimmed. For KindResumed these are only
+	// surrounding whitespace trimmed. For kindResumed these are only
 	// the arguments that appeared after "resumed>".
 	Args []string
 
@@ -100,7 +100,7 @@ type Record struct {
 	Dur    time.Duration
 	HasDur bool
 
-	// ExitStatus is the status of a KindExit record.
+	// ExitStatus is the status of a kindExit record.
 	ExitStatus int
 
 	// Raw is the original line, kept for diagnostics.
@@ -111,20 +111,20 @@ type Record struct {
 
 // Interrupted reports whether the record is an interrupted system call
 // (ERESTARTSYS), which Section III of the paper discards.
-func (r *Record) Interrupted() bool { return r.Errno == "ERESTARTSYS" }
+func (r *record) Interrupted() bool { return r.Errno == "ERESTARTSYS" }
 
 // Failed reports whether the record is a completed call that returned an
 // error.
-func (r *Record) Failed() bool { return r.Errno != "" && r.Errno != "ERESTARTSYS" }
+func (r *record) Failed() bool { return r.Errno != "" && r.Errno != "ERESTARTSYS" }
 
 // FirstArgPath returns the path annotation of the first fd-typed argument
 // ("3</usr/lib/libc.so.6>" gives "/usr/lib/libc.so.6"). ok is false when
 // the first argument carries no annotation.
-func (r *Record) FirstArgPath() (path string, ok bool) {
+func (r *record) FirstArgPath() (path string, ok bool) {
 	if len(r.Args) == 0 {
 		return "", false
 	}
-	_, p, ok := SplitFDPath(r.Args[0])
+	_, p, ok := splitFDPath(r.Args[0])
 	return p, ok
 }
 
@@ -132,7 +132,7 @@ func (r *Record) FirstArgPath() (path string, ok bool) {
 // which for read/write call variants is the number of bytes requested (the
 // paper notes it may differ from the transferred size in the return
 // value). ok is false when there is no trailing integer argument.
-func (r *Record) RequestedBytes() (int64, bool) {
+func (r *record) RequestedBytes() (int64, bool) {
 	if len(r.Args) == 0 {
 		return 0, false
 	}

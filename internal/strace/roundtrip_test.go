@@ -29,7 +29,7 @@ func randEvents(rng *rand.Rand, id trace.CaseID, n int) []trace.Event {
 		start += time.Duration(1+rng.Intn(5000)) * time.Microsecond
 		call := calls[rng.Intn(len(calls))]
 		size := trace.SizeUnknown
-		if TransferCalls[call] {
+		if transferCalls[call] {
 			size = int64(rng.Intn(1 << 20))
 		}
 		events[i] = trace.Event{
@@ -86,7 +86,7 @@ func TestUnfinishedPairRoundTrip(t *testing.T) {
 	id := trace.CaseID{CID: "u", Host: "h1", RID: 1}
 	for trial := 0; trial < 40; trial++ {
 		e := randEvents(rng, id, 1)[0]
-		if !TransferCalls[e.Call] {
+		if !transferCalls[e.Call] {
 			e.Call = "read"
 			e.Size = int64(rng.Intn(4096))
 		}

@@ -25,13 +25,13 @@ func TestParseCaseScopedSyms(t *testing.T) {
 	}
 
 	tab := intern.NewTable()
-	d0 := intern.Default.Len()
+	d0 := defaultSymbols()
 	got, err := ParseCase(id, strings.NewReader(text), Options{Syms: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if intern.Default.Len() != d0 {
-		t.Errorf("scoped parse grew Default: %d -> %d", d0, intern.Default.Len())
+	if defaultSymbols() != d0 {
+		t.Errorf("scoped parse grew the default table: %d -> %d", d0, defaultSymbols())
 	}
 	if tab.Len() < 4 { // "", cid/host, calls, path at minimum
 		t.Errorf("scoped table holds %d symbols, want the trace vocabulary", tab.Len())
@@ -47,21 +47,29 @@ func TestParseCaseScopedSyms(t *testing.T) {
 // TestEventsFromRecordsScopedSyms: the record-to-event conversion
 // honors Options.Syms too.
 func TestEventsFromRecordsScopedSyms(t *testing.T) {
-	rec, err := ParseLine(`0.5 read(3</scoped-evrec-test/f>, "", 8) = 8 <0.001>`)
+	rec, err := parseLine(`0.5 read(3</scoped-evrec-test/f>, "", 8) = 8 <0.001>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := trace.CaseID{CID: "scoped-evrec-test", Host: "h", RID: 0}
 	tab := intern.NewTable()
-	d0 := intern.Default.Len()
-	evs, err := EventsFromRecords(id, []Record{rec}, Options{Syms: tab})
+	d0 := defaultSymbols()
+	evs, err := convertRecords(id, []record{rec}, Options{Syms: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) != 1 || evs[0].FP != "/scoped-evrec-test/f" {
 		t.Fatalf("events = %+v", evs)
 	}
-	if intern.Default.Len() != d0 {
-		t.Errorf("scoped conversion grew Default: %d -> %d", d0, intern.Default.Len())
+	if defaultSymbols() != d0 {
+		t.Errorf("scoped conversion grew the default table: %d -> %d", d0, defaultSymbols())
 	}
+}
+
+// defaultSymbols is the size of the process-wide symbol table, the one
+// a nil Syms option selects.
+func defaultSymbols() int {
+	c := intern.CacheFor(nil)
+	defer intern.PutCache(c)
+	return c.Table().Len()
 }

@@ -11,7 +11,7 @@ import (
 // flat directory of growing trace files, with enough identity
 // information to detect rotation (the name now binds to a different
 // file) and truncation (the file shrank). The production implementation
-// is OSDir; internal/faultfs provides a fault-injecting one for the
+// is osDir; internal/faultfs provides a fault-injecting one for the
 // recovery test matrix, which is why this is an interface at all.
 //
 // Implementations must be safe for concurrent use: the tailer stats and
@@ -47,13 +47,11 @@ type TailFile interface {
 // gzip stream cannot be incrementally decoded from an offset, so
 // follow-mode consumes plain text only (batch ingestion still reads
 // .st.gz).
-func IsTraceName(name string) bool {
+func isTraceName(name string) bool {
 	return strings.HasSuffix(name, ".st")
 }
 
-// OSDir returns the production TailFS over a real directory.
-func OSDir(dir string) TailFS { return osDir{dir: dir} }
-
+// osDir is the production TailFS over a real directory.
 type osDir struct{ dir string }
 
 func (d osDir) Names() ([]string, error) {
@@ -63,7 +61,7 @@ func (d osDir) Names() ([]string, error) {
 	}
 	var names []string
 	for _, ent := range ents {
-		if ent.IsDir() || !IsTraceName(ent.Name()) {
+		if ent.IsDir() || !isTraceName(ent.Name()) {
 			continue
 		}
 		names = append(names, ent.Name())

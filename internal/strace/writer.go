@@ -96,7 +96,7 @@ func (sw *Writer) WriteEvent(e trace.Event) {
 			e.PID, ts, e.FP, argv0(e.FP), dur)
 	case e.Call == "connect":
 		sw.writeConnect(e, ts, dur)
-	case TransferCalls[e.Call]:
+	case transferCalls[e.Call]:
 		size := e.Size
 		if size < 0 {
 			size = 0

@@ -9,6 +9,7 @@ package profiles_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 	"testing/fstest"
 
@@ -18,6 +19,7 @@ import (
 	"stinspector/internal/pm"
 	"stinspector/internal/source"
 	"stinspector/internal/strace"
+	"stinspector/internal/synth"
 	"stinspector/internal/synth/profiles"
 	"stinspector/internal/trace"
 )
@@ -80,16 +82,14 @@ func TestRoundTripArchive(t *testing.T) {
 	for _, p := range profiles.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			want := rtLog(t, p)
-			var buf bytes.Buffer
-			if err := archive.WriteV2(&buf, want); err != nil {
+			path := filepath.Join(t.TempDir(), "log.sta")
+			if err := archive.WriteFileV2(path, want); err != nil {
 				t.Fatal(err)
 			}
-			r, err := archive.NewReaderBytes(buf.Bytes())
+			src, err := archive.OpenSource(path, archive.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
-			src := r.Stream(0, 0)
 			defer src.Close()
 			got, err := source.Drain(src, false)
 			if err != nil {
@@ -108,11 +108,11 @@ func TestRoundTripDXT(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			want := rtLog(t, p)
 			var buf bytes.Buffer
-			skipped, err := dxt.Write(&buf, want)
+			skipped, err := synth.WriteDXT(&buf, want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			records, err := dxt.Parse(bytes.NewReader(buf.Bytes()))
+			records, err := dxt.ParseSyms(bytes.NewReader(buf.Bytes()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,7 @@ package stinspector
 // The retention gate of the symbol-scoping layer, the companion of
 // TestStreamIngestMemory: a scoped ingestion pass over a trace set
 // whose path vocabulary is unbounded (every event its own distinct
-// path) must (a) leave the process-wide intern.Default untouched,
+// path) must (a) leave the process-wide symbol table untouched,
 // (b) land the vocabulary in the pass's scoped table, and (c) make
 // that table — and with it every string the pass interned — garbage
 // once the pass's results are dropped. Collectability is proven two
@@ -42,7 +42,7 @@ func TestScopedSymsRetention(t *testing.T) {
 		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
 	}
 
-	defaultSyms0 := intern.Default.Len()
+	defaultSyms0 := defaultSymbols()
 	base := liveHeap()
 	collected := make(chan struct{})
 
@@ -78,8 +78,8 @@ func TestScopedSymsRetention(t *testing.T) {
 	}()
 
 	// ...and not in the process-wide one.
-	if got := intern.Default.Len(); got != defaultSyms0 {
-		t.Errorf("scoped pass grew intern.Default: %d -> %d symbols", defaultSyms0, got)
+	if got := defaultSymbols(); got != defaultSyms0 {
+		t.Errorf("scoped pass grew the default table: %d -> %d symbols", defaultSyms0, got)
 	}
 
 	// Dropping the pass's results must make the table collectable: the
@@ -111,4 +111,12 @@ func TestScopedSymsRetention(t *testing.T) {
 		t.Errorf("live heap %d B after dropping the pass, more than half the with-table %d B — the scoped vocabulary is still resident",
 			after, withTable)
 	}
+}
+
+// defaultSymbols is the size of the process-wide symbol table, the one
+// a nil Syms option selects.
+func defaultSymbols() int {
+	c := intern.CacheFor(nil)
+	defer intern.PutCache(c)
+	return c.Table().Len()
 }

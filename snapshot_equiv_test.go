@@ -20,7 +20,6 @@ import (
 	"testing"
 	"testing/fstest"
 
-	"stinspector/internal/archive"
 	"stinspector/internal/core"
 	"stinspector/internal/dxt"
 	"stinspector/internal/snapshot"
@@ -129,14 +128,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 			})
 
 			// STA archive backend.
-			var abuf bytes.Buffer
-			if err := archive.WriteV2(&abuf, log); err != nil {
-				t.Fatal(err)
-			}
-			r, err := archive.NewReader(bytes.NewReader(abuf.Bytes()), int64(abuf.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := openArchive(t, log)
 			snapshotMergeCheck(t, p.Name+"/archive", el, want, func(syms *SymbolTable) Source {
 				r.SetSyms(syms)
 				return r.Stream(2, 3)
@@ -144,10 +136,10 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 
 			// DXT backend.
 			var dbuf bytes.Buffer
-			if _, err := dxt.Write(&dbuf, log); err != nil {
+			if _, err := synth.WriteDXT(&dbuf, log); err != nil {
 				t.Fatal(err)
 			}
-			records, err := dxt.Parse(bytes.NewReader(dbuf.Bytes()))
+			records, err := dxt.ParseSyms(bytes.NewReader(dbuf.Bytes()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

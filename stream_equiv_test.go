@@ -178,14 +178,7 @@ func TestStreamEquivalenceArchiveV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := inMemoryArtifacts(el)
-	var buf bytes.Buffer
-	if err := archive.WriteV2(&buf, el); err != nil {
-		t.Fatal(err)
-	}
-	r, err := archive.NewReaderBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openArchive(t, el)
 	equivCheck(t, "sta2", want, func(p, w int, syms *SymbolTable) Source {
 		// Runs are sequential, so rebinding the shared reader's decode
 		// table per run is safe; nil restores Default.
@@ -198,10 +191,10 @@ func TestStreamEquivalenceArchiveV2(t *testing.T) {
 func TestStreamEquivalenceDXT(t *testing.T) {
 	log := synth.Log("dxt", 29, 180, 11)
 	var buf bytes.Buffer
-	if _, err := dxt.Write(&buf, log); err != nil {
+	if _, err := synth.WriteDXT(&buf, log); err != nil {
 		t.Fatal(err)
 	}
-	records, err := dxt.Parse(bytes.NewReader(buf.Bytes()))
+	records, err := dxt.ParseSyms(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +251,7 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			// STA archive backend: decoded through the persisted
 			// file-level dictionary, and the artifacts must not be able
 			// to tell.
-			var a2buf bytes.Buffer
-			if err := archive.WriteV2(&a2buf, log); err != nil {
-				t.Fatal(err)
-			}
-			r2, err := archive.NewReaderBytes(a2buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
+			r2 := openArchive(t, log)
 			a2src := r2.Stream(1, 0)
 			a2el, err := source.Drain(a2src, false)
 			a2src.Close()
@@ -280,10 +266,10 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			// DXT backend (the dump only represents sized transfer calls;
 			// equivalence is over the parsed-back records).
 			var dbuf bytes.Buffer
-			if _, err := dxt.Write(&dbuf, log); err != nil {
+			if _, err := synth.WriteDXT(&dbuf, log); err != nil {
 				t.Fatal(err)
 			}
-			records, err := dxt.Parse(bytes.NewReader(dbuf.Bytes()))
+			records, err := dxt.ParseSyms(bytes.NewReader(dbuf.Bytes()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,4 +314,20 @@ func drainDXT(t *testing.T, cid string, records []dxt.Record) *trace.EventLog {
 		t.Fatal(err)
 	}
 	return el
+}
+
+// openArchive writes log to an STA file in a temp dir and opens it with
+// archive.Open, the path every CLI reads archives through.
+func openArchive(tb testing.TB, log *trace.EventLog) *archive.Reader {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "log.sta")
+	if err := archive.WriteFileV2(path, log); err != nil {
+		tb.Fatal(err)
+	}
+	r, err := archive.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	return r
 }
