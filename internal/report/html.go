@@ -50,10 +50,10 @@ func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
 		if r.st.HasBytes {
 			acts[i].DR = render.FormatDR(r.st.MaxConc, r.st.ProcRate)
 		}
-		if d := r.dist; r.hasDist {
-			acts[i].P50 = render.FormatDuration(d.P50)
-			acts[i].P99 = render.FormatDuration(d.P99)
-			acts[i].Tail = fmt.Sprintf("%.0f%%", d.TailShare*100)
+		if r.hasDist {
+			acts[i].P50 = render.FormatDuration(r.dist.P50)
+			acts[i].P99 = render.FormatDuration(r.dist.P99)
+			acts[i].Tail = fmt.Sprintf("%.0f%%", r.dist.TailShare*100)
 		}
 	}
 

@@ -71,9 +71,9 @@ func Generate(w io.Writer, in *core.Inspector, opts Options) error {
 		if r.st.HasBytes {
 			fmt.Fprintf(&b, "  %s", render.FormatDR(r.st.MaxConc, r.st.ProcRate))
 		}
-		if d := r.dist; r.hasDist {
+		if r.hasDist {
 			fmt.Fprintf(&b, "  p50=%s p99=%s tail=%.0f%%",
-				render.FormatDuration(d.P50), render.FormatDuration(d.P99), d.TailShare*100)
+				render.FormatDuration(r.dist.P50), render.FormatDuration(r.dist.P99), r.dist.TailShare*100)
 		}
 		b.WriteByte('\n')
 	}

@@ -249,11 +249,11 @@ func spawnInto(r record, pathIdx, argvIdx int, scratch *[]byte) (path string, bu
 
 // forEachArrayItem iterates the top-level items of a strace array
 // literal like `["ls", "-l"]`, calling fn with each raw (still quoted)
-// item. Nested brackets and quoted commas do not split items. It
-// reports false when s is not an array literal.
-func forEachArrayItem(s string, fn func(item string)) bool {
+// item. Nested brackets and quoted commas do not split items. A string
+// that is not an array literal has no items.
+func forEachArrayItem(s string, fn func(item string)) {
 	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return false
+		return
 	}
 	body := s[1 : len(s)-1]
 	depth := 0
@@ -288,7 +288,6 @@ func forEachArrayItem(s string, fn func(item string)) bool {
 		}
 	}
 	emit(len(body))
-	return true
 }
 
 // sockFamily is the decoded socket-address family.
