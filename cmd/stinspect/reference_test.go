@@ -1,13 +1,16 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"stinspector"
+	"stinspector/internal/cliutil"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
 	"stinspector/internal/strace"
@@ -88,20 +91,90 @@ var references = []reference{
 	}},
 }
 
-// TestRunMatchesInspector pins the CLI's one pipeline to the library's
-// in-memory Inspector: every fold subcommand, footprint -green and
-// compare included, prints exactly what the Inspector renders, over
-// every input backend, merged snapshots, and the filter and mapping
-// flags. It also
-// pins the info line, whose leading part is the Inspector's Summary.
-func TestRunMatchesInspector(t *testing.T) {
-	// The ls / ls -l demo (CIDs a and b) plus a heavytail set (CID c,
-	// eight calls), so -green a, -filter and -calls all cut something.
+// detailReference renders, from the Inspector, what one per-event
+// detail subcommand prints for activity a; with act set, the CLI gets
+// "-activity a".
+type detailReference struct {
+	args []string
+	act  bool
+	want func(in *stinspector.Inspector, a stinspector.Activity) string
+}
+
+var detailReferences = []detailReference{
+	{args: []string{"dist"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
+		d, ok := in.Distribution(a)
+		if !ok {
+			return "no distribution"
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "activity:   %s\n", d.Activity)
+		fmt.Fprintf(&b, "events:     %d\n", d.Events)
+		fmt.Fprintf(&b, "min/p50:    %v / %v\n", d.Min, d.P50)
+		fmt.Fprintf(&b, "p95/p99:    %v / %v\n", d.P95, d.P99)
+		fmt.Fprintf(&b, "max/total:  %v / %v\n", d.Max, d.Total)
+		fmt.Fprintf(&b, "tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", d.TailShare)
+		return b.String()
+	}},
+	{args: []string{"percase"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
+		return perCaseTable(in.PerCase(a))
+	}},
+	{args: []string{"percase"}, want: func(in *stinspector.Inspector, _ stinspector.Activity) string {
+		return perCaseTable(in.PerCase(""))
+	}},
+	{args: []string{"timeline"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
+		tl := in.Timeline(a)
+		return stinspector.RenderTimeline(tl) + fmt.Sprintf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
+	}},
+	{args: []string{"timeline", "-format", "svg"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
+		return stinspector.RenderTimelineSVG(in.Timeline(a), string(a))
+	}},
+}
+
+func perCaseTable(rows []stinspector.CaseSummary) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-28s %8s %14s %14s\n", "CASE", "EVENTS", "TOTALDUR", "BYTES")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-28s %8d %14v %14d\n", r.Case, r.Events, r.TotalDur, r.Bytes)
+	}
+	return b.String()
+}
+
+// busiest is the activity with the most events (the first such in the
+// statistics' order), so every input row has one to query.
+func busiest(in *stinspector.Inspector) stinspector.Activity {
+	var best stinspector.Activity
+	n := 0
+	for _, a := range in.Stats().Activities() {
+		if s := in.Stats().Get(a); s.Events > n {
+			best, n = a, s.Events
+		}
+	}
+	return best
+}
+
+// referenceDir writes the reference corpus: the ls / ls -l demo (CIDs
+// a and b) plus a heavytail set (CID c, eight calls), so -green a,
+// -filter and -calls all cut something.
+func referenceDir(t *testing.T) string {
+	t.Helper()
 	dir := demoDir(t)
 	ht, _ := profiles.Lookup("heavytail")
 	if err := strace.WriteDir(dir, ht.Generate("c", 5, 60, 3)); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestRunMatchesInspector pins the CLI's one pipeline to the library's
+// in-memory Inspector: every fold subcommand, footprint -green and
+// compare included, and every per-event detail subcommand prints
+// exactly what the Inspector renders, over every input backend, merged
+// snapshots, and the filter and mapping flags. Merged snapshots hold no
+// per-event data, so the detail subcommands reject them as usage
+// errors. It also pins the info line, whose leading part is the
+// Inspector's Summary.
+func TestRunMatchesInspector(t *testing.T) {
+	dir := referenceDir(t)
 	tmp := t.TempDir()
 	sta := filepath.Join(tmp, "log.sta")
 	if err := run([]string{"archive", "-traces", dir, "-o", sta}); err != nil {
@@ -185,6 +258,24 @@ func TestRunMatchesInspector(t *testing.T) {
 					input.name, strings.Join(r.args, " "), got, want)
 			}
 		}
+		act := busiest(in)
+		for _, r := range detailReferences {
+			args := append(append([]string{}, r.args...), input.flags...)
+			if r.act {
+				args = append(args, "-activity", string(act))
+			}
+			if input.peak == 0 {
+				if code := cliutil.Report(io.Discard, "test", run(args)); code != 2 {
+					t.Errorf("%s: stinspect %s exits %d, want 2", input.name, strings.Join(args, " "), code)
+				}
+				continue
+			}
+			got := captureStdout(t, func() error { return run(args) })
+			if want := r.want(in, act); got != want {
+				t.Errorf("%s: stinspect %s differs from the Inspector:\ngot  %q\nwant %q",
+					input.name, strings.Join(args, " "), got, want)
+			}
+		}
 		args := append([]string{"info", "-j", "1", "-window", "1"}, input.flags...)
 		got := captureStdout(t, func() error { return run(args) })
 		// Every activity symbol plus the virtual start and end.
@@ -193,6 +284,46 @@ func TestRunMatchesInspector(t *testing.T) {
 			in.Summary(), acts, input.peak, acts+2)
 		if got != want {
 			t.Errorf("%s: info = %q, want %q", input.name, got, want)
+		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the report golden files")
+
+// TestRunReportGolden pins both report renderings over the reference
+// corpus to golden files, read from the trace directory and from its
+// archive alike. Regenerate with -update after an intended change.
+func TestRunReportGolden(t *testing.T) {
+	dir := referenceDir(t)
+	sta := filepath.Join(t.TempDir(), "log.sta")
+	if err := run([]string{"archive", "-traces", dir, "-o", sta}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"report.txt", []string{"report"}},
+		{"report.html", []string{"report", "-format", "html", "-green", "a", "-activity", "read:/usr/lib"}},
+	} {
+		path := filepath.Join("testdata", tc.golden)
+		for _, input := range [][]string{{"-traces", dir}, {"-archive", sta}} {
+			args := append(append([]string{}, tc.args...), input...)
+			got := captureStdout(t, func() error { return run(args) })
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file %s (run with -update): %v", path, err)
+			}
+			if got != string(want) {
+				t.Errorf("stinspect %s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
+					strings.Join(args, " "), path, got, want)
+			}
 		}
 	}
 }
