@@ -28,15 +28,18 @@
 // GOMAXPROCS) and -window N to cap how many parsed cases are resident
 // at once (default 2×parallelism).
 //
-// The fold subcommands — dfg, stats, variants, behavior, info, footprint
-// and compare — synthesize their artifacts in a single bounded-memory
-// pass and never materialize the event-log, so trace sets larger than
-// RAM stay inspectable. compare and footprint -green split the folded
+// Every subcommand but archive reads its input in one bounded-memory
+// pass and never materializes the event-log, so trace sets larger than
+// RAM stay inspectable. The fold subcommands — dfg, stats, variants,
+// behavior, info, footprint and compare — stream it through the
+// analysis fold; compare and footprint -green split the folded
 // activity-log by the -green CIDs (Equation 18) into the G and R
 // graphs. -ashards N shards that fold over N workers whose partials
 // merge exactly; the output is byte-identical for every
-// -j/-window/-ashards setting. timeline, dist, percase and report need
-// random access to the event-log and load it into memory. -j, -window
+// -j/-window/-ashards setting. The per-event views — timeline (the
+// Figure 5 intervals), dist (the duration distribution) and percase
+// (the straggler table) — stream it through the per-case detail fold
+// instead, and report runs both folds over the same pass. -j, -window
 // and -ashards require values >= 1 when given; omitting a flag selects
 // its default.
 //
@@ -52,7 +55,10 @@
 //
 // -merge-snapshots replaces -traces/-archive/-dxt as the input of the
 // fold subcommands; the output is byte-identical to a single run over
-// the union of the parts' cases.
+// the union of the parts' cases. Snapshots hold aggregates, no
+// per-event data, so timeline, dist, percase and report reject them,
+// and -filter and -calls apply when a snapshot is written, not when it
+// is merged.
 //
 // -cases a:b restricts an -archive input to the half-open case range
 // [a, b) of the archive's file order ("a:" means to the end, ":b" from
@@ -76,6 +82,8 @@ import (
 	"stinspector"
 	"stinspector/internal/cliutil"
 	"stinspector/internal/report"
+	"stinspector/internal/source"
+	"stinspector/internal/stats"
 )
 
 func main() {
@@ -92,6 +100,10 @@ func usagef(format string, args ...any) error {
 // missing/unknown-subcommand errors all print, so the lists cannot
 // drift from each other.
 const subcommands = "dfg, stats, variants, behavior, timeline, dist, percase, compare, report, footprint, archive, snapshot, info"
+
+// mergeable lists the subcommands that run from merged snapshots: the
+// fold subcommands, whose artifacts the snapshots' aggregates hold.
+const mergeable = "dfg, stats, variants, behavior, info, footprint, compare"
 
 // formats lists the -format values each subcommand renders, text
 // first; a subcommand not listed renders text only.
@@ -135,9 +147,9 @@ func run(args []string) error {
 	lenient := fs.Bool("lenient", false, "skip unparseable trace lines instead of failing")
 	jobs := fs.Int("j", 0, "ingestion parallelism: trace files parsed / archive cases decoded concurrently (>= 1; omit for GOMAXPROCS)")
 	window := fs.Int("window", 0, "max parsed cases resident at once (>= 1; omit for 2x parallelism)")
-	ashards := fs.Int("ashards", 0, "analysis shards of the fold subcommands and snapshot, concurrent fold workers whose partials merge exactly (>= 1; omit for GOMAXPROCS)")
+	ashards := fs.Int("ashards", 0, "analysis shards of the fold subcommands, report and snapshot: concurrent fold workers whose partials merge exactly (>= 1; omit for GOMAXPROCS)")
 	casesRange := fs.String("cases", "", "archive input: restrict to the half-open case range a:b of the archive's file order (a:, :b, a:b)")
-	mergeSnaps := fs.String("merge-snapshots", "", "comma-separated STS snapshot files to merge as the input (dfg, stats, variants, behavior, info, footprint, compare); replaces -traces/-archive/-dxt")
+	mergeSnaps := fs.String("merge-snapshots", "", "comma-separated STS snapshot files to merge as the input, replacing -traces/-archive/-dxt ("+mergeable+"; snapshots hold no per-event data)")
 	every := fs.Int("every", 0, "snapshot subcommand: checkpoint every N folded cases (omit or <= 0: one snapshot at the end)")
 	resume := fs.Bool("resume", false, "snapshot subcommand: resume from an existing -o snapshot, folding only unseen cases")
 	if err := fs.Parse(rest); err != nil {
@@ -175,16 +187,14 @@ func run(args []string) error {
 	case cmd == "snapshot" && *out == "":
 		return usagef("snapshot needs -o FILE.sts")
 	}
-	// The fold subcommands never need the event-log: they stream their
-	// input through the sharded analysis fold, or merge snapshot files.
-	fold := cmd == "dfg" || cmd == "stats" || cmd == "variants" || cmd == "behavior" ||
-		cmd == "info" || cmd == "footprint" || cmd == "compare"
 	if *mergeSnaps != "" {
-		if !fold {
-			return usagef("subcommand %q needs the event-log, which merged snapshots do not hold (they serve dfg, stats, variants, behavior, info, footprint and compare)", cmd)
-		}
-		if *traces != "" || *archivePath != "" || *dxtPath != "" {
+		switch {
+		case !slices.Contains(strings.Split(mergeable, ", "), cmd):
+			return usagef("subcommand %q needs per-event data, which snapshots do not hold (-merge-snapshots serves %s)", cmd, mergeable)
+		case *traces != "" || *archivePath != "" || *dxtPath != "":
 			return usagef("-merge-snapshots replaces -traces/-archive/-dxt; drop the other input flags")
+		case *filter != "" || *calls != "":
+			return usagef("-filter and -calls apply when a snapshot is written (stinspect snapshot ... -filter/-calls), not to -merge-snapshots")
 		}
 	}
 
@@ -258,15 +268,8 @@ func run(args []string) error {
 		src = stinspector.FilterStream(src, func(e stinspector.Event) bool { return set[e.Call] })
 	}
 
-	if fold {
-		res, err := stinspector.AnalyzeStreamParallel(src, m, *ashards, !*lenient)
-		if err != nil {
-			return err
-		}
-		printFold(cmd, res, *format, *green)
-		return nil
-	}
-	if cmd == "snapshot" {
+	switch cmd {
+	case "snapshot":
 		opts := stinspector.CheckpointOptions{
 			Dir:    filepath.Dir(*out),
 			Name:   filepath.Base(*out),
@@ -280,55 +283,73 @@ func run(args []string) error {
 		fmt.Printf("wrote %s: %d cases, %d events, %d activities\n",
 			*out, res.Cases, res.Events, len(res.Stats.Activities()))
 		return nil
+	case "dist", "percase", "timeline":
+		d := stats.NewDetail(m)
+		if err := source.Walk(src, !*lenient, func(c *stinspector.Case) error {
+			d.Add(c)
+			return nil
+		}); err != nil {
+			return err
+		}
+		return printDetail(cmd, d, stinspector.Activity(*activity), *format)
 	}
 
-	// timeline, dist, percase and report need the event-log in memory.
-	in, err := stinspector.LoadStream(src, !*lenient)
+	// report fills its detail fold from the cases the sharded fold's
+	// reader takes, so the input is read once.
+	var d *stats.Detail
+	if cmd == "report" {
+		d = stats.NewDetail(m)
+		src = source.FilterCases(src, func(c *stinspector.Case) bool {
+			d.Add(c)
+			return true
+		})
+	}
+	res, err := stinspector.AnalyzeStreamParallel(src, m, *ashards, !*lenient)
 	if err != nil {
 		return err
 	}
-	in = in.WithMapping(m)
+	if cmd != "report" {
+		printFold(cmd, res, *format, *green)
+		return nil
+	}
+	opts := report.Options{Title: *title, Timeline: stinspector.Activity(*activity)}
+	if *green != "" {
+		opts.GreenCIDs = strings.Split(*green, ",")
+	}
+	if *format == "html" {
+		return report.GenerateHTML(os.Stdout, res, d, opts)
+	}
+	return report.Generate(os.Stdout, res, d, opts)
+}
+
+// printDetail renders a per-event view of activity a from the detail
+// fold.
+func printDetail(cmd string, d *stats.Detail, a stinspector.Activity, format string) error {
 	switch cmd {
 	case "dist":
-		d, ok := in.Distribution(stinspector.Activity(*activity))
+		dist, ok := d.Distribution(a)
 		if !ok {
-			return fmt.Errorf("no events map to activity %q", *activity)
+			return fmt.Errorf("no events map to activity %q", a)
 		}
-		fmt.Printf("activity:   %s\n", d.Activity)
-		fmt.Printf("events:     %d\n", d.Events)
-		fmt.Printf("min/p50:    %v / %v\n", d.Min, d.P50)
-		fmt.Printf("p95/p99:    %v / %v\n", d.P95, d.P99)
-		fmt.Printf("max/total:  %v / %v\n", d.Max, d.Total)
-		fmt.Printf("tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", d.TailShare)
-
+		fmt.Printf("activity:   %s\n", dist.Activity)
+		fmt.Printf("events:     %d\n", dist.Events)
+		fmt.Printf("min/p50:    %v / %v\n", dist.Min, dist.P50)
+		fmt.Printf("p95/p99:    %v / %v\n", dist.P95, dist.P99)
+		fmt.Printf("max/total:  %v / %v\n", dist.Max, dist.Total)
+		fmt.Printf("tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", dist.TailShare)
 	case "percase":
-		rows := in.PerCase(stinspector.Activity(*activity))
 		fmt.Printf("%-28s %8s %14s %14s\n", "CASE", "EVENTS", "TOTALDUR", "BYTES")
-		for _, r := range rows {
+		for _, r := range d.PerCase(a) {
 			fmt.Printf("%-28s %8d %14v %14d\n", r.Case, r.Events, r.TotalDur, r.Bytes)
 		}
-
 	case "timeline":
-		tl := in.Timeline(stinspector.Activity(*activity))
-		if *format == "svg" {
-			fmt.Print(stinspector.RenderTimelineSVG(tl, *activity))
+		tl := d.Timeline(a)
+		if format == "svg" {
+			fmt.Print(stinspector.RenderTimelineSVG(tl, string(a)))
 			return nil
 		}
 		fmt.Print(stinspector.RenderTimeline(tl))
 		fmt.Printf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
-
-	case "report":
-		opts := report.Options{Title: *title}
-		if *green != "" {
-			opts.GreenCIDs = strings.Split(*green, ",")
-		}
-		if *activity != "" {
-			opts.Timelines = []stinspector.Activity{stinspector.Activity(*activity)}
-		}
-		if *format == "html" {
-			return report.GenerateHTML(os.Stdout, in, opts)
-		}
-		return report.Generate(os.Stdout, in, opts)
 	}
 	return nil
 }

@@ -206,7 +206,7 @@ func TestRunCountFlagValidation(t *testing.T) {
 			t.Errorf("%s %s: error %q does not name the flag and bound", tc.flag, tc.value, err)
 		}
 	}
-	// The validation also guards the in-memory subcommands.
+	// The validation also guards the detail subcommands.
 	if err := run([]string{"percase", "-traces", dir, "-j", "-1"}); err == nil {
 		t.Errorf("percase with -j -1 succeeded, want usage error")
 	}
@@ -266,8 +266,11 @@ func TestRunUsageExitCodes(t *testing.T) {
 		{"dist without activity", []string{"dist", "-traces", dir}, 2},
 		{"compare without green", []string{"compare", "-traces", dir}, 2},
 		{"archive without output", []string{"archive", "-traces", dir}, 2},
+		{"merged snapshots with -filter", []string{"dfg", "-merge-snapshots", "p.sts", "-filter", "/usr/lib"}, 2},
+		{"merged snapshots with -calls", []string{"compare", "-merge-snapshots", "p.sts", "-green", "a", "-calls", "read"}, 2},
+		{"report from merged snapshots", []string{"report", "-merge-snapshots", "p.sts"}, 2},
 		{"runtime failure", []string{"dfg", "-traces", "/no/such/dir"}, 1},
-		{"runtime failure in memory", []string{"percase", "-traces", "/no/such/dir"}, 1},
+		{"runtime failure in the detail fold", []string{"percase", "-traces", "/no/such/dir"}, 1},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"stinspector"
+	"stinspector/internal/cliutil"
 )
 
 // captureStdout runs f with os.Stdout redirected and returns what it
@@ -173,13 +174,25 @@ func TestRunSnapshotErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"snapshot", "-traces", dir},                                   // missing -o
 		{"snapshot", "-o", sts},                                        // missing input
-		{"timeline", "-merge-snapshots", sts, "-activity", "x"},        // needs event-log
-		{"percase", "-merge-snapshots", sts},                           // needs event-log
+		{"timeline", "-merge-snapshots", sts, "-activity", "x"},        // no per-event data
+		{"percase", "-merge-snapshots", sts},                           // no per-event data
 		{"dfg", "-merge-snapshots", sts, "-traces", dir},               // conflicting input
 		{"dfg", "-merge-snapshots", filepath.Join(tmp, "missing.sts")}, // unreadable part
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+	// The filters apply when a snapshot is written; merging cannot
+	// apply them, so asking for it is a usage error, not a silently
+	// unfiltered graph.
+	for _, args := range [][]string{
+		{"dfg", "-merge-snapshots", sts, "-filter", "/usr/lib"},
+		{"stats", "-merge-snapshots", sts, "-calls", "read"},
+	} {
+		err := run(args)
+		if code := cliutil.Report(io.Discard, "test", err); code != 2 || !strings.Contains(err.Error(), "snapshot is written") {
+			t.Errorf("run(%v): exit %d (err %v), want 2 naming where the filters apply", args, code, err)
 		}
 	}
 	// A torn snapshot file is rejected, not silently merged.

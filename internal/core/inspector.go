@@ -39,7 +39,9 @@ import (
 // return derived inspectors, so several views of one log can coexist.
 // The first artifact query folds the log once; every query, from any
 // goroutine, reads that result, so the artifacts returned are shared
-// and read-only (no Merge into them, no AddNode or AddEdge). A derived
+// and read-only (no Merge into them, no AddNode or AddEdge). The first
+// detail query (Timeline, Distribution, PerCase) likewise folds the log
+// once into a stats.Detail that every detail query reads. A derived
 // inspector folds its own log afresh.
 type Inspector struct {
 	log     *trace.EventLog
@@ -47,12 +49,27 @@ type Inspector struct {
 
 	once sync.Once
 	res  *StreamResult
+
+	detailOnce sync.Once
+	det        *stats.Detail
 }
 
 // result runs the inspector's fold once and returns its artifacts.
 func (in *Inspector) result() *StreamResult {
 	in.once.Do(func() { in.res = foldLog(in.log, in.mapping) })
 	return in.res
+}
+
+// detail runs the inspector's detail fold once and returns it.
+func (in *Inspector) detail() *stats.Detail {
+	in.detailOnce.Do(func() {
+		d := stats.NewDetail(in.mapping)
+		for _, c := range in.log.Cases() {
+			d.Add(c)
+		}
+		in.det = d
+	})
+	return in.det
 }
 
 // FromEventLog wraps an existing event-log with the default mapping f̂
@@ -119,19 +136,19 @@ func (in *Inspector) Behavior() *behavior.Profile { return in.result().Behavior 
 
 // Timeline returns the Figure 5 interval data of one activity.
 func (in *Inspector) Timeline(a pm.Activity) []trace.Interval {
-	return stats.Timeline(in.log, in.mapping, a)
+	return in.detail().Timeline(a)
 }
 
 // Distribution returns the duration distribution of one activity,
 // separating bandwidth-bound from contention-bound behaviour.
 func (in *Inspector) Distribution(a pm.Activity) (stats.Distribution, bool) {
-	return stats.ComputeDistribution(in.log, in.mapping, a)
+	return in.detail().Distribution(a)
 }
 
 // PerCase returns the per-process contribution to an activity (all
 // activities when a is empty), slowest first — the straggler view.
 func (in *Inspector) PerCase(a pm.Activity) []stats.CaseSummary {
-	return stats.PerCase(in.log, in.mapping, a)
+	return in.detail().PerCase(a)
 }
 
 // RegroupByPID re-derives cases at process granularity (Section IV's

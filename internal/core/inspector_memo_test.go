@@ -58,6 +58,24 @@ func TestInspectorMemo(t *testing.T) {
 	}
 }
 
+// TestInspectorDetailMemo: the detail queries, however many and for
+// whichever activities, all read one detail fold — the mapping is
+// consulted once per event for it, beside the once of the DFG fold.
+func TestInspectorDetailMemo(t *testing.T) {
+	_, _, cx := lssim.Both(lssim.Config{})
+	var calls atomic.Int64
+	in := FromEventLog(cx).WithMapping(countingMapping(&calls))
+	for _, a := range in.Stats().Activities() {
+		in.Timeline(a)
+		in.Distribution(a)
+		in.PerCase(a)
+	}
+	in.PerCase("")
+	if n, want := calls.Load(), 2*int64(cx.NumEvents()); n != want {
+		t.Errorf("detail queries mapped %d events in all, want one fold and one detail fold of %d", n, cx.NumEvents())
+	}
+}
+
 // TestInspectorDerivedFoldsAfresh: a derived inspector does not share
 // its parent's result, even when the parent has already folded and the
 // derivation keeps the log or the mapping as it is.

@@ -126,7 +126,11 @@ func TestFig3MaxConcurrency(t *testing.T) {
 // of C_b form three rows of three bars with max-concurrency 2.
 func TestFig5Timeline(t *testing.T) {
 	_, cb, _ := Both(Config{})
-	tl := stats.Timeline(cb, pm.CallTopDirs{Depth: 2}, "read:/usr/lib")
+	d := stats.NewDetail(pm.CallTopDirs{Depth: 2})
+	for _, c := range cb.Cases() {
+		d.Add(c)
+	}
+	tl := d.Timeline("read:/usr/lib")
 	if len(tl) != 9 {
 		t.Fatalf("timeline intervals = %d, want 9", len(tl))
 	}

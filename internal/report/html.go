@@ -5,11 +5,10 @@ import (
 	"html/template"
 	"io"
 	"strings"
-	"time"
 
 	"stinspector/internal/core"
-	"stinspector/internal/dfg"
 	"stinspector/internal/render"
+	"stinspector/internal/stats"
 )
 
 // GenerateHTML writes a self-contained interactive-free HTML report — the
@@ -18,7 +17,7 @@ import (
 // breakdown, SVG timelines, and the DFG as a Mermaid diagram (rendered by
 // any Mermaid-enabled viewer; the raw structure remains readable as
 // text).
-func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
+func GenerateHTML(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
 	if opts.TopActivities <= 0 {
 		opts.TopActivities = 12
 	}
@@ -30,7 +29,7 @@ func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
 		title = "I/O inspection report"
 	}
 
-	st := in.Stats()
+	st := res.Stats
 	type actRow struct {
 		Activity string
 		Load     string
@@ -39,7 +38,7 @@ func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
 		P50, P99 string
 		Tail     string
 	}
-	shown, _ := hotActivities(in, st, opts.TopActivities)
+	shown, _ := hotActivities(d, st, opts.TopActivities)
 	acts := make([]actRow, len(shown))
 	for i, r := range shown {
 		acts[i] = actRow{
@@ -64,7 +63,7 @@ func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
 		Bytes  string
 	}
 	var cases []caseRow
-	for i, c := range in.PerCase("") {
+	for i, c := range d.PerCase("") {
 		if i >= opts.TopCases {
 			break
 		}
@@ -76,42 +75,33 @@ func GenerateHTML(w io.Writer, in *core.Inspector, opts Options) error {
 		})
 	}
 
-	var full *dfg.Graph
-	var part *dfg.Partition
 	partNote := ""
-	if len(opts.GreenCIDs) > 0 {
-		full, part = in.PartitionByCID(opts.GreenCIDs...)
+	var styler render.Styler = render.StatisticsColoring{Stats: st}
+	if part := partition(res, opts.GreenCIDs); part != nil {
 		gn, rn, sn := part.CountNodes()
 		partNote = fmt.Sprintf("partition: green = {%s}; %d green / %d red / %d shared nodes",
 			strings.Join(opts.GreenCIDs, ","), gn, rn, sn)
-	} else {
-		full = in.DFG()
-	}
-	var styler render.Styler = render.StatisticsColoring{Stats: st}
-	if part != nil {
 		styler = render.PartitionColoring{Partition: part}
 	}
-	mermaid := render.RenderMermaid(full, st, styler)
+	mermaid := render.RenderMermaid(res.DFG, st, styler)
 
-	var timelines []template.HTML
-	for _, a := range opts.Timelines {
-		timelines = append(timelines,
-			template.HTML(render.RenderTimelineSVG(in.Timeline(a), string(a)))) // #nosec G203 -- RenderTimelineSVG escapes all labels
+	var timeline template.HTML
+	if a := opts.Timeline; a != "" {
+		timeline = template.HTML(render.RenderTimelineSVG(d.Timeline(a), string(a))) // #nosec G203 -- RenderTimelineSVG escapes all labels
 	}
 
-	el := in.EventLog()
 	data := map[string]any{
 		"Title":      title,
-		"Cases":      el.NumCases(),
-		"Events":     el.NumEvents(),
-		"Calls":      strings.Join(el.CallNames(), ", "),
-		"Bytes":      render.FormatBytes(el.TotalBytes()),
-		"IOTime":     render.FormatDuration(time.Duration(el.TotalDur())),
+		"Cases":      d.NumCases(),
+		"Events":     d.NumEvents(),
+		"Calls":      strings.Join(d.CallNames(), ", "),
+		"Bytes":      render.FormatBytes(d.TotalBytes()),
+		"IOTime":     render.FormatDuration(d.TotalDur()),
 		"Activities": acts,
 		"CaseRows":   cases,
 		"Mermaid":    mermaid,
 		"PartNote":   partNote,
-		"Timelines":  timelines,
+		"Timeline":   timeline,
 	}
 	return htmlTmpl.Execute(w, data)
 }
@@ -159,7 +149,7 @@ pre.mermaid { background: #fafafa; border: 1px solid #eeeeee; padding: 1em; over
 <pre class="mermaid">
 {{.Mermaid}}</pre>
 
-{{range .Timelines}}
+{{with .Timeline}}
 <h2>Timeline</h2>
 {{.}}
 {{end}}

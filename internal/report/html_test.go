@@ -9,15 +9,15 @@ import (
 
 	"stinspector/internal/core"
 	"stinspector/internal/pm"
+	"stinspector/internal/stats"
 	"stinspector/internal/synth"
 	"stinspector/internal/trace"
 )
 
-// hostileInspector builds an inspector whose attacker-reachable strings
-// — file paths (which become activity names) and case identities —
-// carry HTML/JS payloads.
-func hostileInspector(t *testing.T) *core.Inspector {
-	t.Helper()
+// hostileLog builds a log whose attacker-reachable strings — file paths
+// (which become activity names) and case identities — carry HTML/JS
+// payloads.
+func hostileLog() *trace.EventLog {
 	evil := `/data/<script>alert(1)</script>/x.bin`
 	c1 := trace.NewCase(trace.CaseID{CID: `a"><img src=x onerror=alert(2)>`, Host: "h<b>", RID: 1}, []trace.Event{
 		{PID: 1, Call: "read", Start: 0, Dur: 5 * time.Microsecond, FP: evil, Size: 64},
@@ -26,7 +26,7 @@ func hostileInspector(t *testing.T) *core.Inspector {
 	c2 := trace.NewCase(trace.CaseID{CID: "b&amp", Host: "h", RID: 2}, []trace.Event{
 		{PID: 2, Call: "read", Start: 0, Dur: 7 * time.Microsecond, FP: evil, Size: 16},
 	})
-	return core.FromEventLog(trace.MustNewEventLog(c1, c2))
+	return trace.MustNewEventLog(c1, c2)
 }
 
 // TestGenerateHTMLEscaping: no payload may reach the document
@@ -35,11 +35,11 @@ func hostileInspector(t *testing.T) *core.Inspector {
 // template.HTML injection point, which relies on the SVG renderer's own
 // escaping).
 func TestGenerateHTMLEscapingHostileData(t *testing.T) {
-	in := hostileInspector(t)
+	res, d := analyze(t, hostileLog(), pm.CallTopDirs{Depth: 2})
 	var b strings.Builder
-	err := GenerateHTML(&b, in, Options{
-		Title:     `Report <script>alert(0)</script> & more`,
-		Timelines: []pm.Activity{`read:/data/<script>alert(1)</script>`},
+	err := GenerateHTML(&b, res, d, Options{
+		Title:    `Report <script>alert(0)</script> & more`,
+		Timeline: `read:/data/<script>alert(1)</script>`,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +73,9 @@ func TestGenerateHTMLEscapingHostileData(t *testing.T) {
 // zero cases renders a complete, well-formed document instead of
 // failing.
 func TestGenerateHTMLEmptyLog(t *testing.T) {
-	in := core.FromEventLog(trace.MustNewEventLog())
+	res, d := analyze(t, trace.MustNewEventLog(), pm.CallTopDirs{Depth: 2})
 	var b strings.Builder
-	if err := GenerateHTML(&b, in, Options{}); err != nil {
+	if err := GenerateHTML(&b, res, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -95,9 +95,9 @@ func TestGenerateHTMLEmptyLog(t *testing.T) {
 // TestGenerateTextEmptyLog: the text report over zero cases must also
 // succeed and carry the overview section.
 func TestGenerateTextEmptyLog(t *testing.T) {
-	in := core.FromEventLog(trace.MustNewEventLog())
+	res, d := analyze(t, trace.MustNewEventLog(), pm.CallTopDirs{Depth: 2})
 	var b strings.Builder
-	if err := Generate(&b, in, Options{Title: "empty"}); err != nil {
+	if err := Generate(&b, res, d, Options{Title: "empty"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"empty", "cases:        0"} {
@@ -107,11 +107,12 @@ func TestGenerateTextEmptyLog(t *testing.T) {
 	}
 }
 
-// TestReportMappingCallsBounded: both renderers consult the mapping once
-// per event for the fold, once for the per-process breakdown and once
-// for each hot activity shown — never once per activity of the log.
-// Over a log where every event is its own activity, a per-activity
-// distribution scan costs activities × events mapping calls.
+// TestReportMappingCallsBounded: a report consults the mapping once per
+// event for the fold and once for the detail fold of the same pass,
+// and never again while rendering — not per hot activity, not per
+// activity of the log. Over a log where every event is its own
+// activity, a per-activity scan would cost activities × events mapping
+// calls.
 func TestReportMappingCallsBounded(t *testing.T) {
 	el := synth.WideLog("wide", 4, 50, 1)
 	var calls atomic.Int64
@@ -121,18 +122,18 @@ func TestReportMappingCallsBounded(t *testing.T) {
 	})
 	for _, tc := range []struct {
 		name string
-		gen  func(io.Writer, *core.Inspector, Options) error
-		top  int
+		gen  func(io.Writer, *core.StreamResult, *stats.Detail, Options) error
 	}{
-		{"text", Generate, 8},
-		{"html", GenerateHTML, 12},
+		{"text", Generate},
+		{"html", GenerateHTML},
 	} {
 		calls.Store(0)
-		in := core.FromEventLog(el).WithMapping(m)
-		if err := tc.gen(io.Discard, in, Options{}); err != nil {
+		res, d := analyze(t, el, m)
+		first := el.Cases()[0].Events[0]
+		if err := tc.gen(io.Discard, res, d, Options{Timeline: pm.Activity(first.Call + ":" + first.FP)}); err != nil {
 			t.Fatal(err)
 		}
-		limit := int64(tc.top+2) * int64(el.NumEvents())
+		limit := 2 * int64(el.NumEvents())
 		if got := calls.Load(); got > limit {
 			t.Errorf("%s report: %d mapping calls over %d events, want at most %d", tc.name, got, el.NumEvents(), limit)
 		}

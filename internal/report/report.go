@@ -3,21 +3,24 @@
 // reports mentioned in the paper's related work (Section II): an overview
 // of the event-log, the DFG with statistics, the per-activity hot spots
 // with duration distributions, the straggler processes, and — when a
-// partition is given — the configuration comparison.
+// partition is given — the configuration comparison. A report reads one
+// pass over the cases: the analysis fold's StreamResult and the
+// stats.Detail filled from the same cases.
 package report
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"stinspector/internal/core"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
 	"stinspector/internal/render"
 	"stinspector/internal/stats"
+	"stinspector/internal/trace"
 )
 
 // Options configures report generation.
@@ -31,12 +34,13 @@ type Options struct {
 	// GreenCIDs, when non-empty, adds the partition-comparison section
 	// with the given command ids as the green subset.
 	GreenCIDs []string
-	// Timelines adds an ASCII timeline for each listed activity.
-	Timelines []pm.Activity
+	// Timeline, when set, adds the timeline of that activity.
+	Timeline pm.Activity
 }
 
-// Generate writes the report for an inspector's event-log and mapping.
-func Generate(w io.Writer, in *core.Inspector, opts Options) error {
+// Generate writes the report for a fold's artifacts and the detail fold
+// of the same cases under the same mapping.
+func Generate(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
 	if opts.TopActivities <= 0 {
 		opts.TopActivities = 8
 	}
@@ -53,19 +57,18 @@ func Generate(w io.Writer, in *core.Inspector, opts Options) error {
 	fmt.Fprintf(&b, "%s\n%s\n\n", title, rule)
 
 	// 1. Overview.
-	el := in.EventLog()
 	fmt.Fprintf(&b, "Overview\n--------\n")
-	fmt.Fprintf(&b, "cases:        %d\n", el.NumCases())
-	fmt.Fprintf(&b, "events:       %d\n", el.NumEvents())
-	fmt.Fprintf(&b, "calls:        %s\n", strings.Join(el.CallNames(), ", "))
-	fmt.Fprintf(&b, "bytes moved:  %s\n", render.FormatBytes(el.TotalBytes()))
+	fmt.Fprintf(&b, "cases:        %d\n", d.NumCases())
+	fmt.Fprintf(&b, "events:       %d\n", d.NumEvents())
+	fmt.Fprintf(&b, "calls:        %s\n", strings.Join(d.CallNames(), ", "))
+	fmt.Fprintf(&b, "bytes moved:  %s\n", render.FormatBytes(d.TotalBytes()))
 	fmt.Fprintf(&b, "I/O time:     %s (sum over all system calls)\n\n",
-		render.FormatDuration(time.Duration(el.TotalDur())))
+		render.FormatDuration(d.TotalDur()))
 
 	// 2. Hot activities.
-	st := in.Stats()
+	st := res.Stats
 	fmt.Fprintf(&b, "Hot activities (by relative duration)\n-------------------------------------\n")
-	shown, total := hotActivities(in, st, opts.TopActivities)
+	shown, total := hotActivities(d, st, opts.TopActivities)
 	for _, r := range shown {
 		fmt.Fprintf(&b, "%-44s %s", r.a, render.FormatLoad(r.st.RelDur, r.st.Bytes, r.st.HasBytes))
 		if r.st.HasBytes {
@@ -84,7 +87,7 @@ func Generate(w io.Writer, in *core.Inspector, opts Options) error {
 
 	// 3. Stragglers.
 	fmt.Fprintf(&b, "Slowest processes\n-----------------\n")
-	per := in.PerCase("")
+	per := d.PerCase("")
 	if len(per) > opts.TopCases {
 		per = per[:opts.TopCases]
 	}
@@ -96,24 +99,20 @@ func Generate(w io.Writer, in *core.Inspector, opts Options) error {
 
 	// 4. The DFG.
 	fmt.Fprintf(&b, "Directly-Follows-Graph\n----------------------\n")
-	var part *dfg.Partition
-	var full *dfg.Graph
-	if len(opts.GreenCIDs) > 0 {
-		full, part = in.PartitionByCID(opts.GreenCIDs...)
+	part := partition(res, opts.GreenCIDs)
+	if part != nil {
 		gn, rn, sn := part.CountNodes()
 		fmt.Fprintf(&b, "partition: green = {%s}: %d green / %d red / %d shared nodes\n\n",
 			strings.Join(opts.GreenCIDs, ","), gn, rn, sn)
-	} else {
-		full = in.DFG()
 	}
-	b.WriteString(render.RenderText(full, st, part))
+	b.WriteString(render.RenderText(res.DFG, st, part))
 	b.WriteByte('\n')
 
-	// 5. Optional timelines.
-	for _, a := range opts.Timelines {
+	// 5. Optional timeline.
+	if a := opts.Timeline; a != "" {
 		fmt.Fprintf(&b, "Timeline of %s\n", a)
 		fmt.Fprintf(&b, "%s\n", strings.Repeat("-", len("Timeline of ")+len(a)))
-		b.WriteString(render.RenderTimeline(in.Timeline(a)))
+		b.WriteString(render.RenderTimeline(d.Timeline(a)))
 		b.WriteByte('\n')
 	}
 
@@ -130,11 +129,21 @@ type hotRow struct {
 	hasDist bool
 }
 
+// partition classifies the fold's DFG by the green CIDs against the
+// rest (Equation 18), splitting the folded activity-log; it is nil
+// without green CIDs.
+func partition(res *core.StreamResult, green []string) *dfg.Partition {
+	if len(green) == 0 {
+		return nil
+	}
+	g, r := dfg.Split(res.ActivityLog, func(id trace.CaseID) bool { return slices.Contains(green, id.CID) })
+	return dfg.Classify(res.DFG, g, r)
+}
+
 // hotActivities ranks the activities by relative duration (ties by
-// name), keeps the top n and returns them with the number ranked. Each
-// distribution is a scan of the whole event-log, so only the rows kept
-// get one.
-func hotActivities(in *core.Inspector, st *stats.Stats, n int) ([]hotRow, int) {
+// name), keeps the top n and returns them, each with its duration
+// distribution, and the number ranked.
+func hotActivities(d *stats.Detail, st *stats.Stats, n int) ([]hotRow, int) {
 	acts := st.Activities()
 	rows := make([]hotRow, len(acts))
 	for i, a := range acts {
@@ -148,7 +157,7 @@ func hotActivities(in *core.Inspector, st *stats.Stats, n int) ([]hotRow, int) {
 	})
 	shown := rows[:min(n, len(rows))]
 	for i := range shown {
-		shown[i].dist, shown[i].hasDist = in.Distribution(shown[i].a)
+		shown[i].dist, shown[i].hasDist = d.Distribution(shown[i].a)
 	}
 	return shown, len(rows)
 }

@@ -7,16 +7,38 @@ import (
 	"stinspector/internal/core"
 	"stinspector/internal/lssim"
 	"stinspector/internal/pm"
+	"stinspector/internal/source"
+	"stinspector/internal/stats"
+	"stinspector/internal/trace"
 )
 
-func demoInspector() *core.Inspector {
+// analyze runs the one pass a report reads, the way stinspect does: the
+// analysis fold over the log's cases, with every case also added to the
+// detail fold as the fold reads it.
+func analyze(t *testing.T, el *trace.EventLog, m pm.Mapping) (*core.StreamResult, *stats.Detail) {
+	t.Helper()
+	d := stats.NewDetail(m)
+	src := source.FilterCases(source.FromLog(el), func(c *trace.Case) bool {
+		d.Add(c)
+		return true
+	})
+	res, err := core.AnalyzeStream(src, m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, d
+}
+
+// demo is the report input of the ls / ls -l demo under f̂.
+func demo(t *testing.T) (*core.StreamResult, *stats.Detail) {
 	_, _, cx := lssim.Both(lssim.Config{})
-	return core.FromEventLog(cx)
+	return analyze(t, cx, pm.CallTopDirs{Depth: 2})
 }
 
 func TestGenerateBasic(t *testing.T) {
+	res, d := demo(t)
 	var b strings.Builder
-	if err := Generate(&b, demoInspector(), Options{Title: "ls vs ls -l"}); err != nil {
+	if err := Generate(&b, res, d, Options{Title: "ls vs ls -l"}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -46,10 +68,11 @@ func TestGenerateBasic(t *testing.T) {
 }
 
 func TestGenerateWithPartitionAndTimelines(t *testing.T) {
+	res, d := demo(t)
 	var b strings.Builder
-	err := Generate(&b, demoInspector(), Options{
+	err := Generate(&b, res, d, Options{
 		GreenCIDs: []string{"a"},
-		Timelines: []pm.Activity{"read:/usr/lib"},
+		Timeline:  "read:/usr/lib",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +92,9 @@ func TestGenerateWithPartitionAndTimelines(t *testing.T) {
 }
 
 func TestGenerateTruncation(t *testing.T) {
+	res, d := demo(t)
 	var b strings.Builder
-	if err := Generate(&b, demoInspector(), Options{TopActivities: 2, TopCases: 3}); err != nil {
+	if err := Generate(&b, res, d, Options{TopActivities: 2, TopCases: 3}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -87,11 +111,11 @@ func TestGenerateTruncation(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	var a, b strings.Builder
-	in := demoInspector()
-	if err := Generate(&a, in, Options{}); err != nil {
+	res, d := demo(t)
+	if err := Generate(&a, res, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Generate(&b, in, Options{}); err != nil {
+	if err := Generate(&b, res, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -100,11 +124,12 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateHTML(t *testing.T) {
+	res, d := demo(t)
 	var b strings.Builder
-	err := GenerateHTML(&b, demoInspector(), Options{
+	err := GenerateHTML(&b, res, d, Options{
 		Title:     "html demo",
 		GreenCIDs: []string{"a"},
-		Timelines: []pm.Activity{"read:/usr/lib"},
+		Timeline:  "read:/usr/lib",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +157,9 @@ func TestGenerateHTML(t *testing.T) {
 }
 
 func TestGenerateHTMLEscaping(t *testing.T) {
+	res, d := demo(t)
 	var b strings.Builder
-	if err := GenerateHTML(&b, demoInspector(), Options{Title: `<script>alert(1)</script>`}); err != nil {
+	if err := GenerateHTML(&b, res, d, Options{Title: `<script>alert(1)</script>`}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "<script>alert") {

@@ -4,9 +4,147 @@ import (
 	"sort"
 	"time"
 
+	"stinspector/internal/intern"
 	"stinspector/internal/pm"
 	"stinspector/internal/trace"
 )
+
+// Detail is the per-case detail fold behind the views the DFG and
+// statistics fold drops: the Figure 5 timeline t_f(a, C) of Equation
+// (15), the duration distribution and the per-process straggler table.
+// Add maps each case once through a pm.SymMapper and keeps, for every
+// activity, each event's interval with the index of its case plus the
+// per-(case, activity) totals; it also totals every event, mapped or
+// not, for a report's overview. Cases must be added in CaseID order —
+// the order of an event-log and of every source — so that the queries
+// see the event-log's order. Queries do not modify the Detail and may
+// run concurrently once every case is added.
+type Detail struct {
+	sm    *pm.SymMapper
+	syms  []intern.Sym // per-case mapping scratch, reused
+	cases []trace.CaseID
+	acts  []actDetail // indexed by activity symbol
+	calls map[string]struct{}
+
+	events int
+	bytes  int64
+	dur    time.Duration
+}
+
+// actDetail is what Detail keeps of one activity: its events' intervals
+// and its per-case totals, both in the order the cases were added.
+type actDetail struct {
+	spans []caseSpan
+	sums  []caseSum
+}
+
+// caseSpan is one event's interval, unclamped, with the index of its
+// case in Detail.cases.
+type caseSpan struct {
+	span
+	cas int32
+}
+
+type caseSum struct {
+	cas    int32
+	events int
+	dur    time.Duration
+	bytes  int64
+}
+
+// NewDetail returns an empty detail fold under mapping m.
+func NewDetail(m pm.Mapping) *Detail {
+	return &Detail{sm: pm.NewSymMapper(m), calls: make(map[string]struct{})}
+}
+
+// Add folds one case.
+func (d *Detail) Add(c *trace.Case) {
+	ci := int32(len(d.cases))
+	d.cases = append(d.cases, c.ID)
+	d.syms = d.sm.MapCase(c, d.syms[:0])
+	for i := range c.Events {
+		e := &c.Events[i]
+		d.events++
+		d.dur += e.Dur
+		if e.HasSize() {
+			d.bytes += e.Size
+		}
+		if _, ok := d.calls[e.Call]; !ok {
+			d.calls[e.Call] = struct{}{}
+		}
+		a := d.syms[i]
+		if a == pm.NoActivity {
+			continue
+		}
+		for int(a) >= len(d.acts) {
+			d.acts = append(d.acts, actDetail{})
+		}
+		ad := &d.acts[a]
+		ad.spans = append(ad.spans, caseSpan{span{start: e.Start, end: e.Start + e.Dur}, ci})
+		if n := len(ad.sums); n == 0 || ad.sums[n-1].cas != ci {
+			ad.sums = append(ad.sums, caseSum{cas: ci})
+		}
+		cs := &ad.sums[len(ad.sums)-1]
+		cs.events++
+		cs.dur += e.Dur
+		if e.HasSize() {
+			cs.bytes += e.Size
+		}
+	}
+}
+
+// NumCases is the number of cases added.
+func (d *Detail) NumCases() int { return len(d.cases) }
+
+// NumEvents is the number of events added, mapped or not.
+func (d *Detail) NumEvents() int { return d.events }
+
+// CallNames returns the sorted set of system calls of every event added.
+func (d *Detail) CallNames() []string {
+	out := make([]string, 0, len(d.calls))
+	for c := range d.calls {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TotalBytes is the sum of Size over every event added that carries one.
+func (d *Detail) TotalBytes() int64 { return d.bytes }
+
+// TotalDur is the sum of Dur over every event added.
+func (d *Detail) TotalDur() time.Duration { return d.dur }
+
+// activity returns what d keeps of activity a, or nil when no event
+// maps to it.
+func (d *Detail) activity(a pm.Activity) *actDetail {
+	s, ok := d.sm.Acts().Sym(string(a))
+	if !ok || int(s) >= len(d.acts) {
+		return nil
+	}
+	return &d.acts[s]
+}
+
+// Timeline returns t_f(a, C) of Equation (15): the intervals of every
+// event of the activity, ordered by start time, with their case
+// identities. This is the data behind the timeline plot of Figure 5.
+func (d *Detail) Timeline(a pm.Activity) []trace.Interval {
+	ad := d.activity(a)
+	if ad == nil {
+		return nil
+	}
+	out := make([]trace.Interval, len(ad.spans))
+	for i, s := range ad.spans {
+		out[i] = trace.Interval{Start: s.start, End: s.end, Case: d.cases[s.cas]}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].Case.Less(out[j].Case)
+	})
+	return out
+}
 
 // Distribution summarizes the duration distribution of one activity's
 // events. The paper's Load annotation is a sum; the distribution view
@@ -28,24 +166,23 @@ type Distribution struct {
 	TailShare float64
 }
 
-// ComputeDistribution derives the duration distribution of one activity.
-// The second return value is false when no event maps to the activity.
-func ComputeDistribution(el *trace.EventLog, m pm.Mapping, a pm.Activity) (Distribution, bool) {
-	var durs []time.Duration
-	el.Events(func(e trace.Event) {
-		if got, ok := m.Map(e); ok && got == a {
-			durs = append(durs, e.Dur)
-		}
-	})
-	if len(durs) == 0 {
+// Distribution derives the duration distribution of one activity. The
+// second return value is false when no event maps to the activity.
+func (d *Detail) Distribution(a pm.Activity) (Distribution, bool) {
+	ad := d.activity(a)
+	if ad == nil || len(ad.spans) == 0 {
 		return Distribution{}, false
+	}
+	durs := make([]time.Duration, len(ad.spans))
+	for i, s := range ad.spans {
+		durs[i] = s.end - s.start
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	var total time.Duration
-	for _, d := range durs {
-		total += d
+	for _, dd := range durs {
+		total += dd
 	}
-	d := Distribution{
+	dist := Distribution{
 		Activity: a,
 		Events:   len(durs),
 		Min:      durs[0],
@@ -61,9 +198,9 @@ func ComputeDistribution(el *trace.EventLog, m pm.Mapping, a pm.Activity) (Distr
 		tail += dd
 	}
 	if total > 0 {
-		d.TailShare = float64(tail) / float64(total)
+		dist.TailShare = float64(tail) / float64(total)
 	}
-	return d, true
+	return dist, true
 }
 
 // quantile returns the q-quantile of sorted durations (nearest-rank).
@@ -94,23 +231,32 @@ type CaseSummary struct {
 // activities when a is empty), sorted by descending total duration, so
 // the slowest process — the straggler the paper's timeline plot is used
 // to find — comes first.
-func PerCase(el *trace.EventLog, m pm.Mapping, a pm.Activity) []CaseSummary {
+func (d *Detail) PerCase(a pm.Activity) []CaseSummary {
+	var sums []caseSum
+	if a != "" {
+		if ad := d.activity(a); ad != nil {
+			sums = ad.sums
+		}
+	} else {
+		all := make([]caseSum, len(d.cases))
+		for _, ad := range d.acts {
+			for _, cs := range ad.sums {
+				t := &all[cs.cas]
+				t.events += cs.events
+				t.dur += cs.dur
+				t.bytes += cs.bytes
+			}
+		}
+		for i := range all {
+			all[i].cas = int32(i)
+			if all[i].events > 0 {
+				sums = append(sums, all[i])
+			}
+		}
+	}
 	var out []CaseSummary
-	for _, c := range el.Cases() {
-		cs := CaseSummary{Case: c.ID}
-		for _, e := range c.Events {
-			if got, ok := m.Map(e); !ok || (a != "" && got != a) {
-				continue
-			}
-			cs.Events++
-			cs.TotalDur += e.Dur
-			if e.HasSize() {
-				cs.Bytes += e.Size
-			}
-		}
-		if cs.Events > 0 {
-			out = append(out, cs)
-		}
+	for _, cs := range sums {
+		out = append(out, CaseSummary{Case: d.cases[cs.cas], Events: cs.events, TotalDur: cs.dur, Bytes: cs.bytes})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].TotalDur != out[j].TotalDur {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"stinspector/internal/pm"
 	"stinspector/internal/trace"
 )
 
@@ -26,9 +27,18 @@ func distLog(t *testing.T) *trace.EventLog {
 	return trace.MustNewEventLog(trace.NewCase(trace.CaseID{CID: "d", Host: "h", RID: 1}, evs))
 }
 
+// detailOf folds an event-log's cases into a Detail under m.
+func detailOf(el *trace.EventLog, m pm.Mapping) *Detail {
+	d := NewDetail(m)
+	for _, c := range el.Cases() {
+		d.Add(c)
+	}
+	return d
+}
+
 func TestComputeDistribution(t *testing.T) {
-	el := distLog(t)
-	d, ok := ComputeDistribution(el, callMapping(), "read")
+	det := detailOf(distLog(t), callMapping())
+	d, ok := det.Distribution("read")
 	if !ok {
 		t.Fatalf("no distribution")
 	}
@@ -48,7 +58,7 @@ func TestComputeDistribution(t *testing.T) {
 	if d.TailShare < 0.8 || d.TailShare > 0.9 {
 		t.Errorf("tail share = %v", d.TailShare)
 	}
-	if _, ok := ComputeDistribution(el, callMapping(), "absent"); ok {
+	if _, ok := det.Distribution("absent"); ok {
 		t.Errorf("absent activity produced a distribution")
 	}
 }
@@ -63,8 +73,9 @@ func TestPerCase(t *testing.T) {
 			{Call: "read", FP: "/f", Start: 0, Dur: 50 * time.Millisecond, Size: 100},
 		},
 	})
+	det := detailOf(el, callMapping())
 	// Per-activity view.
-	per := PerCase(el, callMapping(), "read")
+	per := det.PerCase("read")
 	if len(per) != 2 {
 		t.Fatalf("per = %v", per)
 	}
@@ -76,8 +87,31 @@ func TestPerCase(t *testing.T) {
 		t.Errorf("per[1] = %+v", per[1])
 	}
 	// Whole-log view.
-	all := PerCase(el, callMapping(), "")
+	all := det.PerCase("")
 	if len(all) != 2 || all[1].Case.RID != 1 || all[1].Events != 2 {
 		t.Errorf("all = %+v", all)
+	}
+}
+
+// TestDetailTotals: the overview totals count every event, mapped or
+// not, and every case, empty or not.
+func TestDetailTotals(t *testing.T) {
+	el := mkLog(t, map[int][]trace.Event{
+		1: {
+			{Call: "read", FP: "/f", Start: 0, Dur: 10 * time.Millisecond, Size: 100},
+			{Call: "lseek", FP: "/f", Start: time.Second, Dur: time.Millisecond, Size: trace.SizeUnknown},
+		},
+		2: {},
+	})
+	readOnly := pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) { return "read", e.Call == "read" })
+	d := detailOf(el, readOnly)
+	if d.NumCases() != 2 || d.NumEvents() != 2 || d.TotalBytes() != 100 || d.TotalDur() != 11*time.Millisecond {
+		t.Errorf("totals = %d cases, %d events, %d bytes, %v", d.NumCases(), d.NumEvents(), d.TotalBytes(), d.TotalDur())
+	}
+	if got := d.CallNames(); len(got) != 2 || got[0] != "lseek" || got[1] != "read" {
+		t.Errorf("calls = %v", got)
+	}
+	if got := d.PerCase(""); len(got) != 1 || got[0].Events != 1 {
+		t.Errorf("per case = %+v, want the one mapped event", got)
 	}
 }

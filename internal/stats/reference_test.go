@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -257,6 +258,120 @@ func TestBruteMaxConc(t *testing.T) {
 	} {
 		if got := bruteMaxConc(tc.starts, tc.ends); got != tc.want {
 			t.Errorf("%s: mc = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// naiveTimeline is t_f(a, C) as a scan of the event-log: every event
+// of the activity, case by case, sorted by start and then case.
+func naiveTimeline(el *trace.EventLog, m pm.Mapping, a pm.Activity) []trace.Interval {
+	var out []trace.Interval
+	for _, c := range el.Cases() {
+		for _, e := range c.Events {
+			if got, ok := m.Map(e); ok && got == a {
+				out = append(out, e.Interval(c.ID))
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].Case.Less(out[j].Case)
+	})
+	return out
+}
+
+// naivePerCase is the straggler table as a scan of the event-log.
+func naivePerCase(el *trace.EventLog, m pm.Mapping, a pm.Activity) []stats.CaseSummary {
+	var out []stats.CaseSummary
+	for _, c := range el.Cases() {
+		cs := stats.CaseSummary{Case: c.ID}
+		for _, e := range c.Events {
+			if got, ok := m.Map(e); !ok || (a != "" && got != a) {
+				continue
+			}
+			cs.Events++
+			cs.TotalDur += e.Dur
+			if e.Size >= 0 {
+				cs.Bytes += e.Size
+			}
+		}
+		if cs.Events > 0 {
+			out = append(out, cs)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].TotalDur != out[j].TotalDur {
+			return out[i].TotalDur > out[j].TotalDur
+		}
+		return out[i].Case.Less(out[j].Case)
+	})
+	return out
+}
+
+// TestDetailMatchesNaiveScans checks the detail fold's timeline,
+// duration distribution and straggler table of every activity against
+// scans of the event-log, over every generator profile and the
+// edge-case log (equal starts within a case, negative and zero
+// durations), under a total and a partial mapping.
+func TestDetailMatchesNaiveScans(t *testing.T) {
+	logs := []*trace.EventLog{edgeLog()}
+	for i, p := range profiles.All() {
+		logs = append(logs, p.Generate("ref", 12, 40, int64(40+i)))
+	}
+	mappings := []pm.Mapping{
+		pm.CallTopDirs{Depth: 2},
+		pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) {
+			if e.Call != "read" && e.Call != "write" {
+				return "", false
+			}
+			return pm.CallTopDirs{Depth: 1}.Map(e)
+		}),
+	}
+	for li, el := range logs {
+		for mi, m := range mappings {
+			d := stats.NewDetail(m)
+			for _, c := range el.Cases() {
+				d.Add(c)
+			}
+			acts := []pm.Activity{"", "no:such"}
+			for _, c := range el.Cases() {
+				for _, e := range c.Events {
+					if a, ok := m.Map(e); ok && !slices.Contains(acts, a) {
+						acts = append(acts, a)
+					}
+				}
+			}
+			for _, a := range acts {
+				name := fmt.Sprintf("log %d/mapping %d/%q", li, mi, a)
+				if got, want := d.Timeline(a), naiveTimeline(el, m, a); !slices.Equal(got, want) {
+					t.Errorf("%s: timeline = %v, want %v", name, got, want)
+				}
+				if got, want := d.PerCase(a), naivePerCase(el, m, a); !slices.Equal(got, want) {
+					t.Errorf("%s: per case = %v, want %v", name, got, want)
+				}
+				var durs []time.Duration
+				for _, iv := range naiveTimeline(el, m, a) {
+					durs = append(durs, iv.Len())
+				}
+				slices.Sort(durs)
+				dist, ok := d.Distribution(a)
+				if ok != (len(durs) > 0) {
+					t.Fatalf("%s: distribution ok = %v over %d events", name, ok, len(durs))
+				}
+				if !ok {
+					continue
+				}
+				var total time.Duration
+				for _, x := range durs {
+					total += x
+				}
+				if dist.Events != len(durs) || dist.Min != durs[0] || dist.Max != durs[len(durs)-1] ||
+					dist.Total != total || dist.P50 != durs[(len(durs)-1)/2] {
+					t.Errorf("%s: distribution = %+v over sorted durations %v", name, dist, durs)
+				}
+			}
 		}
 	}
 }

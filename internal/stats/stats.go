@@ -473,24 +473,3 @@ func (h *endHeap) pop() {
 		i = small
 	}
 }
-
-// Timeline returns t_f(a, C) of Equation (15): the intervals of every
-// event of the activity, ordered by start time, with their case
-// identities. This is the data behind the timeline plot of Figure 5.
-func Timeline(el *trace.EventLog, m pm.Mapping, a pm.Activity) []trace.Interval {
-	var out []trace.Interval
-	for _, c := range el.Cases() {
-		for _, e := range c.Events {
-			if got, ok := m.Map(e); ok && got == a {
-				out = append(out, e.Interval(c.ID))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Case.Less(out[j].Case)
-	})
-	return out
-}

@@ -293,7 +293,8 @@ func TestTimeline(t *testing.T) {
 			{Call: "write", FP: "/dev/pts/1", Start: 3 * time.Millisecond, Dur: time.Millisecond, Size: 1},
 		},
 	})
-	tl := Timeline(el, pm.CallTopDirs{Depth: 2}, "read:/usr/lib")
+	d := detailOf(el, pm.CallTopDirs{Depth: 2})
+	tl := d.Timeline("read:/usr/lib")
 	if len(tl) != 2 {
 		t.Fatalf("timeline = %v", tl)
 	}
@@ -303,7 +304,7 @@ func TestTimeline(t *testing.T) {
 	if tl[1].Start != 5*time.Millisecond || tl[1].Case.RID != 2 {
 		t.Errorf("timeline[1] = %+v", tl[1])
 	}
-	if got := Timeline(el, pm.CallTopDirs{Depth: 2}, "no:such"); len(got) != 0 {
+	if got := d.Timeline("no:such"); len(got) != 0 {
 		t.Errorf("absent activity timeline = %v", got)
 	}
 }
@@ -320,7 +321,7 @@ func TestComputeTimelineConsistency(t *testing.T) {
 	})
 	m := callMapping()
 	s := computeLog(el, m)
-	tl := Timeline(el, m, "read")
+	tl := detailOf(el, m).Timeline("read")
 	if got, want := s.Get("read").MaxConc, MaxConcurrency(tl); got != want {
 		t.Errorf("computer mc = %d, Timeline mc = %d", got, want)
 	}

@@ -251,11 +251,6 @@ func Classify(full, green, red *DFG) *Partition { return dfg.Classify(full, gree
 // MaxConcurrency computes mc over a set of intervals (Equation 16).
 func MaxConcurrency(intervals []Interval) int { return stats.MaxConcurrency(intervals) }
 
-// Timeline extracts t_f(a, C), the Figure 5 interval data.
-func Timeline(el *EventLog, m Mapping, a Activity) []Interval {
-	return stats.Timeline(el, m, a)
-}
-
 // RenderDOT renders a DFG as a Graphviz document.
 func RenderDOT(g *DFG, s *Stats, styler Styler) string { return render.RenderDOT(g, s, styler) }
 
@@ -384,12 +379,6 @@ func WriteSnapshot(path string, src Source, m Mapping, shards int, joinErrors bo
 // single run over the union of the inputs' cases.
 func MergeSnapshots(m Mapping, paths ...string) (*StreamResult, error) {
 	return core.MergeSnapshotFiles(m, paths...)
-}
-
-// LoadStream materializes a source into an Inspector — the in-memory
-// API on top of the streaming one.
-func LoadStream(src Source, joinErrors bool) (*Inspector, error) {
-	return core.LoadStream(src, joinErrors)
 }
 
 // PeakResident reports how many cases a source held resident at its

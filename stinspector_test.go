@@ -69,7 +69,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 func TestPublicHelpers(t *testing.T) {
 	_, cb, _ := lssim.Both(lssim.Config{})
 	m := CallTopDirs{Depth: 2}
-	tl := Timeline(cb, m, "read:/usr/lib")
+	tl := FromEventLog(cb).WithMapping(m).Timeline("read:/usr/lib")
 	if len(tl) != 9 {
 		t.Fatalf("timeline = %d", len(tl))
 	}
@@ -121,7 +121,7 @@ func TestFacadeCoverage(t *testing.T) {
 	if out := RenderMermaid(full, nil, PlainStyle{}); !strings.Contains(out, "flowchart") {
 		t.Errorf("RenderMermaid facade broken")
 	}
-	tl := Timeline(cbLog, m, "read:/usr/lib")
+	tl := FromEventLog(cbLog).WithMapping(m).Timeline("read:/usr/lib")
 	if out := RenderTimelineSVG(tl, "t"); !strings.Contains(out, "<svg") {
 		t.Errorf("RenderTimelineSVG facade broken")
 	}
