@@ -25,8 +25,6 @@ type DOT struct {
 	Graph  *dfg.Graph
 	Stats  *stats.Stats
 	Styler Styler
-	// Name is the graph name in the DOT output (default "dfg").
-	Name string
 	// SkipCalls omits activities whose call component matches, the way
 	// Figure 9 "skips the rendering of openat calls as it does not
 	// highlight useful differences". Virtual endpoints are never
@@ -43,12 +41,8 @@ func (d *DOT) Render(w io.Writer) error {
 	if styler == nil {
 		styler = PlainStyle{}
 	}
-	name := d.Name
-	if name == "" {
-		name = "dfg"
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
+	b.WriteString("digraph \"dfg\" {\n")
 	b.WriteString("  rankdir=TB;\n")
 	b.WriteString("  node [shape=box, style=\"rounded,filled\", fillcolor=\"#ffffff\", fontname=\"Helvetica\"];\n")
 	b.WriteString("  edge [fontname=\"Helvetica\", fontsize=10];\n")

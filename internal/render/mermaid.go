@@ -18,8 +18,6 @@ type mermaid struct {
 	Graph  *dfg.Graph
 	Stats  *stats.Stats
 	Styler Styler
-	// SkipCalls omits activities by call name, as in Figure 9.
-	SkipCalls map[string]bool
 }
 
 // Render writes the flowchart.
@@ -34,19 +32,8 @@ func (m *mermaid) Render(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("flowchart TB\n")
 
-	skip := func(a pm.Activity) bool {
-		if a.IsVirtual() || len(m.SkipCalls) == 0 {
-			return false
-		}
-		call, _ := a.Parts()
-		return m.SkipCalls[call]
-	}
-
 	ids := make(map[pm.Activity]string)
 	for i, a := range m.Graph.Nodes() {
-		if skip(a) {
-			continue
-		}
 		id := fmt.Sprintf("n%d", i)
 		ids[a] = id
 		if a.IsVirtual() {

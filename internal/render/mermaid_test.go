@@ -27,18 +27,6 @@ func TestMermaidOutput(t *testing.T) {
 	}
 }
 
-func TestMermaidSkipCalls(t *testing.T) {
-	g, s, _ := tinyPipeline(t)
-	var b strings.Builder
-	m := &mermaid{Graph: g, Stats: s, SkipCalls: map[string]bool{"write": true}}
-	if err := m.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "/dev/pts") {
-		t.Errorf("skipped node rendered")
-	}
-}
-
 func TestMermaidNilGraph(t *testing.T) {
 	m := &mermaid{}
 	if err := m.Render(&strings.Builder{}); err == nil {

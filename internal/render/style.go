@@ -45,20 +45,10 @@ func (PlainStyle) Edge(dfg.Edge) EdgeStyle { return EdgeStyle{} }
 
 // StatisticsColoring is the statistics-based strategy of Section IV-C(1):
 // the higher the activity's relative duration, the darker the shade of
-// blue. Metric selects which statistic drives the shade.
+// blue.
 type StatisticsColoring struct {
 	Stats *stats.Stats
-	// Metric chooses the node statistic; the zero value shades by
-	// relative duration (the paper's default).
-	Metric Metric
 }
-
-// Metric selects the statistic used by StatisticsColoring.
-type Metric int
-
-// metricBytes shades by total bytes moved ("alternatively, one could
-// color the nodes based on the number of bytes moved").
-const metricBytes Metric = 1
 
 // Node implements Styler.
 func (c StatisticsColoring) Node(a pm.Activity) NodeStyle {
@@ -70,21 +60,8 @@ func (c StatisticsColoring) Node(a pm.Activity) NodeStyle {
 		return NodeStyle{}
 	}
 	var frac float64
-	switch c.Metric {
-	case metricBytes:
-		maxB := int64(0)
-		for _, act := range c.Stats.Activities() {
-			if b := c.Stats.Get(act).Bytes; b > maxB {
-				maxB = b
-			}
-		}
-		if maxB > 0 {
-			frac = float64(st.Bytes) / float64(maxB)
-		}
-	default:
-		if m := c.Stats.MaxRelDur(); m > 0 {
-			frac = st.RelDur / m
-		}
+	if m := c.Stats.MaxRelDur(); m > 0 {
+		frac = st.RelDur / m
 	}
 	fill, font := blueShade(frac)
 	return NodeStyle{FillColor: fill, FontColor: font}

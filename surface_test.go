@@ -48,7 +48,6 @@ var surfaceExceptions = map[string]string{
 	"mpisim.Engine":              namedBySignature, // mpisim.NewEngine returns it
 	"pm.Variant":                 namedBySignature, // pm.Log.Variants returns it
 	"render.EdgeStyle":           namedBySignature, // render.Styler
-	"render.Metric":              namedBySignature, // render.StatisticsColoring.Metric
 	"render.NodeStyle":           namedBySignature, // render.Styler
 	"serve.Info":                 namedBySignature, // serve.Session.Info returns it
 	"serve.SessionState":         namedBySignature, // serve.Info.State
