@@ -291,7 +291,34 @@ func run(args []string) error {
 		}); err != nil {
 			return err
 		}
-		return printDetail(cmd, d, stinspector.Activity(*activity), *format)
+		a := stinspector.Activity(*activity)
+		switch cmd {
+		case "dist":
+			dist, ok := d.Distribution(a)
+			if !ok {
+				return fmt.Errorf("no events map to activity %q", a)
+			}
+			fmt.Printf("activity:   %s\n", dist.Activity)
+			fmt.Printf("events:     %d\n", dist.Events)
+			fmt.Printf("min/p50:    %v / %v\n", dist.Min, dist.P50)
+			fmt.Printf("p95/p99:    %v / %v\n", dist.P95, dist.P99)
+			fmt.Printf("max/total:  %v / %v\n", dist.Max, dist.Total)
+			fmt.Printf("tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", dist.TailShare)
+		case "percase":
+			fmt.Printf("%-28s %8s %14s %14s\n", "CASE", "EVENTS", "TOTALDUR", "BYTES")
+			for _, r := range d.PerCase(a) {
+				fmt.Printf("%-28s %8d %14v %14d\n", r.Case, r.Events, r.TotalDur, r.Bytes)
+			}
+		case "timeline":
+			tl := d.Timeline(a)
+			if *format == "svg" {
+				fmt.Print(stinspector.RenderTimelineSVG(tl, *activity))
+				return nil
+			}
+			fmt.Print(stinspector.RenderTimeline(tl))
+			fmt.Printf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
+		}
+		return nil
 	}
 
 	// report fills its detail fold from the cases the sharded fold's
@@ -324,36 +351,6 @@ func run(args []string) error {
 
 // printDetail renders a per-event view of activity a from the detail
 // fold.
-func printDetail(cmd string, d *stats.Detail, a stinspector.Activity, format string) error {
-	switch cmd {
-	case "dist":
-		dist, ok := d.Distribution(a)
-		if !ok {
-			return fmt.Errorf("no events map to activity %q", a)
-		}
-		fmt.Printf("activity:   %s\n", dist.Activity)
-		fmt.Printf("events:     %d\n", dist.Events)
-		fmt.Printf("min/p50:    %v / %v\n", dist.Min, dist.P50)
-		fmt.Printf("p95/p99:    %v / %v\n", dist.P95, dist.P99)
-		fmt.Printf("max/total:  %v / %v\n", dist.Max, dist.Total)
-		fmt.Printf("tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", dist.TailShare)
-	case "percase":
-		fmt.Printf("%-28s %8s %14s %14s\n", "CASE", "EVENTS", "TOTALDUR", "BYTES")
-		for _, r := range d.PerCase(a) {
-			fmt.Printf("%-28s %8d %14v %14d\n", r.Case, r.Events, r.TotalDur, r.Bytes)
-		}
-	case "timeline":
-		tl := d.Timeline(a)
-		if format == "svg" {
-			fmt.Print(stinspector.RenderTimelineSVG(tl, string(a)))
-			return nil
-		}
-		fmt.Print(stinspector.RenderTimeline(tl))
-		fmt.Printf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
-	}
-	return nil
-}
-
 // printFold renders a fold subcommand's artifacts, the same whether
 // they came from a streamed pass or from merged snapshots.
 func printFold(cmd string, res *stinspector.StreamResult, format, green string) {
@@ -399,7 +396,7 @@ func printFold(cmd string, res *stinspector.StreamResult, format, green string) 
 		fmt.Fprintf(os.Stderr, "nodes: %d green, %d red, %d shared\n", gn, rn, sn)
 	case "info":
 		fmt.Printf("%d cases, %d events, calls: %s; %d activities, peak %d cases resident, %d run symbols\n",
-			res.Cases, res.Events, strings.Join(callNames(res.Stats), ","),
+			res.Cases, res.Events, strings.Join(res.Stats.Calls(), ","),
 			len(res.Stats.Activities()), res.PeakResident, res.Symbols)
 	}
 }
@@ -413,19 +410,6 @@ func splitByCID(al *stinspector.ActivityLog, green string) (g, r *stinspector.DF
 		set[c] = true
 	}
 	return stinspector.SplitDFG(al, func(id stinspector.CaseID) bool { return set[id.CID] })
-}
-
-// callNames is the sorted call set of the folded activities. Every
-// mapping stinspect offers maps an event to "call" or "call:path", so
-// this is the event-log's call set, recovered without the event-log.
-func callNames(st *stinspector.Stats) []string {
-	var out []string
-	for _, a := range st.Activities() {
-		call, _ := a.Parts()
-		out = append(out, call)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // validateCountFlags rejects worker/window counts below 1 on any of the

@@ -1,11 +1,12 @@
 // Package core implements the paper's primary contribution as a pipeline
 // facade: loading event-logs (from strace directories, or from any case
-// source such as an STA archive through LoadStream),
-// querying them with file-path filters, abstracting events into
-// activities with a mapping, synthesizing the Directly-Follows-Graph,
-// computing the activity statistics, and applying the two coloring
-// strategies. An Inspector runs the one analysis fold (stream.go) over
-// its event-log on its first artifact query. The partition-based
+// source such as an STA archive drained by source.Drain), querying them
+// with file-path filters, abstracting events into activities with a
+// mapping, synthesizing the Directly-Follows-Graph, computing the
+// activity statistics, and applying the two coloring strategies. An
+// Inspector runs the one analysis fold (stream.go) over its event-log
+// on its first artifact query, and the one detail fold (stats.Detail)
+// on its first timeline, distribution or per-case query. The partition-based
 // coloring (Equation 18) needs only the activity-log: PartitionByCID
 // splits it into the G and R graphs with dfg.Split, and so does a
 // consumer of the streaming fold's StreamResult.ActivityLog, which never

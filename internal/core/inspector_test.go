@@ -11,6 +11,7 @@ import (
 	"stinspector/internal/lssim"
 	"stinspector/internal/pm"
 	"stinspector/internal/render"
+	"stinspector/internal/source"
 	"stinspector/internal/strace"
 	"stinspector/internal/trace"
 )
@@ -85,19 +86,28 @@ func TestPartitionByCID(t *testing.T) {
 	}
 }
 
-// loadArchive composes the archive backend with LoadStream, the way the
-// facade's FromArchive does.
+// drain materializes a source into an Inspector with the default
+// mapping, failing on the first bad case.
+func drain(src source.Source) (*Inspector, error) {
+	el, err := source.Drain(src, false)
+	if err != nil {
+		return nil, err
+	}
+	return FromEventLog(el), nil
+}
+
+// loadArchive drains the archive backend, the way the facade's
+// FromArchive does.
 func loadArchive(path string, parallelism int) (*Inspector, error) {
 	src, err := archive.OpenSource(path, archive.Options{Parallelism: parallelism})
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	return LoadStream(src, false)
+	return drain(src)
 }
 
-// loadDXT composes the DXT backend with LoadStream, the way the
-// facade's FromDXT does.
+// loadDXT drains the DXT backend, the way the facade's FromDXT does.
 func loadDXT(cid, dump string) (*Inspector, error) {
 	records, err := dxt.ParseSyms(strings.NewReader(dump), nil)
 	if err != nil {
@@ -105,7 +115,7 @@ func loadDXT(cid, dump string) (*Inspector, error) {
 	}
 	src := dxt.Stream(cid, records, 0, 0)
 	defer src.Close()
-	return LoadStream(src, false)
+	return drain(src)
 }
 
 func TestArchiveRoundTripThroughInspector(t *testing.T) {

@@ -174,15 +174,3 @@ func AnalyzeStreamParallel(src source.Source, m pm.Mapping, shards int, joinErro
 	res.PeakResident = source.PeakResident(src)
 	return res, nil
 }
-
-// LoadStream materializes a case source into an Inspector with the
-// default mapping — the in-memory API reconstructed on top of the
-// streaming one. joinErrors as in AnalyzeStream. The source is not
-// closed.
-func LoadStream(src source.Source, joinErrors bool) (*Inspector, error) {
-	el, err := source.Drain(src, joinErrors)
-	if err != nil {
-		return nil, err
-	}
-	return FromEventLog(el), nil
-}

@@ -128,9 +128,6 @@ func NewBuilderSym(sm *SymMapper, opts BuildOptions) *Builder {
 	return b
 }
 
-// Mapper returns the builder's symbol mapper.
-func (b *Builder) Mapper() *SymMapper { return b.sm }
-
 // Add maps one case's events and folds the resulting trace into the
 // log. It returns the derived trace and whether the case contributed
 // (false when every event fell outside the mapping domain and

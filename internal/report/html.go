@@ -18,92 +18,18 @@ import (
 // any Mermaid-enabled viewer; the raw structure remains readable as
 // text).
 func GenerateHTML(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
-	if opts.TopActivities <= 0 {
-		opts.TopActivities = 12
+	s := summarize(res, d, opts, 12)
+	var styler render.Styler = render.StatisticsColoring{Stats: res.Stats}
+	if s.part != nil {
+		s.PartNote = fmt.Sprintf("partition: green = {%s}; %d green / %d red / %d shared nodes",
+			strings.Join(opts.GreenCIDs, ","), s.gn, s.rn, s.sn)
+		styler = render.PartitionColoring{Partition: s.part}
 	}
-	if opts.TopCases <= 0 {
-		opts.TopCases = 12
-	}
-	title := opts.Title
-	if title == "" {
-		title = "I/O inspection report"
-	}
-
-	st := res.Stats
-	type actRow struct {
-		Activity string
-		Load     string
-		DR       string
-		Events   int
-		P50, P99 string
-		Tail     string
-	}
-	shown, _ := hotActivities(d, st, opts.TopActivities)
-	acts := make([]actRow, len(shown))
-	for i, r := range shown {
-		acts[i] = actRow{
-			Activity: string(r.a),
-			Load:     render.FormatLoad(r.st.RelDur, r.st.Bytes, r.st.HasBytes),
-			Events:   r.st.Events,
-		}
-		if r.st.HasBytes {
-			acts[i].DR = render.FormatDR(r.st.MaxConc, r.st.ProcRate)
-		}
-		if r.hasDist {
-			acts[i].P50 = render.FormatDuration(r.dist.P50)
-			acts[i].P99 = render.FormatDuration(r.dist.P99)
-			acts[i].Tail = fmt.Sprintf("%.0f%%", r.dist.TailShare*100)
-		}
-	}
-
-	type caseRow struct {
-		Case   string
-		Events int
-		Dur    string
-		Bytes  string
-	}
-	var cases []caseRow
-	for i, c := range d.PerCase("") {
-		if i >= opts.TopCases {
-			break
-		}
-		cases = append(cases, caseRow{
-			Case:   c.Case.String(),
-			Events: c.Events,
-			Dur:    render.FormatDuration(c.TotalDur),
-			Bytes:  render.FormatBytes(c.Bytes),
-		})
-	}
-
-	partNote := ""
-	var styler render.Styler = render.StatisticsColoring{Stats: st}
-	if part := partition(res, opts.GreenCIDs); part != nil {
-		gn, rn, sn := part.CountNodes()
-		partNote = fmt.Sprintf("partition: green = {%s}; %d green / %d red / %d shared nodes",
-			strings.Join(opts.GreenCIDs, ","), gn, rn, sn)
-		styler = render.PartitionColoring{Partition: part}
-	}
-	mermaid := render.RenderMermaid(res.DFG, st, styler)
-
-	var timeline template.HTML
+	s.Mermaid = render.RenderMermaid(res.DFG, res.Stats, styler)
 	if a := opts.Timeline; a != "" {
-		timeline = template.HTML(render.RenderTimelineSVG(d.Timeline(a), string(a))) // #nosec G203 -- RenderTimelineSVG escapes all labels
+		s.Timeline = template.HTML(render.RenderTimelineSVG(d.Timeline(a), string(a))) // #nosec G203 -- RenderTimelineSVG escapes all labels
 	}
-
-	data := map[string]any{
-		"Title":      title,
-		"Cases":      d.NumCases(),
-		"Events":     d.NumEvents(),
-		"Calls":      strings.Join(d.CallNames(), ", "),
-		"Bytes":      render.FormatBytes(d.TotalBytes()),
-		"IOTime":     render.FormatDuration(d.TotalDur()),
-		"Activities": acts,
-		"CaseRows":   cases,
-		"Mermaid":    mermaid,
-		"PartNote":   partNote,
-		"Timeline":   timeline,
-	}
-	return htmlTmpl.Execute(w, data)
+	return htmlTmpl.Execute(w, s)
 }
 
 var htmlTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>

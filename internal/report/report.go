@@ -5,11 +5,15 @@
 // with duration distributions, the straggler processes, and — when a
 // partition is given — the configuration comparison. A report reads one
 // pass over the cases: the analysis fold's StreamResult and the
-// stats.Detail filled from the same cases.
+// stats.Detail filled from the same cases. Its overview totals the
+// events the mapping maps, which under the mappings stinspect offers
+// are all of them.
 package report
 
 import (
+	"cmp"
 	"fmt"
+	"html/template"
 	"io"
 	"slices"
 	"sort"
@@ -27,9 +31,9 @@ import (
 type Options struct {
 	// Title heads the report.
 	Title string
-	// TopActivities bounds the hot-spot section (default 8).
+	// TopActivities bounds the hot-spot section (default 8, HTML 12).
 	TopActivities int
-	// TopCases bounds the straggler section (default 8).
+	// TopCases bounds the straggler section (default 8, HTML 12).
 	TopCases int
 	// GreenCIDs, when non-empty, adds the partition-comparison section
 	// with the given command ids as the green subset.
@@ -38,74 +42,145 @@ type Options struct {
 	Timeline pm.Activity
 }
 
-// Generate writes the report for a fold's artifacts and the detail fold
-// of the same cases under the same mapping.
-func Generate(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
+// summary is what both renderings of a report show, formatted.
+type summary struct {
+	Title                string
+	Cases, Events        int
+	Calls, Bytes, IOTime string
+	Activities           []actRow
+	Omitted              int // activities ranked but not shown
+	CaseRows             []caseRow
+	part                 *dfg.Partition
+	gn, rn, sn           int // the partition's node counts
+
+	// HTML only.
+	Mermaid, PartNote string
+	Timeline          template.HTML
+}
+
+// actRow is one hot activity; DR is empty for an activity moving no
+// bytes, and P50, P99 and Tail for one without events.
+type actRow struct {
+	Activity, Load, DR string
+	Events             int
+	P50, P99, Tail     string
+}
+
+type caseRow struct {
+	Case       string
+	Events     int
+	Dur, Bytes string
+}
+
+// summarize formats the sections both renderings share, showing top
+// activities and cases where opts leaves the bounds unset.
+func summarize(res *core.StreamResult, d *stats.Detail, opts Options, top int) *summary {
 	if opts.TopActivities <= 0 {
-		opts.TopActivities = 8
+		opts.TopActivities = top
 	}
 	if opts.TopCases <= 0 {
-		opts.TopCases = 8
+		opts.TopCases = top
 	}
-	var b strings.Builder
+	s := &summary{
+		Title:  cmp.Or(opts.Title, "I/O inspection report"),
+		Cases:  res.Cases,
+		Events: res.Events,
+		Calls:  strings.Join(res.Stats.Calls(), ", "),
+		IOTime: render.FormatDuration(res.Stats.TotalDur),
+	}
+	acts := res.Stats.Activities()
+	var bytes int64
+	for _, a := range acts {
+		bytes += res.Stats.Get(a).Bytes
+	}
+	s.Bytes = render.FormatBytes(bytes)
 
-	title := opts.Title
-	if title == "" {
-		title = "I/O inspection report"
+	// The activities ranked by relative duration, ties in name order;
+	// only the rows shown get a distribution.
+	sort.SliceStable(acts, func(i, j int) bool {
+		return res.Stats.Get(acts[i]).RelDur > res.Stats.Get(acts[j]).RelDur
+	})
+	n := min(opts.TopActivities, len(acts))
+	s.Omitted = len(acts) - n
+	for _, a := range acts[:n] {
+		st := res.Stats.Get(a)
+		r := actRow{Activity: string(a), Load: render.FormatLoad(st.RelDur, st.Bytes, st.HasBytes), Events: st.Events}
+		if st.HasBytes {
+			r.DR = render.FormatDR(st.MaxConc, st.ProcRate)
+		}
+		if dist, ok := d.Distribution(a); ok {
+			r.P50, r.P99 = render.FormatDuration(dist.P50), render.FormatDuration(dist.P99)
+			r.Tail = fmt.Sprintf("%.0f%%", dist.TailShare*100)
+		}
+		s.Activities = append(s.Activities, r)
 	}
-	rule := strings.Repeat("=", len(title))
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, rule)
+
+	per := d.PerCase("")
+	for _, c := range per[:min(opts.TopCases, len(per))] {
+		s.CaseRows = append(s.CaseRows, caseRow{
+			Case:   c.Case.String(),
+			Events: c.Events,
+			Dur:    render.FormatDuration(c.TotalDur),
+			Bytes:  render.FormatBytes(c.Bytes),
+		})
+	}
+
+	// Equation 18: the fold's DFG classified against the split of its
+	// activity-log into the green CIDs' cases and the rest.
+	if len(opts.GreenCIDs) > 0 {
+		g, r := dfg.Split(res.ActivityLog, func(id trace.CaseID) bool { return slices.Contains(opts.GreenCIDs, id.CID) })
+		s.part = dfg.Classify(res.DFG, g, r)
+		s.gn, s.rn, s.sn = s.part.CountNodes()
+	}
+	return s
+}
+
+// Generate writes the text report for a fold's artifacts and the detail
+// fold of the same cases under the same mapping.
+func Generate(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
+	s := summarize(res, d, opts, 8)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%s\n\n", s.Title, strings.Repeat("=", len(s.Title)))
 
 	// 1. Overview.
 	fmt.Fprintf(&b, "Overview\n--------\n")
-	fmt.Fprintf(&b, "cases:        %d\n", d.NumCases())
-	fmt.Fprintf(&b, "events:       %d\n", d.NumEvents())
-	fmt.Fprintf(&b, "calls:        %s\n", strings.Join(d.CallNames(), ", "))
-	fmt.Fprintf(&b, "bytes moved:  %s\n", render.FormatBytes(d.TotalBytes()))
-	fmt.Fprintf(&b, "I/O time:     %s (sum over all system calls)\n\n",
-		render.FormatDuration(d.TotalDur()))
+	fmt.Fprintf(&b, "cases:        %d\n", s.Cases)
+	fmt.Fprintf(&b, "events:       %d\n", s.Events)
+	fmt.Fprintf(&b, "calls:        %s\n", s.Calls)
+	fmt.Fprintf(&b, "bytes moved:  %s\n", s.Bytes)
+	fmt.Fprintf(&b, "I/O time:     %s (sum over all system calls)\n\n", s.IOTime)
 
 	// 2. Hot activities.
-	st := res.Stats
 	fmt.Fprintf(&b, "Hot activities (by relative duration)\n-------------------------------------\n")
-	shown, total := hotActivities(d, st, opts.TopActivities)
-	for _, r := range shown {
-		fmt.Fprintf(&b, "%-44s %s", r.a, render.FormatLoad(r.st.RelDur, r.st.Bytes, r.st.HasBytes))
-		if r.st.HasBytes {
-			fmt.Fprintf(&b, "  %s", render.FormatDR(r.st.MaxConc, r.st.ProcRate))
+	for _, r := range s.Activities {
+		fmt.Fprintf(&b, "%-44s %s", r.Activity, r.Load)
+		if r.DR != "" {
+			fmt.Fprintf(&b, "  %s", r.DR)
 		}
-		if r.hasDist {
-			fmt.Fprintf(&b, "  p50=%s p99=%s tail=%.0f%%",
-				render.FormatDuration(r.dist.P50), render.FormatDuration(r.dist.P99), r.dist.TailShare*100)
+		if r.P50 != "" {
+			fmt.Fprintf(&b, "  p50=%s p99=%s tail=%s", r.P50, r.P99, r.Tail)
 		}
 		b.WriteByte('\n')
 	}
-	if total > len(shown) {
-		fmt.Fprintf(&b, "(%d further activities omitted)\n", total-len(shown))
+	if s.Omitted > 0 {
+		fmt.Fprintf(&b, "(%d further activities omitted)\n", s.Omitted)
 	}
 	b.WriteByte('\n')
 
 	// 3. Stragglers.
 	fmt.Fprintf(&b, "Slowest processes\n-----------------\n")
-	per := d.PerCase("")
-	if len(per) > opts.TopCases {
-		per = per[:opts.TopCases]
-	}
-	for _, c := range per {
-		fmt.Fprintf(&b, "%-28s %6d events  %12s  %12s\n",
-			c.Case, c.Events, render.FormatDuration(c.TotalDur), render.FormatBytes(c.Bytes))
+	for _, c := range s.CaseRows {
+		fmt.Fprintf(&b, "%-28s %6d events  %12s  %12s\n", c.Case, c.Events, c.Dur, c.Bytes)
 	}
 	b.WriteByte('\n')
 
 	// 4. The DFG.
 	fmt.Fprintf(&b, "Directly-Follows-Graph\n----------------------\n")
-	part := partition(res, opts.GreenCIDs)
-	if part != nil {
-		gn, rn, sn := part.CountNodes()
+	if s.part != nil {
 		fmt.Fprintf(&b, "partition: green = {%s}: %d green / %d red / %d shared nodes\n\n",
-			strings.Join(opts.GreenCIDs, ","), gn, rn, sn)
+			strings.Join(opts.GreenCIDs, ","), s.gn, s.rn, s.sn)
 	}
-	b.WriteString(render.RenderText(res.DFG, st, part))
+	b.WriteString(render.RenderText(res.DFG, res.Stats, s.part))
 	b.WriteByte('\n')
 
 	// 5. Optional timeline.
@@ -118,46 +193,4 @@ func Generate(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options
 
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// hotRow is one activity of the hot-spot section with its duration
-// distribution (hasDist is false for an activity without events).
-type hotRow struct {
-	a       pm.Activity
-	st      *stats.ActivityStats
-	dist    stats.Distribution
-	hasDist bool
-}
-
-// partition classifies the fold's DFG by the green CIDs against the
-// rest (Equation 18), splitting the folded activity-log; it is nil
-// without green CIDs.
-func partition(res *core.StreamResult, green []string) *dfg.Partition {
-	if len(green) == 0 {
-		return nil
-	}
-	g, r := dfg.Split(res.ActivityLog, func(id trace.CaseID) bool { return slices.Contains(green, id.CID) })
-	return dfg.Classify(res.DFG, g, r)
-}
-
-// hotActivities ranks the activities by relative duration (ties by
-// name), keeps the top n and returns them, each with its duration
-// distribution, and the number ranked.
-func hotActivities(d *stats.Detail, st *stats.Stats, n int) ([]hotRow, int) {
-	acts := st.Activities()
-	rows := make([]hotRow, len(acts))
-	for i, a := range acts {
-		rows[i] = hotRow{a: a, st: st.Get(a)}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].st.RelDur != rows[j].st.RelDur {
-			return rows[i].st.RelDur > rows[j].st.RelDur
-		}
-		return rows[i].a < rows[j].a
-	})
-	shown := rows[:min(n, len(rows))]
-	for i := range shown {
-		shown[i].dist, shown[i].hasDist = d.Distribution(shown[i].a)
-	}
-	return shown, len(rows)
 }

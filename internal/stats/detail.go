@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -13,48 +14,38 @@ import (
 // statistics fold drops: the Figure 5 timeline t_f(a, C) of Equation
 // (15), the duration distribution and the per-process straggler table.
 // Add maps each case once through a pm.SymMapper and keeps, for every
-// activity, each event's interval with the index of its case plus the
-// per-(case, activity) totals; it also totals every event, mapped or
-// not, for a report's overview. Cases must be added in CaseID order —
-// the order of an event-log and of every source — so that the queries
-// see the event-log's order. Queries do not modify the Detail and may
-// run concurrently once every case is added.
+// activity, each event's interval plus one run per case with the
+// case's totals. Cases must be added in CaseID order — the order of
+// an event-log and of every source — so that the queries see the
+// event-log's order. Queries do not modify the Detail and may run
+// concurrently once every case is added.
 type Detail struct {
 	sm    *pm.SymMapper
 	syms  []intern.Sym // per-case mapping scratch, reused
 	cases []trace.CaseID
 	acts  []actDetail // indexed by activity symbol
-	calls map[string]struct{}
-
-	events int
-	bytes  int64
-	dur    time.Duration
 }
 
-// actDetail is what Detail keeps of one activity: its events' intervals
-// and its per-case totals, both in the order the cases were added.
+// actDetail is what Detail keeps of one activity, in the order added:
+// every event's interval [start, start+dur], unclamped, and one run per
+// case with an event of the activity.
 type actDetail struct {
-	spans []caseSpan
-	sums  []caseSum
+	spans []span
+	runs  []caseRun
 }
 
-// caseSpan is one event's interval, unclamped, with the index of its
-// case in Detail.cases.
-type caseSpan struct {
-	span
-	cas int32
-}
-
-type caseSum struct {
-	cas    int32
-	events int
-	dur    time.Duration
-	bytes  int64
+// caseRun is one case's events of an activity: the next n spans, with
+// their summed duration and bytes.
+type caseRun struct {
+	cas   int32 // index into Detail.cases
+	n     int32
+	dur   time.Duration
+	bytes int64
 }
 
 // NewDetail returns an empty detail fold under mapping m.
 func NewDetail(m pm.Mapping) *Detail {
-	return &Detail{sm: pm.NewSymMapper(m), calls: make(map[string]struct{})}
+	return &Detail{sm: pm.NewSymMapper(m)}
 }
 
 // Add folds one case.
@@ -63,66 +54,35 @@ func (d *Detail) Add(c *trace.Case) {
 	d.cases = append(d.cases, c.ID)
 	d.syms = d.sm.MapCase(c, d.syms[:0])
 	for i := range c.Events {
-		e := &c.Events[i]
-		d.events++
-		d.dur += e.Dur
-		if e.HasSize() {
-			d.bytes += e.Size
-		}
-		if _, ok := d.calls[e.Call]; !ok {
-			d.calls[e.Call] = struct{}{}
-		}
 		a := d.syms[i]
 		if a == pm.NoActivity {
 			continue
 		}
+		e := &c.Events[i]
 		for int(a) >= len(d.acts) {
 			d.acts = append(d.acts, actDetail{})
 		}
 		ad := &d.acts[a]
-		ad.spans = append(ad.spans, caseSpan{span{start: e.Start, end: e.Start + e.Dur}, ci})
-		if n := len(ad.sums); n == 0 || ad.sums[n-1].cas != ci {
-			ad.sums = append(ad.sums, caseSum{cas: ci})
+		ad.spans = append(ad.spans, span{start: e.Start, end: e.Start + e.Dur})
+		if n := len(ad.runs); n == 0 || ad.runs[n-1].cas != ci {
+			ad.runs = append(ad.runs, caseRun{cas: ci})
 		}
-		cs := &ad.sums[len(ad.sums)-1]
-		cs.events++
-		cs.dur += e.Dur
+		r := &ad.runs[len(ad.runs)-1]
+		r.n++
+		r.dur += e.Dur
 		if e.HasSize() {
-			cs.bytes += e.Size
+			r.bytes += e.Size
 		}
 	}
 }
 
-// NumCases is the number of cases added.
-func (d *Detail) NumCases() int { return len(d.cases) }
-
-// NumEvents is the number of events added, mapped or not.
-func (d *Detail) NumEvents() int { return d.events }
-
-// CallNames returns the sorted set of system calls of every event added.
-func (d *Detail) CallNames() []string {
-	out := make([]string, 0, len(d.calls))
-	for c := range d.calls {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalBytes is the sum of Size over every event added that carries one.
-func (d *Detail) TotalBytes() int64 { return d.bytes }
-
-// TotalDur is the sum of Dur over every event added.
-func (d *Detail) TotalDur() time.Duration { return d.dur }
-
-// activity returns what d keeps of activity a, or nil when no event
-// maps to it.
+// activity returns what d keeps of activity a, nil when no event maps
+// to it.
 func (d *Detail) activity(a pm.Activity) *actDetail {
-	s, ok := d.sm.Acts().Sym(string(a))
-	if !ok || int(s) >= len(d.acts) {
-		return nil
+	if s, ok := d.sm.Acts().Sym(string(a)); ok && int(s) < len(d.acts) {
+		return &d.acts[s]
 	}
-	return &d.acts[s]
+	return nil
 }
 
 // Timeline returns t_f(a, C) of Equation (15): the intervals of every
@@ -133,9 +93,13 @@ func (d *Detail) Timeline(a pm.Activity) []trace.Interval {
 	if ad == nil {
 		return nil
 	}
-	out := make([]trace.Interval, len(ad.spans))
-	for i, s := range ad.spans {
-		out[i] = trace.Interval{Start: s.start, End: s.end, Case: d.cases[s.cas]}
+	out := make([]trace.Interval, 0, len(ad.spans))
+	spans := ad.spans
+	for _, r := range ad.runs {
+		for _, s := range spans[:r.n] {
+			out = append(out, trace.Interval{Start: s.start, End: s.end, Case: d.cases[r.cas]})
+		}
+		spans = spans[r.n:]
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
@@ -170,17 +134,18 @@ type Distribution struct {
 // second return value is false when no event maps to the activity.
 func (d *Detail) Distribution(a pm.Activity) (Distribution, bool) {
 	ad := d.activity(a)
-	if ad == nil || len(ad.spans) == 0 {
+	if ad == nil {
 		return Distribution{}, false
 	}
 	durs := make([]time.Duration, len(ad.spans))
+	var total, tail time.Duration
 	for i, s := range ad.spans {
 		durs[i] = s.end - s.start
+		total += durs[i]
 	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	var total time.Duration
-	for _, dd := range durs {
-		total += dd
+	slices.Sort(durs)
+	for _, x := range durs[int(float64(len(durs))*0.95):] {
+		tail += x
 	}
 	dist := Distribution{
 		Activity: a,
@@ -192,30 +157,16 @@ func (d *Detail) Distribution(a pm.Activity) (Distribution, bool) {
 		Max:      durs[len(durs)-1],
 		Total:    total,
 	}
-	tailStart := int(float64(len(durs)) * 0.95)
-	var tail time.Duration
-	for _, dd := range durs[tailStart:] {
-		tail += dd
-	}
 	if total > 0 {
 		dist.TailShare = float64(tail) / float64(total)
 	}
 	return dist, true
 }
 
-// quantile returns the q-quantile of sorted durations (nearest-rank).
+// quantile returns the q-quantile of non-empty sorted durations
+// (nearest-rank).
 func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // CaseSummary aggregates one case's contribution to an activity (or to
@@ -232,31 +183,28 @@ type CaseSummary struct {
 // the slowest process — the straggler the paper's timeline plot is used
 // to find — comes first.
 func (d *Detail) PerCase(a pm.Activity) []CaseSummary {
-	var sums []caseSum
+	acts := d.acts
 	if a != "" {
+		acts = nil
 		if ad := d.activity(a); ad != nil {
-			sums = ad.sums
+			acts = []actDetail{*ad}
 		}
-	} else {
-		all := make([]caseSum, len(d.cases))
-		for _, ad := range d.acts {
-			for _, cs := range ad.sums {
-				t := &all[cs.cas]
-				t.events += cs.events
-				t.dur += cs.dur
-				t.bytes += cs.bytes
-			}
-		}
-		for i := range all {
-			all[i].cas = int32(i)
-			if all[i].events > 0 {
-				sums = append(sums, all[i])
-			}
+	}
+	sums := make([]CaseSummary, len(d.cases))
+	for _, ad := range acts {
+		for _, r := range ad.runs {
+			cs := &sums[r.cas]
+			cs.Events += int(r.n)
+			cs.TotalDur += r.dur
+			cs.Bytes += r.bytes
 		}
 	}
 	var out []CaseSummary
-	for _, cs := range sums {
-		out = append(out, CaseSummary{Case: d.cases[cs.cas], Events: cs.events, TotalDur: cs.dur, Bytes: cs.bytes})
+	for i, cs := range sums {
+		if cs.Events > 0 {
+			cs.Case = d.cases[i]
+			out = append(out, cs)
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].TotalDur != out[j].TotalDur {

@@ -92,26 +92,3 @@ func TestPerCase(t *testing.T) {
 		t.Errorf("all = %+v", all)
 	}
 }
-
-// TestDetailTotals: the overview totals count every event, mapped or
-// not, and every case, empty or not.
-func TestDetailTotals(t *testing.T) {
-	el := mkLog(t, map[int][]trace.Event{
-		1: {
-			{Call: "read", FP: "/f", Start: 0, Dur: 10 * time.Millisecond, Size: 100},
-			{Call: "lseek", FP: "/f", Start: time.Second, Dur: time.Millisecond, Size: trace.SizeUnknown},
-		},
-		2: {},
-	})
-	readOnly := pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) { return "read", e.Call == "read" })
-	d := detailOf(el, readOnly)
-	if d.NumCases() != 2 || d.NumEvents() != 2 || d.TotalBytes() != 100 || d.TotalDur() != 11*time.Millisecond {
-		t.Errorf("totals = %d cases, %d events, %d bytes, %v", d.NumCases(), d.NumEvents(), d.TotalBytes(), d.TotalDur())
-	}
-	if got := d.CallNames(); len(got) != 2 || got[0] != "lseek" || got[1] != "read" {
-		t.Errorf("calls = %v", got)
-	}
-	if got := d.PerCase(""); len(got) != 1 || got[0].Events != 1 {
-		t.Errorf("per case = %+v, want the one mapped event", got)
-	}
-}

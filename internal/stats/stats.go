@@ -73,6 +73,19 @@ func (s *Stats) Activities() []pm.Activity {
 	return out
 }
 
+// Calls returns the sorted set of the activities' call names. Under a
+// mapping that maps every event to "call" or "call:path", as every
+// mapping stinspect offers does, this is the event-log's call set.
+func (s *Stats) Calls() []string {
+	var out []string
+	for a := range s.byActivity {
+		call, _ := a.Parts()
+		out = append(out, call)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // MaxRelDur returns the largest relative duration, used by the
 // statistics-based coloring to scale its shades.
 func (s *Stats) MaxRelDur() float64 {

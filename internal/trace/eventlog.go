@@ -236,17 +236,6 @@ func (l *EventLog) CallNames() []string {
 	return out
 }
 
-// TotalBytes returns the sum of Size over all events that carry one.
-func (l *EventLog) TotalBytes() int64 {
-	var n int64
-	l.Events(func(e Event) {
-		if e.HasSize() {
-			n += e.Size
-		}
-	})
-	return n
-}
-
 // TotalDur returns the sum of Dur over all events.
 func (l *EventLog) TotalDur() (d int64) {
 	l.Events(func(e Event) { d += int64(e.Dur) })

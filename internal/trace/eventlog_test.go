@@ -210,15 +210,6 @@ func TestCallNamesAndTotals(t *testing.T) {
 	if got := l.CallNames(); !reflect.DeepEqual(got, want) {
 		t.Errorf("CallNames = %v, want %v", got, want)
 	}
-	var wantBytes int64
-	l.Events(func(e Event) {
-		if e.HasSize() {
-			wantBytes += e.Size
-		}
-	})
-	if got := l.TotalBytes(); got != wantBytes {
-		t.Errorf("TotalBytes = %d, want %d", got, wantBytes)
-	}
 	if l.TotalDur() <= 0 {
 		t.Errorf("TotalDur = %d, want > 0", l.TotalDur())
 	}

@@ -210,24 +210,28 @@ func FromStraceDir(dir string, opts ParseOptions) (*Inspector, error) {
 // opts.Cases slice of it), decoding case sections concurrently: the
 // materializing form of StreamArchive.
 func FromArchive(path string, opts OpenOptions) (*Inspector, error) {
-	src, err := StreamArchive(path, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	return core.LoadStream(src, false)
+	return load(StreamArchive(path, opts))
 }
 
 // FromDXT ingests a Darshan DXT text dump, the alternative
 // instrumentation source of the paper's Section II remark; cid names
 // the resulting cases. It is the materializing form of StreamDXT.
 func FromDXT(cid string, r io.Reader, opts OpenOptions) (*Inspector, error) {
-	src, err := StreamDXT(cid, r, opts)
+	return load(StreamDXT(cid, r, opts))
+}
+
+// load drains a just-opened source into an Inspector, failing on the
+// first bad case, and closes it.
+func load(src Source, err error) (*Inspector, error) {
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	return core.LoadStream(src, false)
+	el, err := source.Drain(src, false)
+	if err != nil {
+		return nil, err
+	}
+	return core.FromEventLog(el), nil
 }
 
 // FromEventLog wraps an event-log with the default mapping f̂.
