@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -111,12 +112,15 @@ func TestInspectorDerivedFoldsAfresh(t *testing.T) {
 // inspectorRenderings renders every artifact of in into one string.
 func inspectorRenderings(in *Inspector) string {
 	full, part := in.PartitionByCID("a")
+	dist, _ := in.Distribution("read:/usr/lib")
 	return in.RenderText() +
 		in.RenderDOT(render.StatisticsColoring{Stats: in.Stats()}) +
 		render.RenderText(full, in.Stats(), part) +
 		in.ActivityLog().String() +
 		in.Behavior().RenderText() +
-		in.Footprint().String()
+		in.Footprint().String() +
+		render.RenderTimeline(in.Timeline("read:/usr/lib")) +
+		fmt.Sprint(dist, in.PerCase(""))
 }
 
 // TestInspectorConcurrentQueries: goroutines querying one fresh
