@@ -187,8 +187,8 @@ func BenchmarkParseCase(b *testing.B) {
 	id := trace.CaseID{CID: "bench", Host: "h", RID: 1}
 	w := strace.NewWriter(&buf)
 	el := synthLog(20_000, 1, 16, 5)
-	for _, e := range el.Cases()[0].Events {
-		w.WriteEvent(e)
+	if err := w.WriteCase(el.Cases()[0]); err != nil {
+		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
@@ -221,19 +221,28 @@ func BenchmarkArchiveWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveV2RandomAccess: ReadCaseAt is O(1) in the archive
-// size — the index addresses every section directly, so the ns/op of
-// reading one mid-file case must be flat across a 64× file-size sweep.
+// BenchmarkArchiveV2RandomAccess: reading one case through
+// Reader.StreamRange (the path `stinspect -cases a:b` reaches) is O(1)
+// in the archive size — the index addresses every section directly, so
+// the ns/op of reading one mid-file case must be flat across a 64×
+// file-size sweep.
 func BenchmarkArchiveV2RandomAccess(b *testing.B) {
 	const perCase = 200
 	for _, nCases := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("cases=%d", nCases), func(b *testing.B) {
 			el := synthLog(nCases*perCase, nCases, 32, 17)
-			r := openArchive(b, el)
+			r, err := archive.Open(writeArchive(b, el))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			mid := nCases / 2
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := r.ReadCaseAt(nCases / 2)
+				src := r.StreamRange(mid, mid+1, 1, 1)
+				c, err := src.Next()
+				src.Close()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -112,11 +112,16 @@ func TestWorkloadToDFGPipeline(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		// Flow conservation sanity on real workloads.
+		inw, outw := map[Activity]int{}, map[Activity]int{}
+		for _, e := range g.Edges() {
+			outw[e.From] += g.EdgeCount(e)
+			inw[e.To] += g.EdgeCount(e)
+		}
 		for _, a := range g.Nodes() {
 			if a.IsVirtual() {
 				continue
 			}
-			if g.InWeight(a) != g.NodeCount(a) || g.OutWeight(a) != g.NodeCount(a) {
+			if inw[a] != g.NodeCount(a) || outw[a] != g.NodeCount(a) {
 				t.Errorf("%s: flow conservation broken at %s", name, a)
 			}
 		}
@@ -170,7 +175,7 @@ func TestLsDemoEndToEnd(t *testing.T) {
 	if green != 0 || red != 4 {
 		t.Errorf("partition = %d green / %d red nodes, want 0/4", green, red)
 	}
-	if !full.HasEdge(Edge{From: Start, To: "read:/usr/lib"}) {
+	if full.EdgeCount(Edge{From: Start, To: "read:/usr/lib"}) == 0 {
 		t.Errorf("start edge missing")
 	}
 }

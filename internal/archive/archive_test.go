@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -132,19 +133,18 @@ func TestRandomAccessSingleCase(t *testing.T) {
 	if r.NumCases() != want.NumCases() {
 		t.Fatalf("NumCases = %d", r.NumCases())
 	}
-	if r.NumEvents() != want.NumEvents() {
-		t.Fatalf("NumEvents = %d, want %d", r.NumEvents(), want.NumEvents())
-	}
 	id := want.Cases()[3].ID
-	c, err := r.ReadCase(id)
+	src := r.StreamRange(3, 4, 1, 1)
+	defer src.Close()
+	c, err := src.Next()
 	if err != nil {
-		t.Fatalf("ReadCase: %v", err)
+		t.Fatalf("StreamRange(3, 4): %v", err)
 	}
-	if !reflect.DeepEqual(c.Events, want.Case(id).Events) {
+	if c.ID != id || !reflect.DeepEqual(c.Events, want.Case(id).Events) {
 		t.Errorf("single case read differs")
 	}
-	if _, err := r.ReadCase(trace.CaseID{CID: "nope", Host: "x", RID: 0}); err == nil {
-		t.Errorf("absent case read succeeded")
+	if _, err := src.Next(); err != io.EOF {
+		t.Errorf("one-case range delivered more than one case: %v", err)
 	}
 }
 

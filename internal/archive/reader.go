@@ -21,7 +21,6 @@ type Reader struct {
 	src     io.ReaderAt
 	closer  io.Closer
 	entries []indexEntry
-	byID    map[trace.CaseID]int
 	syms    *intern.Table // nil = the process-wide table
 
 	// data, when non-nil, is a whole-file view (an mmap from Open, or
@@ -38,13 +37,13 @@ type Reader struct {
 	secBufs     sync.Pool
 }
 
-// SetSyms scopes subsequent case decodes to the given symbol table
+// setSyms scopes subsequent case decodes to the given symbol table
 // (nil restores the process-wide table). Scope a table per
 // reader when decoding archives with unbounded path vocabularies in a
 // long-lived process: dropping the reader and its decoded cases then
 // makes every interned string collectable. Decoded events are
 // identical either way. Not safe to call concurrently with decodes.
-func (r *Reader) SetSyms(t *intern.Table) {
+func (r *Reader) setSyms(t *intern.Table) {
 	r.syms = t
 	// Invalidate the dictionary remap: the next decode rebuilds it
 	// against the new table.
@@ -179,7 +178,6 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 		src:         src,
 		dict:        dict,
 		resolveOnce: new(sync.Once),
-		byID:        make(map[trace.CaseID]int, n),
 	}
 	for i := uint64(0); i < n; i++ {
 		var ent indexEntry
@@ -217,7 +215,12 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 		if ent.offset < headerSize || ent.length > dictOffset || ent.offset > dictOffset-ent.length {
 			return nil, corrupt("case %s section [%d,+%d) outside data region", ent.id, ent.offset, ent.length)
 		}
-		r.byID[ent.id] = len(r.entries)
+		// Stream promises CaseID order, and a case stored twice would be
+		// folded twice: the writers lay the index down strictly
+		// ascending, so anything else is corruption.
+		if k := len(r.entries); k > 0 && !r.entries[k-1].id.Less(ent.id) {
+			return nil, corrupt("case %s follows %s in the index: not in ascending CaseID order", ent.id, r.entries[k-1].id)
+		}
 		r.entries = append(r.entries, ent)
 	}
 	return r, nil
@@ -241,51 +244,14 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// Cases lists the stored case identities in file order.
-func (r *Reader) Cases() []trace.CaseID {
-	out := make([]trace.CaseID, len(r.entries))
-	for i, ent := range r.entries {
-		out[i] = ent.id
-	}
-	return out
-}
-
 // NumCases returns the number of stored cases.
 func (r *Reader) NumCases() int { return len(r.entries) }
-
-// NumEvents returns the total number of stored events (from the index, no
-// section reads).
-func (r *Reader) NumEvents() int {
-	n := 0
-	for _, ent := range r.entries {
-		n += int(ent.events)
-	}
-	return n
-}
-
-// ReadCase loads a single case.
-func (r *Reader) ReadCase(id trace.CaseID) (*trace.Case, error) {
-	i, ok := r.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("archive: no case %s", id)
-	}
-	return r.readAt(i)
-}
-
-// ReadCaseAt loads the case at position i of the file order — O(1) in
-// the archive size, since the index addresses every section directly.
-func (r *Reader) ReadCaseAt(i int) (*trace.Case, error) {
-	if i < 0 || i >= len(r.entries) {
-		return nil, fmt.Errorf("archive: case index %d out of range [0,%d)", i, len(r.entries))
-	}
-	return r.readAt(i)
-}
 
 // resolve returns the dictionary remapped into the reader's current
 // symbol table: resolve()[fileSym] is the canonical string. The remap
 // runs once per table binding — the near-zero-parse property: after it,
 // section decode touches no hash table and allocates no strings.
-// Concurrent decode workers share the one remap via the Once; SetSyms
+// Concurrent decode workers share the one remap via the Once; setSyms
 // (documented as not concurrent with decodes) installs a fresh Once.
 func (r *Reader) resolve() []string {
 	r.resolveOnce.Do(func() {
@@ -346,7 +312,9 @@ func (r *Reader) StreamRange(a, b, parallelism, window int) source.Source {
 	if a > b {
 		a = b
 	}
-	return source.OrderedRange(a, b, parallelism, window, r.readAt)
+	return source.Ordered(b-a, parallelism, window, func(i int) (*trace.Case, error) {
+		return r.readAt(a + i)
+	})
 }
 
 // CaseRange selects the half-open slice [Start, End) of an archive's
@@ -397,6 +365,6 @@ func OpenSource(path string, opts Options) (source.Source, error) {
 			return nil, fmt.Errorf("archive: case range [%d,%d) out of bounds for %d cases", a, b, r.NumCases())
 		}
 	}
-	r.SetSyms(opts.Syms)
+	r.setSyms(opts.Syms)
 	return source.WithCloser(r.StreamRange(a, b, opts.Parallelism, opts.Window), r), nil
 }

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -95,13 +96,60 @@ func TestV2IncrementalMatchesOneShot(t *testing.T) {
 	}
 }
 
+// The writer rejects a case whose events are out of start order, and a
+// case that does not come strictly after the previous one in CaseID
+// order: one stored twice, or one that sorts before its predecessor.
 func TestV2UnsortedCaseRejected(t *testing.T) {
-	c := &trace.Case{ID: trace.CaseID{CID: "a", Host: "h", RID: 1}, Events: []trace.Event{
-		{Call: "read", Start: 10}, {Call: "write", Start: 5},
-	}}
-	vw := newV2Writer(io.Discard)
-	if err := vw.Add(c); err == nil {
-		t.Fatal("unsorted case accepted")
+	id := func(cid string) trace.CaseID { return trace.CaseID{CID: cid, Host: "h", RID: 1} }
+	a := trace.NewCase(id("a"), []trace.Event{{Call: "read", Start: 1}})
+	b := trace.NewCase(id("b"), []trace.Event{{Call: "read", Start: 1}})
+	for name, cases := range map[string][]*trace.Case{
+		"unsorted events": {{ID: id("a"), Events: []trace.Event{{Call: "read", Start: 10}, {Call: "write", Start: 5}}}},
+		"duplicate case":  {a, a},
+		"reversed cases":  {b, a},
+	} {
+		vw := newV2Writer(io.Discard)
+		last := len(cases) - 1
+		for _, c := range cases[:last] {
+			if err := vw.Add(c); err != nil {
+				t.Fatalf("%s: %s: %v", name, c.ID, err)
+			}
+		}
+		if err := vw.Add(cases[last]); err == nil {
+			t.Errorf("%s: %s accepted", name, cases[last].ID)
+		}
+	}
+}
+
+// The reader checks the index order instead of assuming it: an image
+// whose index holds a case twice, or lists cases out of CaseID order,
+// is corrupt, so Stream can never deliver a case twice or out of
+// canonical order.
+func TestV2ReaderRejectsIndexOrder(t *testing.T) {
+	a := trace.NewCase(trace.CaseID{CID: "a", Host: "h", RID: 1}, []trace.Event{{Call: "read", Start: 1}})
+	b := trace.NewCase(trace.CaseID{CID: "b", Host: "h", RID: 1}, []trace.Event{{Call: "write", Start: 2}})
+	for name, edit := range map[string]func(es []indexEntry) []indexEntry{
+		"duplicate": func(es []indexEntry) []indexEntry { return append(es, es[0]) },
+		"reversed":  func(es []indexEntry) []indexEntry { return []indexEntry{es[1], es[0]} },
+	} {
+		// Build the image through the writer, then edit its index
+		// before Finish checksums it.
+		var f bytes.Buffer
+		vw := newV2Writer(&f)
+		for _, c := range []*trace.Case{a, b} {
+			if err := vw.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vw.entries = edit(vw.entries)
+		if err := vw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := newReaderBytes(f.Bytes())
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: opened with %v, want a *CorruptError", name, err)
+		}
 	}
 }
 
@@ -115,8 +163,8 @@ func TestV2EmptyLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumCases() != 0 || r.NumEvents() != 0 {
-		t.Fatalf("empty archive reports %d cases / %d events", r.NumCases(), r.NumEvents())
+	if r.NumCases() != 0 {
+		t.Fatalf("empty archive reports %d cases", r.NumCases())
 	}
 	got, err := readAll(r, 0)
 	if err != nil {
@@ -216,20 +264,25 @@ func TestV2CaseRangeSlicing(t *testing.T) {
 			}
 		}
 	}
-	// ReadCaseAt is positional random access over the same index.
+	// A one-case range is positional random access over the same index;
+	// a position outside the archive clamps to an empty range.
 	for i := range all {
-		c, err := r.ReadCaseAt(i)
+		src := r.StreamRange(i, i+1, 1, 1)
+		c, err := src.Next()
+		src.Close()
 		if err != nil {
-			t.Fatalf("ReadCaseAt(%d): %v", i, err)
+			t.Fatalf("StreamRange(%d, %d): %v", i, i+1, err)
 		}
 		if c.ID != all[i].ID {
-			t.Fatalf("ReadCaseAt(%d) = %s, want %s", i, c.ID, all[i].ID)
+			t.Fatalf("StreamRange(%d, %d) = %s, want %s", i, i+1, c.ID, all[i].ID)
 		}
 	}
 	for _, i := range []int{-1, len(all), len(all) + 5} {
-		if _, err := r.ReadCaseAt(i); err == nil {
-			t.Fatalf("ReadCaseAt(%d) succeeded", i)
+		src := r.StreamRange(i, i+1, 1, 1)
+		if c, err := src.Next(); err != io.EOF {
+			t.Fatalf("StreamRange(%d, %d) = %v, %v; want io.EOF", i, i+1, c, err)
 		}
+		src.Close()
 	}
 }
 
@@ -246,7 +299,7 @@ func TestV2ScopedSyms(t *testing.T) {
 		t.Fatal(err)
 	}
 	scoped := intern.NewTable()
-	r.SetSyms(scoped)
+	r.setSyms(scoped)
 	got, err := readAll(r, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +312,7 @@ func TestV2ScopedSyms(t *testing.T) {
 	// Rebind to a second table: decodes must still be correct and the
 	// second table must now hold the vocabulary too.
 	scoped2 := intern.NewTable()
-	r.SetSyms(scoped2)
+	r.setSyms(scoped2)
 	got2, err := readAll(r, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,9 @@ func (vw *v2Writer) start() error {
 
 // Add appends one case to the archive. The case must be sorted by start
 // time (Equation (2) order), which is also what lets readers skip
-// re-sorting: the delta-encoded start column proves the order.
+// re-sorting: the delta-encoded start column proves the order. Cases
+// must arrive in strictly ascending CaseID order, the order the reader
+// checks and streams.
 func (vw *v2Writer) Add(c *trace.Case) error {
 	if vw.finished {
 		return fmt.Errorf("archive: Add after Finish")
@@ -83,6 +85,9 @@ func (vw *v2Writer) Add(c *trace.Case) error {
 	}
 	if !c.Sorted() {
 		return fmt.Errorf("archive: case %s is not sorted by start time", c.ID)
+	}
+	if k := len(vw.entries); k > 0 && !vw.entries[k-1].id.Less(c.ID) {
+		return fmt.Errorf("archive: case %s does not come after %s in CaseID order", c.ID, vw.entries[k-1].id)
 	}
 	cidSym := vw.dict.Intern(c.ID.CID)
 	hostSym := vw.dict.Intern(c.ID.Host)

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"sync"
 
-	"stinspector/internal/archive"
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
@@ -88,11 +87,6 @@ func FromStraceDir(dir string, opts strace.Options) (*Inspector, error) {
 		return nil, err
 	}
 	return FromEventLog(el), nil
-}
-
-// SaveArchive consolidates the inspector's event-log into an STA file.
-func (in *Inspector) SaveArchive(path string) error {
-	return archive.WriteFileV2(path, in.log)
 }
 
 // EventLog exposes the underlying event-log.

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"stinspector/internal/archive"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth"
 	"stinspector/internal/trace"
@@ -56,7 +57,7 @@ func TestFromArchiveParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "log.sta")
-	if err := seq.SaveArchive(path); err != nil {
+	if err := archive.WriteFileV2(path, seq.EventLog()); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 1, 8} {

@@ -24,7 +24,7 @@ type Builder struct {
 	edges  map[uint64]int
 	traces int
 
-	symbuf []intern.Sym // AddVariant scratch
+	symbuf []intern.Sym // addVariant scratch
 }
 
 // newBuilder returns a builder over an empty graph with its own
@@ -39,11 +39,8 @@ func NewBuilderSym(tab *intern.Local) *Builder {
 	return &Builder{tab: tab, edges: make(map[uint64]int, 32)}
 }
 
-// AddTrace folds one case's activity trace into the graph.
-func (b *Builder) AddTrace(seq pm.Trace) { b.AddVariant(seq, 1) }
-
-// AddVariant folds a trace with a multiplicity, the variant form.
-func (b *Builder) AddVariant(seq pm.Trace, mult int) {
+// addVariant folds a trace with a multiplicity, the variant form.
+func (b *Builder) addVariant(seq pm.Trace, mult int) {
 	syms := b.symbuf[:0]
 	for _, a := range seq {
 		syms = append(syms, b.tab.Intern(string(a)))

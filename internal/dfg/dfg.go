@@ -48,7 +48,7 @@ func New() *Graph {
 func Build(l *pm.Log) *Graph {
 	b := newBuilder()
 	for _, v := range l.Variants() {
-		b.AddVariant(v.Seq, v.Mult)
+		b.addVariant(v.Seq, v.Mult)
 	}
 	return b.Finalize()
 }
@@ -101,8 +101,8 @@ func (g *Graph) NumTraces() int { return g.traces }
 // HasNode reports whether the activity occurs in the graph.
 func (g *Graph) HasNode(a pm.Activity) bool { _, ok := g.nodes[a]; return ok }
 
-// HasEdge reports whether the directly-follows relation occurs.
-func (g *Graph) HasEdge(e Edge) bool { _, ok := g.edges[e]; return ok }
+// hasEdge reports whether the directly-follows relation occurs.
+func (g *Graph) hasEdge(e Edge) bool { _, ok := g.edges[e]; return ok }
 
 // NodeCount returns the number of occurrences of the activity.
 func (g *Graph) NodeCount(a pm.Activity) int { return g.nodes[a] }
@@ -156,64 +156,6 @@ func (g *Graph) Edges() []Edge {
 		return nodeCmp(x.To, y.To)
 	})
 	return out
-}
-
-// OutEdges returns the edges leaving a, in deterministic order.
-func (g *Graph) OutEdges(a pm.Activity) []Edge {
-	var out []Edge
-	for e := range g.edges {
-		if e.From == a {
-			out = append(out, e)
-		}
-	}
-	slices.SortFunc(out, func(x, y Edge) int { return nodeCmp(x.To, y.To) })
-	return out
-}
-
-// InEdges returns the edges entering a, in deterministic order.
-func (g *Graph) InEdges(a pm.Activity) []Edge {
-	var out []Edge
-	for e := range g.edges {
-		if e.To == a {
-			out = append(out, e)
-		}
-	}
-	slices.SortFunc(out, func(x, y Edge) int { return nodeCmp(x.From, y.From) })
-	return out
-}
-
-// OutWeight returns the summed counts of edges leaving a; InWeight the
-// summed counts of edges entering a. With endpoint-augmented traces both
-// equal NodeCount(a) for every non-virtual activity (flow conservation),
-// an invariant the tests rely on.
-func (g *Graph) OutWeight(a pm.Activity) int {
-	n := 0
-	for e, c := range g.edges {
-		if e.From == a {
-			n += c
-		}
-	}
-	return n
-}
-
-// InWeight returns the summed counts of edges entering a.
-func (g *Graph) InWeight(a pm.Activity) int {
-	n := 0
-	for e, c := range g.edges {
-		if e.To == a {
-			n += c
-		}
-	}
-	return n
-}
-
-// TotalEdgeCount returns the sum of all edge observation counts.
-func (g *Graph) TotalEdgeCount() int {
-	n := 0
-	for _, c := range g.edges {
-		n += c
-	}
-	return n
 }
 
 // Equal reports whether two graphs have identical node and edge sets with

@@ -76,8 +76,8 @@ func NewFootprint(g *Graph) *Footprint {
 	}
 	for i, a := range acts {
 		for j, b := range acts {
-			ab := g.HasEdge(Edge{From: a, To: b})
-			ba := g.HasEdge(Edge{From: b, To: a})
+			ab := g.hasEdge(Edge{From: a, To: b})
+			ba := g.hasEdge(Edge{From: b, To: a})
 			var r Relation
 			switch {
 			case ab && ba:

@@ -61,10 +61,10 @@ func Split(l *pm.Log, green func(trace.CaseID) bool) (g, r *Graph) {
 			}
 		}
 		if n > 0 {
-			gb.AddVariant(v.Seq, n)
+			gb.addVariant(v.Seq, n)
 		}
 		if v.Mult > n {
-			rb.AddVariant(v.Seq, v.Mult-n)
+			rb.addVariant(v.Seq, v.Mult-n)
 		}
 	}
 	return gb.Finalize(), rb.Finalize()
@@ -89,7 +89,7 @@ func Classify(full, green, red *Graph) *Partition {
 		p.Nodes[a] = classOf(green.HasNode(a), red.HasNode(a))
 	}
 	for _, e := range full.Edges() {
-		p.EdgeC[e] = classOf(green.HasEdge(e), red.HasEdge(e))
+		p.EdgeC[e] = classOf(green.hasEdge(e), red.hasEdge(e))
 	}
 	return p
 }
@@ -139,17 +139,4 @@ func (p *Partition) CountEdges() (green, red, shared int) {
 		}
 	}
 	return
-}
-
-// ExclusiveNodes returns the nodes of the given class, in the full
-// graph's deterministic order. The full graph must be supplied because
-// the partition stores only classifications.
-func (p *Partition) ExclusiveNodes(g *Graph, class Class) []pm.Activity {
-	var out []pm.Activity
-	for _, a := range g.Nodes() {
-		if p.Nodes[a] == class {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -58,7 +58,7 @@ func TestGraphSnapshotMergesAfterDecode(t *testing.T) {
 		db := newBuilder()
 		for _, c := range sub {
 			if seq, ok := b.Add(c); ok {
-				db.AddTrace(seq)
+				db.addVariant(seq, 1)
 			}
 		}
 		return db.Finalize()

@@ -48,9 +48,9 @@ func (c *Cache) Intern(s string) Sym {
 	return y
 }
 
-// InternBytes is Intern for a []byte key. On a cache hit no string is
+// internBytes is Intern for a []byte key. On a cache hit no string is
 // allocated.
-func (c *Cache) InternBytes(b []byte) Sym {
+func (c *Cache) internBytes(b []byte) Sym {
 	if y, ok := c.m[string(b)]; ok { // compiler elides the conversion
 		return y
 	}
@@ -67,7 +67,7 @@ func (c *Cache) InternBytes(b []byte) Sym {
 func (c *Cache) Canon(s string) string { return c.t.Str(c.Intern(s)) }
 
 // CanonBytes is Canon for a []byte, allocating only on first sight.
-func (c *Cache) CanonBytes(b []byte) string { return c.t.Str(c.InternBytes(b)) }
+func (c *Cache) CanonBytes(b []byte) string { return c.t.Str(c.internBytes(b)) }
 
 // cachePool recycles per-worker caches over defaultTable — and
 // only defaultTable. defaultTable lives for the process, so pooled caches stay

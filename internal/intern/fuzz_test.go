@@ -28,7 +28,7 @@ func FuzzIntern(f *testing.F) {
 		}
 
 		c := newCache(tab)
-		if c.Intern(a) != ya || c.InternBytes([]byte(b)) != yb {
+		if c.Intern(a) != ya || c.internBytes([]byte(b)) != yb {
 			t.Fatal("cache disagrees with table")
 		}
 		if c.Canon(a) != a || c.CanonBytes([]byte(b)) != b {

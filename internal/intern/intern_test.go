@@ -113,8 +113,8 @@ func TestCacheBytesAndCanon(t *testing.T) {
 	tab := NewTable()
 	c := newCache(tab)
 	y := c.Intern("openat")
-	if got := c.InternBytes([]byte("openat")); got != y {
-		t.Errorf("InternBytes = %d, want %d", got, y)
+	if got := c.internBytes([]byte("openat")); got != y {
+		t.Errorf("internBytes = %d, want %d", got, y)
 	}
 	if got := c.Canon("openat"); got != tab.Str(y) {
 		t.Errorf("Canon = %q", got)

@@ -104,7 +104,7 @@ func (e *Engine) Run(programs []Program) error {
 			if a.Cost != nil {
 				dur, size = a.Cost(st.rank, st.rank.Clock.Now())
 			}
-			st.rank.Record(a.Call, a.Path, dur, size)
+			st.rank.record(a.Call, a.Path, dur, size)
 			heap.Push(ready, queued{at: st.rank.Clock.Now(), idx: q.idx})
 		case a.Compute > 0:
 			st.rank.Clock.Advance(a.Compute)

@@ -111,9 +111,6 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
-// NumRanks returns the number of ranks.
-func (w *World) NumRanks() int { return len(w.Ranks) }
-
 // RanksPerHost returns how many ranks share the first host (the block
 // size of the distribution).
 func (w *World) RanksPerHost() int {
@@ -130,12 +127,12 @@ func (w *World) RanksPerHost() int {
 	return n
 }
 
-// Record appends a system-call event to the rank's trace at the current
+// record appends a system-call event to the rank's trace at the current
 // clock and advances the clock past it. Size < 0 records a sizeless call
 // (openat, lseek, ...). Timestamps and durations are truncated to
 // microseconds — the resolution of strace -tt -T output — so that an
 // event-log and its strace-text rendering carry identical values.
-func (r *Rank) Record(call, path string, dur time.Duration, size int64) {
+func (r *Rank) record(call, path string, dur time.Duration, size int64) {
 	r.events = append(r.events, trace.Event{
 		PID:   r.PID,
 		Call:  call,

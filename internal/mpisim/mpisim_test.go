@@ -9,8 +9,8 @@ import (
 
 func TestWorldLayout(t *testing.T) {
 	w := NewWorld(Config{Ranks: 96, Hosts: 2, Seed: 1})
-	if w.NumRanks() != 96 {
-		t.Fatalf("ranks = %d", w.NumRanks())
+	if len(w.Ranks) != 96 {
+		t.Fatalf("ranks = %d", len(w.Ranks))
 	}
 	if w.RanksPerHost() != 48 {
 		t.Errorf("ranks per host = %d, want 48", w.RanksPerHost())
@@ -42,8 +42,8 @@ func TestWorldLayout(t *testing.T) {
 
 func TestWorldDefaults(t *testing.T) {
 	w := NewWorld(Config{})
-	if w.NumRanks() != 1 || w.RanksPerHost() != 1 {
-		t.Errorf("default world = %d ranks", w.NumRanks())
+	if len(w.Ranks) != 1 || w.RanksPerHost() != 1 {
+		t.Errorf("default world = %d ranks", len(w.Ranks))
 	}
 	if w.Ranks[0].Clock.Now() != 10*time.Hour {
 		t.Errorf("default start of day = %v", w.Ranks[0].Clock.Now())

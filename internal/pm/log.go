@@ -13,9 +13,9 @@ import (
 // mapped events of one case, in event order (Equation 5).
 type Trace []Activity
 
-// Key returns a canonical string form used to group identical traces into
+// key returns a canonical string form used to group identical traces into
 // variants. Activities never contain the NUL separator.
-func (t Trace) Key() string {
+func (t Trace) key() string {
 	parts := make([]string, len(t))
 	for i, a := range t {
 		parts[i] = string(a)
@@ -47,7 +47,7 @@ type Variant struct {
 // The zero Log is empty and ready to Merge into.
 type Log struct {
 	variants []*Variant
-	// keys[i] is variants[i].Seq.Key(), kept beside the variants so the
+	// keys[i] is variants[i].Seq.key(), kept beside the variants so the
 	// ordered insert and Merge never rebuild a key.
 	keys  []string
 	byKey map[string]*Variant
@@ -263,7 +263,7 @@ func (b *Builder) Finalize() *Log {
 	out := make([]keyed, 0, len(b.vars))
 	for _, sv := range b.vars {
 		seq := b.materialize(sv.seq)
-		key := seq.Key()
+		key := seq.key()
 		// Two distinct symbol sequences can collapse onto one string
 		// key only if an activity embeds the NUL separator (outside
 		// the documented Activity contract); fold them the way the
@@ -295,7 +295,7 @@ func (b *Builder) Finalize() *Log {
 // add folds one materialized trace into the log — the hand-construction
 // path used by tests and tools building Logs without a Builder.
 func (l *Log) add(seq Trace, id trace.CaseID) {
-	key := seq.Key()
+	key := seq.key()
 	v, ok := l.byKey[key]
 	if !ok {
 		v = &Variant{Seq: seq}
@@ -334,22 +334,6 @@ func (l *Log) NumTraces() int {
 	n := 0
 	for _, v := range l.variants {
 		n += v.Mult
-	}
-	return n
-}
-
-// NumActivities returns the total number of activity occurrences,
-// counting multiplicity and excluding the virtual endpoints.
-func (l *Log) NumActivities() int {
-	n := 0
-	for _, v := range l.variants {
-		k := 0
-		for _, a := range v.Seq {
-			if !a.IsVirtual() {
-				k++
-			}
-		}
-		n += k * v.Mult
 	}
 	return n
 }
@@ -427,33 +411,6 @@ func paddedCasesInPlace(v *Variant) []trace.CaseID {
 		return v.Cases
 	}
 	return paddedCases(v)
-}
-
-// TopVariants returns the k most frequent variants (ties broken by the
-// deterministic variant order). Trace-variant ranking is the standard
-// first look at an event-log in process mining: a handful of variants
-// usually covers almost all cases.
-func (l *Log) TopVariants(k int) []*Variant {
-	out := append([]*Variant(nil), l.variants...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Mult > out[j].Mult })
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// Coverage returns the fraction of traces covered by the k most frequent
-// variants (1.0 when k ≥ NumVariants).
-func (l *Log) Coverage(k int) float64 {
-	total := l.NumTraces()
-	if total == 0 {
-		return 1
-	}
-	n := 0
-	for _, v := range l.TopVariants(k) {
-		n += v.Mult
-	}
-	return float64(n) / float64(total)
 }
 
 // String renders the log in the paper's multiset notation, one variant

@@ -144,8 +144,8 @@ func TestUnionLogsVariantOrdering(t *testing.T) {
 	}
 	keys := u.Variants()
 	for i := 1; i < len(keys); i++ {
-		if keys[i-1].Seq.Key() >= keys[i].Seq.Key() {
-			t.Errorf("variants not in key order at %d: %q >= %q", i, keys[i-1].Seq.Key(), keys[i].Seq.Key())
+		if keys[i-1].Seq.key() >= keys[i].Seq.key() {
+			t.Errorf("variants not in key order at %d: %q >= %q", i, keys[i-1].Seq.key(), keys[i].Seq.key())
 		}
 	}
 	// Argument order must not matter for the variant sequence either.

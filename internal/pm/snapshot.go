@@ -138,7 +138,7 @@ func DecodeLogSnapshot(data []byte) (*Log, error) {
 			}
 			cases[j].RID = int(rid)
 		}
-		key := seq.Key()
+		key := seq.key()
 		// A well-formed snapshot never repeats a variant key; fold
 		// duplicates the way the builder would rather than dropping data.
 		if v, ok := l.byKey[key]; ok {

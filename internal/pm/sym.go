@@ -72,10 +72,10 @@ func (sm *SymMapper) Mapping() Mapping { return sm.m }
 // builders: Str materializes an activity symbol back into its string.
 func (sm *SymMapper) Acts() *intern.Local { return sm.acts }
 
-// MapEvent maps one event to its activity symbol; ok is false when the
+// mapEvent maps one event to its activity symbol; ok is false when the
 // event is outside the mapping's domain. For pure mappings the
 // activity string is built at most once per distinct (call, fp) pair.
-func (sm *SymMapper) MapEvent(e *trace.Event) (intern.Sym, bool) {
+func (sm *SymMapper) mapEvent(e *trace.Event) (intern.Sym, bool) {
 	if sm.pure == nil {
 		a, ok := sm.m.Map(*e)
 		if !ok {
@@ -102,7 +102,7 @@ func (sm *SymMapper) MapEvent(e *trace.Event) (intern.Sym, bool) {
 // per-case mapping allocation-free.
 func (sm *SymMapper) MapCase(c *trace.Case, buf []intern.Sym) []intern.Sym {
 	for i := range c.Events {
-		if a, ok := sm.MapEvent(&c.Events[i]); ok {
+		if a, ok := sm.mapEvent(&c.Events[i]); ok {
 			buf = append(buf, a)
 		} else {
 			buf = append(buf, NoActivity)

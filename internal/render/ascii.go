@@ -47,8 +47,9 @@ func (t *Text) appendTo(b []byte) []byte {
 	}
 	nodes := t.Graph.Nodes()
 	// Edges() orders by from-node in the same node order Nodes() uses,
-	// then by to-node as OutEdges does, and every edge leaves a node of
-	// the graph: each node's out-edges are the next run of the one list.
+	// then by to-node, and every edge leaves a node of the graph: each
+	// node's out-edges, in to-node order, are the next run of the one
+	// list.
 	edges := t.Graph.Edges()
 	// Size the buffer once: a node line is its name plus at most about
 	// 90 bytes of annotations, an edge line its target plus about 30.

@@ -93,8 +93,8 @@ func TestSessionDrainMatchesBatch(t *testing.T) {
 	if err := sess.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if sess.State() != stateDone {
-		t.Fatalf("state = %s, want done", sess.State())
+	if sess.Info().State != stateDone {
+		t.Fatalf("state = %s, want done", sess.Info().State)
 	}
 	res, err := sess.Result()
 	if err != nil {
@@ -170,8 +170,8 @@ func TestSessionRecoverResumes(t *testing.T) {
 	if sess.Info().Cases == 0 {
 		t.Fatal("no checkpoint epoch committed")
 	}
-	sess.Abort()
-	if st := sess.State(); st != stateAborted {
+	sess.abort()
+	if st := sess.Info().State; st != stateAborted {
 		t.Fatalf("state after abort = %s", st)
 	}
 
@@ -218,7 +218,7 @@ func TestSessionRecoverResumes(t *testing.T) {
 
 // TestSessionAbortUnblocksWedgedPipeline: with budget 1 and a blocked
 // fold (no consumer progress because the queue is saturated by design),
-// Abort must return promptly — Close never waits on producers.
+// abort must return promptly — Close never waits on producers.
 func TestSessionAbortUnblocksWedgedPipeline(t *testing.T) {
 	traceDir := t.TempDir()
 	writeTraces(t, traceDir, "wdg", 8, 10, 9)
@@ -237,13 +237,13 @@ func TestSessionAbortUnblocksWedgedPipeline(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		sess.Abort()
+		sess.abort()
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Abort blocked on a wedged pipeline")
+		t.Fatal("abort blocked on a wedged pipeline")
 	}
 }
 
@@ -405,7 +405,7 @@ func TestWatchdogFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Abort()
+	defer sess.abort()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		info := sess.Info()

@@ -219,13 +219,13 @@ func (s *Server) Remove(name string) bool {
 	delete(s.sessions, name)
 	s.mu.Unlock()
 	if ok {
-		sess.Abort()
+		sess.abort()
 	}
 	return ok
 }
 
-// List snapshots every session's Info, sorted by name.
-func (s *Server) List() []Info {
+// list snapshots every session's Info, sorted by name.
+func (s *Server) list() []Info {
 	s.mu.Lock()
 	all := make([]*Session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -275,7 +275,7 @@ func (s *Server) AbortAll() {
 	}
 	s.mu.Unlock()
 	for _, sess := range all {
-		sess.Abort()
+		sess.abort()
 	}
 }
 
@@ -287,7 +287,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.List())
+		writeJSON(w, http.StatusOK, s.list())
 	})
 	mux.HandleFunc("POST /sessions/{name}", s.handleCreate)
 	mux.HandleFunc("GET /sessions/{name}/info", s.withSession(func(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -403,7 +403,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *Sess
 		return
 	}
 	id := trace.CaseID{CID: q.Get("cid"), Host: q.Get("host"), RID: rid}
-	events, dropped, err := sess.Ingest(id, r.Body)
+	events, dropped, err := sess.ingest(id, r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -315,11 +315,11 @@ func (s *Session) recordFault(err error) {
 	s.faults = append(s.faults, err.Error())
 }
 
-// Ingest feeds one case from a byte stream (the HTTP ingest path) under
+// ingest feeds one case from a byte stream (the HTTP ingest path) under
 // follow-mode line discipline. It reports the events ingested and the
 // lines dropped: an unterminated final line, and complete lines skipped
 // as unparseable or over 4 MiB.
-func (s *Session) Ingest(id trace.CaseID, r io.Reader) (events, dropped int, err error) {
+func (s *Session) ingest(id trace.CaseID, r io.Reader) (events, dropped int, err error) {
 	c, dropped, err := strace.FollowReader(id, r, strace.Options{Syms: s.syms})
 	if err != nil {
 		return 0, dropped, err
@@ -350,26 +350,19 @@ func (s *Session) Drain() error {
 	return s.foldErr
 }
 
-// Abort hard-stops the session: the queue is closed (producers and the
+// abort hard-stops the session: the queue is closed (producers and the
 // fold wake immediately; Close never waits for a wedged producer), the
 // tailer abandons its files, and in-flight work past the last
 // checkpoint is discarded. The checkpoint on disk is the recovery
 // point. Idempotent; safe after Drain (then a no-op on a finished
 // pipeline).
-func (s *Session) Abort() {
+func (s *Session) abort() {
 	s.abortOnce.Do(func() {
 		close(s.wdStop)
 		s.live.Close()
 		s.tailer.Stop()
 	})
 	<-s.foldDone
-}
-
-// State reports the lifecycle position.
-func (s *Session) State() SessionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
 }
 
 // Result returns the final artifacts after a successful Drain.

@@ -82,7 +82,7 @@ func TestArtifactServedFromMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Abort()
+	defer sess.abort()
 	waitGeneration(t, sess, 8)
 	want := fileArtifacts(t, sess)
 	if body, _ := sess.Artifact("dfg"); !bytes.Equal(body, want["dfg"]) {
@@ -110,7 +110,7 @@ func TestFailedCheckpointWriteNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Abort()
+	defer sess.abort()
 	waitGeneration(t, sess, 4)
 	path := filepath.Join(sess.dir, core.DefaultCheckpointName)
 	saved, err := os.ReadFile(path)
@@ -156,13 +156,13 @@ func TestFailedCheckpointWriteNeverServed(t *testing.T) {
 	}()
 	writeTraces(t, traceDir, "fw2", 4, 12, 7)
 	deadline := time.Now().Add(20 * time.Second)
-	for sess.State() != stateFailed && time.Now().Before(deadline) {
+	for sess.Info().State != stateFailed && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if sess.State() != stateFailed {
-		t.Fatalf("state %s after a failed checkpoint write, want failed", sess.State())
+	if sess.Info().State != stateFailed {
+		t.Fatalf("state %s after a failed checkpoint write, want failed", sess.Info().State)
 	}
 	if served == 0 {
 		t.Error("no query was answered while the write was failing")
@@ -218,7 +218,7 @@ func TestResumedSessionServesFromMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGeneration(t, sess, 6)
-	sess.Abort()
+	sess.abort()
 	want := fileArtifacts(t, sess)
 
 	srv2, err := NewServer(Config{StateDir: stateDir, Watchdog: -1})
@@ -229,7 +229,7 @@ func TestResumedSessionServesFromMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess2, _ := srv2.Get("r1")
-	defer sess2.Abort()
+	defer sess2.abort()
 	waitGeneration(t, sess2, 6)
 	if err := os.WriteFile(filepath.Join(sess2.dir, core.DefaultCheckpointName), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestServedGenerationsMatchCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Abort()
+	defer sess.abort()
 
 	// Two concurrent clients, so queries of one (generation, kind) also
 	// meet while it renders.
@@ -375,7 +375,7 @@ func TestHTTPConditionalGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Abort()
+	defer sess.abort()
 	waitGeneration(t, sess, 4)
 
 	get := func(kind, inm string) (*http.Response, []byte) {

@@ -61,23 +61,6 @@ func Ordered(n, workers, window int, fetch fetchFunc) Source {
 	return s
 }
 
-// OrderedRange is Ordered over the half-open index range [a, b) of the
-// work list: fetch is still addressed in the list's own coordinates,
-// which is what range-addressed backends (an archive's case index, say)
-// need to stream a slice without re-numbering their entries. An empty
-// or inverted range yields an immediately-exhausted source.
-func OrderedRange(a, b, workers, window int, fetch fetchFunc) Source {
-	if b < a {
-		b = a
-	}
-	if a == 0 {
-		return Ordered(b, workers, window, fetch)
-	}
-	return Ordered(b-a, workers, window, func(i int) (*trace.Case, error) {
-		return fetch(a + i)
-	})
-}
-
 // indexed is one fetch outcome traveling from a worker to the consumer.
 type indexed struct {
 	i   int

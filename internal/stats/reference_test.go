@@ -6,12 +6,14 @@ package stats_test
 // a plain loop (the data rates in math/big), and max-concurrency is
 // found by brute force over all pairs of events. The optimized paths
 // are checked against it, the Inspector's fold over the materialized
-// log and the streaming fold at several shard counts, so a bug that
-// every optimized path shares still shows.
+// log, the streaming fold at several shard counts, the checkpointed fold
+// and the merge of snapshot files, so a bug that every optimized path
+// shares still shows.
 
 import (
 	"fmt"
 	"math/big"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
@@ -19,6 +21,7 @@ import (
 
 	"stinspector/internal/core"
 	"stinspector/internal/pm"
+	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/stats"
 	"stinspector/internal/synth/profiles"
@@ -196,10 +199,12 @@ func edgeLog() *trace.EventLog {
 	)
 }
 
-// TestStatsMatchNaiveReference checks the Inspector's statistics and
-// the streaming fold's, at 1, 2 and 4 shards, against the naive
-// reference over every generator profile and the edge-case log, under
-// a total mapping, a file-level one and a partial one.
+// TestStatsMatchNaiveReference checks the statistics of the Inspector,
+// of the streaming fold at 1, 2 and 4 shards, of the checkpointed fold
+// and of a merge of two snapshot files over disjoint halves of the log
+// against the naive reference over every generator profile and the
+// edge-case log, under a total mapping, a file-level one and a partial
+// one.
 func TestStatsMatchNaiveReference(t *testing.T) {
 	logs := map[string]*trace.EventLog{"edges": edgeLog()}
 	for i, p := range profiles.All() {
@@ -234,8 +239,48 @@ func TestStatsMatchNaiveReference(t *testing.T) {
 				}
 				checkAgainstReference(t, fmt.Sprintf("%s/shards=%d", name, shards), res.Stats, el, m)
 			}
+			checkAgainstReference(t, name+"/checkpointed", checkpointedStats(t, el, m), el, m)
+			checkAgainstReference(t, name+"/merged-snapshots", mergedSnapshotStats(t, el, m), el, m)
 		}
 	}
+}
+
+// checkpointedStats folds el through core.AnalyzeStreamCheckpointed,
+// writing a checkpoint every eighth of the log (every case for the
+// small logs), so the statistics come out of several epoch merges.
+func checkpointedStats(t *testing.T, el *trace.EventLog, m pm.Mapping) *stats.Stats {
+	t.Helper()
+	every := max(1, el.NumCases()/8)
+	res, err := core.AnalyzeStreamCheckpointed(source.FromLog(el), m, 2, false, core.CheckpointOptions{Dir: t.TempDir(), Every: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats
+}
+
+// mergedSnapshotStats writes one snapshot file for each half of el's
+// cases and merges the two with core.MergeSnapshotFiles.
+func mergedSnapshotStats(t *testing.T, el *trace.EventLog, m pm.Mapping) *stats.Stats {
+	t.Helper()
+	cases, dir := el.Cases(), t.TempDir()
+	half := len(cases) / 2
+	var paths []string
+	for i, part := range [][]*trace.Case{cases[:half], cases[half:]} {
+		s, err := core.AnalyzeStreamSnapshot(source.FromLog(trace.MustNewEventLog(part...)), m, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("half%d.sts", i))
+		if err := snapshot.WriteFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	res, err := core.MergeSnapshotFiles(m, paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats
 }
 
 // TestBruteMaxConc pins the reference's own reading of Equation 16 on

@@ -44,7 +44,7 @@ func TestParseAllocBudget(t *testing.T) {
 	calls := []string{"openat", "read", "pwrite64", "lseek", "close", "fsync"}
 	paths := []string{"/usr/lib/x86_64-linux-gnu/libselinux.so.1", "/p/scratch/u/ssf/testfile", "/etc/ld.so.cache"}
 	for i := 0; i < events; i++ {
-		w.WriteEvent(trace.Event{
+		w.writeEvent(trace.Event{
 			PID:   9000 + i%3,
 			Call:  calls[i%len(calls)],
 			Start: time.Duration(i) * time.Millisecond,

@@ -110,7 +110,7 @@ func extractPathInto(r record, scratch *[]byte) (string, bool) {
 		}
 		return "", false
 	}
-	if p, ok := r.FirstArgPath(); ok {
+	if p, ok := r.firstArgPath(); ok {
 		return p, false
 	}
 	// Fall back to a quoted first argument for calls not listed above.

@@ -107,7 +107,7 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 	pending := make(map[int]record)
 
 	emit := func(r record) {
-		if r.Interrupted() {
+		if r.interrupted() {
 			return
 		}
 		if r.Failed() && !opts.KeepFailed {

@@ -28,14 +28,11 @@ func TestParseFig2aLines(t *testing.T) {
 	if rec.Time != wantTS {
 		t.Errorf("time = %v, want %v", rec.Time, wantTS)
 	}
-	if p, ok := rec.FirstArgPath(); !ok || p != "/usr/lib/x86_64-linux-gnu/libselinux.so.1" {
+	if p, ok := rec.firstArgPath(); !ok || p != "/usr/lib/x86_64-linux-gnu/libselinux.so.1" {
 		t.Errorf("first-arg path = %q (%v)", p, ok)
 	}
 	if !rec.RetOK || rec.RetInt != 832 {
 		t.Errorf("ret = %d (ok=%v), want 832", rec.RetInt, rec.RetOK)
-	}
-	if req, ok := rec.RequestedBytes(); !ok || req != 832 {
-		t.Errorf("requested = %d (%v), want 832", req, ok)
 	}
 	if !rec.HasDur || rec.Dur != 203*time.Microsecond {
 		t.Errorf("dur = %v (has=%v), want 203µs", rec.Dur, rec.HasDur)
@@ -46,12 +43,9 @@ func TestParseFig2aLines(t *testing.T) {
 	if rec.RetInt != 0 || !rec.RetOK {
 		t.Errorf("EOF read ret = %d (ok=%v)", rec.RetInt, rec.RetOK)
 	}
-	if req, ok := rec.RequestedBytes(); !ok || req != 1024 {
-		t.Errorf("EOF read requested = %d (%v), want 1024", req, ok)
-	}
 
 	rec = mustParse(t, `9054  08:55:54.176260 write(1</dev/pts/7>, ..., 50) = 50 <0.000111>`)
-	if p, _ := rec.FirstArgPath(); p != "/dev/pts/7" {
+	if p, _ := rec.firstArgPath(); p != "/dev/pts/7" {
 		t.Errorf("write path = %q", p)
 	}
 }
@@ -65,7 +59,7 @@ func TestParseFig2cUnfinishedResumed(t *testing.T) {
 	if u.HasDur {
 		t.Errorf("unfinished record should carry no duration")
 	}
-	if p, ok := u.FirstArgPath(); !ok || p != "/usr/lib/x86_64-linux-gnu/libselinux.so.1" {
+	if p, ok := u.firstArgPath(); !ok || p != "/usr/lib/x86_64-linux-gnu/libselinux.so.1" {
 		t.Errorf("unfinished path = %q (%v)", p, ok)
 	}
 
@@ -107,7 +101,7 @@ func TestParseLseekAndPwrite(t *testing.T) {
 	if rec.Call != "lseek" {
 		t.Fatalf("call = %q", rec.Call)
 	}
-	if p, ok := rec.FirstArgPath(); !ok || p != "/scratch/ssf/test" {
+	if p, ok := rec.firstArgPath(); !ok || p != "/scratch/ssf/test" {
 		t.Errorf("lseek path = %q (%v)", p, ok)
 	}
 	if rec.RetInt != 16777216 {
@@ -121,7 +115,7 @@ func TestParseLseekAndPwrite(t *testing.T) {
 
 func TestParseERESTARTSYS(t *testing.T) {
 	rec := mustParse(t, `100  10:00:00.000001 read(3</f>, ..., 4096) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) <0.010000>`)
-	if !rec.Interrupted() {
+	if !rec.interrupted() {
 		t.Errorf("ERESTARTSYS not flagged as interrupted: errno=%q", rec.Errno)
 	}
 	if rec.Failed() {

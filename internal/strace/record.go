@@ -109,32 +109,21 @@ type record struct {
 	Line int
 }
 
-// Interrupted reports whether the record is an interrupted system call
+// interrupted reports whether the record is an interrupted system call
 // (ERESTARTSYS), which Section III of the paper discards.
-func (r *record) Interrupted() bool { return r.Errno == "ERESTARTSYS" }
+func (r *record) interrupted() bool { return r.Errno == "ERESTARTSYS" }
 
 // Failed reports whether the record is a completed call that returned an
 // error.
 func (r *record) Failed() bool { return r.Errno != "" && r.Errno != "ERESTARTSYS" }
 
-// FirstArgPath returns the path annotation of the first fd-typed argument
+// firstArgPath returns the path annotation of the first fd-typed argument
 // ("3</usr/lib/libc.so.6>" gives "/usr/lib/libc.so.6"). ok is false when
 // the first argument carries no annotation.
-func (r *record) FirstArgPath() (path string, ok bool) {
+func (r *record) firstArgPath() (path string, ok bool) {
 	if len(r.Args) == 0 {
 		return "", false
 	}
 	_, p, ok := splitFDPath(r.Args[0])
 	return p, ok
-}
-
-// RequestedBytes returns the last argument interpreted as a byte count,
-// which for read/write call variants is the number of bytes requested (the
-// paper notes it may differ from the transferred size in the return
-// value). ok is false when there is no trailing integer argument.
-func (r *record) RequestedBytes() (int64, bool) {
-	if len(r.Args) == 0 {
-		return 0, false
-	}
-	return parseInt(r.Args[len(r.Args)-1])
 }

@@ -56,7 +56,7 @@ func TestWriterParserRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		for _, e := range want {
-			w.WriteEvent(e)
+			w.writeEvent(e)
 		}
 		if err := w.Err(); err != nil {
 			t.Fatalf("writer: %v", err)

@@ -58,8 +58,8 @@ func (sw *Writer) printf(format string, args ...any) {
 // Err returns the first write error encountered.
 func (sw *Writer) Err() error { return sw.err }
 
-// WriteEvent renders one event as a complete system-call record.
-func (sw *Writer) WriteEvent(e trace.Event) {
+// writeEvent renders one event as a complete system-call record.
+func (sw *Writer) writeEvent(e trace.Event) {
 	ts := trace.FormatTimeOfDay(e.Start)
 	dur := fmtSeconds(e.Dur)
 	switch {
@@ -198,16 +198,11 @@ func fmtSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d.%06d", us/1e6, us%1e6)
 }
 
-// WriteExit renders a process exit record.
-func (sw *Writer) WriteExit(pid int, at time.Duration, status int) {
-	sw.printf("%d  %s +++ exited with %d +++\n", pid, trace.FormatTimeOfDay(at), status)
-}
-
 // WriteCase renders every event of a case in order, followed by an exit
 // record.
 func (sw *Writer) WriteCase(c *trace.Case) error {
 	for _, e := range c.Events {
-		sw.WriteEvent(e)
+		sw.writeEvent(e)
 	}
 	if len(c.Events) > 0 {
 		last := c.Events[len(c.Events)-1]

@@ -147,18 +147,3 @@ func (c *Case) Filter(keep func(Event) bool) *Case {
 	}
 	return out
 }
-
-// Span returns the first start and last end timestamp of the case. The
-// second return value is false when the case is empty.
-func (c *Case) Span() (Interval, bool) {
-	if len(c.Events) == 0 {
-		return Interval{}, false
-	}
-	iv := Interval{Start: c.Events[0].Start, End: c.Events[0].End(), Case: c.ID}
-	for _, e := range c.Events[1:] {
-		if e.End() > iv.End {
-			iv.End = e.End()
-		}
-	}
-	return iv, true
-}

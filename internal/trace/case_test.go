@@ -139,25 +139,6 @@ func TestCaseFilter(t *testing.T) {
 	}
 }
 
-func TestCaseSpan(t *testing.T) {
-	id := CaseID{CID: "a", Host: "h", RID: 1}
-	empty := NewCase(id, nil)
-	if _, ok := empty.Span(); ok {
-		t.Errorf("empty case should have no span")
-	}
-	c := NewCase(id, []Event{
-		{Call: "a", Start: 10 * time.Second, Dur: 20 * time.Second}, // long first call
-		{Call: "b", Start: 15 * time.Second, Dur: time.Second},
-	})
-	iv, ok := c.Span()
-	if !ok {
-		t.Fatalf("span missing")
-	}
-	if iv.Start != 10*time.Second || iv.End != 30*time.Second {
-		t.Errorf("span = %+v, want [10s, 30s]", iv)
-	}
-}
-
 func TestCaseClone(t *testing.T) {
 	id := CaseID{CID: "a", Host: "h", RID: 1}
 	c := NewCase(id, []Event{{Call: "read", Start: 1}})

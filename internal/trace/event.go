@@ -89,11 +89,6 @@ type Interval struct {
 	Case  CaseID
 }
 
-// Overlaps reports whether the two closed-open intervals intersect.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Start < o.End && o.Start < iv.End
-}
-
 // Len returns the duration of the interval.
 func (iv Interval) Len() time.Duration { return iv.End - iv.Start }
 

@@ -53,28 +53,6 @@ func TestEventInterval(t *testing.T) {
 	}
 }
 
-func TestIntervalOverlaps(t *testing.T) {
-	a := Interval{Start: 0, End: 10}
-	tests := []struct {
-		b    Interval
-		want bool
-	}{
-		{Interval{Start: 5, End: 15}, true},
-		{Interval{Start: 10, End: 20}, false}, // touching closed-open ranges do not overlap
-		{Interval{Start: -5, End: 0}, false},
-		{Interval{Start: -5, End: 1}, true},
-		{Interval{Start: 2, End: 3}, true},
-	}
-	for _, tc := range tests {
-		if got := a.Overlaps(tc.b); got != tc.want {
-			t.Errorf("Overlaps(%v, %v) = %v, want %v", a, tc.b, got, tc.want)
-		}
-		if got := tc.b.Overlaps(a); got != tc.want {
-			t.Errorf("Overlaps(%v, %v) = %v, want %v (symmetry)", tc.b, a, got, tc.want)
-		}
-	}
-}
-
 func TestFormatTimeOfDay(t *testing.T) {
 	tests := []struct {
 		d    time.Duration

@@ -129,19 +129,6 @@ func (l *EventLog) FilterCalls(calls ...string) *EventLog {
 	return l.Filter(func(e Event) bool { return set[e.Call] })
 }
 
-// FilterCases returns a new event-log holding only the cases for which
-// keep returns true. Cases are shared, not copied.
-func (l *EventLog) FilterCases(keep func(*Case) bool) *EventLog {
-	out := &EventLog{byID: make(map[CaseID]*Case)}
-	for _, c := range l.cases {
-		if keep(c) {
-			out.cases = append(out.cases, c)
-			out.byID[c.ID] = c
-		}
-	}
-	return out
-}
-
 // Partition splits the log into two mutually exclusive sub-logs (G, R)
 // according to the case predicate: cases for which green returns true go
 // to the first log, all others to the second. This is step (a) of the

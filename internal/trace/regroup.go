@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // RegroupByPID re-derives the event-log's cases at process granularity:
 // events are grouped by (cid, host, pid) instead of (cid, host, rid).
@@ -38,36 +35,6 @@ func (l *EventLog) RegroupByPID() *EventLog {
 		c := NewCase(id, groups[id])
 		out.cases = append(out.cases, c)
 		out.byID[id] = c
-	}
-	return out
-}
-
-// SplitByCID splits the event-log into one log per command identifier,
-// keyed by CID. Cases are shared, not copied.
-func (l *EventLog) SplitByCID() map[string]*EventLog {
-	out := make(map[string]*EventLog)
-	for _, c := range l.cases {
-		sub, ok := out[c.ID.CID]
-		if !ok {
-			sub = &EventLog{byID: make(map[CaseID]*Case)}
-			out[c.ID.CID] = sub
-		}
-		sub.cases = append(sub.cases, c)
-		sub.byID[c.ID] = c
-	}
-	return out
-}
-
-// TimeShift returns a copy of the log with every event of every case
-// shifted by the per-case delta. It is used to emulate clock offsets
-// across hosts and to align recordings taken at different times of day.
-func (l *EventLog) TimeShift(delta func(CaseID) time.Duration) *EventLog {
-	out := l.Clone()
-	for _, c := range out.cases {
-		d := delta(c.ID)
-		for i := range c.Events {
-			c.Events[i].Start += d
-		}
 	}
 	return out
 }

@@ -61,60 +61,3 @@ func TestRegroupPreservesOrder(t *testing.T) {
 		t.Errorf("regrouped case not sorted")
 	}
 }
-
-func TestSplitByCID(t *testing.T) {
-	l := demoLog(t)
-	parts := l.SplitByCID()
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	if parts["a"].NumCases() != 3 || parts["b"].NumCases() != 3 {
-		t.Errorf("split sizes: a=%d b=%d", parts["a"].NumCases(), parts["b"].NumCases())
-	}
-	total := 0
-	for _, sub := range parts {
-		total += sub.NumEvents()
-	}
-	if total != l.NumEvents() {
-		t.Errorf("split lost events")
-	}
-}
-
-func TestTimeShift(t *testing.T) {
-	l := demoLog(t)
-	shifted := l.TimeShift(func(id CaseID) time.Duration {
-		if id.CID == "b" {
-			return time.Hour
-		}
-		return 0
-	})
-	var minB, minA time.Duration = 1 << 62, 1 << 62
-	for _, c := range shifted.Cases() {
-		for _, e := range c.Events {
-			if c.ID.CID == "b" && e.Start < minB {
-				minB = e.Start
-			}
-			if c.ID.CID == "a" && e.Start < minA {
-				minA = e.Start
-			}
-		}
-	}
-	if minB < time.Hour {
-		t.Errorf("b not shifted: %v", minB)
-	}
-	if minA >= time.Hour {
-		t.Errorf("a shifted: %v", minA)
-	}
-	// Original untouched.
-	orig := false
-	for _, c := range l.Cases() {
-		for _, e := range c.Events {
-			if c.ID.CID == "b" && e.Start < time.Hour {
-				orig = true
-			}
-		}
-	}
-	if !orig {
-		t.Errorf("TimeShift mutated the original log")
-	}
-}

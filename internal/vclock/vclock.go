@@ -71,9 +71,6 @@ func (g *RNG) Between(lo, hi time.Duration) time.Duration {
 // Intn proxies a uniform integer in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Float64 proxies a uniform float in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Fork derives an independent deterministic stream, so per-rank sources
 // do not share state (and simulation order cannot perturb results).
 func (g *RNG) Fork(salt int64) *RNG {

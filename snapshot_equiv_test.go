@@ -128,10 +128,9 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 			})
 
 			// STA archive backend.
-			r := openArchive(t, log)
+			path := writeArchive(t, log)
 			snapshotMergeCheck(t, p.Name+"/archive", el, want, func(syms *SymbolTable) Source {
-				r.SetSyms(syms)
-				return r.Stream(2, 3)
+				return mustStreamArchive(t, path, OpenOptions{Parallelism: 2, Window: 3, Syms: syms})
 			})
 
 			// DXT backend.

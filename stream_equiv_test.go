@@ -22,7 +22,6 @@ import (
 	"testing"
 	"testing/fstest"
 
-	"stinspector/internal/archive"
 	"stinspector/internal/dxt"
 	"stinspector/internal/source"
 	"stinspector/internal/strace"
@@ -178,12 +177,9 @@ func TestStreamEquivalenceArchiveV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := inMemoryArtifacts(el)
-	r := openArchive(t, el)
+	path := writeArchive(t, el)
 	equivCheck(t, "sta2", want, func(p, w int, syms *SymbolTable) Source {
-		// Runs are sequential, so rebinding the shared reader's decode
-		// table per run is safe; nil restores Default.
-		r.SetSyms(syms)
-		return r.Stream(p, w)
+		return mustStreamArchive(t, path, OpenOptions{Parallelism: p, Window: w, Syms: syms})
 	})
 }
 
@@ -251,16 +247,15 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			// STA archive backend: decoded through the persisted
 			// file-level dictionary, and the artifacts must not be able
 			// to tell.
-			r2 := openArchive(t, log)
-			a2src := r2.Stream(1, 0)
+			a2path := writeArchive(t, log)
+			a2src := mustStreamArchive(t, a2path, OpenOptions{Parallelism: 1})
 			a2el, err := source.Drain(a2src, false)
 			a2src.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
 			equivCheck(t, p.Name+"/sta2", inMemoryArtifacts(a2el), func(pp, w int, syms *SymbolTable) Source {
-				r2.SetSyms(syms)
-				return r2.Stream(pp, w)
+				return mustStreamArchive(t, a2path, OpenOptions{Parallelism: pp, Window: w, Syms: syms})
 			})
 
 			// DXT backend (the dump only represents sized transfer calls;
@@ -316,18 +311,24 @@ func drainDXT(t *testing.T, cid string, records []dxt.Record) *trace.EventLog {
 	return el
 }
 
-// openArchive writes log to an STA file in a temp dir and opens it with
-// archive.Open, the path every CLI reads archives through.
-func openArchive(tb testing.TB, log *trace.EventLog) *archive.Reader {
+// writeArchive writes log to an STA file in a temp dir and returns its
+// path.
+func writeArchive(tb testing.TB, log *trace.EventLog) string {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "log.sta")
-	if err := archive.WriteFileV2(path, log); err != nil {
+	if err := WriteArchive(path, log); err != nil {
 		tb.Fatal(err)
 	}
-	r, err := archive.Open(path)
+	return path
+}
+
+// mustStreamArchive opens the STA file at path as a source through the
+// facade's entry point.
+func mustStreamArchive(tb testing.TB, path string, opts OpenOptions) Source {
+	tb.Helper()
+	src, err := StreamArchive(path, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { r.Close() })
-	return r
+	return src
 }

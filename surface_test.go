@@ -1,16 +1,28 @@
 package stinspector
 
-// The exported-surface gate: every exported package-level func, type,
-// var and const declared in a non-test file under internal/ must be
-// referenced from a non-test file outside its package. The scan covers
-// the whole tree, the bench/ module included, so an identifier only the
-// benchmark calls counts as used.
+// The exported-surface gate, in two halves.
 //
-// To shrink surfaceExceptions: delete an entry, then unexport the
-// identifier (or delete it, if nothing in its package uses it either)
-// and run `go test -run TestExportedSurface .`. The test also fails on
-// an entry that is no longer declared or has gained an outside user, so
-// the list can only shrink.
+// Package level: every exported func, type, var and const declared in
+// a non-test file under internal/ must be referenced from a non-test
+// file outside its package, or be listed in surfaceExceptions with one
+// of three reasons.
+//
+// Methods: every exported method declared in a non-test file under
+// internal/ must be selected by name (x.Method) in some non-test file,
+// or be named by an interface type declared in a non-test file or by a
+// standard-library interface (stdMethods); otherwise it is listed in
+// methodExceptions with one of two reasons. Matching by name is
+// conservative: a method some code calls is never flagged, though a
+// dead method that shares a called method's name can escape.
+//
+// The scan covers the whole tree, the bench/ module and examples/
+// included, so an identifier only the benchmark calls counts as used.
+//
+// To shrink either list: delete an entry, then unexport the identifier
+// (or delete it, if nothing in its package uses it either) and run
+// `go test -run TestExportedSurface .`. The test also fails on an entry
+// that is no longer declared or has gained a user, so the lists can
+// only shrink.
 
 import (
 	"go/ast"
@@ -61,6 +73,40 @@ var surfaceExceptions = map[string]string{
 	"workloads.Result":           namedBySignature, // workloads.Checkpoint and friends
 }
 
+// The two reasons an exported method no non-test code calls may stay
+// exported.
+const (
+	// Tests read or build through it state that no production entry
+	// point exposes.
+	testProbe = "a probe tests use to read or build stored state"
+	// Tests compare an optimized path against it.
+	testReference = "a reference implementation tests compare against"
+)
+
+// methodExceptions lists the exported methods that no non-test code
+// selects but that stay exported, keyed by "<package path under
+// internal/>.<receiver type>.<method>". It may only shrink.
+var methodExceptions = map[string]string{
+	"behavior.Profile.Merged": testReference, // render_test.go's refRender
+	"dfg.Graph.AddEdge":       testProbe,
+	"dfg.Graph.AddNode":       testProbe,
+	"dfg.Graph.NodeCount":     testProbe,
+	"dfg.Graph.NumTraces":     testProbe,
+	"pm.Log.MappedEvents":     testProbe,
+	"pm.Log.NumTraces":        testProbe,
+	"pm.Log.UnmappedEvents":   testProbe,
+	"trace.EventLog.Validate": testProbe,
+}
+
+// stdMethods names the methods of the standard-library interfaces that
+// types under internal/ implement: fmt.Stringer, error and the
+// errors.Unwrap protocol, http.Handler, sort.Interface and
+// heap.Interface.
+var stdMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
 // surfaceExempt names the test-support packages the gate skips: they
 // exist to generate inputs and inject faults for tests.
 var surfaceExempt = map[string]bool{
@@ -71,7 +117,7 @@ var surfaceExempt = map[string]bool{
 }
 
 func TestExportedSurface(t *testing.T) {
-	declared, used := scanSurface(t, ".")
+	declared, used, methods, selected := scanSurface(t, ".")
 	var unused []string
 	for id := range declared {
 		pkg, _, _ := strings.Cut(id, ".")
@@ -100,13 +146,46 @@ func TestExportedSurface(t *testing.T) {
 		t.Fatal("scan found no exported identifiers under internal/")
 	}
 	t.Logf("%d exported package-level identifiers under internal/, %d listed exceptions", len(declared), len(surfaceExceptions))
+
+	methodUsed := func(id string) bool {
+		name := id[strings.LastIndex(id, ".")+1:]
+		return selected[name] || stdMethods[name]
+	}
+	var uncalled []string
+	for id := range methods {
+		if _, listed := methodExceptions[id]; !listed && !methodUsed(id) {
+			uncalled = append(uncalled, id)
+		}
+	}
+	sort.Strings(uncalled)
+	for _, id := range uncalled {
+		t.Errorf("internal/%s is an exported method but no non-test code calls it: unexport or delete it", id)
+	}
+	for id, reason := range methodExceptions {
+		switch {
+		case reason != testProbe && reason != testReference:
+			t.Errorf("methodExceptions[%q]: reason %q is not one of the two allowed", id, reason)
+		case !methods[id]:
+			t.Errorf("methodExceptions[%q]: no longer declared; delete the entry", id)
+		case methodUsed(id):
+			t.Errorf("methodExceptions[%q]: now called from non-test code; delete the entry", id)
+		}
+	}
+	if len(methods) == 0 {
+		t.Fatal("scan found no exported methods under internal/")
+	}
+	t.Logf("%d exported methods under internal/, %d listed exceptions", len(methods), len(methodExceptions))
 }
 
-// scanSurface parses every Go file under root and returns the exported
+// scanSurface parses every Go file under root. It returns the exported
 // package-level identifiers declared in non-test files under internal/
 // and the ones that non-test files of other packages reference, both
-// keyed "<package path under internal/>.<name>".
-func scanSurface(t *testing.T, root string) (declared, used map[string]bool) {
+// keyed "<package path under internal/>.<name>"; the exported methods
+// declared in non-test files of the packages under internal/ that
+// surfaceExempt does not name, keyed "<package path under
+// internal/>.<receiver type>.<name>"; and the names that non-test files
+// select or declare as interface methods.
+func scanSurface(t *testing.T, root string) (declared, used, methods, selected map[string]bool) {
 	t.Helper()
 	const module = "stinspector"
 	type parsed struct {
@@ -151,6 +230,7 @@ func scanSurface(t *testing.T, root string) (declared, used map[string]bool) {
 
 	const internal = module + "/internal/"
 	declared, used = map[string]bool{}, map[string]bool{}
+	methods, selected = map[string]bool{}, map[string]bool{}
 	declare := func(pkg string, id *ast.Ident) {
 		if id.IsExported() {
 			declared[strings.TrimPrefix(pkg, internal)+"."+id.Name] = true
@@ -163,8 +243,12 @@ func scanSurface(t *testing.T, root string) (declared, used map[string]bool) {
 		for _, d := range p.f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil {
+				pkg := strings.TrimPrefix(p.pkg, internal)
+				switch {
+				case d.Recv == nil:
 					declare(p.pkg, d.Name)
+				case d.Name.IsExported() && !surfaceExempt[pkg]:
+					methods[pkg+"."+receiverType(d.Recv.List[0].Type)+"."+d.Name.Name] = true
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
@@ -197,15 +281,39 @@ func scanSurface(t *testing.T, root string) (declared, used map[string]bool) {
 			imports[name] = path
 		}
 		ast.Inspect(p.f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel.Name] = true
+				if x, ok := n.X.(*ast.Ident); ok {
 					if path, ok := imports[x.Name]; ok {
-						used[strings.TrimPrefix(path, internal)+"."+sel.Sel.Name] = true
+						used[strings.TrimPrefix(path, internal)+"."+n.Sel.Name] = true
+					}
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						selected[name.Name] = true
 					}
 				}
 			}
 			return true
 		})
 	}
-	return declared, used
+	return declared, used, methods, selected
+}
+
+// receiverType names the type of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func receiverType(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return receiverType(e.X)
+	case *ast.IndexExpr:
+		return receiverType(e.X)
+	case *ast.IndexListExpr:
+		return receiverType(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
 }
