@@ -381,24 +381,13 @@ func BenchmarkFootprint(b *testing.B) {
 	el := synthLog(50_000, 8, 64, 9)
 	m := pm.CallTopDirs{Depth: 2}
 	in := FromEventLog(el).WithMapping(m)
-	g, g2 := in.DFG(), in.FilterCalls("read", "write").DFG()
+	g, g2 := in.DFG(), FromEventLog(el.FilterCalls("read", "write")).WithMapping(m).DFG()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fa := NewFootprint(g)
 		fb := NewFootprint(g2)
 		if fa.Similarity(fb) <= 0 {
 			b.Fatal("bad similarity")
-		}
-	}
-}
-
-// BenchmarkRegroupByPID: the Section IV case-redefinition on a large log.
-func BenchmarkRegroupByPID(b *testing.B) {
-	el := synthLog(200_000, 16, 32, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if el.RegroupByPID().NumEvents() != el.NumEvents() {
-			b.Fatal("lost events")
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"stinspector"
+	"stinspector/internal/source"
 )
 
 func TestParseSize(t *testing.T) {
@@ -54,11 +55,15 @@ func TestRunWritesTracesAndArchive(t *testing.T) {
 			t.Errorf("unexpected trace file %s", ent.Name())
 		}
 	}
-	arc, err := stinspector.FromArchive(sta, stinspector.OpenOptions{})
+	src, err := stinspector.StreamArchive(sta, stinspector.OpenOptions{})
 	if err != nil {
-		t.Fatalf("FromArchive: %v", err)
+		t.Fatalf("StreamArchive: %v", err)
 	}
-	el := arc.EventLog()
+	defer src.Close()
+	el, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if el.NumCases() != 4 {
 		t.Errorf("archive cases = %d", el.NumCases())
 	}

@@ -10,6 +10,7 @@ import (
 	"stinspector"
 	"stinspector/internal/cliutil"
 	"stinspector/internal/lssim"
+	"stinspector/internal/source"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth"
 )
@@ -114,10 +115,25 @@ func TestRunArchiveRoundTrip(t *testing.T) {
 		t.Errorf("dfg from archive: %v", err)
 	}
 	// Archive content is usable through the library too.
-	in, err := stinspector.FromArchive(sta, stinspector.OpenOptions{})
-	if err != nil || in.EventLog().NumCases() != 6 {
-		t.Errorf("archive load: %v", err)
+	if n := loadArchive(t, sta, stinspector.OpenOptions{}).EventLog().NumCases(); n != 6 {
+		t.Errorf("archive load: %d cases, want 6", n)
 	}
+}
+
+// loadArchive drains the opts slice of an archive through the facade's
+// stream into an Inspector.
+func loadArchive(t *testing.T, path string, opts stinspector.OpenOptions) *stinspector.Inspector {
+	t.Helper()
+	src, err := stinspector.StreamArchive(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	el, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stinspector.FromEventLog(el)
 }
 
 // TestRunArchiveCaseRange: -cases a:b slices an archive input — for

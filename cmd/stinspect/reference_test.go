@@ -13,25 +13,25 @@ import (
 	"stinspector/internal/cliutil"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
+	"stinspector/internal/stats"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth/profiles"
 )
 
-// reference renders, from the library's in-memory Inspector, what one
-// subcommand prints: the output the CLI's streamed fold must reproduce
-// byte for byte.
+// reference renders, from the library's in-memory Inspector and its
+// mapping m, what one subcommand prints: the output the CLI's streamed
+// fold must reproduce byte for byte.
 type reference struct {
 	args []string
-	want func(in *stinspector.Inspector) string
+	want func(in *stinspector.Inspector, m stinspector.Mapping) string
 }
 
 // partitionA is the reference Equation (18) comparison of the cases of
 // CID "a" with the rest, built the independent way: partition the
 // event-log, build the full, G and R graphs from their own event-logs,
 // and classify. The CLI splits one folded activity-log instead.
-func partitionA(in *stinspector.Inspector) (full *stinspector.DFG, part *stinspector.Partition) {
+func partitionA(in *stinspector.Inspector, m stinspector.Mapping) (full *stinspector.DFG, part *stinspector.Partition) {
 	gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return c.ID.CID == "a" })
-	m := in.Mapping()
 	full = buildDFG(in.EventLog(), m)
 	return full, stinspector.Classify(full, buildDFG(gl, m), buildDFG(rl, m))
 }
@@ -43,37 +43,37 @@ func buildDFG(el *stinspector.EventLog, m stinspector.Mapping) *stinspector.DFG 
 }
 
 var references = []reference{
-	{args: []string{"dfg"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"dfg"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
 		return stinspector.RenderText(in.DFG(), in.Stats(), nil)
 	}},
-	{args: []string{"dfg", "-format", "dot"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"dfg", "-format", "dot"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
 		st := in.Stats()
 		return stinspector.RenderDOT(in.DFG(), st, stinspector.StatisticsColoring{Stats: st})
 	}},
-	{args: []string{"dfg", "-format", "mermaid"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"dfg", "-format", "mermaid"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
 		st := in.Stats()
 		return stinspector.RenderMermaid(in.DFG(), st, stinspector.StatisticsColoring{Stats: st})
 	}},
-	{args: []string{"stats"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"stats"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
 		return statsTable(in.Stats())
 	}},
-	{args: []string{"variants"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"variants"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
 		var b strings.Builder
 		for _, v := range in.ActivityLog().Variants() {
 			fmt.Fprintf(&b, "%4d× %s\n", v.Mult, v.Seq)
 		}
 		return b.String()
 	}},
-	{args: []string{"behavior"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"behavior"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
 		return in.Behavior().RenderText()
 	}},
-	{args: []string{"footprint"}, want: func(in *stinspector.Inspector) string {
-		return in.Footprint().String()
+	{args: []string{"footprint"}, want: func(in *stinspector.Inspector, _ stinspector.Mapping) string {
+		return stinspector.NewFootprint(in.DFG()).String()
 	}},
-	{args: []string{"footprint", "-green", "a"}, want: func(in *stinspector.Inspector) string {
+	{args: []string{"footprint", "-green", "a"}, want: func(in *stinspector.Inspector, m stinspector.Mapping) string {
 		gl, rl := in.EventLog().Partition(func(c *stinspector.Case) bool { return c.ID.CID == "a" })
-		gf := stinspector.FromEventLog(gl).WithMapping(in.Mapping()).Footprint()
-		rf := stinspector.FromEventLog(rl).WithMapping(in.Mapping()).Footprint()
+		gf := stinspector.NewFootprint(stinspector.FromEventLog(gl).WithMapping(m).DFG())
+		rf := stinspector.NewFootprint(stinspector.FromEventLog(rl).WithMapping(m).DFG())
 		var b strings.Builder
 		fmt.Fprintf(&b, "structural similarity: %.3f\n", gf.Similarity(rf))
 		for _, d := range gf.Diff(rf) {
@@ -81,59 +81,59 @@ var references = []reference{
 		}
 		return b.String()
 	}},
-	{args: []string{"compare", "-green", "a"}, want: func(in *stinspector.Inspector) string {
-		full, part := partitionA(in)
+	{args: []string{"compare", "-green", "a"}, want: func(in *stinspector.Inspector, m stinspector.Mapping) string {
+		full, part := partitionA(in, m)
 		return stinspector.RenderText(full, in.Stats(), part)
 	}},
-	{args: []string{"compare", "-green", "a", "-format", "dot"}, want: func(in *stinspector.Inspector) string {
-		full, part := partitionA(in)
+	{args: []string{"compare", "-green", "a", "-format", "dot"}, want: func(in *stinspector.Inspector, m stinspector.Mapping) string {
+		full, part := partitionA(in, m)
 		return stinspector.RenderDOT(full, in.Stats(), stinspector.PartitionColoring{Partition: part})
 	}},
 }
 
-// detailReference renders, from the Inspector, what one per-event
-// detail subcommand prints for activity a; with act set, the CLI gets
-// "-activity a".
+// detailReference renders, from the Inspector or the per-case detail d
+// folded from its event-log, what one per-event detail subcommand
+// prints for activity a; with act set, the CLI gets "-activity a".
 type detailReference struct {
 	args []string
 	act  bool
-	want func(in *stinspector.Inspector, a stinspector.Activity) string
+	want func(in *stinspector.Inspector, d *stats.Detail, a stinspector.Activity) string
 }
 
 var detailReferences = []detailReference{
-	{args: []string{"dist"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
-		d, ok := in.Distribution(a)
+	{args: []string{"dist"}, act: true, want: func(_ *stinspector.Inspector, d *stats.Detail, a stinspector.Activity) string {
+		dist, ok := d.Distribution(a)
 		if !ok {
 			return "no distribution"
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "activity:   %s\n", d.Activity)
-		fmt.Fprintf(&b, "events:     %d\n", d.Events)
-		fmt.Fprintf(&b, "min/p50:    %v / %v\n", d.Min, d.P50)
-		fmt.Fprintf(&b, "p95/p99:    %v / %v\n", d.P95, d.P99)
-		fmt.Fprintf(&b, "max/total:  %v / %v\n", d.Max, d.Total)
-		fmt.Fprintf(&b, "tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", d.TailShare)
+		fmt.Fprintf(&b, "activity:   %s\n", dist.Activity)
+		fmt.Fprintf(&b, "events:     %d\n", dist.Events)
+		fmt.Fprintf(&b, "min/p50:    %v / %v\n", dist.Min, dist.P50)
+		fmt.Fprintf(&b, "p95/p99:    %v / %v\n", dist.P95, dist.P99)
+		fmt.Fprintf(&b, "max/total:  %v / %v\n", dist.Max, dist.Total)
+		fmt.Fprintf(&b, "tail share: %.2f (fraction of time in the slowest 5%% of calls)\n", dist.TailShare)
 		return b.String()
 	}},
-	{args: []string{"percase"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
-		return perCaseTable(in.PerCase(a))
+	{args: []string{"percase"}, act: true, want: func(_ *stinspector.Inspector, d *stats.Detail, a stinspector.Activity) string {
+		return perCaseTable(d, a)
 	}},
-	{args: []string{"percase"}, want: func(in *stinspector.Inspector, _ stinspector.Activity) string {
-		return perCaseTable(in.PerCase(""))
+	{args: []string{"percase"}, want: func(_ *stinspector.Inspector, d *stats.Detail, _ stinspector.Activity) string {
+		return perCaseTable(d, "")
 	}},
-	{args: []string{"timeline"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
+	{args: []string{"timeline"}, act: true, want: func(in *stinspector.Inspector, _ *stats.Detail, a stinspector.Activity) string {
 		tl := in.Timeline(a)
 		return stinspector.RenderTimeline(tl) + fmt.Sprintf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
 	}},
-	{args: []string{"timeline", "-format", "svg"}, act: true, want: func(in *stinspector.Inspector, a stinspector.Activity) string {
+	{args: []string{"timeline", "-format", "svg"}, act: true, want: func(in *stinspector.Inspector, _ *stats.Detail, a stinspector.Activity) string {
 		return stinspector.RenderTimelineSVG(in.Timeline(a), string(a))
 	}},
 }
 
-func perCaseTable(rows []stinspector.CaseSummary) string {
+func perCaseTable(d *stats.Detail, a stinspector.Activity) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %8s %14s %14s\n", "CASE", "EVENTS", "TOTALDUR", "BYTES")
-	for _, r := range rows {
+	for _, r := range d.PerCase(a) {
 		fmt.Fprintf(&b, "%-28s %8d %14v %14d\n", r.Case, r.Events, r.TotalDur, r.Bytes)
 	}
 	return b.String()
@@ -226,39 +226,45 @@ func TestRunMatchesInspector(t *testing.T) {
 		// peak is the info line's resident peak at -j 1 -window 1: one
 		// case for a stream, none for merged snapshots.
 		peak int
+		// m is the mapping the flags select; nil is FromEventLog's f̂.
+		m stinspector.Mapping
 	}{
-		{"traces", []string{"-traces", dir}, fromDir, 1},
-		{"archive", []string{"-archive", sta}, fromDir, 1},
+		{"traces", []string{"-traces", dir}, fromDir, 1, nil},
+		{"archive", []string{"-archive", sta}, fromDir, 1, nil},
 		{"archive cases", []string{"-archive", sta, "-cases", "2:6"}, func(t *testing.T) *stinspector.Inspector {
-			in, err := stinspector.FromArchive(sta, stinspector.OpenOptions{Cases: &stinspector.CaseRange{Start: 2, End: 6}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return in
-		}, 1},
-		{"dxt", []string{"-dxt", dxtFile, "-cid", "a"}, fromDXT, 1},
-		{"merged snapshots", []string{"-merge-snapshots", p1 + "," + p2}, fromDir, 0},
+			return loadArchive(t, sta, stinspector.OpenOptions{Cases: &stinspector.CaseRange{Start: 2, End: 6}})
+		}, 1, nil},
+		{"dxt", []string{"-dxt", dxtFile, "-cid", "a"}, fromDXT, 1, nil},
+		{"merged snapshots", []string{"-merge-snapshots", p1 + "," + p2}, fromDir, 0, nil},
 		{"filter", []string{"-traces", dir, "-filter", "/usr/lib"}, func(t *testing.T) *stinspector.Inspector {
 			return fromDir(t).FilterPath("/usr/lib")
-		}, 1},
+		}, 1, nil},
 		{"calls", []string{"-archive", sta, "-calls", "read,openat"}, func(t *testing.T) *stinspector.Inspector {
-			return fromDir(t).FilterCalls("read", "openat")
-		}, 1},
+			return stinspector.FromEventLog(fromDir(t).EventLog().FilterCalls("read", "openat"))
+		}, 1, nil},
 		{"map file:1", []string{"-traces", dir, "-map", "file:1"}, func(t *testing.T) *stinspector.Inspector {
 			return fromDir(t).WithMapping(stinspector.CallFileName{Keep: 1})
-		}, 1},
+		}, 1, stinspector.CallFileName{Keep: 1}},
 	}
 	for _, input := range inputs {
 		in := input.ref(t)
+		m := input.m
+		if m == nil {
+			m = stinspector.CallTopDirs{Depth: 2}
+		}
 		for _, r := range references {
 			args := append(append([]string{}, r.args...), input.flags...)
 			got := captureStdout(t, func() error { return run(args) })
-			if want := r.want(in); got != want {
+			if want := r.want(in, m); got != want {
 				t.Errorf("%s: stinspect %s differs from the Inspector:\ngot  %q\nwant %q",
 					input.name, strings.Join(r.args, " "), got, want)
 			}
 		}
 		act := busiest(in)
+		d := stats.NewDetail(m)
+		for _, c := range in.EventLog().Cases() {
+			d.Add(c)
+		}
 		for _, r := range detailReferences {
 			args := append(append([]string{}, r.args...), input.flags...)
 			if r.act {
@@ -271,7 +277,7 @@ func TestRunMatchesInspector(t *testing.T) {
 				continue
 			}
 			got := captureStdout(t, func() error { return run(args) })
-			if want := r.want(in, act); got != want {
+			if want := r.want(in, d, act); got != want {
 				t.Errorf("%s: stinspect %s differs from the Inspector:\ngot  %q\nwant %q",
 					input.name, strings.Join(args, " "), got, want)
 			}

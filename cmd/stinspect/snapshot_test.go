@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"stinspector"
 	"stinspector/internal/cliutil"
+	"stinspector/internal/snapshot"
 )
 
 // captureStdout runs f with os.Stdout redirected and returns what it
@@ -159,8 +159,8 @@ func TestRunMergeSnapshotVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = run([]string{"dfg", "-merge-snapshots", good + "," + old})
-	if !errors.Is(err, stinspector.ErrSnapshotVersion) || !strings.Contains(err.Error(), old) {
-		t.Fatalf("merge with a version-2 part: err = %v, want ErrSnapshotVersion naming %s", err, old)
+	if !errors.Is(err, snapshot.ErrVersion) || !strings.Contains(err.Error(), old) {
+		t.Fatalf("merge with a version-2 part: err = %v, want snapshot.ErrVersion naming %s", err, old)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"stinspector"
 	"stinspector/internal/cliutil"
+	"stinspector/internal/source"
 	"stinspector/internal/synth/profiles"
 )
 
@@ -41,14 +42,20 @@ func TestRunGeneratesDemoTraces(t *testing.T) {
 	}
 }
 
-// readArchive loads an archive's event-log through the facade.
+// readArchive drains an archive's event-log through the facade's
+// stream.
 func readArchive(t *testing.T, path string) *stinspector.EventLog {
 	t.Helper()
-	in, err := stinspector.FromArchive(path, stinspector.OpenOptions{})
+	src, err := stinspector.StreamArchive(path, stinspector.OpenOptions{})
 	if err != nil {
 		t.Fatalf("archive %s: %v", path, err)
 	}
-	return in.EventLog()
+	defer src.Close()
+	el, err := source.Drain(src, false)
+	if err != nil {
+		t.Fatalf("archive %s: %v", path, err)
+	}
+	return el
 }
 
 func TestRunNeedsOutput(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 
 	"stinspector/internal/iorsim"
 	"stinspector/internal/lssim"
+	"stinspector/internal/pm"
 	"stinspector/internal/strace"
-	"stinspector/internal/trace"
 	"stinspector/internal/workloads"
 )
 
@@ -45,7 +45,7 @@ func TestIngestionPathsAgree(t *testing.T) {
 	if err := WriteArchive(sta, res.Log); err != nil {
 		t.Fatal(err)
 	}
-	viaArchive, err := FromArchive(sta, OpenOptions{})
+	viaArchive, err := fromArchive(sta, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestIngestionPathsAgree(t *testing.T) {
 	if err := WriteArchive(sta2, viaText.EventLog()); err != nil {
 		t.Fatal(err)
 	}
-	viaBoth, err := FromArchive(sta2, OpenOptions{})
+	viaBoth, err := fromArchive(sta2, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,43 +117,16 @@ func TestWorkloadToDFGPipeline(t *testing.T) {
 			outw[e.From] += g.EdgeCount(e)
 			inw[e.To] += g.EdgeCount(e)
 		}
+		st := in.Stats()
 		for _, a := range g.Nodes() {
 			if a.IsVirtual() {
 				continue
 			}
-			if inw[a] != g.NodeCount(a) || outw[a] != g.NodeCount(a) {
+			// Each of a's events is one occurrence of node a.
+			if n := st.Get(a).Events; inw[a] != n || outw[a] != n {
 				t.Errorf("%s: flow conservation broken at %s", name, a)
 			}
 		}
-	}
-}
-
-// TestPIDRegroupingPipeline: the Section IV SMT/OpenMP case redefinition
-// through the public inspector.
-func TestPIDRegroupingPipeline(t *testing.T) {
-	// Build a log where one rid hosts two pids.
-	id := trace.CaseID{CID: "omp", Host: "h", RID: 5}
-	c := trace.NewCase(id, []trace.Event{
-		{PID: 50, Call: "read", Start: 1e6, Dur: 1000, FP: "/a", Size: 10},
-		{PID: 51, Call: "read", Start: 2e6, Dur: 1000, FP: "/a", Size: 10},
-		{PID: 50, Call: "write", Start: 3e6, Dur: 1000, FP: "/b", Size: 10},
-	})
-	in := FromEventLog(trace.MustNewEventLog(c))
-	if in.EventLog().NumCases() != 1 {
-		t.Fatalf("cases = %d", in.EventLog().NumCases())
-	}
-	re := in.RegroupByPID()
-	if re.EventLog().NumCases() != 2 {
-		t.Fatalf("regrouped cases = %d, want 2", re.EventLog().NumCases())
-	}
-	// The DFG changes: with rid-cases the trace is read,read,write; with
-	// pid-cases the traces are (read,write) and (read).
-	g := re.DFG()
-	if g.EdgeCount(Edge{From: "read:/a", To: "read:/a"}) != 0 {
-		t.Errorf("pid-grouped DFG kept the cross-thread read→read relation")
-	}
-	if g.EdgeCount(Edge{From: "read:/a", To: "write:/b"}) != 1 {
-		t.Errorf("pid-grouped DFG lost the intra-thread relation")
 	}
 }
 
@@ -175,7 +148,7 @@ func TestLsDemoEndToEnd(t *testing.T) {
 	if green != 0 || red != 4 {
 		t.Errorf("partition = %d green / %d red nodes, want 0/4", green, red)
 	}
-	if full.EdgeCount(Edge{From: Start, To: "read:/usr/lib"}) == 0 {
+	if full.EdgeCount(Edge{From: pm.Start, To: "read:/usr/lib"}) == 0 {
 		t.Errorf("start edge missing")
 	}
 }

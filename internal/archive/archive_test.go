@@ -264,7 +264,7 @@ func v1Image() []byte {
 }
 
 // TestV1Rejected: a v1 archive is not corrupt, it is retired. Every
-// way of opening one fails with ErrV1, whose message names the format
+// way of opening one fails with errV1, whose message names the format
 // and the remedy, never with a CorruptError.
 func TestV1Rejected(t *testing.T) {
 	full := v1Image()
@@ -281,8 +281,8 @@ func TestV1Rejected(t *testing.T) {
 	}
 	for name, open := range opens {
 		err := open()
-		if !errors.Is(err, ErrV1) {
-			t.Errorf("%s: err = %v, want ErrV1", name, err)
+		if !errors.Is(err, errV1) {
+			t.Errorf("%s: err = %v, want errV1", name, err)
 		}
 		var ce *CorruptError
 		if errors.As(err, &ce) {
@@ -290,8 +290,8 @@ func TestV1Rejected(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"v1", "re-archive"} {
-		if !strings.Contains(ErrV1.Error(), want) {
-			t.Errorf("ErrV1 message %q does not mention %q", ErrV1, want)
+		if !strings.Contains(errV1.Error(), want) {
+			t.Errorf("errV1 message %q does not mention %q", errV1, want)
 		}
 	}
 }

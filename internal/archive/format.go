@@ -48,7 +48,7 @@
 // mmap of untrusted bytes, so decode must fail closed.
 //
 // The earlier row-oriented "STA1" layout is no longer decoded; opening
-// one fails with ErrV1.
+// one fails with errV1.
 package archive
 
 import (
@@ -64,7 +64,7 @@ const (
 	version     = 2
 
 	// magicV1 identifies the retired row-oriented layout, recognized
-	// only to reject it with ErrV1.
+	// only to reject it with errV1.
 	magicV1 = "STA1"
 )
 
@@ -75,10 +75,10 @@ const headerSize = 4 + 4
 // magic.
 const footerSize = 8 + 8 + 4 + 4
 
-// ErrV1 reports an archive in the retired STA v1 layout. Such files
+// errV1 reports an archive in the retired STA v1 layout. Such files
 // are not corrupt, just no longer decoded: re-archiving the original
 // traces writes the current format.
-var ErrV1 = errors.New("archive: STA v1 file: this format is no longer supported; re-archive from the original traces (stinspect archive -traces DIR -o FILE.sta)")
+var errV1 = errors.New("archive: STA v1 file: this format is no longer supported; re-archive from the original traces (stinspect archive -traces DIR -o FILE.sta)")
 
 // CorruptError reports an integrity failure.
 type CorruptError struct {

@@ -38,7 +38,7 @@ func FuzzArchiveV2Decode(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add([]byte(magic))
-	// A retired v1 image must take the ErrV1 rejection, never a decode.
+	// A retired v1 image must take the errV1 rejection, never a decode.
 	f.Add(v1Image())
 	f.Add([]byte{})
 
@@ -114,8 +114,8 @@ func TestReaderRandomBytes(t *testing.T) {
 			copy(blob[n-4:], footerMagic)
 		}
 		r, err := newReaderAt(blob)
-		if n >= headerSize && string(blob[:4]) == magicV1 && !errors.Is(err, ErrV1) {
-			t.Fatalf("trial %d: v1 magic gave %v, want ErrV1", trial, err)
+		if n >= headerSize && string(blob[:4]) == magicV1 && !errors.Is(err, errV1) {
+			t.Fatalf("trial %d: v1 magic gave %v, want errV1", trial, err)
 		}
 		if err != nil {
 			continue

@@ -94,7 +94,7 @@ func newReaderBytes(data []byte) (*Reader, error) {
 // it loads and verifies the footer, dictionary, and index. All counts,
 // offsets, and symbol ids come from untrusted bytes and are validated
 // against the regions that actually exist before any sized allocation
-// or slice. A v1 image fails with ErrV1.
+// or slice. A v1 image fails with errV1.
 func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerSize {
 		return nil, corrupt("file too small (%d bytes)", size)
@@ -109,7 +109,7 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	switch string(head[:4]) {
 	case magic:
 	case magicV1:
-		return nil, ErrV1
+		return nil, errV1
 	default:
 		return nil, corrupt("bad magic %q", head[:4])
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"stinspector/internal/intern"
@@ -511,10 +512,16 @@ func TestOpenSourceOptions(t *testing.T) {
 	}
 }
 
+// defaultProbes counts the probe strings defaultSymbols has interned.
+var defaultProbes atomic.Int64
+
 // defaultSymbols is the size of the process-wide symbol table, the one
-// a nil Syms option selects.
+// a nil Syms option selects, not counting its own probes. Symbols are
+// dense, so a fresh probe string receives the table's size as its
+// symbol; every earlier probe is one of the symbols below it.
 func defaultSymbols() int {
 	c := intern.CacheFor(nil)
 	defer intern.PutCache(c)
-	return c.Table().Len()
+	n := defaultProbes.Add(1)
+	return int(c.Intern(fmt.Sprintf("\x00defaultSymbols probe %d", n))) - int(n-1)
 }

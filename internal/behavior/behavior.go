@@ -227,10 +227,6 @@ func (p *Profile) Merge(q *Profile) {
 	}
 }
 
-// NumCases returns the number of cases with at least one behavior
-// event.
-func (p *Profile) NumCases() int { return len(p.cases) }
-
 // Events returns the total number of behavior events folded in.
 func (p *Profile) Events() int {
 	n := 0
@@ -240,58 +236,11 @@ func (p *Profile) Events() int {
 	return n
 }
 
-// Entry is one subject of a case profile with its event count.
-type Entry struct {
-	Subject string
-	Count   int
-}
-
-// CaseProfile is the queryable per-case (or merged) view: for each
-// operation class, the distinct subjects touched with their counts, in
-// ascending subject order.
-type CaseProfile struct {
-	ID     trace.CaseID
-	Events int
-	Opened, Read, Written, Deleted,
-	Renamed, Spawned, Connected []Entry
-}
-
-func (cp *CaseProfile) byOp() [numOps]*[]Entry {
-	return [numOps]*[]Entry{
-		&cp.Opened, &cp.Read, &cp.Written, &cp.Deleted,
-		&cp.Renamed, &cp.Spawned, &cp.Connected,
-	}
-}
-
 // opSegment returns the segment of a sorted run under one operation.
 func opSegment(run []entry, op opClass) []entry {
 	lo := sort.Search(len(run), func(i int) bool { return run[i].op >= op })
 	hi := lo + sort.Search(len(run)-lo, func(i int) bool { return run[lo+i].op > op })
 	return run[lo:hi]
-}
-
-// Cases returns the per-case profiles in ascending CaseID order.
-func (p *Profile) Cases() []CaseProfile {
-	ids := p.sortedIDs()
-	out := make([]CaseProfile, len(ids))
-	for i, id := range ids {
-		acc := p.cases[id]
-		cp := CaseProfile{ID: id, Events: acc.events}
-		dst := cp.byOp()
-		for op := opClass(0); op < numOps; op++ {
-			seg := opSegment(acc.run, op)
-			if len(seg) == 0 {
-				continue
-			}
-			es := make([]Entry, len(seg))
-			for j, e := range seg {
-				es[j] = Entry{Subject: p.syms.Str(e.sym), Count: e.count}
-			}
-			*dst[op] = es
-		}
-		out[i] = cp
-	}
-	return out
 }
 
 // subjectOrder returns every subject of the profile in ascending
@@ -326,18 +275,6 @@ func (p *Profile) eachMerged(order []intern.Sym, counts []int, fn func(op opClas
 			}
 		}
 	}
-}
-
-// Merged returns the union profile over every case: the distinct
-// subjects per operation with counts summed across cases. Its ID is
-// the zero CaseID.
-func (p *Profile) Merged() CaseProfile {
-	cp := CaseProfile{Events: p.Events()}
-	dst := cp.byOp()
-	p.eachMerged(p.subjectOrder(), make([]int, p.syms.Len()), func(op opClass, y intern.Sym, n int) {
-		*dst[op] = append(*dst[op], Entry{Subject: p.syms.Str(y), Count: n})
-	})
-	return cp
 }
 
 // Totals returns the merged distinct-subject counts by theme: files

@@ -47,7 +47,7 @@ func prefix(el *trace.EventLog, n int) source.Source {
 func TestCheckpointedMatchesPlain(t *testing.T) {
 	el := synth.Log("ckpt", 37, 60, 20240924)
 	m := pm.CallTopDirs{Depth: 2}
-	plain, err := AnalyzeStream(source.FromLog(el), m, true)
+	plain, err := AnalyzeStreamParallel(source.FromLog(el), m, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCheckpointResumeCompleteIsNoOp(t *testing.T) {
 func TestCheckpointEmptyStream(t *testing.T) {
 	el := synth.Log("ckpt", 5, 10, 1)
 	m := pm.CallTopDirs{Depth: 2}
-	plain, err := AnalyzeStream(prefix(el, 0), m, true)
+	plain, err := AnalyzeStreamParallel(prefix(el, 0), m, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestCheckpointRequiresDir(t *testing.T) {
 func TestMergeSnapshotFiles(t *testing.T) {
 	el := synth.Log("ckpt", 30, 45, 11)
 	m := pm.CallTopDirs{Depth: 2}
-	plain, err := AnalyzeStream(source.FromLog(el), m, true)
+	plain, err := AnalyzeStreamParallel(source.FromLog(el), m, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,18 +6,18 @@
 // activity statistics, and applying the two coloring strategies. An
 // Inspector runs the one analysis fold (stream.go) over its event-log
 // on its first artifact query, and the one detail fold (stats.Detail)
-// on its first timeline, distribution or per-case query. The partition-based
-// coloring (Equation 18) needs only the activity-log: PartitionByCID
+// on its first timeline query. The partition-based coloring (Equation
+// 18) needs only the activity-log: PartitionByCID
 // splits it into the G and R graphs with dfg.Split, and so does a
 // consumer of the streaming fold's StreamResult.ActivityLog, which never
 // holds the event-log. It mirrors the st_inspector workflow of Figure 6:
 //
-//	insp, _ := core.FromStraceDir("traces/", strace.Options{})   // 0
-//	insp = insp.FilterPath("/usr/lib")                           // 1
-//	insp = insp.WithMapping(pm.CallTopDirs{Depth: 2})            // 2
-//	g := insp.DFG()                                              // 3
-//	st := insp.Stats()                                           // 4
-//	dot := insp.RenderDOT(render.StatisticsColoring{Stats: st})  // 5a
+//	insp, _ := core.FromStraceDir("traces/", strace.Options{})           // 0
+//	insp = insp.FilterPath("/usr/lib")                                   // 1
+//	insp = insp.WithMapping(pm.CallTopDirs{Depth: 2})                    // 2
+//	g := insp.DFG()                                                      // 3
+//	st := insp.Stats()                                                   // 4
+//	dot := render.RenderDOT(g, st, render.StatisticsColoring{Stats: st}) // 5
 package core
 
 import (
@@ -28,7 +28,6 @@ import (
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
-	"stinspector/internal/render"
 	"stinspector/internal/stats"
 	"stinspector/internal/strace"
 	"stinspector/internal/trace"
@@ -40,8 +39,8 @@ import (
 // The first artifact query folds the log once; every query, from any
 // goroutine, reads that result, so the artifacts returned are shared
 // and read-only (no Merge into them, no AddNode or AddEdge). The first
-// detail query (Timeline, Distribution, PerCase) likewise folds the log
-// once into a stats.Detail that every detail query reads. A derived
+// Timeline query likewise folds the log once into a stats.Detail that
+// every later one reads. A derived
 // inspector folds its own log afresh.
 type Inspector struct {
 	log     *trace.EventLog
@@ -92,19 +91,11 @@ func FromStraceDir(dir string, opts strace.Options) (*Inspector, error) {
 // EventLog exposes the underlying event-log.
 func (in *Inspector) EventLog() *trace.EventLog { return in.log }
 
-// Mapping exposes the active mapping.
-func (in *Inspector) Mapping() pm.Mapping { return in.mapping }
-
 // FilterPath is the paper's apply_fp_filter (Figure 6, step 1): it
 // derives an inspector restricted to events whose file path contains the
 // substring.
 func (in *Inspector) FilterPath(substr string) *Inspector {
 	return &Inspector{log: in.log.FilterPath(substr), mapping: in.mapping}
-}
-
-// FilterCalls derives an inspector restricted to the given system calls.
-func (in *Inspector) FilterCalls(calls ...string) *Inspector {
-	return &Inspector{log: in.log.FilterCalls(calls...), mapping: in.mapping}
 }
 
 // WithMapping is apply_mapping_fn (Figure 6, step 2): it derives an
@@ -134,31 +125,6 @@ func (in *Inspector) Timeline(a pm.Activity) []trace.Interval {
 	return in.detail().Timeline(a)
 }
 
-// Distribution returns the duration distribution of one activity,
-// separating bandwidth-bound from contention-bound behaviour.
-func (in *Inspector) Distribution(a pm.Activity) (stats.Distribution, bool) {
-	return in.detail().Distribution(a)
-}
-
-// PerCase returns the per-process contribution to an activity (all
-// activities when a is empty), slowest first — the straggler view.
-func (in *Inspector) PerCase(a pm.Activity) []stats.CaseSummary {
-	return in.detail().PerCase(a)
-}
-
-// RegroupByPID re-derives cases at process granularity (Section IV's
-// SMT/OpenMP remark) and returns a new inspector over the regrouped log.
-func (in *Inspector) RegroupByPID() *Inspector {
-	return &Inspector{log: in.log.RegroupByPID(), mapping: in.mapping}
-}
-
-// Footprint derives the activity-relation matrix of the DFG, a compact
-// structural summary whose cell-wise diff localizes behavioural changes
-// between configurations.
-func (in *Inspector) Footprint() *dfg.Footprint {
-	return dfg.NewFootprint(in.DFG())
-}
-
 // PartitionByCID compares configurations by command identifier, as in
 // Equation (18) (Section IV-C, partition-based coloring): the cases of
 // the given CIDs form the G subset and the rest R. Both subset DFGs are
@@ -173,17 +139,6 @@ func (in *Inspector) PartitionByCID(greenCIDs ...string) (*dfg.Graph, *dfg.Parti
 	full := in.DFG()
 	g, r := dfg.Split(in.ActivityLog(), func(id trace.CaseID) bool { return set[id.CID] })
 	return full, dfg.Classify(full, g, r)
-}
-
-// RenderDOT renders the DFG as a Graphviz document with the given styler
-// (Figure 6, step 5). A nil styler renders uncolored.
-func (in *Inspector) RenderDOT(styler render.Styler) string {
-	return render.RenderDOT(in.DFG(), in.Stats(), styler)
-}
-
-// RenderText renders the DFG as a deterministic text listing.
-func (in *Inspector) RenderText() string {
-	return render.RenderText(in.DFG(), in.Stats(), nil)
 }
 
 // Summary returns a one-line description of the inspector's contents.

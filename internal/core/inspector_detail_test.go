@@ -3,12 +3,16 @@ package core
 import (
 	"testing"
 
+	"stinspector/internal/dfg"
 	"stinspector/internal/strace"
 )
 
+// TestInspectorDistribution: the Inspector's detail fold (the one
+// Timeline reads) over the demo log; its distribution and per-case
+// views are what stinspect dist and percase print.
 func TestInspectorDistribution(t *testing.T) {
-	in := demoInspector()
-	d, ok := in.Distribution("read:/usr/lib")
+	det := demoInspector().detail()
+	d, ok := det.Distribution("read:/usr/lib")
 	if !ok {
 		t.Fatalf("no distribution")
 	}
@@ -18,14 +22,14 @@ func TestInspectorDistribution(t *testing.T) {
 	if d.Min <= 0 || d.Max < d.Min || d.P50 < d.Min || d.P50 > d.Max {
 		t.Errorf("quantiles inconsistent: %+v", d)
 	}
-	if _, ok := in.Distribution("no:such"); ok {
+	if _, ok := det.Distribution("no:such"); ok {
 		t.Errorf("absent activity produced a distribution")
 	}
 }
 
 func TestInspectorPerCase(t *testing.T) {
-	in := demoInspector()
-	rows := in.PerCase("read:/usr/lib")
+	det := demoInspector().detail()
+	rows := det.PerCase("read:/usr/lib")
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -42,7 +46,7 @@ func TestInspectorPerCase(t *testing.T) {
 		t.Errorf("per-case events = %d", total)
 	}
 	// All activities.
-	all := in.PerCase("")
+	all := det.PerCase("")
 	if len(all) != 6 {
 		t.Errorf("all rows = %d", len(all))
 	}
@@ -50,7 +54,7 @@ func TestInspectorPerCase(t *testing.T) {
 
 func TestInspectorFootprint(t *testing.T) {
 	in := demoInspector()
-	fp := in.Footprint()
+	fp := dfg.NewFootprint(in.DFG())
 	if len(fp.Activities) != 8 {
 		t.Fatalf("footprint alphabet = %v", fp.Activities)
 	}
@@ -58,29 +62,12 @@ func TestInspectorFootprint(t *testing.T) {
 		t.Errorf("relation = %s, want →", got)
 	}
 	// Filtering changes the footprint deterministically.
-	sub := in.FilterPath("/usr/lib").Footprint()
+	sub := dfg.NewFootprint(in.FilterPath("/usr/lib").DFG())
 	if len(sub.Activities) != 1 {
 		t.Errorf("filtered alphabet = %v", sub.Activities)
 	}
 	if s := fp.Similarity(sub); s >= 1 {
 		t.Errorf("similarity with filtered view = %v", s)
-	}
-}
-
-func TestInspectorRegroupByPID(t *testing.T) {
-	in := demoInspector()
-	re := in.RegroupByPID()
-	// Each rid has exactly one pid in the demo: case count unchanged,
-	// identities renumbered.
-	if re.EventLog().NumCases() != in.EventLog().NumCases() {
-		t.Errorf("regrouped cases = %d", re.EventLog().NumCases())
-	}
-	if re.EventLog().NumEvents() != in.EventLog().NumEvents() {
-		t.Errorf("regrouped events = %d", re.EventLog().NumEvents())
-	}
-	// The DFG is invariant when pid↔rid is a bijection.
-	if !re.DFG().Equal(in.DFG()) {
-		t.Errorf("bijective regrouping changed the DFG")
 	}
 }
 
@@ -92,9 +79,6 @@ func TestFromDXTAndErrors(t *testing.T) {
 	}
 	if in.EventLog().NumEvents() != 1 {
 		t.Errorf("events = %d", in.EventLog().NumEvents())
-	}
-	if in.Mapping() == nil {
-		t.Errorf("Mapping() nil")
 	}
 	if _, err := loadDXT("j", "nonsense"); err == nil {
 		t.Errorf("bad DXT accepted")

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"stinspector/internal/dfg"
 	"stinspector/internal/iorsim"
 	"stinspector/internal/lssim"
 	"stinspector/internal/pm"
@@ -51,15 +51,14 @@ func TestInspectorMemo(t *testing.T) {
 	if full, _ := in.PartitionByCID("a"); full != g {
 		t.Error("PartitionByCID classified a graph other than DFG()")
 	}
-	in.RenderDOT(render.StatisticsColoring{Stats: in.Stats()})
-	in.RenderText()
-	in.Footprint()
+	render.RenderDOT(in.DFG(), in.Stats(), render.StatisticsColoring{Stats: in.Stats()})
+	dfg.NewFootprint(in.DFG())
 	if n := calls.Load(); n != int64(cx.NumEvents()) {
 		t.Errorf("queries mapped %d events in all, want one fold of %d", n, cx.NumEvents())
 	}
 }
 
-// TestInspectorDetailMemo: the detail queries, however many and for
+// TestInspectorDetailMemo: the timeline queries, however many and for
 // whichever activities, all read one detail fold — the mapping is
 // consulted once per event for it, beside the once of the DFG fold.
 func TestInspectorDetailMemo(t *testing.T) {
@@ -68,10 +67,8 @@ func TestInspectorDetailMemo(t *testing.T) {
 	in := FromEventLog(cx).WithMapping(countingMapping(&calls))
 	for _, a := range in.Stats().Activities() {
 		in.Timeline(a)
-		in.Distribution(a)
-		in.PerCase(a)
+		in.Timeline(a)
 	}
-	in.PerCase("")
 	if n, want := calls.Load(), 2*int64(cx.NumEvents()); n != want {
 		t.Errorf("detail queries mapped %d events in all, want one fold and one detail fold of %d", n, cx.NumEvents())
 	}
@@ -87,10 +84,8 @@ func TestInspectorDerivedFoldsAfresh(t *testing.T) {
 	parent := FromEventLog(cx).WithMapping(m)
 	g, st := parent.DFG(), parent.Stats()
 	for name, d := range map[string]*Inspector{
-		"WithMapping":  parent.WithMapping(m),
-		"FilterPath":   parent.FilterPath(""),
-		"FilterCalls":  parent.FilterCalls(cx.CallNames()...),
-		"RegroupByPID": parent.RegroupByPID(),
+		"WithMapping": parent.WithMapping(m),
+		"FilterPath":  parent.FilterPath(""),
 	} {
 		before := calls.Load()
 		if d.DFG() == g || d.Stats() == st {
@@ -112,15 +107,13 @@ func TestInspectorDerivedFoldsAfresh(t *testing.T) {
 // inspectorRenderings renders every artifact of in into one string.
 func inspectorRenderings(in *Inspector) string {
 	full, part := in.PartitionByCID("a")
-	dist, _ := in.Distribution("read:/usr/lib")
-	return in.RenderText() +
-		in.RenderDOT(render.StatisticsColoring{Stats: in.Stats()}) +
+	return render.RenderText(in.DFG(), in.Stats(), nil) +
+		render.RenderDOT(in.DFG(), in.Stats(), render.StatisticsColoring{Stats: in.Stats()}) +
 		render.RenderText(full, in.Stats(), part) +
 		in.ActivityLog().String() +
 		in.Behavior().RenderText() +
-		in.Footprint().String() +
-		render.RenderTimeline(in.Timeline("read:/usr/lib")) +
-		fmt.Sprint(dist, in.PerCase(""))
+		dfg.NewFootprint(in.DFG()).String() +
+		render.RenderTimeline(in.Timeline("read:/usr/lib"))
 }
 
 // TestInspectorConcurrentQueries: goroutines querying one fresh

@@ -58,14 +58,19 @@ func TestPipelineFig6(t *testing.T) {
 	if st.Get("read:/usr/lib") == nil {
 		t.Fatalf("stats missing")
 	}
-	dot := in.RenderDOT(render.StatisticsColoring{Stats: st})
+	dot := render.RenderDOT(in.DFG(), st, render.StatisticsColoring{Stats: st})
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "fillcolor") {
 		t.Errorf("dot output broken")
 	}
-	txt := in.RenderText()
+	txt := renderText(in)
 	if !strings.Contains(txt, "read:/usr/lib") {
 		t.Errorf("text output broken")
 	}
+}
+
+// renderText renders an inspector's DFG as the text listing.
+func renderText(in *Inspector) string {
+	return render.RenderText(in.DFG(), in.Stats(), nil)
 }
 
 func TestPartitionByCID(t *testing.T) {
@@ -153,7 +158,7 @@ func TestStraceDirIngestion(t *testing.T) {
 }
 
 func TestFilterCalls(t *testing.T) {
-	in := demoInspector().FilterCalls("write")
+	in := FromEventLog(demoInspector().EventLog().FilterCalls("write"))
 	acts := in.Stats().Activities()
 	if len(acts) != 1 || acts[0] != "write:/dev/pts" {
 		t.Errorf("activities = %v", acts)

@@ -39,7 +39,7 @@ func TestFromStraceDirParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", p, err)
 		}
-		if got, wantTxt := par.RenderText(), seq.RenderText(); got != wantTxt {
+		if got, wantTxt := renderText(par), renderText(seq); got != wantTxt {
 			t.Errorf("Parallelism=%d: rendered DFG differs from sequential", p)
 		}
 		if got, wantSum := par.Summary(), seq.Summary(); got != wantSum {
@@ -65,7 +65,7 @@ func TestFromArchiveParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism=%d: %v", p, err)
 		}
-		if got, want := in.RenderText(), seq.RenderText(); got != want {
+		if got, want := renderText(in), renderText(seq); got != want {
 			t.Errorf("parallelism=%d: rendered DFG differs from source log", p)
 		}
 	}

@@ -59,7 +59,7 @@ func streamArtifacts(res *StreamResult) string {
 func TestAnalyzeStreamParallelEquivalence(t *testing.T) {
 	el := synth.Log("shard", 53, 120, 20240924)
 	m := pm.CallTopDirs{Depth: 2}
-	seq, err := AnalyzeStream(source.FromLog(el), m, true)
+	seq, err := AnalyzeStreamParallel(source.FromLog(el), m, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func checkAnalyzeAllocBudgetCeiling(t *testing.T, el *trace.EventLog, m pm.Mappi
 func TestAnalyzeStreamMatchesInMemoryStats(t *testing.T) {
 	el := synth.Log("mem", 9, 50, 5)
 	m := pm.CallTopDirs{Depth: 2}
-	res, err := AnalyzeStream(source.FromLog(el), m, false)
+	res, err := AnalyzeStreamParallel(source.FromLog(el), m, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,26 +39,6 @@ type StreamResult struct {
 	Symbols int
 }
 
-// AnalyzeStream consumes a case source in a single pass, feeding the
-// incremental activity-log, DFG and statistics builders, without the
-// event-log ever being materialized: peak memory is the source's
-// resident window plus the (much smaller) aggregates. For a source
-// delivering CaseID order — all backend streams do — the artifacts
-// are identical to an Inspector's ActivityLog / DFG / Stats / Behavior
-// over the same cases, endpoints included.
-//
-// joinErrors selects the error policy of source.Walk: false aborts on
-// the first failing case (lenient ingestion), true skips failing cases
-// and returns every failure joined (strace Strict semantics). The
-// source is not closed; callers own its lifetime.
-//
-// AnalyzeStream is the one-shard case of AnalyzeStreamParallel: there
-// is exactly one analysis fold in the tree (the Inspector runs its
-// per-case body too, through foldLog).
-func AnalyzeStream(src source.Source, m pm.Mapping, joinErrors bool) (*StreamResult, error) {
-	return AnalyzeStreamParallel(src, m, 1, joinErrors)
-}
-
 // shardPartial is one shard's builder set: the per-shard state of the
 // parallel fold, merged in shard order once the stream is exhausted.
 // The three builders share one pm.SymMapper — and therefore one
@@ -148,8 +128,20 @@ func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
 	return resultFromSnapshot(p.snapshot())
 }
 
-// AnalyzeStreamParallel is AnalyzeStream with the analysis fold itself
-// sharded: source.ShardedFold round-robins case blocks to shards
+// AnalyzeStreamParallel consumes a case source in a single pass,
+// feeding the incremental activity-log, DFG and statistics builders,
+// without the event-log ever being materialized: peak memory is the
+// source's resident window plus the (much smaller) aggregates. For a
+// source delivering CaseID order — all backend streams do — the
+// artifacts are identical to an Inspector's ActivityLog / DFG / Stats /
+// Behavior over the same cases, endpoints included.
+//
+// joinErrors selects the error policy of source.Walk: false aborts on
+// the first failing case (lenient ingestion), true skips failing cases
+// and returns every failure joined (strace Strict semantics). The
+// source is not closed; callers own its lifetime.
+//
+// The analysis fold is sharded: source.ShardedFold round-robins case blocks to shards
 // workers, each owning its own builder set over a shard-local symbol
 // table, and the shard partials are merged in shard order afterwards —
 // the shard tables remapped into shard 0's (itself created fresh for
@@ -163,8 +155,9 @@ func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
 //
 // It is foldEpoch, the one fold body in the tree, finalized through
 // resultFromSnapshot. shards <= 0 means runtime.GOMAXPROCS(0);
-// shards == 1 folds inline with no worker goroutines. joinErrors as in
-// AnalyzeStream. The source is not closed.
+// shards == 1 folds inline with no worker goroutines. There is exactly
+// one analysis fold in the tree: the Inspector runs its per-case body
+// too, through foldLog.
 func AnalyzeStreamParallel(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*StreamResult, error) {
 	s, err := foldEpoch(src, m, shards, joinErrors)
 	if err != nil {

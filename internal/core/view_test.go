@@ -41,7 +41,7 @@ func fileArtifacts(t *testing.T, path string, m pm.Mapping) string {
 func TestCheckpointViewTracksFile(t *testing.T) {
 	el := synth.Log("view", 30, 40, 5)
 	m := pm.CallTopDirs{Depth: 2}
-	plain, err := AnalyzeStream(source.FromLog(el), m, true)
+	plain, err := AnalyzeStreamParallel(source.FromLog(el), m, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,8 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for a, c := range wantNodes {
-			if g.NodeCount(a) != c {
-				t.Fatalf("trial %d: node %s = %d, want %d", trial, a, g.NodeCount(a), c)
+			if g.nodes[a] != c {
+				t.Fatalf("trial %d: node %s = %d, want %d", trial, a, g.nodes[a], c)
 			}
 		}
 	}

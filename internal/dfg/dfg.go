@@ -104,9 +104,6 @@ func (g *Graph) HasNode(a pm.Activity) bool { _, ok := g.nodes[a]; return ok }
 // hasEdge reports whether the directly-follows relation occurs.
 func (g *Graph) hasEdge(e Edge) bool { _, ok := g.edges[e]; return ok }
 
-// NodeCount returns the number of occurrences of the activity.
-func (g *Graph) NodeCount(a pm.Activity) int { return g.nodes[a] }
-
 // EdgeCount returns the number of observations of the directly-follows
 // relation.
 func (g *Graph) EdgeCount(e Edge) int { return g.edges[e] }

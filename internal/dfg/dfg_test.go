@@ -99,10 +99,10 @@ func TestFig3bEdges(t *testing.T) {
 	if g.NumNodes() != 6 {
 		t.Errorf("nodes = %d, want 6", g.NumNodes())
 	}
-	if got := g.NodeCount("read:/usr/lib"); got != 9 {
+	if got := g.nodes["read:/usr/lib"]; got != 9 {
 		t.Errorf("read:/usr/lib count = %d, want 9", got)
 	}
-	if got := g.NodeCount(pm.Start); got != 3 {
+	if got := g.nodes[pm.Start]; got != 3 {
 		t.Errorf("start count = %d, want 3", got)
 	}
 }
@@ -127,8 +127,8 @@ func TestFig3cEdges(t *testing.T) {
 			t.Errorf("edge %s = %d, want %d", e, got, c)
 		}
 	}
-	if g.NodeCount("write:/dev/pts") != 12 {
-		t.Errorf("write:/dev/pts count = %d, want 12", g.NodeCount("write:/dev/pts"))
+	if g.nodes["write:/dev/pts"] != 12 {
+		t.Errorf("write:/dev/pts count = %d, want 12", g.nodes["write:/dev/pts"])
 	}
 }
 
@@ -285,9 +285,9 @@ func TestFlowConservation(t *testing.T) {
 			if a.IsVirtual() {
 				continue
 			}
-			if in[a] != g.NodeCount(a) || out[a] != g.NodeCount(a) {
+			if in[a] != g.nodes[a] || out[a] != g.nodes[a] {
 				t.Fatalf("trial %d: flow conservation violated at %s: in=%d out=%d count=%d",
-					trial, a, in[a], out[a], g.NodeCount(a))
+					trial, a, in[a], out[a], g.nodes[a])
 			}
 		}
 	}
@@ -319,7 +319,7 @@ func TestBuildAdditivity(t *testing.T) {
 		}
 	}
 	for _, a := range full.Nodes() {
-		if got, want := full.NodeCount(a), ga.NodeCount(a)+gb.NodeCount(a); got != want {
+		if got, want := full.nodes[a], ga.nodes[a]+gb.nodes[a]; got != want {
 			t.Errorf("node %s: union=%d, sum=%d", a, got, want)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"stinspector/internal/pm"
 	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth"
+	"stinspector/internal/trace"
 )
 
 func snapGraph(t *testing.T) *Graph {
@@ -53,15 +54,11 @@ func TestGraphSnapshotMergesAfterDecode(t *testing.T) {
 	el := synth.Log("snap", 24, 40, 20240924)
 	m := pm.CallTopDirs{Depth: 2}
 	mk := func(lo, hi int) *Graph {
-		sub := el.Cases()[lo:hi]
-		b := pm.NewBuilderSym(pm.NewSymMapper(m), pm.BuildOptions{Endpoints: true})
-		db := newBuilder()
-		for _, c := range sub {
-			if seq, ok := b.Add(c); ok {
-				db.addVariant(seq, 1)
-			}
+		sub, err := trace.NewEventLog(el.Cases()[lo:hi]...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return db.Finalize()
+		return Build(pm.Build(sub, m, pm.BuildOptions{Endpoints: true}))
 	}
 	a, bp := mk(0, 13), mk(13, 24)
 	da, err := DecodeGraphSnapshot(a.EncodeSnapshot())

@@ -22,7 +22,7 @@ import (
 )
 
 // These tests regenerate the golden artifacts through the *streaming*
-// pipeline — AnalyzeStream over case sources instead of materialized
+// pipeline — AnalyzeStreamParallel over case sources instead of materialized
 // event-logs — and compare against the same golden files the in-memory
 // tests pin. Any byte of divergence between the two construction paths
 // fails here.
@@ -43,17 +43,17 @@ func goldenBytes(t *testing.T, name string) string {
 func streamPartition(t *testing.T, cx *trace.EventLog) (*dfg.Graph, *dfg.Partition, *core.StreamResult) {
 	t.Helper()
 	m := pm.CallTopDirs{Depth: 2}
-	full, err := core.AnalyzeStream(source.FromLog(cx), m, false)
+	full, err := core.AnalyzeStreamParallel(source.FromLog(cx), m, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	green, err := core.AnalyzeStream(
-		source.FilterCases(source.FromLog(cx), func(c *trace.Case) bool { return c.ID.CID == "a" }), m, false)
+	green, err := core.AnalyzeStreamParallel(
+		source.FilterCases(source.FromLog(cx), func(c *trace.Case) bool { return c.ID.CID == "a" }), m, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := core.AnalyzeStream(
-		source.FilterCases(source.FromLog(cx), func(c *trace.Case) bool { return c.ID.CID != "a" }), m, false)
+	red, err := core.AnalyzeStreamParallel(
+		source.FilterCases(source.FromLog(cx), func(c *trace.Case) bool { return c.ID.CID != "a" }), m, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGoldenFig5TimelineStreaming(t *testing.T) {
 	err := source.Walk(src, false, func(c *trace.Case) error {
 		for _, e := range c.Events {
 			if got, ok := m.Map(e); ok && got == act {
-				intervals = append(intervals, e.Interval(c.ID))
+				intervals = append(intervals, trace.Interval{Start: e.Start, End: e.Start + e.Dur, Case: c.ID})
 			}
 		}
 		return nil

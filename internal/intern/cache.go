@@ -26,9 +26,6 @@ func newCache(t *Table) *Cache {
 	return &Cache{t: t, m: make(map[string]Sym, 64)}
 }
 
-// Table returns the shared table the cache fronts.
-func (c *Cache) Table() *Table { return c.t }
-
 func (c *Cache) trim() {
 	if len(c.m) >= cacheMax {
 		c.m = make(map[string]Sym, 64)

@@ -122,7 +122,7 @@ func TestCacheBytesAndCanon(t *testing.T) {
 	if got := c.CanonBytes([]byte("openat")); got != tab.Str(y) {
 		t.Errorf("CanonBytes = %q", got)
 	}
-	if c.Table() != tab {
+	if c.t != tab {
 		t.Error("Table() identity")
 	}
 }
@@ -197,7 +197,7 @@ func TestLocalRemapMerge(t *testing.T) {
 // TestGetPutCache: pooled caches front the Default table.
 func TestGetPutCache(t *testing.T) {
 	c := CacheFor(nil)
-	if c.Table() != defaultTable {
+	if c.t != defaultTable {
 		t.Fatal("CacheFor(nil) not over the default table")
 	}
 	s := c.Canon("read")
@@ -213,16 +213,16 @@ func TestGetPutCache(t *testing.T) {
 // Default, a scoped table gets its own map, and interning through a
 // scoped cache never touches Default.
 func TestCacheFor(t *testing.T) {
-	if c := CacheFor(nil); c.Table() != defaultTable {
-		t.Errorf("CacheFor(nil) bound to %p, want Default", c.Table())
+	if c := CacheFor(nil); c.t != defaultTable {
+		t.Errorf("CacheFor(nil) bound to %p, want Default", c.t)
 	} else {
 		PutCache(c)
 	}
 	tab := NewTable()
 	d0 := defaultTable.Len()
 	c := CacheFor(tab)
-	if c.Table() != tab {
-		t.Fatalf("CacheFor bound to %p, want the scoped table", c.Table())
+	if c.t != tab {
+		t.Fatalf("CacheFor bound to %p, want the scoped table", c.t)
 	}
 	y := c.Intern("/cachefor-test-only/novel/path")
 	if got := tab.Str(y); got != "/cachefor-test-only/novel/path" {
@@ -300,8 +300,8 @@ func TestCacheForNeverCrossesTables(t *testing.T) {
 	a, b := NewTable(), NewTable()
 	for i := 0; i < 4; i++ {
 		ca := CacheFor(a)
-		if ca.Table() != a {
-			t.Fatalf("cache bound to %p, want table a", ca.Table())
+		if ca.t != a {
+			t.Fatalf("cache bound to %p, want table a", ca.t)
 		}
 		ya := ca.Intern("shared-key")
 		if got := a.Str(ya); got != "shared-key" {
@@ -309,8 +309,8 @@ func TestCacheForNeverCrossesTables(t *testing.T) {
 		}
 		PutCache(ca)
 		cb := CacheFor(b)
-		if cb.Table() != b {
-			t.Fatalf("cache bound to %p, want table b", cb.Table())
+		if cb.t != b {
+			t.Fatalf("cache bound to %p, want table b", cb.t)
 		}
 		yb := cb.Intern("shared-key")
 		if got := b.Str(yb); got != "shared-key" {

@@ -128,20 +128,8 @@ func NewBuilderSym(sm *SymMapper, opts BuildOptions) *Builder {
 	return b
 }
 
-// Add maps one case's events and folds the resulting trace into the
-// log. It returns the derived trace and whether the case contributed
-// (false when every event fell outside the mapping domain and
-// KeepEmpty is unset). The returned Trace is materialized for the
-// caller; the zero-allocation path is AddMapped.
-func (b *Builder) Add(c *trace.Case) (Trace, bool) {
-	seq, ok := b.add(c)
-	if !ok {
-		return nil, false
-	}
-	return b.materialize(seq), true
-}
-
-// add is Add without the Trace materialization.
+// add maps one case's events and folds the resulting trace into the
+// log, returning its activity sequence in symbol space (see AddMapped).
 func (b *Builder) add(c *trace.Case) ([]intern.Sym, bool) {
 	b.symsbuf = b.sm.MapCase(c, b.symsbuf[:0])
 	return b.AddMapped(c.ID, b.symsbuf)
@@ -342,25 +330,6 @@ func (l *Log) NumTraces() int {
 // during construction; UnmappedEvents how many were excluded.
 func (l *Log) MappedEvents() int   { return l.mapped }
 func (l *Log) UnmappedEvents() int { return l.unmapped }
-
-// Activities returns the sorted alphabet A_f actually observed, excluding
-// the virtual endpoints.
-func (l *Log) Activities() []Activity {
-	set := make(map[Activity]bool)
-	for _, v := range l.variants {
-		for _, a := range v.Seq {
-			if !a.IsVirtual() {
-				set[a] = true
-			}
-		}
-	}
-	out := make([]Activity, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Merge folds another activity-log into l — the exact multiset union
 // L_f(C_a) ∪ L_f(C_b) that snapshot merges and checkpoint epochs use.

@@ -161,34 +161,3 @@ func (m *EnvMapping) Map(e trace.Event) (Activity, bool) {
 func (m *EnvMapping) MapCallPath(call, fp string) (Activity, bool) {
 	return makeActivity(call, m.Abstract(fp)), true
 }
-
-// restrict narrows the domain of a mapping to events satisfying the
-// predicate, producing a partial mapping. It implements queries such as
-// "restrict the synthesis to the directory /usr/lib" (Section IV-A):
-//
-//	f1 := restrict(f, func(e trace.Event) bool {
-//	        return strings.Contains(e.FP, "/usr/lib")
-//	})
-func restrict(m Mapping, pred func(trace.Event) bool) Mapping {
-	return MappingFunc(func(e trace.Event) (Activity, bool) {
-		if !pred(e) {
-			return "", false
-		}
-		return m.Map(e)
-	})
-}
-
-// RestrictPath restricts a mapping to events whose file path contains the
-// substring.
-func RestrictPath(m Mapping, substr string) Mapping {
-	return restrict(m, func(e trace.Event) bool { return strings.Contains(e.FP, substr) })
-}
-
-// RestrictCalls restricts a mapping to the given system calls.
-func RestrictCalls(m Mapping, calls ...string) Mapping {
-	set := make(map[string]bool, len(calls))
-	for _, c := range calls {
-		set[c] = true
-	}
-	return restrict(m, func(e trace.Event) bool { return set[e.Call] })
-}

@@ -44,7 +44,7 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 	}
 	seq := newBuilder(m, opts)
 	for _, c := range cases {
-		seq.Add(c)
+		seq.add(c)
 	}
 	want := seq.Finalize()
 
@@ -56,7 +56,7 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 			}
 			// Round-robin blocks of 3 cases, like the sharded fold engine.
 			for i, c := range cases {
-				builders[(i/3)%shards].Add(c)
+				builders[(i/3)%shards].add(c)
 			}
 			logs := make([]*Log, shards)
 			for i, b := range builders {
@@ -85,7 +85,7 @@ func TestMergeLogsReproducesSequential(t *testing.T) {
 func TestMergeLeavesInputUsable(t *testing.T) {
 	m := CallTopDirs{Depth: 2}
 	b := newBuilder(m, BuildOptions{})
-	b.Add(mergeCase(1, 0))
+	b.add(mergeCase(1, 0))
 	in := b.Finalize()
 	out := mergeAll(in, in)
 	out.Variants()[0].Cases[0] = trace.CaseID{CID: "mutated"}
@@ -105,7 +105,7 @@ func TestMergeLogsEmpty(t *testing.T) {
 		t.Errorf("zero Log = %d traces, %d variants", empty.NumTraces(), empty.NumVariants())
 	}
 	b := newBuilder(CallTopDirs{Depth: 2}, BuildOptions{})
-	b.Add(mergeCase(1, 1))
+	b.add(mergeCase(1, 1))
 	l := b.Finalize()
 	got := mergeAll(nil, empty, l)
 	if got.NumTraces() != 1 || got.MappedEvents() != l.MappedEvents() {
@@ -121,7 +121,7 @@ func TestUnionLogsVariantOrdering(t *testing.T) {
 	build := func(rids ...int) *Log {
 		b := newBuilder(m, BuildOptions{})
 		for _, rid := range rids {
-			b.Add(mergeCase(rid, rid%3))
+			b.add(mergeCase(rid, rid%3))
 		}
 		return b.Finalize()
 	}
@@ -204,7 +204,7 @@ func TestFinalizeOrderInvariant(t *testing.T) {
 	}
 	seq := newBuilder(m, opts)
 	for _, c := range cases {
-		seq.Add(c)
+		seq.add(c)
 	}
 	want := seq.Finalize()
 
@@ -212,7 +212,7 @@ func TestFinalizeOrderInvariant(t *testing.T) {
 	for pi, perm := range perms {
 		b := newBuilder(m, opts)
 		for _, i := range perm {
-			b.Add(cases[i])
+			b.add(cases[i])
 		}
 		got := b.Finalize()
 		if !reflect.DeepEqual(got, want) {

@@ -262,8 +262,19 @@ func TestBuildWithEndpoints(t *testing.T) {
 	}
 }
 
+// pathMapping is f̂ made partial: events whose path does not contain
+// substr map to no activity.
+func pathMapping(substr string) Mapping {
+	return MappingFunc(func(e trace.Event) (Activity, bool) {
+		if !strings.Contains(e.FP, substr) {
+			return "", false
+		}
+		return CallTopDirs{Depth: 2}.Map(e)
+	})
+}
+
 func TestBuildPartialMapping(t *testing.T) {
-	m := RestrictPath(CallTopDirs{Depth: 2}, "/usr/lib")
+	m := pathMapping("/usr/lib")
 	l := Build(fig2aLog(t), m, BuildOptions{})
 	if l.NumVariants() != 1 {
 		t.Fatalf("variants = %d", l.NumVariants())
@@ -279,7 +290,7 @@ func TestBuildPartialMapping(t *testing.T) {
 }
 
 func TestBuildEmptyTraces(t *testing.T) {
-	m := RestrictPath(CallTopDirs{Depth: 2}, "/no/such/path")
+	m := pathMapping("/no/such/path")
 	if l := Build(fig2aLog(t), m, BuildOptions{}); l.NumTraces() != 0 {
 		t.Errorf("dropped empty traces expected, got %d", l.NumTraces())
 	}
@@ -293,10 +304,22 @@ func TestBuildEmptyTraces(t *testing.T) {
 }
 
 func TestRestrictCalls(t *testing.T) {
-	m := RestrictCalls(CallTopDirs{Depth: 2}, "write")
-	l := Build(fig2aLog(t), m, BuildOptions{})
-	if acts := l.Activities(); len(acts) != 1 || acts[0] != "write:/dev/pts" {
-		t.Errorf("activities = %v", acts)
+	writes := MappingFunc(func(e trace.Event) (Activity, bool) {
+		if e.Call != "write" {
+			return "", false
+		}
+		return CallTopDirs{Depth: 2}.Map(e)
+	})
+	l := Build(fig2aLog(t), writes, BuildOptions{})
+	for _, v := range l.Variants() {
+		for _, a := range v.Seq {
+			if a != "write:/dev/pts" {
+				t.Errorf("variant %v holds %s, want only write:/dev/pts", v.Seq, a)
+			}
+		}
+	}
+	if l.NumVariants() == 0 {
+		t.Error("no variant holds write:/dev/pts")
 	}
 }
 

@@ -65,9 +65,6 @@ func NewSymMapper(m Mapping) *SymMapper {
 	return sm
 }
 
-// Mapping returns the wrapped mapping.
-func (sm *SymMapper) Mapping() Mapping { return sm.m }
-
 // Acts exposes the activity symbol table shared by the shard's
 // builders: Str materializes an activity symbol back into its string.
 func (sm *SymMapper) Acts() *intern.Local { return sm.acts }

@@ -39,7 +39,7 @@ func (d *DOT) Render(w io.Writer) error {
 	}
 	styler := d.Styler
 	if styler == nil {
-		styler = PlainStyle{}
+		styler = plainStyle{}
 	}
 	var b strings.Builder
 	b.WriteString("digraph \"dfg\" {\n")

@@ -27,7 +27,7 @@ func (m *mermaid) Render(w io.Writer) error {
 	}
 	styler := m.Styler
 	if styler == nil {
-		styler = PlainStyle{}
+		styler = plainStyle{}
 	}
 	var b strings.Builder
 	b.WriteString("flowchart TB\n")

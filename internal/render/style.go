@@ -34,14 +34,14 @@ type Styler interface {
 	Edge(e dfg.Edge) EdgeStyle
 }
 
-// PlainStyle applies no coloring.
-type PlainStyle struct{}
+// plainStyle applies no coloring.
+type plainStyle struct{}
 
 // Node implements Styler.
-func (PlainStyle) Node(pm.Activity) NodeStyle { return NodeStyle{} }
+func (plainStyle) Node(pm.Activity) NodeStyle { return NodeStyle{} }
 
 // Edge implements Styler.
-func (PlainStyle) Edge(dfg.Edge) EdgeStyle { return EdgeStyle{} }
+func (plainStyle) Edge(dfg.Edge) EdgeStyle { return EdgeStyle{} }
 
 // StatisticsColoring is the statistics-based strategy of Section IV-C(1):
 // the higher the activity's relative duration, the darker the shade of

@@ -22,7 +22,7 @@ func analyze(t *testing.T, el *trace.EventLog, m pm.Mapping) (*core.StreamResult
 		d.Add(c)
 		return true
 	})
-	res, err := core.AnalyzeStream(src, m, false)
+	res, err := core.AnalyzeStreamParallel(src, m, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

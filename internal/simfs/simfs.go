@@ -64,9 +64,6 @@ func New(p Params, seed int64) *FS {
 	}
 }
 
-// Params returns the model calibration.
-func (fs *FS) Params() Params { return fs.p }
-
 func (fs *FS) file(path string) *fileState {
 	f, ok := fs.files[path]
 	if !ok {

@@ -96,7 +96,7 @@ func TestWriteTokenMechanism(t *testing.T) {
 	if fs.Revocations != 0 {
 		t.Fatalf("first write revoked: %d", fs.Revocations)
 	}
-	streamMax := 2 * time.Duration(float64(mb)/fs.Params().WriteBW*float64(time.Second))
+	streamMax := 2 * time.Duration(float64(mb)/fs.p.WriteBW*float64(time.Second))
 	if d0 > streamMax {
 		t.Errorf("uncontended write = %v, want ≤ %v", d0, streamMax)
 	}
@@ -111,8 +111,8 @@ func TestWriteTokenMechanism(t *testing.T) {
 	if fs.Revocations != 1 {
 		t.Fatalf("revocations = %d, want 1", fs.Revocations)
 	}
-	if d2 < fs.Params().WriteTokenSvc/2 {
-		t.Errorf("revoking write = %v, want ≥ ~%v", d2, fs.Params().WriteTokenSvc)
+	if d2 < fs.p.WriteTokenSvc/2 {
+		t.Errorf("revoking write = %v, want ≥ ~%v", d2, fs.p.WriteTokenSvc)
 	}
 
 	// Rank 0 still owns its original range below rank 1's grant.
@@ -178,11 +178,11 @@ func TestReadSwitch(t *testing.T) {
 	if fs.ReadSwitches != 1 {
 		t.Fatalf("read switches = %d", fs.ReadSwitches)
 	}
-	if d < fs.Params().ReadSwitchSvc/2 {
+	if d < fs.p.ReadSwitchSvc/2 {
 		t.Errorf("switching read = %v", d)
 	}
 	// Subsequent reads stream.
-	streamMax := 2 * time.Duration(float64(mb)/fs.Params().ReadBW*float64(time.Second))
+	streamMax := 2 * time.Duration(float64(mb)/fs.p.ReadBW*float64(time.Second))
 	for rank := 0; rank < 8; rank++ {
 		if d := fs.Read(rank, 0, path, int64(rank)*mb, mb); d > streamMax {
 			t.Errorf("post-switch read = %v, want ≤ %v", d, streamMax)
@@ -282,7 +282,7 @@ func TestReadOwnFileNoSwitch(t *testing.T) {
 	if fs.ReadSwitches != 0 {
 		t.Errorf("owner read-back switched: %d", fs.ReadSwitches)
 	}
-	streamMax := 2 * time.Duration(float64(mb)/fs.Params().ReadBW*float64(time.Second))
+	streamMax := 2 * time.Duration(float64(mb)/fs.p.ReadBW*float64(time.Second))
 	if d > streamMax {
 		t.Errorf("owner read-back slow: %v", d)
 	}

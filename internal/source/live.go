@@ -13,23 +13,23 @@ import (
 type Policy uint8
 
 const (
-	// Block makes Push wait until the consumer frees a slot (or the
+	// blockProducer makes Push wait until the consumer frees a slot (or the
 	// source is closed). Producers are throttled to the consumer's pace;
 	// nothing is ever lost, at the cost of producer latency.
-	Block Policy = iota
-	// ShedOldest drops the oldest queued case to make room for the new
+	blockProducer Policy = iota
+	// shedOldest drops the oldest queued case to make room for the new
 	// one, incrementing the shed counter. Producers never block and
 	// memory stays bounded whatever the consumer does, at the cost of
 	// losing the stalest data — the monitoring trade.
-	ShedOldest
+	shedOldest
 )
 
 // String names the policy the way the CLIs spell it.
 func (p Policy) String() string {
 	switch p {
-	case Block:
+	case blockProducer:
 		return "block"
-	case ShedOldest:
+	case shedOldest:
 		return "shed-oldest"
 	}
 	return "unknown"
@@ -39,11 +39,11 @@ func (p Policy) String() string {
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "block", "":
-		return Block, nil
+		return blockProducer, nil
 	case "shed-oldest":
-		return ShedOldest, nil
+		return shedOldest, nil
 	}
-	return Block, errors.New("source: unknown overflow policy " + s + " (want block or shed-oldest)")
+	return blockProducer, errors.New("source: unknown overflow policy " + s + " (want block or shed-oldest)")
 }
 
 // errFinished is returned by Live.Push after Finish: the producer side
@@ -60,7 +60,7 @@ const DefaultLiveBudget = 64
 // live-ingestion path: however fast producers push and however slow the
 // analysis fold consumes, at most budget cases are resident in the
 // queue — a slow consumer can never OOM the process. Overflow follows
-// the Policy: Block throttles producers, ShedOldest drops the stalest
+// the Policy: blockProducer throttles producers, shedOldest drops the stalest
 // queued case and counts it.
 //
 // Unlike the batch sources, delivery order is completion order, not
@@ -116,8 +116,8 @@ func NewLive(budget int, policy Policy) *Live {
 	return l
 }
 
-// Push delivers a completed case into the stream. Under Block it waits
-// for a free budget slot; under ShedOldest it drops the oldest queued
+// Push delivers a completed case into the stream. Under blockProducer it waits
+// for a free budget slot; under shedOldest it drops the oldest queued
 // case (counting it) when the budget is full. Push returns ErrClosed if
 // the source is (or becomes, while blocked) closed, and errFinished
 // after Finish; both mean the producer should stop.
@@ -139,7 +139,7 @@ func (l *Live) Push(c *trace.Case) error {
 			}
 			l.notEmpty.Signal()
 			return nil
-		case l.policy == ShedOldest:
+		case l.policy == shedOldest:
 			// Drop the oldest queued *case*; queued errors are kept (they
 			// are positions, not payload, and cost no budget).
 			for i := range l.q {
@@ -150,7 +150,7 @@ func (l *Live) Push(c *trace.Case) error {
 			}
 			l.resident--
 			l.shed++
-		default: // Block
+		default: // blockProducer
 			l.notFull.Wait()
 		}
 	}
@@ -228,7 +228,7 @@ func (l *Live) Close() error {
 	return nil
 }
 
-// Shed reports how many cases the ShedOldest policy dropped — the
+// Shed reports how many cases the shedOldest policy dropped — the
 // bounded-degradation counter of the live path.
 func (l *Live) Shed() uint64 {
 	l.mu.Lock()

@@ -21,7 +21,7 @@ func liveCase(i int) *trace.Case {
 }
 
 func TestLivePushNextFinish(t *testing.T) {
-	l := NewLive(4, Block)
+	l := NewLive(4, blockProducer)
 	for i := 0; i < 3; i++ {
 		if err := l.Push(liveCase(i)); err != nil {
 			t.Fatalf("push %d: %v", i, err)
@@ -62,7 +62,7 @@ func TestLivePushNextFinish(t *testing.T) {
 }
 
 func TestLiveNextAfterClose(t *testing.T) {
-	l := NewLive(2, Block)
+	l := NewLive(2, blockProducer)
 	if err := l.Push(liveCase(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestLiveNextAfterClose(t *testing.T) {
 	}
 }
 
-// TestLiveBlockBackpressure: under Block, a producer pushing past the
+// TestLiveBlockBackpressure: under blockProducer, a producer pushing past the
 // budget parks until the consumer frees a slot, and nothing is lost.
 func TestLiveBlockBackpressure(t *testing.T) {
 	const budget, n = 3, 24
-	l := NewLive(budget, Block)
+	l := NewLive(budget, blockProducer)
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
@@ -111,13 +111,13 @@ func TestLiveBlockBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if seen != n || events != n || l.Pushed() != n {
-		t.Errorf("delivered %d cases / %d events of %d pushed, want %d of each (Block must lose nothing)", seen, events, l.Pushed(), n)
+		t.Errorf("delivered %d cases / %d events of %d pushed, want %d of each (blockProducer must lose nothing)", seen, events, l.Pushed(), n)
 	}
 	if p := l.PeakResident(); p > budget {
 		t.Errorf("peak resident %d exceeded budget %d", p, budget)
 	}
 	if l.Shed() != 0 {
-		t.Errorf("Block policy shed %d cases", l.Shed())
+		t.Errorf("blockProducer policy shed %d cases", l.Shed())
 	}
 }
 
@@ -126,7 +126,7 @@ func TestLiveBlockBackpressure(t *testing.T) {
 // budget's worth survive.
 func TestLiveShedOldest(t *testing.T) {
 	const budget, n = 4, 16
-	l := NewLive(budget, ShedOldest)
+	l := NewLive(budget, shedOldest)
 	pushDone := make(chan struct{})
 	go func() {
 		defer close(pushDone)
@@ -141,7 +141,7 @@ func TestLiveShedOldest(t *testing.T) {
 	select {
 	case <-pushDone:
 	case <-time.After(10 * time.Second):
-		t.Fatal("ShedOldest producer blocked")
+		t.Fatal("shedOldest producer blocked")
 	}
 
 	var got []int
@@ -177,7 +177,7 @@ func TestLiveShedOldest(t *testing.T) {
 // TestLiveShedKeepsErrors: queued recoverable errors are positions, not
 // payload — shedding drops cases around them, never the errors.
 func TestLiveShedKeepsErrors(t *testing.T) {
-	l := NewLive(2, ShedOldest)
+	l := NewLive(2, shedOldest)
 	if err := l.Push(liveCase(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +213,12 @@ func TestLiveShedKeepsErrors(t *testing.T) {
 
 // TestLiveCloseUnblocksWedgedProducer is the cancellation-propagation
 // pin for the infinite-source Close contract: a producer wedged in Push
-// against a full Block budget — one that will never finish on its own —
+// against a full blockProducer budget — one that will never finish on its own —
 // must be woken by Close with ErrClosed, and Close itself must return
 // without waiting for it. A Close that waited for producers (the way
 // Ordered's waits for its own workers) would deadlock right here.
 func TestLiveCloseUnblocksWedgedProducer(t *testing.T) {
-	l := NewLive(1, Block)
+	l := NewLive(1, blockProducer)
 	if err := l.Push(liveCase(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +264,9 @@ func TestLiveCloseUnblocksWedgedProducer(t *testing.T) {
 
 // TestLiveConcurrentProducers: many producers, one consumer, both
 // policies, under the race detector. Every pushed case is either
-// delivered or (under ShedOldest) counted shed — none vanish.
+// delivered or (under shedOldest) counted shed — none vanish.
 func TestLiveConcurrentProducers(t *testing.T) {
-	for _, policy := range []Policy{Block, ShedOldest} {
+	for _, policy := range []Policy{blockProducer, shedOldest} {
 		t.Run(policy.String(), func(t *testing.T) {
 			const producers, per = 8, 50
 			l := NewLive(5, policy)
@@ -302,8 +302,8 @@ func TestLiveConcurrentProducers(t *testing.T) {
 			if total != producers*per {
 				t.Errorf("delivered %d + shed %d = %d, want %d", delivered, l.Shed(), total, producers*per)
 			}
-			if policy == Block && l.Shed() != 0 {
-				t.Errorf("Block shed %d", l.Shed())
+			if policy == blockProducer && l.Shed() != 0 {
+				t.Errorf("blockProducer shed %d", l.Shed())
 			}
 			if p := l.PeakResident(); p > 5 {
 				t.Errorf("peak resident %d exceeded budget", p)
@@ -318,10 +318,10 @@ func TestParsePolicy(t *testing.T) {
 		want Policy
 		ok   bool
 	}{
-		{"block", Block, true},
-		{"", Block, true},
-		{"shed-oldest", ShedOldest, true},
-		{"drop", Block, false},
+		{"block", blockProducer, true},
+		{"", blockProducer, true},
+		{"shed-oldest", shedOldest, true},
+		{"drop", blockProducer, false},
 	} {
 		got, err := ParsePolicy(tc.in)
 		if (err == nil) != tc.ok || (err == nil && got != tc.want) {

@@ -110,13 +110,13 @@ func (d *Detail) Timeline(a pm.Activity) []trace.Interval {
 	return out
 }
 
-// Distribution summarizes the duration distribution of one activity's
+// distribution summarizes the duration distribution of one activity's
 // events. The paper's Load annotation is a sum; the distribution view
 // separates "many moderately slow calls" from "a few pathologically slow
 // ones" — the signature difference between bandwidth-bound and
 // contention-bound activities (compare the SSF write durations of
 // Figure 8, where rare token revocations carry most of the time).
-type Distribution struct {
+type distribution struct {
 	Activity pm.Activity
 	Events   int
 	Min      time.Duration
@@ -132,10 +132,10 @@ type Distribution struct {
 
 // Distribution derives the duration distribution of one activity. The
 // second return value is false when no event maps to the activity.
-func (d *Detail) Distribution(a pm.Activity) (Distribution, bool) {
+func (d *Detail) Distribution(a pm.Activity) (distribution, bool) {
 	ad := d.activity(a)
 	if ad == nil {
-		return Distribution{}, false
+		return distribution{}, false
 	}
 	durs := make([]time.Duration, len(ad.spans))
 	var total, tail time.Duration
@@ -147,7 +147,7 @@ func (d *Detail) Distribution(a pm.Activity) (Distribution, bool) {
 	for _, x := range durs[int(float64(len(durs))*0.95):] {
 		tail += x
 	}
-	dist := Distribution{
+	dist := distribution{
 		Activity: a,
 		Events:   len(durs),
 		Min:      durs[0],
@@ -169,9 +169,9 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[int(q*float64(len(sorted)-1))]
 }
 
-// CaseSummary aggregates one case's contribution to an activity (or to
+// caseSummary aggregates one case's contribution to an activity (or to
 // the whole log when the activity filter is nil): the straggler view.
-type CaseSummary struct {
+type caseSummary struct {
 	Case     trace.CaseID
 	Events   int
 	TotalDur time.Duration
@@ -182,7 +182,7 @@ type CaseSummary struct {
 // activities when a is empty), sorted by descending total duration, so
 // the slowest process — the straggler the paper's timeline plot is used
 // to find — comes first.
-func (d *Detail) PerCase(a pm.Activity) []CaseSummary {
+func (d *Detail) PerCase(a pm.Activity) []caseSummary {
 	acts := d.acts
 	if a != "" {
 		acts = nil
@@ -190,7 +190,7 @@ func (d *Detail) PerCase(a pm.Activity) []CaseSummary {
 			acts = []actDetail{*ad}
 		}
 	}
-	sums := make([]CaseSummary, len(d.cases))
+	sums := make([]caseSummary, len(d.cases))
 	for _, ad := range acts {
 		for _, r := range ad.runs {
 			cs := &sums[r.cas]
@@ -199,7 +199,7 @@ func (d *Detail) PerCase(a pm.Activity) []CaseSummary {
 			cs.Bytes += r.bytes
 		}
 	}
-	var out []CaseSummary
+	var out []caseSummary
 	for i, cs := range sums {
 		if cs.Events > 0 {
 			cs.Case = d.cases[i]

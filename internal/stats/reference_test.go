@@ -314,7 +314,7 @@ func naiveTimeline(el *trace.EventLog, m pm.Mapping, a pm.Activity) []trace.Inte
 	for _, c := range el.Cases() {
 		for _, e := range c.Events {
 			if got, ok := m.Map(e); ok && got == a {
-				out = append(out, e.Interval(c.ID))
+				out = append(out, trace.Interval{Start: e.Start, End: e.Start + e.Dur, Case: c.ID})
 			}
 		}
 	}

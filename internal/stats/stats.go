@@ -46,12 +46,6 @@ type ActivityStats struct {
 	MaxConc int
 }
 
-// Load renders the paper's node annotation "Load: rd (bytes)" semantics:
-// it returns RelDur and, when available, the byte count.
-func (s *ActivityStats) Load() (rd float64, bytes int64, hasBytes bool) {
-	return s.RelDur, s.Bytes, s.HasBytes
-}
-
 // Stats maps every activity of an activity-log to its statistics.
 type Stats struct {
 	byActivity map[pm.Activity]*ActivityStats

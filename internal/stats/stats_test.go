@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -273,7 +274,12 @@ func TestComputeRespectsPartialMapping(t *testing.T) {
 			{Call: "read", FP: "/etc/b", Start: time.Millisecond, Dur: 3 * time.Millisecond, Size: 10},
 		},
 	})
-	m := pm.RestrictPath(pm.CallTopDirs{Depth: 2}, "/usr/lib")
+	m := pm.MappingFunc(func(e trace.Event) (pm.Activity, bool) {
+		if !strings.Contains(e.FP, "/usr/lib") {
+			return "", false
+		}
+		return pm.CallTopDirs{Depth: 2}.Map(e)
+	})
 	s := computeLog(el, m)
 	if len(s.Activities()) != 1 {
 		t.Fatalf("activities = %v", s.Activities())

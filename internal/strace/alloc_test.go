@@ -53,7 +53,7 @@ func TestParseAllocBudget(t *testing.T) {
 			Size:  4096,
 		})
 	}
-	if err := w.Err(); err != nil {
+	if err := w.err; err != nil {
 		t.Fatal(err)
 	}
 	data := buf.String()

@@ -13,10 +13,10 @@ import (
 	"stinspector/internal/trace"
 )
 
-// Sink receives completed cases and recoverable faults from a Tailer.
+// caseSink receives completed cases and recoverable faults from a Tailer.
 // internal/source.Live satisfies it directly; internal/serve wraps one
 // to divert faults into a session log.
-type Sink interface {
+type caseSink interface {
 	// Push hands over a completed case. A Push error (the sink is
 	// closed) terminates the tailer's file loop that called it.
 	Push(c *trace.Case) error
@@ -26,21 +26,21 @@ type Sink interface {
 	Fail(err error)
 }
 
-// StallError is the typed recoverable error a Tailer surfaces when a
+// stallError is the typed recoverable error a Tailer surfaces when a
 // file has neither grown nor terminated for the configured stall
 // timeout. The file stays tailed; the error is a liveness signal, not a
 // verdict.
-type StallError struct {
+type stallError struct {
 	Name  string        // file name within the tailed directory
 	Quiet time.Duration // how long the file has been silent
 }
 
-func (e *StallError) Error() string {
+func (e *stallError) Error() string {
 	return fmt.Sprintf("strace: follow: %s stalled (no growth for %s, no exit record)", e.Name, e.Quiet.Round(time.Millisecond))
 }
 
 // Temporary marks the stall recoverable: the tailer keeps following.
-func (e *StallError) Temporary() bool { return true }
+func (e *stallError) Temporary() bool { return true }
 
 // fileError is the typed recoverable error for a file the tailer must
 // give up on (unparseable name, terminal open failure). The rest of the
@@ -69,7 +69,7 @@ type FollowOptions struct {
 	// exit line before their final buffers. Default 100ms.
 	Grace time.Duration
 	// StallTimeout is how long a file may go without growth or an exit
-	// record before a StallError is surfaced (and the timer re-arms).
+	// record before a stallError is surfaced (and the timer re-arms).
 	// 0 disables stall detection. Default 30s.
 	StallTimeout time.Duration
 	// BackoffMax caps the exponential reopen backoff. Default 1s.
@@ -102,14 +102,14 @@ type TailStats struct {
 	Rotations    uint64 `json:"rotations"`     // name rebound to a new file identity
 	Truncations  uint64 `json:"truncations"`   // size shrank below the read offset
 	Reopens      uint64 `json:"reopens"`       // handle reopened (faults, rotation, truncation)
-	Stalls       uint64 `json:"stalls"`        // StallErrors surfaced
+	Stalls       uint64 `json:"stalls"`        // stallErrors surfaced
 	PartialDrops uint64 `json:"partial_drops"` // unterminated final lines dropped at emit
 	ParseSkips   uint64 `json:"parse_skips"`   // unparseable complete lines skipped
 }
 
 // Tailer follows a directory of growing trace files and pushes each
 // completed case (one file = one case, named by its CaseID) into a
-// Sink. Recovery invariants:
+// caseSink. Recovery invariants:
 //
 //   - A record is emitted only from a complete, newline-terminated
 //     line; a partial final line is buffered and re-tried, never pushed
@@ -121,10 +121,10 @@ type TailStats struct {
 //     what was partially read.
 //   - Open and read failures retry with capped exponential backoff plus
 //     deterministic jitter; they never kill the tailer.
-//   - Stalls surface as typed recoverable StallErrors via Sink.Fail.
+//   - Stalls surface as typed recoverable stallErrors via caseSink.Fail.
 //   - An unparseable complete line, or one over 4 MiB, is skipped and
 //     counted in ParseSkips; under Strict the first such line of each
-//     read also surfaces via Sink.Fail as a *ParseError in a fileError.
+//     read also surfaces via caseSink.Fail as a *ParseError in a fileError.
 //     ParseCase and FollowReader frame lines with the same code, so
 //     they skip (or, under Strict, name) exactly the same lines.
 //
@@ -134,7 +134,7 @@ type TailStats struct {
 // already parseable; Stop abandons them.
 type Tailer struct {
 	fs   TailFS
-	sink Sink
+	sink caseSink
 	opts FollowOptions
 
 	stop  chan struct{} // hard cancel: abandon everything
@@ -157,13 +157,13 @@ type Tailer struct {
 }
 
 // TailDir returns a Tailer over the OS directory dir.
-func TailDir(dir string, sink Sink, opts FollowOptions) *Tailer {
+func TailDir(dir string, sink caseSink, opts FollowOptions) *Tailer {
 	return newTailer(osDir{dir: dir}, sink, opts)
 }
 
 // newTailer returns a Tailer over an explicit TailFS (the seam the
 // fault-injection matrix uses).
-func newTailer(fs TailFS, sink Sink, opts FollowOptions) *Tailer {
+func newTailer(fs TailFS, sink caseSink, opts FollowOptions) *Tailer {
 	opts.setDefaults()
 	return &Tailer{
 		fs:    fs,
@@ -488,7 +488,7 @@ func (t *Tailer) followFile(name string) {
 		if st := t.opts.StallTimeout; st > 0 && !ft.lr.sawExit && time.Since(ft.lastNew) >= st && time.Since(lastStallCheck) >= st {
 			lastStallCheck = time.Now()
 			t.stalls.Add(1)
-			t.sink.Fail(&StallError{Name: name, Quiet: time.Since(ft.lastNew).Round(time.Millisecond)})
+			t.sink.Fail(&stallError{Name: name, Quiet: time.Since(ft.lastNew).Round(time.Millisecond)})
 		}
 		if !t.sleep(t.opts.Poll) {
 			return

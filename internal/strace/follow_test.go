@@ -399,7 +399,7 @@ func TestTailerDrainEmitsPartial(t *testing.T) {
 }
 
 // TestTailerStall: a silent unterminated file surfaces a typed,
-// temporary StallError and keeps being tailed.
+// temporary stallError and keeps being tailed.
 func TestTailerStall(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "s_h_1.st"), []byte("100  10:00:00.000000 read(3</f>, ..., 8) = 8 <0.000010>\n"), 0o644); err != nil {
@@ -415,20 +415,20 @@ func TestTailerStall(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		_, errs := sink.snapshot()
-		var stall *StallError
+		var stall *stallError
 		for _, err := range errs {
 			if errors.As(err, &stall) {
 				if stall.Name != "s_h_1.st" {
 					t.Errorf("stall names %q", stall.Name)
 				}
 				if !stall.Temporary() {
-					t.Error("StallError not Temporary")
+					t.Error("stallError not Temporary")
 				}
 				return
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no StallError surfaced; errors: %v", errs)
+			t.Fatalf("no stallError surfaced; errors: %v", errs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -161,7 +161,7 @@ func TestFollowReaderOverlongLine(t *testing.T) {
 
 // TestTailerOverlongLine: the same over-long line inside a file tailed
 // through faultfs is counted as one parse skip, surfaces once through
-// Sink.Fail under Strict, and the case around it is emitted intact —
+// caseSink.Fail under Strict, and the case around it is emitted intact —
 // with transient read failures (time and memory bounded) and with
 // short reads that move every chunk boundary. Short reads are not
 // memory-bounded: each read costs the loop's two stats, whatever the

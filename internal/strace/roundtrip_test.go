@@ -58,7 +58,7 @@ func TestWriterParserRoundTrip(t *testing.T) {
 		for _, e := range want {
 			w.writeEvent(e)
 		}
-		if err := w.Err(); err != nil {
+		if err := w.err; err != nil {
 			t.Fatalf("writer: %v", err)
 		}
 
@@ -93,7 +93,7 @@ func TestUnfinishedPairRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		w.WriteUnfinishedPair(e)
-		if err := w.Err(); err != nil {
+		if err := w.err; err != nil {
 			t.Fatalf("writer: %v", err)
 		}
 		c, err := ParseCase(id, &buf, Options{Strict: true})

@@ -55,9 +55,6 @@ func (sw *Writer) printf(format string, args ...any) {
 	_, sw.err = fmt.Fprintf(sw.w, format, args...)
 }
 
-// Err returns the first write error encountered.
-func (sw *Writer) Err() error { return sw.err }
-
 // writeEvent renders one event as a complete system-call record.
 func (sw *Writer) writeEvent(e trace.Event) {
 	ts := trace.FormatTimeOfDay(e.Start)

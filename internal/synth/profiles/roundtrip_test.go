@@ -180,7 +180,7 @@ func TestRoundTripAnalysisInMemoryAgreement(t *testing.T) {
 	for _, p := range profiles.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			want := rtLog(t, p)
-			res, err := core.AnalyzeStream(source.FromLog(want), pm.CallTopDirs{Depth: 2}, true)
+			res, err := core.AnalyzeStreamParallel(source.FromLog(want), pm.CallTopDirs{Depth: 2}, 1, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,13 +73,6 @@ func (e Event) String() string {
 		e.PID, fmtTimeOfDay(e.Start), e.Call, e.FP, e.Dur)
 }
 
-// Interval returns the (start, end) tuple of Equation (14) of an event
-// of case id, used by the max-concurrency statistic and the timeline
-// plots.
-func (e Event) Interval(id CaseID) Interval {
-	return Interval{Start: e.Start, End: e.Start + e.Dur, Case: id}
-}
-
 // Interval is a [Start, End] time range attributed to a case. It is the
 // value t(e) of Equation (14) in the paper, enriched with the case identity
 // so that timeline plots (Figure 5) can label their rows.

@@ -38,21 +38,6 @@ func TestEventHasSize(t *testing.T) {
 	}
 }
 
-func TestEventInterval(t *testing.T) {
-	id := CaseID{CID: "b", Host: "host1", RID: 9157}
-	e := mkEvent(2, "read", time.Second, time.Millisecond, "/f", 1)
-	iv := e.Interval(id)
-	if iv.Start != time.Second || iv.End != time.Second+time.Millisecond {
-		t.Errorf("Interval() = %+v", iv)
-	}
-	if iv.Case != id {
-		t.Errorf("Interval case = %v, want %v", iv.Case, id)
-	}
-	if got, want := iv.Len(), time.Millisecond; got != want {
-		t.Errorf("Len() = %v, want %v", got, want)
-	}
-}
-
 func TestFormatTimeOfDay(t *testing.T) {
 	tests := []struct {
 		d    time.Duration

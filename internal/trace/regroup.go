@@ -2,7 +2,7 @@ package trace
 
 import "sort"
 
-// RegroupByPID re-derives the event-log's cases at process granularity:
+// regroupByPID re-derives the event-log's cases at process granularity:
 // events are grouped by (cid, host, pid) instead of (cid, host, rid).
 //
 // Section IV of the paper defines a case as the events of one trace file
@@ -17,7 +17,7 @@ import "sort"
 // PID attribute. If two different rids on one host share a pid
 // (possible only across unrelated recordings), their events merge into
 // one case, ordered by start time.
-func (l *EventLog) RegroupByPID() *EventLog {
+func (l *EventLog) regroupByPID() *EventLog {
 	groups := make(map[CaseID][]Event)
 	for _, c := range l.cases {
 		for _, e := range c.Events {

@@ -25,7 +25,7 @@ func multiPIDLog(t *testing.T) *EventLog {
 
 func TestRegroupByPID(t *testing.T) {
 	l := multiPIDLog(t)
-	r := l.RegroupByPID()
+	r := l.regroupByPID()
 	if r.NumCases() != 3 {
 		t.Fatalf("regrouped cases = %d, want 3 (pids 200, 201, 210)", r.NumCases())
 	}
@@ -52,7 +52,7 @@ func TestRegroupByPID(t *testing.T) {
 
 func TestRegroupPreservesOrder(t *testing.T) {
 	l := multiPIDLog(t)
-	r := l.RegroupByPID()
+	r := l.regroupByPID()
 	c := r.Case(CaseID{CID: "omp", Host: "h1", RID: 201})
 	if c.Events[0].Call != "read" || c.Events[1].Call != "write" {
 		t.Errorf("order broken: %v", c.Events)

@@ -68,9 +68,6 @@ func (g *RNG) Between(lo, hi time.Duration) time.Duration {
 	return lo + time.Duration(g.r.Int63n(int64(hi-lo)))
 }
 
-// Intn proxies a uniform integer in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
 // Fork derives an independent deterministic stream, so per-rank sources
 // do not share state (and simulation order cannot perturb results).
 func (g *RNG) Fork(salt int64) *RNG {

@@ -31,7 +31,7 @@ func TestClock(t *testing.T) {
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if a.Intn(1000) != b.Intn(1000) {
+		if a.r.Intn(1000) != b.r.Intn(1000) {
 			t.Fatalf("same seed diverged at %d", i)
 		}
 	}
@@ -39,7 +39,7 @@ func TestRNGDeterminism(t *testing.T) {
 	same := true
 	a2 := NewRNG(42)
 	for i := 0; i < 20; i++ {
-		if a2.Intn(1000) != c.Intn(1000) {
+		if a2.r.Intn(1000) != c.r.Intn(1000) {
 			same = false
 		}
 	}
@@ -90,7 +90,7 @@ func TestFork(t *testing.T) {
 	b := g.Fork(2)
 	same := true
 	for i := 0; i < 20; i++ {
-		if a.Intn(1<<30) != b.Intn(1<<30) {
+		if a.r.Intn(1<<30) != b.r.Intn(1<<30) {
 			same = false
 		}
 	}
@@ -101,7 +101,7 @@ func TestFork(t *testing.T) {
 	g1, g2 := NewRNG(5), NewRNG(5)
 	f1, f2 := g1.Fork(3), g2.Fork(3)
 	for i := 0; i < 50; i++ {
-		if f1.Intn(1000) != f2.Intn(1000) {
+		if f1.r.Intn(1000) != f2.r.Intn(1000) {
 			t.Fatalf("fork determinism broken at %d", i)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"stinspector/internal/core"
 	"stinspector/internal/pm"
+	"stinspector/internal/render"
 	"stinspector/internal/trace"
 )
 
@@ -168,7 +169,7 @@ func TestWorkloadDFGRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.FromEventLog(res.Log).WithMapping(pm.CallTopDirs{Depth: 4})
-	txt := in.RenderText()
+	txt := render.RenderText(in.DFG(), in.Stats(), nil)
 	if !strings.Contains(txt, "openat") || !strings.Contains(txt, "write") {
 		t.Errorf("render broken:\n%s", txt)
 	}

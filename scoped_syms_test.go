@@ -12,7 +12,9 @@ package stinspector
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/fstest"
 	"time"
@@ -52,8 +54,8 @@ func TestScopedSymsRetention(t *testing.T) {
 	// underflow.
 	var withTable int64
 	func() {
-		st := NewSymbolTable()
-		runtime.SetFinalizer(st, func(*SymbolTable) { close(collected) })
+		st := intern.NewTable()
+		runtime.SetFinalizer(st, func(*intern.Table) { close(collected) })
 		src, err := strace.StreamFS(fsys, ".", ParseOptions{Strict: true, Parallelism: 4, Window: 8, Syms: st})
 		if err != nil {
 			t.Fatal(err)
@@ -113,10 +115,16 @@ func TestScopedSymsRetention(t *testing.T) {
 	}
 }
 
+// defaultProbes counts the probe strings defaultSymbols has interned.
+var defaultProbes atomic.Int64
+
 // defaultSymbols is the size of the process-wide symbol table, the one
-// a nil Syms option selects.
+// a nil Syms option selects, not counting its own probes. Symbols are
+// dense, so a fresh probe string receives the table's size as its
+// symbol; every earlier probe is one of the symbols below it.
 func defaultSymbols() int {
 	c := intern.CacheFor(nil)
 	defer intern.PutCache(c)
-	return c.Table().Len()
+	n := defaultProbes.Add(1)
+	return int(c.Intern(fmt.Sprintf("\x00defaultSymbols probe %d", n))) - int(n-1)
 }

@@ -22,6 +22,7 @@ import (
 
 	"stinspector/internal/core"
 	"stinspector/internal/dxt"
+	"stinspector/internal/intern"
 	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/strace"
@@ -45,7 +46,7 @@ func snapshotBytes(t *testing.T, src Source, m Mapping, shards int) []byte {
 // separate snapshot files through open's backend and asserts, across
 // the shard × scoped matrix, that the merged artifacts equal want and
 // the merged snapshot's bytes equal a one-shot snapshot of el.
-func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, open func(syms *SymbolTable) Source) {
+func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, open func(syms *intern.Table) Source) {
 	t.Helper()
 	cases := el.Cases()
 	n := len(cases)
@@ -61,14 +62,17 @@ func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, op
 				for _, c := range cases[bounds[i]:bounds[i+1]] {
 					keep[c.ID] = true
 				}
-				var syms *SymbolTable
+				var syms *intern.Table
 				if scoped {
-					syms = NewSymbolTable()
+					syms = intern.NewTable()
 				}
 				src := open(syms)
 				part := source.FilterCases(src, func(c *Case) bool { return keep[c.ID] })
 				path := filepath.Join(dir, "part"+strconv.Itoa(i)+".sts")
-				err := WriteSnapshot(path, part, m, shards, true)
+				s, err := core.AnalyzeStreamSnapshot(part, m, shards, true)
+				if err == nil {
+					err = snapshot.WriteFile(path, s)
+				}
 				src.Close()
 				if err != nil {
 					t.Fatalf("%s shards=%d scoped=%v part %d: %v", kind, shards, scoped, i, err)
@@ -119,7 +123,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := inMemoryArtifacts(el)
-			snapshotMergeCheck(t, p.Name+"/strace", el, want, func(syms *SymbolTable) Source {
+			snapshotMergeCheck(t, p.Name+"/strace", el, want, func(syms *intern.Table) Source {
 				src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: 2, Window: 3, Syms: syms})
 				if err != nil {
 					t.Fatal(err)
@@ -129,7 +133,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 
 			// STA archive backend.
 			path := writeArchive(t, log)
-			snapshotMergeCheck(t, p.Name+"/archive", el, want, func(syms *SymbolTable) Source {
+			snapshotMergeCheck(t, p.Name+"/archive", el, want, func(syms *intern.Table) Source {
 				return mustStreamArchive(t, path, OpenOptions{Parallelism: 2, Window: 3, Syms: syms})
 			})
 
@@ -144,7 +148,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 			}
 			del := drainDXT(t, "seq", records)
 			dwant := inMemoryArtifacts(del)
-			snapshotMergeCheck(t, p.Name+"/dxt", del, dwant, func(syms *SymbolTable) Source {
+			snapshotMergeCheck(t, p.Name+"/dxt", del, dwant, func(syms *intern.Table) Source {
 				recs := records
 				if syms != nil {
 					var err error
@@ -214,7 +218,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 
 	for _, every := range []int{0, 1, 5} {
 		ref := t.TempDir()
-		full, err := AnalyzeStreamCheckpointed(StreamEventLog(log), m, 4, true,
+		full, err := AnalyzeStreamCheckpointed(source.FromLog(log), m, 4, true,
 			CheckpointOptions{Dir: ref, Every: every})
 		if err != nil {
 			t.Fatal(err)
@@ -234,12 +238,12 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 			for _, id := range ids[:kill] {
 				seen[id] = true
 			}
-			prefix := source.FilterCases(StreamEventLog(log), func(c *Case) bool { return seen[c.ID] })
+			prefix := source.FilterCases(source.FromLog(log), func(c *Case) bool { return seen[c.ID] })
 			if _, err := AnalyzeStreamCheckpointed(prefix, m, 4, true, opts); err != nil {
 				t.Fatalf("every=%d kill=%d partial: %v", every, kill, err)
 			}
 			opts.Resume = true
-			res, err := AnalyzeStreamCheckpointed(StreamEventLog(log), m, 4, true, opts)
+			res, err := AnalyzeStreamCheckpointed(source.FromLog(log), m, 4, true, opts)
 			if err != nil {
 				t.Fatalf("every=%d kill=%d resume: %v", every, kill, err)
 			}

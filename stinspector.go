@@ -13,7 +13,8 @@
 //
 //	in, err := stinspector.FromStraceDir("traces/", stinspector.ParseOptions{})
 //	in = in.FilterPath("/usr/lib").WithMapping(stinspector.CallTopDirs{Depth: 2})
-//	fmt.Println(in.RenderDOT(stinspector.StatisticsColoring{Stats: in.Stats()}))
+//	st := in.Stats()
+//	fmt.Println(stinspector.RenderDOT(in.DFG(), st, stinspector.StatisticsColoring{Stats: st}))
 //
 // The repository also contains full simulations of the paper's
 // experimental substrate (an IOR-compatible workload engine over a
@@ -30,10 +31,8 @@ import (
 	"stinspector/internal/core"
 	"stinspector/internal/dfg"
 	"stinspector/internal/dxt"
-	"stinspector/internal/intern"
 	"stinspector/internal/pm"
 	"stinspector/internal/render"
-	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
 	"stinspector/internal/stats"
 	"stinspector/internal/strace"
@@ -56,9 +55,6 @@ type (
 	// max-concurrency.
 	Interval = trace.Interval
 )
-
-// SizeUnknown marks events whose call transfers no bytes.
-const SizeUnknown = trace.SizeUnknown
 
 // Process-mining layer (Section IV).
 type (
@@ -87,16 +83,6 @@ type (
 	// files opened/read/written/deleted/renamed, commands executed,
 	// network endpoints contacted — with an exact Merge.
 	BehaviorProfile = behavior.Profile
-	// BehaviorCaseProfile is the queryable per-case (or merged) view.
-	BehaviorCaseProfile = behavior.CaseProfile
-	// BehaviorEntry is one subject of a case profile with its count.
-	BehaviorEntry = behavior.Entry
-)
-
-// Virtual start/end activities of every trace.
-const (
-	Start = pm.Start
-	End   = pm.End
 )
 
 // DFG layer (Section IV-A, IV-C).
@@ -120,24 +106,12 @@ type (
 // NewFootprint derives the relation matrix of a DFG.
 func NewFootprint(g *DFG) *Footprint { return dfg.NewFootprint(g) }
 
-// Partition color classes.
-const (
-	Shared = dfg.Shared
-	Green  = dfg.Green
-	Red    = dfg.Red
-)
-
 // Statistics layer (Section IV-B).
 type (
 	// Stats holds the per-activity statistics.
 	Stats = stats.Stats
 	// ActivityStats are the four statistics of one activity.
 	ActivityStats = stats.ActivityStats
-	// Distribution summarizes an activity's duration distribution
-	// (median, tail quantiles, tail share).
-	Distribution = stats.Distribution
-	// CaseSummary is one process's contribution to an activity.
-	CaseSummary = stats.CaseSummary
 )
 
 // Rendering layer.
@@ -148,8 +122,6 @@ type (
 	StatisticsColoring = render.StatisticsColoring
 	// PartitionColoring colors nodes green/red by partition class.
 	PartitionColoring = render.PartitionColoring
-	// PlainStyle renders without coloring.
-	PlainStyle = render.PlainStyle
 )
 
 // Inspector is the synthesis pipeline of the paper's Figure 6.
@@ -163,11 +135,11 @@ type ParseOptions = strace.Options
 // OpenOptions configures the archive and DXT backends, the counterpart
 // of ParseOptions for strace: Parallelism bounds the concurrent decode
 // or case-construction workers (0 = GOMAXPROCS, 1 = sequential), Window
-// the cases resident at once in a stream (0 = 2×workers), Syms scopes
-// the pass's strings to a symbol table (nil = the process-wide one),
-// and Cases restricts an archive to a slice of its case order (nil =
+// the cases resident at once in a stream (0 = 2×workers), and Cases restricts an archive to a slice of its case order (nil =
 // every case; DXT dumps have no case index and reject a range). The
-// zero value reads everything with the defaults.
+// zero value reads everything with the defaults. Syms stays nil here:
+// the pass interns into the process-wide symbol table (scoping a table
+// to a pass is internal; stserve scopes each session's).
 type OpenOptions = archive.Options
 
 // CaseRange is the half-open slice [Start, End) of an archive's case
@@ -175,42 +147,10 @@ type OpenOptions = archive.Options
 // archive is an error.
 type CaseRange = archive.CaseRange
 
-// ErrArchiveV1 reports an archive in the retired STA v1 format, which
-// is no longer read: re-archive the original traces.
-var ErrArchiveV1 = archive.ErrV1
-
-// ErrSnapshotVersion reports an STS snapshot or checkpoint written in
-// another format version, which this build does not read: re-fold the
-// traces to rebuild it.
-var ErrSnapshotVersion = snapshot.ErrVersion
-
-// SymbolTable is a scoped symbol universe for one ingestion pass. The
-// ingestion backends deduplicate every call name, file path and case
-// identity string through a symbol table; by default that is a single
-// process-wide, append-only table — the right trade for bounded
-// vocabularies, but a long-lived service ingesting unbounded distinct
-// paths would grow it forever. Scoping a table to a pass
-// (NewSymbolTable, set as ParseOptions.Syms or OpenOptions.Syms) keeps
-// the pass's vocabulary out of the process-wide table: drop the pass's
-// results and the table together and every string it interned becomes
-// collectable. Artifacts are byte-identical either way. Len reports
-// the resident symbol count.
-type SymbolTable = intern.Table
-
-// NewSymbolTable returns an empty per-pass symbol table.
-func NewSymbolTable() *SymbolTable { return intern.NewTable() }
-
 // FromStraceDir parses every *.st trace file under dir, fanning per-file
 // parsing out to opts.Parallelism workers.
 func FromStraceDir(dir string, opts ParseOptions) (*Inspector, error) {
 	return core.FromStraceDir(dir, opts)
-}
-
-// FromArchive loads a consolidated STA event-log file (or the
-// opts.Cases slice of it), decoding case sections concurrently: the
-// materializing form of StreamArchive.
-func FromArchive(path string, opts OpenOptions) (*Inspector, error) {
-	return load(StreamArchive(path, opts))
 }
 
 // FromDXT ingests a Darshan DXT text dump, the alternative
@@ -319,30 +259,21 @@ func StreamDXT(cid string, r io.Reader, opts OpenOptions) (Source, error) {
 	return dxt.Stream(cid, records, opts.Parallelism, opts.Window), nil
 }
 
-// StreamEventLog adapts an in-memory event-log to the streaming API.
-func StreamEventLog(el *EventLog) Source { return source.FromLog(el) }
-
 // FilterStream derives a source keeping only events for which keep
 // returns true; cases left empty are dropped, matching EventLog.Filter.
 func FilterStream(s Source, keep func(Event) bool) Source {
 	return source.Filter(s, keep)
 }
 
-// AnalyzeStream consumes a source in one bounded-memory pass and
-// returns the activity-log, DFG and statistics — identical to the
+// AnalyzeStreamParallel consumes a source in one bounded-memory pass
+// and returns the activity-log, DFG and statistics — identical to the
 // in-memory pipeline's artifacts. joinErrors selects collect-all
-// (Strict) versus fail-fast error semantics. The source is not closed.
-// It is the one-shard case of AnalyzeStreamParallel.
-func AnalyzeStream(src Source, m Mapping, joinErrors bool) (*StreamResult, error) {
-	return core.AnalyzeStream(src, m, joinErrors)
-}
-
-// AnalyzeStreamParallel is AnalyzeStream with the analysis fold itself
-// sharded over concurrent workers (round-robin case blocks, one builder
-// set per shard, shard partials merged exactly afterwards): the
-// artifacts are byte-identical to the sequential pass at every shard
-// count, so shards is purely a throughput knob. 0 means GOMAXPROCS, 1
-// is the sequential fold. Combine with the Stream* constructors'
+// (Strict) versus fail-fast error semantics; the source is not closed.
+// The analysis fold is sharded over concurrent workers (round-robin case
+// blocks, one builder set per shard, shard partials merged exactly
+// afterwards): the artifacts are byte-identical at every shard count,
+// so shards is purely a throughput knob. 0 means GOMAXPROCS, 1 is the
+// sequential fold. Combine with the Stream* constructors'
 // parallelism/window knobs to scale ingestion and analysis
 // independently (stinspect exposes this as -j/-window/-ashards).
 func AnalyzeStreamParallel(src Source, m Mapping, shards int, joinErrors bool) (*StreamResult, error) {
@@ -364,117 +295,15 @@ func AnalyzeStreamCheckpointed(src Source, m Mapping, shards int, joinErrors boo
 	return core.AnalyzeStreamCheckpointed(src, m, shards, joinErrors, opts)
 }
 
-// WriteSnapshot folds a source and writes the pre-Finalize aggregate
-// state to an STS snapshot file — the per-process half of a
-// multi-process fold. Snapshots of a disjoint corpus partition merge
-// (MergeSnapshots, `stinspect -merge-snapshots`) into exactly the
-// single-process result.
-func WriteSnapshot(path string, src Source, m Mapping, shards int, joinErrors bool) error {
-	s, err := core.AnalyzeStreamSnapshot(src, m, shards, joinErrors)
-	if err != nil {
-		return err
-	}
-	return snapshot.WriteFile(path, s)
-}
-
 // MergeSnapshots loads STS snapshot files written by separate fold
-// processes (WriteSnapshot or the checkpoint engine), merges them
+// processes (the checkpoint engine, `stinspect snapshot`), merges them
 // exactly, and finalizes the combined artifacts — byte-identical to a
 // single run over the union of the inputs' cases.
 func MergeSnapshots(m Mapping, paths ...string) (*StreamResult, error) {
 	return core.MergeSnapshotFiles(m, paths...)
 }
 
-// PeakResident reports how many cases a source held resident at its
-// peak (0 if untracked) — the observable behind the O(batch) claim.
-func PeakResident(s Source) int { return source.PeakResident(s) }
-
-// Live ingestion layer: tail growing trace files fault-tolerantly into
-// a bounded-backpressure source and fold them durably as they complete
-// (see internal/strace, internal/source and internal/serve; cmd/stserve
-// is the daemon over this API).
-type (
-	// LiveSource is a push-based Source with a hard in-flight case
-	// budget. Producers Push completed cases (and Fail recoverable
-	// errors); an analysis fold consumes through the Source contract.
-	// Unlike file-backed sources, delivery follows completion order —
-	// final artifacts are order-canonical regardless.
-	LiveSource = source.Live
-	// BackpressurePolicy decides what Push does at a full budget:
-	// BlockProducer stalls the producer, ShedOldest drops the oldest
-	// queued case and counts it.
-	BackpressurePolicy = source.Policy
-	// FollowOptions configures follow-mode tailing: parse options plus
-	// poll cadence, completion grace, per-file stall timeout, reopen
-	// backoff cap, and the jitter seed.
-	FollowOptions = strace.FollowOptions
-	// Tailer follows every *.st file in a directory as it grows,
-	// surviving truncation, rotation and transient I/O faults, and
-	// pushes each case into a CaseSink exactly once, when complete.
-	Tailer = strace.Tailer
-	// TailStats are a tailer's lifetime counters (cases, rotations,
-	// truncations, reopens, stalls, partial drops, parse skips).
-	TailStats = strace.TailStats
-	// CaseSink receives completed cases and recoverable errors from a
-	// Tailer; *LiveSource implements it.
-	CaseSink = strace.Sink
-	// StallError reports a file that stopped growing before its exit
-	// record for longer than the stall timeout; it is recoverable
-	// (Temporary) and the tailer keeps following the file.
-	StallError = strace.StallError
-)
-
-// Backpressure policies for NewLiveSource.
-const (
-	BlockProducer = source.Block
-	ShedOldest    = source.ShedOldest
-)
-
-// DefaultLiveBudget is the in-flight case budget NewLiveSource uses
-// when given a non-positive budget.
-const DefaultLiveBudget = source.DefaultLiveBudget
-
-// NewLiveSource returns an empty live source with the given in-flight
-// budget (≤0 means DefaultLiveBudget) and overflow policy.
-func NewLiveSource(budget int, policy BackpressurePolicy) *LiveSource {
-	return source.NewLive(budget, policy)
-}
-
-// ParseBackpressurePolicy parses "block" or "shed-oldest" ("" means
-// block), the spelling the commands accept.
-func ParseBackpressurePolicy(s string) (BackpressurePolicy, error) {
-	return source.ParsePolicy(s)
-}
-
-// TailDir returns a tailer following every *.st file under dir into
-// sink. Start begins polling; Drain stops at end-of-input and flushes
-// what parsed; Stop abandons in-flight work.
-func TailDir(dir string, sink CaseSink, opts FollowOptions) *Tailer {
-	return strace.TailDir(dir, sink, opts)
-}
-
-// FollowReader parses one case from a possibly-truncated stream with
-// the tailer's resume semantics: complete records parse, an
-// unterminated final line is dropped and counted, never misparsed.
-// It returns the case, the number of dropped lines (the unterminated
-// final line plus complete lines skipped as unparseable or over 4 MiB),
-// and, when opts.Strict, the first skipped line's *ParseError instead.
-// The batch parsers and the tailer apply the same over-4-MiB rule.
-func FollowReader(id CaseID, r io.Reader, opts ParseOptions) (*Case, int, error) {
-	return strace.FollowReader(id, r, opts)
-}
-
-// MergeArchives consolidates several STA files into one; case identities
-// must be disjoint.
-func MergeArchives(dst string, srcs ...string) error { return archive.Merge(dst, srcs...) }
-
 // NewEnvMapping builds a site-variable path abstraction (the paper's f̄).
 func NewEnvMapping(depth int, vars ...PrefixVar) *EnvMapping {
 	return pm.NewEnvMapping(depth, vars...)
 }
-
-// RestrictPath narrows a mapping's domain to paths containing substr.
-func RestrictPath(m Mapping, substr string) Mapping { return pm.RestrictPath(m, substr) }
-
-// RestrictCalls narrows a mapping's domain to the given system calls.
-func RestrictCalls(m Mapping, calls ...string) Mapping { return pm.RestrictCalls(m, calls...) }

@@ -1,16 +1,22 @@
 package stinspector
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"stinspector/internal/dfg"
 	"stinspector/internal/lssim"
 	"stinspector/internal/strace"
 	"stinspector/internal/trace"
 )
+
+// fromArchive drains an STA file through the facade's archive stream
+// into an Inspector.
+func fromArchive(path string, opts OpenOptions) (*Inspector, error) {
+	return load(StreamArchive(path, opts))
+}
 
 // TestPublicAPIPipeline drives the whole Figure 6 workflow through the
 // public facade only.
@@ -32,7 +38,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err := WriteArchive(sta, in.EventLog()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromArchive(sta, OpenOptions{})
+	back, err := fromArchive(sta, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Errorf("dot broken")
 	}
 	full, part := in.PartitionByCID("a")
-	if part.Node("read:/etc/passwd") != Red {
+	if part.Node("read:/etc/passwd") != dfg.Red {
 		t.Errorf("partition class = %v", part.Node("read:/etc/passwd"))
 	}
 	txt := RenderText(full, in.Stats(), part)
@@ -83,23 +89,19 @@ func TestPublicHelpers(t *testing.T) {
 	if g := in.DFG(); g.NumTraces() != 3 {
 		t.Errorf("traces = %d", g.NumTraces())
 	}
-	st := in.WithMapping(RestrictCalls(m, "write")).Stats()
+	writes := MappingFunc(func(e Event) (Activity, bool) {
+		if e.Call != "write" {
+			return "", false
+		}
+		return m.Map(e)
+	})
+	st := in.WithMapping(writes).Stats()
 	if len(st.Activities()) != 1 {
-		t.Errorf("restricted stats = %v", st.Activities())
+		t.Errorf("partial-mapping stats = %v", st.Activities())
 	}
 	env := NewEnvMapping(0, PrefixVar{Prefix: "/usr", Var: "$USR"})
 	if got := env.Abstract("/usr/lib/x"); got != "$USR" {
 		t.Errorf("env abstraction = %q", got)
-	}
-	if got := RestrictPath(m, "/nope"); got == nil {
-		t.Errorf("RestrictPath nil")
-	}
-	if Start.IsVirtual() != true || End.IsVirtual() != true {
-		t.Errorf("virtual markers broken")
-	}
-	var e Event
-	if e.Size != 0 || SizeUnknown != -1 {
-		t.Errorf("constants broken")
 	}
 }
 
@@ -111,14 +113,14 @@ func TestFacadeCoverage(t *testing.T) {
 	g := FromEventLog(caLog).WithMapping(m).DFG()
 	r := FromEventLog(cbLog).WithMapping(m).DFG()
 	p := Classify(full, g, r)
-	if p.Node("read:/etc/passwd") != Red {
+	if p.Node("read:/etc/passwd") != dfg.Red {
 		t.Errorf("Classify facade broken")
 	}
 	fp := NewFootprint(full)
 	if len(fp.Activities) == 0 {
 		t.Errorf("NewFootprint facade broken")
 	}
-	if out := RenderMermaid(full, nil, PlainStyle{}); !strings.Contains(out, "flowchart") {
+	if out := RenderMermaid(full, nil, nil); !strings.Contains(out, "flowchart") {
 		t.Errorf("RenderMermaid facade broken")
 	}
 	tl := FromEventLog(cbLog).WithMapping(m).Timeline("read:/usr/lib")
@@ -140,40 +142,14 @@ func TestFacadeCoverage(t *testing.T) {
 	}
 }
 
-func TestMergeArchivesFacade(t *testing.T) {
-	dir := t.TempDir()
-	ca, _, _ := lssim.Both(lssim.Config{})
-	a := filepath.Join(dir, "a.sta")
-	b := filepath.Join(dir, "b.sta")
-	if err := WriteArchive(a, ca); err != nil {
-		t.Fatal(err)
-	}
-	other, _, _ := lssim.Both(lssim.Config{Host: "otherhost"})
-	if err := WriteArchive(b, other); err != nil {
-		t.Fatal(err)
-	}
-	dst := filepath.Join(dir, "m.sta")
-	if err := MergeArchives(dst, a, b); err != nil {
-		t.Fatalf("MergeArchives: %v", err)
-	}
-	got, err := FromArchive(dst, OpenOptions{})
-	if err != nil || got.EventLog().NumCases() != 6 {
-		t.Fatalf("merged = %v, err %v", got, err)
-	}
-}
-
-// TestArchiveV1Rejected: the facade surfaces a retired v1 archive as
-// ErrArchiveV1 from both the materializing and the streaming entry
-// points.
+// TestArchiveV1Rejected: the facade's archive stream rejects a retired
+// v1 archive with the error that says to re-archive.
 func TestArchiveV1Rejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.sta")
 	if err := os.WriteFile(path, []byte("STA1\x01\x00\x00\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromArchive(path, OpenOptions{}); !errors.Is(err, ErrArchiveV1) {
-		t.Errorf("FromArchive(v1) = %v, want ErrArchiveV1", err)
-	}
-	if _, err := StreamArchive(path, OpenOptions{}); !errors.Is(err, ErrArchiveV1) {
-		t.Errorf("StreamArchive(v1) = %v, want ErrArchiveV1", err)
+	if _, err := StreamArchive(path, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "re-archive") {
+		t.Errorf("StreamArchive(v1) = %v, want the STA v1 error", err)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"testing/fstest"
 
 	"stinspector/internal/dxt"
+	"stinspector/internal/intern"
 	"stinspector/internal/source"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth"
@@ -89,15 +90,15 @@ func streamArtifacts(t *testing.T, src Source, shards int, joinErrors bool) stri
 // over a scoped table created fresh for that run (syms non-nil). A
 // scoped pass must be byte-identical to the Default-table pass:
 // symbol tables only decide string retention, never content.
-func equivCheck(t *testing.T, kind, want string, open func(parallelism, window int, syms *SymbolTable) Source) {
+func equivCheck(t *testing.T, kind, want string, open func(parallelism, window int, syms *intern.Table) Source) {
 	t.Helper()
 	for _, scoped := range []bool{false, true} {
 		for _, p := range equivParallelisms() {
 			for _, w := range []int{0, 1, 3} {
 				for _, shards := range equivParallelisms() {
-					var syms *SymbolTable
+					var syms *intern.Table
 					if scoped {
-						syms = NewSymbolTable()
+						syms = intern.NewTable()
 					}
 					got := streamArtifacts(t, open(p, w, syms), shards, true)
 					if got != want {
@@ -126,7 +127,7 @@ func TestStreamEquivalenceStraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := inMemoryArtifacts(el)
-	equivCheck(t, "strace", want, func(p, w int, syms *SymbolTable) Source {
+	equivCheck(t, "strace", want, func(p, w int, syms *intern.Table) Source {
 		src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: p, Window: w, Syms: syms})
 		if err != nil {
 			t.Fatal(err)
@@ -143,12 +144,12 @@ func TestStreamEquivalenceArchive(t *testing.T) {
 	if err := WriteArchive(path, log); err != nil {
 		t.Fatal(err)
 	}
-	in, err := FromArchive(path, OpenOptions{Parallelism: 1})
+	in, err := fromArchive(path, OpenOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := inMemoryArtifacts(in.EventLog())
-	equivCheck(t, "archive", want, func(p, w int, syms *SymbolTable) Source {
+	equivCheck(t, "archive", want, func(p, w int, syms *intern.Table) Source {
 		src, err := StreamArchive(path, OpenOptions{Parallelism: p, Window: w, Syms: syms})
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +179,7 @@ func TestStreamEquivalenceArchiveV2(t *testing.T) {
 	}
 	want := inMemoryArtifacts(el)
 	path := writeArchive(t, el)
-	equivCheck(t, "sta2", want, func(p, w int, syms *SymbolTable) Source {
+	equivCheck(t, "sta2", want, func(p, w int, syms *intern.Table) Source {
 		return mustStreamArchive(t, path, OpenOptions{Parallelism: p, Window: w, Syms: syms})
 	})
 }
@@ -196,7 +197,7 @@ func TestStreamEquivalenceDXT(t *testing.T) {
 	}
 	el := drainDXT(t, "dxt", records)
 	want := inMemoryArtifacts(el)
-	equivCheck(t, "dxt", want, func(p, w int, syms *SymbolTable) Source {
+	equivCheck(t, "dxt", want, func(p, w int, syms *intern.Table) Source {
 		recs := records
 		if syms != nil {
 			// DXT interning happens at Parse time: a scoped run
@@ -236,7 +237,7 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			equivCheck(t, p.Name+"/strace", inMemoryArtifacts(el), func(pp, w int, syms *SymbolTable) Source {
+			equivCheck(t, p.Name+"/strace", inMemoryArtifacts(el), func(pp, w int, syms *intern.Table) Source {
 				src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: pp, Window: w, Syms: syms})
 				if err != nil {
 					t.Fatal(err)
@@ -254,7 +255,7 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			equivCheck(t, p.Name+"/sta2", inMemoryArtifacts(a2el), func(pp, w int, syms *SymbolTable) Source {
+			equivCheck(t, p.Name+"/sta2", inMemoryArtifacts(a2el), func(pp, w int, syms *intern.Table) Source {
 				return mustStreamArchive(t, a2path, OpenOptions{Parallelism: pp, Window: w, Syms: syms})
 			})
 
@@ -269,7 +270,7 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			del := drainDXT(t, "dxt", records)
-			equivCheck(t, p.Name+"/dxt", inMemoryArtifacts(del), func(pp, w int, syms *SymbolTable) Source {
+			equivCheck(t, p.Name+"/dxt", inMemoryArtifacts(del), func(pp, w int, syms *intern.Table) Source {
 				recs := records
 				if syms != nil {
 					var err error
