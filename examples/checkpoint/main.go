@@ -10,7 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"path"
 	"strings"
 	"time"
@@ -19,32 +21,41 @@ import (
 	"stinspector/internal/workloads"
 )
 
-func main() {
-	ranks := flag.Int("ranks", 16, "MPI ranks")
-	rounds := flag.Int("rounds", 4, "checkpoint rounds")
-	flag.Parse()
+var (
+	ranks  = flag.Int("ranks", 16, "MPI ranks")
+	rounds = flag.Int("rounds", 4, "checkpoint rounds")
+)
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output, under the flags' values, to w.
+func run(w io.Writer) error {
 	shared, err := workloads.Checkpoint(workloads.CheckpointConfig{
 		CID: "shared", Ranks: *ranks, Rounds: *rounds, Shared: true, Seed: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fpp, err := workloads.Checkpoint(workloads.CheckpointConfig{
 		CID: "perrank", Ranks: *ranks, Rounds: *rounds, Shared: false, Seed: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("shared:   %6d events, wall-clock sum %v, %d token revocations\n",
+	fmt.Fprintf(w, "shared:   %6d events, wall-clock sum %v, %d token revocations\n",
 		shared.Log.NumEvents(), time.Duration(shared.Log.TotalDur()).Round(time.Millisecond), shared.FS.Revocations)
-	fmt.Printf("per-rank: %6d events, wall-clock sum %v, %d token revocations\n\n",
+	fmt.Fprintf(w, "per-rank: %6d events, wall-clock sum %v, %d token revocations\n\n",
 		fpp.Log.NumEvents(), time.Duration(fpp.Log.TotalDur()).Round(time.Millisecond), fpp.FS.Revocations)
 
 	union := shared.Log.Clone()
 	for _, c := range fpp.Log.Cases() {
 		if err := union.Add(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -63,10 +74,11 @@ func main() {
 	full, part := in.PartitionByCID("shared")
 	st := in.Stats()
 
-	fmt.Println("--- combined DFG, green = shared-file run, red = per-rank run ---")
-	fmt.Print(stinspector.RenderText(full, st, part))
+	fmt.Fprintln(w, "--- combined DFG, green = shared-file run, red = per-rank run ---")
+	fmt.Fprint(w, stinspector.RenderText(full, st, part))
 
-	fmt.Println("\nreading the graph: both strategies share the $SCRATCH/ckpt shape;")
-	fmt.Println("the Load annotations show the shared strategy paying for contended")
-	fmt.Println("opens and write-token transfers that the per-rank strategy avoids.")
+	fmt.Fprintln(w, "\nreading the graph: both strategies share the $SCRATCH/ckpt shape;")
+	fmt.Fprintln(w, "the Load annotations show the shared strategy paying for contended")
+	fmt.Fprintln(w, "opens and write-token transfers that the per-rank strategy avoids.")
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"stinspector"
@@ -33,21 +35,29 @@ const dxtDump = `
 `
 
 func main() {
-	in, err := stinspector.FromDXT("job42", strings.NewReader(dxtDump), stinspector.OpenOptions{})
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("ingested:", in.Summary())
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
+	in, err := stinspector.FromDXT("job42", strings.NewReader(dxtDump), stinspector.OpenOptions{})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "ingested:", in.Summary())
 
 	// The same mapping, DFG and statistics machinery as for strace
 	// input — the event model is instrumentation-agnostic.
 	in = in.WithMapping(stinspector.CallTopDirs{Depth: 3})
 	st := in.Stats()
-	fmt.Println("\n--- DFG from Darshan DXT data ---")
-	fmt.Print(stinspector.RenderText(in.DFG(), st, nil))
+	fmt.Fprintln(w, "\n--- DFG from Darshan DXT data ---")
+	fmt.Fprint(w, stinspector.RenderText(in.DFG(), st, nil))
 
-	fmt.Println("\n--- timeline of the MPI-IO writes ---")
+	fmt.Fprintln(w, "\n--- timeline of the MPI-IO writes ---")
 	tl := in.Timeline("pwrite64:/p/scratch/user")
-	fmt.Print(stinspector.RenderTimeline(tl))
-	fmt.Printf("max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
+	fmt.Fprint(w, stinspector.RenderTimeline(tl))
+	fmt.Fprintf(w, "max-concurrency: %d\n", stinspector.MaxConcurrency(tl))
+	return nil
 }

@@ -9,33 +9,44 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"stinspector"
 	"stinspector/internal/iorsim"
 )
 
-func main() {
-	ranks := flag.Int("ranks", 32, "MPI ranks per run")
-	flag.Parse()
+var ranks = flag.Int("ranks", 32, "MPI ranks per run")
 
-	run := func(cid string, fpp bool, baseRID int) *iorsim.Result {
-		res, err := iorsim.Run(iorsim.Config{
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output, under the flags' values, to w.
+func run(w io.Writer) error {
+	simulate := func(cid string, fpp bool, baseRID int) (*iorsim.Result, error) {
+		return iorsim.Run(iorsim.Config{
 			CID: cid, Ranks: *ranks, Hosts: 2, BaseRID: baseRID,
 			TransferSize: 1 << 20, BlockSize: 16 << 20, Segments: 3,
 			Write: true, Read: true, Fsync: true, ReorderTasks: true,
 			FilePerProc: fpp, Preamble: true, Seed: 42,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
 	}
-	ssf := run("ssf", false, 40000)
-	fpp := run("fpp", true, 50000)
-	fmt.Printf("ssf run: %d events, %d token revocations, %d contended opens\n",
+	ssf, err := simulate("ssf", false, 40000)
+	if err != nil {
+		return err
+	}
+	fpp, err := simulate("fpp", true, 50000)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "ssf run: %d events, %d token revocations, %d contended opens\n",
 		ssf.Log.NumEvents(), ssf.FS.Revocations, ssf.FS.SharedOpens)
-	fmt.Printf("fpp run: %d events, %d token revocations, %d contended opens\n\n",
+	fmt.Fprintf(w, "fpp run: %d events, %d token revocations, %d contended opens\n\n",
 		fpp.Log.NumEvents(), fpp.FS.Revocations, fpp.FS.SharedOpens)
 
 	// Combine the runs into one event-log (192 cases in the paper) and
@@ -43,7 +54,7 @@ func main() {
 	union := ssf.Log.Clone()
 	for _, c := range fpp.Log.Cases() {
 		if err := union.Add(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	union = union.FilterCalls("read", "write", "openat")
@@ -60,16 +71,17 @@ func main() {
 	in := stinspector.FromEventLog(union).FilterPath(site.Scratch).WithMapping(mapping)
 	st := in.Stats()
 
-	fmt.Println("--- DFG restricted to $SCRATCH (compare with Figure 8b) ---")
-	fmt.Print(stinspector.RenderText(in.DFG(), st, nil))
+	fmt.Fprintln(w, "--- DFG restricted to $SCRATCH (compare with Figure 8b) ---")
+	fmt.Fprint(w, stinspector.RenderText(in.DFG(), st, nil))
 
 	ssfOpen := st.Get("openat:$SCRATCH/ssf")
 	fppOpen := st.Get("openat:$SCRATCH/fpp")
 	ssfWrite := st.Get("write:$SCRATCH/ssf")
 	fppWrite := st.Get("write:$SCRATCH/fpp")
-	fmt.Printf("\ncontention summary:\n")
-	fmt.Printf("  openat load  ssf %.2f  vs  fpp %.2f\n", ssfOpen.RelDur, fppOpen.RelDur)
-	fmt.Printf("  write  load  ssf %.2f  vs  fpp %.2f\n", ssfWrite.RelDur, fppWrite.RelDur)
-	fmt.Printf("the shared file serializes opens and write-token transfers;\n")
-	fmt.Printf("per-process files avoid both at a small metadata cost.\n")
+	fmt.Fprintf(w, "\ncontention summary:\n")
+	fmt.Fprintf(w, "  openat load  ssf %.2f  vs  fpp %.2f\n", ssfOpen.RelDur, fppOpen.RelDur)
+	fmt.Fprintf(w, "  write  load  ssf %.2f  vs  fpp %.2f\n", ssfWrite.RelDur, fppWrite.RelDur)
+	fmt.Fprintf(w, "the shared file serializes opens and write-token transfers;\n")
+	fmt.Fprintf(w, "per-process files avoid both at a small metadata cost.\n")
+	return nil
 }

@@ -10,37 +10,48 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"stinspector"
 	"stinspector/internal/iorsim"
 )
 
-func main() {
-	ranks := flag.Int("ranks", 32, "MPI ranks per run")
-	flag.Parse()
+var ranks = flag.Int("ranks", 32, "MPI ranks per run")
 
-	run := func(cid string, api iorsim.API, baseRID int) *iorsim.Result {
-		res, err := iorsim.Run(iorsim.Config{
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output, under the flags' values, to w.
+func run(w io.Writer) error {
+	simulate := func(cid string, api iorsim.API, baseRID int) (*iorsim.Result, error) {
+		return iorsim.Run(iorsim.Config{
 			CID: cid, Ranks: *ranks, Hosts: 2, BaseRID: baseRID,
 			TransferSize: 1 << 20, BlockSize: 16 << 20, Segments: 3,
 			Write: true, Read: true, Fsync: true, ReorderTasks: true,
 			API: api, Preamble: true, Seed: 7,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
 	}
-	posix := run("posix", iorsim.POSIX, 60000)
-	mpiio := run("mpiio", iorsim.MPIIO, 70000)
-	fmt.Printf("posix run: %d system calls\n", posix.Log.NumEvents())
-	fmt.Printf("mpiio run: %d system calls (pread64/pwrite64 fuse the lseek)\n\n", mpiio.Log.NumEvents())
+	posix, err := simulate("posix", iorsim.POSIX, 60000)
+	if err != nil {
+		return err
+	}
+	mpiio, err := simulate("mpiio", iorsim.MPIIO, 70000)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "posix run: %d system calls\n", posix.Log.NumEvents())
+	fmt.Fprintf(w, "mpiio run: %d system calls (pread64/pwrite64 fuse the lseek)\n\n", mpiio.Log.NumEvents())
 
 	union := posix.Log.Clone()
 	for _, c := range mpiio.Log.Cases() {
 		if err := union.Add(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	// Experiment B records lseek in addition to read/write/openat.
@@ -59,12 +70,13 @@ func main() {
 	full, part := in.PartitionByCID("mpiio")
 	st := in.Stats()
 
-	fmt.Println("--- partition-colored DFG (compare with Figure 9) ---")
-	fmt.Print(stinspector.RenderText(full, st, part))
+	fmt.Fprintln(w, "--- partition-colored DFG (compare with Figure 9) ---")
+	fmt.Fprint(w, stinspector.RenderText(full, st, part))
 
-	fmt.Println("\n--- DOT with green/red coloring ---")
-	fmt.Print(stinspector.RenderDOT(full, st, stinspector.PartitionColoring{Partition: part}))
+	fmt.Fprintln(w, "\n--- DOT with green/red coloring ---")
+	fmt.Fprint(w, stinspector.RenderDOT(full, st, stinspector.PartitionColoring{Partition: part}))
 
 	gn, rn, sn := part.CountNodes()
-	fmt.Printf("\n%d activities exclusive to MPI-IO (green), %d exclusive to POSIX (red), %d shared\n", gn, rn, sn)
+	fmt.Fprintf(w, "\n%d activities exclusive to MPI-IO (green), %d exclusive to POSIX (red), %d shared\n", gn, rn, sn)
+	return nil
 }

@@ -1,0 +1,36 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/out.golden")
+
+// TestRunGolden runs the example under its default flags and compares
+// what it prints with testdata/out.golden (regenerate with -update).
+func TestRunGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "out.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, out.Bytes(), want)
+	}
+}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -17,25 +18,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	// 1. Record: two commands ("a" = ls, "b" = ls -l), three MPI
 	// processes each, one strace file per process (Figure 1).
 	dir, err := os.MkdirTemp("", "stinspector-quickstart")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	_, _, cx := lssim.Both(lssim.Config{})
 	if err := strace.WriteDir(dir, cx); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %d trace files under %s\n\n", cx.NumCases(), dir)
+	fmt.Fprintf(w, "wrote %d trace files under a temporary directory\n\n", cx.NumCases())
 
 	// 2. Ingest the trace directory.
 	in, err := stinspector.FromStraceDir(dir, stinspector.ParseOptions{Strict: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("event-log:", in.Summary())
+	fmt.Fprintln(w, "event-log:", in.Summary())
 
 	// 3. Map events to activities with the paper's f̂ (call + top two
 	// directory levels) and synthesize the DFG.
@@ -47,9 +55,10 @@ func main() {
 	// ls -l.
 	full, part := in.PartitionByCID("a")
 
-	fmt.Println("\n--- DFG with Load/DR annotations and partition classes ---")
-	fmt.Print(stinspector.RenderText(full, st, part))
+	fmt.Fprintln(w, "\n--- DFG with Load/DR annotations and partition classes ---")
+	fmt.Fprint(w, stinspector.RenderText(full, st, part))
 
-	fmt.Println("\n--- Graphviz DOT (pipe into `dot -Tsvg`) ---")
-	fmt.Print(stinspector.RenderDOT(full, st, stinspector.PartitionColoring{Partition: part}))
+	fmt.Fprintln(w, "\n--- Graphviz DOT (pipe into `dot -Tsvg`) ---")
+	fmt.Fprint(w, stinspector.RenderDOT(full, st, stinspector.PartitionColoring{Partition: part}))
+	return nil
 }

@@ -9,29 +9,40 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"stinspector"
 	"stinspector/internal/lssim"
 )
 
-func main() {
-	activity := flag.String("activity", "read:/usr/lib", "activity to plot")
-	flag.Parse()
+var activity = flag.String("activity", "read:/usr/lib", "activity to plot")
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output, under the flags' values, to w.
+func run(w io.Writer) error {
 	// The ls -l event-log C_b of the paper's running example.
 	cb := lssim.LSL(lssim.Config{})
 	in := stinspector.FromEventLog(cb).WithMapping(stinspector.CallTopDirs{Depth: 2})
 
 	tl := in.Timeline(stinspector.Activity(*activity))
-	fmt.Printf("timeline of %s over C_b (%d events):\n\n", *activity, len(tl))
-	fmt.Print(stinspector.RenderTimeline(tl))
+	fmt.Fprintf(w, "timeline of %s over C_b (%d events):\n\n", *activity, len(tl))
+	fmt.Fprint(w, stinspector.RenderTimeline(tl))
 
 	mc := stinspector.MaxConcurrency(tl)
-	fmt.Printf("\nmax-concurrency mc = %d ", mc)
-	fmt.Println("(the highest number of processes inside this activity at once)")
+	fmt.Fprintf(w, "\nmax-concurrency mc = %d ", mc)
+	fmt.Fprintln(w, "(the highest number of processes inside this activity at once)")
 
 	st := in.Stats().Get(stinspector.Activity(*activity))
 	if st != nil {
-		fmt.Printf("events=%d  bytes=%d  relative duration=%.2f\n", st.Events, st.Bytes, st.RelDur)
+		fmt.Fprintf(w, "events=%d  bytes=%d  relative duration=%.2f\n", st.Events, st.Bytes, st.RelDur)
 	}
+	return nil
 }

@@ -153,3 +153,27 @@ func TestArchiveV1Rejected(t *testing.T) {
 		t.Errorf("StreamArchive(v1) = %v, want the STA v1 error", err)
 	}
 }
+
+// TestReadmeQuickstart: the README's quickstart code block is a verbatim
+// excerpt of examples/quickstart's run body, one tab of indentation
+// removed, so the documented workflow is the one the example's golden
+// test runs.
+func TestReadmeQuickstart(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(readme), "## Quickstart\n")
+	_, rest, _ = strings.Cut(rest, "```go\n")
+	block, _, _ := strings.Cut(rest, "```")
+	if strings.TrimSpace(block) == "" {
+		t.Fatal("README.md has no go code block under ## Quickstart")
+	}
+	src, err := os.ReadFile(filepath.Join("examples", "quickstart", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := strings.ReplaceAll(string(src), "\n\t", "\n"); !strings.Contains(body, block) {
+		t.Errorf("the README quickstart block is not an excerpt of examples/quickstart/main.go:\n%s", block)
+	}
+}
