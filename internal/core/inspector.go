@@ -40,8 +40,7 @@ import (
 // goroutine, reads that result, so the artifacts returned are shared
 // and read-only (no Merge into them, no AddNode or AddEdge). The first
 // Timeline query likewise folds the log once into a stats.Detail that
-// every later one reads. A derived
-// inspector folds its own log afresh.
+// every later one reads. A derived inspector folds its own log afresh.
 type Inspector struct {
 	log     *trace.EventLog
 	mapping pm.Mapping

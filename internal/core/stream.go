@@ -141,16 +141,17 @@ func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
 // and returns every failure joined (strace Strict semantics). The
 // source is not closed; callers own its lifetime.
 //
-// The analysis fold is sharded: source.ShardedFold round-robins case blocks to shards
-// workers, each owning its own builder set over a shard-local symbol
-// table, and the shard partials are merged in shard order afterwards —
-// the shard tables remapped into shard 0's (itself created fresh for
-// this run), the counts folded as integer sums. Because every
-// aggregate merge is exact — integer counts and sums, sorted case-list
-// interleaves, sorted max-concurrency span runs merged linearly, and a
-// symbol remap that preserves strings exactly — the result is
-// byte-identical to the sequential fold at every shard count; shard count is a pure throughput knob, never
-// observable in the artifacts. Only the merged survivor materializes
+// The analysis fold is sharded: source.ShardedFold round-robins case
+// blocks to shards workers, each owning its own builder set over a
+// shard-local symbol table, and the shard partials are merged in shard
+// order afterwards — the shard tables remapped into shard 0's (itself
+// created fresh for this run), the counts folded as integer sums.
+// Because every aggregate merge is exact — integer counts and sums,
+// sorted case-list interleaves, sorted max-concurrency span runs merged
+// linearly, and a symbol remap that preserves strings exactly — the
+// result is byte-identical to the sequential fold at every shard count;
+// shard count is a pure throughput knob, never observable in the
+// artifacts. Only the merged survivor materializes
 // activity strings, once, at Finalize.
 //
 // It is foldEpoch, the one fold body in the tree, finalized through

@@ -13,9 +13,9 @@ import (
 type Policy uint8
 
 const (
-	// blockProducer makes Push wait until the consumer frees a slot (or the
-	// source is closed). Producers are throttled to the consumer's pace;
-	// nothing is ever lost, at the cost of producer latency.
+	// blockProducer makes Push wait until the consumer frees a slot (or
+	// the source is closed). Producers are throttled to the consumer's
+	// pace; nothing is ever lost, at the cost of producer latency.
 	blockProducer Policy = iota
 	// shedOldest drops the oldest queued case to make room for the new
 	// one, incrementing the shed counter. Producers never block and
@@ -60,8 +60,8 @@ const DefaultLiveBudget = 64
 // live-ingestion path: however fast producers push and however slow the
 // analysis fold consumes, at most budget cases are resident in the
 // queue — a slow consumer can never OOM the process. Overflow follows
-// the Policy: blockProducer throttles producers, shedOldest drops the stalest
-// queued case and counts it.
+// the Policy: blockProducer throttles producers, shedOldest drops the
+// stalest queued case and counts it.
 //
 // Unlike the batch sources, delivery order is completion order, not
 // CaseID order: whichever case finishes first is delivered first. The
@@ -116,9 +116,9 @@ func NewLive(budget int, policy Policy) *Live {
 	return l
 }
 
-// Push delivers a completed case into the stream. Under blockProducer it waits
-// for a free budget slot; under shedOldest it drops the oldest queued
-// case (counting it) when the budget is full. Push returns ErrClosed if
+// Push delivers a completed case into the stream. Under blockProducer
+// it waits for a free budget slot; under shedOldest it drops the oldest
+// queued case (counting it) when the budget is full. Push returns ErrClosed if
 // the source is (or becomes, while blocked) closed, and errFinished
 // after Finish; both mean the producer should stop.
 func (l *Live) Push(c *trace.Case) error {
