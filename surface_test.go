@@ -247,20 +247,19 @@ type surface struct {
 	facade, facadeUsed map[string]bool
 }
 
-// scanSurface parses every Go file under root that the default build
-// context selects and type-checks the non-test ones.
+// scanSurface parses and type-checks every non-test Go file under root
+// that the default build context selects.
 func scanSurface(t *testing.T, root string) *surface {
 	t.Helper()
 	const module = "stinspector"
 	const internal = module + "/internal/"
 	type parsed struct {
-		pkg  string // import path
-		test bool
-		f    *ast.File
+		pkg string // import path
+		f   *ast.File
 	}
 	fset := token.NewFileSet()
 	var files []parsed
-	pkgFiles := map[string][]*ast.File{} // import path -> non-test files
+	pkgFiles := map[string][]*ast.File{} // import path -> files
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -271,7 +270,7 @@ func scanSurface(t *testing.T, root string) *surface {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
@@ -285,11 +284,8 @@ func scanSurface(t *testing.T, root string) *surface {
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir
 		}
-		test := strings.HasSuffix(path, "_test.go")
-		files = append(files, parsed{pkg, test, f})
-		if !test {
-			pkgFiles[pkg] = append(pkgFiles[pkg], f)
-		}
+		files = append(files, parsed{pkg, f})
+		pkgFiles[pkg] = append(pkgFiles[pkg], f)
 		return nil
 	})
 	if err != nil {
@@ -318,9 +314,6 @@ func scanSurface(t *testing.T, root string) *surface {
 	}
 	methodTypes := map[string]*types.Named{} // method id -> its receiver type
 	for _, p := range files {
-		if p.test {
-			continue
-		}
 		pkg, inInternal := strings.CutPrefix(p.pkg, internal)
 		for _, d := range p.f.Decls {
 			switch d := d.(type) {
@@ -332,9 +325,10 @@ func scanSurface(t *testing.T, root string) *surface {
 				case d.Recv == nil:
 					declare(p.pkg, d.Name)
 				case d.Name.IsExported() && !surfaceExempt[pkg]:
-					id := pkg + "." + receiverType(d.Recv.List[0].Type) + "." + d.Name.Name
+					fn := info.Defs[d.Name].(*types.Func)
+					id := methodID(fn, internal)
 					s.methods[id] = true
-					methodTypes[id] = namedRecv(info.Defs[d.Name].(*types.Func))
+					methodTypes[id] = namedRecv(fn)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -361,9 +355,6 @@ func scanSurface(t *testing.T, root string) *surface {
 
 	var ifaces []*types.Interface // interface types of non-test files
 	for _, p := range files {
-		if p.test {
-			continue
-		}
 		imports := map[string]string{} // local name -> import path
 		for _, is := range p.f.Imports {
 			path := strings.Trim(is.Path.Value, `"`)
@@ -521,7 +512,8 @@ func namedRecv(fn *types.Func) *types.Named {
 }
 
 // methodID keys a method declared on a named non-interface type under
-// internal/ as scanSurface does; it returns "" for any other function.
+// internal/ "<package path under internal/>.<receiver type>.<name>"; it
+// returns "" for any other function.
 func methodID(fn *types.Func, internal string) string {
 	fn = fn.Origin()
 	if fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() == nil {
@@ -549,20 +541,4 @@ func implementsWith(named *types.Named, name string, ifaces []*types.Interface) 
 		}
 	}
 	return false
-}
-
-// receiverType names the type of a method receiver: T for T, *T, T[P]
-// and *T[P].
-func receiverType(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return receiverType(e.X)
-	case *ast.IndexExpr:
-		return receiverType(e.X)
-	case *ast.IndexListExpr:
-		return receiverType(e.X)
-	case *ast.Ident:
-		return e.Name
-	}
-	return "?"
 }
