@@ -135,11 +135,12 @@ type ParseOptions = strace.Options
 // OpenOptions configures the archive and DXT backends, the counterpart
 // of ParseOptions for strace: Parallelism bounds the concurrent decode
 // or case-construction workers (0 = GOMAXPROCS, 1 = sequential), Window
-// the cases resident at once in a stream (0 = 2×workers), and Cases restricts an archive to a slice of its case order (nil =
-// every case; DXT dumps have no case index and reject a range). The
-// zero value reads everything with the defaults. Syms stays nil here:
-// the pass interns into the process-wide symbol table (scoping a table
-// to a pass is internal; stserve scopes each session's).
+// the cases resident at once in a stream (0 = 2×workers), and Cases
+// restricts an archive to a slice of its case order (nil = every case;
+// DXT dumps have no case index and reject a range). The zero value
+// reads everything with the defaults. Syms stays nil here: the pass
+// interns into the process-wide symbol table (scoping a table to a
+// pass is internal; stserve scopes each session's).
 type OpenOptions = archive.Options
 
 // CaseRange is the half-open slice [Start, End) of an archive's case
