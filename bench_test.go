@@ -194,7 +194,7 @@ func BenchmarkParseCase(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := strace.ParseCase(id, bytes.NewReader(data), strace.Options{Calls: map[string]bool{}})
+		c, err := strace.ParseCase(id, bytes.NewReader(data), strace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 package main
 
 // The scenario matrix: every generator profile through every ingestion
-// backend at one and many analysis shards, over scoped and process-wide
-// symbol tables. The generators are deterministic in (profile, cid,
+// backend at one and many analysis shards, with strace ingestion over
+// scoped and process-wide symbol tables (the archive and DXT backends
+// always intern into the process-wide one). The generators are deterministic in (profile, cid,
 // cases, events, seed) and the pipeline's artifacts are
 // parallelism-independent, so every column of a cell is
 // machine-independent structure; TestScenarioMatrix pins all of them
@@ -108,8 +109,8 @@ var matrixParams = matrixReport{
 	Seed:    20240924,
 }
 
-// TestScenarioMatrix sweeps every profile × backend × shards × scoped
-// cell and fails on any structural difference from BENCH_matrix.json,
+// TestScenarioMatrix sweeps every profile × backend × shards (× scoped,
+// for strace) cell and fails on any structural difference from BENCH_matrix.json,
 // or on a cell missing from either side.
 func TestScenarioMatrix(t *testing.T) {
 	fresh := sweepMatrix(t, profiles.All(), matrixParams)
@@ -126,8 +127,8 @@ func TestScenarioMatrix(t *testing.T) {
 // TestRunMatrixJSON sweeps every profile at tiny scale through the
 // baseline file's write and read path and checks the report: its
 // generation parameters survive, and it covers profile × backend ×
-// shards × scoped once each with non-degenerate, correctly counted
-// cells.
+// shards (× scoped, for strace) once each with non-degenerate, correctly
+// counted cells.
 func TestRunMatrixJSON(t *testing.T) {
 	params := matrixReport{Command: "tiny", MCases: 3, MEvents: 24, Shards: 2, Seed: 7}
 	path := filepath.Join(t.TempDir(), "BENCH_matrix.json")
@@ -136,7 +137,9 @@ func TestRunMatrixJSON(t *testing.T) {
 	if report.MCases != 3 || report.MEvents != 24 || report.Shards != 2 || report.Seed != 7 || report.Command != "tiny" {
 		t.Errorf("report header not reproducible: %+v", report)
 	}
-	wantCells := len(profiles.All()) * len(matrixBackends) * 2 /*shards*/ * 2 /*scoped*/
+	// strace cells come scoped and unscoped, the other backends' only
+	// unscoped.
+	wantCells := len(profiles.All()) * (len(matrixBackends) + 1) * 2 /*shards*/
 	if len(report.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(report.Cells), wantCells)
 	}
@@ -261,11 +264,12 @@ func readMatrix(t *testing.T, path string) matrixReport {
 	return r
 }
 
-// sweepMatrix runs every cell of ps × matrixBackends × {1, params.Shards}
-// × {process-wide, scoped} and checks the sweep's own invariants: the
-// snapshot re-encodes byte-identically, structure does not depend on
-// the shard count or the symbol table, and the archive matches strace
-// in everything but bytes.
+// sweepMatrix runs every cell of ps × matrixBackends × {1, params.Shards},
+// strace's over both the process-wide and a scoped symbol table, and
+// checks the sweep's own invariants: the snapshot re-encodes
+// byte-identically, structure does not depend on the shard count or
+// the symbol table, and the archive matches strace in everything but
+// bytes.
 func sweepMatrix(t *testing.T, ps []profiles.Profile, params matrixReport) matrixReport {
 	t.Helper()
 	report := params
@@ -276,8 +280,14 @@ func sweepMatrix(t *testing.T, ps []profiles.Profile, params matrixReport) matri
 		first := map[string]matrixCell{} // per backend: its first cell
 		for _, backend := range matrixBackends {
 			size, open := backendSource(t, backend, log)
+			scopes := []bool{false}
+			if backend == "strace" {
+				// Only strace ingestion scopes a table: stserve's
+				// sessions do.
+				scopes = append(scopes, true)
+			}
 			for _, shards := range []int{1, params.Shards} {
-				for _, scoped := range []bool{false, true} {
+				for _, scoped := range scopes {
 					var syms *intern.Table
 					if scoped {
 						syms = intern.NewTable()
@@ -354,8 +364,9 @@ func structure(c matrixCell) matrixCell {
 }
 
 // backendSource encodes the log in one backend's format and returns its
-// byte size plus an opener that builds a fresh source per cell (over
-// syms when non-nil, the process-wide table otherwise).
+// byte size plus an opener that builds a fresh source per cell. A
+// strace source interns over syms when non-nil; every other source, and
+// strace's with syms nil, over the process-wide table.
 func backendSource(t *testing.T, backend string, log *trace.EventLog) (int64, func(syms *intern.Table) source.Source) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -389,9 +400,9 @@ func backendSource(t *testing.T, backend string, log *trace.EventLog) (int64, fu
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fi.Size(), func(syms *intern.Table) source.Source {
+		return fi.Size(), func(*intern.Table) source.Source {
 			src, err := archive.OpenSource(path, archive.Options{
-				Parallelism: matrixParallelism, Window: matrixWindow, Syms: syms,
+				Parallelism: matrixParallelism, Window: matrixWindow,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -403,8 +414,8 @@ func backendSource(t *testing.T, backend string, log *trace.EventLog) (int64, fu
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		return int64(len(data)), func(syms *intern.Table) source.Source {
-			recs, err := dxt.ParseSyms(bytes.NewReader(data), syms)
+		return int64(len(data)), func(*intern.Table) source.Source {
+			recs, err := dxt.Parse(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}

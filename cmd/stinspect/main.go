@@ -349,8 +349,6 @@ func run(args []string) error {
 	return report.Generate(os.Stdout, res, d, opts)
 }
 
-// printDetail renders a per-event view of activity a from the detail
-// fold.
 // printFold renders a fold subcommand's artifacts, the same whether
 // they came from a streamed pass or from merged snapshots.
 func printFold(cmd string, res *stinspector.StreamResult, format, green string) {

@@ -69,6 +69,18 @@ func readAll(r *Reader, parallelism int) (*trace.EventLog, error) {
 	return source.Drain(src, false)
 }
 
+// newReaderBytes opens an in-memory STA image. Sections decode
+// zero-copy straight from data; the caller must not mutate it while the
+// reader is in use.
+func newReaderBytes(data []byte) (*Reader, error) {
+	r, err := newReaderAt(data)
+	if err != nil {
+		return nil, err
+	}
+	r.data = data
+	return r, nil
+}
+
 // newReaderAt opens an image through the ReadAt path (pooled section
 // buffers), as opposed to newReaderBytes' zero-copy slices.
 func newReaderAt(data []byte) (*Reader, error) {

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,34 +20,19 @@ type Reader struct {
 	src     io.ReaderAt
 	closer  io.Closer
 	entries []indexEntry
-	syms    *intern.Table // nil = the process-wide table
 
 	// data, when non-nil, is a whole-file view (an mmap from Open, or
-	// the caller's buffer from newReaderBytes) that section decodes
-	// slice zero-copy; otherwise sections are fetched through src with
-	// pooled buffers. dict is the file-level symbol dictionary, and
-	// resolved its remap into the bound symbol table, built once per
-	// binding under resolveOnce (see resolve).
+	// an in-memory image) that section decodes slice zero-copy;
+	// otherwise sections are fetched through src with pooled buffers.
+	// dict is the file-level symbol dictionary, and resolved its remap
+	// into the process-wide symbol table, built once under resolveOnce
+	// (see resolve).
 	data        []byte
 	unmap       func() error
 	dict        *intern.Local
 	resolved    []string
-	resolveOnce *sync.Once
+	resolveOnce sync.Once
 	secBufs     sync.Pool
-}
-
-// setSyms scopes subsequent case decodes to the given symbol table
-// (nil restores the process-wide table). Scope a table per
-// reader when decoding archives with unbounded path vocabularies in a
-// long-lived process: dropping the reader and its decoded cases then
-// makes every interned string collectable. Decoded events are
-// identical either way. Not safe to call concurrently with decodes.
-func (r *Reader) setSyms(t *intern.Table) {
-	r.syms = t
-	// Invalidate the dictionary remap: the next decode rebuilds it
-	// against the new table.
-	r.resolved = nil
-	r.resolveOnce = new(sync.Once)
 }
 
 // Open opens an STA file for random access. The file is additionally
@@ -75,18 +59,6 @@ func Open(path string) (*Reader, error) {
 	if data, unmap, ok := mmapFile(f, st.Size()); ok {
 		r.data, r.unmap = data, unmap
 	}
-	return r, nil
-}
-
-// newReaderBytes opens an in-memory STA image. Sections decode
-// zero-copy straight from data; the caller must not mutate it while the
-// reader is in use.
-func newReaderBytes(data []byte) (*Reader, error) {
-	r, err := newReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	r.data = data
 	return r, nil
 }
 
@@ -174,11 +146,7 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 		return nil, corrupt("index claims %d cases in %d bytes", n, ic.remaining())
 	}
 	nsyms := uint64(dict.Len())
-	r := &Reader{
-		src:         src,
-		dict:        dict,
-		resolveOnce: new(sync.Once),
-	}
+	r := &Reader{src: src, dict: dict}
 	for i := uint64(0); i < n; i++ {
 		var ent indexEntry
 		cidSym, err := ic.uvarint()
@@ -247,15 +215,14 @@ func (r *Reader) Close() error {
 // NumCases returns the number of stored cases.
 func (r *Reader) NumCases() int { return len(r.entries) }
 
-// resolve returns the dictionary remapped into the reader's current
-// symbol table: resolve()[fileSym] is the canonical string. The remap
-// runs once per table binding — the near-zero-parse property: after it,
-// section decode touches no hash table and allocates no strings.
-// Concurrent decode workers share the one remap via the Once; setSyms
-// (documented as not concurrent with decodes) installs a fresh Once.
+// resolve returns the dictionary remapped into the process-wide symbol
+// table: resolve()[fileSym] is the canonical string. The remap runs
+// once per reader — the near-zero-parse property: after it, section
+// decode touches no hash table and allocates no strings. Concurrent
+// decode workers share the one remap via the Once.
 func (r *Reader) resolve() []string {
 	r.resolveOnce.Do(func() {
-		cache := intern.CacheFor(r.syms)
+		cache := intern.CacheFor(nil)
 		r.resolved = r.dict.RemapIntoTable(cache)
 		intern.PutCache(cache)
 	})
@@ -324,7 +291,8 @@ type CaseRange struct {
 }
 
 // Options configures OpenSource. The zero value streams every case,
-// decoded by GOMAXPROCS workers into the process-wide symbol table.
+// decoded by GOMAXPROCS workers. Decoded strings always intern into the
+// process-wide symbol table.
 type Options struct {
 	// Parallelism bounds the concurrent section decodes
 	// (0 = GOMAXPROCS, 1 = sequential).
@@ -332,10 +300,6 @@ type Options struct {
 	// Window bounds the cases decoded but not yet consumed
 	// (0 = 2×Parallelism).
 	Window int
-	// Syms scopes the decoded strings to a per-pass symbol table
-	// (nil = the process-wide table), so they are collectable once the pass's
-	// results are dropped.
-	Syms *intern.Table
 	// Cases restricts the source to a slice of the file's case order
 	// (nil = every case). The index addresses every section directly,
 	// so the cost is proportional to the cases decoded, not the
@@ -365,6 +329,5 @@ func OpenSource(path string, opts Options) (source.Source, error) {
 			return nil, fmt.Errorf("archive: case range [%d,%d) out of bounds for %d cases", a, b, r.NumCases())
 		}
 	}
-	r.setSyms(opts.Syms)
 	return source.WithCloser(r.StreamRange(a, b, opts.Parallelism, opts.Window), r), nil
 }

@@ -3,15 +3,12 @@ package archive
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"stinspector/internal/intern"
 	"stinspector/internal/source"
 	"stinspector/internal/trace"
 )
@@ -287,43 +284,6 @@ func TestV2CaseRangeSlicing(t *testing.T) {
 	}
 }
 
-// Scoped decode: binding a table must intern the whole dictionary into
-// it, decode identical events, and rebinding must rebuild the remap.
-func TestV2ScopedSyms(t *testing.T) {
-	want := randLog(13, 4, 60)
-	var f bytes.Buffer
-	if err := writeV2(&f, want); err != nil {
-		t.Fatal(err)
-	}
-	r, err := newReaderBytes(f.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scoped := intern.NewTable()
-	r.setSyms(scoped)
-	got, err := readAll(r, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logsEqual(t, got, want)
-	if scoped.Len() < r.dict.Len() {
-		t.Fatalf("scoped table holds %d symbols, dictionary has %d", scoped.Len(), r.dict.Len())
-	}
-
-	// Rebind to a second table: decodes must still be correct and the
-	// second table must now hold the vocabulary too.
-	scoped2 := intern.NewTable()
-	r.setSyms(scoped2)
-	got2, err := readAll(r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logsEqual(t, got2, want)
-	if scoped2.Len() < r.dict.Len() {
-		t.Fatalf("rebound table holds %d symbols, dictionary has %d", scoped2.Len(), r.dict.Len())
-	}
-}
-
 // Arbitrary corruption of a valid v2 archive must never panic and never
 // silently succeed with wrong data: every region is checksummed.
 func TestV2ReaderRobustnessUnderMutation(t *testing.T) {
@@ -445,8 +405,7 @@ func TestV2RandomBytes(t *testing.T) {
 
 // TestOpenSourceOptions: the path-level source honours every option —
 // a case range (open ends, empty, and out-of-bounds rejection), decode
-// parallelism and window, and a scoped symbol table that keeps the
-// archive's strings out of the process-wide table.
+// parallelism and window.
 func TestOpenSourceOptions(t *testing.T) {
 	want := randLog(14, 7, 30)
 	path := filepath.Join(t.TempDir(), "opts.sta")
@@ -476,52 +435,4 @@ func TestOpenSourceOptions(t *testing.T) {
 			t.Errorf("range %v accepted for %d cases", rg, len(all))
 		}
 	}
-
-	// A scoped pass over a vocabulary unique to this test interns it
-	// into its own table and leaves Default untouched.
-	var cases []*trace.Case
-	for i, c := range all {
-		evs := append([]trace.Event(nil), c.Events...)
-		for j := range evs {
-			evs[j].FP = fmt.Sprintf("/open-source-options/%d/%d", i, j)
-		}
-		cases = append(cases, trace.NewCase(c.ID, evs))
-	}
-	unique := trace.MustNewEventLog(cases...)
-	upath := filepath.Join(t.TempDir(), "unique.sta")
-	if err := WriteFileV2(upath, unique); err != nil {
-		t.Fatal(err)
-	}
-	tab := intern.NewTable()
-	d0 := defaultSymbols()
-	src, err := OpenSource(upath, Options{Syms: tab})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := source.Drain(src, false)
-	src.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	logsEqual(t, got, unique)
-	if defaultSymbols() != d0 {
-		t.Errorf("scoped decode grew the default table: %d -> %d", d0, defaultSymbols())
-	}
-	if tab.Len() < unique.NumEvents() {
-		t.Errorf("scoped table holds %d symbols, want at least the %d unique paths", tab.Len(), unique.NumEvents())
-	}
-}
-
-// defaultProbes counts the probe strings defaultSymbols has interned.
-var defaultProbes atomic.Int64
-
-// defaultSymbols is the size of the process-wide symbol table, the one
-// a nil Syms option selects, not counting its own probes. Symbols are
-// dense, so a fresh probe string receives the table's size as its
-// symbol; every earlier probe is one of the symbols below it.
-func defaultSymbols() int {
-	c := intern.CacheFor(nil)
-	defer intern.PutCache(c)
-	n := defaultProbes.Add(1)
-	return int(c.Intern(fmt.Sprintf("\x00defaultSymbols probe %d", n))) - int(n-1)
 }

@@ -283,7 +283,7 @@ func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*s
 	for i := range parts {
 		parts[i] = newShardPartial(m)
 	}
-	err := source.ShardedFold(src, shards, 0, joinErrors, func(shard int, c *trace.Case) error {
+	err := source.ShardedFold(src, shards, joinErrors, func(shard int, c *trace.Case) error {
 		seenByShard[shard] = append(seenByShard[shard], c.ID)
 		return parts[shard].fold(c)
 	})

@@ -28,6 +28,7 @@ import (
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
+	"stinspector/internal/source"
 	"stinspector/internal/stats"
 	"stinspector/internal/strace"
 	"stinspector/internal/trace"
@@ -79,8 +80,16 @@ func FromEventLog(el *trace.EventLog) *Inspector {
 // FromStraceDir parses every *.st file under dir (Figure 1's recording
 // convention) into an event-log. Files are parsed concurrently under
 // opts.Parallelism (default GOMAXPROCS) with a deterministic merge.
+// Without opts.Strict the error reported is the one of the first
+// failing file in case order; with it every file is parsed and all
+// failures are joined into one error.
 func FromStraceDir(dir string, opts strace.Options) (*Inspector, error) {
-	el, err := strace.ReadDir(dir, opts)
+	src, err := strace.StreamDir(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	el, err := source.Drain(src, opts.Strict)
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ func loadArchive(path string, parallelism int) (*Inspector, error) {
 
 // loadDXT drains the DXT backend, the way the facade's FromDXT does.
 func loadDXT(cid, dump string) (*Inspector, error) {
-	records, err := dxt.ParseSyms(strings.NewReader(dump), nil)
+	records, err := dxt.Parse(strings.NewReader(dump))
 	if err != nil {
 		return nil, err
 	}

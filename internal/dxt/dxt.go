@@ -51,9 +51,8 @@ type Record struct {
 	End      time.Duration
 }
 
-// ParseError reports an unparseable DXT line. ParseSyms
-// rejects every malformed input with one; any other error comes from
-// reading.
+// ParseError reports an unparseable DXT line. Parse rejects every
+// malformed input with one; any other error comes from reading.
 type ParseError struct {
 	Line int
 	Text string
@@ -64,17 +63,14 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("dxt: line %d: %s: %q", e.Line, e.Msg, e.Text)
 }
 
-// ParseSyms reads a darshan-dxt-parser text stream into records.
-// Header comments set the current file/rank context; access lines
-// inherit it. The header strings (file names, hostnames) canonicalize
-// through the given symbol table — nil means the process-wide table,
-// under which every record of a group shares the interned string and
-// paths seen by other ingestion backends resolve to the same
-// allocation. A scoped table (intern.NewTable) confines an unbounded
-// file-name vocabulary to the pass: drop the records and the table
-// together and the strings are collectable.
-func ParseSyms(r io.Reader, t *intern.Table) ([]Record, error) {
-	cache := intern.CacheFor(t)
+// Parse reads a darshan-dxt-parser text stream into records. Header
+// comments set the current file/rank context; access lines inherit it.
+// The header strings (file names, hostnames) canonicalize through the
+// process-wide symbol table, so every record of a group shares the
+// interned string and paths seen by other ingestion backends resolve to
+// the same allocation.
+func Parse(r io.Reader) ([]Record, error) {
+	cache := intern.CacheFor(nil)
 	defer intern.PutCache(cache)
 	var (
 		records  []Record

@@ -29,7 +29,7 @@ const sample = `
 `
 
 func TestParseSample(t *testing.T) {
-	recs, err := ParseSyms(strings.NewReader(sample), nil)
+	recs, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func drain(t *testing.T, cid string, recs []Record, parallelism int) *trace.Even
 }
 
 func TestStreamCases(t *testing.T) {
-	recs, err := ParseSyms(strings.NewReader(sample), nil)
+	recs, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestParseErrors(t *testing.T) {
 		"# DXT, file_name: /f\n" + strings.Repeat("x", 5<<20), // line over the 4 MiB limit
 	}
 	for _, input := range bad {
-		_, err := ParseSyms(strings.NewReader(input), nil)
+		_, err := Parse(strings.NewReader(input))
 		var pe *ParseError
 		if !errors.As(err, &pe) {
-			t.Errorf("ParseSyms(%.60q, nil) = %v, want a *ParseError", input, err)
+			t.Errorf("Parse(%.60q) = %v, want a *ParseError", input, err)
 		}
 	}
 }
@@ -138,7 +138,7 @@ func TestDXTRoundTripAgainstIOR(t *testing.T) {
 	if skipped == 0 {
 		t.Errorf("expected openat/lseek/close/fsync records to be skipped")
 	}
-	recs, err := ParseSyms(&buf, nil)
+	recs, err := Parse(&buf)
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, buf.String())
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"stinspector/internal/intern"
 	"stinspector/internal/source"
 )
 
@@ -15,7 +14,7 @@ import (
 func FuzzDXTParse(f *testing.F) {
 	f.Add(sample)
 	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := ParseSyms(strings.NewReader(data), intern.NewTable())
+		recs, err := Parse(strings.NewReader(data))
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"stinspector/internal/iorsim"
@@ -180,14 +179,4 @@ func RunAll(scale Scale) ([]*Report, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// sortedActivities renders an activity set deterministically.
-func sortedActivities(set map[pm.Activity]bool) string {
-	var out []string
-	for a := range set {
-		out = append(out, string(a))
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
 }

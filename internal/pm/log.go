@@ -280,19 +280,6 @@ func (b *Builder) Finalize() *Log {
 	return l
 }
 
-// add folds one materialized trace into the log — the hand-construction
-// path used by tests and tools building Logs without a Builder.
-func (l *Log) add(seq Trace, id trace.CaseID) {
-	key := seq.key()
-	v, ok := l.byKey[key]
-	if !ok {
-		v = &Variant{Seq: seq}
-		l.insertVariant(key, v)
-	}
-	v.Mult++
-	v.Cases = append(v.Cases, id)
-}
-
 // insertVariant registers a new variant under key, keeping the variants
 // slice in its deterministic lexicographic-by-key order.
 func (l *Log) insertVariant(key string, v *Variant) {

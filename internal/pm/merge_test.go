@@ -9,6 +9,19 @@ import (
 	"stinspector/internal/trace"
 )
 
+// add folds one materialized trace into the log, building a Log by
+// hand without a Builder.
+func (l *Log) add(seq Trace, id trace.CaseID) {
+	key := seq.key()
+	v, ok := l.byKey[key]
+	if !ok {
+		v = &Variant{Seq: seq}
+		l.insertVariant(key, v)
+	}
+	v.Mult++
+	v.Cases = append(v.Cases, id)
+}
+
 // mergeCase builds a one-variant case whose trace is determined by kind,
 // so tests can steer which cases collapse into which variants.
 func mergeCase(rid int, kind int) *trace.Case {

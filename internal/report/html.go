@@ -16,7 +16,7 @@ import (
 // related work. It embeds the statistics table, the per-process
 // breakdown, SVG timelines, and the DFG as a Mermaid diagram (rendered by
 // any Mermaid-enabled viewer; the raw structure remains readable as
-// text).
+// text). It shows the 12 hottest activities and the 12 slowest cases.
 func GenerateHTML(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
 	s := summarize(res, d, opts, 12)
 	var styler render.Styler = render.StatisticsColoring{Stats: res.Stats}

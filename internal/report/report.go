@@ -31,10 +31,6 @@ import (
 type Options struct {
 	// Title heads the report.
 	Title string
-	// TopActivities bounds the hot-spot section (default 8, HTML 12).
-	TopActivities int
-	// TopCases bounds the straggler section (default 8, HTML 12).
-	TopCases int
 	// GreenCIDs, when non-empty, adds the partition-comparison section
 	// with the given command ids as the green subset.
 	GreenCIDs []string
@@ -72,15 +68,9 @@ type caseRow struct {
 	Dur, Bytes string
 }
 
-// summarize formats the sections both renderings share, showing top
-// activities and cases where opts leaves the bounds unset.
+// summarize formats the sections both renderings share, showing at
+// most top activities and top cases.
 func summarize(res *core.StreamResult, d *stats.Detail, opts Options, top int) *summary {
-	if opts.TopActivities <= 0 {
-		opts.TopActivities = top
-	}
-	if opts.TopCases <= 0 {
-		opts.TopCases = top
-	}
 	s := &summary{
 		Title:  cmp.Or(opts.Title, "I/O inspection report"),
 		Cases:  res.Cases,
@@ -100,7 +90,7 @@ func summarize(res *core.StreamResult, d *stats.Detail, opts Options, top int) *
 	sort.SliceStable(acts, func(i, j int) bool {
 		return res.Stats.Get(acts[i]).RelDur > res.Stats.Get(acts[j]).RelDur
 	})
-	n := min(opts.TopActivities, len(acts))
+	n := min(top, len(acts))
 	s.Omitted = len(acts) - n
 	for _, a := range acts[:n] {
 		st := res.Stats.Get(a)
@@ -116,7 +106,7 @@ func summarize(res *core.StreamResult, d *stats.Detail, opts Options, top int) *
 	}
 
 	per := d.PerCase("")
-	for _, c := range per[:min(opts.TopCases, len(per))] {
+	for _, c := range per[:min(top, len(per))] {
 		s.CaseRows = append(s.CaseRows, caseRow{
 			Case:   c.Case.String(),
 			Events: c.Events,
@@ -136,7 +126,8 @@ func summarize(res *core.StreamResult, d *stats.Detail, opts Options, top int) *
 }
 
 // Generate writes the text report for a fold's artifacts and the detail
-// fold of the same cases under the same mapping.
+// fold of the same cases under the same mapping. It shows the 8 hottest
+// activities and the 8 slowest cases.
 func Generate(w io.Writer, res *core.StreamResult, d *stats.Detail, opts Options) error {
 	s := summarize(res, d, opts, 8)
 	var b strings.Builder

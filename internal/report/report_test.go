@@ -93,19 +93,33 @@ func TestGenerateWithPartitionAndTimelines(t *testing.T) {
 
 func TestGenerateTruncation(t *testing.T) {
 	res, d := demo(t)
+	acts := len(res.Stats.Activities())
+	for _, top := range []int{2, 3} {
+		s := summarize(res, d, Options{}, top)
+		if len(s.Activities) != top || s.Omitted != acts-top {
+			t.Errorf("top %d: %d activity rows, %d omitted; want %d and %d", top, len(s.Activities), s.Omitted, top, acts-top)
+		}
+		if len(s.CaseRows) != top {
+			t.Errorf("top %d: %d case rows", top, len(s.CaseRows))
+		}
+	}
+
+	// Under call + file name the demo has 10 activities: the text
+	// report shows 8 and notes the other 2. All 6 processes fit.
+	_, _, cx := lssim.Both(lssim.Config{})
+	res, d = analyze(t, cx, pm.CallFileName{Keep: 1})
 	var b strings.Builder
-	if err := Generate(&b, res, d, Options{TopActivities: 2, TopCases: 3}); err != nil {
+	if err := Generate(&b, res, d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "further activities omitted") {
+	if !strings.Contains(out, "(2 further activities omitted)") {
 		t.Errorf("truncation note missing")
 	}
-	// Only 3 case rows.
 	section := out[strings.Index(out, "Slowest processes"):]
 	section = section[:strings.Index(section, "Directly-Follows-Graph")]
-	if got := strings.Count(section, "_host1_"); got != 3 {
-		t.Errorf("case rows = %d, want 3", got)
+	if got := strings.Count(section, "_host1_"); got != 6 {
+		t.Errorf("case rows = %d, want 6", got)
 	}
 }
 

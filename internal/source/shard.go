@@ -10,17 +10,16 @@ import (
 	"stinspector/internal/trace"
 )
 
-// defaultShardBlock is the number of consecutive cases handed to one
-// shard worker per dispatch when ShardedFold's block size is left 0.
-// Blocks amortize channel traffic; keeping them modest keeps the
-// resident-case bound (window + ~3·block·shards) close to the source's
-// own window.
-const defaultShardBlock = 16
+// shardBlock is the number of consecutive cases handed to one shard
+// worker per dispatch. Blocks amortize channel traffic; keeping them
+// modest keeps the resident-case bound (window + ~3·block·shards) close
+// to the source's own window.
+const shardBlock = 16
 
 // ShardedFold consumes a source and distributes its cases over shards
-// concurrent fold workers: case i belongs to block ⌊i/block⌋, and block
-// j goes to worker j mod shards — a deterministic round-robin partition
-// of the case sequence, independent of scheduling. Each worker calls
+// concurrent fold workers: case i belongs to block ⌊i/shardBlock⌋, and
+// block j goes to worker j mod shards — a deterministic round-robin
+// partition of the case sequence, independent of scheduling. Each worker calls
 // fold(shard, c) for its cases in delivery order, so per-shard state
 // (an aggregate builder set, say) needs no locking; because every
 // source delivers ascending CaseID order, each shard sees an ascending
@@ -30,7 +29,7 @@ const defaultShardBlock = 16
 // shards <= 0 means runtime.GOMAXPROCS(0); shards == 1 folds inline on
 // the calling goroutine (no worker goroutines), making the sequential
 // fold the one-shard case of this engine rather than a second
-// implementation. block <= 0 means defaultShardBlock.
+// implementation.
 //
 // Per-case source errors follow the joinErrors policy of Walk: false
 // aborts on the first failing case (deterministically the earliest,
@@ -39,12 +38,9 @@ const defaultShardBlock = 16
 // stops and the error is returned (when several shards fail
 // concurrently, the lowest-numbered shard's error wins). ShardedFold
 // does not Close the source.
-func ShardedFold(s Source, shards, block int, joinErrors bool, fold func(shard int, c *trace.Case) error) error {
+func ShardedFold(s Source, shards int, joinErrors bool, fold func(shard int, c *trace.Case) error) error {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
-	}
-	if block <= 0 {
-		block = defaultShardBlock
 	}
 	if shards == 1 {
 		return Walk(s, joinErrors, func(c *trace.Case) error { return fold(0, c) })
@@ -81,14 +77,14 @@ func ShardedFold(s Source, shards, block int, joinErrors bool, fold func(shard i
 	var srcErrs []error
 	var termErr error
 	next := 0
-	batch := make([]*trace.Case, 0, block)
+	batch := make([]*trace.Case, 0, shardBlock)
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
 		chans[next] <- batch
 		next = (next + 1) % shards
-		batch = make([]*trace.Case, 0, block)
+		batch = make([]*trace.Case, 0, shardBlock)
 	}
 	for termErr == nil && !failed.Load() {
 		c, err := s.Next()
@@ -104,7 +100,7 @@ func ShardedFold(s Source, shards, block int, joinErrors bool, fold func(shard i
 			break
 		}
 		batch = append(batch, c)
-		if len(batch) == block {
+		if len(batch) == shardBlock {
 			flush()
 		}
 	}

@@ -44,15 +44,15 @@ func (s *faultySource) Next() (*trace.Case, error) {
 func (s *faultySource) Close() error { return nil }
 
 // TestShardedFoldRoundRobinPartition pins the deterministic partition:
-// case i is folded by shard (i/block) mod shards, in delivery order
-// within each shard.
+// case i is folded by shard (i/shardBlock) mod shards, in delivery
+// order within each shard.
 func TestShardedFoldRoundRobinPartition(t *testing.T) {
-	const n, block, shards = 29, 4, 3
+	const n, shards = 5*shardBlock + 3, 3
 	src := FromCases(shardCases(n)...)
 	defer src.Close()
 	var mu sync.Mutex
 	got := make([][]int, shards)
-	err := ShardedFold(src, shards, block, false, func(shard int, c *trace.Case) error {
+	err := ShardedFold(src, shards, false, func(shard int, c *trace.Case) error {
 		mu.Lock()
 		got[shard] = append(got[shard], c.ID.RID)
 		mu.Unlock()
@@ -63,7 +63,7 @@ func TestShardedFoldRoundRobinPartition(t *testing.T) {
 	}
 	want := make([][]int, shards)
 	for i := 0; i < n; i++ {
-		s := (i / block) % shards
+		s := (i / shardBlock) % shards
 		want[s] = append(want[s], i)
 	}
 	for s := range want {
@@ -79,7 +79,7 @@ func TestShardedFoldSequentialInline(t *testing.T) {
 	src := FromCases(shardCases(7)...)
 	defer src.Close()
 	var order []int
-	err := ShardedFold(src, 1, 2, false, func(shard int, c *trace.Case) error {
+	err := ShardedFold(src, 1, false, func(shard int, c *trace.Case) error {
 		if shard != 0 {
 			t.Errorf("case %d on shard %d, want 0", c.ID.RID, shard)
 		}
@@ -97,30 +97,30 @@ func TestShardedFoldSequentialInline(t *testing.T) {
 // TestShardedFoldJoinErrors: with joinErrors, failing cases are skipped
 // and every failure comes back joined; the good cases all fold.
 func TestShardedFoldJoinErrors(t *testing.T) {
-	src := &faultySource{cases: shardCases(10), fail: map[int]bool{2: true, 7: true}}
+	src := &faultySource{cases: shardCases(40), fail: map[int]bool{2: true, 37: true}}
 	var mu sync.Mutex
 	folded := 0
-	err := ShardedFold(src, 3, 2, true, func(shard int, c *trace.Case) error {
+	err := ShardedFold(src, 3, true, func(shard int, c *trace.Case) error {
 		mu.Lock()
 		folded++
 		mu.Unlock()
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "case 2 broken") || !strings.Contains(err.Error(), "case 7 broken") {
+	if err == nil || !strings.Contains(err.Error(), "case 2 broken") || !strings.Contains(err.Error(), "case 37 broken") {
 		t.Errorf("joined error = %v, want both failures", err)
 	}
-	if folded != 8 {
-		t.Errorf("folded %d cases, want 8", folded)
+	if folded != 38 {
+		t.Errorf("folded %d cases, want 38", folded)
 	}
 }
 
 // TestShardedFoldFailFast: without joinErrors the earliest failing case
 // aborts the fold deterministically.
 func TestShardedFoldFailFast(t *testing.T) {
-	src := &faultySource{cases: shardCases(10), fail: map[int]bool{4: true}}
-	err := ShardedFold(src, 2, 2, false, func(shard int, c *trace.Case) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "case 4 broken") {
-		t.Errorf("err = %v, want case 4 failure", err)
+	src := &faultySource{cases: shardCases(40), fail: map[int]bool{20: true}}
+	err := ShardedFold(src, 2, false, func(shard int, c *trace.Case) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "case 20 broken") {
+		t.Errorf("err = %v, want case 20 failure", err)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestShardedFoldFoldError(t *testing.T) {
 	boom := errors.New("fold exploded")
 	for _, shards := range []int{1, 3} {
 		src := FromCases(shardCases(50)...)
-		err := ShardedFold(src, shards, 2, true, func(shard int, c *trace.Case) error {
+		err := ShardedFold(src, shards, true, func(shard int, c *trace.Case) error {
 			if c.ID.RID == 6 {
 				return boom
 			}
@@ -144,14 +144,14 @@ func TestShardedFoldFoldError(t *testing.T) {
 	}
 }
 
-// TestShardedFoldDefaults: zero shards/block select GOMAXPROCS and the
-// default block without losing cases.
+// TestShardedFoldDefaults: zero shards select GOMAXPROCS without losing
+// cases.
 func TestShardedFoldDefaults(t *testing.T) {
 	src := FromCases(shardCases(100)...)
 	defer src.Close()
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	err := ShardedFold(src, 0, 0, false, func(shard int, c *trace.Case) error {
+	err := ShardedFold(src, 0, false, func(shard int, c *trace.Case) error {
 		mu.Lock()
 		seen[c.ID.RID] = true
 		mu.Unlock()

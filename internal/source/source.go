@@ -7,9 +7,9 @@
 //
 // All three ingestion backends implement it: strace directories
 // (strace.StreamFS), STA archives (archive.OpenSource, Reader.Stream)
-// and Darshan DXT dumps (dxt.Stream). The in-memory forms (strace.ReadFS,
-// and Drain over the archive and DXT sources) are stream + drain, so
-// both paths share one ingestion discipline and stay byte-identical.
+// and Darshan DXT dumps (dxt.Stream). The in-memory form is Drain over
+// any of these sources, so both paths share one ingestion discipline
+// and stay byte-identical.
 package source
 
 import (

@@ -62,8 +62,8 @@ func TestParseAllocBudget(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"default-table", Options{Calls: map[string]bool{}}},
-		{"scoped-table", Options{Calls: map[string]bool{}, Syms: intern.NewTable()}},
+		{"default-table", Options{}},
+		{"scoped-table", Options{Syms: intern.NewTable()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			// Warm the interner and the pools so the measurement
@@ -100,7 +100,7 @@ func TestParseAllocBudget(t *testing.T) {
 	// allocates several times ParseCase's bytes, which the 1.5x bound
 	// catches; the count alone does not.
 	t.Run("follow-reader", func(t *testing.T) {
-		opts := Options{Calls: map[string]bool{}, Syms: intern.NewTable()}
+		opts := Options{Syms: intern.NewTable()}
 		_, parseBytes := allocsAndBytes(10, func() {
 			if _, err := ParseCase(id, strings.NewReader(data), opts); err != nil {
 				t.Fatal(err)

@@ -33,9 +33,7 @@ import (
 // an intermediate string.
 func extractPathInto(r record, scratch *[]byte) (string, bool) {
 	switch r.Call {
-	case "openat", "openat2", "newfstatat", "fstatat64", "statx",
-		"unlinkat", "mkdirat", "faccessat", "faccessat2", "readlinkat",
-		"utimensat", "fchmodat", "fchownat":
+	case "openat", "unlinkat", "mkdirat":
 		// openat(AT_FDCWD, "/etc/passwd", O_RDONLY) = 3</etc/passwd>
 		// openat(5</data>, "part.bin", O_RDONLY) = 6</data/part.bin>
 		if r.RetPath != "" {
@@ -46,9 +44,7 @@ func extractPathInto(r record, scratch *[]byte) (string, bool) {
 				return resolvePath(r.Args[0], body, esc, scratch)
 			}
 		}
-	case "open", "creat", "stat", "lstat", "stat64", "access", "unlink",
-		"mkdir", "rmdir", "truncate", "readlink", "chdir", "chmod",
-		"chown", "utime", "statfs", "getxattr":
+	case "open", "creat", "unlink", "mkdir", "rmdir", "truncate":
 		if r.RetPath != "" {
 			return r.RetPath, false
 		}
@@ -61,18 +57,18 @@ func extractPathInto(r record, scratch *[]byte) (string, bool) {
 				return "", true
 			}
 		}
-	case "rename", "renameat", "renameat2", "link", "symlink":
+	case "rename", "renameat", "renameat2":
 		// The source path identifies the activity; for the *at
 		// variants the path arguments sit at positions 1 and 3.
 		idx := 0
-		if strings.HasSuffix(r.Call, "at") || strings.HasSuffix(r.Call, "at2") {
+		if r.Call != "rename" {
 			idx = 1
 		}
 		if len(r.Args) > idx {
 			if body, esc, ok := unquoteBody(r.Args[idx]); ok {
 				if idx == 0 {
-					// Plain rename/link paths are cwd-relative or
-					// absolute as written.
+					// Plain rename paths are cwd-relative or absolute
+					// as written.
 					if !esc {
 						return body, false
 					}
@@ -100,20 +96,12 @@ func extractPathInto(r record, scratch *[]byte) (string, bool) {
 				return "", true
 			}
 		}
-	case "mmap", "mmap2":
-		// mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3</lib/x.so>, 0):
-		// the fd is argument 5.
-		if len(r.Args) >= 5 {
-			if _, p, ok := splitFDPath(r.Args[4]); ok {
-				return p, false
-			}
-		}
-		return "", false
 	}
 	if p, ok := r.firstArgPath(); ok {
 		return p, false
 	}
-	// Fall back to a quoted first argument for calls not listed above.
+	// Fall back to a quoted first argument: an execve whose argv did not
+	// decode, or a kept call not listed above.
 	if len(r.Args) >= 1 {
 		if body, esc, ok := unquoteBody(r.Args[0]); ok {
 			if !esc {

@@ -6,22 +6,24 @@ import (
 	"time"
 )
 
-// decodeOf parses a single complete record line and returns the file
-// path of its event: the subject the semantic decoders extract.
+// decodeOf parses a single complete record line and returns the subject
+// the semantic decoders extract from it. Failed calls decode too: the
+// conversion drops them, but their argument shapes are the decoders'
+// hostile inputs.
 func decodeOf(t *testing.T, line string) string {
 	t.Helper()
-	events := toEvents(t, parseRecords(t, line), Options{Calls: map[string]bool{}, KeepFailed: true})
-	if len(events) != 1 {
-		t.Fatalf("%q: %d events, want 1", line, len(events))
+	recs := parseRecords(t, line)
+	if len(recs) != 1 {
+		t.Fatalf("%q: %d records, want 1", line, len(recs))
 	}
-	return events[0].FP
+	return extractPath(recs[0])
 }
 
 // TestDecodeRecordClasses drives every decoded syscall class through its
-// success, errno and hostile-argument shapes and checks the subject the
-// event carries — paths with dirfd resolution, spawn command lines
-// with their argv tail, connection subjects per address family. A
-// rename's event carries its source path.
+// success, errno and hostile-argument shapes and checks the subject
+// the decoders extract — paths with dirfd resolution, spawn command
+// lines with their argv tail, connection subjects per address family. A
+// rename's subject is its source path.
 func TestDecodeRecordClasses(t *testing.T) {
 	tests := []struct {
 		name string

@@ -16,8 +16,8 @@ var transferCalls = map[string]bool{
 }
 
 // ioCalls is the set of I/O-related calls the paper's experiments
-// trace; together with behaviorCalls it forms the default extraction
-// set.
+// trace; together with behaviorCalls it forms the fixed extraction set.
+// Every other call is dropped before its path is decoded.
 var ioCalls = map[string]bool{
 	"read": true, "pread64": true, "readv": true, "preadv": true, "preadv2": true,
 	"write": true, "pwrite64": true, "writev": true, "pwritev": true, "pwritev2": true,
@@ -28,8 +28,8 @@ var ioCalls = map[string]bool{
 // behaviorCalls is the set of calls the semantic decoding layer turns
 // into behavior-profile events beyond plain I/O: file mutations
 // (delete, rename, create-directory, truncate), process spawns and
-// network connections. They are part of the default extraction set so
-// behavior profiles agree across every ingestion backend.
+// network connections. They are part of the extraction set so behavior
+// profiles agree across every ingestion backend.
 var behaviorCalls = map[string]bool{
 	"unlink": true, "unlinkat": true, "rmdir": true,
 	"rename": true, "renameat": true, "renameat2": true,
@@ -39,23 +39,17 @@ var behaviorCalls = map[string]bool{
 	"connect": true,
 }
 
-// Options configures the record-to-event conversion.
+// Options configures the record-to-event conversion. The calls kept
+// are fixed: the completed, non-failed calls of ioCalls ∪ behaviorCalls
+// (Section III).
 type Options struct {
-	// Calls restricts extraction to the given call names. Nil means
-	// the default set ioCalls ∪ behaviorCalls; an explicitly empty
-	// (len 0, non-nil) map keeps every call.
-	Calls map[string]bool
-	// KeepFailed keeps events for calls that returned an error (the
-	// transfer size is then SizeUnknown). Interrupted calls
-	// (ERESTARTSYS) are always dropped, per Section III.
-	KeepFailed bool
 	// Strict makes structural problems (a resumed record with no
 	// matching unfinished record, or a dangling unfinished record at
 	// EOF) an error instead of a silent drop.
 	Strict bool
 	// Parallelism bounds the number of trace files parsed concurrently
-	// by ReadDir/ReadFS/StreamFS (and, through core.FromStraceDir, the
-	// whole ingestion facade). 0 means runtime.GOMAXPROCS(0); 1 forces
+	// by StreamFS/StreamDir (and, through core.FromStraceDir, the whole
+	// ingestion facade). 0 means runtime.GOMAXPROCS(0); 1 forces
 	// the sequential path. The merged event-log is identical for every
 	// setting: files are parsed independently and delivered in
 	// deterministic CaseID order.
@@ -63,8 +57,8 @@ type Options struct {
 	// Window bounds how many parsed cases may be resident (fetched but
 	// not yet consumed) in the streaming path at once — the knob behind
 	// the O(batch) memory guarantee of StreamFS/StreamDir. 0 means
-	// 2×Parallelism. The materializing ReadDir/ReadFS honor it too; it
-	// only changes peak memory during ingestion, never the result.
+	// 2×Parallelism. It only changes peak memory during ingestion, never
+	// the result.
 	Window int
 	// Syms selects the symbol table Call/FP/CID/Host strings are
 	// canonicalized through. Nil means the process-wide table,
@@ -75,16 +69,6 @@ type Options struct {
 	// strings collectable. The parsed events are identical either way;
 	// only string retention differs.
 	Syms *intern.Table
-}
-
-func (o Options) callWanted(name string) bool {
-	if o.Calls == nil {
-		return ioCalls[name] || behaviorCalls[name]
-	}
-	if len(o.Calls) == 0 {
-		return true
-	}
-	return o.Calls[name]
 }
 
 // eventsFromRecords converts parsed records into events for the given
@@ -106,14 +90,10 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 	// process, so a single pending record per PID suffices.
 	pending := make(map[int]record)
 
+	// Interrupted (ERESTARTSYS) and failed calls are dropped, and so is
+	// every call outside the extraction set.
 	emit := func(r record) {
-		if r.interrupted() {
-			return
-		}
-		if r.Failed() && !opts.KeepFailed {
-			return
-		}
-		if !opts.callWanted(r.Call) {
+		if r.Errno != "" || !(ioCalls[r.Call] || behaviorCalls[r.Call]) {
 			return
 		}
 		kept = append(kept, r)

@@ -1,6 +1,8 @@
 package strace
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -135,48 +137,98 @@ func TestEventsFailedCalls(t *testing.T) {
 	recs := parseRecords(t, lines...)
 	events, err := convertRecords(testID, recs, Options{})
 	if err != nil {
-		t.Fatalf("default: %v", err)
+		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Errorf("default drops failed calls: got %d events", len(events))
-	}
-	events, err = convertRecords(testID, recs, Options{KeepFailed: true})
-	if err != nil {
-		t.Fatalf("KeepFailed: %v", err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("KeepFailed: got %d events", len(events))
-	}
-	if events[0].Call != "openat" || events[0].FP != "/missing" || events[0].HasSize() {
-		t.Errorf("failed openat event = %+v", events[0])
+	if len(events) != 1 || events[0].Call != "read" {
+		t.Errorf("failed calls must be dropped: got %+v", events)
 	}
 }
 
+// TestEventsCallFilter pins the fixed extraction set of Section III: one
+// completed line per call of ioCalls ∪ behaviorCalls becomes one event,
+// in order, on both the batch and the live path; a failed call, an
+// interrupted one and calls outside the set (stat, mmap, newfstatat)
+// leave none.
 func TestEventsCallFilter(t *testing.T) {
-	recs := parseRecords(t,
-		`100  10:00:00.000001 read(3</f>, ..., 10) = 10 <0.000001>`,
-		`100  10:00:00.000002 mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3</f>, 0) = 0x7f0000000000 <0.000002>`,
-		`100  10:00:00.000003 close(3</f>) = 0 <0.000001>`,
-	)
-	// Default set: read and close survive, mmap does not.
-	events, _ := convertRecords(testID, recs, Options{})
-	if len(events) != 2 {
-		t.Errorf("default set kept %d events, want 2", len(events))
+	kept := []string{
+		`read(3</f>, ..., 10) = 10`,
+		`pread64(3</f>, ..., 10, 0) = 10`,
+		`readv(3</f>, [{iov_base="x", iov_len=1}], 1) = 1`,
+		`preadv(3</f>, [{iov_base="x", iov_len=1}], 1, 0) = 1`,
+		`preadv2(3</f>, [{iov_base="x", iov_len=1}], 1, 0, 0) = 1`,
+		`write(3</f>, "x", 1) = 1`,
+		`pwrite64(3</f>, "x", 1, 0) = 1`,
+		`writev(3</f>, [{iov_base="x", iov_len=1}], 1) = 1`,
+		`pwritev(3</f>, [{iov_base="x", iov_len=1}], 1, 0) = 1`,
+		`pwritev2(3</f>, [{iov_base="x", iov_len=1}], 1, 0, 0) = 1`,
+		`openat(AT_FDCWD, "/f", O_RDONLY) = 3</f>`,
+		`open("/f", O_RDONLY) = 3</f>`,
+		`creat("/f", 0644) = 3</f>`,
+		`close(3</f>) = 0`,
+		`lseek(3</f>, 0, SEEK_SET) = 0`,
+		`fsync(3</f>) = 0`,
+		`fdatasync(3</f>) = 0`,
+		`unlink("/f") = 0`,
+		`unlinkat(AT_FDCWD, "/f", 0) = 0`,
+		`rmdir("/d") = 0`,
+		`rename("/f", "/g") = 0`,
+		`renameat(AT_FDCWD, "/f", AT_FDCWD, "/g") = 0`,
+		`renameat2(AT_FDCWD, "/f", AT_FDCWD, "/g", 0) = 0`,
+		`mkdir("/d", 0755) = 0`,
+		`mkdirat(AT_FDCWD, "/d", 0755) = 0`,
+		`truncate("/f", 0) = 0`,
+		`ftruncate(3</f>, 0) = 0`,
+		`execve("/bin/true", ["true"], 0x7ffd00 /* 1 vars */) = 0`,
+		`execveat(AT_FDCWD, "/bin/true", ["true"], 0x7ffd00 /* 1 vars */, 0) = 0`,
+		`connect(3<socket:[1]>, {sa_family=AF_INET, sin_port=htons(80), sin_addr=inet_addr("10.0.0.1")}, 16) = 0`,
 	}
-	// Explicit set.
-	events, _ = convertRecords(testID, recs, Options{Calls: map[string]bool{"read": true}})
-	if len(events) != 1 || events[0].Call != "read" {
-		t.Errorf("explicit set: %+v", events)
+	dropped := []string{
+		`openat(AT_FDCWD, "/missing", O_RDONLY) = -1 ENOENT (No such file or directory)`,
+		`read(3</f>, ..., 10) = ? ERESTARTSYS (To be restarted if SA_RESTART is set)`,
+		`stat("/f", {st_mode=S_IFREG|0644, st_size=1}) = 0`,
+		`mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3</f>, 0) = 0x7f0000000000`,
+		`newfstatat(AT_FDCWD, "/f", {st_mode=S_IFREG|0644}, 0) = 0`,
 	}
-	// Empty non-nil set keeps everything.
-	events, _ = convertRecords(testID, recs, Options{Calls: map[string]bool{}})
-	if len(events) != 3 {
-		t.Errorf("keep-all set kept %d events, want 3", len(events))
+	var lines, want []string
+	line := func(body string) {
+		lines = append(lines, fmt.Sprintf("100  10:00:00.%06d %s <0.000001>", len(lines)+1, body))
 	}
-	// mmap return is a pointer; it must not be mistaken for a size.
-	for _, e := range events {
-		if e.Call == "mmap" && e.HasSize() {
-			t.Errorf("mmap got a transfer size: %+v", e)
+	for i, body := range kept {
+		line(body)
+		want = append(want, body[:strings.IndexByte(body, '(')])
+		if i < len(dropped) {
+			line(dropped[i])
+		}
+	}
+	set := map[string]bool{}
+	for _, call := range want {
+		if !ioCalls[call] && !behaviorCalls[call] {
+			t.Fatalf("%s is outside the extraction set", call)
+		}
+		set[call] = true
+	}
+	if len(set) != len(ioCalls)+len(behaviorCalls) {
+		t.Fatalf("the lines cover %d calls, the extraction set has %d", len(set), len(ioCalls)+len(behaviorCalls))
+	}
+
+	text := strings.Join(lines, "\n") + "\n"
+	for _, opts := range []Options{{}, {Strict: true}} {
+		c, err := ParseCase(testID, strings.NewReader(text), opts)
+		if err != nil {
+			t.Fatalf("ParseCase %+v: %v", opts, err)
+		}
+		f, skipped, err := FollowReader(testID, strings.NewReader(text), opts)
+		if err != nil || skipped != 0 {
+			t.Fatalf("FollowReader %+v: %d dropped lines, %v", opts, skipped, err)
+		}
+		for name, c := range map[string]*trace.Case{"ParseCase": c, "FollowReader": f} {
+			var got []string
+			for _, e := range c.Events {
+				got = append(got, e.Call)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %+v kept\n  %v\nwant\n  %v", name, opts, got, want)
+			}
 		}
 	}
 }
@@ -222,8 +274,8 @@ func TestEventsMismatchedResumeCall(t *testing.T) {
 // The parsed case owns its event slice for the life of the log, so the
 // slice is exactly as long as the events that survived: records merged
 // into an unfinished/resumed pair, failed calls, calls outside the
-// filter and non-call records leave no capacity behind. Both the batch
-// and the live path build the case this way.
+// extraction set and non-call records leave no capacity behind. Both
+// the batch and the live path build the case this way.
 func TestParsedCaseHasNoSlack(t *testing.T) {
 	text := strings.Join([]string{
 		`100  10:00:00.000001 read(3</a>, <unfinished ...>`,

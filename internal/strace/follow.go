@@ -72,10 +72,6 @@ type FollowOptions struct {
 	// record before a stallError is surfaced (and the timer re-arms).
 	// 0 disables stall detection. Default 30s.
 	StallTimeout time.Duration
-	// BackoffMax caps the exponential reopen backoff. Default 1s.
-	BackoffMax time.Duration
-	// Seed drives backoff jitter, per-file deterministic. Default 1.
-	Seed int64
 }
 
 func (o *FollowOptions) setDefaults() {
@@ -87,12 +83,6 @@ func (o *FollowOptions) setDefaults() {
 	}
 	if o.StallTimeout == 0 {
 		o.StallTimeout = 30 * time.Second
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -306,19 +296,22 @@ func (t *Tailer) scan() {
 	}
 }
 
-// fileRand derives the per-file deterministic jitter stream.
+// fileRand derives the per-file deterministic jitter stream from the
+// file name alone.
 func (t *Tailer) fileRand(name string) *rand.Rand {
 	h := fnv.New64a()
 	io.WriteString(h, name)
-	return rand.New(rand.NewSource(t.opts.Seed ^ int64(h.Sum64())))
+	return rand.New(rand.NewSource(1 ^ int64(h.Sum64())))
 }
 
-// backoff sleeps the capped exponential delay for the given attempt
-// with ±50% deterministic jitter; false means stop was requested.
+// backoff sleeps the exponential delay for the given attempt, capped at
+// 20 polls (1s at the default 50ms poll), with ±50% deterministic
+// jitter; false means stop was requested.
 func (t *Tailer) backoff(rnd *rand.Rand, attempt int) bool {
+	maxDelay := 20 * t.opts.Poll
 	d := 10 * time.Millisecond << uint(min(attempt, 16))
-	if d > t.opts.BackoffMax || d <= 0 {
-		d = t.opts.BackoffMax
+	if d > maxDelay || d <= 0 {
+		d = maxDelay
 	}
 	jittered := d/2 + time.Duration(rnd.Int63n(int64(d)))
 	timer := time.NewTimer(jittered)

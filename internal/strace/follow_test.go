@@ -85,8 +85,6 @@ func fastOpts() FollowOptions {
 		Poll:         2 * time.Millisecond,
 		Grace:        15 * time.Millisecond,
 		StallTimeout: 30 * time.Second,
-		BackoffMax:   20 * time.Millisecond,
-		Seed:         7,
 	}
 }
 

@@ -65,7 +65,6 @@ func FuzzParseCase(f *testing.F) {
 		for _, opts := range []Options{
 			{},
 			{Strict: true},
-			{KeepFailed: true, Calls: map[string]bool{}},
 		} {
 			want, wantErr := ParseCase(id, strings.NewReader(data), opts)
 			checkFuzzCase(t, "ParseCase", opts, id, want, wantErr)
@@ -201,7 +200,7 @@ func FuzzBehaviorDecode(f *testing.F) {
 				}
 			}
 		}
-		c, err := ParseCase(id, strings.NewReader(data), Options{KeepFailed: true})
+		c, err := ParseCase(id, strings.NewReader(data), Options{})
 		if err != nil || len(c.Events) == 0 {
 			return
 		}

@@ -50,9 +50,9 @@ func TestReadDirGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log, err := ReadDir(dir, Options{Strict: true})
+	log, err := readDir(dir, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("ReadDir: %v", err)
+		t.Fatalf("readDir: %v", err)
 	}
 	if log.NumCases() != 2 {
 		t.Fatalf("cases = %d", log.NumCases())
@@ -67,7 +67,7 @@ func TestReadDirBadGzip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "a_h_1.st.gz"), []byte("not gzip"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDir(dir, Options{}); err == nil {
+	if _, err := readDir(dir, Options{}); err == nil {
 		t.Errorf("corrupt gzip accepted")
 	}
 }

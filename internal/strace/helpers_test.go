@@ -2,11 +2,38 @@ package strace
 
 import (
 	"io"
-	"testing"
+	"io/fs"
+	"os"
 
 	"stinspector/internal/intern"
+	"stinspector/internal/source"
 	"stinspector/internal/trace"
 )
+
+// parseLine parses one line of strace output into a record with a
+// private argument arena.
+func parseLine(line string) (record, error) {
+	return parseLineWith(line, &argBuilder{})
+}
+
+// splitArgs is splitArgsInto with a fresh slice.
+func splitArgs(s string) []string { return splitArgsInto(s, nil) }
+
+// readFS drains StreamFS into an event-log, joining every per-file
+// failure under opts.Strict and stopping at the first one otherwise.
+func readFS(fsys fs.FS, root string, opts Options) (*trace.EventLog, error) {
+	src, err := StreamFS(fsys, root, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	return source.Drain(src, opts.Strict)
+}
+
+// readDir is readFS over the trace files of dir.
+func readDir(dir string, opts Options) (*trace.EventLog, error) {
+	return readFS(os.DirFS(dir), ".", opts)
+}
 
 // readRecords frames and parses every line of an strace output stream
 // into records through the one framing loop ParseCase runs. Unparseable
@@ -27,16 +54,6 @@ func convertRecords(id trace.CaseID, records []record, opts Options) ([]trace.Ev
 	cache := intern.CacheFor(opts.Syms)
 	defer intern.PutCache(cache)
 	return eventsFromRecords(id, append([]record(nil), records...), opts, cache)
-}
-
-// toEvents is convertRecords for records that must convert.
-func toEvents(t *testing.T, records []record, opts Options) []trace.Event {
-	t.Helper()
-	events, err := convertRecords(testID, records, opts)
-	if err != nil {
-		t.Fatalf("convertRecords: %v", err)
-	}
-	return events
 }
 
 // extractPath is the file path extractPathInto finds for r, as a string.

@@ -66,7 +66,7 @@ func logsEqual(t *testing.T, a, b *trace.EventLog) {
 // Every parallelism setting must produce the identical event-log.
 func TestReadFSParallelMatchesSequential(t *testing.T) {
 	fsys, nEvents := synthFS(t, 37, 50)
-	seq, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: 1})
+	seq, err := readFS(fsys, ".", Options{Strict: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReadFSParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("sequential ingest: %d events, want %d", seq.NumEvents(), nEvents)
 	}
 	for _, p := range []int{0, 2, 4, 16, 64} {
-		par, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: p})
+		par, err := readFS(fsys, ".", Options{Strict: true, Parallelism: p})
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", p, err)
 		}
@@ -86,7 +86,7 @@ func TestReadFSParallelMatchesSequential(t *testing.T) {
 func TestReadFSEmptyDir(t *testing.T) {
 	fsys := fstest.MapFS{"README.txt": &fstest.MapFile{Data: []byte("not a trace")}}
 	for _, p := range []int{1, 8} {
-		_, err := ReadFS(fsys, ".", Options{Parallelism: p})
+		_, err := readFS(fsys, ".", Options{Parallelism: p})
 		if err == nil || !strings.Contains(err.Error(), "no *.st") {
 			t.Fatalf("Parallelism=%d: want 'no *.st' error, got %v", p, err)
 		}
@@ -100,7 +100,7 @@ func TestReadFSCorruptFileStrict(t *testing.T) {
 	fsys["par_h0_900.st"] = &fstest.MapFile{Data: []byte("this is not strace output\n")}
 	fsys["par_h0_901.st"] = &fstest.MapFile{Data: []byte("neither is this\n")}
 	for _, p := range []int{1, 8} {
-		_, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: p})
+		_, err := readFS(fsys, ".", Options{Strict: true, Parallelism: p})
 		if err == nil {
 			t.Fatalf("Parallelism=%d: corrupt files not reported", p)
 		}
@@ -118,11 +118,11 @@ func TestReadFSCorruptFileStrict(t *testing.T) {
 func TestReadFSCorruptFileLenient(t *testing.T) {
 	fsys, events := synthFS(t, 24, 20)
 	fsys["par_h0_900.st"] = &fstest.MapFile{Data: []byte("this is not strace output\n")}
-	seq, err := ReadFS(fsys, ".", Options{Parallelism: 1})
+	seq, err := readFS(fsys, ".", Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ReadFS(fsys, ".", Options{Parallelism: 8})
+	par, err := readFS(fsys, ".", Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReadFSBadGzipDeterministicError(t *testing.T) {
 	fsys, _ := synthFS(t, 16, 20)
 	fsys["par_h0_800.st.gz"] = &fstest.MapFile{Data: []byte("not gzip at all")}
 	for _, p := range []int{1, 4, 16} {
-		_, err := ReadFS(fsys, ".", Options{Parallelism: p})
+		_, err := readFS(fsys, ".", Options{Parallelism: p})
 		if err == nil || !strings.Contains(err.Error(), "par_h0_800.st.gz") {
 			t.Fatalf("Parallelism=%d: want error naming par_h0_800.st.gz, got %v", p, err)
 		}
@@ -156,18 +156,18 @@ func TestReadFSTwoFailuresFirstWins(t *testing.T) {
 	fsys["aa_h0_1.st.gz"] = &fstest.MapFile{Data: []byte("broken early")}
 	fsys["zz_h0_9.st.gz"] = &fstest.MapFile{Data: []byte("broken late")}
 	for i := 0; i < 50; i++ {
-		_, err := ReadFS(fsys, ".", Options{Parallelism: 8})
+		_, err := readFS(fsys, ".", Options{Parallelism: 8})
 		if err == nil || !strings.Contains(err.Error(), "aa_h0_1.st.gz") {
 			t.Fatalf("run %d: want error naming aa_h0_1.st.gz (the first failure in sorted order), got %v", i, err)
 		}
 	}
 }
 
-// TestReadDirParallelSpeedup encodes the pipeline's performance goal: on
+// TestStreamDirParallelSpeedup encodes the pipeline's performance goal: on
 // a machine with at least 4 cores, parallel ingestion of a 200-file
 // trace directory must be at least 2x faster than the sequential path.
 // Single-core environments skip (there is no parallelism to exploit).
-func TestReadDirParallelSpeedup(t *testing.T) {
+func TestStreamDirParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
@@ -179,7 +179,7 @@ func TestReadDirParallelSpeedup(t *testing.T) {
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			log, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: parallelism})
+			log, err := readFS(fsys, ".", Options{Strict: true, Parallelism: parallelism})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,6 +198,6 @@ func TestReadDirParallelSpeedup(t *testing.T) {
 	speedup := seq.Seconds() / par.Seconds()
 	t.Logf("sequential %v, parallel %v (%d cores): %.2fx", seq, par, runtime.NumCPU(), speedup)
 	if speedup < 2 {
-		t.Errorf("parallel ReadFS speedup %.2fx, want >= 2x on %d cores", speedup, runtime.NumCPU())
+		t.Errorf("parallel ingestion speedup %.2fx, want >= 2x on %d cores", speedup, runtime.NumCPU())
 	}
 }

@@ -27,15 +27,14 @@ func (e *ParseError) Error() string {
 // so the hot ParseCase loop does not allocate a fresh []string per
 // record: every record's Args is a capacity-clamped subslice of the
 // arena, and the argument strings themselves are subslices of the line.
-// The zero value allocates a private arena, which is what the
-// standalone parseLine uses.
+// The zero value allocates a private arena.
 type argBuilder struct {
 	arena []string
 }
 
 // split splits an argument list, appending into the arena and returning
 // the record's view of it (nil for an empty list, matching the
-// historical splitArgs contract).
+// empty split of splitArgsInto).
 func (ab *argBuilder) split(s string) []string {
 	start := len(ab.arena)
 	ab.arena = splitArgsInto(s, ab.arena)
@@ -53,15 +52,10 @@ func (ab *argBuilder) reset() {
 	ab.arena = ab.arena[:0]
 }
 
-// parseLine parses one line of strace output into a record. The line may
-// or may not carry a leading PID column (strace -f); the parser detects
+// parseLineWith parses one line of strace output into a record,
+// splitting its arguments into the caller-owned arena. The line may or
+// may not carry a leading PID column (strace -f); the parser detects
 // this from the shape of the first field.
-func parseLine(line string) (record, error) {
-	return parseLineWith(line, &argBuilder{})
-}
-
-// parseLineWith is parseLine with a caller-owned argument arena — the
-// form the per-file parsing loop uses.
 func parseLineWith(line string, ab *argBuilder) (record, error) {
 	rec := record{Raw: line}
 	s := strings.TrimRight(line, "\r\n")
@@ -314,9 +308,6 @@ func parseReturn(rec *record, s string) error {
 	// Pointers ("0x7f...") and other symbolic returns are kept raw.
 	return nil
 }
-
-// splitArgs is splitArgsInto with a fresh slice — the standalone form.
-func splitArgs(s string) []string { return splitArgsInto(s, nil) }
 
 // splitArgsInto splits an argument list at top-level commas, respecting
 // strings (with escapes), parentheses, brackets, braces and fd-path

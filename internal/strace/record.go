@@ -90,8 +90,8 @@ type record struct {
 	// ("= 3</etc/passwd>" gives "/etc/passwd"), from strace -y.
 	RetPath string
 	// Errno is the symbolic errno of a failed call ("EBADF", or
-	// "ERESTARTSYS" for interrupted calls, which the methodology
-	// ignores).
+	// "ERESTARTSYS" for interrupted calls). The conversion drops every
+	// record that carries one.
 	Errno string
 
 	// Dur is the duration between start and return (strace -T); HasDur
@@ -108,14 +108,6 @@ type record struct {
 	// Line is the 1-based line number within the trace file.
 	Line int
 }
-
-// interrupted reports whether the record is an interrupted system call
-// (ERESTARTSYS), which Section III of the paper discards.
-func (r *record) interrupted() bool { return r.Errno == "ERESTARTSYS" }
-
-// Failed reports whether the record is a completed call that returned an
-// error.
-func (r *record) Failed() bool { return r.Errno != "" && r.Errno != "ERESTARTSYS" }
 
 // firstArgPath returns the path annotation of the first fd-typed argument
 // ("3</usr/lib/libc.so.6>" gives "/usr/lib/libc.so.6"). ok is false when

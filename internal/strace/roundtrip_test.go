@@ -135,9 +135,9 @@ func TestWriteDirReadDir(t *testing.T) {
 		}
 	}
 
-	got, err := ReadDir(dir, Options{Strict: true})
+	got, err := readDir(dir, Options{Strict: true})
 	if err != nil {
-		t.Fatalf("ReadDir: %v", err)
+		t.Fatalf("readDir: %v", err)
 	}
 	if got.NumCases() != want.NumCases() || got.NumEvents() != want.NumEvents() {
 		t.Fatalf("round trip: %d cases / %d events, want %d / %d",
@@ -155,14 +155,14 @@ func TestWriteDirReadDir(t *testing.T) {
 }
 
 func TestReadDirErrors(t *testing.T) {
-	if _, err := ReadDir(t.TempDir(), Options{}); err == nil {
+	if _, err := readDir(t.TempDir(), Options{}); err == nil {
 		t.Errorf("empty dir accepted")
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "badname.st"), []byte("x\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDir(dir, Options{}); err == nil {
+	if _, err := readDir(dir, Options{}); err == nil {
 		t.Errorf("bad file name accepted")
 	}
 }

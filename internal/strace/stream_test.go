@@ -12,11 +12,11 @@ import (
 	"stinspector/internal/trace"
 )
 
-// TestStreamFSMatchesReadFS: draining the stream reproduces ReadFS for
-// every parallelism/window combination.
+// TestStreamFSMatchesReadFS: draining the stream reproduces the
+// sequential drain for every parallelism/window combination.
 func TestStreamFSMatchesReadFS(t *testing.T) {
 	fsys, nEvents := synthFS(t, 23, 40)
-	want, err := ReadFS(fsys, ".", Options{Strict: true, Parallelism: 1})
+	want, err := readFS(fsys, ".", Options{Strict: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestRoundTripDXT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			records, err := dxt.ParseSyms(bytes.NewReader(buf.Bytes()), nil)
+			records, err := dxt.Parse(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,7 @@ package stinspector
 // disjoint slice of the corpus and writing an STS snapshot — must merge
 // (MergeSnapshots) into artifacts byte-identical to the in-memory
 // pipeline over the whole corpus, for every generator profile, backend,
-// analysis-shard count and symbol-table scoping. And a checkpointed
+// analysis-shard count and, for strace, symbol-table scoping. And a checkpointed
 // fold killed partway and resumed must reproduce both the artifacts and
 // the final checkpoint bytes of an uninterrupted run. Snapshot bytes
 // are a function of the set of folded cases alone: arrival order, shard
@@ -13,12 +13,12 @@ package stinspector
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
-	"testing/fstest"
 
 	"stinspector/internal/core"
 	"stinspector/internal/dxt"
@@ -43,10 +43,10 @@ func snapshotBytes(t *testing.T, src Source, m Mapping, shards int) []byte {
 }
 
 // snapshotMergeCheck folds three contiguous slices of the corpus into
-// separate snapshot files through open's backend and asserts, across
-// the shard × scoped matrix, that the merged artifacts equal want and
-// the merged snapshot's bytes equal a one-shot snapshot of el.
-func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, open func(syms *intern.Table) Source) {
+// separate snapshot files through open's backend and asserts, at 1 and
+// 4 shards, that the merged artifacts equal want and the merged
+// snapshot's bytes equal a one-shot snapshot of el.
+func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, open func() Source) {
 	t.Helper()
 	cases := el.Cases()
 	n := len(cases)
@@ -54,49 +54,43 @@ func snapshotMergeCheck(t *testing.T, kind string, el *EventLog, want string, op
 	m := CallTopDirs{Depth: 2}
 	wantBytes := snapshotBytes(t, source.FromLog(el), m, 1)
 	for _, shards := range []int{1, 4} {
-		for _, scoped := range []bool{false, true} {
-			dir := t.TempDir()
-			var paths []string
-			for i := 0; i+1 < len(bounds); i++ {
-				keep := make(map[CaseID]bool)
-				for _, c := range cases[bounds[i]:bounds[i+1]] {
-					keep[c.ID] = true
-				}
-				var syms *intern.Table
-				if scoped {
-					syms = intern.NewTable()
-				}
-				src := open(syms)
-				part := source.FilterCases(src, func(c *Case) bool { return keep[c.ID] })
-				path := filepath.Join(dir, "part"+strconv.Itoa(i)+".sts")
-				s, err := core.AnalyzeStreamSnapshot(part, m, shards, true)
-				if err == nil {
-					err = snapshot.WriteFile(path, s)
-				}
-				src.Close()
-				if err != nil {
-					t.Fatalf("%s shards=%d scoped=%v part %d: %v", kind, shards, scoped, i, err)
-				}
-				paths = append(paths, path)
+		dir := t.TempDir()
+		var paths []string
+		for i := 0; i+1 < len(bounds); i++ {
+			keep := make(map[CaseID]bool)
+			for _, c := range cases[bounds[i]:bounds[i+1]] {
+				keep[c.ID] = true
 			}
-			res, err := MergeSnapshots(m, paths...)
+			src := open()
+			part := source.FilterCases(src, func(c *Case) bool { return keep[c.ID] })
+			path := filepath.Join(dir, "part"+strconv.Itoa(i)+".sts")
+			s, err := core.AnalyzeStreamSnapshot(part, m, shards, true)
+			if err == nil {
+				err = snapshot.WriteFile(path, s)
+			}
+			src.Close()
 			if err != nil {
-				t.Fatalf("%s shards=%d scoped=%v merge: %v", kind, shards, scoped, err)
+				t.Fatalf("%s shards=%d part %d: %v", kind, shards, i, err)
 			}
-			if got := artifacts(res.ActivityLog, res.DFG, res.Stats, res.Behavior); got != want {
-				t.Errorf("%s: merged snapshot artifacts differ from in-memory at shards=%d scoped=%v.\n--- merged ---\n%s\n--- in-memory ---\n%s",
-					kind, shards, scoped, got, want)
+			paths = append(paths, path)
+		}
+		res, err := MergeSnapshots(m, paths...)
+		if err != nil {
+			t.Fatalf("%s shards=%d merge: %v", kind, shards, err)
+		}
+		if got := artifacts(res.ActivityLog, res.DFG, res.Stats, res.Behavior); got != want {
+			t.Errorf("%s: merged snapshot artifacts differ from in-memory at shards=%d.\n--- merged ---\n%s\n--- in-memory ---\n%s",
+				kind, shards, got, want)
+		}
+		snaps := make([]*snapshot.Snapshot, len(paths))
+		for i, p := range paths {
+			if snaps[i], err = snapshot.ReadFile(p, m); err != nil {
+				t.Fatal(err)
 			}
-			snaps := make([]*snapshot.Snapshot, len(paths))
-			for i, p := range paths {
-				if snaps[i], err = snapshot.ReadFile(p, m); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := snapshot.Encode(snapshot.Merge(snaps...)); !bytes.Equal(got, wantBytes) {
-				t.Errorf("%s: merged snapshot bytes differ from a one-shot snapshot at shards=%d scoped=%v (%d vs %d bytes)",
-					kind, shards, scoped, len(got), len(wantBytes))
-			}
+		}
+		if got := snapshot.Encode(snapshot.Merge(snaps...)); !bytes.Equal(got, wantBytes) {
+			t.Errorf("%s: merged snapshot bytes differ from a one-shot snapshot at shards=%d (%d vs %d bytes)",
+				kind, shards, len(got), len(wantBytes))
 		}
 	}
 }
@@ -109,32 +103,29 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			log := p.Generate("seq", 9, 70, 20240924)
 
-			// strace text backend.
-			fsys := fstest.MapFS{}
-			for _, c := range log.Cases() {
-				var buf bytes.Buffer
-				if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
-					t.Fatal(err)
-				}
-				fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
-			}
-			el, err := strace.ReadFS(fsys, ".", strace.Options{Strict: true, Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			// strace text backend, over the process-wide symbol table
+			// and over a scoped table per source.
+			fsys := straceFS(t, log)
+			el := drainStrace(t, fsys)
 			want := inMemoryArtifacts(el)
-			snapshotMergeCheck(t, p.Name+"/strace", el, want, func(syms *intern.Table) Source {
-				src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: 2, Window: 3, Syms: syms})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return src
-			})
+			for _, scoped := range []bool{false, true} {
+				snapshotMergeCheck(t, fmt.Sprintf("%s/strace scoped=%v", p.Name, scoped), el, want, func() Source {
+					opts := strace.Options{Strict: true, Parallelism: 2, Window: 3}
+					if scoped {
+						opts.Syms = intern.NewTable()
+					}
+					src, err := strace.StreamFS(fsys, ".", opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return src
+				})
+			}
 
 			// STA archive backend.
 			path := writeArchive(t, log)
-			snapshotMergeCheck(t, p.Name+"/archive", el, want, func(syms *intern.Table) Source {
-				return mustStreamArchive(t, path, OpenOptions{Parallelism: 2, Window: 3, Syms: syms})
+			snapshotMergeCheck(t, p.Name+"/archive", el, want, func() Source {
+				return mustStreamArchive(t, path, OpenOptions{Parallelism: 2, Window: 3})
 			})
 
 			// DXT backend.
@@ -142,22 +133,14 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 			if _, err := synth.WriteDXT(&dbuf, log); err != nil {
 				t.Fatal(err)
 			}
-			records, err := dxt.ParseSyms(bytes.NewReader(dbuf.Bytes()), nil)
+			records, err := dxt.Parse(bytes.NewReader(dbuf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			del := drainDXT(t, "seq", records)
 			dwant := inMemoryArtifacts(del)
-			snapshotMergeCheck(t, p.Name+"/dxt", del, dwant, func(syms *intern.Table) Source {
-				recs := records
-				if syms != nil {
-					var err error
-					recs, err = dxt.ParseSyms(bytes.NewReader(dbuf.Bytes()), syms)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				return dxt.Stream("seq", recs, 2, 3)
+			snapshotMergeCheck(t, p.Name+"/dxt", del, dwant, func() Source {
+				return dxt.Stream("seq", records, 2, 3)
 			})
 		})
 	}

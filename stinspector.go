@@ -129,7 +129,12 @@ type Inspector = core.Inspector
 
 // ParseOptions configures strace ingestion. Set Parallelism to bound the
 // number of trace files parsed concurrently (0 = GOMAXPROCS, 1 =
-// sequential); the merged event-log is deterministic either way.
+// sequential); the merged event-log is deterministic either way. The
+// calls kept are fixed by Section III: the completed read/write
+// variants, open/close, seek and sync, plus the file mutations, spawns
+// and connections the behavior layer decodes. Failed and interrupted
+// calls are dropped. A nil Syms interns into the process-wide symbol
+// table; stserve scopes a table to each session instead.
 type ParseOptions = strace.Options
 
 // OpenOptions configures the archive and DXT backends, the counterpart
@@ -138,9 +143,8 @@ type ParseOptions = strace.Options
 // the cases resident at once in a stream (0 = 2×workers), and Cases
 // restricts an archive to a slice of its case order (nil = every case;
 // DXT dumps have no case index and reject a range). The zero value
-// reads everything with the defaults. Syms stays nil here: the pass
-// interns into the process-wide symbol table (scoping a table to a
-// pass is internal; stserve scopes each session's).
+// reads everything with the defaults. Decoded strings intern into the
+// process-wide symbol table.
 type OpenOptions = archive.Options
 
 // CaseRange is the half-open slice [Start, End) of an archive's case
@@ -253,7 +257,7 @@ func StreamDXT(cid string, r io.Reader, opts OpenOptions) (Source, error) {
 	if opts.Cases != nil {
 		return nil, errors.New("stinspector: a case range needs an archive input; a DXT dump has no case index")
 	}
-	records, err := dxt.ParseSyms(r, opts.Syms)
+	records, err := dxt.Parse(r)
 	if err != nil {
 		return nil, err
 	}

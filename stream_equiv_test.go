@@ -15,6 +15,7 @@ package stinspector
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -86,34 +87,47 @@ func streamArtifacts(t *testing.T, src Source, shards int, joinErrors bool) stri
 
 // equivCheck compares the streaming artifacts against the in-memory
 // baseline for every ingestion-parallelism/window/analysis-shard
-// combination, each once over the process-wide symbol table and once
-// over a scoped table created fresh for that run (syms non-nil). A
-// scoped pass must be byte-identical to the Default-table pass:
-// symbol tables only decide string retention, never content.
-func equivCheck(t *testing.T, kind, want string, open func(parallelism, window int, syms *intern.Table) Source) {
+// combination.
+func equivCheck(t *testing.T, kind, want string, open func(parallelism, window int) Source) {
 	t.Helper()
-	for _, scoped := range []bool{false, true} {
-		for _, p := range equivParallelisms() {
-			for _, w := range []int{0, 1, 3} {
-				for _, shards := range equivParallelisms() {
-					var syms *intern.Table
-					if scoped {
-						syms = intern.NewTable()
-					}
-					got := streamArtifacts(t, open(p, w, syms), shards, true)
-					if got != want {
-						t.Errorf("%s: streaming artifacts differ from in-memory at scoped=%v parallelism=%d window=%d ashards=%d.\n--- streaming ---\n%s\n--- in-memory ---\n%s",
-							kind, scoped, p, w, shards, got, want)
-					}
+	for _, p := range equivParallelisms() {
+		for _, w := range []int{0, 1, 3} {
+			for _, shards := range equivParallelisms() {
+				got := streamArtifacts(t, open(p, w), shards, true)
+				if got != want {
+					t.Errorf("%s: streaming artifacts differ from in-memory at parallelism=%d window=%d ashards=%d.\n--- streaming ---\n%s\n--- in-memory ---\n%s",
+						kind, p, w, shards, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestStreamEquivalenceStraceDir: trace-directory ingestion.
-func TestStreamEquivalenceStraceDir(t *testing.T) {
-	log := synth.Log("eq", 41, 160, 20240924)
+// equivCheckStrace runs equivCheck over the trace files of fsys, once
+// over the process-wide symbol table and once over a scoped table
+// created fresh for each run. A scoped pass must be byte-identical to
+// the process-wide one: symbol tables only decide string retention,
+// never content.
+func equivCheckStrace(t *testing.T, kind, want string, fsys fs.FS) {
+	t.Helper()
+	for _, scoped := range []bool{false, true} {
+		equivCheck(t, fmt.Sprintf("%s scoped=%v", kind, scoped), want, func(p, w int) Source {
+			opts := strace.Options{Strict: true, Parallelism: p, Window: w}
+			if scoped {
+				opts.Syms = intern.NewTable()
+			}
+			src, err := strace.StreamFS(fsys, ".", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		})
+	}
+}
+
+// straceFS renders every case of log as a trace file.
+func straceFS(t *testing.T, log *trace.EventLog) fstest.MapFS {
+	t.Helper()
 	fsys := fstest.MapFS{}
 	for _, c := range log.Cases() {
 		var buf bytes.Buffer
@@ -122,18 +136,29 @@ func TestStreamEquivalenceStraceDir(t *testing.T) {
 		}
 		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
 	}
-	el, err := strace.ReadFS(fsys, ".", strace.Options{Strict: true, Parallelism: 1})
+	return fsys
+}
+
+// drainStrace parses the trace files of fsys sequentially into an
+// event-log.
+func drainStrace(t *testing.T, fsys fs.FS) *trace.EventLog {
+	t.Helper()
+	src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := inMemoryArtifacts(el)
-	equivCheck(t, "strace", want, func(p, w int, syms *intern.Table) Source {
-		src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: p, Window: w, Syms: syms})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	})
+	defer src.Close()
+	el, err := source.Drain(src, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return el
+}
+
+// TestStreamEquivalenceStraceDir: trace-directory ingestion.
+func TestStreamEquivalenceStraceDir(t *testing.T) {
+	fsys := straceFS(t, synth.Log("eq", 41, 160, 20240924))
+	equivCheckStrace(t, "strace", inMemoryArtifacts(drainStrace(t, fsys)), fsys)
 }
 
 // TestStreamEquivalenceArchive: STA section decode through the
@@ -149,38 +174,21 @@ func TestStreamEquivalenceArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := inMemoryArtifacts(in.EventLog())
-	equivCheck(t, "archive", want, func(p, w int, syms *intern.Table) Source {
-		src, err := StreamArchive(path, OpenOptions{Parallelism: p, Window: w, Syms: syms})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
+	equivCheck(t, "archive", want, func(p, w int) Source {
+		return mustStreamArchive(t, path, OpenOptions{Parallelism: p, Window: w})
 	})
 }
 
 // TestStreamEquivalenceArchiveV2: the archive against the trace text it
 // consolidates. A strace corpus is parsed once and archived; streaming
-// the archive (zero-copy, at every parallelism/window/shard/scoping
+// the archive (zero-copy, at every parallelism/window/shard
 // combination) must yield artifacts byte-identical to the in-memory
 // pipeline over the parsed traces.
 func TestStreamEquivalenceArchiveV2(t *testing.T) {
-	log := synth.Log("eqa", 33, 200, 7)
-	fsys := fstest.MapFS{}
-	for _, c := range log.Cases() {
-		var buf bytes.Buffer
-		if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
-			t.Fatal(err)
-		}
-		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
-	}
-	el, err := strace.ReadFS(fsys, ".", strace.Options{Strict: true, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := inMemoryArtifacts(el)
+	el := drainStrace(t, straceFS(t, synth.Log("eqa", 33, 200, 7)))
 	path := writeArchive(t, el)
-	equivCheck(t, "sta2", want, func(p, w int, syms *intern.Table) Source {
-		return mustStreamArchive(t, path, OpenOptions{Parallelism: p, Window: w, Syms: syms})
+	equivCheck(t, "sta2", inMemoryArtifacts(el), func(p, w int) Source {
+		return mustStreamArchive(t, path, OpenOptions{Parallelism: p, Window: w})
 	})
 }
 
@@ -191,24 +199,14 @@ func TestStreamEquivalenceDXT(t *testing.T) {
 	if _, err := synth.WriteDXT(&buf, log); err != nil {
 		t.Fatal(err)
 	}
-	records, err := dxt.ParseSyms(bytes.NewReader(buf.Bytes()), nil)
+	records, err := dxt.Parse(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	el := drainDXT(t, "dxt", records)
 	want := inMemoryArtifacts(el)
-	equivCheck(t, "dxt", want, func(p, w int, syms *intern.Table) Source {
-		recs := records
-		if syms != nil {
-			// DXT interning happens at Parse time: a scoped run
-			// re-parses the dump through its own table.
-			var err error
-			recs, err = dxt.ParseSyms(bytes.NewReader(buf.Bytes()), syms)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dxt.Stream("dxt", recs, p, w)
+	equivCheck(t, "dxt", want, func(p, w int) Source {
+		return dxt.Stream("dxt", records, p, w)
 	})
 }
 
@@ -216,8 +214,9 @@ func TestStreamEquivalenceDXT(t *testing.T) {
 // every adversarial generator profile and all three backends: hostile
 // arguments, heavy-tail vocabularies, deep bursts and interleaved
 // tenants must leave the streaming artifacts byte-identical to the
-// in-memory pipeline at every parallelism/window/shard/scoping
-// combination, exactly like the friendly synth shape.
+// in-memory pipeline at every parallelism/window/shard combination
+// (and, for strace, both symbol-table scopings), exactly like the
+// friendly synth shape.
 func TestStreamEquivalenceProfiles(t *testing.T) {
 	for _, p := range profiles.All() {
 		p := p
@@ -225,25 +224,8 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			log := p.Generate("eqp", 9, 70, 20240924)
 
 			// strace text backend.
-			fsys := fstest.MapFS{}
-			for _, c := range log.Cases() {
-				var buf bytes.Buffer
-				if err := strace.NewWriter(&buf).WriteCase(c); err != nil {
-					t.Fatal(err)
-				}
-				fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
-			}
-			el, err := strace.ReadFS(fsys, ".", strace.Options{Strict: true, Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			equivCheck(t, p.Name+"/strace", inMemoryArtifacts(el), func(pp, w int, syms *intern.Table) Source {
-				src, err := strace.StreamFS(fsys, ".", strace.Options{Strict: true, Parallelism: pp, Window: w, Syms: syms})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return src
-			})
+			fsys := straceFS(t, log)
+			equivCheckStrace(t, p.Name+"/strace", inMemoryArtifacts(drainStrace(t, fsys)), fsys)
 
 			// STA archive backend: decoded through the persisted
 			// file-level dictionary, and the artifacts must not be able
@@ -255,8 +237,8 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			equivCheck(t, p.Name+"/sta2", inMemoryArtifacts(a2el), func(pp, w int, syms *intern.Table) Source {
-				return mustStreamArchive(t, a2path, OpenOptions{Parallelism: pp, Window: w, Syms: syms})
+			equivCheck(t, p.Name+"/sta2", inMemoryArtifacts(a2el), func(pp, w int) Source {
+				return mustStreamArchive(t, a2path, OpenOptions{Parallelism: pp, Window: w})
 			})
 
 			// DXT backend (the dump only represents sized transfer calls;
@@ -265,21 +247,13 @@ func TestStreamEquivalenceProfiles(t *testing.T) {
 			if _, err := synth.WriteDXT(&dbuf, log); err != nil {
 				t.Fatal(err)
 			}
-			records, err := dxt.ParseSyms(bytes.NewReader(dbuf.Bytes()), nil)
+			records, err := dxt.Parse(bytes.NewReader(dbuf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			del := drainDXT(t, "dxt", records)
-			equivCheck(t, p.Name+"/dxt", inMemoryArtifacts(del), func(pp, w int, syms *intern.Table) Source {
-				recs := records
-				if syms != nil {
-					var err error
-					recs, err = dxt.ParseSyms(bytes.NewReader(dbuf.Bytes()), syms)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				return dxt.Stream("dxt", recs, pp, w)
+			equivCheck(t, p.Name+"/dxt", inMemoryArtifacts(del), func(pp, w int) Source {
+				return dxt.Stream("dxt", records, pp, w)
 			})
 		})
 	}

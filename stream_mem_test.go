@@ -52,7 +52,12 @@ func TestStreamIngestMemory(t *testing.T) {
 
 	// In-memory path: the whole event-log is live at once.
 	base := liveHeap()
-	el, err := strace.ReadFS(fsys, ".", opts)
+	src, err := strace.StreamFS(fsys, ".", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := source.Drain(src, opts.Strict)
+	src.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestStreamIngestMemory(t *testing.T) {
 	// stream advances; the peak sample bounds what ingestion keeps
 	// resident.
 	base = liveHeap()
-	src, err := strace.StreamFS(fsys, ".", opts)
+	src, err = strace.StreamFS(fsys, ".", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package stinspector
 
-// The exported-surface gate, in three parts.
+// The exported-surface gate, in four parts.
 //
 // Package level: every exported func, type, var and const declared in
 // a non-test file under internal/ must be referenced from a non-test
@@ -21,6 +21,14 @@ package stinspector
 // (cmd/, examples/, bench/), or be named by the signature or fields of
 // one that is; otherwise it is listed in facadeExceptions with one of
 // the package-level reasons.
+//
+// Unexported code: every unexported function and method declared in a
+// non-test file outside the exempt packages must be used from a
+// non-test file — referenced, selected (both resolved with go/types),
+// or a method of an interface type declared in a non-test file that its
+// type implements. There is no exception list: code only tests call
+// belongs in a _test.go file. Constants and types are out of scope (a
+// constant can name an enum's zero value that no code spells out).
 //
 // The scan covers the whole tree, the bench/ module and examples/
 // included, so an identifier only the benchmark calls counts as used.
@@ -68,7 +76,7 @@ var surfaceExceptions = map[string]string{
 	"archive.CorruptError":       typedFault,
 	"archive.Reader":             namedBySignature, // archive.Open returns it
 	"dxt.ParseError":             typedFault,
-	"dxt.Record":                 namedBySignature, // dxt.ParseSyms and dxt.Stream
+	"dxt.Record":                 namedBySignature, // dxt.Parse and dxt.Stream
 	"experiments.Check":          namedBySignature, // experiments.Report.Checks
 	"mpisim.CostFunc":            namedBySignature, // mpisim.Syscall
 	"mpisim.Engine":              namedBySignature, // mpisim.NewEngine returns it
@@ -79,7 +87,6 @@ var surfaceExceptions = map[string]string{
 	"serve.SessionState":         namedBySignature, // serve.Info.State
 	"snapshot/wire.CorruptError": typedFault,
 	"strace.ParseError":          typedFault,
-	"strace.ReadFS":              fakeFSSeam,
 	"strace.StreamFS":            fakeFSSeam,
 	"strace.TailFS":              fakeFSSeam,
 	"strace.TailFile":            fakeFSSeam,
@@ -225,6 +232,21 @@ func TestExportedSurface(t *testing.T) {
 		t.Fatal("scan found no exported identifiers in the facade")
 	}
 	t.Logf("%d exported identifiers in the facade, %d listed exceptions", len(s.facade), len(facadeExceptions))
+
+	var dead []string
+	for fn, id := range s.private {
+		if !s.privateUsed[fn] {
+			dead = append(dead, id)
+		}
+	}
+	sort.Strings(dead)
+	for _, id := range dead {
+		t.Errorf("%s is unexported but no non-test code uses it: delete it, or move it into a _test.go file if tests need it", id)
+	}
+	if len(s.private) == 0 {
+		t.Fatal("scan found no unexported functions or methods")
+	}
+	t.Logf("%d unexported functions and methods", len(s.private))
 }
 
 // surface is what scanSurface finds. Package-level identifiers are
@@ -245,6 +267,12 @@ type surface struct {
 	// reference, closed over the facade names in their declarations'
 	// types and signatures.
 	facade, facadeUsed map[string]bool
+	// private maps the unexported functions and methods of non-test
+	// files outside the packages surfaceExempt names to their
+	// "<package path>.[<receiver type>.]<name>"; privateUsed holds the
+	// ones non-test code uses.
+	private     map[*types.Func]string
+	privateUsed map[*types.Func]bool
 }
 
 // scanSurface parses and type-checks every non-test Go file under root
@@ -297,6 +325,7 @@ func scanSurface(t *testing.T, root string) *surface {
 		declared: map[string]bool{}, used: map[string]bool{},
 		methods: map[string]bool{}, called: map[string]bool{},
 		facade: map[string]bool{}, facadeUsed: map[string]bool{},
+		private: map[*types.Func]string{}, privateUsed: map[*types.Func]bool{},
 	}
 	declare := func(pkg string, id *ast.Ident) {
 		if id.IsExported() {
@@ -318,6 +347,14 @@ func scanSurface(t *testing.T, root string) *surface {
 		for _, d := range p.f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
+				if !d.Name.IsExported() && !surfaceExempt[pkg] && !(d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main")) {
+					fn := info.Defs[d.Name].(*types.Func)
+					id := strings.TrimPrefix(p.pkg, module+"/") + "."
+					if d.Recv != nil {
+						id += namedRecv(fn).Obj().Name() + "."
+					}
+					s.private[fn] = id + d.Name.Name
+				}
 				switch {
 				case p.pkg == module && d.Recv == nil:
 					declareFacade(d.Name, d.Type)
@@ -387,7 +424,12 @@ func scanSurface(t *testing.T, root string) *surface {
 						if id := methodID(fn, internal); id != "" {
 							s.called[id] = true
 						}
+						s.privateUsed[fn.Origin()] = true
 					}
+				}
+			case *ast.Ident:
+				if fn, ok := info.Uses[n].(*types.Func); ok {
+					s.privateUsed[fn.Origin()] = true
 				}
 			case *ast.InterfaceType:
 				if tv, ok := info.Types[n]; ok {
@@ -402,6 +444,11 @@ func scanSurface(t *testing.T, root string) *surface {
 		name := id[strings.LastIndex(id, ".")+1:]
 		if stdMethods[name] || implementsWith(named, name, ifaces) {
 			s.called[id] = true
+		}
+	}
+	for fn := range s.private {
+		if fn.Type().(*types.Signature).Recv() != nil && implementsWith(namedRecv(fn), fn.Name(), ifaces) {
+			s.privateUsed[fn] = true
 		}
 	}
 
@@ -470,6 +517,7 @@ func typeCheck(t *testing.T, fset *token.FileSet, pkgFiles map[string][]*ast.Fil
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	checked := map[string]*types.Package{}
