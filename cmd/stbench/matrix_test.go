@@ -3,11 +3,12 @@ package main
 // The scenario matrix: every generator profile through every ingestion
 // backend at one and many analysis shards, with strace ingestion over
 // scoped and process-wide symbol tables (the archive and DXT backends
-// always intern into the process-wide one). The generators are deterministic in (profile, cid,
-// cases, events, seed) and the pipeline's artifacts are
-// parallelism-independent, so every column of a cell is
-// machine-independent structure; TestScenarioMatrix pins all of them
-// against the committed BENCH_matrix.json at the repository root.
+// always intern into the process-wide one). The generators are
+// deterministic in (profile, cid, cases, events, seed) and the
+// pipeline's artifacts are parallelism-independent, so every column of
+// a cell is machine-independent structure; TestScenarioMatrix pins all
+// of them against the committed BENCH_matrix.json at the repository
+// root.
 // Timing is the repository benchmark's job (bench/), not this test's.
 //
 // Regenerate the baseline after an intended structural change with
@@ -110,8 +111,8 @@ var matrixParams = matrixReport{
 }
 
 // TestScenarioMatrix sweeps every profile × backend × shards (× scoped,
-// for strace) cell and fails on any structural difference from BENCH_matrix.json,
-// or on a cell missing from either side.
+// for strace) cell and fails on any structural difference from
+// BENCH_matrix.json, or on a cell missing from either side.
 func TestScenarioMatrix(t *testing.T) {
 	fresh := sweepMatrix(t, profiles.All(), matrixParams)
 	if *updateMatrix {

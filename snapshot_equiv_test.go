@@ -5,11 +5,12 @@ package stinspector
 // disjoint slice of the corpus and writing an STS snapshot — must merge
 // (MergeSnapshots) into artifacts byte-identical to the in-memory
 // pipeline over the whole corpus, for every generator profile, backend,
-// analysis-shard count and, for strace, symbol-table scoping. And a checkpointed
-// fold killed partway and resumed must reproduce both the artifacts and
-// the final checkpoint bytes of an uninterrupted run. Snapshot bytes
-// are a function of the set of folded cases alone: arrival order, shard
-// count, backend and epoch history never show in them.
+// analysis-shard count and, for strace, symbol-table scoping. And a
+// checkpointed fold killed partway and resumed must reproduce both the
+// artifacts and the final checkpoint bytes of an uninterrupted run.
+// Snapshot bytes are a function of the set of folded cases alone:
+// arrival order, shard count, backend and epoch history never show in
+// them.
 
 import (
 	"bytes"
