@@ -14,6 +14,7 @@ import (
 
 	"stinspector/internal/source"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 func randLog(seed int64, nCases, maxEvents int) *trace.EventLog {
@@ -264,15 +265,15 @@ func TestCompression(t *testing.T) {
 // header, a zero-case index, and the footer (index offset, index CRC,
 // footer magic).
 func v1Image() []byte {
-	var w buf
-	w.raw([]byte(magicV1))
-	w.u32(1)
+	var w wire.Buf
+	w.Raw([]byte(magicV1))
+	w.U32(1)
 	idx := []byte{0}
-	w.raw(idx)
-	w.u64(headerSize)
-	w.u32(checksum(idx))
-	w.raw([]byte("XATS"))
-	return w.bytes()
+	w.Raw(idx)
+	w.U64(headerSize)
+	w.U32(wire.Checksum(idx))
+	w.Raw([]byte("XATS"))
+	return w.Bytes()
 }
 
 // TestV1Rejected: a v1 archive is not corrupt, it is retired. Every
@@ -296,7 +297,7 @@ func TestV1Rejected(t *testing.T) {
 		if !errors.Is(err, errV1) {
 			t.Errorf("%s: err = %v, want errV1", name, err)
 		}
-		var ce *CorruptError
+		var ce *wire.CorruptError
 		if errors.As(err, &ce) {
 			t.Errorf("%s: v1 reported as corrupt: %v", name, err)
 		}

@@ -6,10 +6,11 @@ import (
 	"time"
 
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // colCursor is the hot-path varint decoder for column blocks. Unlike
-// cursor it does not return an error per value: column byte ranges are
+// wire.Cursor it does not return an error per value: column byte ranges are
 // pre-sliced from the section header, so a malformed varint can only
 // arise inside one column, and the per-column done() check after the
 // loop catches it. The single-byte fast path covers the common small
@@ -77,66 +78,63 @@ func (c *colCursor) varint() int64 {
 // its bytes: one check per column instead of an error per value.
 func (c *colCursor) done() bool { return !c.bad && c.off == len(c.b) }
 
-// decodeCase parses and verifies one columnar section. resolved is
-// the dictionary remap from resolve(); every string in the result is a
+// decodeCase parses and verifies one columnar section. dict is the
+// reader's resolved dictionary, so every string in the result is a
 // canonical table string, and no hashing, sorting, or event copying
 // happens here: the delta-encoded start column proves Equation (2)
 // order, so the events are assembled once, in place.
-func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*trace.Case, error) {
+func decodeCase(sec []byte, ordinal int, ent *indexEntry, dict []string) (*trace.Case, error) {
 	if len(sec) < 4 {
-		return nil, corrupt("case %s: section of %d bytes too small", ent.id, len(sec))
+		return nil, wire.Corruptf("case %s: section of %d bytes too small", ent.id, len(sec))
 	}
 	body := sec[:len(sec)-4]
-	if checksum(body) != binary.LittleEndian.Uint32(sec[len(sec)-4:]) {
-		return nil, corrupt("case %s: section checksum mismatch", ent.id)
+	if wire.Checksum(body) != binary.LittleEndian.Uint32(sec[len(sec)-4:]) {
+		return nil, wire.Corruptf("case %s: section checksum mismatch", ent.id)
 	}
 
-	c := &cursor{b: body}
-	ord, err := c.uvarint()
+	c := wire.NewCursor(body)
+	ord, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	// The ordinal binds section to index slot, catching an index whose
 	// offsets point at the wrong (but individually valid) sections.
 	if ord != uint64(ordinal) {
-		return nil, corrupt("section holds case %d, index says %d (%s)", ord, ordinal, ent.id)
+		return nil, wire.Corruptf("section holds case %d, index says %d (%s)", ord, ordinal, ent.id)
 	}
-	n, err := c.uvarint()
+	n, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n != ent.events {
-		return nil, corrupt("case %s: section holds %d events, index says %d", ent.id, n, ent.events)
+		return nil, wire.Corruptf("case %s: section holds %d events, index says %d", ent.id, n, ent.events)
 	}
 	var colLen [6]uint64
 	for j := range colLen {
-		if colLen[j], err = c.uvarint(); err != nil {
+		if colLen[j], err = c.Uvarint(); err != nil {
 			return nil, err
 		}
 	}
 	var cols [6][]byte
+	off := c.Offset()
 	for j, cl := range colLen {
-		if cl > uint64(c.remaining()) {
-			return nil, corrupt("case %s: column %d of %d bytes exceeds section", ent.id, j, cl)
+		if cl > uint64(len(body)-off) {
+			return nil, wire.Corruptf("case %s: column %d of %d bytes exceeds section", ent.id, j, cl)
 		}
-		cols[j] = body[c.off : c.off+int(cl) : c.off+int(cl)]
-		c.off += int(cl)
+		cols[j] = body[off : off+int(cl) : off+int(cl)]
+		off += int(cl)
 		// Each event contributes at least one byte to every column, so a
 		// count a column cannot hold is corruption, not an allocation
 		// request.
 		if n > cl {
-			return nil, corrupt("case %s: %d events claimed in %d-byte column %d", ent.id, n, cl, j)
+			return nil, wire.Corruptf("case %s: %d events claimed in %d-byte column %d", ent.id, n, cl, j)
 		}
 	}
-	if c.remaining() != 0 {
-		return nil, corrupt("case %s: %d trailing bytes after columns", ent.id, c.remaining())
+	if off != len(body) {
+		return nil, wire.Corruptf("case %s: %d trailing bytes after columns", ent.id, len(body)-off)
 	}
 
-	id := trace.CaseID{
-		CID:  resolved[ent.cidSym],
-		Host: resolved[ent.hostSym],
-		RID:  ent.id.RID,
-	}
+	id := ent.id
 	// nil for an empty case, exactly as NewCase builds — decoded cases
 	// must be indistinguishable from in-memory ones.
 	var events []trace.Event
@@ -149,20 +147,20 @@ func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*t
 		events[i].PID = int(pc.varint())
 	}
 	if !pc.done() {
-		return nil, corrupt("case %s: malformed pid column", id)
+		return nil, wire.Corruptf("case %s: malformed pid column", id)
 	}
 
-	nres := uint64(len(resolved))
+	nres := uint64(len(dict))
 	cc := colCursor{b: cols[1]}
 	for i := range events {
 		s := cc.uvarint()
 		if s >= nres {
-			return nil, corrupt("case %s: call symbol %d beyond dictionary of %d", id, s, nres)
+			return nil, wire.Corruptf("case %s: call symbol %d beyond dictionary of %d", id, s, nres)
 		}
-		events[i].Call = resolved[s]
+		events[i].Call = dict[s]
 	}
 	if !cc.done() {
-		return nil, corrupt("case %s: malformed call column", id)
+		return nil, wire.Corruptf("case %s: malformed call column", id)
 	}
 
 	sc := colCursor{b: cols[2]}
@@ -175,14 +173,14 @@ func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*t
 			// Deltas are non-negative; a sum past MaxInt64 would wrap
 			// into a garbage (negative) timestamp instead of failing.
 			if d > math.MaxInt64 || prev > math.MaxInt64-int64(d) {
-				return nil, corrupt("case %s: start timestamp overflows at event %d", id, i)
+				return nil, wire.Corruptf("case %s: start timestamp overflows at event %d", id, i)
 			}
 			prev += int64(d)
 		}
 		events[i].Start = time.Duration(prev)
 	}
 	if !sc.done() {
-		return nil, corrupt("case %s: malformed start column", id)
+		return nil, wire.Corruptf("case %s: malformed start column", id)
 	}
 
 	dc := colCursor{b: cols[3]}
@@ -190,19 +188,19 @@ func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*t
 		events[i].Dur = time.Duration(dc.uvarint())
 	}
 	if !dc.done() {
-		return nil, corrupt("case %s: malformed dur column", id)
+		return nil, wire.Corruptf("case %s: malformed dur column", id)
 	}
 
 	fc := colCursor{b: cols[4]}
 	for i := range events {
 		s := fc.uvarint()
 		if s >= nres {
-			return nil, corrupt("case %s: fp symbol %d beyond dictionary of %d", id, s, nres)
+			return nil, wire.Corruptf("case %s: fp symbol %d beyond dictionary of %d", id, s, nres)
 		}
-		events[i].FP = resolved[s]
+		events[i].FP = dict[s]
 	}
 	if !fc.done() {
-		return nil, corrupt("case %s: malformed fp column", id)
+		return nil, wire.Corruptf("case %s: malformed fp column", id)
 	}
 
 	zc := colCursor{b: cols[5]}
@@ -210,7 +208,7 @@ func decodeCase(sec []byte, ordinal int, ent *indexEntry, resolved []string) (*t
 		events[i].Size = zc.varint()
 	}
 	if !zc.done() {
-		return nil, corrupt("case %s: malformed size column", id)
+		return nil, wire.Corruptf("case %s: malformed size column", id)
 	}
 
 	// The start column's non-negative deltas prove the events are already

@@ -18,7 +18,7 @@
 //	"STA2" | u32 version
 //	section*             (one per case, columnar; see below)
 //	dict                 (file-level symbol dictionary | u32 CRC)
-//	index                (case table with dictionary-encoded identities)
+//	index                (uvarint n | (cidSym hostSym rid offset length events)*)
 //	u64 dict offset | u64 index offset | u32 index CRC | "2ATS"
 //
 // section (all row values for one case, stored column-major):
@@ -34,12 +34,14 @@
 //	size   varint[]
 //	u32 CRC              (over everything above)
 //
-// The dictionary is an intern.Local serialized in first-use order
-// (intern.AppendDict) — a pure function of the written content, so the
+// The dictionary is a wire string dictionary (wire.Buf.Dict) in
+// first-use order — a pure function of the written content, so the
 // output is byte-for-byte reproducible. It doubles as the string arena:
 // the call and fp columns, and the index's CID/Host fields, are all
-// symbols into it. The index holds (identity, offset, length, events)
-// per case, with identities dictionary-encoded.
+// ids into it. The index holds (identity, offset, length, events) per
+// case, each identity a wire case-identity triple (wire.Buf.CaseID).
+// Every other primitive is wire's too, and a damaged file fails with a
+// wire.CorruptError.
 //
 // Every region is independently checksummed (sections and dict inline,
 // index from the footer), and the decoder validates claimed counts,
@@ -51,12 +53,7 @@
 // one fails with errV1.
 package archive
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-)
+import "errors"
 
 const (
 	magic       = "STA2"
@@ -78,58 +75,4 @@ const footerSize = 8 + 8 + 4 + 4
 // errV1 reports an archive in the retired STA v1 layout. Such files
 // are not corrupt, just no longer decoded: re-archiving the original
 // traces writes the current format.
-var errV1 = errors.New("archive: STA v1 file: this format is no longer supported; re-archive from the original traces (stinspect archive -traces DIR -o FILE.sta)")
-
-// CorruptError reports an integrity failure.
-type CorruptError struct {
-	Detail string
-}
-
-func (e *CorruptError) Error() string { return "archive: corrupt file: " + e.Detail }
-
-func corrupt(format string, args ...any) error {
-	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
-}
-
-// checksum is the CRC-32 (IEEE) used throughout the format.
-func checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
-
-// buf is a small append-only encoder.
-type buf struct {
-	b []byte
-}
-
-func (w *buf) bytes() []byte { return w.b }
-
-func (w *buf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *buf) varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *buf) raw(p []byte)     { w.b = append(w.b, p...) }
-func (w *buf) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *buf) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-
-// cursor is the matching decoder for the variable-length header fields
-// (the hot column loops use colCursor instead).
-type cursor struct {
-	b   []byte
-	off int
-}
-
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		return 0, corrupt("bad uvarint at offset %d", c.off)
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		return 0, corrupt("bad varint at offset %d", c.off)
-	}
-	c.off += n
-	return v, nil
-}
+var errV1 = errors.New("STA v1 file: this format is no longer supported; re-archive from the original traces (stinspect archive -traces DIR -o FILE.sta)")

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"stinspector/internal/intern"
 	"stinspector/internal/source"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // Reader provides random access to the cases of an STA file, the
@@ -24,15 +24,12 @@ type Reader struct {
 	// data, when non-nil, is a whole-file view (an mmap from Open, or
 	// an in-memory image) that section decodes slice zero-copy;
 	// otherwise sections are fetched through src with pooled buffers.
-	// dict is the file-level symbol dictionary, and resolved its remap
-	// into the process-wide symbol table, built once under resolveOnce
-	// (see resolve).
-	data        []byte
-	unmap       func() error
-	dict        *intern.Local
-	resolved    []string
-	resolveOnce sync.Once
-	secBufs     sync.Pool
+	// dict is the file-level string dictionary, each string the
+	// process-wide symbol table's canonical copy (see resolve).
+	data    []byte
+	unmap   func() error
+	dict    []string
+	secBufs sync.Pool
 }
 
 // Open opens an STA file for random access. The file is additionally
@@ -53,7 +50,7 @@ func Open(path string) (*Reader, error) {
 	r, err := newReader(f, st.Size())
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("archive %s: %w", path, err)
 	}
 	r.closer = f
 	if data, unmap, ok := mmapFile(f, st.Size()); ok {
@@ -69,7 +66,7 @@ func Open(path string) (*Reader, error) {
 // or slice. A v1 image fails with errV1.
 func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerSize {
-		return nil, corrupt("file too small (%d bytes)", size)
+		return nil, wire.Corruptf("file too small (%d bytes)", size)
 	}
 	head := make([]byte, headerSize)
 	if _, err := src.ReadAt(head, 0); err != nil {
@@ -83,34 +80,37 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	case magicV1:
 		return nil, errV1
 	default:
-		return nil, corrupt("bad magic %q", head[:4])
+		return nil, wire.Corruptf("bad magic %q", head[:4])
 	}
-	if ver := binary.LittleEndian.Uint32(head[4:]); ver != version {
-		return nil, fmt.Errorf("archive: unsupported version %d", ver)
+	// head holds headerSize bytes, so the version read cannot fail.
+	if ver, _ := wire.NewCursor(head[4:]).U32(); ver != version {
+		return nil, fmt.Errorf("unsupported STA version %d", ver)
 	}
 	if size < headerSize+footerSize {
-		return nil, corrupt("file too small (%d bytes)", size)
+		return nil, wire.Corruptf("file too small (%d bytes)", size)
 	}
 	foot := make([]byte, footerSize)
 	if _, err := src.ReadAt(foot, size-footerSize); err != nil {
 		return nil, err
 	}
 	if string(foot[footerSize-4:]) != footerMagic {
-		return nil, corrupt("bad footer magic %q", foot[footerSize-4:])
+		return nil, wire.Corruptf("bad footer magic %q", foot[footerSize-4:])
 	}
-	dictOffset := binary.LittleEndian.Uint64(foot)
-	indexOffset := binary.LittleEndian.Uint64(foot[8:])
-	indexCRC := binary.LittleEndian.Uint32(foot[16:])
+	// foot holds footerSize bytes, so these reads cannot fail.
+	fc := wire.NewCursor(foot)
+	dictOffset, _ := fc.U64()
+	indexOffset, _ := fc.U64()
+	indexCRC, _ := fc.U32()
 	if indexOffset > uint64(size-footerSize) {
-		return nil, corrupt("index offset %d beyond file", indexOffset)
+		return nil, wire.Corruptf("index offset %d beyond file", indexOffset)
 	}
 	if dictOffset < headerSize || dictOffset > indexOffset {
-		return nil, corrupt("dictionary region [%d,%d) out of order", dictOffset, indexOffset)
+		return nil, wire.Corruptf("dictionary region [%d,%d) out of order", dictOffset, indexOffset)
 	}
 	// The dictionary region is its payload plus a trailing CRC; even an
 	// empty dictionary needs a count byte.
 	if indexOffset-dictOffset < 5 {
-		return nil, corrupt("dictionary region of %d bytes too small", indexOffset-dictOffset)
+		return nil, wire.Corruptf("dictionary region of %d bytes too small", indexOffset-dictOffset)
 	}
 
 	dictRegion := make([]byte, indexOffset-dictOffset)
@@ -118,80 +118,77 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 		return nil, err
 	}
 	payload := dictRegion[:len(dictRegion)-4]
-	if checksum(payload) != binary.LittleEndian.Uint32(dictRegion[len(dictRegion)-4:]) {
-		return nil, corrupt("dictionary checksum mismatch")
+	crc, _ := wire.NewCursor(dictRegion[len(payload):]).U32() // 4 bytes, checked above
+	if wire.Checksum(payload) != crc {
+		return nil, wire.Corruptf("dictionary checksum mismatch")
 	}
-	dict, err := intern.DecodeDict(payload)
+	dc := wire.NewCursor(payload)
+	dict, err := dc.Dict()
 	if err != nil {
-		return nil, corrupt("dictionary: %v", err)
+		return nil, err
+	}
+	if err := dc.Done(); err != nil {
+		return nil, err
 	}
 
 	idx := make([]byte, uint64(size-footerSize)-indexOffset)
 	if _, err := src.ReadAt(idx, int64(indexOffset)); err != nil {
 		return nil, err
 	}
-	if checksum(idx) != indexCRC {
-		return nil, corrupt("index checksum mismatch")
+	if wire.Checksum(idx) != indexCRC {
+		return nil, wire.Corruptf("index checksum mismatch")
 	}
+	resolve(dict)
 
-	ic := &cursor{b: idx}
-	n, err := ic.uvarint()
+	ic := wire.NewCursor(idx)
+	// Every index entry needs at least 6 bytes (six one-byte varints).
+	n, err := ic.Count(6)
 	if err != nil {
 		return nil, err
 	}
-	// Every index entry needs at least 6 bytes (six one-byte varints),
-	// so a count the index bytes cannot hold is corruption, not an
-	// allocation request.
-	if n > uint64(ic.remaining())/6 {
-		return nil, corrupt("index claims %d cases in %d bytes", n, ic.remaining())
-	}
-	nsyms := uint64(dict.Len())
 	r := &Reader{src: src, dict: dict}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var ent indexEntry
-		cidSym, err := ic.uvarint()
-		if err != nil {
+		if ent.id, err = ic.CaseID(dict); err != nil {
 			return nil, err
 		}
-		hostSym, err := ic.uvarint()
-		if err != nil {
+		if ent.offset, err = ic.Uvarint(); err != nil {
 			return nil, err
 		}
-		if cidSym >= nsyms || hostSym >= nsyms {
-			return nil, corrupt("case %d identity symbols (%d,%d) beyond dictionary of %d", i, cidSym, hostSym, nsyms)
-		}
-		ent.cidSym, ent.hostSym = uint32(cidSym), uint32(hostSym)
-		ent.id.CID = dict.Str(intern.Sym(cidSym))
-		ent.id.Host = dict.Str(intern.Sym(hostSym))
-		rid, err := ic.varint()
-		if err != nil {
+		if ent.length, err = ic.Uvarint(); err != nil {
 			return nil, err
 		}
-		ent.id.RID = int(rid)
-		if ent.offset, err = ic.uvarint(); err != nil {
-			return nil, err
-		}
-		if ent.length, err = ic.uvarint(); err != nil {
-			return nil, err
-		}
-		if ent.events, err = ic.uvarint(); err != nil {
+		if ent.events, err = ic.Uvarint(); err != nil {
 			return nil, err
 		}
 		// Sections live strictly between the header and the dictionary.
 		// Compare without computing offset+length: hostile values near
 		// MaxUint64 would wrap the sum back into range.
 		if ent.offset < headerSize || ent.length > dictOffset || ent.offset > dictOffset-ent.length {
-			return nil, corrupt("case %s section [%d,+%d) outside data region", ent.id, ent.offset, ent.length)
+			return nil, wire.Corruptf("case %s section [%d,+%d) outside data region", ent.id, ent.offset, ent.length)
 		}
 		// Stream promises CaseID order, and a case stored twice would be
 		// folded twice: the writers lay the index down strictly
 		// ascending, so anything else is corruption.
 		if k := len(r.entries); k > 0 && !r.entries[k-1].id.Less(ent.id) {
-			return nil, corrupt("case %s follows %s in the index: not in ascending CaseID order", ent.id, r.entries[k-1].id)
+			return nil, wire.Corruptf("case %s follows %s in the index: not in ascending CaseID order", ent.id, r.entries[k-1].id)
 		}
 		r.entries = append(r.entries, ent)
 	}
 	return r, nil
+}
+
+// resolve replaces every dictionary string with the process-wide symbol
+// table's canonical copy — the near-zero-parse property: with the
+// index's identities and the call and fp columns all ids into the
+// dictionary, section decode afterwards touches no hash table and
+// allocates no strings, and every decoded string is a canonical one.
+func resolve(dict []string) {
+	cache := intern.CacheFor(nil)
+	for i, s := range dict {
+		dict[i] = cache.Canon(s)
+	}
+	intern.PutCache(cache)
 }
 
 // Close releases the mapping (if any) and the underlying file when the
@@ -215,29 +212,14 @@ func (r *Reader) Close() error {
 // NumCases returns the number of stored cases.
 func (r *Reader) NumCases() int { return len(r.entries) }
 
-// resolve returns the dictionary remapped into the process-wide symbol
-// table: resolve()[fileSym] is the canonical string. The remap runs
-// once per reader — the near-zero-parse property: after it, section
-// decode touches no hash table and allocates no strings. Concurrent
-// decode workers share the one remap via the Once.
-func (r *Reader) resolve() []string {
-	r.resolveOnce.Do(func() {
-		cache := intern.CacheFor(nil)
-		r.resolved = r.dict.RemapIntoTable(cache)
-		intern.PutCache(cache)
-	})
-	return r.resolved
-}
-
 // readAt decodes the case at index position i.
 func (r *Reader) readAt(i int) (*trace.Case, error) {
 	ent := &r.entries[i]
-	resolved := r.resolve()
 	if r.data != nil {
 		// Zero-copy: the section is a subslice of the mapping; decode
 		// copies every value out, so nothing escapes the mmap lifetime.
 		sec := r.data[ent.offset : ent.offset+ent.length]
-		return decodeCase(sec, i, ent, resolved)
+		return decodeCase(sec, i, ent, r.dict)
 	}
 	bp, _ := r.secBufs.Get().(*[]byte)
 	if bp == nil || uint64(cap(*bp)) < ent.length {
@@ -249,7 +231,7 @@ func (r *Reader) readAt(i int) (*trace.Case, error) {
 	if _, err := r.src.ReadAt(sec, int64(ent.offset)); err != nil {
 		return nil, err
 	}
-	return decodeCase(sec, i, ent, resolved)
+	return decodeCase(sec, i, ent, r.dict)
 }
 
 // Stream decodes the archive's case sections as a case source: sections

@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"stinspector/internal/intern"
 	"stinspector/internal/source"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 func TestV2RoundTripFile(t *testing.T) {
@@ -144,9 +147,9 @@ func TestV2ReaderRejectsIndexOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := newReaderBytes(f.Bytes())
-		var ce *CorruptError
+		var ce *wire.CorruptError
 		if !errors.As(err, &ce) {
-			t.Errorf("%s: opened with %v, want a *CorruptError", name, err)
+			t.Errorf("%s: opened with %v, want a *wire.CorruptError", name, err)
 		}
 	}
 }
@@ -434,5 +437,43 @@ func TestOpenSourceOptions(t *testing.T) {
 			src.Close()
 			t.Errorf("range %v accepted for %d cases", rg, len(all))
 		}
+	}
+}
+
+// Every string of a decoded case is the process-wide symbol table's
+// canonical copy: the reader resolves its dictionary through the table
+// once, so readers of one vocabulary retain one string per value.
+func TestDecodedStringsCanonical(t *testing.T) {
+	var f bytes.Buffer
+	if err := writeV2(&f, randLog(3, 4, 50)); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func([]byte) (*Reader, error){
+		"zero-copy": newReaderBytes,
+		"ReadAt":    newReaderAt,
+	} {
+		r, err := open(f.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := source.Drain(r.Stream(1, 1), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := intern.CacheFor(nil)
+		canonical := func(s string) bool {
+			return s == "" || unsafe.StringData(s) == unsafe.StringData(cache.Canon(s))
+		}
+		for _, c := range got.Cases() {
+			if !canonical(c.ID.CID) || !canonical(c.ID.Host) {
+				t.Errorf("%s: case %s: identity strings are not the table's copies", name, c.ID)
+			}
+			for _, e := range c.Events {
+				if !canonical(e.Call) || !canonical(e.FP) {
+					t.Fatalf("%s: case %s: event strings %q, %q are not the table's copies", name, c.ID, e.Call, e.FP)
+				}
+			}
+		}
+		intern.PutCache(cache)
 	}
 }

@@ -7,17 +7,15 @@ import (
 	"stinspector/internal/fsatomic"
 	"stinspector/internal/intern"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
-// indexEntry locates one case section within the file; cidSym and
-// hostSym are the dictionary encoding of the identity.
+// indexEntry locates one case section within the file.
 type indexEntry struct {
-	id      trace.CaseID
-	cidSym  uint32
-	hostSym uint32
-	offset  uint64
-	length  uint64
-	events  uint64
+	id     trace.CaseID
+	offset uint64
+	length uint64
+	events uint64
 }
 
 // v2Writer writes an STA archive incrementally: each Add encodes and
@@ -38,8 +36,8 @@ type v2Writer struct {
 	finished bool
 	dict     *intern.Local
 	entries  []indexEntry
-	cols     [6]buf // per-column scratch, reused across cases
-	sec      buf    // assembled-section scratch, reused across cases
+	cols     [6]wire.Buf // per-column scratch, reused across cases
+	sec      wire.Buf    // assembled-section scratch, reused across cases
 }
 
 // newV2Writer returns a writer that will stream an STA archive to w.
@@ -62,10 +60,10 @@ func (vw *v2Writer) start() error {
 		return vw.err
 	}
 	vw.started = true
-	var head buf
-	head.raw([]byte(magic))
-	head.u32(version)
-	return vw.count(head.bytes())
+	var head wire.Buf
+	head.Raw([]byte(magic))
+	head.U32(version)
+	return vw.count(head.Bytes())
 }
 
 // Add appends one case to the archive. The case must be sorted by start
@@ -89,16 +87,16 @@ func (vw *v2Writer) Add(c *trace.Case) error {
 	if k := len(vw.entries); k > 0 && !vw.entries[k-1].id.Less(c.ID) {
 		return fmt.Errorf("archive: case %s does not come after %s in CaseID order", c.ID, vw.entries[k-1].id)
 	}
-	cidSym := vw.dict.Intern(c.ID.CID)
-	hostSym := vw.dict.Intern(c.ID.Host)
+	// The identity takes its ids before the events do: the dictionary's
+	// first-use order is part of the format.
+	vw.dict.Intern(c.ID.CID)
+	vw.dict.Intern(c.ID.Host)
 	sec := vw.encodeCase(c, len(vw.entries))
 	vw.entries = append(vw.entries, indexEntry{
-		id:      c.ID,
-		cidSym:  uint32(cidSym),
-		hostSym: uint32(hostSym),
-		offset:  uint64(vw.written),
-		length:  uint64(len(sec)),
-		events:  uint64(len(c.Events)),
+		id:     c.ID,
+		offset: uint64(vw.written),
+		length: uint64(len(sec)),
+		events: uint64(len(c.Events)),
 	})
 	return vw.count(sec)
 }
@@ -118,35 +116,33 @@ func (vw *v2Writer) Finish() error {
 	vw.finished = true
 
 	dictOffset := uint64(vw.written)
-	payload := vw.dict.AppendDict(nil)
-	var dict buf
-	dict.raw(payload)
-	dict.u32(checksum(payload))
-	if err := vw.count(dict.bytes()); err != nil {
+	var dict wire.Buf
+	dict.Dict(vw.dict.Strs())
+	dict.U32(wire.Checksum(dict.Bytes()))
+	if err := vw.count(dict.Bytes()); err != nil {
 		return err
 	}
 
 	indexOffset := uint64(vw.written)
-	var idx buf
-	idx.uvarint(uint64(len(vw.entries)))
+	sym := func(s string) uint64 { return uint64(vw.dict.Intern(s)) }
+	var idx wire.Buf
+	idx.Uvarint(uint64(len(vw.entries)))
 	for _, ent := range vw.entries {
-		idx.uvarint(uint64(ent.cidSym))
-		idx.uvarint(uint64(ent.hostSym))
-		idx.varint(int64(ent.id.RID))
-		idx.uvarint(ent.offset)
-		idx.uvarint(ent.length)
-		idx.uvarint(ent.events)
+		idx.CaseID(ent.id, sym)
+		idx.Uvarint(ent.offset)
+		idx.Uvarint(ent.length)
+		idx.Uvarint(ent.events)
 	}
-	if err := vw.count(idx.bytes()); err != nil {
+	if err := vw.count(idx.Bytes()); err != nil {
 		return err
 	}
 
-	var foot buf
-	foot.u64(dictOffset)
-	foot.u64(indexOffset)
-	foot.u32(checksum(idx.bytes()))
-	foot.raw([]byte(footerMagic))
-	return vw.count(foot.bytes())
+	var foot wire.Buf
+	foot.U64(dictOffset)
+	foot.U64(indexOffset)
+	foot.U32(wire.Checksum(idx.Bytes()))
+	foot.Raw([]byte(footerMagic))
+	return vw.count(foot.Bytes())
 }
 
 // encodeCase serializes one case as a columnar section (see format.go
@@ -155,38 +151,38 @@ func (vw *v2Writer) Finish() error {
 // its previous high-water mark.
 func (vw *v2Writer) encodeCase(c *trace.Case, ordinal int) []byte {
 	for j := range vw.cols {
-		vw.cols[j].b = vw.cols[j].b[:0]
+		vw.cols[j].Reset()
 	}
 	pid, call, start := &vw.cols[0], &vw.cols[1], &vw.cols[2]
 	dur, fp, size := &vw.cols[3], &vw.cols[4], &vw.cols[5]
 	prev := int64(0)
 	for i, e := range c.Events {
-		pid.varint(int64(e.PID))
-		call.uvarint(uint64(vw.dict.Intern(e.Call)))
+		pid.Varint(int64(e.PID))
+		call.Uvarint(uint64(vw.dict.Intern(e.Call)))
 		v := int64(e.Start)
 		if i == 0 {
-			start.varint(v)
+			start.Varint(v)
 		} else {
-			start.uvarint(uint64(v - prev))
+			start.Uvarint(uint64(v - prev))
 		}
 		prev = v
-		dur.uvarint(uint64(e.Dur))
-		fp.uvarint(uint64(vw.dict.Intern(e.FP)))
-		size.varint(e.Size)
+		dur.Uvarint(uint64(e.Dur))
+		fp.Uvarint(uint64(vw.dict.Intern(e.FP)))
+		size.Varint(e.Size)
 	}
 
 	sec := &vw.sec
-	sec.b = sec.b[:0]
-	sec.uvarint(uint64(ordinal))
-	sec.uvarint(uint64(len(c.Events)))
+	sec.Reset()
+	sec.Uvarint(uint64(ordinal))
+	sec.Uvarint(uint64(len(c.Events)))
 	for j := range vw.cols {
-		sec.uvarint(uint64(len(vw.cols[j].b)))
+		sec.Uvarint(uint64(vw.cols[j].Len()))
 	}
 	for j := range vw.cols {
-		sec.raw(vw.cols[j].b)
+		sec.Raw(vw.cols[j].Bytes())
 	}
-	sec.u32(checksum(sec.b))
-	return sec.b
+	sec.U32(wire.Checksum(sec.Bytes()))
+	return sec.Bytes()
 }
 
 // writeV2 serializes the event-log in the STA format. Cases are written

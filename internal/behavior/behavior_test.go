@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"stinspector/internal/behavior"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth/profiles"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // fromLog folds every case of an event-log into one profile, in order.
@@ -212,10 +212,7 @@ func openedSection(subjects ...string) []byte {
 		}
 	}
 	var b wire.Buf
-	b.Uvarint(uint64(len(dict)))
-	for _, s := range dict {
-		b.Str(s)
-	}
+	b.Dict(dict)
 	b.Uvarint(1) // cases
 	b.Uvarint(0) // cid "app"
 	b.Uvarint(1) // host "h1"

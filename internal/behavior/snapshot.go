@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 
 	"stinspector/internal/intern"
-	"stinspector/internal/snapshot/wire"
-	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // EncodeSnapshot serializes the profile for durable storage. Every
@@ -58,9 +57,7 @@ func (p *Profile) EncodeSnapshot() []byte {
 	b.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		acc := p.cases[id]
-		b.Uvarint(str(id.CID))
-		b.Uvarint(str(id.Host))
-		b.Varint(int64(id.RID))
+		b.CaseID(id, str)
 		b.Uvarint(uint64(acc.events))
 		for op := opClass(0); op < numOps; op++ {
 			seg := opSegment(acc.run, op)
@@ -77,44 +74,20 @@ func (p *Profile) EncodeSnapshot() []byte {
 	}
 	var d wire.Buf
 	d.Grow(size)
-	d.Uvarint(uint64(len(strs)))
-	for _, s := range strs {
-		d.Str(s)
-	}
+	d.Dict(strs)
 	d.Raw(b.Bytes())
 	return d.Bytes()
 }
 
 // DecodeSnapshot reconstructs a profile from EncodeSnapshot bytes. The
-// dictionary strings are re-interned through the profile's fresh scoped
-// table in file order, and every reference is range-checked: hostile
-// input yields a wire.CorruptError, never a panic or a garbage profile.
+// subjects are interned through the profile's fresh scoped table, and
+// every reference is range-checked against the dictionary: hostile input
+// yields a wire.CorruptError, never a panic or a garbage profile.
 func DecodeSnapshot(data []byte) (*Profile, error) {
 	c := wire.NewCursor(data)
-	nd, err := c.Count(1)
+	dict, err := c.Dict()
 	if err != nil {
 		return nil, err
-	}
-	dict := intern.NewLocal()
-	for i := 0; i < nd; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		dict.Intern(s)
-		if dict.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate behavior-dictionary string %q", s)
-		}
-	}
-	sym := func() (string, error) {
-		y, err := c.Uvarint()
-		if err != nil {
-			return "", err
-		}
-		if y >= uint64(nd) {
-			return "", wire.Corruptf("behavior dictionary id %d out of range (%d strings)", y, nd)
-		}
-		return dict.Str(intern.Sym(y)), nil
 	}
 
 	p := New()
@@ -124,18 +97,10 @@ func DecodeSnapshot(data []byte) (*Profile, error) {
 		return nil, err
 	}
 	for i := 0; i < nc; i++ {
-		var id trace.CaseID
-		if id.CID, err = sym(); err != nil {
-			return nil, err
-		}
-		if id.Host, err = sym(); err != nil {
-			return nil, err
-		}
-		rid, err := c.Varint()
+		id, err := c.CaseID(dict)
 		if err != nil {
 			return nil, err
 		}
-		id.RID = int(rid)
 		events, err := c.Int()
 		if err != nil {
 			return nil, err
@@ -148,7 +113,7 @@ func DecodeSnapshot(data []byte) (*Profile, error) {
 			}
 			prev := ""
 			for j := 0; j < ne; j++ {
-				s, err := sym()
+				s, err := c.Ref(dict)
 				if err != nil {
 					return nil, err
 				}

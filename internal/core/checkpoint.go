@@ -244,7 +244,7 @@ func MergeSnapshotFiles(m pm.Mapping, paths ...string) (*StreamResult, error) {
 	for i, p := range paths {
 		s, err := snapshot.ReadFile(p, m)
 		if err != nil {
-			return nil, fmt.Errorf("merge %s: %w", p, err)
+			return nil, err
 		}
 		snaps[i] = s
 	}

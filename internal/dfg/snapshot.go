@@ -3,7 +3,7 @@ package dfg
 import (
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot/wire"
+	"stinspector/internal/wire"
 )
 
 // EncodeSnapshot serializes the graph for durable storage. Activities
@@ -26,10 +26,7 @@ func (g *Graph) EncodeSnapshot() []byte {
 	for _, a := range nodes {
 		dict.Intern(string(a))
 	}
-	b.Uvarint(uint64(dict.Len()))
-	for i := 0; i < dict.Len(); i++ {
-		b.Str(dict.Str(intern.Sym(i)))
-	}
+	b.Dict(dict.Strs())
 
 	b.Uvarint(uint64(g.traces))
 	b.Uvarint(uint64(len(nodes)))
@@ -51,36 +48,15 @@ func (g *Graph) EncodeSnapshot() []byte {
 }
 
 // DecodeGraphSnapshot reconstructs a graph from EncodeSnapshot bytes.
-// Every dictionary reference is range-checked and duplicate entries are
-// rejected: hostile input yields a wire.CorruptError, never a panic.
+// Every dictionary reference is range-checked and duplicate nodes and
+// edges are rejected: hostile input yields a wire.CorruptError, never a
+// panic.
 func DecodeGraphSnapshot(data []byte) (*Graph, error) {
 	c := wire.NewCursor(data)
-	nd, err := c.Count(1)
+	dict, err := c.Dict()
 	if err != nil {
 		return nil, err
 	}
-	dict := intern.NewLocal()
-	for i := 0; i < nd; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		dict.Intern(s)
-		if dict.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate dictionary string %q", s)
-		}
-	}
-	sym := func() (pm.Activity, error) {
-		y, err := c.Uvarint()
-		if err != nil {
-			return "", err
-		}
-		if y >= uint64(nd) {
-			return "", wire.Corruptf("dictionary id %d out of range (%d strings)", y, nd)
-		}
-		return pm.Activity(dict.Str(intern.Sym(y))), nil
-	}
-
 	g := New()
 	if g.traces, err = c.Int(); err != nil {
 		return nil, err
@@ -90,10 +66,11 @@ func DecodeGraphSnapshot(data []byte) (*Graph, error) {
 		return nil, err
 	}
 	for i := 0; i < nn; i++ {
-		a, err := sym()
+		s, err := c.Ref(dict)
 		if err != nil {
 			return nil, err
 		}
+		a := pm.Activity(s)
 		count, err := c.Varint()
 		if err != nil {
 			return nil, err
@@ -108,13 +85,15 @@ func DecodeGraphSnapshot(data []byte) (*Graph, error) {
 		return nil, err
 	}
 	for i := 0; i < ne; i++ {
-		var e Edge
-		if e.From, err = sym(); err != nil {
+		from, err := c.Ref(dict)
+		if err != nil {
 			return nil, err
 		}
-		if e.To, err = sym(); err != nil {
+		to, err := c.Ref(dict)
+		if err != nil {
 			return nil, err
 		}
+		e := Edge{From: pm.Activity(from), To: pm.Activity(to)}
 		count, err := c.Varint()
 		if err != nil {
 			return nil, err

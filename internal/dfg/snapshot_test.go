@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 func snapGraph(t *testing.T) *Graph {
@@ -86,8 +86,7 @@ func TestGraphSnapshotCorrupt(t *testing.T) {
 	var ce *wire.CorruptError
 	// Edge referencing an out-of-range dictionary id.
 	var b wire.Buf
-	b.Uvarint(1)
-	b.Str("a")
+	b.Dict([]string{"a"})
 	b.Uvarint(0) // traces
 	b.Uvarint(1) // nodes
 	b.Uvarint(0)

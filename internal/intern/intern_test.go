@@ -144,6 +144,9 @@ func TestLocalRemapIdentity(t *testing.T) {
 		if dst.Str(r[y]) != l.Str(Sym(y)) {
 			t.Fatalf("remap changed string: %q -> %q", l.Str(Sym(y)), dst.Str(r[y]))
 		}
+		if dst.Strs()[y] != l.Str(Sym(y)) {
+			t.Fatalf("Strs()[%d] = %q, want %q", y, dst.Strs()[y], l.Str(Sym(y)))
+		}
 	}
 }
 

@@ -47,6 +47,10 @@ func (l *Local) Str(y Sym) string { return l.strs[y] }
 // Len returns the number of distinct strings interned.
 func (l *Local) Len() int { return len(l.strs) }
 
+// Strs returns the interned strings in symbol order, Strs()[y] ==
+// Str(y). The slice is the table's own: callers must not modify it.
+func (l *Local) Strs() []string { return l.strs }
+
 // RemapInto interns every symbol of l into dst and returns the
 // translation r, with r[localSym] = dst symbol for the same string.
 // Remapping preserves meaning exactly — dst.Str(r[y]) == l.Str(y) for

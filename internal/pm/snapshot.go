@@ -4,8 +4,8 @@ import (
 	"sort"
 
 	"stinspector/internal/intern"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // EncodeSnapshot serializes the activity-log for durable storage. Every
@@ -24,6 +24,7 @@ func (l *Log) EncodeSnapshot() []byte {
 	// One pass: the payload is written while the dictionary assigns ids
 	// in first-use order, and the dictionary is prepended at the end.
 	dict := intern.NewLocal()
+	sym := func(s string) uint64 { return uint64(dict.Intern(s)) }
 	var b wire.Buf
 	b.Uvarint(uint64(l.mapped))
 	b.Uvarint(uint64(l.unmapped))
@@ -31,53 +32,31 @@ func (l *Log) EncodeSnapshot() []byte {
 	for _, v := range l.variants {
 		b.Uvarint(uint64(len(v.Seq)))
 		for _, a := range v.Seq {
-			b.Uvarint(uint64(dict.Intern(string(a))))
+			b.Uvarint(sym(string(a)))
 		}
 		b.Uvarint(uint64(v.Mult))
 		b.Uvarint(uint64(len(v.Cases)))
 		for _, id := range v.Cases {
-			b.Uvarint(uint64(dict.Intern(id.CID)))
-			b.Uvarint(uint64(dict.Intern(id.Host)))
-			b.Varint(int64(id.RID))
+			b.CaseID(id, sym)
 		}
 	}
-	return append(dict.AppendDict(nil), b.Bytes()...)
+	var out wire.Buf
+	out.Dict(dict.Strs())
+	out.Raw(b.Bytes())
+	return out.Bytes()
 }
 
 // DecodeLogSnapshot reconstructs an activity-log from EncodeSnapshot
-// bytes. The dictionary strings are re-interned through a fresh scoped
-// table in file order — reproducing the original symbol assignment —
-// and every reference is range-checked: hostile input yields a
-// wire.CorruptError, never a panic or a garbage log. Every variant must
-// record exactly one case per count, as the encoder always writes: a
-// short list would be padded with zero CaseIDs by Merge and then split
-// into the wrong subset by dfg.Split.
+// bytes. Every reference is range-checked against the dictionary:
+// hostile input yields a wire.CorruptError, never a panic or a garbage
+// log. Every variant must record exactly one case per count, as the
+// encoder always writes: a short list would be padded with zero CaseIDs
+// by Merge and then split into the wrong subset by dfg.Split.
 func DecodeLogSnapshot(data []byte) (*Log, error) {
 	c := wire.NewCursor(data)
-	nd, err := c.Count(1)
+	dict, err := c.Dict()
 	if err != nil {
 		return nil, err
-	}
-	dict := intern.NewLocal()
-	for i := 0; i < nd; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		dict.Intern(s)
-		if dict.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate dictionary string %q", s)
-		}
-	}
-	sym := func() (string, error) {
-		y, err := c.Uvarint()
-		if err != nil {
-			return "", err
-		}
-		if y >= uint64(nd) {
-			return "", wire.Corruptf("dictionary id %d out of range (%d strings)", y, nd)
-		}
-		return dict.Str(intern.Sym(y)), nil
 	}
 
 	l := &Log{}
@@ -104,7 +83,7 @@ func DecodeLogSnapshot(data []byte) (*Log, error) {
 		}
 		seq := make(Trace, ns)
 		for j := range seq {
-			s, err := sym()
+			s, err := c.Ref(dict)
 			if err != nil {
 				return nil, err
 			}
@@ -126,17 +105,9 @@ func DecodeLogSnapshot(data []byte) (*Log, error) {
 		}
 		cases := make([]trace.CaseID, nc)
 		for j := range cases {
-			if cases[j].CID, err = sym(); err != nil {
+			if cases[j], err = c.CaseID(dict); err != nil {
 				return nil, err
 			}
-			if cases[j].Host, err = sym(); err != nil {
-				return nil, err
-			}
-			rid, err := c.Varint()
-			if err != nil {
-				return nil, err
-			}
-			cases[j].RID = int(rid)
 		}
 		key := seq.key()
 		// A well-formed snapshot never repeats a variant key; fold

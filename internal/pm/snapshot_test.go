@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"testing"
 
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth"
+	"stinspector/internal/wire"
 )
 
 func buildLog(t *testing.T) *Log {
@@ -89,15 +89,12 @@ func TestLogSnapshotMergesAfterDecode(t *testing.T) {
 // multiplicity and that many cases recorded.
 func miscountedLog(mult, cases int) []byte {
 	var b wire.Buf
-	b.Uvarint(3) // dictionary: activity, CID, host
-	b.Str("read:/f")
-	b.Str("c")
-	b.Str("h")
-	b.Uvarint(uint64(mult)) // mapped
-	b.Uvarint(0)            // unmapped
-	b.Uvarint(1)            // one variant
-	b.Uvarint(1)            // seq len
-	b.Uvarint(0)            // read:/f
+	b.Dict([]string{"read:/f", "c", "h"}) // activity, CID, host
+	b.Uvarint(uint64(mult))               // mapped
+	b.Uvarint(0)                          // unmapped
+	b.Uvarint(1)                          // one variant
+	b.Uvarint(1)                          // seq len
+	b.Uvarint(0)                          // read:/f
 	b.Uvarint(uint64(mult))
 	b.Uvarint(uint64(cases))
 	for rid := 0; rid < cases; rid++ {
@@ -119,8 +116,7 @@ func TestLogSnapshotCorrupt(t *testing.T) {
 	}
 	// Dictionary id beyond the table.
 	var b wire.Buf
-	b.Uvarint(1) // one dictionary string
-	b.Str("x")
+	b.Dict([]string{"x"})
 	b.Uvarint(0) // mapped
 	b.Uvarint(0) // unmapped
 	b.Uvarint(1) // one variant

@@ -53,9 +53,9 @@ import (
 	"stinspector/internal/fsatomic"
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/stats"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 const (
@@ -67,7 +67,7 @@ const (
 // ErrVersion reports a snapshot written in another STS version. Such a
 // file is not corrupt, only unreadable by this build: the checkpoint or
 // partial it holds has to be rebuilt by folding the traces again.
-var ErrVersion = errors.New("snapshot: unsupported STS version; re-fold the traces to rebuild it")
+var ErrVersion = errors.New("unsupported STS version; re-fold the traces to rebuild it")
 
 // footerSize is the fixed tail: index offset, index CRC, magic.
 const footerSize = 8 + 4 + 4
@@ -324,32 +324,23 @@ func decodeSection(section []byte, kind int) ([]byte, error) {
 // dictionary: dict n | string* | count | (cidSym hostSym rid)*.
 func encodeSeen(seen []trace.CaseID) []byte {
 	dict := intern.NewLocal()
+	sym := func(s string) uint64 { return uint64(dict.Intern(s)) }
 	var b wire.Buf
 	b.Uvarint(uint64(len(seen)))
 	for _, id := range seen {
-		b.Uvarint(uint64(dict.Intern(id.CID)))
-		b.Uvarint(uint64(dict.Intern(id.Host)))
-		b.Varint(int64(id.RID))
+		b.CaseID(id, sym)
 	}
-	return append(dict.AppendDict(nil), b.Bytes()...)
+	var out wire.Buf
+	out.Dict(dict.Strs())
+	out.Raw(b.Bytes())
+	return out.Bytes()
 }
 
 func decodeSeen(data []byte) ([]trace.CaseID, error) {
 	c := wire.NewCursor(data)
-	nd, err := c.Count(1)
+	dict, err := c.Dict()
 	if err != nil {
 		return nil, err
-	}
-	dict := intern.NewLocal()
-	for i := 0; i < nd; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		dict.Intern(s)
-		if dict.Len() != i+1 {
-			return nil, wire.Corruptf("duplicate seen-dictionary string %q", s)
-		}
 	}
 	n, err := c.Count(3)
 	if err != nil {
@@ -357,24 +348,9 @@ func decodeSeen(data []byte) ([]trace.CaseID, error) {
 	}
 	seen := make([]trace.CaseID, n)
 	for i := range seen {
-		cy, err := c.Uvarint()
-		if err != nil {
+		if seen[i], err = c.CaseID(dict); err != nil {
 			return nil, err
 		}
-		hy, err := c.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if cy >= uint64(nd) || hy >= uint64(nd) {
-			return nil, wire.Corruptf("seen dictionary id out of range (%d strings)", nd)
-		}
-		seen[i].CID = dict.Str(intern.Sym(cy))
-		seen[i].Host = dict.Str(intern.Sym(hy))
-		rid, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		seen[i].RID = int(rid)
 	}
 	if err := c.Done(); err != nil {
 		return nil, err
@@ -430,10 +406,15 @@ func WriteFile(path string, s *Snapshot) error {
 }
 
 // ReadFile loads and decodes a snapshot file under the given mapping.
+// A decode error names the file.
 func ReadFile(path string, m pm.Mapping) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decode(data, m)
+	s, err := decode(data, m)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", path, err)
+	}
+	return s, nil
 }

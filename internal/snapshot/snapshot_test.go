@@ -11,11 +11,11 @@ import (
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/stats"
 	"stinspector/internal/synth"
 	"stinspector/internal/synth/profiles"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // foldRange builds the snapshot of a sequential fold over a contiguous
@@ -202,8 +202,7 @@ func TestSnapshotVersionError(t *testing.T) {
 // only the stats decoder's order check stands in its way.
 func descendingStartSnapshot(s *Snapshot) []byte {
 	var b wire.Buf
-	b.Uvarint(1)
-	b.Str("read:/f")
+	b.Dict([]string{"read:/f"})
 	b.Varint(0)  // totalDur
 	b.Uvarint(1) // one accumulator
 	b.Uvarint(0) // activity 0
@@ -234,10 +233,7 @@ func descendingStartSnapshot(s *Snapshot) []byte {
 // only the behavior decoder's order check stands in its way.
 func unsortedBehaviorSnapshot(s *Snapshot, second string) []byte {
 	var b wire.Buf
-	b.Uvarint(4)
-	for _, str := range []string{"app", "h1", "/b", "/a"} {
-		b.Str(str)
-	}
+	b.Dict([]string{"app", "h1", "/b", "/a"})
 	b.Uvarint(1) // cases
 	b.Uvarint(0) // cid
 	b.Uvarint(1) // host

@@ -8,7 +8,7 @@ import (
 
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot/wire"
+	"stinspector/internal/wire"
 )
 
 // Symbols returns the number of distinct activity symbols in the
@@ -50,11 +50,12 @@ func (c *Computer) EncodeSnapshot() []byte {
 		return strings.Compare(acts.Str(a), acts.Str(b))
 	})
 
-	var b wire.Buf
-	b.Uvarint(uint64(len(order)))
-	for _, y := range order {
-		b.Str(acts.Str(y))
+	strs := make([]string, len(order))
+	for i, y := range order {
+		strs[i] = acts.Str(y)
 	}
+	var b wire.Buf
+	b.Dict(strs)
 	b.Varint(int64(c.totalDur))
 	nAccs := 0
 	for y := range c.accs {
@@ -112,20 +113,17 @@ func DecodeComputerSnapshot(data []byte, m pm.Mapping) (*Computer, error) {
 	c := wire.NewCursor(data)
 	sm := pm.NewSymMapper(m)
 	acts := sm.Acts()
-	nActs, err := c.Count(1)
+	strs, err := c.Dict()
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < nActs; i++ {
-		s, err := c.Str()
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && s <= acts.Str(intern.Sym(i-1)) {
+	for i, s := range strs {
+		if i > 0 && s <= strs[i-1] {
 			return nil, wire.Corruptf("activity %q out of string order", s)
 		}
 		acts.Intern(s)
 	}
+	nActs := len(strs)
 
 	out := &Computer{sm: sm, accs: make([]accum, nActs)}
 	td, err := c.Varint()

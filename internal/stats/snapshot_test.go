@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"stinspector/internal/pm"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth"
+	"stinspector/internal/wire"
 )
 
 // Encode∘decode preserves the computer's pre-Finalize state exactly:
@@ -98,8 +98,7 @@ func TestComputerSnapshotCorrupt(t *testing.T) {
 	var ce *wire.CorruptError
 	// An accumulator claiming events == 0 breaks the absence invariant.
 	var b wire.Buf
-	b.Uvarint(1)
-	b.Str("act")
+	b.Dict([]string{"act"})
 	b.Varint(0)   // totalDur
 	b.Uvarint(1)  // one accumulator
 	b.Uvarint(0)  // sym

@@ -10,9 +10,9 @@ import (
 	"stinspector/internal/iorsim"
 	"stinspector/internal/pm"
 	"stinspector/internal/race"
-	"stinspector/internal/snapshot/wire"
 	"stinspector/internal/synth"
 	"stinspector/internal/trace"
+	"stinspector/internal/wire"
 )
 
 // foldParts folds the corpus round-robin by case blocks into k partial
@@ -141,10 +141,7 @@ func TestComputerSnapshotRejectsUnsorted(t *testing.T) {
 	}
 	build := func(acts []string, accIdx []uint64, spans []span2) []byte {
 		var b wire.Buf
-		b.Uvarint(uint64(len(acts)))
-		for _, a := range acts {
-			b.Str(a)
-		}
+		b.Dict(acts)
 		b.Varint(0) // totalDur
 		b.Uvarint(uint64(len(accIdx)))
 		for _, y := range accIdx {

@@ -1,9 +1,17 @@
-// Package wire provides the binary building blocks of the snapshot
-// format: a small append-only encoder, a bounds-checked decoder, and
-// the CRC-32 checksum — the same primitives the STA archive format uses
-// (internal/archive/format.go), factored into a leaf package so the
-// aggregate packages (pm, dfg, stats) can serialize themselves without
-// importing the archive layer.
+// Package wire is the binary codec of both on-disk formats, the STS
+// snapshot (internal/snapshot and the sections the aggregates encode)
+// and the STA archive (internal/archive): a small append-only encoder,
+// a bounds-checked decoder, the CRC-32 checksum, the string dictionary
+// and the case identity. It is a leaf below the aggregate packages (pm,
+// dfg, stats, behavior), so they serialize themselves without importing
+// either container.
+//
+// Both formats store strings the same way, as a dictionary
+//
+//	uvarint n | (uvarint len | bytes)*
+//
+// in which string i has id i. Values refer to strings by id, and a case
+// identity is the triple (cidSym, hostSym, rid) of two ids and a varint.
 //
 // The decoder is written for hostile input: every primitive read is
 // bounds-checked, and Count guards length-prefixed collections against
@@ -19,24 +27,26 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+
+	"stinspector/internal/trace"
 )
 
-// CorruptError reports a snapshot integrity failure: truncation,
-// checksum mismatch, an out-of-range dictionary id, or a structurally
-// impossible count.
+// CorruptError reports an integrity failure of a snapshot or an
+// archive: truncation, checksum mismatch, an out-of-range dictionary
+// id, or a structurally impossible count. The readers of both files
+// wrap it with the file's path.
 type CorruptError struct {
 	Detail string
 }
 
-func (e *CorruptError) Error() string { return "snapshot: corrupt: " + e.Detail }
+func (e *CorruptError) Error() string { return "corrupt: " + e.Detail }
 
 // Corruptf builds a CorruptError.
 func Corruptf(format string, args ...any) error {
 	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
 }
 
-// Checksum is the CRC-32 (IEEE) used throughout the snapshot format,
-// matching the archive format's choice.
+// Checksum is the CRC-32 (IEEE) used throughout both formats.
 func Checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
 // Buf is a small append-only encoder.
@@ -49,6 +59,10 @@ func (w *Buf) Bytes() []byte { return w.b }
 
 // Len returns the number of bytes encoded so far.
 func (w *Buf) Len() int { return len(w.b) }
+
+// Reset empties the buffer and keeps its capacity, for scratch reused
+// across encodings.
+func (w *Buf) Reset() { w.b = w.b[:0] }
 
 // Grow makes room for at least n more bytes, so an encoder that knows
 // its output size writes it without reallocating.
@@ -89,7 +103,8 @@ func (w *Buf) U64(v uint64) {
 	w.b = binary.LittleEndian.AppendUint64(w.b, v)
 }
 
-func (w *Buf) Str(s string) {
+// str writes a length-prefixed string; only Dict writes strings.
+func (w *Buf) str(s string) {
 	w.Uvarint(uint64(len(s)))
 	w.reserve(len(s))
 	w.b = append(w.b, s...)
@@ -102,6 +117,29 @@ func (w *Buf) Bool(v bool) {
 	} else {
 		w.b = append(w.b, 0)
 	}
+}
+
+// Dict writes strs as a string dictionary: string i gets id i. The
+// output is a function of strs alone, so an encoder that assigns ids in
+// a deterministic order writes reproducible bytes.
+func (w *Buf) Dict(strs []string) {
+	n := binary.MaxVarintLen64
+	for _, s := range strs {
+		n += binary.MaxVarintLen64 + len(s)
+	}
+	w.reserve(n)
+	w.Uvarint(uint64(len(strs)))
+	for _, s := range strs {
+		w.str(s)
+	}
+}
+
+// CaseID writes a case identity as the triple (cidSym, hostSym, rid),
+// where sym returns a string's dictionary id.
+func (w *Buf) CaseID(id trace.CaseID, sym func(string) uint64) {
+	w.Uvarint(sym(id.CID))
+	w.Uvarint(sym(id.Host))
+	w.Varint(int64(id.RID))
 }
 
 // Cursor is the matching bounds-checked decoder.
@@ -171,7 +209,9 @@ func (c *Cursor) Bool() (bool, error) {
 	}
 }
 
-func (c *Cursor) Str() (string, error) {
+// str reads a length-prefixed string, copied out of the input; only
+// Dict reads strings.
+func (c *Cursor) str() (string, error) {
 	n, err := c.Uvarint()
 	if err != nil {
 		return "", err
@@ -182,6 +222,60 @@ func (c *Cursor) Str() (string, error) {
 	s := string(c.b[c.off : c.off+int(n)])
 	c.off += int(n)
 	return s, nil
+}
+
+// Dict reads a string dictionary written by Buf.Dict. A count the
+// remaining bytes cannot hold, a length past the end of the input and a
+// duplicate string (which no encoder writes, since ids name distinct
+// strings) are corruption. The strings are copied out of the input, so
+// the caller may reuse or unmap it afterwards.
+func (c *Cursor) Dict() ([]string, error) {
+	// Every string costs at least its one-byte length.
+	n, err := c.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	strs := make([]string, n)
+	seen := make(map[string]struct{}, n)
+	for i := range strs {
+		s, err := c.str()
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := seen[s]; dup {
+			return nil, Corruptf("duplicate dictionary string %q", s)
+		}
+		seen[s] = struct{}{}
+		strs[i] = s
+	}
+	return strs, nil
+}
+
+// Ref reads a dictionary id and returns the string it names in dict.
+func (c *Cursor) Ref(dict []string) (string, error) {
+	y, err := c.Uvarint()
+	if err != nil {
+		return "", err
+	}
+	if y >= uint64(len(dict)) {
+		return "", Corruptf("dictionary id %d out of range (%d strings) at offset %d", y, len(dict), c.off)
+	}
+	return dict[y], nil
+}
+
+// CaseID reads a case identity written by Buf.CaseID against dict.
+func (c *Cursor) CaseID(dict []string) (trace.CaseID, error) {
+	var id trace.CaseID
+	var err error
+	if id.CID, err = c.Ref(dict); err != nil {
+		return id, err
+	}
+	if id.Host, err = c.Ref(dict); err != nil {
+		return id, err
+	}
+	rid, err := c.Varint()
+	id.RID = int(rid)
+	return id, err
 }
 
 // Count reads a collection length and validates it against the bytes

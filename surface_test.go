@@ -73,25 +73,24 @@ const (
 // non-test code but stay exported, keyed by "<package path under
 // internal/>.<name>". It may only shrink.
 var surfaceExceptions = map[string]string{
-	"archive.CorruptError":       typedFault,
-	"archive.Reader":             namedBySignature, // archive.Open returns it
-	"dxt.ParseError":             typedFault,
-	"dxt.Record":                 namedBySignature, // dxt.Parse and dxt.Stream
-	"experiments.Check":          namedBySignature, // experiments.Report.Checks
-	"mpisim.CostFunc":            namedBySignature, // mpisim.Syscall
-	"mpisim.Engine":              namedBySignature, // mpisim.NewEngine returns it
-	"pm.Variant":                 namedBySignature, // pm.Log.Variants returns it
-	"render.EdgeStyle":           namedBySignature, // render.Styler
-	"render.NodeStyle":           namedBySignature, // render.Styler
-	"serve.Info":                 namedBySignature, // serve.Session.Info returns it
-	"serve.SessionState":         namedBySignature, // serve.Info.State
-	"snapshot/wire.CorruptError": typedFault,
-	"strace.ParseError":          typedFault,
-	"strace.StreamFS":            fakeFSSeam,
-	"strace.TailFS":              fakeFSSeam,
-	"strace.TailFile":            fakeFSSeam,
-	"strace.Writer":              namedBySignature, // strace.NewWriter returns it
-	"workloads.Result":           namedBySignature, // workloads.Checkpoint and friends
+	"archive.Reader":     namedBySignature, // archive.Open returns it
+	"dxt.ParseError":     typedFault,
+	"dxt.Record":         namedBySignature, // dxt.Parse and dxt.Stream
+	"experiments.Check":  namedBySignature, // experiments.Report.Checks
+	"mpisim.CostFunc":    namedBySignature, // mpisim.Syscall
+	"mpisim.Engine":      namedBySignature, // mpisim.NewEngine returns it
+	"pm.Variant":         namedBySignature, // pm.Log.Variants returns it
+	"render.EdgeStyle":   namedBySignature, // render.Styler
+	"render.NodeStyle":   namedBySignature, // render.Styler
+	"serve.Info":         namedBySignature, // serve.Session.Info returns it
+	"serve.SessionState": namedBySignature, // serve.Info.State
+	"wire.CorruptError":  typedFault,
+	"strace.ParseError":  typedFault,
+	"strace.StreamFS":    fakeFSSeam,
+	"strace.TailFS":      fakeFSSeam,
+	"strace.TailFile":    fakeFSSeam,
+	"strace.Writer":      namedBySignature, // strace.NewWriter returns it
+	"workloads.Result":   namedBySignature, // workloads.Checkpoint and friends
 }
 
 // facadeExceptions lists the exports of this package that no non-test
