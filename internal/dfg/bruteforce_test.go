@@ -56,7 +56,7 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 			}
 			return pm.Activity(e.Call), true
 		})
-		l := pm.Build(el, m, pm.BuildOptions{Endpoints: true, KeepEmpty: true})
+		l := pm.Build(el, m, pm.BuildOptions{Endpoints: true})
 		g := Build(l)
 		wantEdges, wantNodes := bruteForceDFG(l)
 

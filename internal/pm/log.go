@@ -60,11 +60,9 @@ type Log struct {
 type BuildOptions struct {
 	// Endpoints appends the virtual start (●) and end (■) activities
 	// to every trace, as the paper does before constructing the DFG.
+	// A case whose every event is outside the mapping domain is always
+	// dropped, so it adds no ●→■ edge.
 	Endpoints bool
-	// KeepEmpty keeps cases whose every event is outside the mapping
-	// domain as empty traces (which contribute a single ●→■ edge when
-	// Endpoints is set). When false such cases are dropped.
-	KeepEmpty bool
 }
 
 // Build derives the activity-log of an event-log under a mapping
@@ -157,7 +155,7 @@ func (b *Builder) AddMapped(id trace.CaseID, syms []intern.Sym) ([]intern.Sym, b
 		seq = append(seq, y)
 		n++
 	}
-	if n == 0 && !b.opts.KeepEmpty {
+	if n == 0 {
 		b.seqbuf = seq
 		return nil, false
 	}

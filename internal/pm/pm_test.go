@@ -289,17 +289,13 @@ func TestBuildPartialMapping(t *testing.T) {
 	}
 }
 
+// A case with no mapped event leaves no trace, endpoints or not.
 func TestBuildEmptyTraces(t *testing.T) {
 	m := pathMapping("/no/such/path")
-	if l := Build(fig2aLog(t), m, BuildOptions{}); l.NumTraces() != 0 {
-		t.Errorf("dropped empty traces expected, got %d", l.NumTraces())
-	}
-	l := Build(fig2aLog(t), m, BuildOptions{KeepEmpty: true, Endpoints: true})
-	if l.NumTraces() != 3 || l.NumVariants() != 1 {
-		t.Fatalf("kept traces = %d variants = %d", l.NumTraces(), l.NumVariants())
-	}
-	if got := l.Variants()[0].Seq; len(got) != 2 || got[0] != Start || got[1] != End {
-		t.Errorf("empty trace with endpoints = %v", got)
+	for _, opts := range []BuildOptions{{}, {Endpoints: true}} {
+		if l := Build(fig2aLog(t), m, opts); l.NumTraces() != 0 {
+			t.Errorf("%+v: dropped empty traces expected, got %d", opts, l.NumTraces())
+		}
 	}
 }
 
