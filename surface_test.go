@@ -4,8 +4,10 @@ package stinspector
 //
 // Package level: every exported func, type, var and const declared in
 // a non-test file under internal/ must be referenced from a non-test
-// file outside its package, or be listed in surfaceExceptions with one
-// of three reasons.
+// file outside its package, or be a type named by the signature or
+// exported fields of a used identifier or a used method (see
+// namedBySignature), or be listed in surfaceExceptions with one of two
+// reasons.
 //
 // Methods: every exported method declared in a non-test file under
 // internal/ must be selected on its own receiver type in some non-test
@@ -18,9 +20,9 @@ package stinspector
 //
 // Facade: every exported identifier declared in a non-test file of this
 // package must be referenced from a non-test file of another package
-// (cmd/, examples/, bench/), or be named by the signature or fields of
-// one that is; otherwise it is listed in facadeExceptions with one of
-// the package-level reasons.
+// (cmd/, examples/, bench/), or name a type that the signature or
+// exported fields of such an identifier or of a used method name, by
+// the same rule as the package level. There is no exception list.
 //
 // Unexported code: every unexported function and method declared in a
 // non-test file outside the exempt packages must be used from a
@@ -37,7 +39,8 @@ package stinspector
 // delete it, if nothing in its package uses it either) and run
 // `go test -run TestExportedSurface .`. The test also fails on an entry
 // that is no longer declared or has gained a user, so the lists can
-// only shrink.
+// only shrink. Being named by a signature is derived, not listed: when
+// the last user of that signature goes, the type it named is flagged.
 
 import (
 	"fmt"
@@ -57,11 +60,8 @@ import (
 	"testing"
 )
 
-// The three reasons an unused export may stay exported.
+// The two reasons an unused export may stay exported.
 const (
-	// The type appears in the signature or fields of an identifier
-	// that is used outside its package, so callers hold its values.
-	namedBySignature = "named by the signature or fields of an identifier used outside its package"
 	// Callers tell this failure apart from others with errors.As.
 	typedFault = "a typed fault callers match with errors.As"
 	// Tests substitute a fake filesystem (fstest.MapFS, faultfs)
@@ -73,37 +73,11 @@ const (
 // non-test code but stay exported, keyed by "<package path under
 // internal/>.<name>". It may only shrink.
 var surfaceExceptions = map[string]string{
-	"archive.Reader":     namedBySignature, // archive.Open returns it
-	"dxt.ParseError":     typedFault,
-	"dxt.Record":         namedBySignature, // dxt.Parse and dxt.Stream
-	"experiments.Check":  namedBySignature, // experiments.Report.Checks
-	"mpisim.CostFunc":    namedBySignature, // mpisim.Syscall
-	"mpisim.Engine":      namedBySignature, // mpisim.NewEngine returns it
-	"pm.Variant":         namedBySignature, // pm.Log.Variants returns it
-	"render.EdgeStyle":   namedBySignature, // render.Styler
-	"render.NodeStyle":   namedBySignature, // render.Styler
-	"serve.Info":         namedBySignature, // serve.Session.Info returns it
-	"serve.SessionState": namedBySignature, // serve.Info.State
-	"wire.CorruptError":  typedFault,
-	"strace.ParseError":  typedFault,
-	"strace.StreamFS":    fakeFSSeam,
-	"strace.TailFS":      fakeFSSeam,
-	"strace.TailFile":    fakeFSSeam,
-	"strace.Writer":      namedBySignature, // strace.NewWriter returns it
-	"workloads.Result":   namedBySignature, // workloads.Checkpoint and friends
-}
-
-// facadeExceptions lists the exports of this package that no non-test
-// code of another package references, directly or through the
-// signature of one it references, but that stay exported, keyed by
-// name, with one of the package-level reasons. It may only shrink.
-var facadeExceptions = map[string]string{
-	"ActivityStats":   namedBySignature, // Stats.Get returns it
-	"BehaviorProfile": namedBySignature, // StreamResult.Behavior, Inspector.Behavior
-	"Class":           namedBySignature, // Partition.Node returns it
-	"Edge":            namedBySignature, // DFG.Edges returns it
-	"FootprintDiff":   namedBySignature, // Footprint.Diff returns it
-	"Relation":        namedBySignature, // Footprint.Relation returns it
+	"dxt.ParseError":    typedFault,
+	"strace.ParseError": typedFault,
+	"strace.StreamFS":   fakeFSSeam,
+	"strace.TailFS":     fakeFSSeam,
+	"wire.CorruptError": typedFault,
 }
 
 // The two reasons an exported method no non-test code calls may stay
@@ -149,9 +123,6 @@ var surfaceExempt = map[string]bool{
 
 func TestExportedSurface(t *testing.T) {
 	s := scanSurface(t, ".")
-	packageReasons := func(reason string) bool {
-		return reason == namedBySignature || reason == typedFault || reason == fakeFSSeam
-	}
 
 	var unused []string
 	for id := range s.declared {
@@ -169,8 +140,8 @@ func TestExportedSurface(t *testing.T) {
 	}
 	for id, reason := range surfaceExceptions {
 		switch {
-		case !packageReasons(reason):
-			t.Errorf("surfaceExceptions[%q]: reason %q is not one of the three allowed", id, reason)
+		case reason != typedFault && reason != fakeFSSeam:
+			t.Errorf("surfaceExceptions[%q]: reason %q is not one of the two allowed", id, reason)
 		case !s.declared[id]:
 			t.Errorf("surfaceExceptions[%q]: no longer declared; delete the entry", id)
 		case s.used[id]:
@@ -209,7 +180,7 @@ func TestExportedSurface(t *testing.T) {
 
 	var idle []string
 	for name := range s.facade {
-		if _, listed := facadeExceptions[name]; !listed && !s.facadeUsed[name] {
+		if !s.facadeUsed[name] {
 			idle = append(idle, name)
 		}
 	}
@@ -217,20 +188,10 @@ func TestExportedSurface(t *testing.T) {
 	for _, name := range idle {
 		t.Errorf("stinspector.%s is exported but no non-test code of another package uses it: delete it", name)
 	}
-	for name, reason := range facadeExceptions {
-		switch {
-		case !packageReasons(reason):
-			t.Errorf("facadeExceptions[%q]: reason %q is not one of the three allowed", name, reason)
-		case !s.facade[name]:
-			t.Errorf("facadeExceptions[%q]: no longer declared; delete the entry", name)
-		case s.facadeUsed[name]:
-			t.Errorf("facadeExceptions[%q]: now used outside the package; delete the entry", name)
-		}
-	}
 	if len(s.facade) == 0 {
 		t.Fatal("scan found no exported identifiers in the facade")
 	}
-	t.Logf("%d exported identifiers in the facade, %d listed exceptions", len(s.facade), len(facadeExceptions))
+	t.Logf("%d exported identifiers in the facade", len(s.facade))
 
 	var dead []string
 	for fn, id := range s.private {
@@ -255,7 +216,8 @@ func TestExportedSurface(t *testing.T) {
 type surface struct {
 	// declared holds the exported package-level identifiers of non-test
 	// files under internal/; used, the ones non-test files of other
-	// packages reference.
+	// packages reference, and the types namedBySignature reaches from
+	// those and from the called methods.
 	declared, used map[string]bool
 	// methods holds the exported methods of non-test files under
 	// internal/, outside the packages surfaceExempt names; called, the
@@ -263,8 +225,8 @@ type surface struct {
 	methods, called map[string]bool
 	// facade holds the exported identifiers of this package's non-test
 	// files; facadeUsed, the ones non-test files of other packages
-	// reference, closed over the facade names in their declarations'
-	// types and signatures.
+	// reference, and the ones naming a type namedBySignature reaches
+	// from those and from the called methods.
 	facade, facadeUsed map[string]bool
 	// private maps the unexported functions and methods of non-test
 	// files outside the packages surfaceExempt names to their
@@ -326,21 +288,22 @@ func scanSurface(t *testing.T, root string) *surface {
 		facade: map[string]bool{}, facadeUsed: map[string]bool{},
 		private: map[*types.Func]string{}, privateUsed: map[*types.Func]bool{},
 	}
+	objs := map[string]types.Object{}       // declared id -> its object
+	facadeObjs := map[string]types.Object{} // facade name -> its object
 	declare := func(pkg string, id *ast.Ident) {
 		if id.IsExported() {
-			s.declared[strings.TrimPrefix(pkg, internal)+"."+id.Name] = true
+			key := strings.TrimPrefix(pkg, internal) + "." + id.Name
+			s.declared[key] = true
+			objs[key] = info.Defs[id]
 		}
 	}
-	facadeTypes := map[string][]ast.Expr{} // facade name -> its declared type or signature
-	declareFacade := func(id *ast.Ident, typ ast.Expr) {
+	declareFacade := func(id *ast.Ident) {
 		if id.IsExported() {
 			s.facade[id.Name] = true
-			if typ != nil {
-				facadeTypes[id.Name] = append(facadeTypes[id.Name], typ)
-			}
+			facadeObjs[id.Name] = info.Defs[id]
 		}
 	}
-	methodTypes := map[string]*types.Named{} // method id -> its receiver type
+	methodFuncs := map[string]*types.Func{} // method id -> the method
 	for _, p := range files {
 		pkg, inInternal := strings.CutPrefix(p.pkg, internal)
 		for _, d := range p.f.Decls {
@@ -356,7 +319,7 @@ func scanSurface(t *testing.T, root string) *surface {
 				}
 				switch {
 				case p.pkg == module && d.Recv == nil:
-					declareFacade(d.Name, d.Type)
+					declareFacade(d.Name)
 				case !inInternal:
 				case d.Recv == nil:
 					declare(p.pkg, d.Name)
@@ -364,21 +327,21 @@ func scanSurface(t *testing.T, root string) *surface {
 					fn := info.Defs[d.Name].(*types.Func)
 					id := methodID(fn, internal)
 					s.methods[id] = true
-					methodTypes[id] = namedRecv(fn)
+					methodFuncs[id] = fn
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						if p.pkg == module {
-							declareFacade(spec.Name, spec.Type)
+							declareFacade(spec.Name)
 						} else if inInternal {
 							declare(p.pkg, spec.Name)
 						}
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
 							if p.pkg == module {
-								declareFacade(n, spec.Type)
+								declareFacade(n)
 							} else if inInternal {
 								declare(p.pkg, n)
 							}
@@ -439,9 +402,8 @@ func scanSurface(t *testing.T, root string) *surface {
 		})
 	}
 
-	for id, named := range methodTypes {
-		name := id[strings.LastIndex(id, ".")+1:]
-		if stdMethods[name] || implementsWith(named, name, ifaces) {
+	for id, fn := range methodFuncs {
+		if stdMethods[fn.Name()] || implementsWith(namedRecv(fn), fn.Name(), ifaces) {
 			s.called[id] = true
 		}
 	}
@@ -451,26 +413,35 @@ func scanSurface(t *testing.T, root string) *surface {
 		}
 	}
 
-	work := make([]string, 0, len(s.facadeUsed))
-	for name := range s.facadeUsed {
-		work = append(work, name)
+	var called []types.Object
+	for id, fn := range methodFuncs {
+		if s.called[id] {
+			called = append(called, fn)
+		}
 	}
-	for len(work) > 0 {
-		name := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, typ := range facadeTypes[name] {
-			ast.Inspect(typ, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					return false // a name qualified by another package
-				case *ast.Ident:
-					if s.facade[n.Name] && !s.facadeUsed[n.Name] {
-						s.facadeUsed[n.Name] = true
-						work = append(work, n.Name)
-					}
-				}
-				return true
-			})
+	seeds := called
+	for id := range s.used {
+		if obj := objs[id]; obj != nil {
+			seeds = append(seeds, obj)
+		}
+	}
+	reached := namedBySignature(seeds)
+	for id, obj := range objs {
+		if tn, ok := obj.(*types.TypeName); ok && reached[tn] {
+			s.used[id] = true
+		}
+	}
+	seeds = called
+	for name := range s.facadeUsed {
+		seeds = append(seeds, facadeObjs[name])
+	}
+	reached = namedBySignature(seeds)
+	for name, obj := range facadeObjs {
+		if _, ok := obj.(*types.TypeName); !ok {
+			continue
+		}
+		if named, ok := types.Unalias(obj.Type()).(*types.Named); ok && reached[named.Obj()] {
+			s.facadeUsed[name] = true
 		}
 	}
 	return s
@@ -547,6 +518,62 @@ func typeCheck(t *testing.T, fset *token.FileSet, pkgFiles map[string][]*ast.Fil
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// namedBySignature returns the type names that callers of seeds hold
+// values of: the types named by the signature of a seed function or
+// method, by the type of a seed type, variable or constant, and, in
+// turn, by the exported fields and methods of the structs and
+// interfaces among them.
+func namedBySignature(seeds []types.Object) map[*types.TypeName]bool {
+	reached := map[*types.TypeName]bool{}
+	var work []types.Type
+	for _, obj := range seeds {
+		work = append(work, obj.Type())
+	}
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			if !reached[t.Obj()] {
+				reached[t.Obj()] = true
+				work = append(work, t.Underlying())
+			}
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				work = append(work, t.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			work = append(work, t.Elem())
+		case *types.Slice:
+			work = append(work, t.Elem())
+		case *types.Array:
+			work = append(work, t.Elem())
+		case *types.Chan:
+			work = append(work, t.Elem())
+		case *types.Map:
+			work = append(work, t.Key(), t.Elem())
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					work = append(work, tup.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := t.Field(i); f.Exported() {
+					work = append(work, f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				if m := t.Method(i); m.Exported() {
+					work = append(work, m.Type())
+				}
+			}
+		}
+	}
+	return reached
+}
 
 // namedRecv returns the named type a method is declared on.
 func namedRecv(fn *types.Func) *types.Named {
