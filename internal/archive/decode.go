@@ -10,11 +10,12 @@ import (
 )
 
 // colCursor is the hot-path varint decoder for column blocks. Unlike
-// wire.Cursor it does not return an error per value: column byte ranges are
-// pre-sliced from the section header, so a malformed varint can only
-// arise inside one column, and the per-column done() check after the
-// loop catches it. The single-byte fast path covers the common small
-// values (symbols, short durations) without the binary.Uvarint call.
+// wire.Cursor it does not return an error per value: column byte
+// ranges are pre-sliced from the section header, so a malformed varint
+// can only arise inside one column, and the per-column done() check
+// after the loop catches it. The single-byte fast path covers the
+// common small values (symbols, short durations) without the
+// binary.Uvarint call.
 type colCursor struct {
 	b   []byte
 	off int

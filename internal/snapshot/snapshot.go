@@ -9,7 +9,10 @@
 // merge into the same bytes a single-process fold produces.
 //
 // The container reuses the STA archive idioms: a magic/version header,
-// one checksummed section per payload, a footer-located CRC'd index.
+// one checksummed section per payload, a footer-located CRC'd index. It
+// and every section are written and read with internal/wire, the codec
+// the archive uses too, and a damaged file fails with a
+// wire.CorruptError.
 //
 // Layout:
 //
@@ -36,10 +39,12 @@
 // contents are in canonical order, and the statistics are in string
 // and span order.
 //
-// Symbol handling: payloads serialize strings through per-section
-// dictionaries or string-ordered tables; on load they are re-interned
-// through fresh scoped tables, so no symbol of the writer's process
-// leaks into the file.
+// Symbol handling: every section that holds strings writes them as one
+// wire string dictionary (first-use or string order) and refers to
+// them by id, case identities as wire (cidSym, hostSym, rid) triples;
+// on load the statistics and behavior re-intern theirs through fresh
+// scoped tables, so no symbol of the writer's process leaks into the
+// file.
 package snapshot
 
 import (

@@ -123,11 +123,6 @@ func (w *Buf) Bool(v bool) {
 // output is a function of strs alone, so an encoder that assigns ids in
 // a deterministic order writes reproducible bytes.
 func (w *Buf) Dict(strs []string) {
-	n := binary.MaxVarintLen64
-	for _, s := range strs {
-		n += binary.MaxVarintLen64 + len(s)
-	}
-	w.reserve(n)
 	w.Uvarint(uint64(len(strs)))
 	for _, s := range strs {
 		w.str(s)

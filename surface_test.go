@@ -419,23 +419,23 @@ func scanSurface(t *testing.T, root string) *surface {
 			called = append(called, fn)
 		}
 	}
-	seeds := called
+	var used []types.Object
 	for id := range s.used {
 		if obj := objs[id]; obj != nil {
-			seeds = append(seeds, obj)
+			used = append(used, obj)
 		}
 	}
-	reached := namedBySignature(seeds)
+	reached := namedBySignature(append(used, called...))
 	for id, obj := range objs {
 		if tn, ok := obj.(*types.TypeName); ok && reached[tn] {
 			s.used[id] = true
 		}
 	}
-	seeds = called
+	var facadeUsed []types.Object
 	for name := range s.facadeUsed {
-		seeds = append(seeds, facadeObjs[name])
+		facadeUsed = append(facadeUsed, facadeObjs[name])
 	}
-	reached = namedBySignature(seeds)
+	reached = namedBySignature(append(facadeUsed, called...))
 	for name, obj := range facadeObjs {
 		if _, ok := obj.(*types.TypeName); !ok {
 			continue
