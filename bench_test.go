@@ -139,7 +139,7 @@ func BenchmarkStatsScaling(b *testing.B) {
 func BenchmarkRenderScaling(b *testing.B) {
 	for _, m := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			g := dfg.New()
+			g := dfg.Build(&pm.Log{})
 			acts := make([]pm.Activity, m)
 			for i := range acts {
 				acts[i] = pm.Activity(fmt.Sprintf("read:/d%03d", i))

@@ -154,13 +154,13 @@ func TestRunMergeSnapshotVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[4] = 2 // the little-endian version word after the magic
+	data[4] = 3 // the little-endian version word after the magic: the previous build's
 	if err := os.WriteFile(old, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = run([]string{"dfg", "-merge-snapshots", good + "," + old})
 	if !errors.Is(err, snapshot.ErrVersion) || !strings.Contains(err.Error(), old) {
-		t.Fatalf("merge with a version-2 part: err = %v, want snapshot.ErrVersion naming %s", err, old)
+		t.Fatalf("merge with a version-3 part: err = %v, want snapshot.ErrVersion naming %s", err, old)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
 	"stinspector/internal/snapshot"
 	"stinspector/internal/source"
@@ -252,13 +253,14 @@ func MergeSnapshotFiles(m pm.Mapping, paths ...string) (*StreamResult, error) {
 }
 
 // resultFromSnapshot finalizes a snapshot's aggregates into the
-// artifacts AnalyzeStreamParallel reports. The result shares the
-// snapshot's aggregates; finalizing leaves the statistics computer as
-// it was.
+// artifacts AnalyzeStreamParallel reports, and builds the DFG from the
+// activity-log: it is the one place an analysis path gets its DFG. The
+// result shares the snapshot's aggregates; finalizing leaves the
+// statistics computer as it was.
 func resultFromSnapshot(s *snapshot.Snapshot) *StreamResult {
 	res := &StreamResult{
 		ActivityLog: s.Log,
-		DFG:         s.DFG,
+		DFG:         dfg.Build(s.Log),
 		Behavior:    s.Behavior,
 		Cases:       s.Cases,
 		Events:      s.Events,

@@ -41,14 +41,15 @@ type StreamResult struct {
 
 // shardPartial is one shard's builder set: the per-shard state of the
 // parallel fold, merged in shard order once the stream is exhausted.
-// The three builders share one pm.SymMapper — and therefore one
-// shard-local activity symbol table — so every event is mapped exactly
-// once and all per-event counting happens on integer keys; the
-// shard-local tables are remapped into shard 0's at merge.
+// The activity-log builder and the statistics computer share one
+// pm.SymMapper — and therefore one shard-local activity symbol table —
+// so every event is mapped exactly once and all per-event counting
+// happens on integer keys; the shard-local tables are remapped into
+// shard 0's at merge. The DFG is not folded: it is a function of the
+// activity-log, built once by resultFromSnapshot.
 type shardPartial struct {
 	sm    *pm.SymMapper
 	pmB   *pm.Builder
-	dfgB  *dfg.Builder
 	stC   *stats.Computer
 	bh    *behavior.Profile
 	syms  []intern.Sym // per-case mapping scratch, reused
@@ -59,11 +60,10 @@ type shardPartial struct {
 func newShardPartial(m pm.Mapping) *shardPartial {
 	sm := pm.NewSymMapper(m)
 	return &shardPartial{
-		sm:   sm,
-		pmB:  pm.NewBuilderSym(sm, pm.BuildOptions{Endpoints: true}),
-		dfgB: dfg.NewBuilderSym(sm.Acts()),
-		stC:  stats.NewComputerSym(sm),
-		bh:   behavior.New(),
+		sm:  sm,
+		pmB: pm.NewBuilderSym(sm, pm.BuildOptions{Endpoints: true}),
+		stC: stats.NewComputerSym(sm),
+		bh:  behavior.New(),
 	}
 }
 
@@ -78,9 +78,7 @@ func (p *shardPartial) fold(c *trace.Case) error {
 func (p *shardPartial) foldMapped(c *trace.Case, syms []intern.Sym) {
 	p.cases++
 	p.evs += len(c.Events)
-	if seq, ok := p.pmB.AddMapped(c.ID, syms); ok {
-		p.dfgB.AddSymVariant(seq, 1)
-	}
+	p.pmB.AddMapped(c.ID, syms)
 	p.stC.AddMapped(c, syms)
 	p.bh.AddCase(c)
 }
@@ -91,7 +89,6 @@ func (p *shardPartial) mergeInto(dst *shardPartial) {
 	dst.cases += p.cases
 	dst.evs += p.evs
 	dst.pmB.MergeFrom(p.pmB)
-	dst.dfgB.MergeFrom(p.dfgB)
 	dst.stC.Merge(p.stC)
 	dst.bh.Merge(p.bh)
 }
@@ -102,7 +99,6 @@ func (p *shardPartial) snapshot() *snapshot.Snapshot {
 		Cases:    p.cases,
 		Events:   p.evs,
 		Log:      p.pmB.Finalize(),
-		DFG:      p.dfgB.Finalize(),
 		Stats:    p.stC,
 		Behavior: p.bh,
 	}
@@ -129,9 +125,10 @@ func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
 }
 
 // AnalyzeStreamParallel consumes a case source in a single pass,
-// feeding the incremental activity-log, DFG and statistics builders,
-// without the event-log ever being materialized: peak memory is the
-// source's resident window plus the (much smaller) aggregates. For a
+// feeding the incremental activity-log, statistics and behavior
+// builders, without the event-log ever being materialized: peak memory
+// is the source's resident window plus the (much smaller) aggregates.
+// The DFG is built from the finalized activity-log. For a
 // source delivering CaseID order — all backend streams do — the
 // artifacts are identical to an Inspector's ActivityLog / DFG / Stats /
 // Behavior over the same cases, endpoints included.

@@ -5,18 +5,16 @@ import (
 	"stinspector/internal/pm"
 )
 
-// Builder constructs a DFG incrementally, one activity trace at a time —
-// the streaming form of Build. Because the graph is pure occurrence
-// counting, folding the same traces in any order (per case as a stream
-// delivers them, or per variant as Build does) yields an identical
-// graph.
+// Builder counts a DFG one activity trace at a time, each with a
+// multiplicity: Build and Split feed it an activity-log's variants.
+// Because the graph is pure occurrence counting, folding the same
+// traces in any order yields an identical graph.
 //
 // The builder counts in symbol space: activities are dense symbols from
-// an intern.Local table (its own, or one shared with the shard's
-// SymMapper via NewBuilderSym), node counts live in a slice indexed by
-// symbol and edge counts in a map keyed by the packed symbol pair — no
-// string hashing per event. Finalize materializes the classic
-// string-keyed Graph.
+// an intern.Local table (its own, or one given to NewBuilderSym), node
+// counts live in a slice indexed by symbol and edge counts in a map
+// keyed by the packed symbol pair — no string hashing per event.
+// Finalize materializes the classic string-keyed Graph.
 type Builder struct {
 	tab    *intern.Local
 	nodes  []int  // occurrence count by activity symbol
@@ -32,8 +30,8 @@ type Builder struct {
 func newBuilder() *Builder { return NewBuilderSym(intern.NewLocal()) }
 
 // NewBuilderSym returns a builder whose activity symbols are drawn from
-// the given table — the shard-sharing form: pass the SymMapper's Acts()
-// table and feed the sequences pm.Builder.AddMapped returns straight
+// the given table, so traces already in that table's symbol space (a
+// SymMapper's Acts(), as pm.Builder.AddMapped returns them) go straight
 // into AddSymVariant.
 func NewBuilderSym(tab *intern.Local) *Builder {
 	return &Builder{tab: tab, edges: make(map[uint64]int, 32)}
@@ -74,37 +72,10 @@ func (b *Builder) grow(y intern.Sym) {
 	}
 }
 
-// MergeFrom folds another builder's counts into b, remapping o's
-// shard-local symbols through b's table — the symbol form of
-// Graph.Merge, used by the sharded analysis fold before a single
-// Finalize. The counts are integer sums, so merging shard partials in
-// any order equals building one graph from all the traces. o must not
-// be used afterwards.
-func (b *Builder) MergeFrom(o *Builder) {
-	if o == nil {
-		return
-	}
-	b.traces += o.traces
-	r := o.tab.RemapInto(b.tab)
-	for y, c := range o.nodes {
-		if !o.seen[y] {
-			continue
-		}
-		m := r[y]
-		b.grow(m)
-		b.nodes[m] += c
-		b.seen[m] = true
-	}
-	for e, c := range o.edges {
-		from, to := r[intern.Sym(e>>32)], r[intern.Sym(uint32(e))]
-		b.edges[uint64(from)<<32|uint64(to)] += c
-	}
-}
-
 // Finalize materializes the accumulated counts into a Graph. The
 // builder must not be used afterwards.
 func (b *Builder) Finalize() *Graph {
-	g := New()
+	g := newGraph()
 	g.traces = b.traces
 	for y, c := range b.nodes {
 		if b.seen[y] {

@@ -7,6 +7,11 @@
 // weights count how often the directly-follows relation was observed;
 // node weights count activity occurrences. Construction is a single pass
 // over the activity-log, O(n) in the number of events.
+//
+// The graph is a function of the activity-log, so it is never folded,
+// merged or stored on its own: every analysis path finalizes its
+// activity-log and runs Build on it once. Split builds Equation 18's G
+// and R graphs from the same log.
 package dfg
 
 import (
@@ -35,8 +40,8 @@ type Graph struct {
 	traces int
 }
 
-// New returns an empty graph.
-func New() *Graph {
+// newGraph returns an empty graph.
+func newGraph() *Graph {
 	return &Graph{nodes: make(map[pm.Activity]int), edges: make(map[Edge]int)}
 }
 
@@ -44,7 +49,7 @@ func New() *Graph {
 // Virtual start/end activities present in the log's traces become regular
 // nodes (with counts equal to the number of traces), exactly as in the
 // paper's figures where ● and ■ carry the trace multiplicities on their
-// edges. It is the materializing form of Builder.
+// edges. It is the one way an analysis path gets its DFG.
 func Build(l *pm.Log) *Graph {
 	b := newBuilder()
 	for _, v := range l.Variants() {
@@ -53,25 +58,8 @@ func Build(l *pm.Log) *Graph {
 	return b.Finalize()
 }
 
-// Merge folds another graph's occurrence counts into g. The graph is
-// pure counting, so the merge is exact and order-insensitive: merging
-// shard partials in any order equals building one graph from all the
-// traces. o stays usable.
-func (g *Graph) Merge(o *Graph) {
-	if o == nil {
-		return
-	}
-	g.traces += o.traces
-	for a, c := range o.nodes {
-		g.nodes[a] += c
-	}
-	for e, c := range o.edges {
-		g.edges[e] += c
-	}
-}
-
 // AddNode inserts (or increments) a node with the given occurrence count,
-// for manual graph construction in tools and tests.
+// for manual graph construction in tests (start from Build(&pm.Log{})).
 func (g *Graph) AddNode(a pm.Activity, count int) {
 	g.nodes[a] += count
 }

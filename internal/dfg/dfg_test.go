@@ -329,25 +329,27 @@ func TestBuildAdditivity(t *testing.T) {
 	}
 }
 
-// TestUnionGraphs: the DFG of a union event-log is the Merge of the
-// subset DFGs, and merging nil changes nothing.
+// TestUnionGraphs: the DFG of a union event-log is the DFG built from
+// the merged subset activity-logs — the law every snapshot merge stands
+// on now that the graph itself is never merged — and merging nil into a
+// log changes nothing.
 func TestUnionGraphs(t *testing.T) {
 	la, lb := logA(t), logB(t)
-	ga, gb := buildGraph(t, la), buildGraph(t, lb)
+	m := pm.CallTopDirs{Depth: 2}
 	direct := buildGraph(t, trace.MustUnion(la, lb))
-	union := New()
-	union.Merge(ga)
-	union.Merge(gb)
-	if !union.Equal(direct) {
-		t.Errorf("merged graphs differ from DFG of union log:\n%s\nvs\n%s", union, direct)
+	union := &pm.Log{}
+	union.Merge(pm.Build(la, m, pm.BuildOptions{Endpoints: true}))
+	union.Merge(pm.Build(lb, m, pm.BuildOptions{Endpoints: true}))
+	if got := Build(union); !got.Equal(direct) || got.NumTraces() != direct.NumTraces() {
+		t.Errorf("DFG of merged logs differs from DFG of union log:\n%s\nvs\n%s", got, direct)
 	}
-	if ga.Merge(nil); !ga.Equal(buildGraph(t, la)) {
+	if union.Merge(nil); !Build(union).Equal(direct) {
 		t.Errorf("nil operand mishandled")
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := New()
+	g := newGraph()
 	if g.NumNodes() != 0 || g.NumEdges() != 0 || g.NumTraces() != 0 {
 		t.Errorf("empty graph not empty")
 	}
@@ -357,53 +359,63 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 // TestMergeReproducesBuild is the dfg merge law: partition an
-// activity-log's variants over partial builders, merge the partial
-// graphs, and the result must Equal the graph built in one pass —
-// whatever the partition or the merge order.
+// event-log's cases over partial activity-logs, merge the logs in any
+// order, and the graph built from the merged log must Equal the graph
+// built in one pass — whatever the partition or the merge order.
 func TestMergeReproducesBuild(t *testing.T) {
 	m := pm.CallTopDirs{Depth: 2}
-	l := pm.Build(trace.MustUnion(logA(t), logB(t)), m, pm.BuildOptions{Endpoints: true})
-	want := Build(l)
+	el := trace.MustUnion(logA(t), logB(t))
+	want := Build(pm.Build(el, m, pm.BuildOptions{Endpoints: true}))
 	for shards := 1; shards <= 4; shards++ {
-		builders := make([]*Builder, shards)
-		for i := range builders {
-			builders[i] = newBuilder()
+		parts := make([][]*trace.Case, shards)
+		for i, c := range el.Cases() {
+			parts[i%shards] = append(parts[i%shards], c)
 		}
-		for i, v := range l.Variants() {
-			builders[i%shards].addVariant(v.Seq, v.Mult)
+		logs := make([]*pm.Log, shards)
+		for i, cs := range parts {
+			logs[i] = pm.Build(trace.MustNewEventLog(cs...), m, pm.BuildOptions{Endpoints: true})
 		}
-		graphs := make([]*Graph, shards)
-		for i, b := range builders {
-			graphs[i] = b.Finalize()
-		}
-		got := graphs[0]
-		for _, g := range graphs[1:] {
-			got.Merge(g)
-		}
-		if !got.Equal(want) {
-			t.Errorf("shards=%d: merged graph differs from one-pass build:\n%s\nwant:\n%s", shards, got, want)
-		}
-		if got.NumTraces() != want.NumTraces() {
-			t.Errorf("shards=%d: traces = %d, want %d", shards, got.NumTraces(), want.NumTraces())
+		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+			got := &pm.Log{}
+			for _, i := range order {
+				if i < shards {
+					got.Merge(logs[i])
+				}
+			}
+			g := Build(got)
+			if !g.Equal(want) {
+				t.Errorf("shards=%d order=%v: graph of merged logs differs from one-pass build:\n%s\nwant:\n%s", shards, order, g, want)
+			}
+			if g.NumTraces() != want.NumTraces() {
+				t.Errorf("shards=%d order=%v: traces = %d, want %d", shards, order, g.NumTraces(), want.NumTraces())
+			}
 		}
 	}
 }
 
-// TestMergeIdentityAndInputs: merging empty graphs and nil is the
-// identity, and Merge leaves its argument untouched.
+// TestMergeIdentityAndInputs: merging empty logs and nil is the
+// identity for the built graph, the empty log builds the empty graph,
+// and a built graph shares nothing with its log or with another build.
 func TestMergeIdentityAndInputs(t *testing.T) {
 	l := pm.Build(logA(t), pm.CallTopDirs{Depth: 2}, pm.BuildOptions{Endpoints: true})
 	g := Build(l)
 	nodes, edges, traces := g.NumNodes(), g.NumEdges(), g.NumTraces()
-	got := New()
-	for _, o := range []*Graph{g, nil, New()} {
-		got.Merge(o)
+	if e := Build(&pm.Log{}); e.NumNodes() != 0 || e.NumEdges() != 0 || e.NumTraces() != 0 {
+		t.Errorf("empty log builds a non-empty graph:\n%s", e)
 	}
+	merged := &pm.Log{}
+	for _, o := range []*pm.Log{l, nil, {}} {
+		merged.Merge(o)
+	}
+	got := Build(merged)
 	if !got.Equal(g) || got.NumTraces() != traces {
 		t.Errorf("identity law violated:\n%s\nwant:\n%s", got, g)
 	}
 	got.AddNode("extra:/node", 1)
 	if g.NumNodes() != nodes || g.NumEdges() != edges {
-		t.Errorf("Merge aliased its input: %d/%d nodes, want %d/%d", g.NumNodes(), g.NumEdges(), nodes, edges)
+		t.Errorf("Build aliased another build: %d/%d nodes, want %d/%d", g.NumNodes(), g.NumEdges(), nodes, edges)
+	}
+	if again := Build(l); !again.Equal(g) {
+		t.Errorf("Build changed its log:\n%s\nwant:\n%s", again, g)
 	}
 }

@@ -85,7 +85,7 @@ func TestFootprintDiffAndSimilarity(t *testing.T) {
 }
 
 func TestFootprintEmptyAndDisjoint(t *testing.T) {
-	empty := NewFootprint(New())
+	empty := NewFootprint(newGraph())
 	if len(empty.Activities) != 0 {
 		t.Errorf("empty footprint = %v", empty.Activities)
 	}

@@ -42,7 +42,7 @@ func TestRendererNilGraph(t *testing.T) {
 // TestRendererWriterError: a failing sink must surface as the render
 // error (not be swallowed) in every renderer that writes directly.
 func TestRendererWriterError(t *testing.T) {
-	g := dfg.New()
+	g := dfg.Build(&pm.Log{})
 	g.AddEdge(dfg.Edge{From: "read:/a", To: "write:/b"}, 1)
 	cases := map[string]func(*failWriter) error{
 		"dot":     func(w *failWriter) error { return (&DOT{Graph: g}).Render(w) },
@@ -114,7 +114,7 @@ func TestRenderMalformedDFG(t *testing.T) {
 		{
 			name: "isolated zero-count node",
 			build: func() *dfg.Graph {
-				g := dfg.New()
+				g := dfg.Build(&pm.Log{})
 				g.AddNode("read:/a", 0)
 				return g
 			},
@@ -127,7 +127,7 @@ func TestRenderMalformedDFG(t *testing.T) {
 		{
 			name: "edge creates endpoints",
 			build: func() *dfg.Graph {
-				g := dfg.New()
+				g := dfg.Build(&pm.Log{})
 				g.AddEdge(dfg.Edge{From: "a:/x", To: "b:/y"}, 3)
 				return g
 			},
@@ -140,7 +140,7 @@ func TestRenderMalformedDFG(t *testing.T) {
 		{
 			name: "self-loop",
 			build: func() *dfg.Graph {
-				g := dfg.New()
+				g := dfg.Build(&pm.Log{})
 				g.AddEdge(dfg.Edge{From: "read:/a", To: "read:/a"}, 2)
 				return g
 			},
@@ -153,7 +153,7 @@ func TestRenderMalformedDFG(t *testing.T) {
 		{
 			name: "all endpoints skipped",
 			build: func() *dfg.Graph {
-				g := dfg.New()
+				g := dfg.Build(&pm.Log{})
 				g.AddEdge(dfg.Edge{From: "read:/a", To: "write:/b"}, 1)
 				g.AddNode(pm.Start, 1)
 				return g

@@ -179,9 +179,9 @@ func TestPartitionColoring(t *testing.T) {
 			writeA = a
 		}
 	}
-	gGreen := dfg.New()
+	gGreen := dfg.Build(&pm.Log{})
 	gGreen.AddNode(readA, 1)
-	gRed := dfg.New()
+	gRed := dfg.Build(&pm.Log{})
 	gRed.AddNode(writeA, 1)
 	c := PartitionColoring{Partition: dfg.Classify(g, gGreen, gRed)}
 	if st := c.Node(readA); st.FillColor != greenFill {

@@ -554,8 +554,8 @@ func TestRecoverReportsSnapshotVersion(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "session.json"), []byte(`{"name":"old","trace_dir":"/t"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v2 := []byte("STS1\x02\x00\x00\x00") // a version-2 header
-	if err := os.WriteFile(filepath.Join(dir, core.DefaultCheckpointName), v2, 0o644); err != nil {
+	v3 := []byte("STS1\x03\x00\x00\x00") // a version-3 header, as the previous build wrote
+	if err := os.WriteFile(filepath.Join(dir, core.DefaultCheckpointName), v3, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(Config{StateDir: stateDir})
@@ -564,7 +564,7 @@ func TestRecoverReportsSnapshotVersion(t *testing.T) {
 	}
 	_, rerr := srv.Recover()
 	if !errors.Is(rerr, snapshot.ErrVersion) || strings.Contains(rerr.Error(), "corrupt") {
-		t.Fatalf("recover over a version-2 checkpoint: err = %v, want snapshot.ErrVersion, not corruption", rerr)
+		t.Fatalf("recover over a version-3 checkpoint: err = %v, want snapshot.ErrVersion, not corruption", rerr)
 	}
 }
 

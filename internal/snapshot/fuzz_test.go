@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzSnapshotDecode drives decode with mutated snapshot files: seeds
-// are real version-3 snapshots of the adversarial generator profiles
+// are real version-4 snapshots of the adversarial generator profiles
 // (the hostileargs renderings among them), bit-flipped variants, a
 // well-framed snapshot whose stats spans descend in start, two whose
 // behavior subjects are out of order or repeated, and two whose

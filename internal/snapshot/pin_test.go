@@ -66,9 +66,6 @@ func TestFormatPinSTS(t *testing.T) {
 	if got.Log.String() != fresh.Log.String() {
 		t.Errorf("activity-log differs:\n%s\nwant\n%s", got.Log, fresh.Log)
 	}
-	if !got.DFG.Equal(fresh.DFG) {
-		t.Errorf("DFG differs:\n%s\nwant\n%s", got.DFG, fresh.DFG)
-	}
 	if got.Behavior.RenderText() != fresh.Behavior.RenderText() {
 		t.Errorf("behavior profile differs:\n%s\nwant\n%s", got.Behavior.RenderText(), fresh.Behavior.RenderText())
 	}

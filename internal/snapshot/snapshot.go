@@ -1,9 +1,9 @@
 // Package snapshot defines STS, the durable single-file form of one
-// analysis fold's pre-Finalize state: the activity-log, the DFG, the
-// statistics computer (128-bit rate sums and max-concurrency spans
-// included), the behavior profile and the set of CaseIDs already
-// folded. It is the
-// persistence layer the checkpoint/resume engine and the multi-process
+// analysis fold's pre-Finalize state: the activity-log, the statistics
+// computer (128-bit rate sums and max-concurrency spans included), the
+// behavior profile and the set of CaseIDs already folded. The DFG is
+// not stored: it is a function of the activity-log, built from it at
+// finalize. It is the persistence layer the checkpoint/resume engine and the multi-process
 // merge (`stinspect -merge-snapshots`) stand on: because every
 // aggregate's Merge is exact, snapshots written by N separate processes
 // merge into the same bytes a single-process fold produces.
@@ -25,19 +25,20 @@
 // the format captures internal pre-Finalize state, so cross-version
 // resumption is not supported; any other version fails with ErrVersion,
 // and the cure is to re-fold. Within a version the section set is fixed
-// (meta, seen, log, dfg, stats, behavior — each exactly once) and
-// unknown section kinds are corruption, not extensions. Version 2 added
-// the behavior-profile section. Version 3 changed the stats section:
+// (meta, seen, log, stats, behavior — each exactly once) and unknown
+// section kinds are corruption, not extensions. Version 2 added the
+// behavior-profile section. Version 3 changed the stats section:
 // activities in string order, each with its max-concurrency spans
 // sorted by (start, end) as (start delta, duration) pairs, and no case
-// identities (see stats.Computer.EncodeSnapshot).
+// identities (see stats.Computer.EncodeSnapshot). Version 4 dropped the
+// DFG section: the DFG is built from the activity-log at finalize. Its
+// kind, 4, is retired, not reused, so a file that holds it is corrupt.
 //
 // Canonical bytes: every section is a function of the folded state
 // alone, so a snapshot's bytes depend only on the set of cases folded —
 // not on their arrival order, the shard count or the epoch and resume
-// history. The seen set is sorted, the activity-log's and the DFG's
-// contents are in canonical order, and the statistics are in string
-// and span order.
+// history. The seen set is sorted, the activity-log's contents are in
+// canonical order, and the statistics are in string and span order.
 //
 // Symbol handling: every section that holds strings writes them as one
 // wire string dictionary (first-use or string order) and refers to
@@ -54,7 +55,6 @@ import (
 	"os"
 
 	"stinspector/internal/behavior"
-	"stinspector/internal/dfg"
 	"stinspector/internal/fsatomic"
 	"stinspector/internal/intern"
 	"stinspector/internal/pm"
@@ -66,7 +66,7 @@ import (
 const (
 	magic       = "STS1"
 	footerMagic = "1STS"
-	version     = 3
+	version     = 4
 )
 
 // ErrVersion reports a snapshot written in another STS version. Such a
@@ -77,24 +77,23 @@ var ErrVersion = errors.New("unsupported STS version; re-fold the traces to rebu
 // footerSize is the fixed tail: index offset, index CRC, magic.
 const footerSize = 8 + 4 + 4
 
-// Section kinds of version 3. All six must appear exactly once.
+// Section kinds of version 4. All five must appear exactly once. Kind
+// 4 held the DFG up to version 3 and is retired.
 const (
 	kindMeta     = 1 // cases, events counters
 	kindSeen     = 2 // folded CaseID set
 	kindLog      = 3 // pm.Log
-	kindDFG      = 4 // dfg.Graph
 	kindStats    = 5 // stats.Computer
 	kindBehavior = 6 // behavior.Profile
 )
 
 // Snapshot is one fold's durable state: the three mergeable aggregates
-// plus the CaseIDs they cover. Stats is kept pre-Finalize (a Computer,
+// (activity-log, statistics, behavior) plus the CaseIDs they cover. Stats is kept pre-Finalize (a Computer,
 // not a Stats) because finalization is lossy — rates are divided,
 // intervals are swept away — and resumed folds must keep merging
 // exactly.
 type Snapshot struct {
 	Log      *pm.Log
-	DFG      *dfg.Graph
 	Stats    *stats.Computer
 	Behavior *behavior.Profile
 	// Seen lists the CaseIDs folded into the aggregates, in ascending
@@ -120,7 +119,6 @@ func sectionsOf(s *Snapshot) []section {
 		{kindMeta, meta.Bytes()},
 		{kindSeen, encodeSeen(s.Seen)},
 		{kindLog, s.Log.EncodeSnapshot()},
-		{kindDFG, s.DFG.EncodeSnapshot()},
 		{kindStats, s.Stats.EncodeSnapshot()},
 		{kindBehavior, s.Behavior.EncodeSnapshot()},
 	}
@@ -255,13 +253,13 @@ func decode(data []byte, m pm.Mapping) (*Snapshot, error) {
 			return nil, wire.Corruptf("duplicate section kind %d", kind)
 		}
 		switch kind {
-		case kindMeta, kindSeen, kindLog, kindDFG, kindStats, kindBehavior:
+		case kindMeta, kindSeen, kindLog, kindStats, kindBehavior:
 			sections[kind] = body
 		default:
 			return nil, wire.Corruptf("unknown section kind %d", kind)
 		}
 	}
-	for _, kind := range []int{kindMeta, kindSeen, kindLog, kindDFG, kindStats, kindBehavior} {
+	for _, kind := range []int{kindMeta, kindSeen, kindLog, kindStats, kindBehavior} {
 		if _, ok := sections[kind]; !ok {
 			return nil, wire.Corruptf("missing section kind %d", kind)
 		}
@@ -282,9 +280,6 @@ func decode(data []byte, m pm.Mapping) (*Snapshot, error) {
 		return nil, err
 	}
 	if s.Log, err = pm.DecodeLogSnapshot(sections[kindLog]); err != nil {
-		return nil, err
-	}
-	if s.DFG, err = dfg.DecodeGraphSnapshot(sections[kindDFG]); err != nil {
 		return nil, err
 	}
 	if s.Stats, err = stats.DecodeComputerSnapshot(sections[kindStats], m); err != nil {
@@ -365,8 +360,8 @@ func decodeSeen(data []byte) ([]trace.CaseID, error) {
 
 // Merge folds partial snapshots (shard or epoch partials of one logical
 // fold) into the first non-nil input and returns it, exactly: the
-// activity-logs union under the sorted case-list interleave, the graphs
-// sum, the statistics merge in integer space, the behavior profiles sum
+// activity-logs union under the sorted case-list interleave, the
+// statistics merge in integer space, the behavior profiles sum
 // under a string-preserving remap, the ascending seen sets merge. nil
 // inputs are skipped; with none left the result is an empty snapshot.
 //
@@ -389,7 +384,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 			continue
 		}
 		out.Log.Merge(s.Log)
-		out.DFG.Merge(s.DFG)
 		out.Stats.Merge(s.Stats)
 		out.Behavior.Merge(s.Behavior)
 		out.Seen = trace.MergeCaseIDs(out.Seen, s.Seen)
@@ -397,7 +391,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		out.Events += s.Events
 	}
 	if out == nil {
-		return &Snapshot{Log: &pm.Log{}, DFG: dfg.New(), Behavior: behavior.New()}
+		return &Snapshot{Log: &pm.Log{}, Behavior: behavior.New()}
 	}
 	return out
 }

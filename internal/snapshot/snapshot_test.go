@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"stinspector/internal/behavior"
-	"stinspector/internal/dfg"
 	"stinspector/internal/pm"
 	"stinspector/internal/stats"
 	"stinspector/internal/synth"
@@ -24,7 +23,6 @@ import (
 func foldRange(el *trace.EventLog, m pm.Mapping, lo, hi int) *Snapshot {
 	sm := pm.NewSymMapper(m)
 	pmB := pm.NewBuilderSym(sm, pm.BuildOptions{Endpoints: true})
-	dfgB := dfg.NewBuilderSym(sm.Acts())
 	stC := stats.NewComputerSym(sm)
 	bh := behavior.New()
 	s := &Snapshot{}
@@ -33,14 +31,11 @@ func foldRange(el *trace.EventLog, m pm.Mapping, lo, hi int) *Snapshot {
 		s.Events += len(c.Events)
 		s.Seen = append(s.Seen, c.ID)
 		buf := sm.MapCase(c, nil)
-		if seq, ok := pmB.AddMapped(c.ID, buf); ok {
-			dfgB.AddSymVariant(seq, 1)
-		}
+		pmB.AddMapped(c.ID, buf)
 		stC.AddMapped(c, buf)
 		bh.AddCase(c)
 	}
 	s.Log = pmB.Finalize()
-	s.DFG = dfgB.Finalize()
 	s.Stats = stC
 	s.Behavior = bh
 	return s
@@ -180,7 +175,7 @@ func TestSnapshotCorruption(t *testing.T) {
 func TestSnapshotVersionError(t *testing.T) {
 	m := pm.CallTopDirs{Depth: 2}
 	enc := Encode(foldRange(synth.Log("sts", 4, 10, 1), m, 0, 4))
-	for _, ver := range []uint32{1, 2, 4} {
+	for _, ver := range []uint32{1, 2, 3} {
 		var h wire.Buf
 		h.U32(ver)
 		old := append([]byte(nil), enc...)
@@ -192,6 +187,31 @@ func TestSnapshotVersionError(t *testing.T) {
 				t.Errorf("version %d, %d bytes: err = %v, want ErrVersion and no CorruptError", ver, len(data), err)
 			}
 		}
+	}
+}
+
+// Kind 4 held the DFG up to version 3 and is retired: a version-4 file
+// that carries it — well framed, every checksum valid — is corrupt, never
+// read with the section silently skipped.
+func TestSnapshotRetiredDFGKind(t *testing.T) {
+	m := pm.CallTopDirs{Depth: 2}
+	s := foldRange(synth.Log("sts", 4, 10, 1), m, 0, 4)
+	var g wire.Buf
+	g.Dict([]string{"read:/f"})
+	g.Uvarint(1) // traces
+	g.Uvarint(0) // nodes
+	g.Uvarint(0) // edges
+	secs := sectionsOf(s)
+	for _, at := range []int{3, len(secs)} {
+		withDFG := append(append(append([]section(nil), secs[:at]...), section{4, g.Bytes()}), secs[at:]...)
+		_, err := decode(encodeSections(withDFG), m)
+		var ce *wire.CorruptError
+		if !errors.As(err, &ce) || errors.Is(err, ErrVersion) {
+			t.Errorf("kind-4 section at %d: err = %v, want CorruptError", at, err)
+		}
+	}
+	if _, err := decode(encodeSections(secs), m); err != nil {
+		t.Fatalf("the same sections without kind 4: %v", err)
 	}
 }
 
