@@ -175,6 +175,9 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 		}
 		r.entries = append(r.entries, ent)
 	}
+	if err := ic.Done(); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 

@@ -154,6 +154,35 @@ func TestV2ReaderRejectsIndexOrder(t *testing.T) {
 	}
 }
 
+// Bytes after the last index entry are corruption even when the index
+// checksum covers them: the junk sits between the index and the footer,
+// whose offsets do not move, and the footer's index CRC is recomputed.
+func TestV2ReaderRejectsTrailingIndexBytes(t *testing.T) {
+	var f bytes.Buffer
+	if err := writeV2(&f, randLog(3, 5, 20)); err != nil {
+		t.Fatal(err)
+	}
+	data := f.Bytes()
+	if _, err := newReaderBytes(data); err != nil {
+		t.Fatalf("the unedited image: %v", err)
+	}
+	body, foot := data[:len(data)-footerSize], data[len(data)-footerSize:]
+	indexOffset, _ := wire.NewCursor(foot[8:16]).U64()
+	for _, junk := range [][]byte{{0}, {0x01, 0x02, 0x03}, bytes.Repeat([]byte{0xff}, 9)} {
+		img := append(append([]byte(nil), body...), junk...)
+		var crc wire.Buf
+		crc.U32(wire.Checksum(img[indexOffset:]))
+		edited := append([]byte(nil), foot...)
+		copy(edited[16:20], crc.Bytes())
+		img = append(img, edited...)
+		_, err := newReaderBytes(img)
+		var ce *wire.CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%d junk bytes after the index: opened with %v, want a *wire.CorruptError", len(junk), err)
+		}
+	}
+}
+
 func TestV2EmptyLog(t *testing.T) {
 	log := trace.MustNewEventLog()
 	var f bytes.Buffer
