@@ -1,8 +1,8 @@
 // Package behavior derives behavior profiles from event-logs: per case
 // and merged, which files a process opened, read, wrote, deleted or
 // renamed, which commands it executed and which network endpoints it
-// connected to. It is the fourth mergeable aggregate next to the
-// activity-log (pm), the DFG (dfg) and the statistics (stats), and the
+// connected to. It is the third mergeable aggregate of the fold next to
+// the activity-log (pm) and the statistics (stats), and the
 // consumer the semantic decoding layer (internal/strace/decode.go)
 // exists for: the strace parser folds dirfd resolution, argv decoding
 // and socket-address decoding into the event file-path, so

@@ -20,7 +20,7 @@ type StreamResult struct {
 	ActivityLog *pm.Log
 	DFG         *dfg.Graph
 	Stats       *stats.Stats
-	// Behavior is the fourth mergeable aggregate: the per-case and
+	// Behavior is the third folded aggregate: the per-case and
 	// merged behavior profile (files touched, commands executed,
 	// endpoints contacted) derived from the semantic decoding layer.
 	Behavior *behavior.Profile

@@ -11,7 +11,8 @@ import (
 // FuzzSnapshotDecode drives decode with mutated snapshot files: seeds
 // are real version-4 snapshots of the adversarial generator profiles
 // (the hostileargs renderings among them), bit-flipped variants, a
-// well-framed snapshot whose stats spans descend in start, two whose
+// well-framed snapshot whose stats spans descend in start, one that
+// carries the retired kind-4 section, two whose
 // behavior subjects are out of order or repeated, and two whose
 // activity-log variant miscounts its cases. The
 // decoder must never panic and never allocate proportionally to a
@@ -36,6 +37,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		f.Add(enc[:len(enc)*2/3])
 		f.Add(descendingStartSnapshot(s))
+		f.Add(retiredKindSnapshot(s))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("STS1"))

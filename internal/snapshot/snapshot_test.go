@@ -162,6 +162,9 @@ func TestSnapshotCorruption(t *testing.T) {
 	if _, err := decode(descendingStartSnapshot(foldRange(el, m, 0, 8)), m); !errors.As(err, &ce) {
 		t.Errorf("descending-start stats section: err = %v, want CorruptError", err)
 	}
+	if _, err := decode(retiredKindSnapshot(foldRange(el, m, 0, 8)), m); !errors.As(err, &ce) {
+		t.Errorf("retired kind-4 section: err = %v, want CorruptError", err)
+	}
 	for _, second := range []string{"/a", "/b"} {
 		if _, err := decode(unsortedBehaviorSnapshot(foldRange(el, m, 0, 8), second), m); !errors.As(err, &ce) {
 			t.Errorf("behavior subjects /b, %s: err = %v, want CorruptError", second, err)
@@ -190,29 +193,17 @@ func TestSnapshotVersionError(t *testing.T) {
 	}
 }
 
-// Kind 4 held the DFG up to version 3 and is retired: a version-4 file
-// that carries it — well framed, every checksum valid — is corrupt, never
-// read with the section silently skipped.
-func TestSnapshotRetiredDFGKind(t *testing.T) {
-	m := pm.CallTopDirs{Depth: 2}
-	s := foldRange(synth.Log("sts", 4, 10, 1), m, 0, 4)
+// retiredKindSnapshot is a well-framed version-4 snapshot of s that
+// also carries a kind-4 section, the DFG section of versions up to 3,
+// holding an empty graph. Checksums are all valid: the retired kind
+// must fail as corruption, never be skipped silently.
+func retiredKindSnapshot(s *Snapshot) []byte {
 	var g wire.Buf
-	g.Dict([]string{"read:/f"})
-	g.Uvarint(1) // traces
+	g.Dict(nil)
+	g.Uvarint(0) // traces
 	g.Uvarint(0) // nodes
 	g.Uvarint(0) // edges
-	secs := sectionsOf(s)
-	for _, at := range []int{3, len(secs)} {
-		withDFG := append(append(append([]section(nil), secs[:at]...), section{4, g.Bytes()}), secs[at:]...)
-		_, err := decode(encodeSections(withDFG), m)
-		var ce *wire.CorruptError
-		if !errors.As(err, &ce) || errors.Is(err, ErrVersion) {
-			t.Errorf("kind-4 section at %d: err = %v, want CorruptError", at, err)
-		}
-	}
-	if _, err := decode(encodeSections(secs), m); err != nil {
-		t.Fatalf("the same sections without kind 4: %v", err)
-	}
+	return encodeSections(append(sectionsOf(s), section{4, g.Bytes()}))
 }
 
 // descendingStartSnapshot is a well-framed snapshot of s whose stats

@@ -76,7 +76,7 @@ type (
 	ActivityLog = pm.Log
 )
 
-// Behavior layer: the fourth mergeable aggregate, derived from the
+// Behavior layer: the third mergeable aggregate of the fold, derived from the
 // semantic syscall decoding of internal/strace/decode.go.
 type (
 	// BehaviorProfile holds per-case and merged behavior profiles —
