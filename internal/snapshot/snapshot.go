@@ -3,10 +3,11 @@
 // computer (128-bit rate sums and max-concurrency spans included), the
 // behavior profile and the set of CaseIDs already folded. The DFG is
 // not stored: it is a function of the activity-log, built from it at
-// finalize. It is the persistence layer the checkpoint/resume engine and the multi-process
-// merge (`stinspect -merge-snapshots`) stand on: because every
-// aggregate's Merge is exact, snapshots written by N separate processes
-// merge into the same bytes a single-process fold produces.
+// finalize. It is the persistence layer the checkpoint/resume engine
+// and the multi-process merge (`stinspect -merge-snapshots`) stand on:
+// because every aggregate's Merge is exact, snapshots written by N
+// separate processes merge into the same bytes a single-process fold
+// produces.
 //
 // The container reuses the STA archive idioms: a magic/version header,
 // one checksummed section per payload, a footer-located CRC'd index. It
@@ -88,10 +89,10 @@ const (
 )
 
 // Snapshot is one fold's durable state: the three mergeable aggregates
-// (activity-log, statistics, behavior) plus the CaseIDs they cover. Stats is kept pre-Finalize (a Computer,
-// not a Stats) because finalization is lossy — rates are divided,
-// intervals are swept away — and resumed folds must keep merging
-// exactly.
+// (activity-log, statistics, behavior) plus the CaseIDs they cover.
+// Stats is kept pre-Finalize (a Computer, not a Stats) because
+// finalization is lossy — rates are divided, intervals are swept away —
+// and resumed folds must keep merging exactly.
 type Snapshot struct {
 	Log      *pm.Log
 	Stats    *stats.Computer

@@ -76,8 +76,8 @@ type (
 	ActivityLog = pm.Log
 )
 
-// Behavior layer: the third mergeable aggregate of the fold, derived from the
-// semantic syscall decoding of internal/strace/decode.go.
+// Behavior layer: the third mergeable aggregate of the fold, derived
+// from the semantic syscall decoding of internal/strace/decode.go.
 type (
 	// BehaviorProfile holds per-case and merged behavior profiles —
 	// files opened/read/written/deleted/renamed, commands executed,
