@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -271,8 +270,8 @@ func resultFromSnapshot(s *snapshot.Snapshot) *StreamResult {
 }
 
 // foldEpoch runs one sharded fold over the (possibly budgeted) source
-// and captures the resulting partial state as a snapshot, with the
-// per-shard folded CaseIDs collected alongside the aggregates. It is the
+// and captures the resulting partial state as a snapshot: one per
+// shard, each with its folded CaseIDs, joined by snapshot.Merge. It is the
 // one fold body: AnalyzeStreamParallel finalizes its snapshot, the
 // checkpointed fold merges one per epoch, and AnalyzeStreamSnapshot
 // returns it as is.
@@ -281,48 +280,33 @@ func foldEpoch(src source.Source, m pm.Mapping, shards int, joinErrors bool) (*s
 		shards = runtime.GOMAXPROCS(0)
 	}
 	parts := make([]*shardPartial, shards)
-	seenByShard := make([][]trace.CaseID, shards)
 	for i := range parts {
 		parts[i] = newShardPartial(m)
 	}
 	err := source.ShardedFold(src, shards, joinErrors, func(shard int, c *trace.Case) error {
-		seenByShard[shard] = append(seenByShard[shard], c.ID)
 		return parts[shard].fold(c)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Each shard sorts its statistics spans on its own goroutine, so the
-	// serial merge below is a linear merge of sorted runs and the merged
-	// computer finalizes and encodes without sorting again.
+	// Each shard finalizes its own snapshot on its own goroutine, and
+	// snapshot.Merge joins them in shard order — the merge checkpoint
+	// epochs and snapshot files use. Shard 0's table, created fresh for
+	// this run like every partial, survives as the merge target; the
+	// others remap into it, preserving strings exactly, so every
+	// artifact is byte-identical to folding sequentially.
+	snaps := make([]*snapshot.Snapshot, shards)
 	var wg sync.WaitGroup
-	for _, p := range parts[1:] {
+	for i := 1; i < shards; i++ {
 		wg.Add(1)
-		go func(p *shardPartial) {
+		go func() {
 			defer wg.Done()
-			p.stC.Sort()
-		}(p)
+			snaps[i] = parts[i].snapshot()
+		}()
 	}
-	parts[0].stC.Sort()
+	snaps[0] = parts[0].snapshot()
 	wg.Wait()
-	// The run owns its merged symbol universe: shard 0's table — created
-	// fresh for this run, like every partial — survives as the merge
-	// target, and shards 1..n remap into it in shard order (for one
-	// shard there is nothing to merge at all). The remap preserves
-	// strings exactly, so the merged assignment — and therefore every
-	// artifact — is byte-identical to folding sequentially.
-	run := parts[0]
-	for _, p := range parts[1:] {
-		p.mergeInto(run)
-	}
-	s := run.snapshot()
-	for _, ids := range seenByShard {
-		s.Seen = append(s.Seen, ids...)
-	}
-	// Each shard's list is ascending (round-robin over an ascending
-	// stream); the combined set sorts into the canonical order.
-	sort.Slice(s.Seen, func(i, j int) bool { return s.Seen[i].Less(s.Seen[j]) })
-	return s, nil
+	return snapshot.Merge(snaps...), nil
 }
 
 // limitSource feeds at most every cases per epoch from the wrapped

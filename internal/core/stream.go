@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"stinspector/internal/behavior"
 	"stinspector/internal/dfg"
 	"stinspector/internal/intern"
@@ -40,19 +42,21 @@ type StreamResult struct {
 }
 
 // shardPartial is one shard's builder set: the per-shard state of the
-// parallel fold, merged in shard order once the stream is exhausted.
+// parallel fold, finalized into a snapshot on its own goroutine once
+// the stream is exhausted and joined with the others by snapshot.Merge.
 // The activity-log builder and the statistics computer share one
 // pm.SymMapper — and therefore one shard-local activity symbol table —
 // so every event is mapped exactly once and all per-event counting
-// happens on integer keys; the shard-local tables are remapped into
-// shard 0's at merge. The DFG is not folded: it is a function of the
+// happens on integer keys; the merge remaps the shard-local tables
+// into shard 0's. The DFG is not folded: it is a function of the
 // activity-log, built once by resultFromSnapshot.
 type shardPartial struct {
 	sm    *pm.SymMapper
 	pmB   *pm.Builder
 	stC   *stats.Computer
 	bh    *behavior.Profile
-	syms  []intern.Sym // per-case mapping scratch, reused
+	syms  []intern.Sym   // per-case mapping scratch, reused
+	seen  []trace.CaseID // the cases fold took, in delivery order
 	cases int
 	evs   int
 }
@@ -68,6 +72,7 @@ func newShardPartial(m pm.Mapping) *shardPartial {
 }
 
 func (p *shardPartial) fold(c *trace.Case) error {
+	p.seen = append(p.seen, c.ID)
 	p.syms = p.sm.MapCase(c, p.syms[:0])
 	p.foldMapped(c, p.syms)
 	return nil
@@ -83,24 +88,22 @@ func (p *shardPartial) foldMapped(c *trace.Case, syms []intern.Sym) {
 	p.bh.AddCase(c)
 }
 
-// mergeInto folds p's symbolized partial state into dst, remapping p's
-// shard-local symbol tables through dst's.
-func (p *shardPartial) mergeInto(dst *shardPartial) {
-	dst.cases += p.cases
-	dst.evs += p.evs
-	dst.pmB.MergeFrom(p.pmB)
-	dst.stC.Merge(p.stC)
-	dst.bh.Merge(p.bh)
-}
-
-// snapshot finalizes p into a snapshot without the folded CaseID set.
+// snapshot finalizes p into a snapshot: the finalized activity-log, the
+// statistics with their spans sorted and the folded CaseIDs in
+// ascending order, so snapshot.Merge joins shards by linear merges of
+// sorted runs. A batch source delivers each shard an ascending
+// subsequence and the sorts find their input in order; a live source
+// delivers completion order.
 func (p *shardPartial) snapshot() *snapshot.Snapshot {
+	p.stC.Sort()
+	sort.Slice(p.seen, func(i, j int) bool { return p.seen[i].Less(p.seen[j]) })
 	return &snapshot.Snapshot{
 		Cases:    p.cases,
 		Events:   p.evs,
 		Log:      p.pmB.Finalize(),
 		Stats:    p.stC,
 		Behavior: p.bh,
+		Seen:     p.seen,
 	}
 }
 
@@ -120,7 +123,6 @@ func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
 		p.foldMapped(c, syms[:n])
 		syms = syms[n:]
 	}
-	p.stC.Sort()
 	return resultFromSnapshot(p.snapshot())
 }
 
@@ -140,16 +142,15 @@ func foldLog(el *trace.EventLog, m pm.Mapping) *StreamResult {
 //
 // The analysis fold is sharded: source.ShardedFold round-robins case
 // blocks to shards workers, each owning its own builder set over a
-// shard-local symbol table, and the shard partials are merged in shard
-// order afterwards — the shard tables remapped into shard 0's (itself
-// created fresh for this run), the counts folded as integer sums.
-// Because every aggregate merge is exact — integer counts and sums,
-// sorted case-list interleaves, sorted max-concurrency span runs merged
-// linearly, and a symbol remap that preserves strings exactly — the
-// result is byte-identical to the sequential fold at every shard count;
-// shard count is a pure throughput knob, never observable in the
-// artifacts. Only the merged survivor materializes
-// activity strings, once, at Finalize.
+// shard-local symbol table. Each shard finalizes its own snapshot, and
+// snapshot.Merge joins them in shard order afterwards — the shard
+// tables remapped into shard 0's (itself created fresh for this run),
+// the counts folded as integer sums. Because every aggregate merge is
+// exact — integer counts and sums, sorted case-list interleaves, sorted
+// max-concurrency span runs merged linearly, and a symbol remap that
+// preserves strings exactly — the result is byte-identical to the
+// sequential fold at every shard count; shard count is a pure
+// throughput knob, never observable in the artifacts.
 //
 // It is foldEpoch, the one fold body in the tree, finalized through
 // resultFromSnapshot. shards <= 0 means runtime.GOMAXPROCS(0);

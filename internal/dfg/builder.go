@@ -6,12 +6,13 @@ import (
 )
 
 // Builder counts a DFG one activity trace at a time, each with a
-// multiplicity: Build and Split feed it an activity-log's variants.
+// multiplicity: Build and Split feed it an activity-log's variants in
+// the log's own symbols.
 // Because the graph is pure occurrence counting, folding the same
 // traces in any order yields an identical graph.
 //
 // The builder counts in symbol space: activities are dense symbols from
-// an intern.Local table (its own, or one given to NewBuilderSym), node
+// an intern.Local table (the one given to NewBuilderSym), node
 // counts live in a slice indexed by symbol and edge counts in a map
 // keyed by the packed symbol pair — no string hashing per event.
 // Finalize materializes the classic string-keyed Graph.
@@ -21,30 +22,16 @@ type Builder struct {
 	seen   []bool // activity appeared in a trace (counts can be 0)
 	edges  map[uint64]int
 	traces int
-
-	symbuf []intern.Sym // addVariant scratch
 }
-
-// newBuilder returns a builder over an empty graph with its own
-// activity symbol table.
-func newBuilder() *Builder { return NewBuilderSym(intern.NewLocal()) }
 
 // NewBuilderSym returns a builder whose activity symbols are drawn from
 // the given table, so traces already in that table's symbol space (a
-// SymMapper's Acts(), as pm.Builder.AddMapped returns them) go straight
-// into AddSymVariant.
+// SymMapper's Acts(), as pm.Builder.AddMapped returns them, or a
+// pm.Log's Acts(), as its variants' Syms hold them) go straight into
+// AddSymVariant. The builder only reads the table (Str at Finalize), so
+// builders over one table may run concurrently.
 func NewBuilderSym(tab *intern.Local) *Builder {
 	return &Builder{tab: tab, edges: make(map[uint64]int, 32)}
-}
-
-// addVariant folds a trace with a multiplicity, the variant form.
-func (b *Builder) addVariant(seq pm.Trace, mult int) {
-	syms := b.symbuf[:0]
-	for _, a := range seq {
-		syms = append(syms, b.tab.Intern(string(a)))
-	}
-	b.symbuf = syms
-	b.AddSymVariant(syms, mult)
 }
 
 // AddSymVariant folds a trace already in symbol space (symbols from the

@@ -51,9 +51,9 @@ func newGraph() *Graph {
 // paper's figures where ● and ■ carry the trace multiplicities on their
 // edges. It is the one way an analysis path gets its DFG.
 func Build(l *pm.Log) *Graph {
-	b := newBuilder()
+	b := NewBuilderSym(l.Acts())
 	for _, v := range l.Variants() {
-		b.addVariant(v.Seq, v.Mult)
+		b.AddSymVariant(v.Syms, v.Mult)
 	}
 	return b.Finalize()
 }

@@ -52,7 +52,7 @@ type Partition struct {
 // comparison runs on a fold's finalized activity-log. A variant's
 // cases beyond its case list (hand-built logs only) count as R.
 func Split(l *pm.Log, green func(trace.CaseID) bool) (g, r *Graph) {
-	gb, rb := newBuilder(), newBuilder()
+	gb, rb := NewBuilderSym(l.Acts()), NewBuilderSym(l.Acts())
 	for _, v := range l.Variants() {
 		n := 0
 		for _, id := range v.Cases {
@@ -61,10 +61,10 @@ func Split(l *pm.Log, green func(trace.CaseID) bool) (g, r *Graph) {
 			}
 		}
 		if n > 0 {
-			gb.addVariant(v.Seq, n)
+			gb.AddSymVariant(v.Syms, n)
 		}
 		if v.Mult > n {
-			rb.addVariant(v.Seq, v.Mult-n)
+			rb.AddSymVariant(v.Syms, v.Mult-n)
 		}
 	}
 	return gb.Finalize(), rb.Finalize()

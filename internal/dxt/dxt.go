@@ -69,8 +69,12 @@ func (e *ParseError) Error() string {
 // process-wide symbol table, so every record of a group shares the
 // interned string and paths seen by other ingestion backends resolve to
 // the same allocation.
-func Parse(r io.Reader) ([]Record, error) {
-	cache := intern.CacheFor(nil)
+func Parse(r io.Reader) ([]Record, error) { return parse(r, nil) }
+
+// parse is Parse with the header strings interned into t; nil selects
+// the process-wide table.
+func parse(r io.Reader, t *intern.Table) ([]Record, error) {
+	cache := intern.CacheFor(t)
 	defer intern.PutCache(cache)
 	var (
 		records  []Record

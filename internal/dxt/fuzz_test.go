@@ -5,16 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"stinspector/internal/intern"
 	"stinspector/internal/source"
 )
 
 // FuzzDXTParse: arbitrary text must never panic the DXT parser, every
 // rejection must be a *ParseError, and every accepted record set must
-// stream as cases holding one event per record.
+// stream as cases holding one event per record. Each input interns into
+// a fresh table, so a long run does not grow the process-wide one.
 func FuzzDXTParse(f *testing.F) {
 	f.Add(sample)
 	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := Parse(strings.NewReader(data))
+		recs, err := parse(strings.NewReader(data), intern.NewTable())
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {

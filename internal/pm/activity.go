@@ -9,7 +9,9 @@ import "strings"
 // Activity is a named entity an event maps to, for example
 // "read:/usr/lib". By the convention of the paper's mapping f̂
 // (Equation 4) an activity value concatenates the system call name and an
-// abstraction of the file path; this package treats it as opaque.
+// abstraction of the file path; this package treats it as opaque. Any
+// string is an activity: the activity-log keys variants by symbol
+// sequence, so no byte is reserved as a separator.
 type Activity string
 
 // The virtual start and end activities appended to every trace before DFG

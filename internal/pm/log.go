@@ -2,6 +2,7 @@ package pm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,16 +13,6 @@ import (
 // Trace is an activity trace σ_f(c): the sequence of activities of the
 // mapped events of one case, in event order (Equation 5).
 type Trace []Activity
-
-// key returns a canonical string form used to group identical traces into
-// variants. Activities never contain the NUL separator.
-func (t Trace) key() string {
-	parts := make([]string, len(t))
-	for i, a := range t {
-		parts[i] = string(a)
-	}
-	return strings.Join(parts, "\x00")
-}
 
 // String renders the trace in the paper's ⟨a1, a2, ...⟩ notation.
 func (t Trace) String() string {
@@ -36,21 +27,29 @@ func (t Trace) String() string {
 // activity-log and the cases that produced it. The paper writes
 // ⟨a, a, b⟩² for a variant with multiplicity 2.
 type Variant struct {
-	Seq   Trace
+	// Seq is the trace as activity strings, materialized from the
+	// log's activity table (it shares the table's strings).
+	Seq Trace
+	// Syms is the same trace in the log's activity table (Log.Acts).
+	Syms  []intern.Sym
 	Mult  int
 	Cases []trace.CaseID
 }
 
+// compareVariants is the canonical variant order: elementwise string
+// order over Seq, a proper prefix first. For activities without a NUL
+// byte it is the order of the traces joined by NUL separators.
+func compareVariants(a, b *Variant) int { return slices.Compare(a.Seq, b.Seq) }
+
 // Log is the activity-log L_f(C) ∈ B(A_f*): a multiset of traces over the
-// activity alphabet, stored as variants. Variants are kept in a
-// deterministic order (lexicographic by key) for reproducible output.
-// The zero Log is empty and ready to Merge into.
+// activity alphabet, stored as variants. It keeps the activity table its
+// variants' symbol sequences index, and the variants in the canonical
+// order of compareVariants for reproducible output. The zero Log is
+// empty and ready to Merge into.
 type Log struct {
+	acts     *intern.Local
 	variants []*Variant
-	// keys[i] is variants[i].Seq.key(), kept beside the variants so the
-	// ordered insert and Merge never rebuild a key.
-	keys  []string
-	byKey map[string]*Variant
+	bySyms   map[string]*Variant // key: symKey(Variant.Syms)
 	// mapped/unmapped count events inside/outside the mapping domain.
 	mapped   int
 	unmapped int
@@ -83,16 +82,16 @@ func Build(el *trace.EventLog, m Mapping, opts BuildOptions) *Log {
 // being materialized. Feeding cases in CaseID order yields exactly the
 // Log that Build produces.
 //
-// Internally the builder works in symbol space: events map to dense
-// activity symbols through a SymMapper, variants are keyed by the raw
-// symbol sequence, and per-event work involves no string building at
-// all. Finalize materializes the accumulated state into the exact
-// string-keyed Log the pre-symbol implementation produced.
+// The builder works in symbol space: events map to dense activity
+// symbols through a SymMapper, variants are keyed by the raw symbol
+// sequence, and per-event work involves no string building at all.
+// Finalize hands the variants and the mapper's activity table to the
+// Log, whose strings are the table's own.
 type Builder struct {
 	sm   *SymMapper
 	opts BuildOptions
 
-	vars map[string]*symVariant // key: little-endian symbol bytes
+	vars map[string]*Variant // key: symKey(Variant.Syms)
 
 	startSym, endSym intern.Sym
 
@@ -101,13 +100,6 @@ type Builder struct {
 	symsbuf []intern.Sym // per-case MapCase output, reused (add path)
 
 	mapped, unmapped int
-}
-
-// symVariant is a variant in symbol space.
-type symVariant struct {
-	seq   []intern.Sym
-	mult  int
-	cases []trace.CaseID
 }
 
 // newBuilder returns an empty builder for the mapping and options.
@@ -120,7 +112,7 @@ func newBuilder(m Mapping, opts BuildOptions) *Builder {
 // statistics) can share a single activity symbol table and map every
 // event exactly once.
 func NewBuilderSym(sm *SymMapper, opts BuildOptions) *Builder {
-	b := &Builder{sm: sm, opts: opts, vars: make(map[string]*symVariant, 16)}
+	b := &Builder{sm: sm, opts: opts, vars: make(map[string]*Variant, 16)}
 	b.startSym = sm.acts.Intern(string(Start))
 	b.endSym = sm.acts.Intern(string(End))
 	return b
@@ -172,11 +164,11 @@ func (b *Builder) fold(seq []intern.Sym, id trace.CaseID) {
 	b.keybuf = symKey(b.keybuf[:0], seq)
 	v, ok := b.vars[string(b.keybuf)] // no-alloc lookup
 	if !ok {
-		v = &symVariant{seq: append([]intern.Sym(nil), seq...)}
+		v = &Variant{Syms: slices.Clone(seq)}
 		b.vars[string(b.keybuf)] = v
 	}
-	v.mult++
-	v.cases = append(v.cases, id)
+	v.Mult++
+	v.Cases = append(v.Cases, id)
 }
 
 // symKey appends the little-endian byte form of the symbol sequence —
@@ -188,111 +180,46 @@ func symKey(dst []byte, seq []intern.Sym) []byte {
 	return dst
 }
 
-// materialize converts a symbol sequence into a Trace of activity
-// strings.
-func (b *Builder) materialize(seq []intern.Sym) Trace {
-	out := make(Trace, len(seq))
-	for i, y := range seq {
-		out[i] = Activity(b.sm.acts.Str(y))
-	}
-	return out
-}
-
-// MergeFrom folds another builder's accumulated state into b,
-// remapping o's shard-local symbols through b's tables — the symbol
-// form of Log.Merge, used by the sharded analysis fold before a single
-// Finalize. The same merge law holds: variant multiplicities and the
-// mapped/unmapped counters are integer sums, case lists interleave in
-// sorted CaseID order with b's entries first on ties, so merging shard
-// partials in shard order reproduces the sequential fold exactly. o
-// must not be used afterwards.
-func (b *Builder) MergeFrom(o *Builder) {
-	if o == nil {
-		return
-	}
-	b.mapped += o.mapped
-	b.unmapped += o.unmapped
-	r := o.sm.acts.RemapInto(b.sm.acts)
-	var seq []intern.Sym
-	for _, ov := range o.vars {
-		seq = seq[:0]
-		for _, y := range ov.seq {
-			seq = append(seq, r[y])
-		}
-		b.keybuf = symKey(b.keybuf[:0], seq)
-		v, ok := b.vars[string(b.keybuf)]
-		if !ok {
-			b.vars[string(b.keybuf)] = &symVariant{
-				seq:   append([]intern.Sym(nil), seq...),
-				mult:  ov.mult,
-				cases: ov.cases,
-			}
-			continue
-		}
-		v.cases = trace.MergeCaseIDs(v.cases, ov.cases)
-		v.mult += ov.mult
-	}
-}
-
-// Finalize materializes the accumulated state into a Log and returns
-// it. The builder must not be used afterwards.
+// Finalize materializes each variant's trace, puts the variants in
+// canonical order and returns the Log, which keeps the builder's
+// variants and its SymMapper's activity table. The builder must not be
+// used afterwards.
 func (b *Builder) Finalize() *Log {
 	l := &Log{
-		byKey:    make(map[string]*Variant, len(b.vars)),
+		acts:     b.sm.acts,
+		variants: make([]*Variant, 0, len(b.vars)),
+		bySyms:   b.vars,
 		mapped:   b.mapped,
 		unmapped: b.unmapped,
 	}
-	type keyed struct {
-		key string
-		v   *Variant
-	}
-	out := make([]keyed, 0, len(b.vars))
-	for _, sv := range b.vars {
-		seq := b.materialize(sv.seq)
-		key := seq.key()
-		// Two distinct symbol sequences can collapse onto one string
-		// key only if an activity embeds the NUL separator (outside
-		// the documented Activity contract); fold them the way the
-		// string-keyed builder always has.
-		if v, ok := l.byKey[key]; ok {
-			v.Cases = trace.MergeCaseIDs(v.Cases, sv.cases)
-			v.Mult += sv.mult
-			continue
-		}
-		v := &Variant{Seq: seq, Mult: sv.mult, Cases: sv.cases}
-		l.byKey[key] = v
-		out = append(out, keyed{key: key, v: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	l.variants = make([]*Variant, len(out))
-	l.keys = make([]string, len(out))
-	for i, kv := range out {
-		l.keys[i] = kv.key
+	for _, v := range b.vars {
+		v.Seq = l.trace(v.Syms)
 		// Case lists accumulate in fold order. Batch ingestion folds in
 		// CaseID order, so this sort is a no-op there; live ingestion
 		// folds in completion order, and canonicalizing here is what
 		// makes its final artifacts byte-identical to a batch run.
-		sort.Slice(kv.v.Cases, func(a, b int) bool { return kv.v.Cases[a].Less(kv.v.Cases[b]) })
-		l.variants[i] = kv.v
+		sort.Slice(v.Cases, func(i, j int) bool { return v.Cases[i].Less(v.Cases[j]) })
+		l.variants = append(l.variants, v)
 	}
+	slices.SortFunc(l.variants, compareVariants)
 	return l
 }
 
-// insertVariant registers a new variant under key, keeping the variants
-// slice in its deterministic lexicographic-by-key order.
-func (l *Log) insertVariant(key string, v *Variant) {
-	if l.byKey == nil {
-		l.byKey = make(map[string]*Variant)
+// trace materializes a symbol sequence of the log's table as activity
+// strings; the strings are the table's, so only the slice is allocated.
+func (l *Log) trace(syms []intern.Sym) Trace {
+	out := make(Trace, len(syms))
+	for i, y := range syms {
+		out[i] = Activity(l.acts.Str(y))
 	}
-	l.byKey[key] = v
-	i := sort.SearchStrings(l.keys, key)
-	l.variants = append(l.variants, nil)
-	copy(l.variants[i+1:], l.variants[i:])
-	l.variants[i] = v
-	l.keys = append(l.keys, "")
-	copy(l.keys[i+1:], l.keys[i:])
-	l.keys[i] = key
+	return out
 }
+
+// Acts returns the activity table that every variant's Syms index; Str
+// materializes a symbol. It is nil for a zero Log that nothing was
+// merged into. Callers only read it: finalized artifacts of one log are
+// built concurrently.
+func (l *Log) Acts() *intern.Local { return l.acts }
 
 // Variants returns the distinct traces with multiplicities, in
 // deterministic order. The slice must not be mutated.
@@ -317,36 +244,71 @@ func (l *Log) MappedEvents() int   { return l.mapped }
 func (l *Log) UnmappedEvents() int { return l.unmapped }
 
 // Merge folds another activity-log into l — the exact multiset union
-// L_f(C_a) ∪ L_f(C_b) that snapshot merges and checkpoint epochs use.
-// Variant multiplicities and the mapped/unmapped counters are integer
-// sums, and each variant's case list is stitched by a stable sorted
-// merge on CaseID (ties keep l's entries first). When every input's
-// per-variant case list is ascending — true for any log a Builder was
-// fed in CaseID order, which is what every streaming source delivers —
-// merging shard partials in any order reproduces the sequential fold
-// byte-for-byte.
+// L_f(C_a) ∪ L_f(C_b) that shard joins, checkpoint epochs and snapshot
+// merges use. o's activity table is remapped into l's once (a zero l
+// gets a fresh table first), and each of o's variants is looked up by
+// its remapped symbol sequence. Variant multiplicities and the
+// mapped/unmapped counters are integer sums, and each variant's case
+// list is stitched by a stable sorted merge on CaseID (ties keep l's
+// entries first). When every input's per-variant case list is
+// ascending — true for any finalized log — merging shard partials in
+// any order reproduces the sequential fold byte-for-byte.
 // o's variants are copied; o stays usable. The cost is o's size plus
-// one ordered insert per variant new to l: the history already in l is
-// neither copied nor re-keyed.
+// one linear merge of the variants new to l (already in canonical
+// order, as o's are) into l's: the history already in l is neither
+// rebuilt nor re-keyed.
 func (l *Log) Merge(o *Log) {
 	if o == nil {
 		return
 	}
 	l.mapped += o.mapped
 	l.unmapped += o.unmapped
-	for i, ov := range o.variants {
-		key := o.keys[i]
-		v, ok := l.byKey[key]
-		if !ok {
-			l.insertVariant(key, &Variant{Seq: ov.Seq, Mult: ov.Mult, Cases: paddedCases(ov)})
+	if o.acts == nil {
+		return
+	}
+	if l.acts == nil {
+		l.acts = intern.NewLocal()
+		l.bySyms = make(map[string]*Variant, len(o.variants))
+	}
+	r := o.acts.RemapInto(l.acts)
+	var fresh []*Variant
+	var syms []intern.Sym
+	var key []byte
+	for _, ov := range o.variants {
+		syms = syms[:0]
+		for _, y := range ov.Syms {
+			syms = append(syms, r[y])
+		}
+		key = symKey(key[:0], syms)
+		if v, ok := l.bySyms[string(key)]; ok {
+			// trace.MergeCaseIDs never aliases its second list, so o's
+			// list can be read in place here; only the new-variant
+			// branch below needs its own copy.
+			v.Cases = trace.MergeCaseIDs(paddedCasesInPlace(v), paddedCasesInPlace(ov))
+			v.Mult += ov.Mult
 			continue
 		}
-		// trace.MergeCaseIDs never aliases its second list, so o's list
-		// can be read in place here; only the retained new-variant branch
-		// above needs its own copy.
-		v.Cases = trace.MergeCaseIDs(paddedCasesInPlace(v), paddedCasesInPlace(ov))
-		v.Mult += ov.Mult
+		v := &Variant{Seq: l.trace(syms), Syms: slices.Clone(syms), Mult: ov.Mult, Cases: paddedCases(ov)}
+		l.bySyms[string(key)] = v
+		fresh = append(fresh, v)
 	}
+	l.variants = mergeVariants(l.variants, fresh)
+}
+
+// mergeVariants merges b, in canonical order and new to a, into a's
+// canonical order in place, from the back, and returns the extended a.
+// b must not share a's backing array.
+func mergeVariants(a, b []*Variant) []*Variant {
+	i, j := len(a)-1, len(b)-1
+	a = append(a, b...)
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && compareVariants(a[i], b[j]) > 0 {
+			a[k], i = a[i], i-1
+		} else {
+			a[k], j = b[j], j-1
+		}
+	}
+	return a
 }
 
 // paddedCases returns a copy of the variant's case list, padded with

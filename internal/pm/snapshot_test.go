@@ -105,6 +105,27 @@ func miscountedLog(mult, cases int) []byte {
 	return b.Bytes()
 }
 
+// twoVariantLog encodes a log of two one-activity variants, the
+// activities dictionary ids first and second of {read:/a, read:/b},
+// each with one case.
+func twoVariantLog(first, second uint64) []byte {
+	var b wire.Buf
+	b.Dict([]string{"read:/a", "read:/b", "c", "h"})
+	b.Uvarint(2) // mapped
+	b.Uvarint(0) // unmapped
+	b.Uvarint(2) // two variants
+	for rid, act := range []uint64{first, second} {
+		b.Uvarint(1) // seq len
+		b.Uvarint(act)
+		b.Uvarint(1) // mult
+		b.Uvarint(1) // one case
+		b.Uvarint(2) // CID
+		b.Uvarint(3) // host
+		b.Varint(int64(rid))
+	}
+	return b.Bytes()
+}
+
 // Truncations and out-of-range ids must fail with CorruptError — never
 // panic, never a silently wrong log.
 func TestLogSnapshotCorrupt(t *testing.T) {
@@ -138,5 +159,15 @@ func TestLogSnapshotCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeLogSnapshot(miscountedLog(2, 2)); err != nil {
 		t.Errorf("well-counted variant rejected: %v", err)
+	}
+	// Variants must come in strictly ascending canonical order: a
+	// repeated variant and two swapped ones are corruption.
+	for _, bad := range [][2]uint64{{0, 0}, {1, 0}} {
+		if _, err := DecodeLogSnapshot(twoVariantLog(bad[0], bad[1])); !errors.As(err, &ce) {
+			t.Errorf("variants %v: err = %v, want CorruptError", bad, err)
+		}
+	}
+	if _, err := DecodeLogSnapshot(twoVariantLog(0, 1)); err != nil {
+		t.Errorf("ordered variants rejected: %v", err)
 	}
 }

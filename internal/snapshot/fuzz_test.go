@@ -13,7 +13,8 @@ import (
 // (the hostileargs renderings among them), bit-flipped variants, a
 // well-framed snapshot whose stats spans descend in start, one that
 // carries the retired kind-4 section, two whose
-// behavior subjects are out of order or repeated, and two whose
+// behavior subjects are out of order or repeated, two whose
+// activity-log variants are out of order or repeated, and two whose
 // activity-log variant miscounts its cases. The
 // decoder must never panic and never allocate proportionally to a
 // hostile count; when it does accept an input, the decoded state must
@@ -45,6 +46,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 	s := foldRange(profiles.All()[0].Generate("fz", 2, 16, 1), m, 0, 2)
 	f.Add(unsortedBehaviorSnapshot(s, "/a"))
 	f.Add(unsortedBehaviorSnapshot(s, "/b"))
+	// Log variants out of order and repeated.
+	for _, second := range []string{"/a", "/b"} {
+		enc := unsortedLogSnapshot(s, second)
+		if _, err := decode(enc, m); err == nil {
+			f.Fatalf("log variant %s after ⟨read:/b⟩ decoded cleanly", second)
+		}
+		f.Add(enc)
+	}
 	// A log variant with multiplicity 0, and one with fewer cases than
 	// its multiplicity.
 	one := foldRange(profiles.All()[0].Generate("fz", 1, 16, 1), m, 0, 1)

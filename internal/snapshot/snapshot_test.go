@@ -271,6 +271,38 @@ func unsortedBehaviorSnapshot(s *Snapshot, second string) []byte {
 	return encodeSections(secs)
 }
 
+// unsortedLogSnapshot is a well-framed snapshot of s whose
+// activity-log section holds the variant ⟨read:/b⟩ and then second:
+// ⟨read:/a⟩ is out of order, ⟨read:/b⟩ a repeat. Checksums are all
+// valid, so only the log decoder's order check stands in its way.
+func unsortedLogSnapshot(s *Snapshot, second string) []byte {
+	var b wire.Buf
+	b.Dict([]string{"app", "h1", "read:/b", "read:/a"})
+	b.Uvarint(2) // mapped
+	b.Uvarint(0) // unmapped
+	b.Uvarint(2) // variants
+	for rid, act := range []string{"/b", second} {
+		b.Uvarint(1) // seq len
+		if act == "/a" {
+			b.Uvarint(3)
+		} else {
+			b.Uvarint(2)
+		}
+		b.Uvarint(1) // mult
+		b.Uvarint(1) // cases
+		b.Uvarint(0) // cid
+		b.Uvarint(1) // host
+		b.Varint(int64(rid))
+	}
+	secs := sectionsOf(s)
+	for i := range secs {
+		if secs[i].kind == kindLog {
+			secs[i].body = b.Bytes()
+		}
+	}
+	return encodeSections(secs)
+}
+
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	el := synth.Log("sts", 6, 20, 5)
 	m := pm.CallTopDirs{Depth: 2}

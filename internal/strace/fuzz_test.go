@@ -51,54 +51,65 @@ func FuzzParseCase(f *testing.F) {
 		f.Add(buf.String())
 	}
 
-	// A line just over the 4 MiB cap between two valid records: every
-	// path skips it, or names it under Strict.
-	f.Add(fuzzSeeds[0] + "\n" + strings.Repeat("x", maxLineBytes+1) + "\n" + fuzzSeeds[1] + "\n")
 	// CRLF line endings, including an unterminated final "\r".
 	f.Add(strings.Join(fuzzSeeds[:3], "\r\n") + "\r")
 	// Records straddling the first two 32 KiB read boundaries.
 	line := fuzzSeeds[0] + "\n"
 	f.Add(strings.Repeat(line, 2*readChunk/len(line)+2))
 
+	f.Fuzz(checkParseCase)
+}
+
+// TestParseCaseOverCapLine runs FuzzParseCase's checks on a line just
+// over the 4 MiB cap between two valid records: every path skips it,
+// or names it under Strict. It is a plain test, not a fuzz seed, so the
+// mutator never spends its time on 4 MiB inputs.
+func TestParseCaseOverCapLine(t *testing.T) {
+	checkParseCase(t, fuzzSeeds[0]+"\n"+strings.Repeat("x", maxLineBytes+1)+"\n"+fuzzSeeds[1]+"\n")
+}
+
+// checkParseCase is FuzzParseCase's body: data parses without panic in
+// every option mode, on the batch and the follow path, any case it
+// yields satisfies the event-model invariants, and where the input is
+// split into reads does not change the result.
+func checkParseCase(t *testing.T, data string) {
 	id := trace.CaseID{CID: "fuzz", Host: "h", RID: 1}
-	f.Fuzz(func(t *testing.T, data string) {
-		for _, opts := range []Options{
-			{},
-			{Strict: true},
+	for _, opts := range []Options{
+		{},
+		{Strict: true},
+	} {
+		want, wantErr := ParseCase(id, strings.NewReader(data), opts)
+		checkFuzzCase(t, "ParseCase", opts, id, want, wantErr)
+		// Chunking never changes the result: the same bytes read
+		// one at a time or in input-derived chunk sizes parse
+		// identically, and so does the follow path once the final
+		// line is terminated.
+		for _, r := range []struct {
+			path string
+			read func() (*trace.Case, error)
+		}{
+			{"ParseCase/OneByteReader", func() (*trace.Case, error) {
+				return ParseCase(id, iotest.OneByteReader(strings.NewReader(data)), opts)
+			}},
+			{"ParseCase/chunked", func() (*trace.Case, error) {
+				return ParseCase(id, &chunkReader{data: data}, opts)
+			}},
+			{"FollowReader/terminated", func() (*trace.Case, error) {
+				c, _, err := FollowReader(id, strings.NewReader(data+"\n"), opts)
+				return c, err
+			}},
 		} {
-			want, wantErr := ParseCase(id, strings.NewReader(data), opts)
-			checkFuzzCase(t, "ParseCase", opts, id, want, wantErr)
-			// Chunking never changes the result: the same bytes read
-			// one at a time or in input-derived chunk sizes parse
-			// identically, and so does the follow path once the final
-			// line is terminated.
-			for _, r := range []struct {
-				path string
-				read func() (*trace.Case, error)
-			}{
-				{"ParseCase/OneByteReader", func() (*trace.Case, error) {
-					return ParseCase(id, iotest.OneByteReader(strings.NewReader(data)), opts)
-				}},
-				{"ParseCase/chunked", func() (*trace.Case, error) {
-					return ParseCase(id, &chunkReader{data: data}, opts)
-				}},
-				{"FollowReader/terminated", func() (*trace.Case, error) {
-					c, _, err := FollowReader(id, strings.NewReader(data+"\n"), opts)
-					return c, err
-				}},
-			} {
-				c, err := r.read()
-				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s opts %+v: error %v, ParseCase error %v", r.path, opts, err, wantErr)
-				}
-				if err == nil && !reflect.DeepEqual(c.Events, want.Events) {
-					t.Fatalf("%s opts %+v: %d events differ from ParseCase's %d", r.path, opts, c.Len(), want.Len())
-				}
+			c, err := r.read()
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s opts %+v: error %v, ParseCase error %v", r.path, opts, err, wantErr)
 			}
-			c, _, err := FollowReader(id, strings.NewReader(data), opts)
-			checkFuzzCase(t, "FollowReader", opts, id, c, err)
+			if err == nil && !reflect.DeepEqual(c.Events, want.Events) {
+				t.Fatalf("%s opts %+v: %d events differ from ParseCase's %d", r.path, opts, c.Len(), want.Len())
+			}
 		}
-	})
+		c, _, err := FollowReader(id, strings.NewReader(data), opts)
+		checkFuzzCase(t, "FollowReader", opts, id, c, err)
+	}
 }
 
 // chunkReader yields data in chunks whose sizes derive from the data
