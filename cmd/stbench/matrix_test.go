@@ -2,7 +2,7 @@ package main
 
 // The scenario matrix: every generator profile through every ingestion
 // backend at one and many analysis shards, with strace ingestion over
-// scoped and process-wide symbol tables (the archive and DXT backends
+// scoped and process-wide string tables (the archive and DXT backends
 // always intern into the process-wide one). The generators are
 // deterministic in (profile, cid, cases, events, seed) and the
 // pipeline's artifacts are parallelism-independent, so every column of
@@ -266,10 +266,10 @@ func readMatrix(t *testing.T, path string) matrixReport {
 }
 
 // sweepMatrix runs every cell of ps × matrixBackends × {1, params.Shards},
-// strace's over both the process-wide and a scoped symbol table, and
+// strace's over both the process-wide and a scoped string table, and
 // checks the sweep's own invariants: the snapshot re-encodes
 // byte-identically, structure does not depend on the shard count or
-// the symbol table, and the archive matches strace in everything but
+// the string table, and the archive matches strace in everything but
 // bytes.
 func sweepMatrix(t *testing.T, ps []profiles.Profile, params matrixReport) matrixReport {
 	t.Helper()
@@ -358,7 +358,7 @@ func sweepMatrix(t *testing.T, ps []profiles.Profile, params matrixReport) matri
 }
 
 // structure is a cell without its key: what must not depend on the
-// shard count or the symbol table.
+// shard count or the string table.
 func structure(c matrixCell) matrixCell {
 	c.Profile, c.Backend, c.Shards, c.Scoped = "", "", 0, false
 	return c

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"stinspector"
 	"stinspector/internal/cliutil"
@@ -16,6 +17,7 @@ import (
 	"stinspector/internal/stats"
 	"stinspector/internal/strace"
 	"stinspector/internal/synth/profiles"
+	"stinspector/internal/trace"
 )
 
 // reference renders, from the library's in-memory Inspector and its
@@ -296,24 +298,63 @@ func TestRunMatchesInspector(t *testing.T) {
 
 var updateGolden = flag.Bool("update", false, "rewrite the report golden files")
 
-// TestRunReportGolden pins both report renderings over the reference
-// corpus to golden files, read from the trace directory and from its
-// archive alike. Regenerate with -update after an intended change.
-func TestRunReportGolden(t *testing.T) {
-	dir := referenceDir(t)
-	sta := filepath.Join(t.TempDir(), "log.sta")
-	if err := run([]string{"archive", "-traces", dir, "-o", sta}); err != nil {
+// orderDir writes a corpus whose first case opens with an activity that
+// sorts after the ones it sees later (write:/z before openat:/a), so
+// the fold's first-use symbol order differs from the string order the
+// variants are listed in.
+func orderDir(t *testing.T) string {
+	t.Helper()
+	ev := func(call, fp string) trace.Event {
+		return trace.Event{PID: 1, Call: call, Dur: time.Millisecond, FP: fp, Size: 8}
+	}
+	var cases []*trace.Case
+	for rid, evs := range [][]trace.Event{
+		{ev("write", "/z/out"), ev("openat", "/a/in"), ev("read", "/a/in")},
+		{ev("openat", "/a/in"), ev("read", "/a/in"), ev("write", "/z/out")},
+		{ev("openat", "/a/in"), ev("read", "/a/in"), ev("write", "/z/out")},
+		{ev("read", "/a/in")},
+	} {
+		for i := range evs {
+			evs[i].Start = time.Duration(i+1) * time.Second
+		}
+		cases = append(cases, trace.NewCase(trace.CaseID{CID: "o", Host: "h", RID: rid + 1}, evs))
+	}
+	log, err := trace.NewEventLog(cases...)
+	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	if err := strace.WriteDir(dir, log); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestRunReportGolden pins both report renderings over the reference
+// corpus, and the variant listing over orderDir's, to golden files,
+// each read from the trace directory and from its archive alike.
+// Regenerate with -update after an intended change.
+func TestRunReportGolden(t *testing.T) {
+	archived := func(dir string) string {
+		sta := filepath.Join(t.TempDir(), "log.sta")
+		if err := run([]string{"archive", "-traces", dir, "-o", sta}); err != nil {
+			t.Fatal(err)
+		}
+		return sta
+	}
+	ref, order := referenceDir(t), orderDir(t)
+	refSTA, orderSTA := archived(ref), archived(order)
 	for _, tc := range []struct {
-		golden string
-		args   []string
+		golden   string
+		args     []string
+		dir, sta string
 	}{
-		{"report.txt", []string{"report"}},
-		{"report.html", []string{"report", "-format", "html", "-green", "a", "-activity", "read:/usr/lib"}},
+		{"report.txt", []string{"report"}, ref, refSTA},
+		{"report.html", []string{"report", "-format", "html", "-green", "a", "-activity", "read:/usr/lib"}, ref, refSTA},
+		{"variants.txt", []string{"variants"}, order, orderSTA},
 	} {
 		path := filepath.Join("testdata", tc.golden)
-		for _, input := range [][]string{{"-traces", dir}, {"-archive", sta}} {
+		for _, input := range [][]string{{"-traces", tc.dir}, {"-archive", tc.sta}} {
 			args := append(append([]string{}, tc.args...), input...)
 			got := captureStdout(t, func() error { return run(args) })
 			if *updateGolden {

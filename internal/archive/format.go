@@ -10,7 +10,7 @@
 // dictionary, sections carry only integer columns, and the index
 // addresses every case (and, via per-column lengths, every column)
 // directly — so a reader maps the file, loads the dictionary into its
-// symbol table once, and decodes events without hashing a single string
+// string table once, and decodes events without hashing a single string
 // or sorting a single row.
 //
 // Layout:

@@ -25,7 +25,7 @@ type Reader struct {
 	// an in-memory image) that section decodes slice zero-copy;
 	// otherwise sections are fetched through src with pooled buffers.
 	// dict is the file-level string dictionary, each string the
-	// process-wide symbol table's canonical copy (see resolve).
+	// process-wide string table's canonical copy (see resolve).
 	data    []byte
 	unmap   func() error
 	dict    []string
@@ -181,7 +181,7 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	return r, nil
 }
 
-// resolve replaces every dictionary string with the process-wide symbol
+// resolve replaces every dictionary string with the process-wide string
 // table's canonical copy — the near-zero-parse property: with the
 // index's identities and the call and fp columns all ids into the
 // dictionary, section decode afterwards touches no hash table and
@@ -277,7 +277,7 @@ type CaseRange struct {
 
 // Options configures OpenSource. The zero value streams every case,
 // decoded by GOMAXPROCS workers. Decoded strings always intern into the
-// process-wide symbol table.
+// process-wide string table.
 type Options struct {
 	// Parallelism bounds the concurrent section decodes
 	// (0 = GOMAXPROCS, 1 = sequential).

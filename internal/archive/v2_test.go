@@ -469,7 +469,7 @@ func TestOpenSourceOptions(t *testing.T) {
 	}
 }
 
-// Every string of a decoded case is the process-wide symbol table's
+// Every string of a decoded case is the process-wide string table's
 // canonical copy: the reader resolves its dictionary through the table
 // once, so readers of one vocabulary retain one string per value.
 func TestDecodedStringsCanonical(t *testing.T) {

@@ -33,11 +33,11 @@ type StreamResult struct {
 	// the observable behind the O(batch) memory guarantee.
 	PeakResident int
 	// Symbols counts the distinct activity symbols resident in the
-	// run's merged symbol table at finalization — the size of the
-	// symbol universe this pass owned. Every run creates that table
-	// afresh and drops it with the builders, so the count is a per-run
-	// observable (compare intern.Table.Len for the parse-side table a
-	// scoped ingestion pass owns).
+	// run's merged activity table (an intern.Local) at finalization.
+	// Every run creates that table afresh and drops it with the
+	// builders, so the count is a per-run observable. It does not
+	// count parsed call names or paths: those live in the parse-side
+	// string table (intern.Table.Len for a scoped ingestion pass).
 	Symbols int
 }
 

@@ -66,7 +66,7 @@ func (e *ParseError) Error() string {
 // Parse reads a darshan-dxt-parser text stream into records. Header
 // comments set the current file/rank context; access lines inherit it.
 // The header strings (file names, hostnames) canonicalize through the
-// process-wide symbol table, so every record of a group shares the
+// process-wide string table, so every record of a group shares the
 // interned string and paths seen by other ingestion backends resolve to
 // the same allocation.
 func Parse(r io.Reader) ([]Record, error) { return parse(r, nil) }

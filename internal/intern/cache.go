@@ -10,61 +10,55 @@ const cacheMax = 1 << 15
 
 // Cache is a per-worker, unsynchronized front of a Table. Lookups that
 // hit the cache are plain map reads — no locks, no atomics — and the
-// []byte forms avoid the string conversion allocation, so a parse
-// worker interning the same call names and file paths over and over
-// runs allocation-free.
+// []byte form avoids the string conversion allocation, so a parse
+// worker canonicalizing the same call names and file paths over and
+// over runs allocation-free.
 //
 // A Cache must not be shared between goroutines; get one per worker
 // (CacheFor/PutCache pool them).
 type Cache struct {
 	t *Table
-	m map[string]Sym
+	m map[string]string // string → the table's copy
 }
 
 // newCache returns an empty cache over t.
 func newCache(t *Table) *Cache {
-	return &Cache{t: t, m: make(map[string]Sym, 64)}
+	return &Cache{t: t, m: make(map[string]string, 64)}
 }
 
 func (c *Cache) trim() {
 	if len(c.m) >= cacheMax {
-		c.m = make(map[string]Sym, 64)
+		c.m = make(map[string]string, 64)
 	}
 }
 
-// Intern returns the symbol for s.
-func (c *Cache) Intern(s string) Sym {
-	if y, ok := c.m[s]; ok {
-		return y
+// Canon returns the canonical string equal to s: the table's copy.
+// Passing every parsed call name and file path through Canon
+// deduplicates the event-log's strings: one allocation per distinct
+// string per table, not one per event.
+func (c *Cache) Canon(s string) string {
+	if v, ok := c.m[s]; ok {
+		return v
 	}
-	y := c.t.Intern(s)
+	v := c.t.canon(s)
 	c.trim()
-	// Key with the table's canonical string so the cache never pins
-	// the caller's (possibly larger) backing allocation.
-	c.m[c.t.Str(y)] = y
-	return y
+	// Key with the table's copy so the cache never pins the caller's
+	// (possibly larger) backing allocation.
+	c.m[v] = v
+	return v
 }
 
-// internBytes is Intern for a []byte key. On a cache hit no string is
+// CanonBytes is Canon for a []byte. On a cache hit no string is
 // allocated.
-func (c *Cache) internBytes(b []byte) Sym {
-	if y, ok := c.m[string(b)]; ok { // compiler elides the conversion
-		return y
+func (c *Cache) CanonBytes(b []byte) string {
+	if v, ok := c.m[string(b)]; ok { // compiler elides the conversion
+		return v
 	}
-	y := c.t.Intern(string(b))
+	v := c.t.canon(string(b))
 	c.trim()
-	c.m[c.t.Str(y)] = y
-	return y
+	c.m[v] = v
+	return v
 }
-
-// Canon returns the canonical (interned) string equal to s. Passing
-// every parsed call name and file path through Canon deduplicates the
-// event-log's strings: one allocation per distinct string per process,
-// not one per event.
-func (c *Cache) Canon(s string) string { return c.t.Str(c.Intern(s)) }
-
-// CanonBytes is Canon for a []byte, allocating only on first sight.
-func (c *Cache) CanonBytes(b []byte) string { return c.t.Str(c.internBytes(b)) }
 
 // cachePool recycles per-worker caches over defaultTable — and
 // only defaultTable. defaultTable lives for the process, so pooled caches stay
@@ -89,7 +83,7 @@ func CacheFor(t *Table) *Cache {
 // defaultTable-bound caches return to the pool with their warm map. A cache
 // bound to a scoped table is not pooled; it drops its table reference
 // and map instead, so even a stray caller reference to the cache
-// cannot pin the pass's table (or any string it interned) after the
+// cannot pin the pass's table (or any string it holds) after the
 // pass's results were dropped — the retention the scoped mode exists
 // to avoid.
 func PutCache(c *Cache) {

@@ -2,11 +2,12 @@ package intern
 
 import "testing"
 
-// FuzzIntern: round-trip law for all three table forms. Any pair of
-// strings must intern to symbols that (a) materialize back to the
-// exact input, (b) are stable across re-interning, (c) are equal iff
-// the strings are equal, and (d) survive a Local remap unchanged in
-// meaning.
+// FuzzIntern: the laws of both table forms. Any pair of strings must
+// canonicalize to (a) an equal string, (b) the same allocation when
+// canonicalized again from a fresh copy, and (c) one allocation that
+// the table, Cache.Canon and Cache.CanonBytes agree on; and they must
+// (d) round-trip through a Local and survive a Local remap unchanged
+// in meaning.
 func FuzzIntern(f *testing.F) {
 	f.Add("", "")
 	f.Add("read", "read")
@@ -16,23 +17,26 @@ func FuzzIntern(f *testing.F) {
 	f.Add("●", "■")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		tab := NewTable()
-		ya, yb := tab.Intern(a), tab.Intern(b)
-		if tab.Str(ya) != a || tab.Str(yb) != b {
-			t.Fatalf("table round trip: %q->%q, %q->%q", a, tab.Str(ya), b, tab.Str(yb))
+		ca, cb := tab.canon(a), tab.canon(b)
+		if ca != a || cb != b {
+			t.Fatalf("canon changed the value: %q->%q, %q->%q", a, ca, b, cb)
 		}
-		if (ya == yb) != (a == b) {
-			t.Fatalf("symbol equality diverges from string equality: %d/%d for %q/%q", ya, yb, a, b)
+		if (a == b) != same(ca, cb) {
+			t.Fatalf("allocation identity diverges from string equality for %q/%q", a, b)
 		}
-		if tab.Intern(a) != ya || tab.Intern(b) != yb {
-			t.Fatal("re-intern unstable")
+		if !same(tab.canon(string([]byte(a))), ca) || !same(tab.canon(string([]byte(b))), cb) {
+			t.Fatal("re-canonicalizing returned another allocation")
 		}
 
 		c := newCache(tab)
-		if c.Intern(a) != ya || c.internBytes([]byte(b)) != yb {
-			t.Fatal("cache disagrees with table")
+		if got := c.Canon(string([]byte(a))); got != a || !same(got, ca) {
+			t.Fatal("Cache.Canon disagrees with the table")
 		}
-		if c.Canon(a) != a || c.CanonBytes([]byte(b)) != b {
-			t.Fatal("canon changed the string value")
+		if got := c.CanonBytes([]byte(b)); got != b || !same(got, cb) {
+			t.Fatal("Cache.CanonBytes disagrees with the table")
+		}
+		if !same(c.CanonBytes([]byte(a)), ca) || !same(c.Canon(b), cb) {
+			t.Fatal("cache hits disagree with the table")
 		}
 
 		l := NewLocal()

@@ -6,54 +6,41 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// TestTableBasics: dense ids, round trips, the pre-interned empty
-// string.
+// same reports whether a and b share one allocation.
+func same(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+
+// TestTableBasics: canonicalizing returns an equal string, the same
+// allocation on every later call, a copy that does not alias the
+// argument, and one entry per distinct string.
 func TestTableBasics(t *testing.T) {
 	tab := NewTable()
-	if got := tab.Intern(""); got != 0 {
-		t.Errorf("Intern(\"\") = %d, want 0", got)
+	if tab.Len() != 0 {
+		t.Errorf("fresh table Len = %d, want 0", tab.Len())
 	}
-	a := tab.Intern("read")
-	b := tab.Intern("write")
-	if a == b {
-		t.Fatalf("distinct strings share symbol %d", a)
+	line := "openat read write"
+	a := tab.canon(line[7:11])
+	b := tab.canon("write")
+	if a != "read" || b != "write" {
+		t.Fatalf("canon changed the value: %q, %q", a, b)
 	}
-	if got := tab.Intern("read"); got != a {
-		t.Errorf("re-intern = %d, want %d", got, a)
+	if same(a, line[7:11]) {
+		t.Error("canon kept the argument's backing array; the table would pin the parent string")
 	}
-	if tab.Str(a) != "read" || tab.Str(b) != "write" {
-		t.Errorf("Str round trip: %q, %q", tab.Str(a), tab.Str(b))
+	if again := tab.canon(string([]byte("read"))); !same(again, a) {
+		t.Error("re-canonicalizing an equal string returned another allocation")
 	}
-	if tab.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (\"\", read, write)", tab.Len())
-	}
-}
-
-// TestTableBlockGrowth crosses several block boundaries and verifies
-// every symbol still round-trips.
-func TestTableBlockGrowth(t *testing.T) {
-	tab := NewTable()
-	const n = 3*blockLen + 17
-	syms := make([]Sym, n)
-	for i := 0; i < n; i++ {
-		syms[i] = tab.Intern(fmt.Sprintf("s%05d", i))
-	}
-	for i, y := range syms {
-		if got := tab.Str(y); got != fmt.Sprintf("s%05d", i) {
-			t.Fatalf("Str(%d) = %q", y, got)
-		}
-	}
-	if tab.Len() != n+1 {
-		t.Errorf("Len = %d, want %d", tab.Len(), n+1)
+	if tab.Len() != 2 {
+		t.Errorf("Len = %d, want 2 (read, write)", tab.Len())
 	}
 }
 
-// TestInternConcurrent is the interner race test: N goroutines intern
-// an overlapping vocabulary through per-worker caches; afterwards every
-// string must have exactly one symbol, every observed symbol must
-// round-trip, and the table must hold exactly the vocabulary. Run under
+// TestInternConcurrent is the table's race test: N goroutines
+// canonicalize an overlapping vocabulary through per-worker caches;
+// afterwards every string must have exactly one allocation across all
+// workers, and the table must hold exactly the vocabulary. Run under
 // -race this also proves the lock-free read path publishes safely.
 func TestInternConcurrent(t *testing.T) {
 	tab := NewTable()
@@ -63,64 +50,70 @@ func TestInternConcurrent(t *testing.T) {
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("/data/dir%02d/file%d", i%13, i)
 	}
-	results := make([]map[string]Sym, workers)
+	results := make([]map[string]string, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			c := newCache(tab)
-			seen := make(map[string]Sym)
+			seen := make(map[string]string)
 			for i := 0; i < perWorker; i++ {
-				s := vocab[(w*31+i*7)%len(vocab)]
-				y := c.Intern(s)
-				if prev, ok := seen[s]; ok && prev != y {
-					t.Errorf("worker %d: %q got symbols %d and %d", w, s, prev, y)
+				// A fresh copy each time, so only the table can make
+				// two calls agree on an allocation.
+				s := string([]byte(vocab[(w*31+i*7)%len(vocab)]))
+				v := c.Canon(s)
+				if v != s {
+					t.Errorf("worker %d: Canon(%q) = %q", w, s, v)
 					return
 				}
-				seen[s] = y
-				if got := tab.Str(y); got != s {
-					t.Errorf("worker %d: Str(%d) = %q, want %q", w, y, got, s)
+				if prev, ok := seen[s]; ok && !same(prev, v) {
+					t.Errorf("worker %d: %q got two allocations", w, s)
 					return
 				}
+				seen[s] = v
 			}
 			results[w] = seen
 		}(w)
 	}
 	wg.Wait()
 
-	// One id per string, across all workers.
-	global := make(map[string]Sym)
+	// One allocation per string, across all workers.
+	global := make(map[string]string)
 	for w, seen := range results {
-		for s, y := range seen {
-			if prev, ok := global[s]; ok && prev != y {
-				t.Errorf("worker %d: %q = %d, another worker saw %d", w, s, y, prev)
+		for s, v := range seen {
+			if prev, ok := global[s]; ok && !same(prev, v) {
+				t.Errorf("worker %d: %q is not the allocation another worker saw", w, s)
 			}
-			global[s] = y
+			global[s] = v
 		}
 	}
 	if len(global) != len(vocab) {
 		t.Errorf("observed %d distinct strings, want %d", len(global), len(vocab))
 	}
-	if tab.Len() != len(vocab)+1 { // +1 for the pre-interned ""
-		t.Errorf("table holds %d symbols, want %d", tab.Len(), len(vocab)+1)
+	if tab.Len() != len(vocab) {
+		t.Errorf("table holds %d strings, want %d", tab.Len(), len(vocab))
 	}
 }
 
-// TestCacheBytesAndCanon: the []byte forms agree with the string forms
-// and return the canonical allocation.
+// TestCacheBytesAndCanon: the string and []byte forms of a cache
+// return the table's own allocation, on a miss and on a hit.
 func TestCacheBytesAndCanon(t *testing.T) {
 	tab := NewTable()
 	c := newCache(tab)
-	y := c.Intern("openat")
-	if got := c.internBytes([]byte("openat")); got != y {
-		t.Errorf("internBytes = %d, want %d", got, y)
+	s := c.Canon(string([]byte("openat")))
+	if s != "openat" || !same(s, tab.canon("openat")) {
+		t.Errorf("Canon = %q, not the table's copy", s)
 	}
-	if got := c.Canon("openat"); got != tab.Str(y) {
-		t.Errorf("Canon = %q", got)
+	if got := c.Canon("openat"); !same(got, s) {
+		t.Error("Canon hit returned another allocation")
 	}
-	if got := c.CanonBytes([]byte("openat")); got != tab.Str(y) {
-		t.Errorf("CanonBytes = %q", got)
+	if got := c.CanonBytes([]byte("openat")); !same(got, s) {
+		t.Error("CanonBytes hit returned another allocation")
+	}
+	fresh := newCache(tab)
+	if got := fresh.CanonBytes([]byte("openat")); !same(got, s) {
+		t.Error("CanonBytes miss returned another allocation")
 	}
 	if c.t != tab {
 		t.Error("Table() identity")
@@ -207,14 +200,14 @@ func TestGetPutCache(t *testing.T) {
 	PutCache(c)
 	c2 := CacheFor(nil)
 	defer PutCache(c2)
-	if got := c2.Canon("read"); got != s {
+	if got := c2.Canon("read"); !same(got, s) {
 		t.Errorf("canonical string changed across pool round trip")
 	}
 }
 
 // TestCacheFor: pooled caches bind to the requested table — nil means
 // Default, a scoped table gets its own map, and interning through a
-// scoped cache never touches Default.
+// scoped cache never grows Default.
 func TestCacheFor(t *testing.T) {
 	if c := CacheFor(nil); c.t != defaultTable {
 		t.Errorf("CacheFor(nil) bound to %p, want Default", c.t)
@@ -227,15 +220,14 @@ func TestCacheFor(t *testing.T) {
 	if c.t != tab {
 		t.Fatalf("CacheFor bound to %p, want the scoped table", c.t)
 	}
-	y := c.Intern("/cachefor-test-only/novel/path")
-	if got := tab.Str(y); got != "/cachefor-test-only/novel/path" {
-		t.Errorf("scoped round trip = %q", got)
+	if got := c.Canon("/cachefor-test-only/novel/path"); !same(got, tab.canon(got)) {
+		t.Errorf("scoped Canon = %q, not the scoped table's copy", got)
 	}
-	if got := c.CanonBytes([]byte("/cachefor-test-only/other")); got != "/cachefor-test-only/other" {
-		t.Errorf("scoped CanonBytes = %q", got)
+	if got := c.CanonBytes([]byte("/cachefor-test-only/other")); got != "/cachefor-test-only/other" || !same(got, tab.canon(got)) {
+		t.Errorf("scoped CanonBytes = %q, not the scoped table's copy", got)
 	}
-	if tab.Len() != 3 { // "", and the two paths
-		t.Errorf("scoped table Len = %d, want 3", tab.Len())
+	if tab.Len() != 2 {
+		t.Errorf("scoped table Len = %d, want 2", tab.Len())
 	}
 	if defaultTable.Len() != d0 {
 		t.Errorf("scoped interning grew Default: %d -> %d", d0, defaultTable.Len())
@@ -251,7 +243,7 @@ func TestCacheFor(t *testing.T) {
 func TestPutCacheScopedHygiene(t *testing.T) {
 	tab := NewTable()
 	c := CacheFor(tab)
-	c.Intern("/hygiene-test/a")
+	c.Canon("/hygiene-test/a")
 	PutCache(c)
 	if c.t != nil {
 		t.Errorf("scoped cache still references its table after PutCache")
@@ -261,7 +253,7 @@ func TestPutCacheScopedHygiene(t *testing.T) {
 	}
 
 	d := CacheFor(nil)
-	d.Intern("read")
+	d.Canon("read")
 	PutCache(d)
 	if d.t != defaultTable || d.m == nil {
 		t.Errorf("Default-bound cache was stripped on PutCache; the warm-vocabulary reuse is gone")
@@ -278,7 +270,7 @@ func TestScopedTableCollectableAfterPut(t *testing.T) {
 		runtime.SetFinalizer(tab, func(*Table) { close(collected) })
 		c := CacheFor(tab)
 		for i := 0; i < 1000; i++ {
-			c.Intern(fmt.Sprintf("/collectable-test/%d", i))
+			c.Canon(fmt.Sprintf("/collectable-test/%d", i))
 		}
 		PutCache(c)
 	}()
@@ -306,22 +298,22 @@ func TestCacheForNeverCrossesTables(t *testing.T) {
 		if ca.t != a {
 			t.Fatalf("cache bound to %p, want table a", ca.t)
 		}
-		ya := ca.Intern("shared-key")
-		if got := a.Str(ya); got != "shared-key" {
-			t.Fatalf("table a round trip = %q", got)
+		sa := ca.Canon("shared-key")
+		if !same(sa, a.canon("shared-key")) {
+			t.Fatalf("table a: Canon = %q, not the table's copy", sa)
 		}
 		PutCache(ca)
 		cb := CacheFor(b)
 		if cb.t != b {
 			t.Fatalf("cache bound to %p, want table b", cb.t)
 		}
-		yb := cb.Intern("shared-key")
-		if got := b.Str(yb); got != "shared-key" {
-			t.Fatalf("table b round trip = %q", got)
+		sb := cb.Canon("shared-key")
+		if !same(sb, b.canon("shared-key")) || same(sb, sa) {
+			t.Fatalf("table b: Canon = %q, not table b's own copy", sb)
 		}
 		PutCache(cb)
 	}
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Errorf("table lens = %d, %d, want 2, 2", a.Len(), b.Len())
+	if a.Len() != 1 || b.Len() != 1 {
+		t.Errorf("table lens = %d, %d, want 1, 1", a.Len(), b.Len())
 	}
 }

@@ -1,5 +1,11 @@
 package intern
 
+// Sym is a dense symbol: the i-th distinct string interned into a Local
+// gets symbol i. Symbols from different tables are not comparable;
+// remap through Local.RemapInto (or re-intern the string) to move
+// between tables.
+type Sym uint32
+
 // Local is a fully unsynchronized symbol table: the shard-local form
 // used by the parallel analysis fold, where each shard worker owns its
 // builders outright and pays neither locks nor atomics per event. At
@@ -8,10 +14,9 @@ package intern
 // artifacts: symbols are a private encoding, the strings are the
 // meaning.
 //
-// Unlike Table, a Local does not pre-intern "" — its first interned
-// string gets Sym 0 — so remapping a Local into a fresh Local is the
-// identity, reproducing the symbol assignment a sequential fold over
-// the same first-occurrence order would have made.
+// Its first interned string gets Sym 0, so remapping a Local into a
+// fresh Local is the identity, reproducing the symbol assignment a
+// sequential fold over the same first-occurrence order would have made.
 type Local struct {
 	m    map[string]Sym
 	strs []string

@@ -31,20 +31,24 @@ type callPathMapping interface {
 // keys instead of concatenated strings. One SymMapper — and therefore
 // one activity table — is shared by all builders of one analysis
 // shard; at merge time the shard tables are remapped into the
-// survivor's (intern.Local.RemapInto).
+// survivor's (intern.Local.RemapInto). For call/path-pure mappings the
+// decision is memoized per distinct (call, fp) string pair, so an event
+// costs one hash of that pair; calls and paths get no symbols.
 //
 // A SymMapper is unsynchronized: one per goroutine.
 type SymMapper struct {
 	m    Mapping
 	pure callPathMapping // non-nil when m is call/path-pure
 
-	strs *intern.Local // call and fp strings → symbols
 	acts *intern.Local // activity strings → symbols
 
 	// memo caches the (call, fp) → activity decision for pure
-	// mappings: key is callSym<<32|fpSym.
-	memo map[uint64]memoEntry
+	// mappings.
+	memo map[callPath]memoEntry
 }
+
+// callPath is the memo key: an event's system call name and file path.
+type callPath struct{ call, fp string }
 
 type memoEntry struct {
 	act intern.Sym
@@ -55,9 +59,8 @@ type memoEntry struct {
 func NewSymMapper(m Mapping) *SymMapper {
 	sm := &SymMapper{
 		m:    m,
-		strs: intern.NewLocal(),
 		acts: intern.NewLocal(),
-		memo: make(map[uint64]memoEntry, 64),
+		memo: make(map[callPath]memoEntry, 64),
 	}
 	if p, ok := m.(callPathMapping); ok {
 		sm.pure = p
@@ -80,7 +83,7 @@ func (sm *SymMapper) mapEvent(e *trace.Event) (intern.Sym, bool) {
 		}
 		return sm.acts.Intern(string(a)), true
 	}
-	key := uint64(sm.strs.Intern(e.Call))<<32 | uint64(sm.strs.Intern(e.FP))
+	key := callPath{e.Call, e.FP}
 	if me, ok := sm.memo[key]; ok {
 		return me.act, me.ok
 	}

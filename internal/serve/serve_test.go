@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -594,15 +595,23 @@ func TestRecoverRejectsMismatchedDir(t *testing.T) {
 
 // stateListing lists every file under dir with its size and content,
 // one line per file in path order, so a test can tell whether a request
-// changed the state directory.
+// changed the state directory. An entry that vanishes between the walk
+// listing it and the read (a checkpoint temp file a background fold
+// renames, say) is left out: it is no longer part of the directory.
 func stateListing(t *testing.T, dir string) string {
 	t.Helper()
 	var b strings.Builder
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil || d.IsDir() {
 			return err
 		}
 		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}

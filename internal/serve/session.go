@@ -118,7 +118,7 @@ const (
 const maxFaultLog = 64
 
 // Session is one live ingestion pipeline: tailer → sink → bounded Live
-// queue → checkpointed fold, with a scoped symbol table so dropping the
+// queue → checkpointed fold, with a scoped string table so dropping the
 // session releases its string vocabulary. Recoverable faults (stalls,
 // strict parse failures, unreadable files) land in the session fault
 // log, not in the fold's error stream: a fault never poisons the

@@ -212,7 +212,7 @@ func TestParseAllocBudgetProfiles(t *testing.T) {
 // every record through the sockaddr, argv and dirfd-join decoders —
 // must hold the same 2.0 allocs/event ceiling as the plain I/O path.
 // The decoders build derived paths into per-parser scratch buffers and
-// intern through the symbol table, so steady state measures near the
+// intern through the string table, so steady state measures near the
 // usual 1.1 (line copy plus amortized growth); a regression here means
 // a decoder started allocating per event. Skipped under -race
 // (instrumented allocator).

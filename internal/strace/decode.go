@@ -13,7 +13,7 @@ package strace
 // of the argument strings (which are subslices of the parse arena) and
 // build derived strings — dirfd joins, spawn command lines, canonical
 // connection subjects — into a caller-owned scratch buffer that is
-// canonicalized through the symbol cache with CanonBytes. No regexp is
+// canonicalized through the string cache with CanonBytes. No regexp is
 // ever compiled or matched per event: the regexp-per-line approach of
 // tools like package-analysis is exactly the anti-pattern this layer
 // exists to avoid.

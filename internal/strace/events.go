@@ -60,7 +60,7 @@ type Options struct {
 	// 2×Parallelism. It only changes peak memory during ingestion, never
 	// the result.
 	Window int
-	// Syms selects the symbol table Call/FP/CID/Host strings are
+	// Syms selects the string table Call/FP/CID/Host strings are
 	// canonicalized through. Nil means the process-wide table,
 	// which is append-only for the life of the process — fine for the
 	// paper's bounded vocabulary. A long-lived service ingesting an
@@ -77,7 +77,7 @@ type Options struct {
 // events are ordered by start time (strace preserves event order, and
 // the merge assigns each merged call its original start timestamp).
 // Call names and file paths canonicalize through the caller-owned
-// symbol cache, so the per-file parse worker does not re-acquire a
+// string cache, so the per-file parse worker does not re-acquire a
 // cache per record. It consumes
 // records: the complete calls to keep are compacted to its front (each
 // record yields at most one, so the write never passes the read), then
@@ -202,7 +202,7 @@ func mergeUnfinished(u, r record) record {
 // return fd of openat and friends with dirfd-resolved fallbacks, the
 // decoded command line of a spawn, the canonical address of a connect —
 // and the transfer size from the return value of read/write variants.
-// The call name and path are canonicalized through the symbol cache, so
+// The call name and path are canonicalized through the string cache, so
 // the event holds interned strings rather than per-event substring pins
 // of the trace line; byte-built paths intern straight from scratch.
 func recordToEvent(r record, cache *intern.Cache, scratch *[]byte) trace.Event {

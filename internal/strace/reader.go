@@ -194,7 +194,7 @@ func (lr *lineReader) readAll(r io.Reader, strict, parseTail bool) (skipped int,
 }
 
 // buildCase is the one records → events → case step: it converts, and
-// consumes, the framed records over a pooled cache of the symbol table
+// consumes, the framed records over a pooled cache of the string table
 // opts.Syms selects, canonicalizing the case identity strings too.
 func (lr *lineReader) buildCase(id trace.CaseID, opts Options) (*trace.Case, error) {
 	cache := intern.CacheFor(opts.Syms)
@@ -210,7 +210,7 @@ func (lr *lineReader) buildCase(id trace.CaseID, opts Options) (*trace.Case, err
 
 // ParseCase parses a single trace stream into a case with the given
 // identity. Call names, file paths and the case identity strings are
-// canonicalized through the symbol table opts.Syms selects (the
+// canonicalized through the string table opts.Syms selects (the
 // process-wide table when nil), so the resulting events share
 // one string per distinct value instead of allocating per event. An
 // unparseable line, or one over 4 MiB, is skipped unless opts.Strict,

@@ -1,20 +1,21 @@
 package strace
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"stinspector/internal/intern"
 	"stinspector/internal/trace"
 )
 
-// TestParseCaseScopedSyms: parsing with Options.Syms set interns the
-// trace's strings into the scoped table only — the process-wide
-// Default does not grow even for novel paths — and the parsed events
-// are identical to a Default-table parse.
+// TestParseCaseScopedSyms: parsing with Options.Syms set canonicalizes
+// the trace's strings through the scoped table — every Call, FP, CID
+// and Host string of the case is that table's copy, even for novel
+// paths — and the parsed events are identical to a process-wide-table
+// parse. (That a scoped cache never grows the process-wide table is
+// intern.TestCacheFor's check.)
 func TestParseCaseScopedSyms(t *testing.T) {
 	const text = "0.000100 openat(AT_FDCWD, \"/scoped-strace-test/data.bin\", O_RDONLY) = 3</scoped-strace-test/data.bin> <0.000020>\n" +
 		"0.000200 read(3</scoped-strace-test/data.bin>, \"\", 4096) = 4096 <0.000050>\n" +
@@ -27,17 +28,14 @@ func TestParseCaseScopedSyms(t *testing.T) {
 	}
 
 	tab := intern.NewTable()
-	d0 := defaultSymbols()
 	got, err := ParseCase(id, strings.NewReader(text), Options{Syms: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if defaultSymbols() != d0 {
-		t.Errorf("scoped parse grew the default table: %d -> %d", d0, defaultSymbols())
+	if tab.Len() < 6 { // cid, host, three calls, one path
+		t.Errorf("scoped table holds %d strings, want the trace vocabulary", tab.Len())
 	}
-	if tab.Len() < 4 { // "", cid/host, calls, path at minimum
-		t.Errorf("scoped table holds %d symbols, want the trace vocabulary", tab.Len())
-	}
+	checkScoped(t, tab, got)
 	if !reflect.DeepEqual(got.Events, want.Events) {
 		t.Errorf("scoped parse events differ from Default parse:\n got %+v\nwant %+v", got.Events, want.Events)
 	}
@@ -55,29 +53,33 @@ func TestEventsFromRecordsScopedSyms(t *testing.T) {
 	}
 	id := trace.CaseID{CID: "scoped-evrec-test", Host: "h", RID: 0}
 	tab := intern.NewTable()
-	d0 := defaultSymbols()
-	evs, err := convertRecords(id, []record{rec}, Options{Syms: tab})
+	lr := &lineReader{records: []record{rec}}
+	c, err := lr.buildCase(id, Options{Syms: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 1 || evs[0].FP != "/scoped-evrec-test/f" {
-		t.Fatalf("events = %+v", evs)
+	if len(c.Events) != 1 || c.Events[0].FP != "/scoped-evrec-test/f" {
+		t.Fatalf("events = %+v", c.Events)
 	}
-	if defaultSymbols() != d0 {
-		t.Errorf("scoped conversion grew the default table: %d -> %d", d0, defaultSymbols())
-	}
+	checkScoped(t, tab, c)
 }
 
-// defaultProbes counts the probe strings defaultSymbols has interned.
-var defaultProbes atomic.Int64
-
-// defaultSymbols is the size of the process-wide symbol table, the one
-// a nil Syms option selects, not counting its own probes. Symbols are
-// dense, so a fresh probe string receives the table's size as its
-// symbol; every earlier probe is one of the symbols below it.
-func defaultSymbols() int {
-	c := intern.CacheFor(nil)
-	defer intern.PutCache(c)
-	n := defaultProbes.Add(1)
-	return int(c.Intern(fmt.Sprintf("\x00defaultSymbols probe %d", n))) - int(n-1)
+// checkScoped fails t unless every Call, FP, CID and Host string of c
+// is tab's own copy: canonicalizing it through a cache of tab returns
+// the same allocation.
+func checkScoped(t *testing.T, tab *intern.Table, c *trace.Case) {
+	t.Helper()
+	cache := intern.CacheFor(tab)
+	defer intern.PutCache(cache)
+	owned := func(s string) bool {
+		return s == "" || unsafe.StringData(s) == unsafe.StringData(cache.Canon(s))
+	}
+	if !owned(c.ID.CID) || !owned(c.ID.Host) {
+		t.Errorf("case %s: identity strings are not the scoped table's copies", c.ID)
+	}
+	for _, e := range c.Events {
+		if !owned(e.Call) || !owned(e.FP) {
+			t.Fatalf("case %s: event strings %q, %q are not the scoped table's copies", c.ID, e.Call, e.FP)
+		}
+	}
 }

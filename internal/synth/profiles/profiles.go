@@ -182,13 +182,13 @@ func baseline(cid string, nCases, perCase int, seed int64) *trace.EventLog {
 // HeavytailTopDirs bounds the top-2 path components of the heavytail
 // vocabulary: ranks map into this many /zipf/dNN/ directories, so
 // CallTopDirs-style activity mappings stay bounded while the full path
-// vocabulary (and therefore the symbol table) grows with the tail.
+// vocabulary (and therefore the string table) grows with the tail.
 const HeavytailTopDirs = 16
 
 // heavytail draws every path from a Zipf(s=1.2) rank distribution over
 // a vocabulary as large as the whole log: a handful of paths absorb
 // most events while the tail is full of paths seen once — the shape
-// that stresses the sharded symbol table's growth path and the
+// that stresses the string table's growth path and the
 // per-path memoization in the analysis fold. The histogram invariant
 // (top ranks dominate, a long one-hit tail exists) is property-tested.
 func heavytail(cid string, nCases, perCase int, seed int64) *trace.EventLog {
@@ -326,7 +326,7 @@ func hostileargs(cid string, nCases, perCase int, seed int64) *trace.EventLog {
 // widevocab generalizes synth.WideLog: every event touches its own
 // distinct file (the path embeds case and event index), so a log of N
 // events carries exactly N distinct paths — the workload under which a
-// process-wide symbol table grows without bound and a scoped per-pass
+// process-wide string table grows without bound and a scoped per-pass
 // table must confine the damage. Unlike synth.WideLog it emits
 // round-trip-exact sizes, so the scenario matrix can drive it through
 // every backend.

@@ -1,23 +1,24 @@
 package stinspector
 
-// The retention gate of the symbol-scoping layer, the companion of
+// The retention gate of string-table scoping, the companion of
 // TestStreamIngestMemory: a scoped ingestion pass over a trace set
 // whose path vocabulary is unbounded (every event its own distinct
-// path) must (a) leave the process-wide symbol table untouched,
-// (b) land the vocabulary in the pass's scoped table, and (c) make
-// that table — and with it every string the pass interned — garbage
-// once the pass's results are dropped. Collectability is proven two
-// ways: a finalizer on the table must fire, and the sampled live heap
-// must fall back toward the pre-pass baseline.
+// path) must (a) hand out only strings the pass's scoped table owns,
+// (b) land the vocabulary in that table, and (c) make that table — and
+// with it every string the pass owns — garbage once the pass's results
+// are dropped. Collectability is proven two ways: a finalizer on the
+// table must fire, and the sampled live heap must fall back toward the
+// pre-pass baseline. (That a scoped cache never grows the process-wide
+// table is intern.TestCacheFor's check.)
 
 import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"testing/fstest"
 	"time"
+	"unsafe"
 
 	"stinspector/internal/intern"
 	"stinspector/internal/source"
@@ -44,7 +45,6 @@ func TestScopedSymsRetention(t *testing.T) {
 		fsys[c.ID.FileName()] = &fstest.MapFile{Data: buf.Bytes()}
 	}
 
-	defaultSyms0 := defaultSymbols()
 	base := liveHeap()
 	collected := make(chan struct{})
 
@@ -61,11 +61,27 @@ func TestScopedSymsRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer src.Close()
+		// Every string the pass hands out is the scoped table's copy:
+		// canonicalizing it through a cache of that table returns the
+		// same allocation.
+		cache := intern.CacheFor(st)
+		owned := func(s string) bool {
+			return s == "" || unsafe.StringData(s) == unsafe.StringData(cache.Canon(s))
+		}
 		events := 0
 		err = source.Walk(src, true, func(c *trace.Case) error {
 			events += c.Len()
+			if !owned(c.ID.CID) || !owned(c.ID.Host) {
+				return fmt.Errorf("case %s: identity strings are not the scoped table's copies", c.ID)
+			}
+			for _, e := range c.Events {
+				if !owned(e.Call) || !owned(e.FP) {
+					return fmt.Errorf("case %s: event strings %q, %q are not the scoped table's copies", c.ID, e.Call, e.FP)
+				}
+			}
 			return nil
 		})
+		intern.PutCache(cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,15 +90,10 @@ func TestScopedSymsRetention(t *testing.T) {
 		}
 		// The unbounded vocabulary landed in the scoped table...
 		if st.Len() < nFiles*perFile {
-			t.Fatalf("scoped table holds %d symbols, want >= %d distinct paths", st.Len(), nFiles*perFile)
+			t.Fatalf("scoped table holds %d strings, want >= %d distinct paths", st.Len(), nFiles*perFile)
 		}
 		withTable = int64(liveHeap()) - int64(base)
 	}()
-
-	// ...and not in the process-wide one.
-	if got := defaultSymbols(); got != defaultSyms0 {
-		t.Errorf("scoped pass grew the default table: %d -> %d symbols", defaultSyms0, got)
-	}
 
 	// Dropping the pass's results must make the table collectable: the
 	// finalizer fires once nothing — pooled parse caches included —
@@ -97,7 +108,7 @@ func TestScopedSymsRetention(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 				continue
 			}
-			t.Fatal("scoped symbol table never collected after the pass was dropped")
+			t.Fatal("scoped string table never collected after the pass was dropped")
 		}
 		break
 	}
@@ -107,24 +118,10 @@ func TestScopedSymsRetention(t *testing.T) {
 	// with-table footprint) — the point is that megabytes of interned
 	// strings are gone, not an exact byte count.
 	after := int64(liveHeap()) - int64(base)
-	t.Logf("live heap over baseline: %.2f MB with scoped table, %.2f MB after drop (%d symbols)",
+	t.Logf("live heap over baseline: %.2f MB with scoped table, %.2f MB after drop (%d paths)",
 		float64(withTable)/1e6, float64(after)/1e6, nFiles*perFile)
 	if after > withTable/2 {
 		t.Errorf("live heap %d B after dropping the pass, more than half the with-table %d B — the scoped vocabulary is still resident",
 			after, withTable)
 	}
-}
-
-// defaultProbes counts the probe strings defaultSymbols has interned.
-var defaultProbes atomic.Int64
-
-// defaultSymbols is the size of the process-wide symbol table, the one
-// a nil Syms option selects, not counting its own probes. Symbols are
-// dense, so a fresh probe string receives the table's size as its
-// symbol; every earlier probe is one of the symbols below it.
-func defaultSymbols() int {
-	c := intern.CacheFor(nil)
-	defer intern.PutCache(c)
-	n := defaultProbes.Add(1)
-	return int(c.Intern(fmt.Sprintf("\x00defaultSymbols probe %d", n))) - int(n-1)
 }

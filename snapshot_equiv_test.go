@@ -104,7 +104,7 @@ func TestSnapshotMergeEquivalence(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			log := p.Generate("seq", 9, 70, 20240924)
 
-			// strace text backend, over the process-wide symbol table
+			// strace text backend, over the process-wide string table
 			// and over a scoped table per source.
 			fsys := straceFS(t, log)
 			el := drainStrace(t, fsys)

@@ -133,7 +133,7 @@ type Inspector = core.Inspector
 // calls kept are fixed by Section III: the completed read/write
 // variants, open/close, seek and sync, plus the file mutations, spawns
 // and connections the behavior layer decodes. Failed and interrupted
-// calls are dropped. A nil Syms interns into the process-wide symbol
+// calls are dropped. A nil Syms interns into the process-wide string
 // table; stserve scopes a table to each session instead.
 type ParseOptions = strace.Options
 
@@ -144,7 +144,7 @@ type ParseOptions = strace.Options
 // restricts an archive to a slice of its case order (nil = every case;
 // DXT dumps have no case index and reject a range). The zero value
 // reads everything with the defaults. Decoded strings intern into the
-// process-wide symbol table.
+// process-wide string table.
 type OpenOptions = archive.Options
 
 // CaseRange is the half-open slice [Start, End) of an archive's case

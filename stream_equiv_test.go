@@ -104,9 +104,9 @@ func equivCheck(t *testing.T, kind, want string, open func(parallelism, window i
 }
 
 // equivCheckStrace runs equivCheck over the trace files of fsys, once
-// over the process-wide symbol table and once over a scoped table
+// over the process-wide string table and once over a scoped table
 // created fresh for each run. A scoped pass must be byte-identical to
-// the process-wide one: symbol tables only decide string retention,
+// the process-wide one: string tables only decide string retention,
 // never content.
 func equivCheckStrace(t *testing.T, kind, want string, fsys fs.FS) {
 	t.Helper()
