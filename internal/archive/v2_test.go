@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -471,38 +472,58 @@ func TestOpenSourceOptions(t *testing.T) {
 
 // Every string of a decoded case is the process-wide string table's
 // canonical copy: the reader resolves its dictionary through the table
-// once, so readers of one vocabulary retain one string per value.
+// once, so readers of one vocabulary retain one string per value. Equal
+// strings share one allocation across cases, across both readers and
+// across two decodes of the archive from separate byte copies, which a
+// dictionary that skipped the table could not give.
 func TestDecodedStringsCanonical(t *testing.T) {
 	var f bytes.Buffer
 	if err := writeV2(&f, randLog(3, 4, 50)); err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range map[string]func([]byte) (*Reader, error){
-		"zero-copy": newReaderBytes,
-		"ReadAt":    newReaderAt,
-	} {
-		r, err := open(f.Bytes())
-		if err != nil {
-			t.Fatal(err)
+	first := map[string]*byte{} // value → the allocation first decoded
+	shared := func(s string) bool {
+		if s == "" {
+			return true
 		}
-		got, err := source.Drain(r.Stream(1, 1), false)
-		if err != nil {
-			t.Fatal(err)
+		p, ok := first[s]
+		if !ok {
+			first[s] = unsafe.StringData(s)
+			return true
 		}
-		cache := intern.CacheFor(nil)
-		canonical := func(s string) bool {
-			return s == "" || unsafe.StringData(s) == unsafe.StringData(cache.Canon(s))
-		}
-		for _, c := range got.Cases() {
-			if !canonical(c.ID.CID) || !canonical(c.ID.Host) {
-				t.Errorf("%s: case %s: identity strings are not the table's copies", name, c.ID)
+		return p == unsafe.StringData(s)
+	}
+	cache := intern.CacheFor(nil)
+	defer intern.PutCache(cache)
+	for _, rd := range []struct {
+		name string
+		open func([]byte) (*Reader, error)
+	}{{"zero-copy", newReaderBytes}, {"ReadAt", newReaderAt}} {
+		for pass := range 2 {
+			name := fmt.Sprintf("%s/%d", rd.name, pass)
+			r, err := rd.open(bytes.Clone(f.Bytes()))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, e := range c.Events {
-				if !canonical(e.Call) || !canonical(e.FP) {
-					t.Fatalf("%s: case %s: event strings %q, %q are not the table's copies", name, c.ID, e.Call, e.FP)
+			got, err := source.Drain(r.Stream(1, 1), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range got.Cases() {
+				if !shared(c.ID.CID) || !shared(c.ID.Host) {
+					t.Errorf("%s: case %s: identity strings do not share one allocation", name, c.ID)
+				}
+				for _, e := range c.Events {
+					if !shared(e.Call) || !shared(e.FP) {
+						t.Fatalf("%s: case %s: event strings %q, %q do not share one allocation", name, c.ID, e.Call, e.FP)
+					}
 				}
 			}
 		}
-		intern.PutCache(cache)
+	}
+	for s, p := range first {
+		if p != unsafe.StringData(cache.Canon(s)) {
+			t.Errorf("%q is not the table's copy", s)
+		}
 	}
 }

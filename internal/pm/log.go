@@ -16,11 +16,21 @@ type Trace []Activity
 
 // String renders the trace in the paper's ⟨a1, a2, ...⟩ notation.
 func (t Trace) String() string {
-	parts := make([]string, len(t))
-	for i, a := range t {
-		parts[i] = string(a)
+	n := len("⟨⟩") + 2*max(len(t)-1, 0)
+	for _, a := range t {
+		n += len(a)
 	}
-	return "⟨" + strings.Join(parts, ", ") + "⟩"
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("⟨")
+	for i, a := range t {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(a))
+	}
+	b.WriteString("⟩")
+	return b.String()
 }
 
 // Variant is one distinct trace together with its multiplicity in the

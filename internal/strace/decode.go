@@ -31,7 +31,7 @@ import (
 // bytes are built into *scratch and built == true is returned, so the
 // caller canonicalizes them with CanonBytes without ever materializing
 // an intermediate string.
-func extractPathInto(r record, scratch *[]byte) (string, bool) {
+func extractPathInto(r *record, scratch *[]byte) (string, bool) {
 	switch r.Call {
 	case "openat", "unlinkat", "mkdirat":
 		// openat(AT_FDCWD, "/etc/passwd", O_RDONLY) = 3</etc/passwd>
@@ -182,7 +182,7 @@ func splitDirFD(s string) (dir string, ok bool) {
 // skipped: it conventionally repeats the program name. Records without
 // an argv array (writer-dialect round trips, plain path forms) yield
 // the bare program path.
-func spawnInto(r record, pathIdx, argvIdx int, scratch *[]byte) (path string, built, ok bool) {
+func spawnInto(r *record, pathIdx, argvIdx int, scratch *[]byte) (path string, built, ok bool) {
 	if r.RetPath != "" {
 		return r.RetPath, false, true
 	}

@@ -92,11 +92,11 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 
 	// Interrupted (ERESTARTSYS) and failed calls are dropped, and so is
 	// every call outside the extraction set.
-	emit := func(r record) {
+	emit := func(r *record) {
 		if r.Errno != "" || !(ioCalls[r.Call] || behaviorCalls[r.Call]) {
 			return
 		}
-		kept = append(kept, r)
+		kept = append(kept, *r)
 	}
 
 	// -tt timestamps are time of day and wrap at midnight; a trace
@@ -112,7 +112,7 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 	haveTime := false
 
 	for i := range records {
-		r := records[i]
+		r := &records[i]
 		t := r.Time + dayOffset
 		if haveTime {
 			switch {
@@ -139,7 +139,7 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 				}
 				// Drop the stale record and start over.
 			}
-			pending[r.PID] = r
+			pending[r.PID] = *r
 		case kindResumed:
 			u, ok := pending[r.PID]
 			if !ok || u.Call != r.Call {
@@ -150,7 +150,8 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 				continue
 			}
 			delete(pending, r.PID)
-			emit(mergeUnfinished(u, r))
+			mergeUnfinished(&u, r)
+			emit(r)
 		case kindExit, kindSignal:
 			// Not system calls; ignored.
 		}
@@ -167,20 +168,20 @@ func eventsFromRecords(id trace.CaseID, records []record, opts Options, cache *i
 	var scratch []byte
 	events := make([]trace.Event, len(kept))
 	for i := range kept {
-		events[i] = recordToEvent(kept[i], cache, &scratch)
+		events[i] = recordToEvent(&kept[i], cache, &scratch)
 	}
 	return events, nil
 }
 
-// mergeUnfinished merges an unfinished record and its resumed counterpart
-// into a single complete record: arguments are concatenated, the start
-// timestamp comes from the unfinished half, and the return value, transfer
-// size and duration come from the resumed half (Section III).
-func mergeUnfinished(u, r record) record {
-	m := r
-	m.Kind = kindSyscall
-	m.Time = u.Time
-	m.Line = u.Line
+// mergeUnfinished merges an unfinished record into its resumed
+// counterpart r, which becomes the single complete record: arguments
+// are concatenated, the start timestamp comes from the unfinished half,
+// and the return value, transfer size and duration come from the
+// resumed half (Section III).
+func mergeUnfinished(u, r *record) {
+	r.Kind = kindSyscall
+	r.Time = u.Time
+	r.Line = u.Line
 	args := append([]string(nil), u.Args...)
 	args = append(args, r.Args...)
 	// The unfinished half can end in an empty fragment when the split
@@ -191,9 +192,7 @@ func mergeUnfinished(u, r record) record {
 			clean = append(clean, a)
 		}
 	}
-	m.Args = clean
-	m.Raw = u.Raw + " // " + r.Raw
-	return m
+	r.Args = clean
 }
 
 // recordToEvent applies the attribute extraction rules of Section III to a
@@ -205,7 +204,7 @@ func mergeUnfinished(u, r record) record {
 // The call name and path are canonicalized through the string cache, so
 // the event holds interned strings rather than per-event substring pins
 // of the trace line; byte-built paths intern straight from scratch.
-func recordToEvent(r record, cache *intern.Cache, scratch *[]byte) trace.Event {
+func recordToEvent(r *record, cache *intern.Cache, scratch *[]byte) trace.Event {
 	e := trace.Event{
 		PID:   r.PID,
 		Call:  cache.Canon(r.Call),

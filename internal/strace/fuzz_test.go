@@ -68,11 +68,13 @@ func TestParseCaseOverCapLine(t *testing.T) {
 	checkParseCase(t, fuzzSeeds[0]+"\n"+strings.Repeat("x", maxLineBytes+1)+"\n"+fuzzSeeds[1]+"\n")
 }
 
-// checkParseCase is FuzzParseCase's body: data parses without panic in
-// every option mode, on the batch and the follow path, any case it
-// yields satisfies the event-model invariants, and where the input is
-// split into reads does not change the result.
+// checkParseCase is FuzzParseCase's body: every line parses as the
+// replaced line parser parsed it (parser_equiv_test.go), data parses
+// without panic in every option mode, on the batch and the follow
+// path, any case it yields satisfies the event-model invariants, and
+// where the input is split into reads does not change the result.
 func checkParseCase(t *testing.T, data string) {
+	checkLinesEquiv(t, data)
 	id := trace.CaseID{CID: "fuzz", Host: "h", RID: 1}
 	for _, opts := range []Options{
 		{},
@@ -190,7 +192,8 @@ func FuzzBehaviorDecode(f *testing.F) {
 			return
 		}
 		var scratch []byte
-		for _, r := range recs {
+		for i := range recs {
+			r := &recs[i]
 			p, built := extractPathInto(r, &scratch)
 			if built {
 				if len(scratch) == 0 {

@@ -13,11 +13,16 @@ import (
 // parseLine parses one line of strace output into a record with a
 // private argument arena.
 func parseLine(line string) (record, error) {
-	return parseLineWith(line, &argBuilder{})
+	var rec record
+	err := parseLineWith(line, &rec, &argBuilder{})
+	return rec, err
 }
 
-// splitArgs is splitArgsInto with a fresh slice.
-func splitArgs(s string) []string { return splitArgsInto(s, nil) }
+// splitArgs splits a whole argument list with a private arena.
+func splitArgs(s string) []string {
+	args, _, _ := new(argBuilder).scan(s, false)
+	return args
+}
 
 // readFS drains StreamFS into an event-log, joining every per-file
 // failure under opts.Strict and stopping at the first one otherwise.
@@ -59,7 +64,7 @@ func convertRecords(id trace.CaseID, records []record, opts Options) ([]trace.Ev
 // extractPath is the file path extractPathInto finds for r, as a string.
 func extractPath(r record) string {
 	var scratch []byte
-	p, built := extractPathInto(r, &scratch)
+	p, built := extractPathInto(&r, &scratch)
 	if built {
 		return string(scratch)
 	}

@@ -32,18 +32,6 @@ type argBuilder struct {
 	arena []string
 }
 
-// split splits an argument list, appending into the arena and returning
-// the record's view of it (nil for an empty list, matching the
-// empty split of splitArgsInto).
-func (ab *argBuilder) split(s string) []string {
-	start := len(ab.arena)
-	ab.arena = splitArgsInto(s, ab.arena)
-	if len(ab.arena) == start {
-		return nil
-	}
-	return ab.arena[start:len(ab.arena):len(ab.arena)]
-}
-
 // reset drops the argument references accumulated for one file so the
 // pooled arena does not pin parsed line text, keeping the (largest)
 // backing array for reuse.
@@ -52,23 +40,126 @@ func (ab *argBuilder) reset() {
 	ab.arena = ab.arena[:0]
 }
 
-// parseLineWith parses one line of strace output into a record,
-// splitting its arguments into the caller-owned arena. The line may or
-// may not carry a leading PID column (strace -f); the parser detects
-// this from the shape of the first field.
-func parseLineWith(line string, ab *argBuilder) (record, error) {
-	rec := record{Raw: line}
-	s := strings.TrimRight(line, "\r\n")
+// Byte classes of the argument scan. Only bytes outside a string
+// literal are classified; inside one, just '"' and '\\' matter.
+const (
+	bOrdinary   = iota
+	bQuote      // '"' opens a string literal
+	bOpen       // '(' '[' '{'
+	bClose      // ')' ']' '}'
+	bOpenAngle  // '<' of an fd-path annotation
+	bCloseAngle // '>'
+	bComma      // argument separator
+	bEquals     // '=' of the " = " before the return value
+)
+
+// byteClass maps every byte to its class, so the scan passes over
+// ordinary bytes with one table load and one compare.
+var byteClass = [256]uint8{
+	'"': bQuote,
+	'(': bOpen, '[': bOpen, '{': bOpen,
+	')': bClose, ']': bClose, '}': bClose,
+	'<': bOpenAngle, '>': bCloseAngle,
+	',': bComma, '=': bEquals,
+}
+
+// scan splits the argument list at the front of s in one pass. It
+// appends the top-level arguments to the arena — cut at commas outside
+// strings, parentheses, brackets, braces and fd-path angle brackets,
+// each whitespace-trimmed — and returns the record's view of them (nil
+// for an empty list).
+//
+// With cut, s is a record tail: the argument list ends at the first " = "
+// outside strings and below parenthesis depth one, whose return part
+// follows it, and a ')' before the " = " closes the call rather than
+// ending the last argument. That depth counts only '(' '[' '{' against
+// ')' ']' '}' and may go negative, while the comma depth also counts the
+// angle brackets and stops at zero; both rules are kept so an
+// annotation such as "3</a = b>" parses as it always has. found reports
+// a return part; without one nothing is appended. Without cut, all of
+// s is the argument list.
+func (ab *argBuilder) scan(s string, cut bool) (args []string, ret string, found bool) {
+	start := len(ab.arena)
+	var (
+		nest  int // '(' '[' '{' depth: the return-value rule
+		depth int // the same plus '<', clamped at 0: the comma rule
+		seg   int // first byte of the current argument
+		end   = len(s)
+	)
+scan:
+	for i := 0; i < len(s); i++ {
+		switch byteClass[s[i]] {
+		case bOrdinary:
+		case bQuote:
+			// Skip the literal; an escape skips the byte after it.
+			for i++; i < len(s); i++ {
+				if c := s[i]; c == '\\' {
+					i++
+				} else if c == '"' {
+					break
+				}
+			}
+		case bOpen:
+			nest++
+			depth++
+		case bClose:
+			nest--
+			if depth > 0 {
+				depth--
+			}
+		case bOpenAngle:
+			depth++
+		case bCloseAngle:
+			if depth > 0 {
+				depth--
+			}
+		case bComma:
+			if depth == 0 {
+				ab.arena = append(ab.arena, strings.TrimSpace(s[seg:i]))
+				seg = i + 1
+			}
+		case bEquals:
+			if cut && nest <= 0 && i > 0 && s[i-1] == ' ' && i+1 < len(s) && s[i+1] == ' ' {
+				end, ret, found = i-1, s[i+2:], true
+				break scan
+			}
+		}
+	}
+	if cut {
+		if !found {
+			clear(ab.arena[start:])
+			ab.arena = ab.arena[:start]
+			return nil, "", false
+		}
+		// No comma lies in the trimmed call-closing suffix, so every
+		// argument but the last is already in the arena.
+		end = len(strings.TrimSuffix(strings.TrimRightFunc(s[:end], unicode.IsSpace), ")"))
+	}
+	if last := strings.TrimSpace(s[seg:end]); len(ab.arena) > start || last != "" {
+		ab.arena = append(ab.arena, last)
+	}
+	if len(ab.arena) == start {
+		return nil, ret, found
+	}
+	return ab.arena[start:len(ab.arena):len(ab.arena)], ret, found
+}
+
+// parseLineWith parses one line of strace output into *rec, which must
+// be zero, splitting its arguments into the caller-owned arena. The
+// line may or may not carry a leading PID column (strace -f); the
+// parser detects this from the shape of the first field.
+func parseLineWith(line string, rec *record, ab *argBuilder) error {
+	s := trimNewlines(line)
 	if strings.TrimSpace(s) == "" {
-		return rec, &ParseError{Text: line, Msg: "empty line"}
+		return &ParseError{Text: line, Msg: "empty line"}
 	}
 
 	// Optional PID column: an integer followed by whitespace and then a
 	// timestamp. Without -f the line starts with the timestamp.
 	rest := s
 	if pid, after, ok := leadingInt(rest); ok {
-		afterTrim := strings.TrimLeft(after, " \t")
-		if afterTrim != after && startsWithTimestamp(afterTrim) {
+		afterTrim := trimBlank(after)
+		if len(afterTrim) != len(after) && startsWithTimestamp(afterTrim) {
 			rec.PID = int(pid)
 			rec.HasPID = true
 			rest = afterTrim
@@ -77,14 +168,14 @@ func parseLineWith(line string, ab *argBuilder) (record, error) {
 
 	tsTok, rest, ok := cutField(rest)
 	if !ok {
-		return rec, &ParseError{Text: line, Msg: "missing timestamp"}
+		return &ParseError{Text: line, Msg: "missing timestamp"}
 	}
 	ts, err := parseTimestamp(tsTok)
 	if err != nil {
-		return rec, &ParseError{Text: line, Msg: err.Error()}
+		return &ParseError{Text: line, Msg: err.Error()}
 	}
 	rec.Time = ts
-	rest = strings.TrimLeft(rest, " \t")
+	rest = trimBlank(rest)
 
 	switch {
 	case strings.HasPrefix(rest, "+++"):
@@ -98,24 +189,42 @@ func parseLineWith(line string, ab *argBuilder) (record, error) {
 	}
 }
 
+// trimBlank cuts the leading spaces and tabs of s.
+func trimBlank(s string) string {
+	i := 0
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+		i++
+	}
+	return s[i:]
+}
+
+// trimNewlines cuts the trailing carriage returns and newlines of s.
+func trimNewlines(s string) string {
+	i := len(s)
+	for i > 0 && (s[i-1] == '\r' || s[i-1] == '\n') {
+		i--
+	}
+	return s[:i]
+}
+
 // parseExit parses "+++ exited with 0 +++" and "+++ killed by SIGKILL +++".
-func parseExit(rec record, rest, line string) (record, error) {
+func parseExit(rec *record, rest, line string) error {
 	rec.Kind = kindExit
 	body := strings.TrimSuffix(strings.TrimPrefix(rest, "+++"), "+++")
 	body = strings.TrimSpace(body)
 	if st, found := strings.CutPrefix(body, "exited with "); found {
 		n, err := strconv.Atoi(strings.TrimSpace(st))
 		if err != nil {
-			return rec, &ParseError{Text: line, Msg: "bad exit status"}
+			return &ParseError{Text: line, Msg: "bad exit status"}
 		}
 		rec.ExitStatus = n
-		return rec, nil
+		return nil
 	}
 	if sig, found := strings.CutPrefix(body, "killed by "); found {
 		rec.Call = firstField(sig)
-		return rec, nil
+		return nil
 	}
-	return rec, &ParseError{Text: line, Msg: "unrecognized +++ record"}
+	return &ParseError{Text: line, Msg: "unrecognized +++ record"}
 }
 
 // firstField returns the first whitespace-delimited field of s as a
@@ -142,114 +251,70 @@ func firstField(s string) string {
 }
 
 // parseSignal parses "--- SIGCHLD {si_signo=SIGCHLD, ...} ---".
-func parseSignal(rec record, rest, line string) (record, error) {
+func parseSignal(rec *record, rest, line string) error {
 	rec.Kind = kindSignal
 	body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(rest, "---"), "---"))
 	if body == "" {
-		return rec, &ParseError{Text: line, Msg: "empty signal record"}
+		return &ParseError{Text: line, Msg: "empty signal record"}
 	}
 	rec.Call = firstField(body)
-	return rec, nil
+	return nil
 }
 
 // parseResumed parses "<... read resumed> ..., 405) = 404 <0.000223>".
-func parseResumed(rec record, rest, line string, ab *argBuilder) (record, error) {
+func parseResumed(rec *record, rest, line string, ab *argBuilder) error {
 	rec.Kind = kindResumed
 	body := strings.TrimPrefix(rest, "<...")
 	idx := strings.Index(body, "resumed>")
 	if idx < 0 {
-		return rec, &ParseError{Text: line, Msg: "malformed resumed record"}
+		return &ParseError{Text: line, Msg: "malformed resumed record"}
 	}
 	rec.Call = strings.TrimSpace(body[:idx])
-	tail := strings.TrimSpace(body[idx+len("resumed>"):])
 
 	// The tail is the remainder of the argument list, a closing
 	// parenthesis, and the usual return/duration suffix.
-	argPart, retPart, found := cutReturn(tail)
+	args, ret, found := ab.scan(strings.TrimSpace(body[idx+len("resumed>"):]), true)
 	if !found {
-		return rec, &ParseError{Text: line, Msg: "resumed record missing return value"}
+		return &ParseError{Text: line, Msg: "resumed record missing return value"}
 	}
-	argPart = strings.TrimSpace(argPart)
-	argPart = strings.TrimSuffix(argPart, ")")
-	rec.Args = ab.split(argPart)
-	if err := parseReturn(&rec, retPart); err != nil {
-		return rec, &ParseError{Text: line, Msg: err.Error()}
-	}
-	return rec, nil
+	rec.Args = args
+	parseReturn(rec, ret)
+	return nil
 }
 
 // parseCall parses complete and unfinished system-call records.
-func parseCall(rec record, rest, line string, ab *argBuilder) (record, error) {
+func parseCall(rec *record, rest, line string, ab *argBuilder) error {
 	open := strings.IndexByte(rest, '(')
 	if open <= 0 {
-		return rec, &ParseError{Text: line, Msg: "missing '(' in system call record"}
+		return &ParseError{Text: line, Msg: "missing '(' in system call record"}
 	}
 	rec.Call = rest[:open]
 	if !validCallName(rec.Call) {
-		return rec, &ParseError{Text: line, Msg: "invalid system call name"}
+		return &ParseError{Text: line, Msg: "invalid system call name"}
 	}
 	body := rest[open+1:]
 
-	if strings.HasSuffix(strings.TrimSpace(body), "<unfinished ...>") {
+	if trimmed := strings.TrimSpace(body); strings.HasSuffix(trimmed, "<unfinished ...>") {
 		rec.Kind = kindUnfinished
-		argPart := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(body), "<unfinished ...>"))
-		argPart = strings.TrimSuffix(strings.TrimSpace(argPart), ",")
-		rec.Args = ab.split(argPart)
-		return rec, nil
+		argPart := strings.TrimSpace(strings.TrimSuffix(trimmed, "<unfinished ...>"))
+		rec.Args, _, _ = ab.scan(strings.TrimSuffix(argPart, ","), false)
+		return nil
 	}
 
 	rec.Kind = kindSyscall
-	argPart, retPart, found := cutReturn(body)
+	args, ret, found := ab.scan(body, true)
 	if !found {
-		return rec, &ParseError{Text: line, Msg: "missing return value"}
+		return &ParseError{Text: line, Msg: "missing return value"}
 	}
-	argPart = strings.TrimSpace(argPart)
-	argPart = strings.TrimSuffix(argPart, ")")
-	rec.Args = ab.split(argPart)
-	if err := parseReturn(&rec, retPart); err != nil {
-		return rec, &ParseError{Text: line, Msg: err.Error()}
-	}
-	return rec, nil
-}
-
-// cutReturn splits a record tail at the top-level " = " separating the
-// argument list from the return value. The separator is only valid at
-// parenthesis depth zero (argument values can contain '=' inside braces,
-// e.g. struct dumps).
-func cutReturn(s string) (args, ret string, found bool) {
-	depth := 0
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			switch c {
-			case '\\':
-				i++
-			case '"':
-				inStr = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			inStr = true
-		case '(', '[', '{':
-			depth++
-		case ')', ']', '}':
-			depth--
-		case '=':
-			if depth <= 0 && i > 0 && s[i-1] == ' ' && i+1 < len(s) && s[i+1] == ' ' {
-				return s[:i-1], s[i+2:], true
-			}
-		}
-	}
-	return s, "", false
+	rec.Args = args
+	parseReturn(rec, ret)
+	return nil
 }
 
 // parseReturn interprets the return token and trailing duration:
 // "832 <0.000203>", "-1 EBADF (Bad file descriptor) <0.000010>",
 // "3</etc/passwd> <0.000031>", "? ERESTARTSYS (To be restarted ...)".
-func parseReturn(rec *record, s string) error {
+func parseReturn(rec *record, s string) {
 	s = strings.TrimSpace(s)
 	// Trailing duration.
 	if i := strings.LastIndexByte(s, '<'); i >= 0 && strings.HasSuffix(s, ">") {
@@ -274,7 +339,7 @@ func parseReturn(rec *record, s string) error {
 		rec.RetInt = int64(fd)
 		rec.RetOK = true
 		rec.RetPath = path
-		return nil
+		return
 	}
 
 	// Errno and its explanation: "-1 EBADF (Bad file descriptor)",
@@ -292,67 +357,19 @@ func parseReturn(rec *record, s string) error {
 	}
 	rec.Ret = s
 	if s == "?" {
-		return nil
+		return
 	}
 	if fd, path, ok := splitFDPath(s); ok {
 		rec.RetInt = int64(fd)
 		rec.RetOK = true
 		rec.RetPath = path
-		return nil
+		return
 	}
 	if v, ok := parseInt(s); ok {
 		rec.RetInt = v
 		rec.RetOK = true
-		return nil
 	}
 	// Pointers ("0x7f...") and other symbolic returns are kept raw.
-	return nil
-}
-
-// splitArgsInto splits an argument list at top-level commas, respecting
-// strings (with escapes), parentheses, brackets, braces and fd-path
-// angle-bracket annotations. Every argument is a whitespace-trimmed
-// subslice of s; results are appended to out, so the per-file parsing
-// loop amortizes the slice allocation across records. An empty (or
-// all-space) list appends nothing.
-func splitArgsInto(s string, out []string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return out
-	}
-	var (
-		depth int
-		inStr bool
-		start int
-	)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			switch c {
-			case '\\':
-				i++
-			case '"':
-				inStr = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			inStr = true
-		case '(', '[', '{', '<':
-			depth++
-		case ')', ']', '}', '>':
-			if depth > 0 {
-				depth--
-			}
-		case ',':
-			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
-		}
-	}
-	return append(out, strings.TrimSpace(s[start:]))
 }
 
 // splitFDPath splits an fd-with-path token produced by strace -y, for
@@ -373,16 +390,19 @@ func splitFDPath(s string) (fd int, path string, ok bool) {
 // "HH:MM:SS.micros" and the -ttt epoch form "1700000000.123456" into a
 // duration since the respective zero point.
 func parseTimestamp(s string) (time.Duration, error) {
-	if strings.Count(s, ":") == 2 {
-		i := strings.IndexByte(s, ':')
-		j := i + 1 + strings.IndexByte(s[i+1:], ':')
-		h, err1 := strconv.Atoi(s[:i])
-		m, err2 := strconv.Atoi(s[i+1 : j])
-		sec, err3 := parseSeconds(s[j+1:])
-		if err1 != nil || err2 != nil || err3 != nil || h < 0 || h > 23 || m < 0 || m > 59 || sec < 0 || sec >= 61*time.Second {
-			return 0, fmt.Errorf("bad -tt timestamp %q", s)
+	if i := strings.IndexByte(s, ':'); i >= 0 {
+		if j := strings.IndexByte(s[i+1:], ':'); j >= 0 {
+			j += i + 1
+			if strings.IndexByte(s[j+1:], ':') < 0 {
+				h, err1 := parseInt10(s[:i])
+				m, err2 := parseInt10(s[i+1 : j])
+				sec, err3 := parseSeconds(s[j+1:])
+				if err1 != nil || err2 != nil || err3 != nil || h < 0 || h > 23 || m < 0 || m > 59 || sec < 0 || sec >= 61*time.Second {
+					return 0, fmt.Errorf("bad -tt timestamp %q", s)
+				}
+				return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + sec, nil
+			}
 		}
-		return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + sec, nil
 	}
 	if d, err := parseSeconds(s); err == nil {
 		return d, nil
@@ -401,7 +421,7 @@ func parseSeconds(s string) (time.Duration, error) {
 	if intPart == "" {
 		intPart = "0"
 	}
-	sec, err := strconv.ParseInt(intPart, 10, 64)
+	sec, err := parseInt10(intPart)
 	if err != nil || sec < 0 {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
@@ -410,7 +430,7 @@ func parseSeconds(s string) (time.Duration, error) {
 		if fracPart == "" || len(fracPart) > 9 {
 			return 0, fmt.Errorf("bad duration %q", s)
 		}
-		f, err := strconv.ParseInt(fracPart, 10, 64)
+		f, err := parseInt10(fracPart)
 		if err != nil || f < 0 {
 			return 0, fmt.Errorf("bad duration %q", s)
 		}
@@ -425,6 +445,33 @@ func parseSeconds(s string) (time.Duration, error) {
 	return time.Duration(sec)*time.Second + time.Duration(ns), nil
 }
 
+// digits returns the value of s when it is 1 to 18 decimal digits, a
+// length that cannot overflow an int64.
+func digits(s string) (int64, bool) {
+	if len(s) == 0 || len(s) > 18 {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(c)
+	}
+	return v, true
+}
+
+// parseInt10 is strconv.ParseInt(s, 10, 64) with a fast path for plain
+// digit runs; any other token (a sign, an overflow, a stray byte) takes
+// strconv's path and its result.
+func parseInt10(s string) (int64, error) {
+	if v, ok := digits(s); ok {
+		return v, nil
+	}
+	return strconv.ParseInt(s, 10, 64)
+}
+
 // parseInt parses a decimal or hexadecimal integer token.
 func parseInt(s string) (int64, bool) {
 	s = strings.TrimSpace(s)
@@ -435,21 +482,22 @@ func parseInt(s string) (int64, bool) {
 		v, err := strconv.ParseInt(s[2:], 16, 64)
 		return v, err == nil
 	}
-	v, err := strconv.ParseInt(s, 10, 64)
+	v, err := parseInt10(s)
 	return v, err == nil
 }
 
-// cutField splits off the first whitespace-delimited field.
+// cutField splits off the first space- or tab-delimited field.
 func cutField(s string) (field, rest string, ok bool) {
-	s = strings.TrimLeft(s, " \t")
+	s = trimBlank(s)
 	if s == "" {
 		return "", "", false
 	}
-	i := strings.IndexAny(s, " \t")
-	if i < 0 {
-		return s, "", true
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' || s[i] == '\t' {
+			return s[:i], s[i+1:], true
+		}
 	}
-	return s[:i], s[i+1:], true
+	return s, "", true
 }
 
 // leadingInt consumes a leading decimal integer, returning the remainder.
@@ -458,11 +506,8 @@ func leadingInt(s string) (int64, string, bool) {
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		i++
 	}
-	if i == 0 || i > 18 {
-		return 0, s, false
-	}
-	v, err := strconv.ParseInt(s[:i], 10, 64)
-	if err != nil {
+	v, ok := digits(s[:i])
+	if !ok {
 		return 0, s, false
 	}
 	return v, s[i:], true

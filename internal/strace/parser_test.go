@@ -1,9 +1,15 @@
 package strace
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"stinspector/internal/iorsim"
+	"stinspector/internal/trace"
 )
 
 func mustParse(t *testing.T, line string) record {
@@ -284,4 +290,69 @@ func BenchmarkParseLine(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// iorBench holds the rendered input of BenchmarkParseCaseIOR, built
+// once per process.
+var iorBench struct {
+	once   sync.Once
+	ids    []trace.CaseID
+	texts  []string
+	events int
+	bytes  int64
+	err    error
+}
+
+// BenchmarkParseCaseIOR parses an in-memory iorsim trace pair — ssf and
+// fpp, 96 ranks on 2 hosts, 16 segments of 16 MiB blocks in 256 KiB
+// transfers, startup preamble included: the ior_compare workload's 192
+// files — with ParseCase, one file after another on one goroutine. It
+// reports the parse layer's ns/event and allocs/event.
+func BenchmarkParseCaseIOR(b *testing.B) {
+	in := &iorBench
+	in.once.Do(func() {
+		for i, cid := range []string{"ssf", "fpp"} {
+			res, err := iorsim.Run(iorsim.Config{
+				CID: cid, Ranks: 96, Hosts: 2,
+				TransferSize: 256 << 10, BlockSize: 16 << 20, Segments: 16,
+				Write: true, Read: true, FilePerProc: cid == "fpp", Preamble: true,
+				Seed: 1 + int64(i),
+			})
+			if err != nil {
+				in.err = err
+				return
+			}
+			for _, c := range res.Log.Cases() {
+				var buf bytes.Buffer
+				if err := NewWriter(&buf).WriteCase(c); err != nil {
+					in.err = err
+					return
+				}
+				in.ids = append(in.ids, c.ID)
+				in.texts = append(in.texts, buf.String())
+				in.events += c.Len()
+				in.bytes += int64(buf.Len())
+			}
+		}
+	})
+	if in.err != nil {
+		b.Fatal(in.err)
+	}
+	b.SetBytes(in.bytes)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, text := range in.texts {
+			if _, err := ParseCase(in.ids[j], strings.NewReader(text), Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	n := float64(b.N) * float64(in.events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/event")
 }

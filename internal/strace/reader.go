@@ -140,14 +140,19 @@ func (lr *lineReader) parse(b []byte) *ParseError {
 	if len(bytes.TrimSpace(b)) == 0 {
 		return nil
 	}
-	rec, err := parseLineWith(string(b), &lr.args)
-	if err != nil {
+	// The record is filled in place; a skipped line's slot is zeroed
+	// and given back, so the spare capacity never pins line text.
+	n := len(lr.records)
+	lr.records = append(lr.records, record{})
+	rec := &lr.records[n]
+	if err := parseLineWith(string(b), rec, &lr.args); err != nil {
+		*rec = record{}
+		lr.records = lr.records[:n]
 		pe := err.(*ParseError)
 		pe.Line = lr.line
 		return pe
 	}
 	rec.Line = lr.line
-	lr.records = append(lr.records, rec)
 	lr.sawExit = lr.sawExit || rec.Kind == kindExit
 	return nil
 }

@@ -103,8 +103,6 @@ type record struct {
 	// ExitStatus is the status of a kindExit record.
 	ExitStatus int
 
-	// Raw is the original line, kept for diagnostics.
-	Raw string
 	// Line is the 1-based line number within the trace file.
 	Line int
 }
