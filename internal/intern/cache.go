@@ -49,12 +49,12 @@ func (c *Cache) Canon(s string) string {
 }
 
 // CanonBytes is Canon for a []byte. On a cache hit no string is
-// allocated; on a miss the one conversion becomes the table's copy.
+// allocated.
 func (c *Cache) CanonBytes(b []byte) string {
 	if v, ok := c.m[string(b)]; ok { // compiler elides the conversion
 		return v
 	}
-	v := c.t.canonOwned(string(b))
+	v := c.t.canon(string(b))
 	c.trim()
 	c.m[v] = v
 	return v

@@ -54,25 +54,10 @@ func (t *Table) canon(s string) string {
 		return v.(string)
 	}
 	// Clone so the table never pins a larger parent string (parsed
-	// trace lines, decoded archive sections).
-	return t.store(strings.Clone(s))
-}
-
-// canonOwned is canon for a string nothing else references, such as a
-// fresh []byte conversion: on a miss it becomes the canonical copy
-// itself.
-func (t *Table) canonOwned(s string) string {
-	if v, ok := t.m.Load(s); ok {
-		return v.(string)
-	}
-	return t.store(s)
-}
-
-// store adds s unless an equal string is present, and returns the
-// table's copy. s is boxed once: the entry's key and value share it.
-func (t *Table) store(s string) string {
-	var box any = s
-	v, loaded := t.m.LoadOrStore(box, box)
+	// trace lines, decoded archive sections), and box the clone once so
+	// the entry's key and value share it.
+	var c any = strings.Clone(s)
+	v, loaded := t.m.LoadOrStore(c, c)
 	if !loaded {
 		t.n.Add(1)
 	}

@@ -3,13 +3,10 @@ package intern
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
-
-	"stinspector/internal/race"
 )
 
 // same reports whether a and b share one allocation.
@@ -318,55 +315,5 @@ func TestCacheForNeverCrossesTables(t *testing.T) {
 	}
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Errorf("table lens = %d, %d, want 1, 1", a.Len(), b.Len())
-	}
-}
-
-// canonBytesOld is the CanonBytes miss path before the conversion was
-// handed to the table: the conversion, a clone of it, and a key and a
-// value boxed apart.
-func canonBytesOld(t *Table, b []byte) string {
-	s := string(b)
-	if v, ok := t.m.Load(s); ok {
-		return v.(string)
-	}
-	c := strings.Clone(s)
-	v, loaded := t.m.LoadOrStore(c, c)
-	if !loaded {
-		t.n.Add(1)
-	}
-	return v.(string)
-}
-
-// TestCanonBytesMissAllocs: a CanonBytes miss hands its []byte
-// conversion to the table as the canonical copy and boxes it once, so
-// it allocates at least two fewer times than the cloning miss path did.
-// The keys are longer than 32 bytes, as trace paths are, so no
-// conversion fits the compiler's stack buffer.
-func TestCanonBytesMissAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	const runs = 500
-	keys := make([][]byte, 2*(runs+1))
-	for i := range keys {
-		keys[i] = fmt.Appendf(nil, "/p/scratch/user/ior/fpp/testfile.%08d", i)
-	}
-	tab := NewTable()
-	next := 0
-	old := testing.AllocsPerRun(runs, func() {
-		canonBytesOld(tab, keys[next])
-		next++
-	})
-	c := &Cache{t: tab, m: make(map[string]string, 2*len(keys))}
-	now := testing.AllocsPerRun(runs, func() {
-		c.CanonBytes(keys[next])
-		next++
-	})
-	t.Logf("cold miss: cloning path %.0f allocs, CanonBytes %.0f", old, now)
-	if now > old-2 {
-		t.Errorf("CanonBytes miss allocates %.0f times, want at most %.0f", now, old-2)
-	}
-	if tab.Len() != len(keys) {
-		t.Errorf("table holds %d strings, want %d", tab.Len(), len(keys))
 	}
 }

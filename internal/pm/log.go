@@ -16,21 +16,11 @@ type Trace []Activity
 
 // String renders the trace in the paper's ⟨a1, a2, ...⟩ notation.
 func (t Trace) String() string {
-	n := len("⟨⟩") + 2*max(len(t)-1, 0)
-	for _, a := range t {
-		n += len(a)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString("⟨")
+	parts := make([]string, len(t))
 	for i, a := range t {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(string(a))
+		parts[i] = string(a)
 	}
-	b.WriteString("⟩")
-	return b.String()
+	return "⟨" + strings.Join(parts, ", ") + "⟩"
 }
 
 // Variant is one distinct trace together with its multiplicity in the

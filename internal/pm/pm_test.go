@@ -359,24 +359,3 @@ func TestVariantCasesRecorded(t *testing.T) {
 		t.Errorf("case rids = %v", v.Cases)
 	}
 }
-
-// TestTraceString: a trace renders in ⟨a1, a2, ...⟩ notation — the
-// activities joined by ", " between the angle brackets — into one
-// exact-size allocation.
-func TestTraceString(t *testing.T) {
-	for _, tr := range []Trace{nil, {"a"}, {"●", "read:/f", "", "■"}} {
-		parts := make([]string, len(tr))
-		for i, a := range tr {
-			parts[i] = string(a)
-		}
-		if got, want := tr.String(), "⟨"+strings.Join(parts, ", ")+"⟩"; got != want {
-			t.Errorf("%q.String() = %q, want %q", parts, got, want)
-		}
-		if race.Enabled {
-			continue
-		}
-		if n := testing.AllocsPerRun(10, func() { _ = tr.String() }); n != 1 {
-			t.Errorf("%q.String() allocates %.0f times, want 1", parts, n)
-		}
-	}
-}

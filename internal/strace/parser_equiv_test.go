@@ -380,9 +380,11 @@ func checkLinesEquiv(t *testing.T, data string) {
 }
 
 // edgeLines are record shapes the generated corpora do not reach: an
-// fd annotation holding " = ", unterminated quotes, trailing escapes,
-// empty and unclosed argument lists, " = " inside braces, odd depths,
-// Unicode spaces at the trim points and signed or oversized time tokens.
+// fd annotation holding " = ", unterminated quotes, escaped quotes and
+// commas inside strings, trailing escapes, empty arguments inside
+// braces and brackets, empty and unclosed argument lists, " = " inside
+// braces, odd depths, Unicode spaces at the trim points, signed or
+// oversized time tokens and exit and signal lines.
 var edgeLines = []string{
 	`1  00:00:01.000000 read(3</a = b>, "x", 1) = 1 <0.000001>`,
 	`1  00:00:01.000000 openat(AT_FDCWD, "/x", O_RDONLY) = 3</a = b> <0.000001>`,
@@ -445,6 +447,12 @@ var edgeLines = []string{
 	`1  1700000000.123456 read(3) = 1`,
 	`1  00:00:01.000000 +++ exited with 0 +++`,
 	`1  00:00:01.000000 --- SIGCHLD {si_signo=SIGCHLD} ---`,
+	`1  00:00:01.000000 openat(AT_FDCWD, "/a \"q\" b", O_RDONLY) = 3</a> <0.000001>`,
+	`1  00:00:01.000000 futex({a=1, , }, [ , ], "x,,y", ) = 0 <0.000001>`,
+	`1  00:00:01.000000 read(3</f>, <unfinished ...>`,
+	`1  00:00:01.000000 <... read resumed> "", 0) = 0 <0.000001>`,
+	`1  00:00:01.000000 +++ killed by SIGKILL (core dumped) +++`,
+	`1  00:00:01.000000 --- SIGSEGV {si_signo=SIGSEGV, si_code=1} ---`,
 	"",
 	"   ",
 	"\r",
